@@ -232,10 +232,6 @@ def voting_train(
     return model
 
 
-def voting_predict(model: VotingModel, traj: Trajectory) -> np.ndarray:
-    return model.predict(traj)
-
-
 @dataclass(frozen=True)
 class BucketConfig:
     """Offset discretization for the HMM observation alphabet.
@@ -492,6 +488,5 @@ __all__ = [
     "observations",
     "spatiotemporal_bin",
     "viterbi",
-    "voting_predict",
     "voting_train",
 ]

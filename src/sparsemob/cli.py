@@ -377,17 +377,23 @@ def _device_rng(seed: int, device: str) -> np.random.Generator:
 # ------------------------------------------------------------- commands
 
 
-def _label_rows(run: RunConfig, traj: Trajectory) -> list[tuple[str, int, str]]:
+def _label_rows(
+    device: str, times: np.ndarray, codes: np.ndarray
+) -> list[tuple[str, int, str]]:
+    """(mid, time, letter) rows of a labels CSV for one device."""
+    return [(device, t, s) for t, s in zip(times.tolist(), codes_to_letters(codes))]
+
+
+def _sds_rows(run: RunConfig, traj: Trajectory) -> list[tuple[str, int, str]]:
     labeled = sds_label(
         traj, run.params, ref_lat=run.ref_lat, tail_flush=run.tail_flush
     )
-    letters = labeled.letters()
-    return [(traj.device, int(t), s) for t, s in zip(traj.times, letters)]
+    return _label_rows(traj.device, traj.times, labeled.labels)
 
 
 def run_label(args: argparse.Namespace, run: RunConfig) -> int:
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    worker = partial(_label_rows, run)
+    worker = partial(_sds_rows, run)
     if run.workers > 1 and len(trajectories) > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(run.workers) as pool:
@@ -410,10 +416,7 @@ def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
             )
         except OracleLimitError as exc:
             raise DataError(f"device {traj.device!r}: {exc}") from None
-        rows.extend(
-            (traj.device, int(t), s)
-            for t, s in zip(traj.times, labels.letters())
-        )
+        rows.extend(_label_rows(traj.device, traj.times, labels.labels))
     _write_csv(args.out, "labels", ["mid", "time", "label"], rows)
     return EXIT_OK
 
@@ -519,10 +522,7 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
                 (int(traj.times[k]), traj.lons[k], traj.lats[k], traj.device)
             )
         if truth is not None:
-            letters = codes_to_letters(truth)
-            label_rows.extend(
-                (traj.device, int(t), s) for t, s in zip(traj.times, letters)
-            )
+            label_rows.extend(_label_rows(traj.device, traj.times, truth))
     _write_csv(args.out, "records", ["time", "lon", "lat", "mid"], record_rows)
     if with_truth:
         _write_csv(args.labels_out, "labels", ["mid", "time", "label"], label_rows)
@@ -543,10 +543,7 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
         if args.labels:
             labels = _aligned_labels(traj, label_map, strict=run.strict)
             sub, sub_labels = resample_labeled(traj, labels, args.rate, rng)
-            letters = codes_to_letters(sub_labels)
-            label_rows.extend(
-                (sub.device, int(t), s) for t, s in zip(sub.times, letters)
-            )
+            label_rows.extend(_label_rows(sub.device, sub.times, sub_labels))
         else:
             sub = resample(traj, args.rate, rng)
         for k in range(len(sub)):
@@ -717,10 +714,7 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
                 codes = model.predict(traj)
             else:
                 codes = hmm_predict(model, traj, ref_lat=run.ref_lat)
-            letters = codes_to_letters(codes)
-            rows.extend(
-                (traj.device, int(t), s) for t, s in zip(traj.times, letters)
-            )
+            rows.extend(_label_rows(traj.device, traj.times, codes))
         _write_csv(args.out, "labels", ["mid", "time", "label"], rows)
     return EXIT_OK
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,33 +24,17 @@ class MetricUndefinedError(ValueError):
     """Raised when a metric's minimum-support precondition is not met."""
 
 
-class MobilityLabel(Enum):
-    """Per-record state: a confirmed stop, confirmed movement, or abstention."""
-
-    STAY = "S"
-    TRAVEL = "T"
-    UNLABELED = "U"
-
-    @property
-    def letter(self) -> str:
-        return self.value
-
-
 # Compact integer codes used for label arrays in hot paths.
 LABEL_UNLABELED = 0
 LABEL_STAY = 1
 LABEL_TRAVEL = 2
 
-_LABEL_BY_CODE = (MobilityLabel.UNLABELED, MobilityLabel.STAY, MobilityLabel.TRAVEL)
-_CODE_BY_LETTER = {"U": LABEL_UNLABELED, "S": LABEL_STAY, "T": LABEL_TRAVEL}
-
-
-def label_for_code(code: int) -> MobilityLabel:
-    return _LABEL_BY_CODE[code]
+_LETTERS = "UST"  # indexed by code
+_CODE_BY_LETTER = {letter: code for code, letter in enumerate(_LETTERS)}
 
 
 def codes_to_letters(codes: np.ndarray) -> list[str]:
-    return [_LABEL_BY_CODE[int(c)].value for c in codes]
+    return [_LETTERS[c] for c in np.asarray(codes).tolist()]
 
 
 def letters_to_codes(letters: Iterable[str]) -> np.ndarray:
@@ -73,19 +56,6 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon}")
         if not (-90.0 <= self.lat <= 90.0):
             raise ValueError(f"latitude out of range: {self.lat}")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One observation: where a device reported itself at one instant."""
-
-    time: int
-    location: GeoPoint
-    device: str
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.time}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,40 +89,16 @@ class Trajectory:
                 raise ValueError(
                     f"timestamps must be strictly increasing for device {self.device!r}"
                 )
-            if np.abs(lons).max() > 180.0 or np.abs(lats).max() > 90.0:
-                raise ValueError("coordinates out of range")
+            # written so that NaN fails the test too
+            if not ((np.abs(lons) <= 180.0).all() and (np.abs(lats) <= 90.0).all()):
+                raise ValueError("coordinates out of range or not finite")
         for name, arr in (("times", times), ("lons", lons), ("lats", lats)):
             arr = arr.copy() if not arr.flags.owndata else arr
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_records(cls, records: Sequence[TrajectoryRecord]) -> "Trajectory":
-        if not records:
-            raise ValueError("from_records requires at least one record")
-        device = records[0].device
-        if any(r.device != device for r in records):
-            raise ValueError("records mix devices")
-        return cls(
-            device=device,
-            times=np.array([r.time for r in records], dtype=np.int64),
-            lons=np.array([r.location.lon for r in records], dtype=np.float64),
-            lats=np.array([r.location.lat for r in records], dtype=np.float64),
-        )
-
     def __len__(self) -> int:
         return len(self.times)
-
-    def record(self, i: int) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            time=int(self.times[i]),
-            location=GeoPoint(float(self.lons[i]), float(self.lats[i])),
-            device=self.device,
-        )
-
-    def records(self) -> Iterator[TrajectoryRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
 
 
 @dataclass(frozen=True)
@@ -168,35 +114,6 @@ class MobilityParams:
             raise ValueError(f"delta_s must be positive, got {self.delta_s}")
         if not self.delta_t > 0:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
-
-
-@dataclass(frozen=True, eq=False)
-class DenseSegment:
-    """A maximal run of consecutive records whose internal gaps are all
-    <= the slicing threshold; spans ``[start, stop)`` of the parent."""
-
-    parent: Trajectory
-    start: int
-    stop: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.stop <= len(self.parent)):
-            raise ValueError(f"invalid segment span [{self.start}, {self.stop})")
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.parent.times[self.start : self.stop]
-
-    @property
-    def lons(self) -> np.ndarray:
-        return self.parent.lons[self.start : self.stop]
-
-    @property
-    def lats(self) -> np.ndarray:
-        return self.parent.lats[self.start : self.stop]
 
 
 def planar_distance(a: GeoPoint, b: GeoPoint, ref_lat: float) -> float:
@@ -246,16 +163,6 @@ def segment_bounds(times: np.ndarray, delta_t: float) -> list[tuple[int, int]]:
     starts = np.concatenate(([0], cuts))
     stops = np.concatenate((cuts, [n]))
     return list(zip(starts.tolist(), stops.tolist()))
-
-
-def divide(traj: Trajectory, delta_t: float) -> list[DenseSegment]:
-    """Slice a trajectory at every time gap exceeding ``delta_t`` seconds.
-
-    The segments partition the records; no information is discarded. Within a
-    segment every consecutive gap is <= delta_t, and the gaps adjacent to a
-    segment boundary (where present) are > delta_t.
-    """
-    return [DenseSegment(traj, s, e) for s, e in segment_bounds(traj.times, delta_t)]
 
 
 def global_sparsity(traj: Trajectory) -> float:

@@ -54,10 +54,6 @@ def harmonic_mean(a: float | None, b: float | None) -> float | None:
     return 2.0 * a * b / (a + b)
 
 
-def f1_score(precision: float | None, recall: float | None) -> float | None:
-    return harmonic_mean(precision, recall)
-
-
 @dataclass(frozen=True)
 class ConfusionCounts:
     """Record-level outcome tally for a stay/travel labeling.
@@ -136,8 +132,8 @@ class MetricsReport:
     def f1_accuracy(self) -> float | None:
         """Harmonic mean of the two per-class F1 scores."""
         return harmonic_mean(
-            f1_score(self.stay_precision, self.stay_recall),
-            f1_score(self.travel_precision, self.travel_recall),
+            harmonic_mean(self.stay_precision, self.stay_recall),
+            harmonic_mean(self.travel_precision, self.travel_recall),
         )
 
 
@@ -254,8 +250,8 @@ class RateOutcome:
     @property
     def f1_accuracy(self) -> float | None:
         return harmonic_mean(
-            f1_score(self.stay_precision, self.stay_recall),
-            f1_score(self.travel_precision, self.travel_recall),
+            harmonic_mean(self.stay_precision, self.stay_recall),
+            harmonic_mean(self.travel_precision, self.travel_recall),
         )
 
 

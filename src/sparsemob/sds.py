@@ -7,8 +7,8 @@ geometric guarantee under the bounded-detour assumption that between two
 observations close in time and space the device does not wander far from
 them.
 
-Pipeline: slice the trajectory at time gaps > delta_t (core.divide), then run
-two passes over each dense segment:
+Pipeline (label_kernel): slice the trajectory at time gaps > delta_t
+(core.segment_bounds), then run two passes over each dense segment:
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
@@ -36,13 +36,10 @@ from .core import (
     LABEL_STAY,
     LABEL_TRAVEL,
     LABEL_UNLABELED,
-    DenseSegment,
-    MobilityLabel,
     MobilityParams,
     Trajectory,
     codes_to_letters,
     default_ref_lat,
-    label_for_code,
     project_to_meters,
     segment_bounds,
 )
@@ -70,9 +67,6 @@ class LabeledTrajectory:
 
     def __len__(self) -> int:
         return len(self.trajectory)
-
-    def label(self, i: int) -> MobilityLabel:
-        return label_for_code(int(self.labels[i]))
 
     def letters(self) -> list[str]:
         return codes_to_letters(self.labels)
@@ -212,67 +206,49 @@ def _travel_pass(
     return flags
 
 
-def _segment_xy(
-    segment: DenseSegment, ref_lat: float | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if ref_lat is None:
-        ref_lat = default_ref_lat(segment.parent)
-    x, y = project_to_meters(segment.lons, segment.lats, ref_lat)
-    return x, y, segment.times
-
-
-def detect_stays(
-    segment: DenseSegment,
-    params: MobilityParams,
-    *,
-    ref_lat: float | None = None,
-    spatial: float | None = None,
-    tail_flush: bool = True,
-    on_admit: AdmitHook | None = None,
-) -> np.ndarray:
-    """Stay flags for one dense segment.
-
-    ``spatial`` overrides the escape distance (default ``params.delta_s / 3``);
-    the recall-bound accounting runs this pass at other thresholds.
-    ``tail_flush=False`` reproduces the bare sliding scan that never emits the
-    final window.
-    """
-    x, y, t = _segment_xy(segment, ref_lat)
-    escape = params.delta_s / 3.0 if spatial is None else spatial
-    return _stay_pass(x, y, t, escape, params.delta_t, tail_flush, on_admit)
-
-
-def detect_travels(
-    segment: DenseSegment,
-    stay_flags: np.ndarray,
-    params: MobilityParams,
-    *,
-    ref_lat: float | None = None,
-    witness: float | None = None,
-) -> np.ndarray:
-    """Travel flags for one dense segment; never set on stay-flagged records
-    or segment endpoints."""
-    x, y, t = _segment_xy(segment, ref_lat)
-    w = params.delta_s if witness is None else witness
-    return _travel_pass(x, y, t, np.asarray(stay_flags, dtype=bool), w, params.delta_t)
-
-
-def _label_codes(
+def label_kernel(
     x: np.ndarray,
     y: np.ndarray,
     t: np.ndarray,
-    params: MobilityParams,
-    tail_flush: bool,
-) -> np.ndarray:
-    codes = np.full(len(t), LABEL_UNLABELED, dtype=np.int8)
-    for s, e in segment_bounds(t, params.delta_t):
+    delta_t: float,
+    escape: float,
+    witness: float | None,
+    *,
+    tail_flush: bool = True,
+    on_admit: AdmitHook | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stay and travel flags for a whole trajectory in planar coordinates.
+
+    Slices at time gaps > ``delta_t`` and runs, per dense segment, the stay
+    pass at ``escape`` and then, unless ``witness`` is None, the travel pass
+    at ``witness`` skipping the stay flags just computed. With ``witness`` at
+    least ``escape`` the skip never changes a travel flag: a stay window
+    containing the record keeps every member below the witness distance, and
+    witness pairs outside it straddle its >= delta_t span and so fail the
+    window test. ``on_admit(head, cursor)`` receives whole-trajectory indices.
+    """
+    stay = np.zeros(len(t), dtype=bool)
+    travel = np.zeros(len(t), dtype=bool)
+    for s, e in segment_bounds(t, delta_t):
+        hook = on_admit
+        if on_admit is not None:
+            def hook(head: int, cursor: int, s: int = s) -> None:
+                on_admit(s + head, s + cursor)
         xs, ys, ts = x[s:e], y[s:e], t[s:e]
-        stay = _stay_pass(xs, ys, ts, params.delta_s / 3.0, params.delta_t, tail_flush)
-        travel = _travel_pass(xs, ys, ts, stay, params.delta_s, params.delta_t)
-        seg = codes[s:e]
-        seg[stay] = LABEL_STAY
-        seg[travel] = LABEL_TRAVEL
-    return codes
+        seg_stay = _stay_pass(xs, ys, ts, escape, delta_t, tail_flush, hook)
+        stay[s:e] = seg_stay
+        if witness is not None:
+            travel[s:e] = _travel_pass(xs, ys, ts, seg_stay, witness, delta_t)
+    return stay, travel
+
+
+def _project(
+    traj: Trajectory, ref_lat: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    # an empty trajectory has no default reference latitude and needs none
+    if ref_lat is None:
+        ref_lat = default_ref_lat(traj) if len(traj) else 0.0
+    return project_to_meters(traj.lons, traj.lats, ref_lat)
 
 
 def sds_label(
@@ -287,12 +263,15 @@ def sds_label(
     Deterministic: equal inputs give bitwise-equal labels. A single record (or
     any segment too sparse to certify anything) stays Unlabeled.
     """
-    if len(traj) == 0:
-        return LabeledTrajectory(traj, np.zeros(0, dtype=np.int8))
-    if ref_lat is None:
-        ref_lat = default_ref_lat(traj)
-    x, y = project_to_meters(traj.lons, traj.lats, ref_lat)
-    return LabeledTrajectory(traj, _label_codes(x, y, traj.times, params, tail_flush))
+    x, y = _project(traj, ref_lat)
+    stay, travel = label_kernel(
+        x, y, traj.times, params.delta_t, params.delta_s / 3.0, params.delta_s,
+        tail_flush=tail_flush,
+    )
+    codes = np.full(len(traj), LABEL_UNLABELED, dtype=np.int8)
+    codes[stay] = LABEL_STAY
+    codes[travel] = LABEL_TRAVEL
+    return LabeledTrajectory(traj, codes)
 
 
 def stay_flags_at(
@@ -310,17 +289,10 @@ def stay_flags_at(
     span >= delta_t, and internal gaps <= delta_t (the discrete dense-stay
     membership), which is what the recall accounting counts.
     """
-    if len(traj) == 0:
-        return np.zeros(0, dtype=bool)
-    if ref_lat is None:
-        ref_lat = default_ref_lat(traj)
-    x, y = project_to_meters(traj.lons, traj.lats, ref_lat)
-    flags = np.zeros(len(traj), dtype=bool)
-    for s, e in segment_bounds(traj.times, params.delta_t):
-        flags[s:e] = _stay_pass(
-            x[s:e], y[s:e], traj.times[s:e], spatial, params.delta_t, tail_flush
-        )
-    return flags
+    x, y = _project(traj, ref_lat)
+    return label_kernel(
+        x, y, traj.times, params.delta_t, spatial, None, tail_flush=tail_flush
+    )[0]
 
 
 def travel_flags_at(
@@ -333,23 +305,14 @@ def travel_flags_at(
 ) -> np.ndarray:
     """Whole-trajectory travel flags with the travel pass run at ``witness``.
 
-    The stay skip uses the standard delta_s/3 stay flags. For witness
-    thresholds >= delta_s/3 the skip never changes the outcome: a stay window
-    containing the record keeps every in-window point below the witness
-    distance, and out-of-window witness pairs straddle the window's >= delta_t
-    span and so fail the window test.
+    The stay skip uses the standard delta_s/3 stay flags, which for witness
+    thresholds >= delta_s/3 never changes the outcome (see label_kernel).
     """
-    if len(traj) == 0:
-        return np.zeros(0, dtype=bool)
-    if ref_lat is None:
-        ref_lat = default_ref_lat(traj)
-    x, y = project_to_meters(traj.lons, traj.lats, ref_lat)
-    flags = np.zeros(len(traj), dtype=bool)
-    for s, e in segment_bounds(traj.times, params.delta_t):
-        xs, ys, ts = x[s:e], y[s:e], traj.times[s:e]
-        stay = _stay_pass(xs, ys, ts, params.delta_s / 3.0, params.delta_t, tail_flush)
-        flags[s:e] = _travel_pass(xs, ys, ts, stay, witness, params.delta_t)
-    return flags
+    x, y = _project(traj, ref_lat)
+    return label_kernel(
+        x, y, traj.times, params.delta_t, params.delta_s / 3.0, witness,
+        tail_flush=tail_flush,
+    )[1]
 
 
 def recall_lower_bounds(
@@ -363,15 +326,20 @@ def recall_lower_bounds(
 
     Stay: records certified at the conservative escape distance delta_s/3,
     over records that are dense-window members at delta_s (no labeler relying
-    only on this trajectory can do better than the latter set). Travel:
-    records with bilateral witnesses at delta_s, over records with witnesses
-    at delta_s/2 (the corresponding outer bound). Empty denominators yield a
-    vacuous bound of 1.0.
+    only on this trajectory can do better than the latter set, which is why
+    its pass always flushes the final window). Travel: records with bilateral
+    witnesses at delta_s, over records with witnesses at delta_s/2 (the
+    corresponding outer bound). Empty denominators yield a vacuous bound of
+    1.0.
     """
-    s_num = int(stay_flags_at(traj, params, params.delta_s / 3.0, ref_lat=ref_lat, tail_flush=tail_flush).sum())
-    s_den = int(stay_flags_at(traj, params, params.delta_s, ref_lat=ref_lat, tail_flush=tail_flush).sum())
-    t_num = int(travel_flags_at(traj, params, params.delta_s, ref_lat=ref_lat, tail_flush=tail_flush).sum())
-    t_den = int(travel_flags_at(traj, params, params.delta_s / 2.0, ref_lat=ref_lat, tail_flush=tail_flush).sum())
+    x, y = _project(traj, ref_lat)
+    d_s, d_t = params.delta_s, params.delta_t
+    certified_stay, witnessed_half = label_kernel(
+        x, y, traj.times, d_t, d_s / 3.0, d_s / 2.0, tail_flush=tail_flush
+    )
+    dense_stay, certified_travel = label_kernel(x, y, traj.times, d_t, d_s, d_s)
+    s_num, s_den = int(certified_stay.sum()), int(dense_stay.sum())
+    t_num, t_den = int(certified_travel.sum()), int(witnessed_half.sum())
     stay_bound = 1.0 if s_den == 0 else s_num / s_den
     travel_bound = 1.0 if t_den == 0 else t_num / t_den
     return RecallBounds(stay_bound=stay_bound, travel_bound=travel_bound)

@@ -26,7 +26,6 @@ from sparsemob.baselines import (
     observations,
     spatiotemporal_bin,
     viterbi,
-    voting_predict,
     voting_train,
 )
 from sparsemob.core import LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED, GeoPoint
@@ -198,7 +197,7 @@ class TestVotingTrain:
     def test_predictions_recover_trained_majorities(self):
         traj, labels = self._pair()
         model = voting_train([(traj, labels)])
-        predicted = voting_predict(model, traj)
+        predicted = model.predict(traj)
         # records 0 and 1 share a bin trained stay twice; record 3 trained travel
         assert predicted[0] == S
         assert predicted[1] == S
@@ -215,7 +214,7 @@ class TestVotingTrain:
         assert loaded.counts == model.counts
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
-        assert np.array_equal(voting_predict(loaded, traj), voting_predict(model, traj))
+        assert np.array_equal(loaded.predict(traj), model.predict(traj))
 
     def test_load_rejects_other_files(self, tmp_path):
         bogus = tmp_path / "x.csv"

@@ -174,10 +174,13 @@ class TestIngest:
 
     def test_bad_coordinates_skipped_or_fatal(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
-        path.write_text("time,lon,lat,mid\n0,0.0,95.0,d\n60,0.0,0.0,d\n")
+        path.write_text(
+            "time,lon,lat,mid\n0,0.0,95.0,d\n60,0.0,0.0,d\n120,nan,0.0,d\n"
+        )
         (traj,) = ingest(str(path), tz_offset=0, strict=False)
         assert list(traj.times) == [60]
-        assert "2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ":2:" in err and ":4:" in err
         with pytest.raises(DataError):
             ingest(str(path), tz_offset=0, strict=True)
 
@@ -545,6 +548,20 @@ class TestBoundsCommand:
         assert main(["bounds", rec, "--out", str(out)]) == 0
         row = [l for l in out.read_text().splitlines() if l.startswith("m,")][0]
         assert row == "m,0.0,1.0"
+
+    def test_tail_flush_off_keeps_stay_bound_in_unit_interval(self, tmp_path):
+        # the first dwell never escapes at delta_s; its dense-window
+        # membership must still count in the stay denominator
+        traj = traj_from_meters(
+            [0, 600, 1200, 1800, 2400, 10000, 11800, 12000],
+            [0, 0, 0, 0, 400, 0, 0, 5000],
+            device="f",
+        )
+        rec = write_records(tmp_path / "r.csv", [traj])
+        out = tmp_path / "b.csv"
+        assert main(["bounds", rec, "--out", str(out), "--tail-flush", "off"]) == 0
+        row = [l for l in out.read_text().splitlines() if l.startswith("f,")][0]
+        assert row == f"f,{6 / 7!r},1.0"
 
 
 class TestStatsCommand:

@@ -16,7 +16,6 @@ from sparsemob.core import (
     MobilityParams,
     Trajectory,
     codes_to_letters,
-    divide,
     global_sparsity,
     letters_to_codes,
     local_coverage,
@@ -103,6 +102,16 @@ class TestTrajectory:
     def test_rejects_out_of_range_coordinates(self):
         with pytest.raises(ValueError, match="out of range"):
             Trajectory("d", np.array([0]), np.array([181.0]), np.array([0.0]))
+        # five co-located records with one NaN would otherwise come out SSSSS
+        times = np.arange(5) * 600
+        for bad in (math.nan, math.inf, -math.inf):
+            coords = np.zeros(5)
+            with_bad = coords.copy()
+            with_bad[2] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                Trajectory("d", times, with_bad, coords)
+            with pytest.raises(ValueError, match="not finite"):
+                Trajectory("d", times, coords, with_bad)
 
     def test_empty_allowed(self):
         t = Trajectory("d", np.array([], dtype=np.int64), np.array([]), np.array([]))
@@ -137,38 +146,37 @@ class TestMobilityParams:
             MobilityParams(**kw)
 
 
+def segment_lengths(times, delta_t):
+    return [e - s for s, e in segment_bounds(np.asarray(times), delta_t)]
+
+
 class TestDivide:
+    """Slicing at time gaps through segment_bounds."""
+
     def test_cut_at_large_gap(self):
         # gaps 10, 40, 10 minutes against a 30 minute threshold
-        traj = traj_from_meters(minutes(0, 10, 50, 60), [0.0, 0.0, 0.0, 0.0])
-        segs = divide(traj, 1800.0)
-        assert [len(s) for s in segs] == [2, 2]
+        assert segment_lengths(minutes(0, 10, 50, 60), 1800.0) == [2, 2]
 
     def test_no_gap_no_cut(self):
-        traj = traj_from_meters(minutes(0, 10, 20, 30), [0.0] * 4)
-        assert [len(s) for s in divide(traj, 1800.0)] == [4]
+        assert segment_lengths(minutes(0, 10, 20, 30), 1800.0) == [4]
 
     def test_single_record(self):
-        traj = traj_from_meters([0], [0.0])
-        assert [len(s) for s in divide(traj, 1800.0)] == [1]
+        assert segment_lengths([0], 1800.0) == [1]
 
     def test_gap_exactly_threshold_not_cut(self):
-        traj = traj_from_meters([0, 1800], [0.0, 0.0])
-        assert [len(s) for s in divide(traj, 1800.0)] == [2]
+        assert segment_lengths([0, 1800], 1800.0) == [2]
 
     def test_partition_property(self, rng):
         for _ in range(50):
             traj = random_trajectory(rng)
             delta_t = float(rng.integers(100, 5000))
-            segs = divide(traj, delta_t)
-            assert sum(len(s) for s in segs) == len(traj)
+            bounds = segment_bounds(traj.times, delta_t)
             gaps = np.diff(traj.times)
-            for s in segs:
-                inner = gaps[s.start : s.stop - 1]
-                assert (inner <= delta_t).all()
-                if s.start > 0:
-                    assert gaps[s.start - 1] > delta_t
-            flat = [i for s in segs for i in range(s.start, s.stop)]
+            for s, e in bounds:
+                assert (gaps[s : e - 1] <= delta_t).all()
+                if s > 0:
+                    assert gaps[s - 1] > delta_t
+            flat = [i for s, e in bounds for i in range(s, e)]
             assert flat == list(range(len(traj)))
 
     def test_segment_bounds_empty(self):

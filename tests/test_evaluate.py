@@ -19,7 +19,6 @@ from sparsemob.evaluate import (
     compute_metrics,
     device_stats,
     experiment_trajectory,
-    f1_score,
     gap_histogram,
     harmonic_mean,
     local_consistency_check,
@@ -56,7 +55,7 @@ class TestHarmonicMean:
         assert harmonic_mean(0.5, None) is None
 
     def test_f1_from_precision_recall(self):
-        assert f1_score(1.0, 0.5) == pytest.approx(2 / 3)
+        assert harmonic_mean(1.0, 0.5) == pytest.approx(2 / 3)
 
 
 class TestConfusionCounts:

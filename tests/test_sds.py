@@ -11,13 +11,12 @@ from helpers import (
     random_trajectory,
     traj_from_meters,
 )
-from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory, divide
+from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory, segment_bounds
 from sparsemob.oracle import travel_condition_all
 from sparsemob.sds import (
     LabeledTrajectory,
     RecallBounds,
-    detect_stays,
-    detect_travels,
+    label_kernel,
     recall_lower_bounds,
     sds_label,
     stay_flags_at,
@@ -39,24 +38,32 @@ def three_record_travel():
     return traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0])
 
 
+def kernel(traj, witness=PARAMS.delta_s, **kw):
+    """label_kernel at the labeler's thresholds on an equator-built fixture."""
+    x = traj.lons * METERS_PER_DEGREE
+    y = traj.lats * METERS_PER_DEGREE
+    return label_kernel(
+        x, y, traj.times, PARAMS.delta_t, PARAMS.delta_s / 3.0, witness, **kw
+    )
+
+
 class TestDetectStays:
+    """Stay detection through label_kernel and stay_flags_at."""
+
     def test_escape_flushes_preceding_window(self):
         traj = stay_cluster_plus_escape()
-        seg = divide(traj, PARAMS.delta_t)[0]
-        flags = detect_stays(seg, PARAMS, ref_lat=0.0)
+        flags = stay_flags_at(traj, PARAMS, PARAMS.delta_s / 3.0, ref_lat=0.0)
         assert flags.tolist() == [True, True, True, True, False]
 
     def test_zero_span_windows_yield_nothing(self):
-        traj = three_record_travel()
-        seg = divide(traj, PARAMS.delta_t)[0]
-        assert not detect_stays(seg, PARAMS, ref_lat=0.0).any()
+        stay, _ = kernel(three_record_travel(), witness=None)
+        assert not stay.any()
 
     def test_tail_flush_emits_final_window(self):
         # co-located records spanning 35 min, no escape ever
         traj = traj_from_meters(minutes(0, 10, 20, 35), [0.0, 10.0, 5.0, 8.0])
-        seg = divide(traj, PARAMS.delta_t)[0]
-        assert detect_stays(seg, PARAMS, ref_lat=0.0).all()
-        assert not detect_stays(seg, PARAMS, ref_lat=0.0, tail_flush=False).any()
+        assert kernel(traj, witness=None)[0].all()
+        assert not kernel(traj, witness=None, tail_flush=False)[0].any()
 
     def test_window_invariant_on_admission(self, rng):
         # whenever the scan admits a record without an escape, every pair in
@@ -66,47 +73,39 @@ class TestDetectStays:
             x = traj.lons * METERS_PER_DEGREE
             y = traj.lats * METERS_PER_DEGREE
             escape = PARAMS.delta_s / 3.0
-            checked = []
+            segments = segment_bounds(traj.times, PARAMS.delta_t)
 
             def check(head, cursor):
+                # whole-trajectory indices: the window lies in one segment
+                assert any(s <= head < cursor < e for s, e in segments)
                 for a in range(head, cursor + 1):
                     for b in range(a + 1, cursor + 1):
                         d = math.hypot(x[a] - x[b], y[a] - y[b])
                         assert d < escape
-                checked.append((head, cursor))
 
-            for seg in divide(traj, PARAMS.delta_t):
-                base = seg.start
-
-                def shifted(head, cursor, base=base):
-                    check(base + head, base + cursor)
-
-                detect_stays(seg, PARAMS, ref_lat=0.0, on_admit=shifted)
+            label_kernel(x, y, traj.times, PARAMS.delta_t, escape, None, on_admit=check)
 
 
 class TestDetectTravels:
+    """Travel detection through label_kernel and travel_flags_at."""
+
     def test_bilateral_witnesses_within_window(self):
         traj = three_record_travel()
-        seg = divide(traj, PARAMS.delta_t)[0]
-        stay = detect_stays(seg, PARAMS, ref_lat=0.0)
-        flags = detect_travels(seg, stay, PARAMS, ref_lat=0.0)
+        flags = travel_flags_at(traj, PARAMS, PARAMS.delta_s, ref_lat=0.0)
         assert flags.tolist() == [False, True, False]
 
     def test_endpoints_never_flagged(self, rng):
         for _ in range(20):
             traj = random_trajectory(rng)
-            for seg in divide(traj, PARAMS.delta_t):
-                stay = detect_stays(seg, PARAMS, ref_lat=0.0)
-                flags = detect_travels(seg, stay, PARAMS, ref_lat=0.0)
-                assert not flags[0]
-                assert not flags[-1]
+            _, flags = kernel(traj)
+            for s, e in segment_bounds(traj.times, PARAMS.delta_t):
+                assert not flags[s]
+                assert not flags[e - 1]
 
     def test_wide_witness_window_rejected(self):
         # same spacing but 25 min apart: witness window spans 50 min > 30
         traj = traj_from_meters(minutes(0, 25, 50), [0.0, 1000.0, 2000.0])
-        seg = divide(traj, PARAMS.delta_t)[0]
-        stay = detect_stays(seg, PARAMS, ref_lat=0.0)
-        assert not detect_travels(seg, stay, PARAMS, ref_lat=0.0).any()
+        assert not kernel(traj)[1].any()
 
 
 class TestSdsLabel:
@@ -229,9 +228,44 @@ class TestRecallBounds:
     def test_bounds_lie_in_unit_interval(self, rng):
         for _ in range(40):
             traj = random_trajectory(rng)
+            for tail_flush in (True, False):
+                bounds = recall_lower_bounds(
+                    traj, PARAMS, ref_lat=0.0, tail_flush=tail_flush
+                )
+                assert 0.0 <= bounds.stay_bound <= 1.0
+                assert 0.0 <= bounds.travel_bound <= 1.0
+
+    def test_matches_literal_window_and_witness_ratios(self, rng):
+        # stay: dense members at delta_s/3 over dense members at delta_s;
+        # travel: witnesses at delta_s over witnesses at delta_s/2
+        def ratio(num, den):
+            return 1.0 if den.sum() == 0 else num.sum() / den.sum()
+
+        for _ in range(60):
+            traj = random_trajectory(rng, max_len=14)
             bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0)
-            assert 0.0 <= bounds.stay_bound <= 1.0
-            assert 0.0 <= bounds.travel_bound <= 1.0
+            d_s, d_t = PARAMS.delta_s, PARAMS.delta_t
+            stay = ratio(
+                brute_dense_member(traj, d_s / 3.0, d_t),
+                brute_dense_member(traj, d_s, d_t),
+            )
+            witness = [
+                np.array([brute_travel_witness(traj, i, w, d_t) for i in range(len(traj))])
+                for w in (d_s, d_s / 2.0)
+            ]
+            assert bounds.stay_bound == stay
+            assert bounds.travel_bound == ratio(*witness)
+
+    def test_tail_flush_off_stay_denominator_is_dense_membership(self):
+        # the first dwell escapes at delta_s/3 but never at delta_s; without
+        # the tail flush the delta_s pass would drop it from the denominator
+        traj = traj_from_meters(
+            [0, 600, 1200, 1800, 2400, 10000, 11800, 12000],
+            [0, 0, 0, 0, 400, 0, 0, 5000],
+        )
+        bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0, tail_flush=False)
+        assert bounds.stay_bound == 6 / 7
+        assert bounds.travel_bound == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
