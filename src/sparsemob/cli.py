@@ -270,15 +270,22 @@ def _read_table(path: str, required: tuple[str, ...]):
     return index, rows
 
 
+#: bad rows listed one per line, in the strict error or as warnings
+MAX_BAD_ROWS_SHOWN = 20
+
+
 def _report_issues(issues: list[str], strict: bool) -> None:
     if not issues:
         return
+    hidden = len(issues) - MAX_BAD_ROWS_SHOWN
     if strict:
-        shown = "\n".join(issues[:20])
-        more = f"\n... and {len(issues) - 20} more" if len(issues) > 20 else ""
+        shown = "\n".join(issues[:MAX_BAD_ROWS_SHOWN])
+        more = f"\n... and {hidden} more" if hidden > 0 else ""
         raise DataError(f"{len(issues)} bad row(s):\n{shown}{more}")
-    for issue in issues:
+    for issue in issues[:MAX_BAD_ROWS_SHOWN]:
         print(f"warning: {issue} (row skipped)", file=sys.stderr)
+    if hidden > 0:
+        print(f"warning: ... and {hidden} more row(s) skipped", file=sys.stderr)
 
 
 def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:

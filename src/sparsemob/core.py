@@ -127,7 +127,13 @@ def planar_distance(a: GeoPoint, b: GeoPoint, ref_lat: float) -> float:
     """
     k = METERS_PER_DEGREE
     dy = (a.lat - b.lat) * k
-    dx = (a.lon - b.lon) * k * math.cos(math.radians(ref_lat))
+    dlon = a.lon - b.lon
+    # the short way round the antimeridian
+    if dlon > 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
+    dx = dlon * k * math.cos(math.radians(ref_lat))
     return math.hypot(dx, dy)
 
 
@@ -136,10 +142,19 @@ def project_to_meters(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project lon/lat arrays to planar (x, y) meters about ``ref_lat``.
 
-    Pairwise Euclidean distances in this plane equal :func:`planar_distance`.
+    Longitudes more than 180 degrees from the first one are shifted by 360
+    first, so a device that crosses the antimeridian stays contiguous; others
+    project unchanged. For a device whose longitudes then span less than 180
+    degrees, pairwise Euclidean distances in this plane equal
+    :func:`planar_distance`.
     """
     k = METERS_PER_DEGREE
-    x = np.asarray(lons, dtype=np.float64) * (k * math.cos(math.radians(ref_lat)))
+    lons = np.asarray(lons, dtype=np.float64)
+    # the span test is a cheap necessary condition for any shift
+    if len(lons) and lons.max() - lons.min() > 180.0:
+        d = lons - lons[0]
+        lons = np.where(d > 180.0, lons - 360.0, np.where(d < -180.0, lons + 360.0, lons))
+    x = lons * (k * math.cos(math.radians(ref_lat)))
     y = np.asarray(lats, dtype=np.float64) * k
     return x, y
 

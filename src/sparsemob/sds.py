@@ -7,19 +7,30 @@ geometric guarantee under the bounded-detour assumption that between two
 observations close in time and space the device does not wander far from
 them.
 
-Pipeline (label_kernel): slice the trajectory at time gaps > delta_t
-(core.segment_bounds), then run two passes over each dense segment:
+Pipeline (label_kernel): two passes over the whole trajectory, read from
+Python lists (indexing numpy scalars costs several times more per step):
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
   some window member, flush the window as Stay if it spans at least delta_t,
   and restart just past the offending member. One third of the diameter
   budget per hop (record-to-record plus the unobserved detours on either
-  side) is what makes the certificate sound.
+  side) is what makes the certificate sound. A time gap > delta_t ends the
+  window the way the trajectory's end does, and the next one starts at the
+  gap.
 * Travel pass: a record not flagged Stay is Travel when it has a witness at
   distance >= delta_s on each side, with the two witnesses at most delta_t
   apart. Any fixed-length window covering the record then also covers a
-  witness, so its diameter breaks the stay bound.
+  witness, so its diameter breaks the stay bound. The witness scans reach
+  only records less than delta_t away in time, so they never cross a gap
+  > delta_t.
+
+Both the stay pass's backward search for an escape and the witness scans
+step over a block of BLOCK consecutive records at once when the farthest
+corner of the block's bounding box is closer than the radius sought: no
+record in it can escape or witness. On densely sampled data, where delta_t
+holds thousands of records, that makes a scan cost about one step per block
+it crosses instead of one per record.
 
 Both passes compare squared planar distances against squared thresholds; ties
 resolve as: distance >= threshold escapes/witnesses, distance < threshold
@@ -41,10 +52,12 @@ from .core import (
     codes_to_letters,
     default_ref_lat,
     project_to_meters,
-    segment_bounds,
 )
 
 AdmitHook = Callable[[int, int], None]
+
+#: records per bounding box in the scans' block skip
+BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,48 +98,104 @@ class RecallBounds:
                 raise ValueError(f"{name} out of [0, 1]: {v}")
 
 
+def _block_boxes(x: np.ndarray, y: np.ndarray) -> tuple[list[float], ...]:
+    """Bounding box (xmin, xmax, ymin, ymax lists) of each block of BLOCK
+    consecutive records; the last block repeats the final record as padding."""
+    m = -(-len(x) // BLOCK)
+    idx = np.minimum(np.arange(m * BLOCK), len(x) - 1).reshape(m, BLOCK)
+    bx = x[idx]
+    by = y[idx]
+    return (
+        bx.min(axis=1).tolist(),
+        bx.max(axis=1).tolist(),
+        by.min(axis=1).tolist(),
+        by.max(axis=1).tolist(),
+    )
+
+
+def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
+    """Largest index in [lo, a] at squared distance >= r2 from (cx, cy), or -1.
+
+    A block whose farthest box corner is closer than the radius holds no such
+    record, so the scan steps over it whole.
+    """
+    bxmin, bxmax, bymin, bymax = boxes
+    while a >= lo:
+        k = a // BLOCK
+        first = k * BLOCK
+        dx = bxmax[k] - cx if bxmax[k] - cx > cx - bxmin[k] else cx - bxmin[k]
+        dy = bymax[k] - cy if bymax[k] - cy > cy - bymin[k] else cy - bymin[k]
+        if dx * dx + dy * dy >= r2:
+            for i in range(a, (first if first > lo else lo) - 1, -1):
+                ddx = cx - xs[i]
+                ddy = cy - ys[i]
+                if ddx * ddx + ddy * ddy >= r2:
+                    return i
+        a = first - 1
+    return -1
+
+
+def _far_after(xs, ys, boxes, cx, cy, r2, b, hi) -> int:
+    """Smallest index in [b, hi) at squared distance >= r2 from (cx, cy), or
+    -1; the mirror image of _far_before."""
+    bxmin, bxmax, bymin, bymax = boxes
+    while b < hi:
+        k = b // BLOCK
+        stop = k * BLOCK + BLOCK
+        dx = bxmax[k] - cx if bxmax[k] - cx > cx - bxmin[k] else cx - bxmin[k]
+        dy = bymax[k] - cy if bymax[k] - cy > cy - bymin[k] else cy - bymin[k]
+        if dx * dx + dy * dy >= r2:
+            for i in range(b, stop if stop < hi else hi):
+                ddx = cx - xs[i]
+                ddy = cy - ys[i]
+                if ddx * ddx + ddy * ddy >= r2:
+                    return i
+        b = stop
+    return -1
+
+
 def _stay_pass(
-    x: np.ndarray,
-    y: np.ndarray,
-    t: np.ndarray,
+    xs: list[float],
+    ys: list[float],
+    ts: list[int],
+    boxes: tuple[list[float], ...],
     escape: float,
     delta_t: float,
-    tail_flush: bool = True,
-    on_admit: AdmitHook | None = None,
+    tail_flush: bool,
+    on_admit: AdmitHook | None,
 ) -> np.ndarray:
-    """Windowed stay detection over one dense segment (planar coords).
+    """Windowed stay detection over the whole trajectory (planar coords).
 
-    Returns a boolean flag per record. ``escape`` is the pairwise distance at
-    which a window breaks. ``on_admit(head, cursor)`` fires whenever a cursor
-    joins the window without an escape; tests use it to check the window
-    invariant exhaustively.
+    ``escape`` is the pairwise distance at which a window breaks; a gap
+    > delta_t ends the window as the trajectory's end does. ``on_admit(head,
+    cursor)`` fires whenever a cursor joins the window without an escape;
+    tests use it to check the window invariant exhaustively.
     """
-    n = len(t)
+    n = len(ts)
     flags = np.zeros(n, dtype=bool)
-    if n < 2:
-        return flags
     esc2 = escape * escape
     head = 0
     # Bounding box of window positions [head, cursor-1]. If the cursor is
     # closer than `escape` to the farthest box corner it cannot escape against
     # any member, which keeps the common grow-the-window step O(1).
-    xmin = xmax = x[0]
-    ymin = ymax = y[0]
+    xmin = xmax = xs[0]
+    ymin = ymax = ys[0]
     for cursor in range(1, n):
-        cx = x[cursor]
-        cy = y[cursor]
+        cx = xs[cursor]
+        cy = ys[cursor]
+        if ts[cursor] - ts[cursor - 1] > delta_t:
+            if tail_flush and ts[cursor - 1] - ts[head] >= delta_t:
+                flags[head:cursor] = True
+            head = cursor
+            xmin = xmax = cx
+            ymin = ymax = cy
+            continue
         dx = xmax - cx if xmax - cx > cx - xmin else cx - xmin
         dy = ymax - cy if ymax - cy > cy - ymin else cy - ymin
         if dx * dx + dy * dy < esc2:
             anchor = -1
         else:
-            anchor = -1
-            for a in range(cursor - 1, head - 1, -1):
-                ddx = cx - x[a]
-                ddy = cy - y[a]
-                if ddx * ddx + ddy * ddy >= esc2:
-                    anchor = a
-                    break
+            anchor = _far_before(xs, ys, boxes, cx, cy, esc2, cursor - 1, head)
         if anchor < 0:
             if on_admit is not None:
                 on_admit(head, cursor)
@@ -141,16 +210,16 @@ def _stay_pass(
             continue
         # The window up to the previous record is flushed if it already spans
         # the dwell threshold; the cursor itself is not part of that window.
-        if t[cursor - 1] - t[head] >= delta_t:
+        if ts[cursor - 1] - ts[head] >= delta_t:
             flags[head:cursor] = True
         head = anchor + 1
-        xs = x[head : cursor + 1]
-        ys = y[head : cursor + 1]
-        xmin = xs.min()
-        xmax = xs.max()
-        ymin = ys.min()
-        ymax = ys.max()
-    if tail_flush and t[n - 1] - t[head] >= delta_t:
+        wx = xs[head : cursor + 1]
+        wy = ys[head : cursor + 1]
+        xmin = min(wx)
+        xmax = max(wx)
+        ymin = min(wy)
+        ymax = max(wy)
+    if tail_flush and ts[n - 1] - ts[head] >= delta_t:
         # Without this flush the final window is silently dropped and the
         # detected set no longer matches the dense-window membership oracle.
         flags[head:] = True
@@ -158,50 +227,41 @@ def _stay_pass(
 
 
 def _travel_pass(
-    x: np.ndarray,
-    y: np.ndarray,
-    t: np.ndarray,
+    xs: list[float],
+    ys: list[float],
+    ts: list[int],
+    boxes: tuple[list[float], ...],
     stay_flags: np.ndarray,
     witness: float,
     delta_t: float,
 ) -> np.ndarray:
-    """Bilateral-witness travel detection over one dense segment."""
-    n = len(t)
+    """Bilateral-witness travel detection over the whole trajectory.
+
+    Each witness scan covers only records less than delta_t from the cursor:
+    witnesses further away cannot close a window with one on the other side,
+    and a gap > delta_t lies beyond that reach, so no scan crosses one.
+    """
+    n = len(ts)
     flags = np.zeros(n, dtype=bool)
     w2 = witness * witness
+    stay = stay_flags.tolist()
+    lo = 0  # first index less than delta_t before the cursor
+    hi = 0  # first index at least delta_t after the cursor
     for cursor in range(1, n - 1):
-        if stay_flags[cursor]:
+        if stay[cursor]:
             continue
-        cx = x[cursor]
-        cy = y[cursor]
-        ct = t[cursor]
-        # Nearest left witness. Anything further back than delta_t cannot
-        # close a window with a right witness, so the scan stops there; the
-        # flag decision is unchanged because such witnesses always fail the
-        # window test anyway.
-        left = -1
-        for a in range(cursor - 1, -1, -1):
-            if ct - t[a] >= delta_t:
-                break
-            ddx = cx - x[a]
-            ddy = cy - y[a]
-            if ddx * ddx + ddy * ddy >= w2:
-                left = a
-                break
+        ct = ts[cursor]
+        while ct - ts[lo] >= delta_t:
+            lo += 1
+        cx = xs[cursor]
+        cy = ys[cursor]
+        left = _far_before(xs, ys, boxes, cx, cy, w2, cursor - 1, lo)
         if left < 0:
             continue
-        right = -1
-        for b in range(cursor + 1, n):
-            if t[b] - ct >= delta_t:
-                break
-            ddx = cx - x[b]
-            ddy = cy - y[b]
-            if ddx * ddx + ddy * ddy >= w2:
-                right = b
-                break
-        if right < 0:
-            continue
-        if t[right] - t[left] <= delta_t:
+        while hi < n and ts[hi] - ct < delta_t:
+            hi += 1
+        right = _far_after(xs, ys, boxes, cx, cy, w2, cursor + 1, hi)
+        if right >= 0 and ts[right] - ts[left] <= delta_t:
             flags[cursor] = True
     return flags
 
@@ -219,27 +279,22 @@ def label_kernel(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stay and travel flags for a whole trajectory in planar coordinates.
 
-    Slices at time gaps > ``delta_t`` and runs, per dense segment, the stay
-    pass at ``escape`` and then, unless ``witness`` is None, the travel pass
-    at ``witness`` skipping the stay flags just computed. With ``witness`` at
-    least ``escape`` the skip never changes a travel flag: a stay window
-    containing the record keeps every member below the witness distance, and
-    witness pairs outside it straddle its >= delta_t span and so fail the
-    window test. ``on_admit(head, cursor)`` receives whole-trajectory indices.
+    Runs the stay pass at ``escape`` and then, unless ``witness`` is None,
+    the travel pass at ``witness`` skipping the stay flags just computed.
+    With ``witness`` at least ``escape`` the skip never changes a travel
+    flag: a stay window containing the record keeps every member below the
+    witness distance, and witness pairs outside it straddle its >= delta_t
+    span and so fail the window test. ``on_admit(head, cursor)`` receives
+    record indices.
     """
-    stay = np.zeros(len(t), dtype=bool)
-    travel = np.zeros(len(t), dtype=bool)
-    for s, e in segment_bounds(t, delta_t):
-        hook = on_admit
-        if on_admit is not None:
-            def hook(head: int, cursor: int, s: int = s) -> None:
-                on_admit(s + head, s + cursor)
-        xs, ys, ts = x[s:e], y[s:e], t[s:e]
-        seg_stay = _stay_pass(xs, ys, ts, escape, delta_t, tail_flush, hook)
-        stay[s:e] = seg_stay
-        if witness is not None:
-            travel[s:e] = _travel_pass(xs, ys, ts, seg_stay, witness, delta_t)
-    return stay, travel
+    if len(t) == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
+    boxes = _block_boxes(x, y)
+    stay = _stay_pass(xs, ys, ts, boxes, escape, delta_t, tail_flush, on_admit)
+    if witness is None:
+        return stay, np.zeros(len(t), dtype=bool)
+    return stay, _travel_pass(xs, ys, ts, boxes, stay, witness, delta_t)
 
 
 def _project(

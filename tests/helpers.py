@@ -83,6 +83,37 @@ def random_trajectory(rng: np.random.Generator, max_len: int = 30) -> Trajectory
     return traj_from_meters(times, xs, ys, device="rand")
 
 
+def dense_trajectory(rng: np.random.Generator, block: int) -> Trajectory:
+    """Densely sampled trajectory in planar meters, 150-400 records.
+
+    Gaps of 1-40 s put about ninety records inside a 30 min window. Dwell
+    phases of small wobble alternate with moves of larger steps and
+    kilometer jumps, and single-record excursions of 600-1200 m sit on the
+    first or last index of ``block``-record blocks, so the only escape or
+    witness a scan can find in such a block is at its edge.
+    """
+    n = int(rng.integers(150, 401))
+    times = np.concatenate(([0], np.cumsum(rng.integers(1, 41, size=n - 1))))
+    phase = np.cumsum(rng.random(n) < 0.01) % 2 == 0
+    if rng.random() < 0.5:
+        phase = ~phase
+
+    def axis() -> np.ndarray:
+        jump = rng.random(n) < 0.05
+        move = np.where(jump, rng.normal(0.0, 1500.0, n), rng.normal(0.0, 60.0, n))
+        return np.cumsum(np.where(phase, rng.normal(0.0, 3.0, n), move))
+
+    xs, ys = axis(), axis()
+    count = int(rng.integers(1, n // (2 * block) + 1))
+    starts = block * rng.choice(n // block, size=count, replace=False)
+    edges = starts + rng.choice([0, block - 1], size=count)
+    angle = rng.uniform(0.0, 2.0 * math.pi, count)
+    reach = rng.uniform(600.0, 1200.0, count)
+    xs[edges] += reach * np.cos(angle)
+    ys[edges] += reach * np.sin(angle)
+    return traj_from_meters(times, xs, ys, device="dense")
+
+
 def _xy(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     # equator-built fixtures only: inverse of traj_from_meters
     return traj.lons * METERS_PER_DEGREE, traj.lats * METERS_PER_DEGREE

@@ -184,6 +184,20 @@ class TestIngest:
         with pytest.raises(DataError):
             ingest(str(path), tz_offset=0, strict=True)
 
+    def test_warnings_capped_at_twenty_lines(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        bad = "".join(f"{i},0.0,95.0,d\n" for i in range(25))
+        path.write_text("time,lon,lat,mid\n" + bad + "100,0.0,0.0,d\n")
+        (traj,) = ingest(str(path), tz_offset=0, strict=False)
+        assert list(traj.times) == [100]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 21
+        assert lines[0].startswith(f"warning: {path}:2: ")
+        assert lines[19].startswith(f"warning: {path}:21: ")
+        assert lines[20] == "warning: ... and 5 more row(s) skipped"
+        with pytest.raises(DataError, match=r"25 bad row\(s\)(.|\n)*\.\.\. and 5 more$"):
+            ingest(str(path), tz_offset=0, strict=True)
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             ingest(str(tmp_path / "absent.csv"), tz_offset=0, strict=False)

@@ -85,6 +85,30 @@ class TestPlanarDistance:
                 )
                 assert math.hypot(x[i] - x[j], y[i] - y[j]) == pytest.approx(d, rel=1e-12)
 
+    def test_projection_wraps_longitudes_across_the_antimeridian(self):
+        # 179.9999 and -179.9999 are 0.0002 deg apart the short way round
+        lons = np.array([179.9999, -179.9999, 179.9999])
+        lats = np.full(3, 10.0)
+        x, y = project_to_meters(lons, lats, ref_lat=10.0)
+        gap = 0.0002 * METERS_PER_DEGREE * math.cos(math.radians(10.0))
+        assert abs(x[1] - x[0]) == pytest.approx(gap, rel=1e-6)
+        assert x[2] == x[0]
+        east = project_to_meters(-lons, lats, ref_lat=10.0)[0]
+        assert abs(east[1] - east[0]) == pytest.approx(gap, rel=1e-6)
+
+    def test_projection_unchanged_off_the_antimeridian(self, rng):
+        lons = 116.0 + rng.random(50)
+        lats = 39.0 + rng.random(50)
+        x, _ = project_to_meters(lons, lats, ref_lat=39.5)
+        scale = METERS_PER_DEGREE * math.cos(math.radians(39.5))
+        assert np.array_equal(x, lons * scale)
+        assert [a.size for a in project_to_meters(np.array([]), np.array([]), 0.0)] == [0, 0]
+
+    def test_planar_distance_takes_the_short_way_round(self):
+        a, b = GeoPoint(179.9999, 10.0), GeoPoint(-179.9999, 10.0)
+        d = planar_distance(a, b, 10.0)
+        assert d == pytest.approx(0.0002 * METERS_PER_DEGREE * math.cos(math.radians(10.0)))
+
 
 class TestTrajectory:
     def test_rejects_unsorted_times(self):

@@ -7,13 +7,15 @@ import pytest
 from helpers import (
     brute_dense_member,
     brute_travel_witness,
+    dense_trajectory,
     minutes,
     random_trajectory,
     traj_from_meters,
 )
 from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory, segment_bounds
-from sparsemob.oracle import travel_condition_all
+from sparsemob.oracle import dense_stay_membership, exact_label, travel_condition_all
 from sparsemob.sds import (
+    BLOCK,
     LabeledTrajectory,
     RecallBounds,
     label_kernel,
@@ -172,9 +174,61 @@ class TestSdsLabel:
             )
             assert (travel == whole).all()
 
+    def test_antimeridian_dwell_is_not_travel(self):
+        # a device parked on the antimeridian, its fixes alternating between
+        # either side of it (about 22 m apart), 600 s apart
+        traj = Trajectory(
+            "dateline",
+            np.arange(5, dtype=np.int64) * 600,
+            np.array([179.9999, -179.9999] * 2 + [179.9999]),
+            np.full(5, 10.0),
+        )
+        letters = sds_label(traj, PARAMS).letters()
+        assert letters == ["S"] * 5
+        assert exact_label(traj, PARAMS).letters() == letters
+        assert not travel_condition_all(traj, PARAMS.delta_s, PARAMS.delta_t).any()
+
     def test_empty_trajectory(self):
         empty = Trajectory("d", np.array([], dtype=np.int64), np.array([]), np.array([]))
         assert sds_label(empty, PARAMS, ref_lat=0.0).letters() == []
+
+
+class TestBlockSkip:
+    """Dense trajectories, where the scans step over whole blocks of records,
+    against the quadratic oracle."""
+
+    def test_flags_match_oracle_on_dense_trajectories(self, rng):
+        for _ in range(40):
+            traj = dense_trajectory(rng, BLOCK)
+            n = len(traj)
+            for spatial in (PARAMS.delta_s / 3.0, PARAMS.delta_s):
+                stay = stay_flags_at(traj, PARAMS, spatial, ref_lat=0.0)
+                dense = MobilityParams(spatial, PARAMS.delta_t)
+                member = dense_stay_membership(traj, dense, ref_lat=0.0, limit=n)
+                assert (stay == member).all()
+            for witness in (PARAMS.delta_s / 2.0, PARAMS.delta_s):
+                travel = travel_flags_at(traj, PARAMS, witness, ref_lat=0.0)
+                whole = travel_condition_all(
+                    traj, witness, PARAMS.delta_t, ref_lat=0.0, limit=n
+                )
+                assert (travel == whole).all()
+
+    def test_window_invariant_on_dense_trajectories(self, rng):
+        escape = PARAMS.delta_s / 3.0
+        for _ in range(20):
+            traj = dense_trajectory(rng, BLOCK)
+            x = traj.lons * METERS_PER_DEGREE
+            y = traj.lats * METERS_PER_DEGREE
+            dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+            admits = []
+
+            def check(head, cursor):
+                assert 0 <= head < cursor < len(traj)
+                assert dist[head : cursor + 1, head : cursor + 1].max() < escape
+                admits.append(cursor)
+
+            label_kernel(x, y, traj.times, PARAMS.delta_t, escape, None, on_admit=check)
+            assert admits
 
 
 class TestStayFlagsAt:
