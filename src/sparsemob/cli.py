@@ -31,6 +31,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone as _tz
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +46,12 @@ from .baselines import (
     voting_train,
 )
 from .core import (
+    _CODE_BY_LETTER,
     GeoPoint,
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
     codes_to_letters,
-    letters_to_codes,
 )
 from .evaluate import (
     ConfusionCounts,
@@ -233,41 +234,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_rows(rows) -> list[list[str]]:
+    """Cells of rows that may hold None, NaN or numpy scalars."""
+    return [[_fmt(v) for v in row] for row in rows]
+
+
 def _write_csv(path: str, kind: str, header: list[str], rows) -> None:
+    """Write rows whose cells are str, Python int or finite Python float,
+    which ``csv`` writes as ``_fmt`` would; other rows go through
+    ``_fmt_rows`` first."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(f"# sparsemob {kind} v1\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(rows)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _read_table(path: str, required: tuple[str, ...]):
     """Rows of a commented CSV plus the index of each required column."""
-    rows: list[tuple[int, list[str]]] = []
-    header: list[str] | None = None
     try:
         with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if header is None:
-                    header = [c.strip() for c in row]
-                    continue
-                rows.append((lineno, row))
+            rows = [
+                (lineno, row)
+                for lineno, row in enumerate(csv.reader(fh), start=1)
+                if row and not row[0].lstrip().startswith("#")
+            ]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    if header is None:
+    if not rows:
         raise DataError(f"{path}: missing header row")
+    header = [c.strip() for c in rows[0][1]]
     index: dict[str, int] = {}
     for name in required:
         if name not in header:
             raise DataError(f"{path}: missing required column {name!r}")
         index[name] = header.index(name)
-    return index, rows
+    return index, rows[1:]
 
 
 #: bad rows listed one per line, in the strict error or as warnings
@@ -288,53 +293,132 @@ def _report_issues(issues: list[str], strict: bool) -> None:
         print(f"warning: ... and {hidden} more row(s) skipped", file=sys.stderr)
 
 
+def _parse_row(
+    row: list[str], index: dict[str, int], tz_offset: int
+) -> tuple[str, int, float, float]:
+    """One records row as (mid, time, lon, lat). Raises ValueError or
+    IndexError with the message ingest reports for the row."""
+    mid = row[index["mid"]].strip()
+    if not mid:
+        raise ValueError("empty device id")
+    t = _parse_time_text(row[index["time"]], tz_offset)
+    lon = float(row[index["lon"]])
+    lat = float(row[index["lat"]])
+    GeoPoint(lon=lon, lat=lat)
+    # last, so a row with another fault keeps that fault's message
+    if not 0 <= t < 2**63:
+        raise ValueError(f"time out of range: {t}")
+    return mid, t, lon, lat
+
+
+def _parse_rows(
+    path: str,
+    rows: list[tuple[int, list[str]]],
+    index: dict[str, int],
+    tz_offset: int,
+    issues: list[str],
+) -> list[tuple[int, str, int, float, float]]:
+    """(lineno, mid, time, lon, lat) of each row that parses; a line-numbered
+    issue for each one that does not."""
+    parsed = []
+    for lineno, row in rows:
+        try:
+            parsed.append((lineno, *_parse_row(row, index, tz_offset)))
+        except (ValueError, IndexError) as exc:
+            issues.append(f"{path}:{lineno}: {exc}")
+    return parsed
+
+
+def _record_columns(
+    path: str,
+    index: dict[str, int],
+    rows: list[tuple[int, list[str]]],
+    tz_offset: int,
+    issues: list[str],
+):
+    """The accepted rows of a records table as columns.
+
+    Returns ``keys``, the device ids in ``str`` order (a numpy ``U`` array
+    would drop trailing NULs), and the arrays lines, devices (indices into
+    ``keys``), times, lons and lats, in line order. Each column is parsed
+    with one ``int``/``float`` call per cell and checked as a vector; only
+    the rows those checks reject are parsed again, row by row, for their
+    messages. A file with a short row, or a time or coordinate cell that
+    ``int``/``float`` cannot read or an int64 cannot hold, is parsed row by
+    row throughout.
+    """
+    ti, xi, yi, mi = (index[name] for name in ("time", "lon", "lat", "mid"))
+    try:
+        times = np.array(list(map(int, [row[ti] for _, row in rows])), dtype=np.int64)
+        lons = np.array(list(map(float, [row[xi] for _, row in rows])))
+        lats = np.array(list(map(float, [row[yi] for _, row in rows])))
+        mids = [row[mi].strip() for _, row in rows]
+        lines = [lineno for lineno, _ in rows]
+    except (ValueError, IndexError, OverflowError):
+        parsed = _parse_rows(path, rows, index, tz_offset, issues)
+        lines, mids, times, lons, lats = ([r[k] for r in parsed] for k in range(5))
+        times = np.array(times, dtype=np.int64)
+        lons = np.array(lons, dtype=np.float64)
+        lats = np.array(lats, dtype=np.float64)
+    keys = sorted(set(mids))
+    code = {mid: k for k, mid in enumerate(keys)}
+    devices = np.array([code[mid] for mid in mids], dtype=np.int64)
+    lines = np.array(lines, dtype=np.int64)
+    # the checks of _parse_row, written so that NaN fails them too; the rows
+    # that _parse_row accepted pass them all
+    ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
+    if keys and keys[0] == "":  # a blank id, which sorts first
+        ok &= devices != 0
+    if not ok.all():
+        bad = np.flatnonzero(~ok).tolist()
+        _parse_rows(path, [rows[i] for i in bad], index, tz_offset, issues)
+        lines, devices, times, lons, lats = (
+            column[ok] for column in (lines, devices, times, lons, lats)
+        )
+    return keys, lines, devices, times, lons, lats
+
+
 def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
     """Read a records CSV into per-device trajectories.
 
-    Groups by device id, sorts by time, and rejects rows that fail to parse
-    or duplicate a (device, time) pair, each with a line-numbered
-    diagnostic. Rejections are warnings unless strict mode makes them fatal.
+    Groups by device id, sorts by time, and rejects rows that fail to parse,
+    lie out of range (coordinates, or a time outside 0 <= t < 2**63) or
+    duplicate a (device, time) pair, each with a line-numbered diagnostic:
+    parse rejections in line order, then duplicates in device, time and
+    line order. Rejections are warnings unless strict mode makes them fatal.
     Devices come back in lexicographic id order.
+
+    Times in plain integer epoch seconds take a columnar path. A file with
+    any other time form (ISO-8601, clock form, ``1468317761.0``, garbage),
+    an unreadable coordinate or a short row is parsed row by row; so are the
+    rows that the columnar range checks reject, to word their diagnostics.
     """
     index, rows = _read_table(path, ("time", "lon", "lat", "mid"))
-    groups: dict[str, list[tuple[int, float, float, int]]] = {}
     issues: list[str] = []
-    for lineno, row in rows:
-        try:
-            mid = row[index["mid"]].strip()
-            if not mid:
-                raise ValueError("empty device id")
-            t = _parse_time_text(row[index["time"]], tz_offset)
-            lon = float(row[index["lon"]])
-            lat = float(row[index["lat"]])
-            GeoPoint(lon=lon, lat=lat)
-        except (ValueError, IndexError) as exc:
-            issues.append(f"{path}:{lineno}: {exc}")
-            continue
-        groups.setdefault(mid, []).append((t, lon, lat, lineno))
-    trajectories: list[Trajectory] = []
-    for mid in sorted(groups):
-        records = sorted(groups[mid], key=lambda r: (r[0], r[3]))
-        times: list[int] = []
-        lons: list[float] = []
-        lats: list[float] = []
-        for t, lon, lat, lineno in records:
-            if times and t == times[-1]:
-                issues.append(
-                    f"{path}:{lineno}: duplicate record for device {mid!r} at time {t}"
-                )
-                continue
-            times.append(t)
-            lons.append(lon)
-            lats.append(lat)
-        trajectories.append(
-            Trajectory(
-                device=mid,
-                times=np.array(times, dtype=np.int64),
-                lons=np.array(lons, dtype=np.float64),
-                lats=np.array(lats, dtype=np.float64),
-            )
+    keys, lines, devices, times, lons, lats = _record_columns(
+        path, index, rows, tz_offset, issues
+    )
+    order = np.lexsort((lines, times, devices))
+    devices, times = devices[order], times[order]
+    dup = np.zeros(len(order), dtype=bool)
+    dup[1:] = (devices[1:] == devices[:-1]) & (times[1:] == times[:-1])
+    for i in np.flatnonzero(dup).tolist():
+        issues.append(
+            f"{path}:{int(lines[order[i]])}: duplicate record for device "
+            f"{keys[devices[i]]!r} at time {int(times[i])}"
         )
+    order, devices, times = order[~dup], devices[~dup], times[~dup]
+    lons, lats = lons[order], lats[order]
+    starts = np.flatnonzero(np.diff(devices, prepend=-1)).tolist()
+    trajectories = [
+        Trajectory(
+            device=keys[devices[a]],
+            times=times[a:b],
+            lons=lons[a:b],
+            lats=lats[a:b],
+        )
+        for a, b in zip(starts, starts[1:] + [len(devices)])
+    ]
     _report_issues(issues, strict)
     return trajectories
 
@@ -348,9 +432,12 @@ def _read_label_rows(path: str) -> list[tuple[str, int, int]]:
         try:
             mid = row[index["mid"]].strip()
             t = int(row[index["time"]])
-            code = int(letters_to_codes([row[index["label"]].strip()])[0])
+            letter = row[index["label"]].strip()
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
+        code = _CODE_BY_LETTER.get(letter)
+        if code is None:
+            raise DataError(f"{path}:{lineno}: unknown label letter: {letter!r}")
         if (mid, t) in seen:
             raise DataError(f"{path}:{lineno}: duplicate label for ({mid!r}, {t})")
         seen.add((mid, t))
@@ -388,7 +475,20 @@ def _label_rows(
     device: str, times: np.ndarray, codes: np.ndarray
 ) -> list[tuple[str, int, str]]:
     """(mid, time, letter) rows of a labels CSV for one device."""
-    return [(device, t, s) for t, s in zip(times.tolist(), codes_to_letters(codes))]
+    return list(zip([device] * len(times), times.tolist(), codes_to_letters(codes)))
+
+
+def _record_rows(traj: Trajectory) -> list[tuple[int, float, float, str]]:
+    """(time, lon, lat, mid) rows of a records CSV for one trajectory; its
+    coordinates are finite, so ``csv`` writes them as ``_fmt`` would."""
+    return list(
+        zip(
+            traj.times.tolist(),
+            traj.lons.tolist(),
+            traj.lats.tolist(),
+            [traj.device] * len(traj),
+        )
+    )
 
 
 def _sds_rows(run: RunConfig, traj: Trajectory) -> list[tuple[str, int, str]]:
@@ -408,7 +508,7 @@ def run_label(args: argparse.Namespace, run: RunConfig) -> int:
             chunks = pool.map(worker, trajectories)
     else:
         chunks = [worker(t) for t in trajectories]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = chain.from_iterable(chunks)
     _write_csv(args.out, "labels", ["mid", "time", "label"], rows)
     return EXIT_OK
 
@@ -438,7 +538,7 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
         args.out,
         "stats",
         ["mid", "records", "span_seconds", "mean_gap", "coverage"],
-        rows,
+        _fmt_rows(rows),
     )
     if args.sparsity_out:
         if not trajectories:
@@ -492,7 +592,7 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
                 "travel_fraction",
                 "unlabeled_fraction",
             ],
-            out_rows,
+            _fmt_rows(out_rows),
         )
     return EXIT_OK
 
@@ -524,10 +624,7 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
     label_rows = []
     for i in range(config.trajectories):
         path, traj, truth = experiment_trajectory(config, i, with_truth=with_truth)
-        for k in range(len(traj)):
-            record_rows.append(
-                (int(traj.times[k]), traj.lons[k], traj.lats[k], traj.device)
-            )
+        record_rows.extend(_record_rows(traj))
         if truth is not None:
             label_rows.extend(_label_rows(traj.device, traj.times, truth))
     _write_csv(args.out, "records", ["time", "lon", "lat", "mid"], record_rows)
@@ -553,10 +650,7 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
             label_rows.extend(_label_rows(sub.device, sub.times, sub_labels))
         else:
             sub = resample(traj, args.rate, rng)
-        for k in range(len(sub)):
-            record_rows.append(
-                (int(sub.times[k]), sub.lons[k], sub.lats[k], sub.device)
-            )
+        record_rows.extend(_record_rows(sub))
     _write_csv(args.out, "records", ["time", "lon", "lat", "mid"], record_rows)
     if args.labels_out:
         _write_csv(args.labels_out, "labels", ["mid", "time", "label"], label_rows)
@@ -593,7 +687,7 @@ def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
                 "accuracy",
                 "f1_accuracy",
             ],
-            rows,
+            _fmt_rows(rows),
         )
         return EXIT_OK
     if not args.predictions or not args.truth:
@@ -626,7 +720,7 @@ def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
         ("accuracy", report.accuracy),
         ("f1_accuracy", report.f1_accuracy),
     ]
-    _write_csv(args.out, "metrics", ["metric", "value"], rows)
+    _write_csv(args.out, "metrics", ["metric", "value"], _fmt_rows(rows))
     return EXIT_OK
 
 
@@ -650,7 +744,7 @@ def run_prop1(args: argparse.Namespace, run: RunConfig) -> int:
         args.out,
         "prop1",
         ["delta_s", "delta_t", "tested", "violations", "rate"],
-        rows,
+        _fmt_rows(rows),
     )
     return EXIT_OK
 
@@ -663,7 +757,9 @@ def run_bounds(args: argparse.Namespace, run: RunConfig) -> int:
             traj, run.params, ref_lat=run.ref_lat, tail_flush=run.tail_flush
         )
         rows.append((traj.device, b.stay_bound, b.travel_bound))
-    _write_csv(args.out, "bounds", ["mid", "stay_bound", "travel_bound"], rows)
+    _write_csv(
+        args.out, "bounds", ["mid", "stay_bound", "travel_bound"], _fmt_rows(rows)
+    )
     return EXIT_OK
 
 

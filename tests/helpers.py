@@ -7,11 +7,13 @@ the same answers the library computes with pruned or vectorized scans.
 """
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 
-from sparsemob.core import METERS_PER_DEGREE, Trajectory
+from sparsemob.cli import DataError, _parse_time_text, _report_issues
+from sparsemob.core import METERS_PER_DEGREE, GeoPoint, Trajectory
 
 
 def traj_from_meters(times, xs, ys=None, device="dev") -> Trajectory:
@@ -223,3 +225,78 @@ def enumerate_best_score(
         if score > best:
             best = score
     return best
+
+
+def _reference_read_table(path: str, required: tuple[str, ...]):
+    """Rows of a commented CSV plus the index of each required column."""
+    rows: list[tuple[int, list[str]]] = []
+    header: list[str] | None = None
+    try:
+        with open(path, newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if header is None:
+                    header = [c.strip() for c in row]
+                    continue
+                rows.append((lineno, row))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: missing header row")
+    index: dict[str, int] = {}
+    for name in required:
+        if name not in header:
+            raise DataError(f"{path}: missing required column {name!r}")
+        index[name] = header.index(name)
+    return index, rows
+
+
+def reference_ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
+    """Row-by-row records ingest: the reference for ``cli.ingest``.
+
+    One parse per row and a dict of per-device lists, sorted per device by
+    (time, line). It has no time-range rule, so an out-of-range time reaches
+    ``Trajectory`` (or int64) and raises there; give it times in range.
+    """
+    index, rows = _reference_read_table(path, ("time", "lon", "lat", "mid"))
+    groups: dict[str, list[tuple[int, float, float, int]]] = {}
+    issues: list[str] = []
+    for lineno, row in rows:
+        try:
+            mid = row[index["mid"]].strip()
+            if not mid:
+                raise ValueError("empty device id")
+            t = _parse_time_text(row[index["time"]], tz_offset)
+            lon = float(row[index["lon"]])
+            lat = float(row[index["lat"]])
+            GeoPoint(lon=lon, lat=lat)
+        except (ValueError, IndexError) as exc:
+            issues.append(f"{path}:{lineno}: {exc}")
+            continue
+        groups.setdefault(mid, []).append((t, lon, lat, lineno))
+    trajectories: list[Trajectory] = []
+    for mid in sorted(groups):
+        records = sorted(groups[mid], key=lambda r: (r[0], r[3]))
+        times: list[int] = []
+        lons: list[float] = []
+        lats: list[float] = []
+        for t, lon, lat, lineno in records:
+            if times and t == times[-1]:
+                issues.append(
+                    f"{path}:{lineno}: duplicate record for device {mid!r} at time {t}"
+                )
+                continue
+            times.append(t)
+            lons.append(lon)
+            lats.append(lat)
+        trajectories.append(
+            Trajectory(
+                device=mid,
+                times=np.array(times, dtype=np.int64),
+                lons=np.array(lons, dtype=np.float64),
+                lats=np.array(lats, dtype=np.float64),
+            )
+        )
+    _report_issues(issues, strict)
+    return trajectories

@@ -1,9 +1,13 @@
 """Command-line front end: parsing, ingest, subcommands, determinism."""
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from helpers import (
     minutes,
+    reference_ingest,
     traj_from_meters,
     write_labels_csv as write_labels,
     write_records_csv as write_records,
@@ -11,6 +15,7 @@ from helpers import (
 from sparsemob.cli import (
     DataError,
     _device_rng,
+    _fmt,
     _parse_bool,
     _parse_float_list,
     _parse_time_text,
@@ -202,6 +207,137 @@ class TestIngest:
         with pytest.raises(DataError, match="cannot read"):
             ingest(str(tmp_path / "absent.csv"), tz_offset=0, strict=False)
 
+    @pytest.mark.parametrize(
+        "first, bad",
+        [
+            # parsed by column, rejected by the vector range check
+            ("0", ["-5"]),
+            # too large for int64, so parsed row by row
+            ("0", ["99999999999999999999"]),
+            # an ISO time sends the whole file down the per-row parser
+            ("1970-01-01T00:00:00", ["-5", "99999999999999999999"]),
+        ],
+    )
+    def test_out_of_range_time_rejected_per_row(self, tmp_path, capsys, first, bad):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            f"time,lon,lat,mid\n{first},0.0,0.0,d\n"
+            + "".join(f"{t},0.0,0.0,d\n" for t in bad)
+            + "60,0.0,0.0,d\n"
+        )
+        issues = [f"{path}:{k}: time out of range: {t}" for k, t in enumerate(bad, 3)]
+        trajs = ingest(str(path), tz_offset=0, strict=False)
+        assert [list(t.times) for t in trajs] == [[0, 60]]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {issue} (row skipped)" for issue in issues
+        ]
+        with pytest.raises(DataError) as info:
+            ingest(str(path), tz_offset=0, strict=True)
+        assert str(info.value) == f"{len(bad)} bad row(s):\n" + "\n".join(issues)
+        out = str(tmp_path / "o.csv")
+        assert main(["label", str(path), "--timezone", "0", "--out", out]) == 0
+        strict = ["label", str(path), "--timezone", "0", "--strict", "--out", out]
+        assert main(strict) == 2
+        assert f"data error: {len(bad)} bad row(s)" in capsys.readouterr().err
+
+    def test_other_faults_worded_before_time_range(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text("time,lon,lat,mid\n-5,x,0.0,d\n-5,0.0,95.0,d\n-5,0.0,0.0, \n")
+        assert ingest(str(path), tz_offset=0, strict=False) == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {path}:2: could not convert string to float: 'x' (row skipped)",
+            f"warning: {path}:3: latitude out of range: 95.0 (row skipped)",
+            f"warning: {path}:4: empty device id (row skipped)",
+        ]
+
+    def test_time_range_ends_at_int64_limit(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            f"time,lon,lat,mid\n{2**63 - 1},0.0,0.0,d\n{2**63},0.0,0.0,d\n"
+        )
+        (traj,) = ingest(str(path), tz_offset=0, strict=False)
+        assert list(traj.times) == [2**63 - 1]
+        assert f"time out of range: {2**63}" in capsys.readouterr().err
+
+    def test_matches_per_row_reference(self, tmp_path, capsys):
+        rng = np.random.default_rng(20240611)
+        path = tmp_path / "r.csv"
+        for case in range(400):
+            path.write_text(random_records_text(rng))
+            for strict in (False, True):
+                got = ingest_outcome(ingest, path, strict, capsys)
+                want = ingest_outcome(reference_ingest, path, strict, capsys)
+                assert got == want, (case, strict, path.read_text())
+
+
+#: Cell texts for the differential ingest test: device ids with a trailing
+#: NUL, a quoted comma, or surrounding and whitespace-only blanks; times in
+#: every accepted form and some rejected ones, all in range because the
+#: reference has no range rule; coordinates that parse, that are out of
+#: range or not finite, and that do not parse.
+_MIDS = ["a", "b", "a\x00", '"x,y"', " a ", "b ", "  ", ""]
+_PLAIN_TIMES = ["100", "160", "220", " 1468317761 ", "1468317761"]
+_OTHER_TIMES = [
+    "1468317761.0",
+    "1468317761.5",
+    ".5",
+    "160.0",
+    "2016-07-12T18:02:41",
+    "18:02:41/07/12/2016",
+    "garbage",
+    "",
+]
+_COORDS = ["0.5", "-0.0", "45", "1e2", "180", "-90"]
+_COORDS += ["nan", "inf", "-inf", "181", "-95", "x", ""]
+
+
+def random_records_text(rng: np.random.Generator) -> str:
+    """A records CSV of up to 24 rows drawn from the cell texts above.
+
+    Half of the files use plain epoch times only and no short rows, so
+    ingest parses them by column and rejects rows by its vector checks; the
+    others mix in every other time form and short rows. Comment and blank
+    lines fall between rows, and some files end with a rejected row followed
+    by a valid row with the same device and time.
+    """
+
+    def pick(options: list[str]) -> str:
+        # not rng.choice, whose numpy str array drops trailing NULs
+        return options[int(rng.integers(len(options)))]
+
+    plain = rng.random() < 0.5
+    times = _PLAIN_TIMES if plain else _PLAIN_TIMES + _OTHER_TIMES
+    lines = ["time,lon,lat,mid"]
+    for _ in range(int(rng.integers(0, 25))):
+        draw = rng.random()
+        if draw < 0.05:
+            lines.append(pick(["# note", "  #1,2,3,a", ""]))
+            continue
+        cells = [
+            pick(times),
+            pick(_COORDS) if rng.random() < 0.3 else "0.5",
+            pick(_COORDS) if rng.random() < 0.3 else "-0.0",
+            pick(_MIDS),
+        ]
+        if not plain and draw > 0.95:
+            cells = cells[: int(rng.integers(1, 4))]
+        lines.append(",".join(cells))
+    if rng.random() < 0.3:
+        lines += ["100,x,0.5,a", "100,0.5,0.5,a"]
+    return "\n".join(lines) + "\n"
+
+
+def ingest_outcome(fn, path, strict, capsys):
+    """What an ingest returns, raises and prints, as comparable values."""
+    try:
+        trajs = fn(str(path), tz_offset=28800, strict=strict)
+    except DataError as exc:
+        return None, str(exc), capsys.readouterr().err
+    got = [
+        (t.device, t.times.tolist(), t.lons.tobytes(), t.lats.tobytes()) for t in trajs
+    ]
+    return got, None, capsys.readouterr().err
+
 
 class TestLabelCommand:
     def test_golden_travel_output(self, tmp_path):
@@ -243,6 +379,21 @@ class TestLabelCommand:
         assert main(["label", rec, "--out", str(outs[1])]) == 0
         assert main(["label", rec, "--workers", "2", "--out", str(outs[2])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    def test_quoted_mid_written_as_formatted_cells(self, tmp_path):
+        rec = write_records(tmp_path / "r.csv", [travel_fixture()])
+        text = (tmp_path / "r.csv").read_text().replace(",t\n", ',"a,b"\n')
+        (tmp_path / "r.csv").write_text(text)
+        out = tmp_path / "lab.csv"
+        assert main(["label", rec, "--out", str(out)]) == 0
+        want = io.StringIO()
+        want.write("# sparsemob labels v1\n")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["mid", "time", "label"])
+        for row in [("a,b", 0, "U"), ("a,b", 600, "T"), ("a,b", 1200, "U")]:
+            writer.writerow([_fmt(v) for v in row])
+        assert out.read_bytes() == want.getvalue().encode()
+        assert b'"a,b",600,T\n' in out.read_bytes()
 
 
 class TestOracleCommand:
@@ -319,7 +470,7 @@ class TestExitCodes:
     def test_evaluate_needs_inputs(self, tmp_path):
         assert main(["evaluate", "--out", str(tmp_path / "m.csv")]) == 1
 
-    def test_bad_label_letter_is_data_error(self, tmp_path):
+    def test_bad_label_letter_is_data_error(self, tmp_path, capsys):
         rec = write_records(tmp_path / "r.csv", [travel_fixture()])
         sub = tmp_path / "sub.csv"
         lab = write_labels(tmp_path / "l.csv", [("t", 0, "X")])
@@ -333,6 +484,9 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {lab}:2: unknown label letter: 'X'\n"
+        )
 
 
 class TestResampleCommand:
