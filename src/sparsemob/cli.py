@@ -254,14 +254,20 @@ def _write_csv(path: str, kind: str, header: list[str], rows) -> None:
 
 
 def _read_table(path: str, required: tuple[str, ...]):
-    """Rows of a commented CSV plus the index of each required column."""
+    """Rows of a commented CSV plus the index of each required column.
+
+    Each row comes with the file line it starts on, which is not its record
+    number once a quoted field has held a newline.
+    """
+    rows: list[tuple[int, list[str]]] = []
     try:
         with open(path, newline="") as fh:
-            rows = [
-                (lineno, row)
-                for lineno, row in enumerate(csv.reader(fh), start=1)
-                if row and not row[0].lstrip().startswith("#")
-            ]
+            reader = csv.reader(fh)
+            lineno = 1
+            for row in reader:
+                if row and not row[0].lstrip().startswith("#"):
+                    rows.append((lineno, row))
+                lineno = reader.line_num + 1
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:

@@ -30,8 +30,14 @@ from .core import (
     local_coverage,
     project_to_meters,
 )
-from .oracle import dense_stay_windows
-from .sds import sds_label, stay_flags_at, travel_flags_at
+from .sds import (
+    _block_boxes,
+    _far_after,
+    _far_before,
+    sds_label,
+    stay_flags_at,
+    travel_flags_at,
+)
 from .simulate import (
     CtrwConfig,
     continuous_labels,
@@ -371,6 +377,87 @@ class LocalConsistencyResult:
         return self.violations / self.tested if self.tested else 0.0
 
 
+def _covered_without(xs, ys, ts, boxes, before, after, i, r2, delta_t) -> bool:
+    """Whether some dense dwell window of the trajectory without record ``i``
+    strictly time-covers ``ts[i]``.
+
+    Such a window is [p, i-1] + [i+1, q] for some p < i < q: every pair
+    closer than the radius (squared: ``r2``), every consecutive gap <=
+    delta_t, the new gap ``ts[i+1] - ts[i-1]`` included, and
+    ``ts[q] - ts[p] >= delta_t``. The search grows q from i+1 with p = i-1,
+    then moves p left one record at a time; the largest valid q only falls
+    as p does, so q shrinks and never grows again.
+
+    ``before[c]`` and ``after[c]`` hold the nearest record before and after
+    c at squared distance >= r2 (-1: none), filled on first use and shared
+    by every removal from the trajectory.
+    """
+    a, b = i - 1, i + 1
+    dx = xs[a] - xs[b]
+    dy = ys[a] - ys[b]
+    if ts[b] - ts[a] > delta_t or dx * dx + dy * dy >= r2:
+        return False
+    n = len(ts)
+    # Bounding box of the window's members. A record closer than the radius
+    # to its farthest corner is closer to every member (the test sds._stay_pass
+    # admits with), so it joins in O(1); otherwise its nearest far records
+    # decide.
+    xmin, xmax = (xs[a], xs[b]) if xs[a] < xs[b] else (xs[b], xs[a])
+    ymin, ymax = (ys[a], ys[b]) if ys[a] < ys[b] else (ys[b], ys[a])
+    q = b
+    while ts[q] - ts[a] < delta_t:
+        c = q + 1
+        if c == n or ts[c] - ts[q] > delta_t:
+            break
+        cx = xs[c]
+        cy = ys[c]
+        dx = xmax - cx if xmax - cx > cx - xmin else cx - xmin
+        dy = ymax - cy if ymax - cy > cy - ymin else cy - ymin
+        if dx * dx + dy * dy >= r2:
+            u = before[c]
+            if u is None:
+                u = before[c] = _far_before(xs, ys, boxes, cx, cy, r2, c - 1, 0)
+            if u == i:  # gone; a is the one member before it
+                u = _far_before(xs, ys, boxes, cx, cy, r2, a, a)
+            if u >= a:
+                break
+        q = c
+        xmin = cx if cx < xmin else xmin
+        xmax = cx if cx > xmax else xmax
+        ymin = cy if cy < ymin else ymin
+        ymax = cy if cy > ymax else ymax
+    else:
+        return True
+    p = a
+    while p > 0 and ts[p] - ts[p - 1] <= delta_t:
+        p -= 1
+        cx = xs[p]
+        cy = ys[p]
+        dx = xmax - cx if xmax - cx > cx - xmin else cx - xmin
+        dy = ymax - cy if ymax - cy > cy - ymin else cy - ymin
+        if dx * dx + dy * dy >= r2:
+            j = after[p]
+            if j is None:
+                j = after[p] = _far_after(xs, ys, boxes, cx, cy, r2, p + 1, n)
+            if j == i:  # gone; look among the members after it
+                j = _far_after(xs, ys, boxes, cx, cy, r2, b, q + 1)
+            if 0 <= j <= b:
+                return False
+            if b < j <= q:
+                q = j - 1
+                xmin = min(min(xs[p + 1 : i]), min(xs[b : q + 1]))
+                xmax = max(max(xs[p + 1 : i]), max(xs[b : q + 1]))
+                ymin = min(min(ys[p + 1 : i]), min(ys[b : q + 1]))
+                ymax = max(max(ys[p + 1 : i]), max(ys[b : q + 1]))
+        xmin = cx if cx < xmin else xmin
+        xmax = cx if cx > xmax else xmax
+        ymin = cy if cy < ymin else ymin
+        ymax = cy if cy > ymax else ymax
+        if ts[q] - ts[p] >= delta_t:
+            return True
+    return False
+
+
 def local_consistency_check(
     traj: Trajectory,
     params: MobilityParams,
@@ -379,35 +466,47 @@ def local_consistency_check(
 ) -> LocalConsistencyResult:
     """Leave-one-out test of dwell-cluster locality.
 
-    For each interior record: drop it, find the maximal dwell-certifying
-    windows of the remainder, and call the record tested when some window
-    strictly time-covers it. A tested record's immediate original neighbors
-    should then both lie within the spatial threshold; count a violation
-    when either does not.
+    For each interior record: drop it, and call the record tested when some
+    dense dwell window of the remainder (every pair within delta_s, every
+    gap <= delta_t, spanning delta_t; see :mod:`sparsemob.oracle`) strictly
+    time-covers it. A tested record's immediate original neighbors should
+    then both lie within the spatial threshold; count a violation when
+    either does not.
+
+    The trajectory is projected once. A covering window holds both
+    neighbors of the removed record, so each removal is decided by growing
+    one window outward from them. The cost is the records it reaches, each
+    admitted in O(1): by the window's bounding box while that stays within
+    delta_s, otherwise by the record's nearest far records, which are found
+    once per trajectory and shared by every removal.
     """
     if ref_lat is None:
         ref_lat = default_ref_lat(traj)
+    n = len(traj)
+    if n < 3:
+        return LocalConsistencyResult(tested=0, violations=0)
     x, y = project_to_meters(traj.lons, traj.lats, ref_lat)
+    xs = x.tolist()
+    ys = y.tolist()
+    ts = traj.times.tolist()
+    boxes = _block_boxes(x, y)
+    before: list[int | None] = [None] * n
+    after: list[int | None] = [None] * n
+    # Windows match oracle.dense_stay_windows bit for bit: pow for the
+    # threshold, products for pair distances (numpy squares arrays by
+    # multiplying). pow and product can differ in the last bit.
+    r2 = params.delta_s**2
     s2 = params.delta_s * params.delta_s
     tested = 0
     violations = 0
-    for i in range(1, len(traj) - 1):
-        rest = Trajectory(
-            device=traj.device,
-            times=np.delete(traj.times, i),
-            lons=np.delete(traj.lons, i),
-            lats=np.delete(traj.lats, i),
-        )
-        t_i = traj.times[i]
-        covered = any(
-            rest.times[p] < t_i < rest.times[q]
-            for p, q in dense_stay_windows(rest, params, ref_lat=ref_lat)
-        )
-        if not covered:
+    for i in range(1, n - 1):
+        if not _covered_without(
+            xs, ys, ts, boxes, before, after, i, r2, params.delta_t
+        ):
             continue
         tested += 1
-        left2 = (x[i] - x[i - 1]) ** 2 + (y[i] - y[i - 1]) ** 2
-        right2 = (x[i] - x[i + 1]) ** 2 + (y[i] - y[i + 1]) ** 2
+        left2 = (xs[i] - xs[i - 1]) ** 2 + (ys[i] - ys[i - 1]) ** 2
+        right2 = (xs[i] - xs[i + 1]) ** 2 + (ys[i] - ys[i + 1]) ** 2
         if left2 >= s2 or right2 >= s2:
             violations += 1
     return LocalConsistencyResult(tested=tested, violations=violations)

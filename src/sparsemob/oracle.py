@@ -152,9 +152,12 @@ def dense_stay_windows(
 ) -> list[tuple[int, int]]:
     """Maximal qualifying dense windows as inclusive (p, q) index pairs.
 
-    Used by the leave-one-out consistency harness, which needs window time
-    extents rather than the membership union. Not size-limited: the sweep is
-    O(L^2) and the harness calls it once per removed record.
+    Only the tests call this. They check these windows against
+    :func:`dense_stay_membership` and the simulator's continuous dwells, and
+    their per-removal leave-one-out check runs it on every remainder as the
+    reference for :func:`sparsemob.evaluate.local_consistency_check`, which
+    decides each removal without building windows. Not size-limited: it
+    builds the n x n distance matrix and the sweep is O(L^2).
     """
     n = len(traj)
     if n == 0:

@@ -13,7 +13,16 @@ import math
 import numpy as np
 
 from sparsemob.cli import DataError, _parse_time_text, _report_issues
-from sparsemob.core import METERS_PER_DEGREE, GeoPoint, Trajectory
+from sparsemob.core import (
+    METERS_PER_DEGREE,
+    GeoPoint,
+    MobilityParams,
+    Trajectory,
+    default_ref_lat,
+    project_to_meters,
+)
+from sparsemob.evaluate import LocalConsistencyResult
+from sparsemob.oracle import dense_stay_windows
 
 
 def traj_from_meters(times, xs, ys=None, device="dev") -> Trajectory:
@@ -300,3 +309,46 @@ def reference_ingest(path: str, *, tz_offset: int, strict: bool) -> list[Traject
         )
     _report_issues(issues, strict)
     return trajectories
+
+
+def reference_local_consistency_check(
+    traj: Trajectory,
+    params: MobilityParams,
+    *,
+    ref_lat: float | None = None,
+) -> LocalConsistencyResult:
+    """Per-removal leave-one-out check: the reference for
+    ``evaluate.local_consistency_check``.
+
+    For each interior record: drop it, find the maximal dwell-certifying
+    windows of the remainder, and call the record tested when some window
+    strictly time-covers it. A tested record's immediate original neighbors
+    should then both lie within the spatial threshold; count a violation
+    when either does not.
+    """
+    if ref_lat is None:
+        ref_lat = default_ref_lat(traj)
+    x, y = project_to_meters(traj.lons, traj.lats, ref_lat)
+    s2 = params.delta_s * params.delta_s
+    tested = 0
+    violations = 0
+    for i in range(1, len(traj) - 1):
+        rest = Trajectory(
+            device=traj.device,
+            times=np.delete(traj.times, i),
+            lons=np.delete(traj.lons, i),
+            lats=np.delete(traj.lats, i),
+        )
+        t_i = traj.times[i]
+        covered = any(
+            rest.times[p] < t_i < rest.times[q]
+            for p, q in dense_stay_windows(rest, params, ref_lat=ref_lat)
+        )
+        if not covered:
+            continue
+        tested += 1
+        left2 = (x[i] - x[i - 1]) ** 2 + (y[i] - y[i - 1]) ** 2
+        right2 = (x[i] - x[i + 1]) ** 2 + (y[i] - y[i + 1]) ** 2
+        if left2 >= s2 or right2 >= s2:
+            violations += 1
+    return LocalConsistencyResult(tested=tested, violations=violations)

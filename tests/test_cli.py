@@ -259,6 +259,17 @@ class TestIngest:
         assert list(traj.times) == [2**63 - 1]
         assert f"time out of range: {2**63}" in capsys.readouterr().err
 
+    def test_rows_numbered_by_file_line_after_quoted_newline(self, tmp_path, capsys):
+        path = tmp_path / "nl.csv"
+        path.write_text(
+            'time,lon,lat,mid\n0,0.0,0.0,"a\nb"\n\n# note\n60,0.0,95.0,d\n'
+        )
+        (traj,) = ingest(str(path), tz_offset=0, strict=False)
+        assert traj.device == "a\nb"
+        assert capsys.readouterr().err == (
+            f"warning: {path}:6: latitude out of range: 95.0 (row skipped)\n"
+        )
+
     def test_matches_per_row_reference(self, tmp_path, capsys):
         rng = np.random.default_rng(20240611)
         path = tmp_path / "r.csv"
@@ -486,6 +497,24 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == (
             f"sparsemob: data error: {lab}:2: unknown label letter: 'X'\n"
+        )
+
+    def test_label_rows_numbered_by_file_line(self, tmp_path, capsys):
+        rec = write_records(tmp_path / "r.csv", [travel_fixture()])
+        lab = tmp_path / "l.csv"
+        lab.write_text('mid,time,label\n"t\nu",0,S\nt,0,X\n')
+        code = main(
+            [
+                "resample", rec,
+                "--rate", "1.0",
+                "--labels", str(lab),
+                "--labels-out", str(tmp_path / "lo.csv"),
+                "--out", str(tmp_path / "sub.csv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {lab}:4: unknown label letter: 'X'\n"
         )
 
 

@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from helpers import minutes, traj_from_meters
+from helpers import (
+    dense_trajectory,
+    minutes,
+    random_trajectory,
+    reference_local_consistency_check,
+    traj_from_meters,
+)
 from sparsemob.core import (
     LABEL_STAY,
     LABEL_TRAVEL,
@@ -375,6 +381,116 @@ class TestProp1:
             _, traj, _ = experiment_trajectory(config, i, with_truth=False)
             r = local_consistency_check(traj, PARAMS, ref_lat=39.9)
             assert 0 <= r.violations <= r.tested <= max(len(traj) - 2, 0)
+
+
+#: threshold pairs of the leave-one-out differential tests
+LOO_GRID = [
+    MobilityParams(300.0, 600.0),
+    MobilityParams(800.0, 1800.0),
+    MobilityParams(1600.0, 1800.0),
+    MobilityParams(800.0, 3600.0),
+]
+
+
+def boundary_trajectory(rng: np.random.Generator, params: MobilityParams) -> Trajectory:
+    """Up to 24 records whose gaps sit on and around delta_t (exactly delta_t,
+    delta_t + 1, delta_t - 1, halves and thirds), wobbling well inside
+    delta_s with some jumps past it."""
+    n = int(rng.integers(3, 25))
+    dt = int(params.delta_t)
+    gaps = rng.choice([dt // 3, dt // 2, dt - 1, dt, dt + 1], size=n - 1)
+    times = np.concatenate(([0], np.cumsum(gaps)))
+
+    def axis() -> np.ndarray:
+        small = rng.random(n) < 0.75
+        scale = np.where(small, params.delta_s / 6.0, params.delta_s)
+        return np.cumsum(rng.normal(0.0, 1.0, n) * scale)
+
+    return traj_from_meters(times, axis(), axis())
+
+
+def ring_trajectory(rng: np.random.Generator, params: MobilityParams) -> Trajectory:
+    """A loop whose diameter is close to delta_s, sampled every few seconds:
+    every pair can stay within delta_s while the members' bounding box
+    reaches past it."""
+    n = int(rng.integers(40, 120))
+    radius = 0.5 * params.delta_s * rng.uniform(0.9, 1.01)
+    angle = 2.0 * np.pi * np.arange(n) / rng.uniform(15.0, 60.0)
+    times = np.cumsum(rng.integers(1, int(params.delta_t) // 20, size=n))
+    return traj_from_meters(
+        times - times[0], radius * np.cos(angle), radius * np.sin(angle)
+    )
+
+
+def antimeridian_trajectory() -> Trajectory:
+    """A dwell at 60N that straddles longitude 180, with one excursion of
+    about 1.7 km; unwrapped, its records would lie a globe apart."""
+    lons = 179.9995 + 0.001 * np.sin(np.arange(24.0))
+    lons[11] += 0.03
+    return Trajectory(
+        device="am",
+        times=np.arange(24) * 300,
+        lons=np.where(lons > 180.0, lons - 360.0, lons),
+        lats=60.0 + 0.0005 * np.cos(np.arange(24.0)),
+    )
+
+
+def dwell_1hz(n: int = 400) -> Trajectory:
+    """1 Hz dwell: ``n`` records inside a 100 m disc."""
+    rng = np.random.default_rng(400)
+    r = 50.0 * np.sqrt(rng.random(n))
+    a = rng.uniform(0.0, 2.0 * np.pi, n)
+    return traj_from_meters(np.arange(n), r * np.cos(a), r * np.sin(a))
+
+
+def assert_matches_reference(traj, params) -> LocalConsistencyResult:
+    got = local_consistency_check(traj, params)
+    want = reference_local_consistency_check(traj, params)
+    assert (got.tested, got.violations) == (want.tested, want.violations), params
+    return got
+
+
+class TestLocalConsistencyReference:
+    """The one-pass leave-one-out check against the per-removal reference."""
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(515)
+        tested = violations = 0
+        for params in LOO_GRID:
+            trajs = [random_trajectory(rng) for _ in range(40)]
+            trajs += [boundary_trajectory(rng, params) for _ in range(40)]
+            trajs += [ring_trajectory(rng, params), dense_trajectory(rng, 16)]
+            for traj in trajs:
+                r = assert_matches_reference(traj, params)
+                tested += r.tested
+                violations += r.violations
+        assert tested > 0 and violations > 0
+
+    def test_delta_t_gap_boundaries(self):
+        for params in LOO_GRID:
+            dt = int(params.delta_t)
+            # span exactly delta_t once the middle record is gone
+            edge = traj_from_meters([0, dt // 2, dt], [0.0, 5000.0, 0.0])
+            r = assert_matches_reference(edge, params)
+            assert (r.tested, r.violations) == (1, 1)
+            # the gap left by the removal is delta_t + 1
+            wide = traj_from_meters([0, dt // 2, dt + 1], [0.0, 0.0, 0.0])
+            assert assert_matches_reference(wide, params).tested == 0
+
+    def test_antimeridian_device(self):
+        traj = antimeridian_trajectory()
+        for params in LOO_GRID:
+            r = assert_matches_reference(traj, params)
+            assert r.tested > 0
+        assert local_consistency_check(traj, PARAMS).violations == 1
+
+    def test_dense_dwell_shorter_than_delta_t(self):
+        r = assert_matches_reference(dwell_1hz(), MobilityParams(300.0, 600.0))
+        assert r.tested == 0
+
+    def test_dense_dwell_longer_than_delta_t(self):
+        r = assert_matches_reference(dwell_1hz(), MobilityParams(300.0, 120.0))
+        assert (r.tested, r.violations) == (398, 0)
 
 
 class TestDeviceStats:
