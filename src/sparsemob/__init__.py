@@ -8,150 +8,52 @@ truth, an evaluation harness, and two classic baselines, all behind a
 deterministic batch CLI.
 """
 
-from .baselines import (
-    BucketConfig,
-    HmmModel,
-    SpatioTemporalBin,
-    VotingModel,
-    grid_index,
-    hmm_predict,
-    hmm_train,
-    hour_index,
-    minute_index,
-    observations,
-    spatiotemporal_bin,
-    viterbi,
-    voting_train,
-)
-from .core import (
-    GeoPoint,
-    LABEL_STAY,
-    LABEL_TRAVEL,
-    LABEL_UNLABELED,
-    MetricUndefinedError,
-    MobilityParams,
-    Trajectory,
-    codes_to_letters,
-    global_sparsity,
-    letters_to_codes,
-    local_coverage,
-    planar_distance,
-    project_to_meters,
-    segment_bounds,
-)
+from .baselines import BucketConfig, HmmModel, VotingModel, hmm_train, voting_train
+from .core import LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED, MobilityParams, Trajectory
 from .evaluate import (
-    ConfusionCounts,
     ExperimentConfig,
-    LocalConsistencyResult,
     MetricsReport,
     RateOutcome,
-    SparsityReport,
     compute_metrics,
-    device_stats,
-    harmonic_mean,
-    local_consistency_check,
-    prop1_violation_rate,
     resampling_experiment,
-    sparsity_report,
 )
-from .oracle import (
-    OracleLabels,
-    OracleLimitError,
-    dense_stay_membership,
-    exact_label,
-    travel_condition,
-)
-from .sds import (
-    LabeledTrajectory,
-    RecallBounds,
-    recall_lower_bounds,
-    sds_label,
-    stay_flags_at,
-    travel_flags_at,
-)
+from .oracle import OracleLabels, exact_label
+from .sds import LabeledTrajectory, sds_label
 from .simulate import (
     CtrwConfig,
     GroundTruthPath,
-    StayPeriod,
-    TravelLeg,
-    check_supports,
     continuous_labels,
-    fit_power_law_exponent,
     generate_ctrw,
     observe,
-    resample,
-    resample_labeled,
-    sample_at,
-    sample_truncated_power_law,
-    synth_schedule,
 )
 
 __version__ = "0.1.0"
 
+# README's entry points and the types they take or return; every other name
+# stays importable from its submodule, with no stability promise
 __all__ = [
     "BucketConfig",
-    "ConfusionCounts",
     "CtrwConfig",
     "ExperimentConfig",
-    "GeoPoint",
     "GroundTruthPath",
     "HmmModel",
     "LABEL_STAY",
     "LABEL_TRAVEL",
     "LABEL_UNLABELED",
     "LabeledTrajectory",
-    "LocalConsistencyResult",
-    "MetricUndefinedError",
     "MetricsReport",
     "MobilityParams",
     "OracleLabels",
-    "OracleLimitError",
     "RateOutcome",
-    "RecallBounds",
-    "SparsityReport",
-    "SpatioTemporalBin",
-    "StayPeriod",
     "Trajectory",
-    "TravelLeg",
     "VotingModel",
-    "check_supports",
-    "codes_to_letters",
     "compute_metrics",
     "continuous_labels",
-    "dense_stay_membership",
-    "device_stats",
     "exact_label",
-    "fit_power_law_exponent",
     "generate_ctrw",
-    "global_sparsity",
-    "grid_index",
-    "harmonic_mean",
-    "hmm_predict",
     "hmm_train",
-    "hour_index",
-    "letters_to_codes",
-    "local_consistency_check",
-    "local_coverage",
-    "minute_index",
-    "observations",
     "observe",
-    "planar_distance",
-    "project_to_meters",
-    "prop1_violation_rate",
-    "recall_lower_bounds",
-    "resample",
-    "resample_labeled",
     "resampling_experiment",
-    "sample_at",
-    "sample_truncated_power_law",
     "sds_label",
-    "segment_bounds",
-    "sparsity_report",
-    "spatiotemporal_bin",
-    "stay_flags_at",
-    "synth_schedule",
-    "travel_condition",
-    "travel_flags_at",
-    "viterbi",
     "voting_train",
 ]

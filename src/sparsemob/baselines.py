@@ -29,7 +29,6 @@ from .core import (
     LABEL_STAY,
     LABEL_TRAVEL,
     LABEL_UNLABELED,
-    GeoPoint,
     Trajectory,
     default_ref_lat,
     project_to_meters,
@@ -43,12 +42,12 @@ _WEEK_ANCHOR = {"monday": 3, "sunday": 4}
 DEFAULT_TZ_OFFSET = 8 * 3600
 
 
-def grid_index(point: GeoPoint) -> tuple[int, int]:
+def grid_index(lon: float, lat: float) -> tuple[int, int]:
     """Milli-degree grid cell of a point: (floor(lon*1000), floor(lat*1000)).
 
     Floor, not truncation: small negative coordinates land in cell -1.
     """
-    return math.floor(point.lon * 1000.0), math.floor(point.lat * 1000.0)
+    return math.floor(lon * 1000.0), math.floor(lat * 1000.0)
 
 
 def hour_index(
@@ -66,13 +65,6 @@ def hour_index(
     day, remainder = divmod(int(time) + tz_offset, 86400)
     weekday = (day + anchor) % 7
     return int(weekday * 24 + remainder // 3600)
-
-
-def minute_index(time: int, segment_start: int) -> int:
-    """Whole minutes elapsed since the containing segment began."""
-    if time < segment_start:
-        raise ValueError("time precedes segment start")
-    return int((time - segment_start) // 60)
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,7 @@ def spatiotemporal_bin(
     week_start: str = "monday",
     tz_offset: int = DEFAULT_TZ_OFFSET,
 ) -> SpatioTemporalBin:
-    glon, glat = grid_index(GeoPoint(lon=lon, lat=lat))
+    glon, glat = grid_index(lon, lat)
     return SpatioTemporalBin(
         grid_lon=glon,
         grid_lat=glat,
@@ -474,19 +466,3 @@ def hmm_predict(
     states, _ = viterbi(model.initial, model.transition, model.emission, syms)
     return np.array([STATE_LABELS[s] for s in states], dtype=np.int8)
 
-
-__all__ = [
-    "BucketConfig",
-    "HmmModel",
-    "SpatioTemporalBin",
-    "VotingModel",
-    "grid_index",
-    "hour_index",
-    "hmm_predict",
-    "hmm_train",
-    "minute_index",
-    "observations",
-    "spatiotemporal_bin",
-    "viterbi",
-    "voting_train",
-]

@@ -47,7 +47,6 @@ from .baselines import (
 )
 from .core import (
     _CODE_BY_LETTER,
-    GeoPoint,
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
@@ -66,7 +65,7 @@ from .evaluate import (
 )
 from .oracle import ORACLE_LIMIT_DEFAULT, OracleLimitError, exact_label
 from .sds import recall_lower_bounds, sds_label
-from .simulate import CtrwConfig, check_supports, resample, resample_labeled
+from .simulate import CtrwConfig, check_supports, resample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -310,7 +309,11 @@ def _parse_row(
     t = _parse_time_text(row[index["time"]], tz_offset)
     lon = float(row[index["lon"]])
     lat = float(row[index["lat"]])
-    GeoPoint(lon=lon, lat=lat)
+    # written so that NaN fails them too
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude out of range: {lon}")
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude out of range: {lat}")
     # last, so a row with another fault keeps that fault's message
     if not 0 <= t < 2**63:
         raise ValueError(f"time out of range: {t}")
@@ -429,11 +432,10 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
     return trajectories
 
 
-def _read_label_rows(path: str) -> list[tuple[str, int, int]]:
-    """(mid, time, label code) triples sorted by (mid, time)."""
+def _read_labels(path: str) -> dict[tuple[str, int], int]:
+    """Label codes keyed by (mid, time), in file order."""
     index, rows = _read_table(path, ("mid", "time", "label"))
-    out: list[tuple[str, int, int]] = []
-    seen: set[tuple[str, int]] = set()
+    out: dict[tuple[str, int], int] = {}
     for lineno, row in rows:
         try:
             mid = row[index["mid"]].strip()
@@ -444,11 +446,9 @@ def _read_label_rows(path: str) -> list[tuple[str, int, int]]:
         code = _CODE_BY_LETTER.get(letter)
         if code is None:
             raise DataError(f"{path}:{lineno}: unknown label letter: {letter!r}")
-        if (mid, t) in seen:
+        if (mid, t) in out:
             raise DataError(f"{path}:{lineno}: duplicate label for ({mid!r}, {t})")
-        seen.add((mid, t))
-        out.append((mid, t, code))
-    out.sort(key=lambda r: (r[0], r[1]))
+        out[mid, t] = code
     return out
 
 
@@ -604,8 +604,8 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def _experiment_config(args: argparse.Namespace, run: RunConfig) -> ExperimentConfig:
-    walk = CtrwConfig(duration=args.duration, jitter_radius=args.jitter)
     try:
+        walk = CtrwConfig(duration=args.duration, jitter_radius=args.jitter)
         return ExperimentConfig(
             params=run.params,
             walk=walk,
@@ -642,20 +642,18 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
 def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
     if (args.labels is None) != (args.labels_out is None):
         raise UsageError("--labels and --labels-out must be used together")
+    if not 0.0 <= args.rate <= 1.0:
+        raise UsageError(f"--rate must lie in [0, 1], got {args.rate}")
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    label_map: dict[tuple[str, int], int] = {}
-    if args.labels:
-        label_map = {(m, t): c for m, t, c in _read_label_rows(args.labels)}
+    label_map = _read_labels(args.labels) if args.labels else {}
     record_rows = []
     label_rows = []
     for traj in trajectories:
         rng = _device_rng(run.seed, traj.device)
+        sub, keep = resample(traj, args.rate, rng)
         if args.labels:
             labels = _aligned_labels(traj, label_map, strict=run.strict)
-            sub, sub_labels = resample_labeled(traj, labels, args.rate, rng)
-            label_rows.extend(_label_rows(sub.device, sub.times, sub_labels))
-        else:
-            sub = resample(traj, args.rate, rng)
+            label_rows.extend(_label_rows(sub.device, sub.times, labels[keep]))
         record_rows.extend(_record_rows(sub))
     _write_csv(args.out, "records", ["time", "lon", "lat", "mid"], record_rows)
     if args.labels_out:
@@ -698,15 +696,16 @@ def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
         return EXIT_OK
     if not args.predictions or not args.truth:
         raise UsageError("evaluate needs --predictions and --truth (or --experiment)")
-    predicted_rows = _read_label_rows(args.predictions)
-    truth_rows = _read_label_rows(args.truth)
-    if [(m, t) for m, t, _ in predicted_rows] != [(m, t) for m, t, _ in truth_rows]:
+    predicted_map = _read_labels(args.predictions)
+    truth_map = _read_labels(args.truth)
+    if predicted_map.keys() != truth_map.keys():
         raise DataError(
             "prediction rows do not match truth rows "
-            f"({len(predicted_rows)} vs {len(truth_rows)} records)"
+            f"({len(predicted_map)} vs {len(truth_map)} records)"
         )
-    predicted = np.array([c for _, _, c in predicted_rows], dtype=np.int8)
-    truth = np.array([c for _, _, c in truth_rows], dtype=np.int8)
+    # in truth order: the confusion counts are sums, so order does not matter
+    predicted = np.array([predicted_map[k] for k in truth_map], dtype=np.int8)
+    truth = np.array(list(truth_map.values()), dtype=np.int8)
     try:
         counts = ConfusionCounts.from_labels(truth, predicted)
     except ValueError as exc:
@@ -783,7 +782,7 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
         trajectories = ingest(
             args.train_records, tz_offset=run.tz_offset, strict=run.strict
         )
-        label_map = {(m, t): c for m, t, c in _read_label_rows(args.train_labels)}
+        label_map = _read_labels(args.train_labels)
         pairs = [
             (traj, _aligned_labels(traj, label_map, strict=run.strict))
             for traj in trajectories

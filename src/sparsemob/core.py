@@ -3,15 +3,14 @@
 A trajectory is a time-ordered sequence of (timestamp, longitude, latitude)
 records for one device. Timestamps are integer epoch seconds; sub-second
 precision is truncated at ingestion. All distance computations in this package
-go through a single planar approximation (:func:`planar_distance`) using a
-fixed reference latitude per dataset, so that comparisons against thresholds
-are consistent across modules.
+compare squared Euclidean distances ``dx*dx + dy*dy`` in one planar
+approximation (:func:`project_to_meters`) at a fixed reference latitude per
+dataset, so that comparisons against thresholds are consistent across modules.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -35,27 +34,6 @@ _CODE_BY_LETTER = {letter: code for code, letter in enumerate(_LETTERS)}
 
 def codes_to_letters(codes: np.ndarray) -> list[str]:
     return [_LETTERS[c] for c in np.asarray(codes).tolist()]
-
-
-def letters_to_codes(letters: Iterable[str]) -> np.ndarray:
-    try:
-        return np.array([_CODE_BY_LETTER[s] for s in letters], dtype=np.int8)
-    except KeyError as exc:  # pragma: no cover - defensive
-        raise ValueError(f"unknown label letter: {exc.args[0]!r}") from None
-
-
-@dataclass(frozen=True)
-class GeoPoint:
-    """A WGS-84 longitude/latitude pair in decimal degrees."""
-
-    lon: float
-    lat: float
-
-    def __post_init__(self) -> None:
-        if not (-180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude out of range: {self.lon}")
-        if not (-90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude out of range: {self.lat}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,27 +94,6 @@ class MobilityParams:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
 
 
-def planar_distance(a: GeoPoint, b: GeoPoint, ref_lat: float) -> float:
-    """Planar-approximation distance in meters.
-
-    Latitude differences map to meters at the constant rate
-    ``EARTH_RADIUS_M * pi / 180`` per degree; longitude differences are scaled
-    by cos(ref_lat). ``ref_lat`` is fixed per dataset so that the induced
-    metric is a true metric (symmetry and the triangle inequality hold), which
-    the labeling proofs rely on.
-    """
-    k = METERS_PER_DEGREE
-    dy = (a.lat - b.lat) * k
-    dlon = a.lon - b.lon
-    # the short way round the antimeridian
-    if dlon > 180.0:
-        dlon -= 360.0
-    elif dlon < -180.0:
-        dlon += 360.0
-    dx = dlon * k * math.cos(math.radians(ref_lat))
-    return math.hypot(dx, dy)
-
-
 def project_to_meters(
     lons: np.ndarray, lats: np.ndarray, ref_lat: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,9 +101,10 @@ def project_to_meters(
 
     Longitudes more than 180 degrees from the first one are shifted by 360
     first, so a device that crosses the antimeridian stays contiguous; others
-    project unchanged. For a device whose longitudes then span less than 180
-    degrees, pairwise Euclidean distances in this plane equal
-    :func:`planar_distance`.
+    project unchanged. Latitude maps to meters at ``METERS_PER_DEGREE``;
+    longitude at that rate scaled by cos(ref_lat). With ``ref_lat`` fixed per
+    dataset, Euclidean distance in this plane is a true metric (symmetry and
+    the triangle inequality hold), which the labeling proofs rely on.
     """
     k = METERS_PER_DEGREE
     lons = np.asarray(lons, dtype=np.float64)
@@ -164,20 +122,6 @@ def default_ref_lat(traj: Trajectory) -> float:
     if len(traj) == 0:
         raise ValueError("cannot take a reference latitude from an empty trajectory")
     return float(traj.lats[0])
-
-
-def segment_bounds(times: np.ndarray, delta_t: float) -> list[tuple[int, int]]:
-    """Half-open [start, stop) bounds of maximal runs with gaps <= delta_t.
-
-    Cuts fall exactly at consecutive gaps strictly greater than ``delta_t``.
-    """
-    n = len(times)
-    if n == 0:
-        return []
-    cuts = np.nonzero(np.diff(times) > delta_t)[0] + 1
-    starts = np.concatenate(([0], cuts))
-    stops = np.concatenate((cuts, [n]))
-    return list(zip(starts.tolist(), stops.tolist()))
 
 
 def global_sparsity(traj: Trajectory) -> float:

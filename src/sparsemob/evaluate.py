@@ -43,6 +43,7 @@ from .simulate import (
     continuous_labels,
     generate_ctrw,
     observe,
+    resample,
     synth_schedule,
 )
 
@@ -317,13 +318,8 @@ def _trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
     n = len(traj)
     out = np.zeros((len(config.rates), _COUNT_FIELDS), dtype=np.int64)
     for pos, rate in enumerate(config.rates):
-        keep = np.random.default_rng((config.seed, index, pos)).random(n) < rate
-        sub = Trajectory(
-            device=traj.device,
-            times=traj.times[keep],
-            lons=traj.lons[keep],
-            lats=traj.lats[keep],
-        )
+        rng = np.random.default_rng((config.seed, index, pos))
+        sub, keep = resample(traj, rate, rng)
         predicted = np.full(n, LABEL_UNLABELED, dtype=np.int8)
         predicted[keep] = sds_label(sub, params, ref_lat=ref).labels
         pred_stay = predicted == LABEL_STAY
@@ -558,21 +554,11 @@ def device_stats(traj: Trajectory, params: MobilityParams) -> DeviceStats:
     )
 
 
+#: fixed log-spaced gap bins, comparable across datasets; the first and last
+#: absorb sub-10 s and super-11.6-day gaps
 GAP_BIN_EDGES = np.concatenate(([0.0], np.logspace(1.0, 6.0, 21), [np.inf]))
 
 COVERAGE_BIN_EDGES = np.linspace(0.0, 1.0, 11)
-
-
-def gap_histogram(trajectories: list[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled histogram of inter-record gaps on fixed log-spaced bins.
-
-    Fixed edges keep histograms comparable across datasets; the first and
-    last bins absorb sub-10 s and super-11.6-day gaps.
-    """
-    gaps = [np.diff(t.times) for t in trajectories if len(t) >= 2]
-    pooled = np.concatenate(gaps) if gaps else np.zeros(0, dtype=np.int64)
-    counts, _ = np.histogram(pooled, bins=GAP_BIN_EDGES)
-    return GAP_BIN_EDGES.copy(), counts
 
 
 @dataclass(frozen=True, eq=False)

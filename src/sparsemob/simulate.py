@@ -57,23 +57,6 @@ def sample_truncated_power_law(
     return (lower**k + u * (upper**k - lower**k)) ** (1.0 / k)
 
 
-def fit_power_law_exponent(samples: np.ndarray, lower: float) -> float:
-    """Maximum-likelihood exponent of an (untruncated) power-law tail.
-
-    Rough diagnostic for checking generated dwell/jump samples; the upper
-    truncation biases it slightly low, which is fine for sanity bounds.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size < 2:
-        raise ValueError("need at least two samples")
-    if lower <= 0 or (x < lower).any():
-        raise ValueError("samples must be >= lower > 0")
-    log_sum = float(np.log(x / lower).sum())
-    if log_sum <= 0.0:
-        raise ValueError("all samples at the lower bound; estimate diverges")
-    return 1.0 + x.size / log_sum
-
-
 @dataclass(frozen=True)
 class StayPeriod:
     """Dwell at a fixed planar point over [start, end] seconds."""
@@ -329,24 +312,6 @@ def observe(
     return Trajectory(device=device, times=t, lons=lons, lats=lats)
 
 
-def sample_at(
-    path: GroundTruthPath,
-    times,
-    params: MobilityParams,
-    *,
-    device: str = "sim00000",
-    jitter_radius: float = 0.0,
-    rng: np.random.Generator | None = None,
-    resolution: float = 1.0,
-) -> tuple[Trajectory, np.ndarray]:
-    """Observed trajectory plus the ground-truth label of each record."""
-    traj = observe(
-        path, times, device=device, jitter_radius=jitter_radius, rng=rng
-    )
-    labels = continuous_labels(path, traj.times, params, resolution=resolution)
-    return traj, labels
-
-
 def synth_schedule(
     rng: np.random.Generator,
     count: int,
@@ -371,44 +336,26 @@ def synth_schedule(
     return (start + np.floor(np.cumsum(gaps))).astype(np.int64)
 
 
-def _keep_mask(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
-    # one uniform per record even at the endpoints, for stream stability
-    return rng.random(n) < rate
-
-
-def resample(traj: Trajectory, rate: float, rng: np.random.Generator) -> Trajectory:
+def resample(
+    traj: Trajectory, rate: float, rng: np.random.Generator
+) -> tuple[Trajectory, np.ndarray]:
     """Keep each record independently with probability ``rate``.
 
-    Always consumes one uniform per record, so downstream draws stay aligned
-    across rates run from a common generator state. rate=1 keeps everything.
+    Returns the kept records and the boolean keep mask, which carries any
+    per-record array (labels, say) along. Always consumes one uniform per
+    record, even at rate 0 or 1, so downstream draws stay aligned across
+    rates run from a common generator state. rate=1 keeps everything.
     """
-    keep = _keep_mask(rng, len(traj), rate)
-    return Trajectory(
-        device=traj.device,
-        times=traj.times[keep],
-        lons=traj.lons[keep],
-        lats=traj.lats[keep],
-    )
-
-
-def resample_labeled(
-    traj: Trajectory, labels: np.ndarray, rate: float, rng: np.random.Generator
-) -> tuple[Trajectory, np.ndarray]:
-    """:func:`resample` that carries per-record labels along with the kept
-    records, consuming the identical uniform stream."""
-    labels = np.asarray(labels)
-    if len(labels) != len(traj):
-        raise ValueError("labels must align with trajectory records")
-    keep = _keep_mask(rng, len(traj), rate)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
+    keep = rng.random(len(traj)) < rate
     sub = Trajectory(
         device=traj.device,
         times=traj.times[keep],
         lons=traj.lons[keep],
         lats=traj.lats[keep],
     )
-    return sub, labels[keep]
+    return sub, keep
 
 
 def window_diameter(path: GroundTruthPath, start: float, delta_t: float) -> float:
@@ -457,15 +404,8 @@ def continuous_labels(
     path: GroundTruthPath,
     times,
     params: MobilityParams,
-    resolution: float = 1.0,
 ) -> np.ndarray:
     """Ground-truth dwell/move label for each timestamp.
-
-    ``resolution`` is the window-sweep step the decision must refine; the
-    implementation evaluates the piecewise-linear path at its exact optima
-    (see :func:`window_diameter`), which refines every step, so any valid
-    resolution yields the identical labeling. It is validated, capped at
-    1 s, and otherwise unused.
 
     Fast closed form where the local structure allows it: a timestamp inside
     a dwell of at least delta_t is a dwell instant; a timestamp on a leg
@@ -478,8 +418,6 @@ def continuous_labels(
     Requires every dwell except the final period to last at least delta_t;
     raises otherwise because the search anchors would no longer be exhaustive.
     """
-    if not 0.0 < resolution <= 1.0:
-        raise ValueError("resolution must lie in (0, 1] seconds")
     t = np.asarray(times, dtype=np.float64)
     if t.size and (t.min() < 0 or t.max() > path.duration):
         raise ValueError("timestamps must lie within [0, duration]")

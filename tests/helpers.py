@@ -15,7 +15,6 @@ import numpy as np
 from sparsemob.cli import DataError, _parse_time_text, _report_issues
 from sparsemob.core import (
     METERS_PER_DEGREE,
-    GeoPoint,
     MobilityParams,
     Trajectory,
     default_ref_lat,
@@ -123,6 +122,57 @@ def dense_trajectory(rng: np.random.Generator, block: int) -> Trajectory:
     xs[edges] += reach * np.cos(angle)
     ys[edges] += reach * np.sin(angle)
     return traj_from_meters(times, xs, ys, device="dense")
+
+
+def planar_distance(a, b, ref_lat: float) -> float:
+    """Planar-approximation distance in meters between (lon, lat) pairs.
+
+    Latitude differences map to meters at ``METERS_PER_DEGREE``; longitude
+    differences, taken the short way round the antimeridian, are scaled by
+    cos(ref_lat). A scalar route to the distances the library takes from
+    :func:`sparsemob.core.project_to_meters`.
+    """
+    k = METERS_PER_DEGREE
+    dy = (a[1] - b[1]) * k
+    dlon = a[0] - b[0]
+    # the short way round the antimeridian
+    if dlon > 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
+    dx = dlon * k * math.cos(math.radians(ref_lat))
+    return math.hypot(dx, dy)
+
+
+def segment_bounds(times: np.ndarray, delta_t: float) -> list[tuple[int, int]]:
+    """Half-open [start, stop) bounds of maximal runs with gaps <= delta_t.
+
+    Cuts fall exactly at consecutive gaps strictly greater than ``delta_t``.
+    """
+    n = len(times)
+    if n == 0:
+        return []
+    cuts = np.nonzero(np.diff(times) > delta_t)[0] + 1
+    starts = np.concatenate(([0], cuts))
+    stops = np.concatenate((cuts, [n]))
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+def fit_power_law_exponent(samples: np.ndarray, lower: float) -> float:
+    """Maximum-likelihood exponent of an (untruncated) power-law tail.
+
+    Rough diagnostic for checking generated dwell/jump samples; the upper
+    truncation biases it slightly low, which is fine for sanity bounds.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size < 2:
+        raise ValueError("need at least two samples")
+    if lower <= 0 or (x < lower).any():
+        raise ValueError("samples must be >= lower > 0")
+    log_sum = float(np.log(x / lower).sum())
+    if log_sum <= 0.0:
+        raise ValueError("all samples at the lower bound; estimate diverges")
+    return 1.0 + x.size / log_sum
 
 
 def _xy(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +329,10 @@ def reference_ingest(path: str, *, tz_offset: int, strict: bool) -> list[Traject
             t = _parse_time_text(row[index["time"]], tz_offset)
             lon = float(row[index["lon"]])
             lat = float(row[index["lat"]])
-            GeoPoint(lon=lon, lat=lat)
+            if not -180.0 <= lon <= 180.0:
+                raise ValueError(f"longitude out of range: {lon}")
+            if not -90.0 <= lat <= 90.0:
+                raise ValueError(f"latitude out of range: {lat}")
         except (ValueError, IndexError) as exc:
             issues.append(f"{path}:{lineno}: {exc}")
             continue

@@ -22,26 +22,25 @@ from sparsemob.baselines import (
     hmm_predict,
     hmm_train,
     hour_index,
-    minute_index,
     observations,
     spatiotemporal_bin,
     viterbi,
     voting_train,
 )
-from sparsemob.core import LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED, GeoPoint
+from sparsemob.core import LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED
 
 S, T, U = LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED
 
 
 class TestGridIndex:
     def test_known_point(self):
-        assert grid_index(GeoPoint(lon=116.523625, lat=39.792935)) == (116523, 39792)
+        assert grid_index(116.523625, 39.792935) == (116523, 39792)
 
     def test_origin(self):
-        assert grid_index(GeoPoint(lon=0.0, lat=0.0)) == (0, 0)
+        assert grid_index(0.0, 0.0) == (0, 0)
 
     def test_small_negative_floors_down(self):
-        assert grid_index(GeoPoint(lon=-0.0005, lat=-0.0005)) == (-1, -1)
+        assert grid_index(-0.0005, -0.0005) == (-1, -1)
 
     def test_interior_points_hit_their_cell(self, rng):
         # offsets well inside a milli-degree cell avoid edge round-off
@@ -49,8 +48,7 @@ class TestGridIndex:
             klon = int(rng.integers(-10000, 10000))
             klat = int(rng.integers(-10000, 10000))
             u, v = rng.uniform(0.1, 0.9, size=2)
-            point = GeoPoint(lon=(klon + u) / 1000.0, lat=(klat + v) / 1000.0)
-            assert grid_index(point) == (klon, klat)
+            assert grid_index((klon + u) / 1000.0, (klat + v) / 1000.0) == (klon, klat)
 
 
 def oracle_hour(t: int, week_start: str, tz_offset: int = DEFAULT_TZ_OFFSET) -> int:
@@ -91,18 +89,6 @@ class TestHourIndex:
     def test_unknown_week_start_rejected(self):
         with pytest.raises(ValueError, match="week_start"):
             hour_index(0, week_start="saturday")
-
-
-class TestMinuteIndex:
-    def test_values(self):
-        assert minute_index(0, 0) == 0
-        assert minute_index(90, 0) == 1
-        assert minute_index(3599, 0) == 59
-        assert minute_index(3600, 0) == 60
-
-    def test_before_start_rejected(self):
-        with pytest.raises(ValueError):
-            minute_index(10, 20)
 
 
 class TestSpatioTemporalBin:

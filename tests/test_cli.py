@@ -181,11 +181,19 @@ class TestIngest:
         path = tmp_path / "r.csv"
         path.write_text(
             "time,lon,lat,mid\n0,0.0,95.0,d\n60,0.0,0.0,d\n120,nan,0.0,d\n"
+            "180,-180.5,0.0,d\n240,0.0,-91,d\n300,180,-90,d\n"
         )
         (traj,) = ingest(str(path), tz_offset=0, strict=False)
-        assert list(traj.times) == [60]
-        err = capsys.readouterr().err
-        assert ":2:" in err and ":4:" in err
+        assert list(traj.times) == [60, 300]
+        assert capsys.readouterr().err == "".join(
+            f"warning: {path}:{line}: {message} (row skipped)\n"
+            for line, message in [
+                (2, "latitude out of range: 95.0"),
+                (4, "longitude out of range: nan"),
+                (5, "longitude out of range: -180.5"),
+                (6, "latitude out of range: -91.0"),
+            ]
+        )
         with pytest.raises(DataError):
             ingest(str(path), tz_offset=0, strict=True)
 
@@ -499,6 +507,22 @@ class TestExitCodes:
             f"sparsemob: data error: {lab}:2: unknown label letter: 'X'\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--jitter", "-1"],
+            ["simulate", "--duration", "-5"],
+            ["evaluate", "--experiment", "--jitter", "-3"],
+        ],
+    )
+    def test_bad_walk_settings_are_usage_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sparsemob: error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_label_rows_numbered_by_file_line(self, tmp_path, capsys):
         rec = write_records(tmp_path / "r.csv", [travel_fixture()])
         lab = tmp_path / "l.csv"
@@ -548,6 +572,16 @@ class TestResampleCommand:
             ["resample", rec, "--rate", "0.5", "--labels", lab, "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("rate", ["1.5", "nan", "-0.1"])
+    def test_rate_outside_unit_interval_is_usage_error(self, tmp_path, capsys, rate):
+        rec = write_records(tmp_path / "r.csv", [travel_fixture()])
+        out = tmp_path / "o.csv"
+        assert main(["resample", rec, "--rate", rate, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"sparsemob: error: --rate must lie in [0, 1], got {float(rate)}\n"
+        )
+        assert not out.exists()
 
     def test_deterministic_for_fixed_seed(self, tmp_path):
         traj = traj_from_meters(np.arange(40) * 300, np.zeros(40), device="d")

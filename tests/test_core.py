@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import minutes, random_trajectory, traj_from_meters
+from helpers import (
+    minutes,
+    planar_distance,
+    random_trajectory,
+    segment_bounds,
+    traj_from_meters,
+)
 from sparsemob.core import (
-    GeoPoint,
+    _CODE_BY_LETTER,
     LABEL_STAY,
     LABEL_TRAVEL,
     LABEL_UNLABELED,
@@ -17,43 +23,29 @@ from sparsemob.core import (
     Trajectory,
     codes_to_letters,
     global_sparsity,
-    letters_to_codes,
     local_coverage,
-    planar_distance,
     project_to_meters,
-    segment_bounds,
 )
-
-
-class TestGeoPoint:
-    def test_valid_point(self):
-        p = GeoPoint(lon=116.523625, lat=39.792935)
-        assert p.lon == 116.523625
-
-    @pytest.mark.parametrize("lon,lat", [(181.0, 0.0), (-180.5, 0.0), (0.0, 90.1), (0.0, -91.0)])
-    def test_out_of_range_rejected(self, lon, lat):
-        with pytest.raises(ValueError):
-            GeoPoint(lon=lon, lat=lat)
 
 
 class TestPlanarDistance:
     def test_identical_points_zero(self):
-        p = GeoPoint(10.0, 20.0)
+        p = (10.0, 20.0)
         assert planar_distance(p, p, ref_lat=20.0) == 0.0
 
     def test_one_millidegree_latitude(self):
-        a = GeoPoint(116.0, 39.000)
-        b = GeoPoint(116.0, 39.001)
+        a = (116.0, 39.000)
+        b = (116.0, 39.001)
         assert planar_distance(a, b, ref_lat=39.0) == pytest.approx(111.19, abs=0.01)
 
     def test_one_millidegree_longitude_scaled_by_cos(self):
-        a = GeoPoint(116.000, 39.79)
-        b = GeoPoint(116.001, 39.79)
+        a = (116.000, 39.79)
+        b = (116.001, 39.79)
         assert planar_distance(a, b, ref_lat=39.79) == pytest.approx(85.45, abs=0.05)
 
     def test_symmetry(self):
-        a = GeoPoint(116.1, 39.8)
-        b = GeoPoint(116.4, 39.5)
+        a = (116.1, 39.8)
+        b = (116.4, 39.5)
         assert planar_distance(a, b, 39.7) == planar_distance(b, a, 39.7)
 
     @settings(deadline=None, max_examples=200)
@@ -68,7 +60,7 @@ class TestPlanarDistance:
         )
     )
     def test_triangle_inequality(self, coords):
-        a, b, c = (GeoPoint(lon, lat) for lon, lat in coords)
+        a, b, c = coords
         ab = planar_distance(a, b, 39.5)
         bc = planar_distance(b, c, 39.5)
         ac = planar_distance(a, c, 39.5)
@@ -80,9 +72,7 @@ class TestPlanarDistance:
         x, y = project_to_meters(lons, lats, ref_lat=39.5)
         for i in range(0, 50, 7):
             for j in range(1, 50, 11):
-                d = planar_distance(
-                    GeoPoint(lons[i], lats[i]), GeoPoint(lons[j], lats[j]), 39.5
-                )
+                d = planar_distance((lons[i], lats[i]), (lons[j], lats[j]), 39.5)
                 assert math.hypot(x[i] - x[j], y[i] - y[j]) == pytest.approx(d, rel=1e-12)
 
     def test_projection_wraps_longitudes_across_the_antimeridian(self):
@@ -105,7 +95,7 @@ class TestPlanarDistance:
         assert [a.size for a in project_to_meters(np.array([]), np.array([]), 0.0)] == [0, 0]
 
     def test_planar_distance_takes_the_short_way_round(self):
-        a, b = GeoPoint(179.9999, 10.0), GeoPoint(-179.9999, 10.0)
+        a, b = (179.9999, 10.0), (-179.9999, 10.0)
         d = planar_distance(a, b, 10.0)
         assert d == pytest.approx(0.0002 * METERS_PER_DEGREE * math.cos(math.radians(10.0)))
 
@@ -151,11 +141,7 @@ class TestLabels:
     def test_letter_round_trip(self):
         codes = np.array([LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED], dtype=np.int8)
         assert codes_to_letters(codes) == ["S", "T", "U"]
-        assert letters_to_codes(["S", "T", "U"]).tolist() == codes.tolist()
-
-    def test_unknown_letter_rejected(self):
-        with pytest.raises(ValueError, match="unknown label letter"):
-            letters_to_codes(["S", "X"])
+        assert [_CODE_BY_LETTER[s] for s in "STU"] == codes.tolist()
 
 
 class TestMobilityParams:

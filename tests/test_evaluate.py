@@ -25,7 +25,6 @@ from sparsemob.evaluate import (
     compute_metrics,
     device_stats,
     experiment_trajectory,
-    gap_histogram,
     harmonic_mean,
     local_consistency_check,
     prop1_violation_rate,
@@ -516,22 +515,6 @@ class TestDeviceStats:
         )
         s = device_stats(empty, PARAMS)
         assert (s.records, s.mean_gap, s.coverage) == (0, None, None)
-
-
-class TestGapHistogram:
-    def test_counts_pool_multi_record_devices(self):
-        trajs = [
-            traj_from_meters([0, 100, 400], [0.0, 1.0, 2.0], device="a"),
-            traj_from_meters([0, 50], [0.0, 1.0], device="b"),
-            traj_from_meters([7], [0.0], device="c"),
-        ]
-        edges, counts = gap_histogram(trajs)
-        assert counts.sum() == 3
-        assert len(edges) == len(counts) + 1
-
-    def test_empty_input_all_zero(self):
-        _, counts = gap_histogram([])
-        assert counts.sum() == 0
 
 
 class TestSparsityReport:

@@ -1,0 +1,74 @@
+"""The package's public surface: README's quick start and its entry points."""
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import sparsemob
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: the entry points README's "Library quick start" names
+ENTRY_POINTS = [
+    "compute_metrics",
+    "continuous_labels",
+    "exact_label",
+    "generate_ctrw",
+    "hmm_train",
+    "observe",
+    "resampling_experiment",
+    "sds_label",
+    "voting_train",
+]
+
+#: the label codes and the types the entry points take or return
+TYPES = [
+    "BucketConfig",
+    "CtrwConfig",
+    "ExperimentConfig",
+    "GroundTruthPath",
+    "HmmModel",
+    "LABEL_STAY",
+    "LABEL_TRAVEL",
+    "LABEL_UNLABELED",
+    "LabeledTrajectory",
+    "MetricsReport",
+    "MobilityParams",
+    "OracleLabels",
+    "RateOutcome",
+    "Trajectory",
+    "VotingModel",
+]
+
+
+def quick_start() -> tuple[str, str]:
+    """README's "Library quick start" section and its code block."""
+    text = README.read_text()
+    section = text.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return section, code
+
+
+def test_quick_start_prints_its_labels():
+    _, code = quick_start()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue() == "SSSSU\n"
+
+
+def test_all_is_readme_entry_points_and_their_types():
+    assert sorted(sparsemob.__all__) == sorted(ENTRY_POINTS + TYPES)
+    namespace: dict = {}
+    exec("from sparsemob import *", namespace)
+    for name in sparsemob.__all__:
+        assert namespace[name] is getattr(sparsemob, name)
+
+
+def test_readme_names_the_entry_points():
+    section, code = quick_start()
+    imported = re.search(r"from sparsemob import (.*)", code).group(1).split(", ")
+    # every lower-case name in backticks, less the package's own
+    named = [n for n in re.findall(r"`(\w+)`", section) if n != "sparsemob"]
+    assert sorted({n for n in imported + named if n.islower()}) == ENTRY_POINTS
+    assert {n for n in imported if not n.islower()} <= set(TYPES)

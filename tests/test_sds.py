@@ -10,9 +10,10 @@ from helpers import (
     dense_trajectory,
     minutes,
     random_trajectory,
+    segment_bounds,
     traj_from_meters,
 )
-from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory, segment_bounds
+from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory
 from sparsemob.oracle import dense_stay_membership, exact_label, travel_condition_all
 from sparsemob.sds import (
     BLOCK,

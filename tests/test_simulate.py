@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import fit_power_law_exponent
 from sparsemob.core import (
     LABEL_STAY,
     LABEL_TRAVEL,
@@ -17,12 +18,9 @@ from sparsemob.simulate import (
     TravelLeg,
     check_supports,
     continuous_labels,
-    fit_power_law_exponent,
     generate_ctrw,
     observe,
     resample,
-    resample_labeled,
-    sample_at,
     sample_truncated_power_law,
     synth_schedule,
     window_diameter,
@@ -204,17 +202,6 @@ class TestContinuousLabels:
             return
         pytest.skip("no qualifying leg in this path")
 
-    def test_resolution_validated_and_irrelevant(self):
-        path = generate_ctrw(CtrwConfig(seed=9))
-        times = np.linspace(0.0, path.duration, 200)
-        with pytest.raises(ValueError):
-            continuous_labels(path, times, PARAMS, resolution=0.0)
-        with pytest.raises(ValueError):
-            continuous_labels(path, times, PARAMS, resolution=2.0)
-        a = continuous_labels(path, times, PARAMS, resolution=1.0)
-        b = continuous_labels(path, times, PARAMS, resolution=0.5)
-        assert (a == b).all()
-
     def test_short_interior_dwell_rejected(self):
         path = generate_ctrw(CtrwConfig(seed=10, wait_min=600.0, wait_max=1200.0))
         with pytest.raises(ValueError, match="interior dwell"):
@@ -330,26 +317,17 @@ class TestObserve:
             observe(path, [int(path.duration) + 10])
 
 
-class TestSampleAt:
-    def test_labels_match_continuous_oracle(self):
-        path = generate_ctrw(CtrwConfig(seed=18))
-        times = np.arange(100, int(path.duration), 507)
-        traj, labels = sample_at(path, times, PARAMS, device="s1")
-        assert traj.device == "s1"
-        want = continuous_labels(path, times.astype(np.float64), PARAMS)
-        assert (labels == want).all()
-
-
 class TestResample:
     def test_rate_one_is_identity(self, rng):
         traj = observe(generate_ctrw(CtrwConfig(seed=19)), [0, 100, 200, 400])
-        out = resample(traj, 1.0, rng)
+        out, keep = resample(traj, 1.0, rng)
+        assert keep.all()
         assert np.array_equal(out.times, traj.times)
         assert np.array_equal(out.lons, traj.lons)
 
     def test_rate_zero_is_empty(self, rng):
         traj = observe(generate_ctrw(CtrwConfig(seed=20)), [0, 100, 200])
-        assert len(resample(traj, 0.0, rng)) == 0
+        assert len(resample(traj, 0.0, rng)[0]) == 0
 
     def test_invalid_rate(self, rng):
         traj = observe(generate_ctrw(CtrwConfig(seed=21)), [0, 100])
@@ -358,8 +336,8 @@ class TestResample:
 
     def test_deterministic_given_seed(self):
         traj = observe(generate_ctrw(CtrwConfig(seed=22)), np.arange(0, 50000, 97))
-        a = resample(traj, 0.4, np.random.default_rng(11))
-        b = resample(traj, 0.4, np.random.default_rng(11))
+        a, _ = resample(traj, 0.4, np.random.default_rng(11))
+        b, _ = resample(traj, 0.4, np.random.default_rng(11))
         assert np.array_equal(a.times, b.times)
 
     def test_kept_fraction_within_three_sigma(self):
@@ -367,15 +345,17 @@ class TestResample:
         traj = observe(
             generate_ctrw(CtrwConfig(seed=23, duration=float(n))), np.arange(n)
         )
-        kept = len(resample(traj, 0.3, np.random.default_rng(5)))
+        kept = len(resample(traj, 0.3, np.random.default_rng(5))[0])
         sigma = math.sqrt(n * 0.3 * 0.7)
         assert abs(kept - n * 0.3) <= 3.0 * sigma
 
     def test_labels_travel_with_records(self):
         path = generate_ctrw(CtrwConfig(seed=24))
         times = np.arange(0, int(path.duration), 211)
-        traj, labels = sample_at(path, times, PARAMS)
-        sub, sub_labels = resample_labeled(traj, labels, 0.5, np.random.default_rng(2))
+        traj = observe(path, times)
+        labels = continuous_labels(path, traj.times, PARAMS)
+        sub, keep = resample(traj, 0.5, np.random.default_rng(2))
+        sub_labels = labels[keep]
         assert len(sub) == len(sub_labels)
         # every kept record keeps the label it had at full density
         full = {int(t): int(c) for t, c in zip(traj.times, labels)}
