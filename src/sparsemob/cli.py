@@ -551,7 +551,8 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
             raise DataError("empty dataset: nothing to report sparsity on")
         delta_ts = list(args.delta_t_grid) if args.delta_t_grid else None
         report = sparsity_report(
-            trajectories, run.params, delta_ts, ref_lat=run.ref_lat
+            trajectories, run.params, delta_ts, ref_lat=run.ref_lat,
+            tail_flush=run.tail_flush,
         )
         out_rows = []
         for b in range(len(report.device_counts)):

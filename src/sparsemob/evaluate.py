@@ -488,11 +488,7 @@ def local_consistency_check(
     boxes = _block_boxes(x, y)
     before: list[int | None] = [None] * n
     after: list[int | None] = [None] * n
-    # Windows match oracle.dense_stay_windows bit for bit: pow for the
-    # threshold, products for pair distances (numpy squares arrays by
-    # multiplying). pow and product can differ in the last bit.
-    r2 = params.delta_s**2
-    s2 = params.delta_s * params.delta_s
+    r2 = params.delta_s * params.delta_s
     tested = 0
     violations = 0
     for i in range(1, n - 1):
@@ -501,9 +497,11 @@ def local_consistency_check(
         ):
             continue
         tested += 1
-        left2 = (xs[i] - xs[i - 1]) ** 2 + (ys[i] - ys[i - 1]) ** 2
-        right2 = (xs[i] - xs[i + 1]) ** 2 + (ys[i] - ys[i + 1]) ** 2
-        if left2 >= s2 or right2 >= s2:
+        lx = xs[i] - xs[i - 1]
+        ly = ys[i] - ys[i - 1]
+        rx = xs[i] - xs[i + 1]
+        ry = ys[i] - ys[i + 1]
+        if lx * lx + ly * ly >= r2 or rx * rx + ry * ry >= r2:
             violations += 1
     return LocalConsistencyResult(tested=tested, violations=violations)
 
@@ -588,9 +586,11 @@ def sparsity_report(
     delta_t_list: list[float] | None = None,
     *,
     ref_lat: float | None = None,
+    tail_flush: bool = True,
 ) -> SparsityReport:
     """Build the sparsity/label-mix report; single-record devices only
-    enter the coverage histograms (their mean gap is undefined)."""
+    enter the coverage histograms (their mean gap is undefined). The label
+    mix is :func:`sparsemob.sds.sds_label`'s at ``tail_flush``."""
     if not trajectories:
         raise ValueError("empty dataset")
     if delta_t_list is None:
@@ -611,7 +611,9 @@ def sparsity_report(
         b = min(max(b, 0), n_bins - 1)
         device_counts[b] += 1
         record_sums[b] += len(traj)
-        labels = sds_label(traj, params, ref_lat=ref_lat).labels
+        labels = sds_label(
+            traj, params, ref_lat=ref_lat, tail_flush=tail_flush
+        ).labels
         label_sums[b, 0] += int((labels == LABEL_STAY).sum())
         label_sums[b, 1] += int((labels == LABEL_TRAVEL).sum())
         label_sums[b, 2] += int((labels == LABEL_UNLABELED).sum())

@@ -115,7 +115,7 @@ def exact_label(
     if n == 0:
         return OracleLabels(np.zeros(0, dtype=np.int8))
     d2 = _dist2(traj, ref_lat)
-    reach = _pairwise_reach(d2, params.delta_s**2)
+    reach = _pairwise_reach(d2, params.delta_s * params.delta_s)
     stay = _flag_windows(traj.times, reach, params.delta_t)
     return OracleLabels(np.where(stay, LABEL_STAY, LABEL_TRAVEL).astype(np.int8))
 
@@ -140,7 +140,7 @@ def dense_stay_membership(
     cap = np.full(n, n - 1, dtype=np.int64)
     for b in blocking[::-1]:
         cap[: b + 1] = np.minimum(cap[: b + 1], b)
-    reach = _pairwise_reach(d2, params.delta_s**2, cap=cap)
+    reach = _pairwise_reach(d2, params.delta_s * params.delta_s, cap=cap)
     return _flag_windows(traj.times, reach, params.delta_t)
 
 
@@ -167,7 +167,7 @@ def dense_stay_windows(
     cap = np.full(n, n - 1, dtype=np.int64)
     for b in np.nonzero(gaps > params.delta_t)[0][::-1]:
         cap[: b + 1] = np.minimum(cap[: b + 1], b)
-    reach = _pairwise_reach(d2, params.delta_s**2, cap=cap)
+    reach = _pairwise_reach(d2, params.delta_s * params.delta_s, cap=cap)
     out: list[tuple[int, int]] = []
     best_q = -1
     for p in range(n):

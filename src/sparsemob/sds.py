@@ -28,9 +28,14 @@ Python lists (indexing numpy scalars costs several times more per step):
 Both the stay pass's backward search for an escape and the witness scans
 step over a block of BLOCK consecutive records at once when the farthest
 corner of the block's bounding box is closer than the radius sought: no
-record in it can escape or witness. On densely sampled data, where delta_t
-holds thousands of records, that makes a scan cost about one step per block
-it crosses instead of one per record.
+record in it can escape or witness. A second level does the same for a
+superblock of SUPER = BLOCK * BLOCK records, tested only while more than one
+block of the scan range remains, so a short scan pays one integer comparison
+for it. On densely sampled data, where delta_t holds thousands of records,
+a scan over records that stay within the radius then costs about one step
+per superblock instead of one per record. After an escape the stay pass
+rebuilds the window's box from the block boxes of the full blocks inside it
+and the records of its partial ends.
 
 Both passes compare squared planar distances against squared thresholds; ties
 resolve as: distance >= threshold escapes/witnesses, distance < threshold
@@ -58,6 +63,8 @@ AdmitHook = Callable[[int, int], None]
 
 #: records per bounding box in the scans' block skip
 BLOCK = 16
+#: records per superblock box: BLOCK consecutive blocks
+SUPER = BLOCK * BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,30 +106,45 @@ class RecallBounds:
 
 
 def _block_boxes(x: np.ndarray, y: np.ndarray) -> tuple[list[float], ...]:
-    """Bounding box (xmin, xmax, ymin, ymax lists) of each block of BLOCK
-    consecutive records; the last block repeats the final record as padding."""
+    """Bounding boxes as eight lists: xmin, xmax, ymin, ymax of each block of
+    BLOCK consecutive records (the last block repeats the final record as
+    padding), then the same of each superblock of BLOCK consecutive blocks."""
     m = -(-len(x) // BLOCK)
     idx = np.minimum(np.arange(m * BLOCK), len(x) - 1).reshape(m, BLOCK)
     bx = x[idx]
     by = y[idx]
-    return (
+    blocks = (
         bx.min(axis=1).tolist(),
         bx.max(axis=1).tolist(),
         by.min(axis=1).tolist(),
         by.max(axis=1).tolist(),
     )
+    # plain Python, which costs less than numpy reductions on the short
+    # trajectories of sparse data
+    supers = tuple(
+        [pick(v[k : k + BLOCK]) for k in range(0, m, BLOCK)]
+        for pick, v in zip((min, max, min, max), blocks)
+    )
+    return blocks + supers
 
 
 def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
     """Largest index in [lo, a] at squared distance >= r2 from (cx, cy), or -1.
 
-    A block whose farthest box corner is closer than the radius holds no such
-    record, so the scan steps over it whole.
+    A block or superblock whose farthest box corner is closer than the radius
+    holds no such record, so the scan steps over it whole.
     """
-    bxmin, bxmax, bymin, bymax = boxes
+    bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes
     while a >= lo:
         k = a // BLOCK
         first = k * BLOCK
+        if first > lo:
+            s = a // SUPER
+            dx = sxmax[s] - cx if sxmax[s] - cx > cx - sxmin[s] else cx - sxmin[s]
+            dy = symax[s] - cy if symax[s] - cy > cy - symin[s] else cy - symin[s]
+            if dx * dx + dy * dy < r2:
+                a = s * SUPER - 1
+                continue
         dx = bxmax[k] - cx if bxmax[k] - cx > cx - bxmin[k] else cx - bxmin[k]
         dy = bymax[k] - cy if bymax[k] - cy > cy - bymin[k] else cy - bymin[k]
         if dx * dx + dy * dy >= r2:
@@ -138,10 +160,17 @@ def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
 def _far_after(xs, ys, boxes, cx, cy, r2, b, hi) -> int:
     """Smallest index in [b, hi) at squared distance >= r2 from (cx, cy), or
     -1; the mirror image of _far_before."""
-    bxmin, bxmax, bymin, bymax = boxes
+    bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes
     while b < hi:
         k = b // BLOCK
         stop = k * BLOCK + BLOCK
+        if stop < hi:
+            s = b // SUPER
+            dx = sxmax[s] - cx if sxmax[s] - cx > cx - sxmin[s] else cx - sxmin[s]
+            dy = symax[s] - cy if symax[s] - cy > cy - symin[s] else cy - symin[s]
+            if dx * dx + dy * dy < r2:
+                b = s * SUPER + SUPER
+                continue
         dx = bxmax[k] - cx if bxmax[k] - cx > cx - bxmin[k] else cx - bxmin[k]
         dy = bymax[k] - cy if bymax[k] - cy > cy - bymin[k] else cy - bymin[k]
         if dx * dx + dy * dy >= r2:
@@ -174,6 +203,7 @@ def _stay_pass(
     n = len(ts)
     flags = np.zeros(n, dtype=bool)
     esc2 = escape * escape
+    bxmin, bxmax, bymin, bymax = boxes[:4]
     head = 0
     # Bounding box of window positions [head, cursor-1]. If the cursor is
     # closer than `escape` to the farthest box corner it cannot escape against
@@ -213,12 +243,22 @@ def _stay_pass(
         if ts[cursor - 1] - ts[head] >= delta_t:
             flags[head:cursor] = True
         head = anchor + 1
-        wx = xs[head : cursor + 1]
-        wy = ys[head : cursor + 1]
-        xmin = min(wx)
-        xmax = max(wx)
-        ymin = min(wy)
-        ymax = max(wy)
+        if head == cursor:
+            xmin = xmax = cx
+            ymin = ymax = cy
+            continue
+        # blocks k0..k1-1 lie whole in [head, cursor] and enter by their
+        # boxes; the records of [head, first) and [last, cursor] by value
+        k0 = -(-head // BLOCK)
+        k1 = (cursor + 1) // BLOCK
+        first = min(k0 * BLOCK, cursor + 1)
+        last = max(k1 * BLOCK, first)
+        wx = xs[head:first] + xs[last : cursor + 1]
+        wy = ys[head:first] + ys[last : cursor + 1]
+        xmin = min(bxmin[k0:k1] + wx)
+        xmax = max(bxmax[k0:k1] + wx)
+        ymin = min(bymin[k0:k1] + wy)
+        ymax = max(bymax[k0:k1] + wy)
     if tail_flush and ts[n - 1] - ts[head] >= delta_t:
         # Without this flush the final window is silently dropped and the
         # detected set no longer matches the dense-window membership oracle.

@@ -93,18 +93,30 @@ def random_trajectory(rng: np.random.Generator, max_len: int = 30) -> Trajectory
     return traj_from_meters(times, xs, ys, device="rand")
 
 
-def dense_trajectory(rng: np.random.Generator, block: int) -> Trajectory:
-    """Densely sampled trajectory in planar meters, 150-400 records.
+def dense_trajectory(
+    rng: np.random.Generator,
+    *blocks: int,
+    records: tuple[int, int] = (150, 400),
+    gaps: tuple[int, int] = (1, 40),
+) -> Trajectory:
+    """Densely sampled trajectory in planar meters.
 
-    Gaps of 1-40 s put about ninety records inside a 30 min window. Dwell
-    phases of small wobble alternate with moves of larger steps and
-    kilometer jumps, and single-record excursions of 600-1200 m sit on the
-    first or last index of ``block``-record blocks, so the only escape or
-    witness a scan can find in such a block is at its edge.
+    It has ``records`` (low, high; inclusive) records with gaps of ``gaps``
+    seconds (low, high; inclusive); the defaults put about ninety records
+    inside a 30 min window. Dwell phases of small wobble alternate with
+    moves of larger steps and kilometer jumps, each phase lasting about
+    2,050 s on average. For each size in ``blocks``, single-record
+    excursions of 600-1200 m sit on the first or last index of blocks of
+    that many records, so the only escape or witness a scan can find in
+    such a block is at its edge. The trajectory needs at least twice as
+    many records as each block size.
     """
-    n = int(rng.integers(150, 401))
-    times = np.concatenate(([0], np.cumsum(rng.integers(1, 41, size=n - 1))))
-    phase = np.cumsum(rng.random(n) < 0.01) % 2 == 0
+    n = int(rng.integers(records[0], records[1] + 1))
+    times = np.concatenate(
+        ([0], np.cumsum(rng.integers(gaps[0], gaps[1] + 1, size=n - 1)))
+    )
+    flip = (gaps[0] + gaps[1]) / 2.0 / 2050.0
+    phase = np.cumsum(rng.random(n) < flip) % 2 == 0
     if rng.random() < 0.5:
         phase = ~phase
 
@@ -114,13 +126,14 @@ def dense_trajectory(rng: np.random.Generator, block: int) -> Trajectory:
         return np.cumsum(np.where(phase, rng.normal(0.0, 3.0, n), move))
 
     xs, ys = axis(), axis()
-    count = int(rng.integers(1, n // (2 * block) + 1))
-    starts = block * rng.choice(n // block, size=count, replace=False)
-    edges = starts + rng.choice([0, block - 1], size=count)
-    angle = rng.uniform(0.0, 2.0 * math.pi, count)
-    reach = rng.uniform(600.0, 1200.0, count)
-    xs[edges] += reach * np.cos(angle)
-    ys[edges] += reach * np.sin(angle)
+    for block in blocks:
+        count = int(rng.integers(1, n // (2 * block) + 1))
+        starts = block * rng.choice(n // block, size=count, replace=False)
+        edges = starts + rng.choice([0, block - 1], size=count)
+        angle = rng.uniform(0.0, 2.0 * math.pi, count)
+        reach = rng.uniform(600.0, 1200.0, count)
+        xs[edges] += reach * np.cos(angle)
+        ys[edges] += reach * np.sin(angle)
     return traj_from_meters(times, xs, ys, device="dense")
 
 

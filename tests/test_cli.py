@@ -827,6 +827,24 @@ class TestStatsCommand:
         kinds = {line.split(",")[0] for line in text.splitlines()[2:]}
         assert kinds == {"gap_bin", "coverage_bin"}
 
+    def test_sparsity_label_mix_follows_tail_flush(self, tmp_path):
+        # one dwell that never escapes: all S with the tail flush, all U without
+        traj = traj_from_meters(np.arange(5) * 600, np.arange(5) * 5.0, device="d")
+        rec = write_records(tmp_path / "r.csv", [traj])
+        mix = {}
+        for flush in ("on", "off"):
+            sp = tmp_path / f"sparsity-{flush}.csv"
+            argv = ["stats", rec, "--out", str(tmp_path / "s.csv"),
+                    "--tail-flush", flush, "--sparsity-out", str(sp)]
+            assert main(argv) == 0
+            lines = [l for l in sp.read_text().splitlines() if not l.startswith("#")]
+            row = next(
+                r for r in csv.DictReader(lines)
+                if r["table"] == "gap_bin" and r["devices"] == "1"
+            )
+            mix[flush] = (row["stay_fraction"], row["unlabeled_fraction"])
+        assert mix == {"on": ("1.0", "0.0"), "off": ("0.0", "1.0")}
+
 
 class TestBaselineCommand:
     @staticmethod

@@ -17,7 +17,11 @@ from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory
 from sparsemob.oracle import dense_stay_membership, exact_label, travel_condition_all
 from sparsemob.sds import (
     BLOCK,
+    SUPER,
     LabeledTrajectory,
+    _block_boxes,
+    _far_after,
+    _far_before,
     RecallBounds,
     label_kernel,
     recall_lower_bounds,
@@ -194,13 +198,25 @@ class TestSdsLabel:
         assert sds_label(empty, PARAMS, ref_lat=0.0).letters() == []
 
 
+def dense_trajectories(rng, variable_gap, one_hz):
+    """Dense trajectories: ``variable_gap`` ones, whose delta_t windows hold
+    fewer records than a superblock, with excursions on block edges; then
+    ``one_hz`` ones, whose scans step over whole superblocks, with
+    excursions on superblock edges, and on block edges in every other one
+    (those leave few superblocks free of them)."""
+    for _ in range(variable_gap):
+        yield dense_trajectory(rng, BLOCK)
+    for k in range(one_hz):
+        blocks = (SUPER,) if k % 2 else (BLOCK, SUPER)
+        yield dense_trajectory(rng, *blocks, records=(600, 3000), gaps=(1, 1))
+
+
 class TestBlockSkip:
-    """Dense trajectories, where the scans step over whole blocks of records,
-    against the quadratic oracle."""
+    """Dense trajectories, where the scans step over whole blocks and
+    superblocks of records, against the quadratic oracle."""
 
     def test_flags_match_oracle_on_dense_trajectories(self, rng):
-        for _ in range(40):
-            traj = dense_trajectory(rng, BLOCK)
+        for traj in dense_trajectories(rng, 40, 4):
             n = len(traj)
             for spatial in (PARAMS.delta_s / 3.0, PARAMS.delta_s):
                 stay = stay_flags_at(traj, PARAMS, spatial, ref_lat=0.0)
@@ -216,20 +232,95 @@ class TestBlockSkip:
 
     def test_window_invariant_on_dense_trajectories(self, rng):
         escape = PARAMS.delta_s / 3.0
-        for _ in range(20):
-            traj = dense_trajectory(rng, BLOCK)
+        for traj in dense_trajectories(rng, 20, 6):
             x = traj.lons * METERS_PER_DEGREE
             y = traj.lats * METERS_PER_DEGREE
-            dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-            admits = []
+            admits = [(0, -1)]
 
             def check(head, cursor):
-                assert 0 <= head < cursor < len(traj)
-                assert dist[head : cursor + 1, head : cursor + 1].max() < escape
-                admits.append(cursor)
+                # the head never moves back, so every pair of the window
+                # [head, cursor] not checked at an earlier admit has its
+                # later member past the previous cursor (or the head)
+                last_head, last_cursor = admits[-1]
+                assert last_head <= head < cursor < len(traj)
+                for c in range(max(last_cursor, head) + 1, cursor + 1):
+                    d = np.hypot(x[c] - x[head:c], y[c] - y[head:c])
+                    assert d.max() < escape
+                admits.append((head, cursor))
 
             label_kernel(x, y, traj.times, PARAMS.delta_t, escape, None, on_admit=check)
-            assert admits
+            assert len(admits) > 1
+
+
+class TestScans:
+    """_far_before and _far_after against a literal scan, on integer points
+    where distances tie the radius at box corners."""
+
+    NEAR = 2  # near records lie in [-NEAR, NEAR]^2 around the origin
+    FAR = [(3.0, 4.0), (-3.0, -4.0), (4.0, -3.0), (5.0, 0.0), (4.0, 4.0)]
+
+    @staticmethod
+    def counted(boxes, budget):
+        """The box lists, failing once the scans read more than ``budget``
+        items from them (a scan that never ends fails instead of hanging)."""
+        reads = [0]
+
+        class Counted(list):
+            def __getitem__(self, k):
+                reads[0] += 1
+                assert reads[0] <= budget, "scan read more boxes than the range has"
+                return list.__getitem__(self, k)
+
+        return tuple(Counted(v) for v in boxes), reads
+
+    def trajectory(self, rng, n):
+        """Integer points: near ones, and far ones on an edge of most
+        superblocks, on two block edges and at two random indices."""
+        x = rng.integers(-self.NEAR, self.NEAR + 1, n).astype(float)
+        y = rng.integers(-self.NEAR, self.NEAR + 1, n).astype(float)
+        spots = [k + int(rng.choice([0, SUPER - 1])) for k in range(0, n, SUPER)]
+        spots += (BLOCK * rng.integers(0, -(-n // BLOCK), 2)).tolist()
+        spots += (BLOCK * rng.integers(0, -(-n // BLOCK), 2) + BLOCK - 1).tolist()
+        spots += rng.integers(0, n, 2).tolist()
+        for i in spots:
+            if i < n and rng.random() < 0.7:
+                x[i], y[i] = self.FAR[int(rng.integers(len(self.FAR)))]
+        return x, y
+
+    def test_match_literal_scan(self, rng):
+        lengths = [1, 7, BLOCK, 100, SUPER - 1, SUPER, SUPER + 1, 600, 1000, 1030]
+        for n in lengths * 6:
+            x, y = self.trajectory(rng, n)
+            xs, ys = x.tolist(), y.tolist()
+            d2 = [a * a + b * b for a, b in zip(xs, ys)]
+            blocks = -(-n // BLOCK)
+            boxes, reads = self.counted(_block_boxes(x, y), 12 * (blocks + 2))
+            for r2 in (25.0, 32.0, 33.0):
+                for _ in range(30):
+                    lo, a = sorted(rng.integers(0, n, 2).tolist())
+                    b, hi = sorted(rng.integers(0, n + 1, 2).tolist())
+                    want = max((i for i in range(lo, a + 1) if d2[i] >= r2), default=-1)
+                    reads[0] = 0
+                    assert _far_before(xs, ys, boxes, 0.0, 0.0, r2, a, lo) == want
+                    want = min((i for i in range(b, hi) if d2[i] >= r2), default=-1)
+                    reads[0] = 0
+                    assert _far_after(xs, ys, boxes, 0.0, 0.0, r2, b, hi) == want
+
+    def test_near_range_costs_one_box_per_superblock(self, rng):
+        # every box corner is closer than the radius: a scan reads one box
+        # per superblock it reaches (six items each)
+        for n in (SUPER, 700, 3000):
+            x, y = self.trajectory(rng, n)
+            xs, ys = x.tolist(), y.tolist()
+            boxes, reads = self.counted(_block_boxes(x, y), 6 * (n // SUPER + 3))
+            for _ in range(50):
+                lo, a = sorted(rng.integers(0, n, 2).tolist())
+                reads[0] = 0
+                assert _far_before(xs, ys, boxes, 0.0, 0.0, 50.0, a, lo) == -1
+                assert reads[0] <= 6 * (a // SUPER - lo // SUPER + 1)
+                reads[0] = 0
+                assert _far_after(xs, ys, boxes, 0.0, 0.0, 50.0, lo, a + 1) == -1
+                assert reads[0] <= 6 * (a // SUPER - lo // SUPER + 1)
 
 
 class TestStayFlagsAt:
