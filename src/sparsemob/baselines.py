@@ -152,7 +152,7 @@ class VotingModel:
         """Commented CSV: version and binning config up top, then one row
         per bin sorted by key for byte-stable output."""
         path = Path(path)
-        with path.open("w", newline="") as fh:
+        with path.open("w", encoding="utf-8", newline="") as fh:
             fh.write("# sparsemob voting v1\n")
             fh.write(f"# seed {self.seed}\n")
             fh.write(f"# week_start {self.week_start}\n")
@@ -169,7 +169,7 @@ class VotingModel:
     def load(cls, path: str | Path) -> "VotingModel":
         meta: dict[str, str] = {}
         rows: list[list[str]] = []
-        with Path(path).open(newline="") as fh:
+        with Path(path).open(encoding="utf-8", newline="") as fh:
             for line in fh:
                 if line.startswith("#"):
                     parts = line[1:].split()
@@ -311,7 +311,7 @@ class HmmModel:
     def save(self, path: str | Path) -> None:
         """Commented CSV, one probability or bucket edge per row."""
         path = Path(path)
-        with path.open("w", newline="") as fh:
+        with path.open("w", encoding="utf-8", newline="") as fh:
             fh.write("# sparsemob hmm v1\n")
             fh.write("# states: 0=stay 1=travel\n")
             writer = csv.writer(fh)
@@ -336,7 +336,7 @@ class HmmModel:
     @classmethod
     def load(cls, path: str | Path) -> "HmmModel":
         groups: dict[str, list[tuple[int, int, float]]] = {}
-        with Path(path).open(newline="") as fh:
+        with Path(path).open(encoding="utf-8", newline="") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
         if not rows or rows[0] != ["table", "row", "col", "value"]:
             raise ValueError(f"{path}: not an hmm model file")

@@ -5,13 +5,16 @@ synthetic data generation, resampling, metric evaluation, the leave-one-out
 consistency harness, recall bounds, and the baseline models. Conventions
 shared by every command:
 
-* CSV in, CSV out. Every emitted file begins with a version comment line
-  (``# sparsemob <kind> v1``) and uses LF line endings; rows are sorted
-  deterministically, floats are written in shortest round-trip form, and
-  undefined values appear as ``NA``. Rerunning a command with identical
-  inputs, flags, and seed reproduces the output byte for byte, for any
-  worker count.
-* Records CSV columns: time, lon, lat, mid. Time accepts epoch seconds,
+* CSV in, CSV out, in UTF-8: text that does not decode, or that ``csv``
+  cannot tokenize, is a data error. Blank rows and rows whose first cell
+  starts with ``#`` are comments. Every emitted file begins with a version
+  comment line (``# sparsemob <kind> v1``) and uses LF line endings; rows
+  are sorted deterministically, floats are written in shortest round-trip
+  form, and undefined values appear as ``NA``. Rerunning a command with
+  identical inputs, flags, and seed reproduces the output byte for byte,
+  for any worker count.
+* Records CSV columns: time, lon, lat, mid; a device id may not be blank or
+  start with ``#``, since label CSVs put it first. Time accepts epoch seconds,
   ISO-8601, or HH:MM:SS/MM/DD/YYYY; wall-clock forms without an explicit
   offset are interpreted in the configured timezone.
 * Label CSV columns: mid, time, label with label in {S, T, U}.
@@ -25,13 +28,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import math
 import multiprocessing
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone as _tz
 from functools import partial
-from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +51,10 @@ from .baselines import (
 )
 from .core import (
     _CODE_BY_LETTER,
+    _LETTERS,
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
-    codes_to_letters,
 )
 from .evaluate import (
     ConfusionCounts,
@@ -164,9 +168,11 @@ def _parse_time_text(text: str, tz_offset: int) -> int:
 def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -243,7 +249,7 @@ def _write_csv(path: str, kind: str, header: list[str], rows) -> None:
     which ``csv`` writes as ``_fmt`` would; other rows go through
     ``_fmt_rows`` first."""
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# sparsemob {kind} v1\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -252,32 +258,95 @@ def _write_csv(path: str, kind: str, header: list[str], rows) -> None:
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
-def _read_table(path: str, required: tuple[str, ...]):
-    """Rows of a commented CSV plus the index of each required column.
+#: the end of a labels CSV row, indexed by label code
+_LABEL_TAILS = tuple(f",{letter}\n" for letter in _LETTERS)
 
-    Each row comes with the file line it starts on, which is not its record
-    number once a quoted field has held a newline.
-    """
-    rows: list[tuple[int, list[str]]] = []
+
+def _label_text(device: str, times: np.ndarray, codes: np.ndarray) -> str:
+    """One device's rows of a labels CSV, as ``csv.writer`` would write them:
+    the device cell is formatted once, each time with ``str``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([device, ""])
+    prefix = buf.getvalue()[:-1]  # the cell and its comma
+    tails = [_LABEL_TAILS[c] for c in codes.tolist()]
+    return "".join([prefix + str(t) + tail for t, tail in zip(times.tolist(), tails)])
+
+
+def _write_labels(path: str, texts) -> None:
+    """Write a labels CSV from each device's ``_label_text``, in order."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            lineno = 1
-            for row in reader:
-                if row and not row[0].lstrip().startswith("#"):
-                    rows.append((lineno, row))
-                lineno = reader.line_num + 1
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("# sparsemob labels v1\nmid,time,label\n")
+            fh.writelines(texts)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _numbered_rows(path: str, text: str) -> tuple[list[list[str]], list[int]]:
+    """The ``csv`` rows of ``text`` and the line each starts on, parsed row
+    by row: for text whose quoted fields hold line breaks, or that ``csv``
+    rejects (reported with the line the bad row starts on)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines, start = [], [], 1
+    try:
+        for row in reader:
+            rows.append(row)
+            lines.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}:{start}: {exc}") from None
+    return rows, lines
+
+
+def _is_comment(row: list[str]) -> bool:
+    return not row or row[0].lstrip().startswith("#")
+
+
+def _read_table(path: str, required: tuple[str, ...]):
+    """The index of each required column of a commented UTF-8 CSV, its data
+    rows, and the file line each of those rows starts on.
+
+    The file is read once and tokenized by one ``csv`` pass. When that pass
+    reads one line per row, row ``k`` starts on line ``k + 1``; only when a
+    quoted field holds a line break is the same text parsed again, row by
+    row, to count the lines. Blank rows and rows whose first cell starts
+    with ``#`` are comments.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    if not rows:
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        table = list(reader)
+    except csv.Error:
+        table = None  # the row-by-row pass reports the line its row starts on
+    if table is None or reader.line_num != len(table):
+        table, lines = _numbered_rows(path, text)
+    else:
+        lines = list(range(1, len(table) + 1))
+    head = next((k for k, row in enumerate(table) if not _is_comment(row)), None)
+    if head is None:
         raise DataError(f"{path}: missing header row")
-    header = [c.strip() for c in rows[0][1]]
+    header = [c.strip() for c in table[head]]
     index: dict[str, int] = {}
     for name in required:
         if name not in header:
             raise DataError(f"{path}: missing required column {name!r}")
         index[name] = header.index(name)
-    return index, rows[1:]
+    rows, lines = table[head + 1 :], lines[head + 1 :]
+    try:
+        # past the header, comments are rare: look for one in C first
+        clean = "#" not in "".join(map(itemgetter(0), rows))
+    except IndexError:  # a blank row
+        clean = False
+    if not clean:
+        keep = [k for k, row in enumerate(rows) if not _is_comment(row)]
+        rows, lines = [rows[k] for k in keep], [lines[k] for k in keep]
+    return index, rows, lines
 
 
 #: bad rows listed one per line, in the strict error or as warnings
@@ -306,6 +375,9 @@ def _parse_row(
     mid = row[index["mid"]].strip()
     if not mid:
         raise ValueError("empty device id")
+    if mid.startswith("#"):
+        # every labels CSV puts mid first, where it would read as a comment
+        raise ValueError(f"device id starts with '#': {mid!r}")
     t = _parse_time_text(row[index["time"]], tz_offset)
     lon = float(row[index["lon"]])
     lat = float(row[index["lat"]])
@@ -322,7 +394,8 @@ def _parse_row(
 
 def _parse_rows(
     path: str,
-    rows: list[tuple[int, list[str]]],
+    rows: list[list[str]],
+    lines: list[int],
     index: dict[str, int],
     tz_offset: int,
     issues: list[str],
@@ -330,7 +403,7 @@ def _parse_rows(
     """(lineno, mid, time, lon, lat) of each row that parses; a line-numbered
     issue for each one that does not."""
     parsed = []
-    for lineno, row in rows:
+    for lineno, row in zip(lines, rows):
         try:
             parsed.append((lineno, *_parse_row(row, index, tz_offset)))
         except (ValueError, IndexError) as exc:
@@ -341,7 +414,8 @@ def _parse_rows(
 def _record_columns(
     path: str,
     index: dict[str, int],
-    rows: list[tuple[int, list[str]]],
+    rows: list[list[str]],
+    lines: list[int],
     tz_offset: int,
     issues: list[str],
 ):
@@ -358,13 +432,12 @@ def _record_columns(
     """
     ti, xi, yi, mi = (index[name] for name in ("time", "lon", "lat", "mid"))
     try:
-        times = np.array(list(map(int, [row[ti] for _, row in rows])), dtype=np.int64)
-        lons = np.array(list(map(float, [row[xi] for _, row in rows])))
-        lats = np.array(list(map(float, [row[yi] for _, row in rows])))
-        mids = [row[mi].strip() for _, row in rows]
-        lines = [lineno for lineno, _ in rows]
+        times = np.array(list(map(int, map(itemgetter(ti), rows))), dtype=np.int64)
+        lons = np.array(list(map(float, map(itemgetter(xi), rows))))
+        lats = np.array(list(map(float, map(itemgetter(yi), rows))))
+        mids = list(map(str.strip, map(itemgetter(mi), rows)))
     except (ValueError, IndexError, OverflowError):
-        parsed = _parse_rows(path, rows, index, tz_offset, issues)
+        parsed = _parse_rows(path, rows, lines, index, tz_offset, issues)
         lines, mids, times, lons, lats = ([r[k] for r in parsed] for k in range(5))
         times = np.array(times, dtype=np.int64)
         lons = np.array(lons, dtype=np.float64)
@@ -376,11 +449,15 @@ def _record_columns(
     # the checks of _parse_row, written so that NaN fails them too; the rows
     # that _parse_row accepted pass them all
     ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
-    if keys and keys[0] == "":  # a blank id, which sorts first
-        ok &= devices != 0
+    # blank and comment-like ids, checked once per id
+    refused = [k for k, mid in enumerate(keys) if not mid or mid.startswith("#")]
+    if refused:
+        ok &= ~np.isin(devices, refused)
     if not ok.all():
         bad = np.flatnonzero(~ok).tolist()
-        _parse_rows(path, [rows[i] for i in bad], index, tz_offset, issues)
+        _parse_rows(
+            path, [rows[i] for i in bad], lines[bad].tolist(), index, tz_offset, issues
+        )
         lines, devices, times, lons, lats = (
             column[ok] for column in (lines, devices, times, lons, lats)
         )
@@ -391,8 +468,9 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
     """Read a records CSV into per-device trajectories.
 
     Groups by device id, sorts by time, and rejects rows that fail to parse,
-    lie out of range (coordinates, or a time outside 0 <= t < 2**63) or
-    duplicate a (device, time) pair, each with a line-numbered diagnostic:
+    have a blank device id or one starting with ``#``, lie out of range
+    (coordinates, or a time outside 0 <= t < 2**63) or duplicate a (device,
+    time) pair, each with a line-numbered diagnostic:
     parse rejections in line order, then duplicates in device, time and
     line order. Rejections are warnings unless strict mode makes them fatal.
     Devices come back in lexicographic id order.
@@ -402,10 +480,10 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
     an unreadable coordinate or a short row is parsed row by row; so are the
     rows that the columnar range checks reject, to word their diagnostics.
     """
-    index, rows = _read_table(path, ("time", "lon", "lat", "mid"))
+    index, rows, lines = _read_table(path, ("time", "lon", "lat", "mid"))
     issues: list[str] = []
     keys, lines, devices, times, lons, lats = _record_columns(
-        path, index, rows, tz_offset, issues
+        path, index, rows, lines, tz_offset, issues
     )
     order = np.lexsort((lines, times, devices))
     devices, times = devices[order], times[order]
@@ -434,9 +512,9 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
 
 def _read_labels(path: str) -> dict[tuple[str, int], int]:
     """Label codes keyed by (mid, time), in file order."""
-    index, rows = _read_table(path, ("mid", "time", "label"))
+    index, rows, lines = _read_table(path, ("mid", "time", "label"))
     out: dict[tuple[str, int], int] = {}
-    for lineno, row in rows:
+    for lineno, row in zip(lines, rows):
         try:
             mid = row[index["mid"]].strip()
             t = int(row[index["time"]])
@@ -477,13 +555,6 @@ def _device_rng(seed: int, device: str) -> np.random.Generator:
 # ------------------------------------------------------------- commands
 
 
-def _label_rows(
-    device: str, times: np.ndarray, codes: np.ndarray
-) -> list[tuple[str, int, str]]:
-    """(mid, time, letter) rows of a labels CSV for one device."""
-    return list(zip([device] * len(times), times.tolist(), codes_to_letters(codes)))
-
-
 def _record_rows(traj: Trajectory) -> list[tuple[int, float, float, str]]:
     """(time, lon, lat, mid) rows of a records CSV for one trajectory; its
     coordinates are finite, so ``csv`` writes them as ``_fmt`` would."""
@@ -497,31 +568,30 @@ def _record_rows(traj: Trajectory) -> list[tuple[int, float, float, str]]:
     )
 
 
-def _sds_rows(run: RunConfig, traj: Trajectory) -> list[tuple[str, int, str]]:
+def _sds_text(run: RunConfig, traj: Trajectory) -> str:
     labeled = sds_label(
         traj, run.params, ref_lat=run.ref_lat, tail_flush=run.tail_flush
     )
-    return _label_rows(traj.device, traj.times, labeled.labels)
+    return _label_text(traj.device, traj.times, labeled.labels)
 
 
 def run_label(args: argparse.Namespace, run: RunConfig) -> int:
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    worker = partial(_sds_rows, run)
+    worker = partial(_sds_text, run)
     if run.workers > 1 and len(trajectories) > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(run.workers) as pool:
             # ordered map keeps the merge deterministic for any worker count
-            chunks = pool.map(worker, trajectories)
+            texts = pool.map(worker, trajectories)
     else:
-        chunks = [worker(t) for t in trajectories]
-    rows = chain.from_iterable(chunks)
-    _write_csv(args.out, "labels", ["mid", "time", "label"], rows)
+        texts = [worker(t) for t in trajectories]
+    _write_labels(args.out, texts)
     return EXIT_OK
 
 
 def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    rows: list[tuple[str, int, str]] = []
+    texts = []
     for traj in trajectories:
         try:
             labels = exact_label(
@@ -529,8 +599,8 @@ def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
             )
         except OracleLimitError as exc:
             raise DataError(f"device {traj.device!r}: {exc}") from None
-        rows.extend(_label_rows(traj.device, traj.times, labels.labels))
-    _write_csv(args.out, "labels", ["mid", "time", "label"], rows)
+        texts.append(_label_text(traj.device, traj.times, labels.labels))
+    _write_labels(args.out, texts)
     return EXIT_OK
 
 
@@ -628,15 +698,15 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
         except ValueError as exc:
             raise DataError(f"settings cannot guarantee exact truth: {exc}") from None
     record_rows = []
-    label_rows = []
+    label_texts = []
     for i in range(config.trajectories):
         path, traj, truth = experiment_trajectory(config, i, with_truth=with_truth)
         record_rows.extend(_record_rows(traj))
         if truth is not None:
-            label_rows.extend(_label_rows(traj.device, traj.times, truth))
+            label_texts.append(_label_text(traj.device, traj.times, truth))
     _write_csv(args.out, "records", ["time", "lon", "lat", "mid"], record_rows)
     if with_truth:
-        _write_csv(args.labels_out, "labels", ["mid", "time", "label"], label_rows)
+        _write_labels(args.labels_out, label_texts)
     return EXIT_OK
 
 
@@ -648,17 +718,17 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     label_map = _read_labels(args.labels) if args.labels else {}
     record_rows = []
-    label_rows = []
+    label_texts = []
     for traj in trajectories:
         rng = _device_rng(run.seed, traj.device)
         sub, keep = resample(traj, args.rate, rng)
         if args.labels:
             labels = _aligned_labels(traj, label_map, strict=run.strict)
-            label_rows.extend(_label_rows(sub.device, sub.times, labels[keep]))
+            label_texts.append(_label_text(sub.device, sub.times, labels[keep]))
         record_rows.extend(_record_rows(sub))
     _write_csv(args.out, "records", ["time", "lon", "lat", "mid"], record_rows)
     if args.labels_out:
-        _write_csv(args.labels_out, "labels", ["mid", "time", "label"], label_rows)
+        _write_labels(args.labels_out, label_texts)
     return EXIT_OK
 
 
@@ -806,7 +876,7 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
                 model = VotingModel.load(args.load_model)
             else:
                 model = HmmModel.load(args.load_model)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, csv.Error) as exc:
             raise DataError(f"cannot load model {args.load_model}: {exc}") from None
 
     if args.save_model:
@@ -817,14 +887,14 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
 
     if args.records:
         query = ingest(args.records, tz_offset=run.tz_offset, strict=run.strict)
-        rows = []
+        texts = []
         for traj in query:
             if args.method == "voting":
                 codes = model.predict(traj)
             else:
                 codes = hmm_predict(model, traj, ref_lat=run.ref_lat)
-            rows.extend(_label_rows(traj.device, traj.times, codes))
-        _write_csv(args.out, "labels", ["mid", "time", "label"], rows)
+            texts.append(_label_text(traj.device, traj.times, codes))
+        _write_labels(args.out, texts)
     return EXIT_OK
 
 

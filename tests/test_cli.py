@@ -1,6 +1,10 @@
 """Command-line front end: parsing, ingest, subcommands, determinism."""
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from helpers import (
     write_labels_csv as write_labels,
     write_records_csv as write_records,
 )
+import sparsemob
 from sparsemob.cli import (
     DataError,
     _device_rng,
@@ -269,14 +274,58 @@ class TestIngest:
 
     def test_rows_numbered_by_file_line_after_quoted_newline(self, tmp_path, capsys):
         path = tmp_path / "nl.csv"
-        path.write_text(
-            'time,lon,lat,mid\n0,0.0,0.0,"a\nb"\n\n# note\n60,0.0,95.0,d\n'
-        )
-        (traj,) = ingest(str(path), tz_offset=0, strict=False)
+        for text, device, line in [
+            # one line per row: CRLF, lone CR, comment and blank rows
+            (b"time,lon,lat,mid\r\n0,0.0,0.0,a\r\n60,0.0,95.0,d\r\n", "a", 3),
+            (b"time,lon,lat,mid\r0,0.0,0.0,a\r60,0.0,95.0,d\r", "a", 3),
+            (b"# v1\ntime,lon,lat,mid\n\n0,0.0,0.0,a\n# note\n\n 60,0.0,95.0,d\n", "a", 7),
+            # a quoted line break: lines counted row by row
+            (b'time,lon,lat,mid\n0,0.0,0.0,"a\nb"\n\n# note\n60,0.0,95.0,d\n', "a\nb", 6),
+            (b'time,lon,lat,mid\r\n0,0.0,0.0,"a\r\nb"\r\n60,0.0,95.0,d\r\n', "a\r\nb", 4),
+        ]:
+            path.write_bytes(text)
+            (traj,) = ingest(str(path), tz_offset=0, strict=False)
+            assert traj.device == device, text
+            assert capsys.readouterr().err == (
+                f"warning: {path}:{line}: latitude out of range: 95.0 (row skipped)\n"
+            ), text
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_a_pipe_once(self, capsys):
+        # a pipe can be read only once, also when quoted line breaks make
+        # ingest count each row's line
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b'time,lon,lat,mid\n0,0.0,0.0,"a\nb"\n60,0.0,95.0,d\n')
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            (traj,) = ingest(path, tz_offset=0, strict=False)
+        finally:
+            os.close(read_end)
         assert traj.device == "a\nb"
         assert capsys.readouterr().err == (
-            f"warning: {path}:6: latitude out of range: 95.0 (row skipped)\n"
+            f"warning: {path}:4: latitude out of range: 95.0 (row skipped)\n"
         )
+
+    @pytest.mark.parametrize("first", ["0", "1970-01-01T00:00:00"])
+    def test_hash_device_id_rejected(self, tmp_path, capsys, first):
+        # label CSVs put mid first, where '#a' would read back as a comment
+        path = tmp_path / "r.csv"
+        path.write_bytes(
+            f"time,lon,lat,mid\n{first},0.0,0.0,b\n60,0.0,0.0,#a\n120,0.0,0.0, #a\n"
+            .encode()
+        )
+        issues = [
+            f"{path}:3: device id starts with '#': '#a'",
+            f"{path}:4: device id starts with '#': '#a'",
+        ]
+        assert [t.device for t in ingest(str(path), tz_offset=0, strict=False)] == ["b"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {issue} (row skipped)" for issue in issues
+        ]
+        with pytest.raises(DataError) as info:
+            ingest(str(path), tz_offset=0, strict=True)
+        assert str(info.value) == "2 bad row(s):\n" + "\n".join(issues)
 
     def test_matches_per_row_reference(self, tmp_path, capsys):
         rng = np.random.default_rng(20240611)
@@ -400,19 +449,46 @@ class TestLabelCommand:
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
     def test_quoted_mid_written_as_formatted_cells(self, tmp_path):
-        rec = write_records(tmp_path / "r.csv", [travel_fixture()])
-        text = (tmp_path / "r.csv").read_text().replace(",t\n", ',"a,b"\n')
-        (tmp_path / "r.csv").write_text(text)
-        out = tmp_path / "lab.csv"
-        assert main(["label", rec, "--out", str(out)]) == 0
+        mids = ["a,b", 'say "hi"', "x\ny", "x\ry", "caf\u00e9"]
+        fixture = travel_fixture()
+        rows = io.StringIO()
+        writer = csv.writer(rows)
+        writer.writerow(["time", "lon", "lat", "mid"])
+        for mid in mids:
+            for t, lon, lat in zip(fixture.times, fixture.lons, fixture.lats):
+                writer.writerow([int(t), float(lon), float(lat), mid])
+        rec = tmp_path / "r.csv"
+        rec.write_bytes(rows.getvalue().encode("utf-8"))
         want = io.StringIO()
         want.write("# sparsemob labels v1\n")
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["mid", "time", "label"])
-        for row in [("a,b", 0, "U"), ("a,b", 600, "T"), ("a,b", 1200, "U")]:
-            writer.writerow([_fmt(v) for v in row])
-        assert out.read_bytes() == want.getvalue().encode()
+        for mid in sorted(mids):
+            for row in [(mid, 0, "U"), (mid, 600, "T"), (mid, 1200, "U")]:
+                writer.writerow([_fmt(v) for v in row])
+        out = tmp_path / "lab.csv"
+        for workers in ("1", "2"):
+            assert main(["label", str(rec), "--workers", workers, "--out", str(out)]) == 0
+            assert out.read_bytes() == want.getvalue().encode("utf-8"), workers
         assert b'"a,b",600,T\n' in out.read_bytes()
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale Python's default text encoding is ASCII
+        rec = tmp_path / "r.csv"
+        rec.write_bytes("time,lon,lat,mid\n0,0.0,0.0,caf\u00e9\n".encode("utf-8"))
+        out = tmp_path / "lab.csv"
+        src = Path(sparsemob.__file__).parents[1]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        env["PYTHONPATH"] = str(src)
+        code = "import sys; from sparsemob.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "label", str(rec), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_bytes().endswith("caf\u00e9,0,U\n".encode("utf-8"))
 
 
 class TestOracleCommand:
@@ -522,6 +598,40 @@ class TestExitCodes:
         assert err.startswith("sparsemob: error: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, text, command, message",
+        [
+            ("r.csv", b"time,lon,lat,mid\n0,0,0,a\xff\n", "label", "can't decode byte 0xff"),
+            ("l.csv", b"mid,time,label\na\xff,0,S\n", "evaluate", "can't decode byte 0xff"),
+            ("c.cfg", b"# caf\xe9\ndelta_s = 800\n", "config", "can't decode byte 0xe9"),
+            # an unterminated quote runs the field past csv's 128 KiB limit
+            (
+                "r.csv",
+                b'time,lon,lat,mid\n0,0,0,"a\n' + b"60,0,0,d\n" * 20000,
+                "label",
+                ":2: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["records", "labels", "config", "unterminated-quote"],
+    )
+    def test_undecodable_text_is_data_error(
+        self, tmp_path, capsys, name, text, command, message
+    ):
+        path = tmp_path / name
+        path.write_bytes(text)
+        rec = write_records(tmp_path / "rec.csv", [travel_fixture()])
+        out = str(tmp_path / "o.csv")
+        argv = {
+            "label": ["label", str(path), "--out", out],
+            "evaluate": ["evaluate", "--predictions", str(path), "--truth", str(path),
+                         "--out", out],
+            "config": ["label", rec, "--config", str(path), "--out", out],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sparsemob: data error: ") and err.count("\n") == 1
+        assert f"{path}" in err and message in err
 
     def test_label_rows_numbered_by_file_line(self, tmp_path, capsys):
         rec = write_records(tmp_path / "r.csv", [travel_fixture()])
