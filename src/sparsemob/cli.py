@@ -13,10 +13,12 @@ shared by every command:
   form, and undefined values appear as ``NA``. Rerunning a command with
   identical inputs, flags, and seed reproduces the output byte for byte,
   for any worker count.
-* Records CSV columns: time, lon, lat, mid; a device id may not be blank or
-  start with ``#``, since label CSVs put it first. Time accepts epoch seconds,
-  ISO-8601, or HH:MM:SS/MM/DD/YYYY; wall-clock forms without an explicit
-  offset are interpreted in the configured timezone.
+* Records CSV columns: time, lon, lat, mid; a device id may not be blank,
+  start with ``#`` (label CSVs put it first) or hold a carriage return
+  without a line feed (the label writer would leave it unquoted).
+  Time accepts epoch seconds, ISO-8601, or HH:MM:SS/MM/DD/YYYY; wall-clock
+  forms without an explicit offset are interpreted in the configured
+  timezone.
 * Label CSV columns: mid, time, label with label in {S, T, U}.
 * Exit codes: 0 success, 1 usage error, 2 data error.
 * A config file of key=value lines can supply any shared flag (keys
@@ -378,6 +380,9 @@ def _parse_row(
     if mid.startswith("#"):
         # every labels CSV puts mid first, where it would read as a comment
         raise ValueError(f"device id starts with '#': {mid!r}")
+    if "\r" in mid and "\n" not in mid:
+        # labels CSVs end rows in \n, so csv.writer quotes a \n but not a \r
+        raise ValueError(f"device id holds a carriage return but no line feed: {mid!r}")
     t = _parse_time_text(row[index["time"]], tz_offset)
     lon = float(row[index["lon"]])
     lat = float(row[index["lat"]])
@@ -449,8 +454,12 @@ def _record_columns(
     # the checks of _parse_row, written so that NaN fails them too; the rows
     # that _parse_row accepted pass them all
     ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
-    # blank and comment-like ids, checked once per id
-    refused = [k for k, mid in enumerate(keys) if not mid or mid.startswith("#")]
+    # the ids _parse_row refuses, checked once per id
+    refused = [
+        k
+        for k, mid in enumerate(keys)
+        if not mid or mid.startswith("#") or ("\r" in mid and "\n" not in mid)
+    ]
     if refused:
         ok &= ~np.isin(devices, refused)
     if not ok.all():
@@ -674,10 +683,14 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
     return EXIT_OK
 
 
-def _experiment_config(args: argparse.Namespace, run: RunConfig) -> ExperimentConfig:
+def _experiment_config(
+    args: argparse.Namespace, run: RunConfig, *, with_truth: bool
+) -> ExperimentConfig:
+    """The experiment settings; with ``with_truth``, only settings whose
+    continuous truth labels are exact (see ``check_supports``)."""
     try:
         walk = CtrwConfig(duration=args.duration, jitter_radius=args.jitter)
-        return ExperimentConfig(
+        config = ExperimentConfig(
             params=run.params,
             walk=walk,
             trajectories=args.trajectories,
@@ -687,16 +700,17 @@ def _experiment_config(args: argparse.Namespace, run: RunConfig) -> ExperimentCo
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if with_truth:
+        try:
+            check_supports(walk, run.params)
+        except ValueError as exc:
+            raise DataError(f"settings cannot guarantee exact truth: {exc}") from None
+    return config
 
 
 def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
-    config = _experiment_config(args, run)
     with_truth = args.labels_out is not None
-    if with_truth:
-        try:
-            check_supports(config.walk, run.params)
-        except ValueError as exc:
-            raise DataError(f"settings cannot guarantee exact truth: {exc}") from None
+    config = _experiment_config(args, run, with_truth=with_truth)
     record_rows = []
     label_texts = []
     for i in range(config.trajectories):
@@ -734,7 +748,7 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
 
 def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
     if args.experiment:
-        config = _experiment_config(args, run)
+        config = _experiment_config(args, run, with_truth=True)
         outcomes = resampling_experiment(config)
         rows = [
             (

@@ -12,6 +12,7 @@ Scoring conventions used throughout:
 """
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
@@ -30,20 +31,12 @@ from .core import (
     local_coverage,
     project_to_meters,
 )
-from .sds import (
-    _block_boxes,
-    _far_after,
-    _far_before,
-    sds_label,
-    stay_flags_at,
-    travel_flags_at,
-)
+from .sds import _block_boxes, _far_after, _far_before, label_kernel, sds_label
 from .simulate import (
     CtrwConfig,
     continuous_labels,
     generate_ctrw,
     observe,
-    resample,
     synth_schedule,
 )
 
@@ -200,6 +193,9 @@ class ExperimentConfig:
                 raise ValueError(f"rate {r} outside [0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # _trajectory_counts joins the rates' subsets in time, one after another
+        if len(self.rates) * (self.walk.duration + self.params.delta_t + 1) >= 2**63:
+            raise ValueError("too many rates for this duration: times would overflow")
 
 
 @dataclass(frozen=True)
@@ -264,6 +260,31 @@ class RateOutcome:
 
 _COUNT_FIELDS = 12
 
+# One rate's histogram cells: predicted code p (U, S, T), truth travel tt (the
+# truth code is S + tt), in the stay pool sp, in the travel pool tp. Column k
+# marks the cells that count field k of RateOutcome sums, for the ten fields
+# before the gap fields. Built in plain Python: numpy calls at import page in
+# code that adds about 0.4 MB to every process's resident set.
+_CELLS = 24
+_CELL_WEIGHTS = np.array(
+    [
+        [
+            p == LABEL_STAY,
+            p == LABEL_STAY and not tt,
+            p == LABEL_TRAVEL,
+            p == LABEL_TRAVEL and tt,
+            p == LABEL_STAY and sp,
+            sp,
+            p == LABEL_TRAVEL and tp,
+            tp,
+            p == LABEL_STAY + tt and (sp or tp),
+            sp or tp,
+        ]
+        for p, tt, sp, tp in itertools.product(range(3), range(2), range(2), range(2))
+    ],
+    dtype=np.int64,
+)
+
 
 def experiment_trajectory(
     config: ExperimentConfig, index: int, *, with_truth: bool = True
@@ -301,45 +322,47 @@ def experiment_trajectory(
 def _trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
     """Per-rate raw counts for one synthetic trajectory.
 
-    The per-rate keep masks use (seed, index, rate position) so rates stay
-    independent of each other and of the trajectory draws.
+    The trajectory is projected once and the recall pools take two kernel
+    calls. One more labels every rate's kept subset: the subsets are joined
+    in rate order, each shifted in time more than delta_t past the one
+    before, and the kernel labels across such a gap as it labels separate
+    trajectories. The count fields come from one histogram over (rate,
+    predicted code, truth class, stay pool, travel pool), the gap fields
+    from each subset's first and last time.
     """
     path, traj, truth = experiment_trajectory(config, index)
-    ref = path.origin_lat
-    params = config.params
-    stay_pool = stay_flags_at(traj, params, params.delta_s, ref_lat=ref)
-    travel_pool = travel_flags_at(traj, params, params.delta_s / 2.0, ref_lat=ref) & (
-        truth == LABEL_TRAVEL
-    )
-    eval_pool = stay_pool | travel_pool
-    truth_stay = truth == LABEL_STAY
+    d_t, d_s = config.params.delta_t, config.params.delta_s
+    x, y = project_to_meters(traj.lons, traj.lats, path.origin_lat)
+    t = traj.times
+    stay_pool = label_kernel(x, y, t, d_t, d_s, None)[0]
     truth_travel = truth == LABEL_TRAVEL
+    travel_pool = label_kernel(x, y, t, d_t, d_s / 3.0, d_s / 2.0)[1] & truth_travel
 
-    n = len(traj)
-    out = np.zeros((len(config.rates), _COUNT_FIELDS), dtype=np.int64)
-    for pos, rate in enumerate(config.rates):
-        rng = np.random.default_rng((config.seed, index, pos))
-        sub, keep = resample(traj, rate, rng)
-        predicted = np.full(n, LABEL_UNLABELED, dtype=np.int8)
-        predicted[keep] = sds_label(sub, params, ref_lat=ref).labels
-        pred_stay = predicted == LABEL_STAY
-        pred_travel = predicted == LABEL_TRAVEL
-        gaps = np.diff(sub.times)
-        out[pos] = (
-            int(pred_stay.sum()),
-            int((pred_stay & truth_stay).sum()),
-            int(pred_travel.sum()),
-            int((pred_travel & truth_travel).sum()),
-            int((pred_stay & stay_pool).sum()),
-            int(stay_pool.sum()),
-            int((pred_travel & travel_pool).sum()),
-            int(travel_pool.sum()),
-            int(((predicted == truth) & eval_pool).sum()),
-            int(eval_pool.sum()),
-            int(gaps.sum()),
-            int(gaps.size),
-        )
-    return out
+    n = len(t)
+    rates = len(config.rates)
+    # the keep masks of simulate.resample: one uniform per record from a
+    # generator seeded by (seed, index, rate position), so rates stay
+    # independent of each other and of the trajectory draws
+    draws = [
+        np.random.default_rng((config.seed, index, k)).random(n) for k in range(rates)
+    ]
+    keep = np.array(draws) < np.array(config.rates)[:, None]
+    row, col = np.nonzero(keep)
+    # every subset starts more than delta_t after the one before it ends
+    stride = (int(t[-1] - t[0]) if n else 0) + math.floor(d_t) + 1
+    shifted = t[col] + row * stride
+    stay, travel = label_kernel(x[col], y[col], shifted, d_t, d_s / 3.0, d_s)
+    predicted = np.zeros((rates, n), dtype=np.int64)
+    predicted[row, col] = stay * LABEL_STAY + travel * LABEL_TRAVEL
+    cell = ((predicted * 2 + truth_travel) * 2 + stay_pool) * 2 + travel_pool
+    cell += np.arange(rates)[:, None] * _CELLS
+    hist = np.bincount(cell.ravel(), minlength=rates * _CELLS).reshape(rates, _CELLS)
+    sizes = keep.sum(axis=1)
+    some = sizes > 0
+    ends = np.cumsum(sizes)[some]
+    spans = np.zeros(rates, dtype=np.int64)
+    spans[some] = shifted[ends - 1] - shifted[ends - sizes[some]]
+    return np.column_stack((hist @ _CELL_WEIGHTS, spans, np.maximum(sizes - 1, 0)))
 
 
 def resampling_experiment(config: ExperimentConfig) -> list[RateOutcome]:

@@ -326,6 +326,11 @@ def label_kernel(
     witness distance, and witness pairs outside it straddle its >= delta_t
     span and so fail the window test. ``on_admit(head, cursor)`` receives
     record indices.
+
+    Segments separated by a time gap of more than ``delta_t`` are labeled
+    independently: each gets exactly the flags it would get alone, so
+    several trajectories can be labeled in one call by joining them with
+    such gaps.
     """
     if len(t) == 0:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)

@@ -14,14 +14,23 @@ import numpy as np
 
 from sparsemob.cli import DataError, _parse_time_text, _report_issues
 from sparsemob.core import (
+    LABEL_STAY,
+    LABEL_TRAVEL,
+    LABEL_UNLABELED,
     METERS_PER_DEGREE,
     MobilityParams,
     Trajectory,
     default_ref_lat,
     project_to_meters,
 )
-from sparsemob.evaluate import LocalConsistencyResult
+from sparsemob.evaluate import (
+    ExperimentConfig,
+    LocalConsistencyResult,
+    experiment_trajectory,
+)
 from sparsemob.oracle import dense_stay_windows
+from sparsemob.sds import sds_label, stay_flags_at, travel_flags_at
+from sparsemob.simulate import resample
 
 
 def traj_from_meters(times, xs, ys=None, device="dev") -> Trajectory:
@@ -418,3 +427,47 @@ def reference_local_consistency_check(
         if left2 >= s2 or right2 >= s2:
             violations += 1
     return LocalConsistencyResult(tested=tested, violations=violations)
+
+
+def reference_trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
+    """Per-rate counts composed from the public calls, one rate at a time:
+    the reference for ``evaluate._trajectory_counts``.
+
+    Each rate resamples the trajectory, labels the subset with ``sds_label``
+    and sums the twelve fields of ``RateOutcome`` one by one.
+    """
+    path, traj, truth = experiment_trajectory(config, index)
+    ref = path.origin_lat
+    params = config.params
+    stay_pool = stay_flags_at(traj, params, params.delta_s, ref_lat=ref)
+    travel_pool = travel_flags_at(traj, params, params.delta_s / 2.0, ref_lat=ref) & (
+        truth == LABEL_TRAVEL
+    )
+    eval_pool = stay_pool | travel_pool
+    truth_stay = truth == LABEL_STAY
+    truth_travel = truth == LABEL_TRAVEL
+    n = len(traj)
+    out = np.zeros((len(config.rates), 12), dtype=np.int64)
+    for pos, rate in enumerate(config.rates):
+        rng = np.random.default_rng((config.seed, index, pos))
+        sub, keep = resample(traj, rate, rng)
+        predicted = np.full(n, LABEL_UNLABELED, dtype=np.int8)
+        predicted[keep] = sds_label(sub, params, ref_lat=ref).labels
+        pred_stay = predicted == LABEL_STAY
+        pred_travel = predicted == LABEL_TRAVEL
+        gaps = np.diff(sub.times)
+        out[pos] = (
+            int(pred_stay.sum()),
+            int((pred_stay & truth_stay).sum()),
+            int(pred_travel.sum()),
+            int((pred_travel & truth_travel).sum()),
+            int((pred_stay & stay_pool).sum()),
+            int(stay_pool.sum()),
+            int((pred_travel & travel_pool).sum()),
+            int(travel_pool.sum()),
+            int(((predicted == truth) & eval_pool).sum()),
+            int(eval_pool.sum()),
+            int(gaps.sum()),
+            int(gaps.size),
+        )
+    return out

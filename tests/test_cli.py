@@ -74,6 +74,13 @@ class TestParseTimeText:
         assert _parse_time_text("2016-07-12T18:02:41+08:00", 0) == TABLE_EPOCH
         assert _parse_time_text("2016-07-12T10:02:41+00:00", 28800) == TABLE_EPOCH
 
+    def test_iso_z_suffix_is_utc(self):
+        for text in ("2016-07-12T10:02:41", "2016-07-12T10:02:41.5"):
+            assert _parse_time_text(text + "Z", 28800) == _parse_time_text(
+                text + "+00:00", 28800
+            )
+        assert _parse_time_text("2016-07-12T10:02:41Z", 28800) == TABLE_EPOCH
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="unrecognized"):
             _parse_time_text("yesterday", 0)
@@ -327,6 +334,21 @@ class TestIngest:
             ingest(str(path), tz_offset=0, strict=True)
         assert str(info.value) == "2 bad row(s):\n" + "\n".join(issues)
 
+    @pytest.mark.parametrize("first", ["0", "1970-01-01T00:00:00"])
+    def test_carriage_return_device_id_rejected(self, tmp_path, capsys, first):
+        # the label writer would leave the lone \r unquoted, and the row
+        # would not read back
+        path = tmp_path / "r.csv"
+        path.write_bytes(
+            f'time,lon,lat,mid\n{first},0.0,0.0,b\n60,0.0,0.0,"x\ry"\n'.encode()
+        )
+        issue = f"{path}:3: device id holds a carriage return but no line feed: 'x\\ry'"
+        assert [t.device for t in ingest(str(path), tz_offset=0, strict=False)] == ["b"]
+        assert capsys.readouterr().err == f"warning: {issue} (row skipped)\n"
+        with pytest.raises(DataError) as info:
+            ingest(str(path), tz_offset=0, strict=True)
+        assert str(info.value) == "1 bad row(s):\n" + issue
+
     def test_matches_per_row_reference(self, tmp_path, capsys):
         rng = np.random.default_rng(20240611)
         path = tmp_path / "r.csv"
@@ -449,7 +471,7 @@ class TestLabelCommand:
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
     def test_quoted_mid_written_as_formatted_cells(self, tmp_path):
-        mids = ["a,b", 'say "hi"', "x\ny", "x\ry", "caf\u00e9"]
+        mids = ["a,b", 'say "hi"', "x\ny", "caf\u00e9"]
         fixture = travel_fixture()
         rows = io.StringIO()
         writer = csv.writer(rows)
@@ -804,6 +826,20 @@ class TestSimulatePipeline:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_unsupported_truth_is_one_data_error(self, tmp_path, capsys, command):
+        # both commands build truth labels, so both run the same check
+        argv = [command, "--trajectories", "2", "--delta-t", "7200"]
+        if command == "simulate":
+            argv += ["--labels-out", str(tmp_path / "l.csv")]
+        else:
+            argv += ["--experiment"]
+        assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "sparsemob: data error: settings cannot guarantee exact truth: "
+            "wait_min 1800.0 is below the time threshold 7200.0\n"
+        )
 
     def test_output_ingestible(self, tmp_path):
         rec = tmp_path / "rec.csv"

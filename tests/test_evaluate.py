@@ -7,6 +7,7 @@ from helpers import (
     minutes,
     random_trajectory,
     reference_local_consistency_check,
+    reference_trajectory_counts,
     traj_from_meters,
 )
 from sparsemob.core import (
@@ -22,6 +23,7 @@ from sparsemob.evaluate import (
     LocalConsistencyResult,
     MetricsReport,
     RateOutcome,
+    _trajectory_counts,
     compute_metrics,
     device_stats,
     experiment_trajectory,
@@ -37,7 +39,7 @@ from sparsemob.sds import (
     stay_flags_at,
     travel_flags_at,
 )
-from sparsemob.simulate import CtrwConfig
+from sparsemob.simulate import CtrwConfig, resample
 
 PARAMS = MobilityParams(delta_s=800.0, delta_t=1800.0)
 
@@ -209,6 +211,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
 
+    def test_joined_times_must_fit_int64(self):
+        # the rates' subsets are labeled as one trajectory, one after another
+        with pytest.raises(ValueError, match="overflow"):
+            ExperimentConfig(walk=CtrwConfig(duration=2.0**62), rates=(1.0, 0.5))
+        ExperimentConfig(walk=CtrwConfig(duration=2.0**61), rates=(1.0, 0.5))
+
 
 class TestExperimentTrajectory:
     def test_deterministic_and_named(self):
@@ -299,6 +307,51 @@ class TestResamplingExperiment:
         assert [r.rate for r in rows] == [1.0, 0.5]
         assert rows[0].stay_precision is None
         assert rows[0].evaluable == 0
+
+
+class TestTrajectoryCounts:
+    """The one-call counts against the per-rate composition of public calls."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(trajectories=8),
+            ExperimentConfig(
+                trajectories=8,
+                params=MobilityParams(delta_s=300.0, delta_t=600.5),
+                seed=3,
+            ),
+            ExperimentConfig(
+                trajectories=8,
+                walk=CtrwConfig(duration=60000.0, jitter_radius=30.0),
+                rates=(1.0, 0.0, 0.05, 1.0),
+                seed=17,
+            ),
+            # every observation time lies past the walk's end
+            ExperimentConfig(trajectories=2, walk=CtrwConfig(duration=30.0)),
+        ],
+        ids=["default", "fractional-delta-t", "zero-and-repeated-rates", "no-records"],
+    )
+    def test_match_reference(self, config):
+        for index in range(config.trajectories):
+            got = _trajectory_counts(config, index)
+            want = reference_trajectory_counts(config, index)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist(), index
+
+    def test_match_reference_on_tiny_subsets(self):
+        config = ExperimentConfig(
+            trajectories=12, walk=CtrwConfig(duration=400.0), rates=(0.5, 0.2, 0.0, 1.0)
+        )
+        sizes = set()
+        for index in range(config.trajectories):
+            _, traj, _ = experiment_trajectory(config, index, with_truth=False)
+            for pos, rate in enumerate(config.rates):
+                rng = np.random.default_rng((config.seed, index, pos))
+                sizes.add(len(resample(traj, rate, rng)[0]))
+            got = _trajectory_counts(config, index)
+            assert got.tolist() == reference_trajectory_counts(config, index).tolist()
+        assert {0, 1} <= sizes
 
 
 class TestRecallAccounting:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_dense_member,
@@ -321,6 +322,55 @@ class TestScans:
                 reads[0] = 0
                 assert _far_after(xs, ys, boxes, 0.0, 0.0, 50.0, lo, a + 1) == -1
                 assert reads[0] <= 6 * (a // SUPER - lo // SUPER + 1)
+
+
+#: one record of a segment: the gap since the previous record (ignored for
+#: the first), then the planar step from it; short gaps and small steps
+#: often enough that stay windows and witnesses both occur
+_record = st.tuples(
+    st.one_of(st.integers(1, 600), st.integers(1, 4000)),
+    st.one_of(st.floats(-150.0, 150.0), st.floats(-3000.0, 3000.0)),
+    st.one_of(st.floats(-150.0, 150.0), st.floats(-3000.0, 3000.0)),
+)
+
+
+class TestGapContract:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        segments=st.lists(
+            st.lists(_record, min_size=1, max_size=25), min_size=1, max_size=4
+        ),
+        joins=st.lists(st.integers(1, 5000), min_size=3, max_size=3),
+        delta_t=st.sampled_from([1800.0, 600.5]),
+        witness=st.sampled_from([None, 400.0, 800.0]),
+        tail_flush=st.booleans(),
+    )
+    def test_gap_over_delta_t_splits_labeling(
+        self, segments, joins, delta_t, witness, tail_flush
+    ):
+        # segments joined by gaps > delta_t label as if each were alone
+        escape = 800.0 / 3.0
+        parts = []
+        for records in segments:
+            gaps, dx, dy = (np.array(column) for column in zip(*records))
+            gaps[0] = 0
+            parts.append((np.cumsum(dx), np.cumsum(dy), np.cumsum(gaps)))
+        joined_t = []
+        end = 0
+        for k, (_, _, t) in enumerate(parts):
+            start = 0 if k == 0 else end + math.floor(delta_t) + joins[k - 1]
+            joined_t.append(t + start)
+            end = int(joined_t[-1][-1])
+        x = np.concatenate([p[0] for p in parts])
+        y = np.concatenate([p[1] for p in parts])
+        t = np.concatenate(joined_t).astype(np.int64)
+        whole = label_kernel(x, y, t, delta_t, escape, witness, tail_flush=tail_flush)
+        alone = [
+            label_kernel(px, py, pt, delta_t, escape, witness, tail_flush=tail_flush)
+            for px, py, pt in parts
+        ]
+        for got, want in zip(whole, zip(*alone)):
+            assert got.tolist() == np.concatenate(want).tolist()
 
 
 class TestStayFlagsAt:
