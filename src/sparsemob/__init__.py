@@ -17,7 +17,7 @@ from .evaluate import (
     compute_metrics,
     resampling_experiment,
 )
-from .oracle import OracleLabels, exact_label
+from .oracle import exact_label
 from .sds import LabeledTrajectory, sds_label
 from .simulate import (
     CtrwConfig,
@@ -43,7 +43,6 @@ __all__ = [
     "LabeledTrajectory",
     "MetricsReport",
     "MobilityParams",
-    "OracleLabels",
     "RateOutcome",
     "Trajectory",
     "VotingModel",

@@ -30,8 +30,7 @@ from .core import (
     LABEL_TRAVEL,
     LABEL_UNLABELED,
     Trajectory,
-    default_ref_lat,
-    project_to_meters,
+    planar,
 )
 
 HOURS_PER_WEEK = 168
@@ -157,7 +156,7 @@ class VotingModel:
             fh.write(f"# seed {self.seed}\n")
             fh.write(f"# week_start {self.week_start}\n")
             fh.write(f"# tz_offset {self.tz_offset}\n")
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["grid_lon", "grid_lat", "hour", "stay", "travel"])
             for bin_ in sorted(
                 self.counts, key=lambda b: (b.grid_lon, b.grid_lat, b.hour)
@@ -260,9 +259,7 @@ def observations(
     out = np.zeros(n, dtype=np.int64)
     if n < 2:
         return out
-    if ref_lat is None:
-        ref_lat = default_ref_lat(traj)
-    x, y = project_to_meters(traj.lons, traj.lats, ref_lat)
+    x, y = planar(traj, ref_lat)
     dist = np.hypot(np.diff(x), np.diff(y))
     gaps = np.diff(traj.times).astype(np.float64)
     d = np.searchsorted(buckets.distance_edges, dist, side="right")
@@ -314,7 +311,7 @@ class HmmModel:
         with path.open("w", encoding="utf-8", newline="") as fh:
             fh.write("# sparsemob hmm v1\n")
             fh.write("# states: 0=stay 1=travel\n")
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["table", "row", "col", "value"])
             for i, e in enumerate(self.buckets.distance_edges):
                 writer.writerow(["distance_edge", 0, i, repr(float(e))])

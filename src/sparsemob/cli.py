@@ -369,20 +369,28 @@ def _report_issues(issues: list[str], strict: bool) -> None:
         print(f"warning: ... and {hidden} more row(s) skipped", file=sys.stderr)
 
 
+def _id_fault(mid: str) -> str | None:
+    """Why ingest refuses the (stripped) device id ``mid``, or None."""
+    if not mid:
+        return "empty device id"
+    if mid.startswith("#"):
+        # every labels CSV puts mid first, where it would read as a comment
+        return f"device id starts with '#': {mid!r}"
+    if "\r" in mid and "\n" not in mid:
+        # labels CSVs end rows in \n, so csv.writer quotes a \n but not a \r
+        return f"device id holds a carriage return but no line feed: {mid!r}"
+    return None
+
+
 def _parse_row(
     row: list[str], index: dict[str, int], tz_offset: int
 ) -> tuple[str, int, float, float]:
     """One records row as (mid, time, lon, lat). Raises ValueError or
     IndexError with the message ingest reports for the row."""
     mid = row[index["mid"]].strip()
-    if not mid:
-        raise ValueError("empty device id")
-    if mid.startswith("#"):
-        # every labels CSV puts mid first, where it would read as a comment
-        raise ValueError(f"device id starts with '#': {mid!r}")
-    if "\r" in mid and "\n" not in mid:
-        # labels CSVs end rows in \n, so csv.writer quotes a \n but not a \r
-        raise ValueError(f"device id holds a carriage return but no line feed: {mid!r}")
+    fault = _id_fault(mid)
+    if fault:
+        raise ValueError(fault)
     t = _parse_time_text(row[index["time"]], tz_offset)
     lon = float(row[index["lon"]])
     lat = float(row[index["lat"]])
@@ -454,12 +462,8 @@ def _record_columns(
     # the checks of _parse_row, written so that NaN fails them too; the rows
     # that _parse_row accepted pass them all
     ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
-    # the ids _parse_row refuses, checked once per id
-    refused = [
-        k
-        for k, mid in enumerate(keys)
-        if not mid or mid.startswith("#") or ("\r" in mid and "\n" not in mid)
-    ]
+    # the ids _id_fault refuses, checked once per id
+    refused = [k for k, mid in enumerate(keys) if _id_fault(mid)]
     if refused:
         ok &= ~np.isin(devices, refused)
     if not ok.all():

@@ -4,8 +4,10 @@ A trajectory is a time-ordered sequence of (timestamp, longitude, latitude)
 records for one device. Timestamps are integer epoch seconds; sub-second
 precision is truncated at ingestion. All distance computations in this package
 compare squared Euclidean distances ``dx*dx + dy*dy`` in one planar
-approximation (:func:`project_to_meters`) at a fixed reference latitude per
-dataset, so that comparisons against thresholds are consistent across modules.
+approximation at one reference latitude per trajectory: the given one (the
+CLI's ``--ref-lat``, the same for every device), else the device's first
+record's. :func:`planar` is that rule and the only projection every module
+uses, so comparisons against thresholds are consistent across modules.
 """
 from __future__ import annotations
 
@@ -79,6 +81,31 @@ class Trajectory:
         return len(self.times)
 
 
+@dataclass(frozen=True, eq=False)
+class LabeledTrajectory:
+    """A trajectory plus one label code per record (see the label codes)."""
+
+    trajectory: Trajectory
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        labels = np.asarray(self.labels, dtype=np.int8)
+        if labels.ndim != 1:
+            raise ValueError("labels must be one-dimensional")
+        if len(labels) != len(self.trajectory):
+            raise ValueError("labels length must match the trajectory")
+        if len(labels) and (labels.min() < 0 or labels.max() > 2):
+            raise ValueError("unknown label code")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+
+    def __len__(self) -> int:
+        return len(self.trajectory)
+
+    def letters(self) -> list[str]:
+        return codes_to_letters(self.labels)
+
+
 @dataclass(frozen=True)
 class MobilityParams:
     """Spatial/temporal thresholds defining a stay: within ``delta_s`` meters
@@ -102,9 +129,10 @@ def project_to_meters(
     Longitudes more than 180 degrees from the first one are shifted by 360
     first, so a device that crosses the antimeridian stays contiguous; others
     project unchanged. Latitude maps to meters at ``METERS_PER_DEGREE``;
-    longitude at that rate scaled by cos(ref_lat). With ``ref_lat`` fixed per
-    dataset, Euclidean distance in this plane is a true metric (symmetry and
-    the triangle inequality hold), which the labeling proofs rely on.
+    longitude at that rate scaled by cos(ref_lat). With ``ref_lat`` fixed for
+    the trajectory, Euclidean distance in this plane is a true metric
+    (symmetry and the triangle inequality hold), which the labeling proofs
+    rely on. The package projects trajectories through :func:`planar`.
     """
     k = METERS_PER_DEGREE
     lons = np.asarray(lons, dtype=np.float64)
@@ -117,11 +145,17 @@ def project_to_meters(
     return x, y
 
 
-def default_ref_lat(traj: Trajectory) -> float:
-    """Dataset reference latitude convention: latitude of the first record."""
-    if len(traj) == 0:
-        raise ValueError("cannot take a reference latitude from an empty trajectory")
-    return float(traj.lats[0])
+def planar(
+    traj: Trajectory, ref_lat: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trajectory's records in planar (x, y) meters.
+
+    Projected about ``ref_lat`` when given, else about the first record's
+    latitude (0.0 for an empty trajectory, which needs none).
+    """
+    if ref_lat is None:
+        ref_lat = float(traj.lats[0]) if len(traj) else 0.0
+    return project_to_meters(traj.lons, traj.lats, ref_lat)
 
 
 def global_sparsity(traj: Trajectory) -> float:

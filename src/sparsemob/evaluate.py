@@ -26,14 +26,14 @@ from .core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
-    default_ref_lat,
     global_sparsity,
     local_coverage,
-    project_to_meters,
+    planar,
 )
 from .sds import _block_boxes, _far_after, _far_before, label_kernel, sds_label
 from .simulate import (
     CtrwConfig,
+    check_supports,
     continuous_labels,
     generate_ctrw,
     observe,
@@ -332,7 +332,7 @@ def _trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
     """
     path, traj, truth = experiment_trajectory(config, index)
     d_t, d_s = config.params.delta_t, config.params.delta_s
-    x, y = project_to_meters(traj.lons, traj.lats, path.origin_lat)
+    x, y = planar(traj, path.origin_lat)
     t = traj.times
     stay_pool = label_kernel(x, y, t, d_t, d_s, None)[0]
     truth_travel = truth == LABEL_TRAVEL
@@ -366,7 +366,12 @@ def _trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
 
 
 def resampling_experiment(config: ExperimentConfig) -> list[RateOutcome]:
-    """Run the experiment and return one pooled outcome per retention rate."""
+    """Run the experiment and return one pooled outcome per retention rate.
+
+    Raises ValueError, before any trajectory is built, for walk settings
+    whose truth labels cannot be exact (see ``simulate.check_supports``).
+    """
+    check_supports(config.walk, config.params)
     indices = range(config.trajectories)
     if config.workers > 1 and config.trajectories > 1:
         ctx = multiprocessing.get_context("fork")
@@ -499,12 +504,10 @@ def local_consistency_check(
     delta_s, otherwise by the record's nearest far records, which are found
     once per trajectory and shared by every removal.
     """
-    if ref_lat is None:
-        ref_lat = default_ref_lat(traj)
     n = len(traj)
     if n < 3:
         return LocalConsistencyResult(tested=0, violations=0)
-    x, y = project_to_meters(traj.lons, traj.lats, ref_lat)
+    x, y = planar(traj, ref_lat)
     xs = x.tolist()
     ys = y.tolist()
     ts = traj.times.tolist()

@@ -52,11 +52,10 @@ from .core import (
     LABEL_STAY,
     LABEL_TRAVEL,
     LABEL_UNLABELED,
+    LabeledTrajectory,
     MobilityParams,
     Trajectory,
-    codes_to_letters,
-    default_ref_lat,
-    project_to_meters,
+    planar,
 )
 
 AdmitHook = Callable[[int, int], None]
@@ -65,31 +64,6 @@ AdmitHook = Callable[[int, int], None]
 BLOCK = 16
 #: records per superblock box: BLOCK consecutive blocks
 SUPER = BLOCK * BLOCK
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledTrajectory:
-    """A trajectory plus one label code per record (see core label codes)."""
-
-    trajectory: Trajectory
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int8)
-        if labels.ndim != 1:
-            raise ValueError("labels must be one-dimensional")
-        if len(labels) != len(self.trajectory):
-            raise ValueError("labels length must match the trajectory")
-        if len(labels) and (labels.min() < 0 or labels.max() > 2):
-            raise ValueError("unknown label code")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-
-    def __len__(self) -> int:
-        return len(self.trajectory)
-
-    def letters(self) -> list[str]:
-        return codes_to_letters(self.labels)
 
 
 @dataclass(frozen=True)
@@ -342,15 +316,6 @@ def label_kernel(
     return stay, _travel_pass(xs, ys, ts, boxes, stay, witness, delta_t)
 
 
-def _project(
-    traj: Trajectory, ref_lat: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    # an empty trajectory has no default reference latitude and needs none
-    if ref_lat is None:
-        ref_lat = default_ref_lat(traj) if len(traj) else 0.0
-    return project_to_meters(traj.lons, traj.lats, ref_lat)
-
-
 def sds_label(
     traj: Trajectory,
     params: MobilityParams,
@@ -363,7 +328,7 @@ def sds_label(
     Deterministic: equal inputs give bitwise-equal labels. A single record (or
     any segment too sparse to certify anything) stays Unlabeled.
     """
-    x, y = _project(traj, ref_lat)
+    x, y = planar(traj, ref_lat)
     stay, travel = label_kernel(
         x, y, traj.times, params.delta_t, params.delta_s / 3.0, params.delta_s,
         tail_flush=tail_flush,
@@ -389,7 +354,7 @@ def stay_flags_at(
     span >= delta_t, and internal gaps <= delta_t (the discrete dense-stay
     membership), which is what the recall accounting counts.
     """
-    x, y = _project(traj, ref_lat)
+    x, y = planar(traj, ref_lat)
     return label_kernel(
         x, y, traj.times, params.delta_t, spatial, None, tail_flush=tail_flush
     )[0]
@@ -408,7 +373,7 @@ def travel_flags_at(
     The stay skip uses the standard delta_s/3 stay flags, which for witness
     thresholds >= delta_s/3 never changes the outcome (see label_kernel).
     """
-    x, y = _project(traj, ref_lat)
+    x, y = planar(traj, ref_lat)
     return label_kernel(
         x, y, traj.times, params.delta_t, params.delta_s / 3.0, witness,
         tail_flush=tail_flush,
@@ -432,7 +397,7 @@ def recall_lower_bounds(
     corresponding outer bound). Empty denominators yield a vacuous bound of
     1.0.
     """
-    x, y = _project(traj, ref_lat)
+    x, y = planar(traj, ref_lat)
     d_s, d_t = params.delta_s, params.delta_t
     certified_stay, witnessed_half = label_kernel(
         x, y, traj.times, d_t, d_s / 3.0, d_s / 2.0, tail_flush=tail_flush

@@ -20,8 +20,7 @@ from sparsemob.core import (
     METERS_PER_DEGREE,
     MobilityParams,
     Trajectory,
-    default_ref_lat,
-    project_to_meters,
+    planar,
 )
 from sparsemob.evaluate import (
     ExperimentConfig,
@@ -401,9 +400,7 @@ def reference_local_consistency_check(
     should then both lie within the spatial threshold; count a violation
     when either does not.
     """
-    if ref_lat is None:
-        ref_lat = default_ref_lat(traj)
-    x, y = project_to_meters(traj.lons, traj.lats, ref_lat)
+    x, y = planar(traj, ref_lat)
     s2 = params.delta_s * params.delta_s
     tested = 0
     violations = 0

@@ -108,6 +108,15 @@ class TestSpatioTemporalBin:
             SpatioTemporalBin(0, 0, -1)
 
 
+def crlf_rows(data: bytes) -> bytes:
+    """A model file in the older layout: comment lines end in LF, CSV rows
+    in CRLF (``csv.writer``'s default)."""
+    return b"".join(
+        line + (b"\n" if line.startswith(b"#") else b"\r\n")
+        for line in data.splitlines()
+    )
+
+
 class TestVotingModel:
     def test_majority_wins(self):
         model = VotingModel()
@@ -201,6 +210,15 @@ class TestVotingTrain:
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
         assert np.array_equal(loaded.predict(traj), model.predict(traj))
+
+    def test_saved_file_ends_lines_in_lf(self, tmp_path):
+        traj, labels = self._pair()
+        model = voting_train([(traj, labels)], seed=5)
+        path = tmp_path / "vote.csv"
+        model.save(path)
+        assert b"\r" not in path.read_bytes()
+        path.write_bytes(crlf_rows(path.read_bytes()))
+        assert VotingModel.load(path).counts == model.counts
 
     def test_load_rejects_other_files(self, tmp_path):
         bogus = tmp_path / "x.csv"
@@ -364,6 +382,15 @@ class TestHmmModel:
         assert loaded.buckets == model.buckets
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_saved_file_ends_lines_in_lf(self, tmp_path):
+        traj = traj_from_meters([0, 60, 120], [0.0, 1000.0, 2000.0])
+        model = hmm_train([(traj, np.array([S, T, T], dtype=np.int8))], ref_lat=0.0)
+        path = tmp_path / "hmm.csv"
+        model.save(path)
+        assert b"\r" not in path.read_bytes()
+        path.write_bytes(crlf_rows(path.read_bytes()))
+        assert np.array_equal(HmmModel.load(path).emission, model.emission)
 
     def test_load_rejects_other_files(self, tmp_path):
         bogus = tmp_path / "x.csv"

@@ -24,6 +24,7 @@ from sparsemob.core import (
     codes_to_letters,
     global_sparsity,
     local_coverage,
+    planar,
     project_to_meters,
 )
 
@@ -93,6 +94,17 @@ class TestPlanarDistance:
         scale = METERS_PER_DEGREE * math.cos(math.radians(39.5))
         assert np.array_equal(x, lons * scale)
         assert [a.size for a in project_to_meters(np.array([]), np.array([]), 0.0)] == [0, 0]
+
+    def test_planar_projects_about_the_first_record_by_default(self):
+        traj = Trajectory("d", [0, 60], [116.0, 116.01], [39.5, 41.0])
+        for ref_lat, want in ((None, 39.5), (10.0, 10.0)):
+            got = planar(traj, ref_lat)
+            expected = project_to_meters(traj.lons, traj.lats, want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_planar_accepts_an_empty_trajectory(self):
+        empty = Trajectory("d", [], [], [])
+        assert [a.size for a in planar(empty)] == [0, 0]
 
     def test_planar_distance_takes_the_short_way_round(self):
         a, b = (179.9999, 10.0), (-179.9999, 10.0)

@@ -299,6 +299,19 @@ class TestResamplingExperiment:
         for a, b, c in zip(rows, again, parallel):
             assert a == b == c
 
+    def test_refuses_settings_its_truth_cannot_support(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a trajectory was built")
+
+        monkeypatch.setattr("sparsemob.evaluate._trajectory_counts", built)
+        config = ExperimentConfig(
+            params=MobilityParams(delta_s=900.0), trajectories=5, rates=(1.0,)
+        )
+        with pytest.raises(
+            ValueError, match="jump_min 800.0 is below the spatial threshold 900.0"
+        ):
+            resampling_experiment(config)
+
     def test_zero_trajectories_gives_empty_counts(self):
         config = ExperimentConfig(
             trajectories=0, walk=CtrwConfig(duration=30000.0), rates=(1.0, 0.5)
@@ -423,6 +436,10 @@ class TestProp1:
         ]
         r = prop1_violation_rate(trajs, [PARAMS], ref_lat=39.9)[PARAMS]
         assert r.violations == 0
+
+    def test_empty_trajectory_untested(self):
+        empty = Trajectory("e", [], [], [])
+        assert local_consistency_check(empty, PARAMS) == LocalConsistencyResult(0, 0)
 
     def test_result_rate_zero_when_untested(self):
         assert LocalConsistencyResult(tested=0, violations=0).rate == 0.0

@@ -12,13 +12,18 @@ from helpers import (
     random_trajectory,
     traj_from_meters,
 )
-from sparsemob.core import METERS_PER_DEGREE, MobilityParams
+from sparsemob import sds
+from sparsemob.core import (
+    LABEL_STAY,
+    METERS_PER_DEGREE,
+    LabeledTrajectory,
+    MobilityParams,
+)
 from sparsemob.oracle import (
     OracleLimitError,
     dense_stay_membership,
     dense_stay_windows,
     exact_label,
-    travel_condition,
     travel_condition_all,
 )
 from sparsemob.sds import sds_label
@@ -46,6 +51,13 @@ class TestExactLabel:
             "S",
             "T",
         ]
+
+    def test_returns_the_labeled_trajectory_type(self):
+        traj = traj_from_meters(minutes(0, 30), [0.0, 10.0])
+        labeled = exact_label(traj, PARAMS, ref_lat=0.0)
+        assert type(labeled) is LabeledTrajectory is sds.LabeledTrajectory
+        assert labeled.trajectory is traj
+        assert labeled.labels.tolist() == [LABEL_STAY, LABEL_STAY]
 
     def test_labels_are_total(self, rng):
         for _ in range(30):
@@ -116,7 +128,7 @@ class TestDenseStayWindows:
                     for b in range(a + 1, q + 1):
                         assert math.hypot(x[a] - x[b], y[a] - y[b]) < PARAMS.delta_s
                 covered[p : q + 1] = True
-            member = dense_stay_membership(traj, PARAMS, ref_lat=0.0)
+            member = brute_dense_member(traj, PARAMS.delta_s, PARAMS.delta_t)
             assert (covered == member).all()
 
     def test_windows_are_maximal(self, rng):
@@ -133,34 +145,22 @@ class TestDenseStayWindows:
 class TestTravelCondition:
     def test_middle_record_with_kilometer_witnesses(self):
         traj = traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0])
-        assert travel_condition(traj, 1, 800.0, 1800.0, ref_lat=0.0)
-        assert travel_condition(traj, 1, 400.0, 1800.0, ref_lat=0.0)
+        assert travel_condition_all(traj, 800.0, 1800.0, ref_lat=0.0)[1]
+        assert travel_condition_all(traj, 400.0, 1800.0, ref_lat=0.0)[1]
 
     def test_endpoints_always_false(self):
         traj = traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0])
-        assert not travel_condition(traj, 0, 800.0, 1800.0, ref_lat=0.0)
-        assert not travel_condition(traj, 2, 800.0, 1800.0, ref_lat=0.0)
-
-    def test_index_out_of_range(self):
-        traj = traj_from_meters([0, 60], [0.0, 10.0])
-        with pytest.raises(IndexError):
-            travel_condition(traj, 2, 800.0, 1800.0, ref_lat=0.0)
+        got = travel_condition_all(traj, 800.0, 1800.0, ref_lat=0.0)
+        assert not got[0]
+        assert not got[2]
 
     def test_agrees_with_literal_scan(self, rng):
         for _ in range(40):
-            traj = random_trajectory(rng, max_len=16)
-            for i in range(len(traj)):
-                got = travel_condition(traj, i, PARAMS.delta_s, PARAMS.delta_t, ref_lat=0.0)
-                want = brute_travel_witness(traj, i, PARAMS.delta_s, PARAMS.delta_t)
-                assert got == want
-
-    def test_vectorized_matches_scalar(self, rng):
-        for _ in range(40):
             traj = random_trajectory(rng, max_len=20)
-            bulk = travel_condition_all(traj, PARAMS.delta_s, PARAMS.delta_t, ref_lat=0.0)
+            got = travel_condition_all(traj, PARAMS.delta_s, PARAMS.delta_t, ref_lat=0.0)
             for i in range(len(traj)):
-                one = travel_condition(traj, i, PARAMS.delta_s, PARAMS.delta_t, ref_lat=0.0)
-                assert bulk[i] == one
+                want = brute_travel_witness(traj, i, PARAMS.delta_s, PARAMS.delta_t)
+                assert got[i] == want
 
 
 class TestCrossChecks:

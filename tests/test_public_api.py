@@ -34,7 +34,6 @@ TYPES = [
     "LabeledTrajectory",
     "MetricsReport",
     "MobilityParams",
-    "OracleLabels",
     "RateOutcome",
     "Trajectory",
     "VotingModel",
