@@ -57,6 +57,7 @@ from .core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
+    planar,
 )
 from .evaluate import (
     ConfusionCounts,
@@ -70,7 +71,7 @@ from .evaluate import (
     sparsity_report,
 )
 from .oracle import ORACLE_LIMIT_DEFAULT, OracleLimitError, exact_label
-from .sds import recall_lower_bounds, sds_label
+from .sds import _joined_codes, recall_lower_bounds
 from .simulate import CtrwConfig, check_supports, resample
 
 EXIT_OK = 0
@@ -581,23 +582,47 @@ def _record_rows(traj: Trajectory) -> list[tuple[int, float, float, str]]:
     )
 
 
-def _sds_text(run: RunConfig, traj: Trajectory) -> str:
-    labeled = sds_label(
-        traj, run.params, ref_lat=run.ref_lat, tail_flush=run.tail_flush
+def _label_texts(run: RunConfig, trajectories: list[Trajectory]) -> str:
+    """The labels CSV rows of consecutive devices, each labeled as by
+    ``sds_label`` alone, joined into as few kernel calls as int64 allows."""
+    xy = [planar(traj, run.ref_lat) for traj in trajectories]
+    codes = _joined_codes(
+        np.concatenate([x for x, _ in xy]),
+        np.concatenate([y for _, y in xy]),
+        np.concatenate([traj.times for traj in trajectories]),
+        [len(traj) for traj in trajectories],
+        run.params,
+        run.tail_flush,
     )
-    return _label_text(traj.device, traj.times, labeled.labels)
+    texts = []
+    first = 0
+    for traj in trajectories:
+        stop = first + len(traj)
+        texts.append(_label_text(traj.device, traj.times, codes[first:stop]))
+        first = stop
+    return "".join(texts)
+
+
+def _chunk_bounds(sizes: list[int], chunks: int) -> list[int]:
+    """Bounds of at most ``chunks`` contiguous, non-empty runs of devices of
+    about equal record counts: with all records cut into ``chunks`` equal
+    parts, each device joins the run of the part that holds its middle."""
+    middles = np.cumsum(sizes) - np.asarray(sizes) / 2
+    cuts = np.searchsorted(middles, sum(sizes) * np.arange(1, chunks) / chunks, "right")
+    return sorted({0, *cuts.tolist(), len(sizes)})
 
 
 def run_label(args: argparse.Namespace, run: RunConfig) -> int:
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    worker = partial(_sds_text, run)
-    if run.workers > 1 and len(trajectories) > 1:
+    bounds = _chunk_bounds([len(traj) for traj in trajectories], run.workers)
+    chunks = [trajectories[a:b] for a, b in zip(bounds, bounds[1:])]
+    if len(chunks) > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(run.workers) as pool:
+        with ctx.Pool(len(chunks)) as pool:
             # ordered map keeps the merge deterministic for any worker count
-            texts = pool.map(worker, trajectories)
+            texts = pool.map(partial(_label_texts, run), chunks)
     else:
-        texts = [worker(t) for t in trajectories]
+        texts = [_label_texts(run, chunk) for chunk in chunks]
     _write_labels(args.out, texts)
     return EXIT_OK
 

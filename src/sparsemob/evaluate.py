@@ -30,7 +30,14 @@ from .core import (
     local_coverage,
     planar,
 )
-from .sds import _block_boxes, _far_after, _far_before, label_kernel, sds_label
+from .sds import (
+    _block_boxes,
+    _far_after,
+    _far_before,
+    _joined_codes,
+    label_kernel,
+    sds_label,
+)
 from .simulate import (
     CtrwConfig,
     check_supports,
@@ -348,20 +355,17 @@ def _trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
     ]
     keep = np.array(draws) < np.array(config.rates)[:, None]
     row, col = np.nonzero(keep)
-    # every subset starts more than delta_t after the one before it ends
-    stride = (int(t[-1] - t[0]) if n else 0) + math.floor(d_t) + 1
-    shifted = t[col] + row * stride
-    stay, travel = label_kernel(x[col], y[col], shifted, d_t, d_s / 3.0, d_s)
+    sizes = keep.sum(axis=1)
+    kept = t[col]
     predicted = np.zeros((rates, n), dtype=np.int64)
-    predicted[row, col] = stay * LABEL_STAY + travel * LABEL_TRAVEL
+    predicted[row, col] = _joined_codes(x[col], y[col], kept, sizes, config.params)
     cell = ((predicted * 2 + truth_travel) * 2 + stay_pool) * 2 + travel_pool
     cell += np.arange(rates)[:, None] * _CELLS
     hist = np.bincount(cell.ravel(), minlength=rates * _CELLS).reshape(rates, _CELLS)
-    sizes = keep.sum(axis=1)
     some = sizes > 0
     ends = np.cumsum(sizes)[some]
     spans = np.zeros(rates, dtype=np.int64)
-    spans[some] = shifted[ends - 1] - shifted[ends - sizes[some]]
+    spans[some] = kept[ends - 1] - kept[ends - sizes[some]]
     return np.column_stack((hist @ _CELL_WEIGHTS, spans, np.maximum(sizes - 1, 0)))
 
 

@@ -7,8 +7,9 @@ geometric guarantee under the bounded-detour assumption that between two
 observations close in time and space the device does not wander far from
 them.
 
-Pipeline (label_kernel): two passes over the whole trajectory, read from
-Python lists (indexing numpy scalars costs several times more per step):
+Pipeline (label_kernel): two passes over the whole trajectory. Record by
+record work reads Python lists (indexing numpy scalars costs several times
+more per step); work over all records at once runs on the numpy arrays.
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
@@ -21,9 +22,11 @@ Python lists (indexing numpy scalars costs several times more per step):
 * Travel pass: a record not flagged Stay is Travel when it has a witness at
   distance >= delta_s on each side, with the two witnesses at most delta_t
   apart. Any fixed-length window covering the record then also covers a
-  witness, so its diameter breaks the stay bound. The witness scans reach
-  only records less than delta_t away in time, so they never cross a gap
-  > delta_t.
+  witness, so its diameter breaks the stay bound. Only witnesses less than
+  delta_t away in time count, so none across a gap > delta_t. The
+  SHORT_REACH nearest records on each side are tested for all records at
+  once, which in sparse data covers nearly all that delta_t reaches; a
+  record that finds no witness there scans on past them, up to delta_t.
 
 Both the stay pass's backward search for an escape and the witness scans
 step over a block of BLOCK consecutive records at once when the farthest
@@ -31,11 +34,13 @@ corner of the block's bounding box is closer than the radius sought: no
 record in it can escape or witness. A second level does the same for a
 superblock of SUPER = BLOCK * BLOCK records, tested only while more than one
 block of the scan range remains, so a short scan pays one integer comparison
-for it. On densely sampled data, where delta_t holds thousands of records,
-a scan over records that stay within the radius then costs about one step
-per superblock instead of one per record. After an escape the stay pass
-rebuilds the window's box from the block boxes of the full blocks inside it
-and the records of its partial ends.
+for it, and once per scan: a superblock whose box reaches the radius is
+walked block by block without testing it again. On densely sampled data,
+where delta_t holds thousands of records, a scan over records that stay
+within the radius then costs about one step per superblock instead of one
+per record. After an escape the stay pass rebuilds the window's box from
+the block boxes of the full blocks inside it and the records of its partial
+ends.
 
 Both passes compare squared planar distances against squared thresholds; ties
 resolve as: distance >= threshold escapes/witnesses, distance < threshold
@@ -43,15 +48,17 @@ keeps a window member.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     LABEL_STAY,
     LABEL_TRAVEL,
-    LABEL_UNLABELED,
     LabeledTrajectory,
     MobilityParams,
     Trajectory,
@@ -64,6 +71,8 @@ AdmitHook = Callable[[int, int], None]
 BLOCK = 16
 #: records per superblock box: BLOCK consecutive blocks
 SUPER = BLOCK * BLOCK
+#: offsets the travel pass tests as whole arrays before it scans
+SHORT_REACH = BLOCK // 2
 
 
 @dataclass(frozen=True)
@@ -109,16 +118,18 @@ def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
     holds no such record, so the scan steps over it whole.
     """
     bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes
+    reached = -1  # the last superblock whose box reaches the radius
     while a >= lo:
         k = a // BLOCK
         first = k * BLOCK
-        if first > lo:
-            s = a // SUPER
+        s = k // BLOCK
+        if first > lo and s != reached:
             dx = sxmax[s] - cx if sxmax[s] - cx > cx - sxmin[s] else cx - sxmin[s]
             dy = symax[s] - cy if symax[s] - cy > cy - symin[s] else cy - symin[s]
             if dx * dx + dy * dy < r2:
                 a = s * SUPER - 1
                 continue
+            reached = s
         dx = bxmax[k] - cx if bxmax[k] - cx > cx - bxmin[k] else cx - bxmin[k]
         dy = bymax[k] - cy if bymax[k] - cy > cy - bymin[k] else cy - bymin[k]
         if dx * dx + dy * dy >= r2:
@@ -135,16 +146,18 @@ def _far_after(xs, ys, boxes, cx, cy, r2, b, hi) -> int:
     """Smallest index in [b, hi) at squared distance >= r2 from (cx, cy), or
     -1; the mirror image of _far_before."""
     bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes
+    reached = -1
     while b < hi:
         k = b // BLOCK
         stop = k * BLOCK + BLOCK
-        if stop < hi:
-            s = b // SUPER
+        s = k // BLOCK
+        if stop < hi and s != reached:
             dx = sxmax[s] - cx if sxmax[s] - cx > cx - sxmin[s] else cx - sxmin[s]
             dy = symax[s] - cy if symax[s] - cy > cy - symin[s] else cy - symin[s]
             if dx * dx + dy * dy < r2:
                 b = s * SUPER + SUPER
                 continue
+            reached = s
         dx = bxmax[k] - cx if bxmax[k] - cx > cx - bxmin[k] else cx - bxmin[k]
         dy = bymax[k] - cy if bymax[k] - cy > cy - bymin[k] else cy - bymin[k]
         if dx * dx + dy * dy >= r2:
@@ -241,6 +254,9 @@ def _stay_pass(
 
 
 def _travel_pass(
+    x: np.ndarray,
+    y: np.ndarray,
+    t: np.ndarray,
     xs: list[float],
     ys: list[float],
     ts: list[int],
@@ -251,32 +267,75 @@ def _travel_pass(
 ) -> np.ndarray:
     """Bilateral-witness travel detection over the whole trajectory.
 
-    Each witness scan covers only records less than delta_t from the cursor:
-    witnesses further away cannot close a window with one on the other side,
-    and a gap > delta_t lies beyond that reach, so no scan crosses one.
+    Only witnesses less than delta_t from the cursor count: one further
+    away cannot close a window with one on the other side, and a gap
+    > delta_t lies beyond that reach. Offsets 1..SHORT_REACH are tested in
+    one whole-array step each, where a witness out of reach fails the test
+    of the two witnesses' time apart. A record that is not Stay and lacks a
+    witness on a side that its reach extends past scans on from offset
+    SHORT_REACH + 1, up to delta_t, so no scan crosses such a gap.
     """
     n = len(ts)
     flags = np.zeros(n, dtype=bool)
     w2 = witness * witness
-    stay = stay_flags.tolist()
-    lo = 0  # first index less than delta_t before the cursor
-    hi = 0  # first index at least delta_t after the cursor
-    for cursor in range(1, n - 1):
-        if stay[cursor]:
-            continue
-        ct = ts[cursor]
-        while ct - ts[lo] >= delta_t:
-            lo += 1
-        cx = xs[cursor]
-        cy = ys[cursor]
-        left = _far_before(xs, ys, boxes, cx, cy, w2, cursor - 1, lo)
-        if left < 0:
-            continue
-        while hi < n and ts[hi] - ct < delta_t:
-            hi += 1
-        right = _far_after(xs, ys, boxes, cx, cy, w2, cursor + 1, hi)
-        if right >= 0 and ts[right] - ts[left] <= delta_t:
-            flags[cursor] = True
+    # time differences d are integers: d < delta_t iff d <= near, and
+    # d <= delta_t iff d <= close (numpy would compare int64 against a float
+    # through float64, which rounds large ones)
+    span = ts[-1] - ts[0]
+    near = math.ceil(delta_t) - 1 if delta_t <= span else span
+    close = math.floor(delta_t) if delta_t <= span else span
+
+    k0 = SHORT_REACH
+    width = n + k0 + 1
+    # hits[k - 1, j]: records j - k and j are at least `witness` apart; row
+    # k0 is all hits, so that a first hit in row k0 means none nearer
+    hits = np.zeros((k0 + 1, width), dtype=bool)
+    hits[k0] = True
+    for k in range(1, min(k0, n - 1) + 1):
+        dx = x[k:] - x[:-k]
+        dy = y[k:] - y[:-k]
+        np.greater_equal(dx * dx + dy * dy, w2, out=hits[k - 1, k:n])
+    # the same hits keyed by the earlier record: row k - 1, column i holds
+    # hits[k - 1, i + k]
+    ahead = as_strided(hits.reshape(-1)[1:], (k0 + 1, n), (width + 1, 1))
+    # the nearest witness on each side within SHORT_REACH records
+    k_left = hits[:, :n].argmax(axis=0) + 1
+    k_right = ahead.argmax(axis=0) + 1
+    has_left = k_left <= k0
+    has_right = k_right <= k0
+    # records i and i + k0 + 1 are less than delta_t apart: a search from
+    # either goes on past SHORT_REACH
+    m = max(n - k0 - 1, 0)
+    reach = t[n - m :] - t[:m] <= near
+    more_left = np.zeros(n, dtype=bool)
+    more_left[n - m :] = reach
+    more_right = np.zeros(n, dtype=bool)
+    more_right[:m] = reach
+    # records that may yet be Travel: a witness on each side, or a reach to
+    # scan for it
+    todo = ~stay_flags & (has_left | more_left) & (has_right | more_right)
+    idx = np.arange(n)
+    left = np.where(has_left, idx - k_left, -1)
+    right = np.where(has_right, idx + k_right, -1)
+    done = todo & has_left & has_right
+    flags[done] = t[right[done]] - t[left[done]] <= close
+
+    rest = np.flatnonzero(todo & ~done)
+    found = []
+    for i, l, r in zip(rest.tolist(), left[rest].tolist(), right[rest].tolist()):
+        cx = xs[i]
+        cy = ys[i]
+        if l < 0:
+            lo = bisect_left(ts, ts[i] - near)
+            l = _far_before(xs, ys, boxes, cx, cy, w2, i - k0 - 1, lo)
+            if l < 0:
+                continue
+        if r < 0:
+            hi = bisect_right(ts, ts[i] + near)
+            r = _far_after(xs, ys, boxes, cx, cy, w2, i + k0 + 1, hi)
+        if r >= 0 and ts[r] - ts[l] <= delta_t:
+            found.append(i)
+    flags[found] = True
     return flags
 
 
@@ -301,10 +360,14 @@ def label_kernel(
     span and so fail the window test. ``on_admit(head, cursor)`` receives
     record indices.
 
+    ``t`` holds strictly increasing int64 seconds; every time test against
+    ``delta_t`` is exact, whatever the magnitudes.
+
     Segments separated by a time gap of more than ``delta_t`` are labeled
     independently: each gets exactly the flags it would get alone, so
     several trajectories can be labeled in one call by joining them with
-    such gaps.
+    such gaps, which pays the per-call set-up of the travel pass's
+    whole-array steps once for all of them.
     """
     if len(t) == 0:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
@@ -313,7 +376,7 @@ def label_kernel(
     stay = _stay_pass(xs, ys, ts, boxes, escape, delta_t, tail_flush, on_admit)
     if witness is None:
         return stay, np.zeros(len(t), dtype=bool)
-    return stay, _travel_pass(xs, ys, ts, boxes, stay, witness, delta_t)
+    return stay, _travel_pass(x, y, t, xs, ys, ts, boxes, stay, witness, delta_t)
 
 
 def sds_label(
@@ -329,14 +392,60 @@ def sds_label(
     any segment too sparse to certify anything) stays Unlabeled.
     """
     x, y = planar(traj, ref_lat)
+    return LabeledTrajectory(traj, _label_codes(x, y, traj.times, params, tail_flush))
+
+
+def _label_codes(x, y, t, params: MobilityParams, tail_flush=True) -> np.ndarray:
+    """Label codes of records in planar coordinates at the labeler's
+    thresholds."""
+    d_s = params.delta_s
     stay, travel = label_kernel(
-        x, y, traj.times, params.delta_t, params.delta_s / 3.0, params.delta_s,
-        tail_flush=tail_flush,
+        x, y, t, params.delta_t, d_s / 3.0, d_s, tail_flush=tail_flush
     )
-    codes = np.full(len(traj), LABEL_UNLABELED, dtype=np.int8)
-    codes[stay] = LABEL_STAY
-    codes[travel] = LABEL_TRAVEL
-    return LabeledTrajectory(traj, codes)
+    return stay * LABEL_STAY + travel * LABEL_TRAVEL
+
+
+def _joined_codes(x, y, t, sizes, params: MobilityParams, tail_flush=True):
+    """Label codes of consecutive trajectories, each as if labeled alone, in
+    as few kernel calls as int64 times allow.
+
+    ``x``, ``y`` and ``t`` hold the trajectories one after another, ``sizes``
+    their lengths. Each trajectory's times are rebased to start
+    ``floor(delta_t) + 1`` s after the previous one ends, and the kernel
+    labels across a gap longer than delta_t as it labels separate
+    trajectories. A trajectory whose joined times would reach 2**63 starts a
+    new call; when the gap itself does not fit, each one is its own call.
+
+    A trajectory with more than SUPER records within delta_t of its first or
+    last record is labeled alone: its scans run past a superblock there, and
+    a superblock box that also holds a neighbour's records would make them
+    walk it block by block.
+    """
+    d_t = params.delta_t
+    gap = math.floor(d_t) + 1 if d_t < 2**63 - 1 else None
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    joined = np.empty_like(t)
+    cuts = []
+    end = None
+    for a, b in zip(bounds, bounds[1:]):
+        if a == b:
+            continue
+        span = int(t[b - 1] - t[a])
+        dense = b - a > SUPER and (
+            t[a + SUPER] - t[a] < d_t or t[b - 1] - t[b - 1 - SUPER] < d_t
+        )
+        if end is not None and not dense and gap is not None and end + gap + span < 2**63:
+            start = end + gap
+        else:
+            start = 0
+            cuts.append(a)
+        joined[a:b] = t[a:b] - t[a] + start
+        end = None if dense else start + span
+    cuts.append(len(t))
+    codes = np.empty(len(t), dtype=np.int64)
+    for a, b in zip(cuts, cuts[1:]):
+        codes[a:b] = _label_codes(x[a:b], y[a:b], joined[a:b], params, tail_flush)
+    return codes
 
 
 def stay_flags_at(

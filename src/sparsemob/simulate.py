@@ -178,7 +178,10 @@ def check_supports(config: CtrwConfig, params: MobilityParams) -> None:
     search in :func:`continuous_labels` is exact), every jump must be at
     least the spatial threshold (so distinct dwell points are separable),
     and jitter must stay under half the spatial threshold (so two reads of
-    one dwell point can never look like an escape at the stay tolerance).
+    one dwell point lie less than the spatial threshold apart and never
+    witness travel against each other). The bound does not keep such reads
+    within the stay tolerance, a third of the spatial threshold, so jitter
+    can still break a stay window.
     """
     problems = []
     if config.wait_min < params.delta_t:

@@ -11,14 +11,20 @@ import pytest
 
 from helpers import (
     minutes,
+    random_trajectory,
     reference_ingest,
     traj_from_meters,
     write_labels_csv as write_labels,
     write_records_csv as write_records,
 )
 import sparsemob
+import sparsemob.cli as cli
+import sparsemob.sds as sds
+from sparsemob.core import MobilityParams, Trajectory
+from sparsemob.sds import sds_label
 from sparsemob.cli import (
     DataError,
+    _chunk_bounds,
     _device_rng,
     _fmt,
     _parse_bool,
@@ -511,6 +517,136 @@ class TestLabelCommand:
         )
         assert (done.returncode, done.stderr) == (0, b"")
         assert out.read_bytes().endswith("caf\u00e9,0,U\n".encode("utf-8"))
+
+
+def labels_alone(path, params, *, ref_lat=None, tail_flush=True) -> bytes:
+    """The labels CSV of a records CSV with each device labeled alone."""
+    out = io.StringIO()
+    out.write("# sparsemob labels v1\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["mid", "time", "label"])
+    for traj in ingest(path, tz_offset=0, strict=True):
+        labeled = sds_label(traj, params, ref_lat=ref_lat, tail_flush=tail_flush)
+        writer.writerows(
+            zip([traj.device] * len(traj), traj.times.tolist(), labeled.letters())
+        )
+    return out.getvalue().encode("utf-8")
+
+
+def mixed_devices(rng, count):
+    """Random devices at latitudes 0 to 60 degrees, every third a single
+    record, all starting at the same time; then a travel on the equator that
+    ``--ref-lat 45`` shrinks below the witness distance, and a dwell that
+    ends the trajectory, so only the tail flush flags it."""
+    out = []
+    for k in range(count):
+        traj = random_trajectory(rng, max_len=1 if k % 3 == 2 else 40)
+        out.append(
+            Trajectory(f"d{k}", traj.times + 10**9, traj.lons, traj.lats + 6.0 * k)
+        )
+    dwell = traj_from_meters(minutes(0, 10, 25, 40, 50), [0.0] * 5, device="dwell")
+    return out + [travel_fixture(), dwell]
+
+
+class TestLabelFile:
+    """A labels file equals every device labeled alone with sds_label, for
+    any batching of devices into kernel calls and worker chunks."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Runs ``main`` and returns the record counts of its labeler calls."""
+
+        def run(argv):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(len(args[2]))
+                return label_codes(*args, **kwargs)
+
+            label_codes = sds._label_codes
+            with monkeypatch.context() as patch:
+                patch.setattr(sds, "_label_codes", counted)
+                assert main(argv) == 0
+            return calls
+
+        return run
+
+    @pytest.mark.parametrize(
+        "flags, params, kw",
+        [
+            ([], MobilityParams(), {}),
+            (["--ref-lat", "45.0"], MobilityParams(), {"ref_lat": 45.0}),
+            (["--tail-flush", "off"], MobilityParams(), {"tail_flush": False}),
+            (["--delta-t", "600.5"], MobilityParams(delta_t=600.5), {}),
+        ],
+    )
+    def test_one_kernel_call_per_file(self, tmp_path, rng, kernel_calls, flags, params, kw):
+        rec = write_records(tmp_path / "r.csv", mixed_devices(rng, 9))
+        out = tmp_path / "lab.csv"
+        calls = kernel_calls(["label", rec, "--out", str(out), *flags])
+        assert out.read_bytes() == labels_alone(rec, params, **kw)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("devices", [0, 9])  # 2 and 11 devices in all
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_worker_chunks(self, tmp_path, rng, devices, workers):
+        rec = write_records(tmp_path / "r.csv", mixed_devices(rng, devices))
+        out = tmp_path / "lab.csv"
+        assert main(["label", rec, "--workers", workers, "--out", str(out)]) == 0
+        assert out.read_bytes() == labels_alone(rec, MobilityParams())
+
+    def test_dense_device_is_labeled_alone(self, tmp_path, kernel_calls):
+        # 300 records at 1 s: more than a superblock within delta_t
+        walk = traj_from_meters(np.arange(300), np.arange(300) * 5.0, device="b")
+        short = [
+            traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0], device=d)
+            for d in "acd"
+        ]
+        rec = write_records(tmp_path / "r.csv", [short[0], walk, *short[1:]])
+        out = tmp_path / "lab.csv"
+        assert kernel_calls(["label", rec, "--out", str(out)]) == [3, 300, 6]
+        assert out.read_bytes() == labels_alone(rec, MobilityParams())
+
+    @pytest.mark.parametrize(
+        "sizes, chunks, bounds",
+        [
+            ([1] * 10, 2, [0, 5, 10]),
+            ([1] * 11, 3, [0, 4, 7, 11]),
+            ([3000, 3000, 1100], 2, [0, 1, 3]),
+            ([100, 1, 1, 1], 2, [0, 1, 4]),
+            ([1, 1, 1, 100], 2, [0, 3, 4]),
+            ([100, 1, 1], 3, [0, 1, 3]),
+            ([5], 3, [0, 1]),
+            ([5, 5], 1, [0, 2]),
+            ([], 2, [0]),
+        ],
+    )
+    def test_chunks_split_records_not_devices(self, sizes, chunks, bounds):
+        assert _chunk_bounds(sizes, chunks) == bounds
+
+    @pytest.mark.parametrize("delta_t", ["inf", "1e300"])
+    def test_gap_too_long_for_int64_labels_each_device_alone(
+        self, tmp_path, rng, kernel_calls, delta_t
+    ):
+        rec = write_records(tmp_path / "r.csv", mixed_devices(rng, 5))
+        out = tmp_path / "lab.csv"
+        calls = kernel_calls(["label", rec, "--delta-t", delta_t, "--out", str(out)])
+        params = MobilityParams(delta_t=float(delta_t))
+        assert out.read_bytes() == labels_alone(rec, params)
+        assert len(calls) == 7
+
+    def test_times_past_int64_start_a_new_kernel_call(self, tmp_path, kernel_calls):
+        # joined after "a", the records of "b" would run past 2**63 - 1
+        a = traj_from_meters([0, 600, 1200, 2**62], [0.0, 1000.0, 2000.0, 0.0], device="a")
+        b = traj_from_meters(
+            [0, 600, 1200, 2**62 - 1], [0.0, 1000.0, 2000.0, 0.0], device="b"
+        )
+        c = traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0], device="c")
+        rec = write_records(tmp_path / "r.csv", [a, b, c])
+        out = tmp_path / "lab.csv"
+        assert kernel_calls(["label", rec, "--out", str(out)]) == [4, 7]
+        assert out.read_bytes() == labels_alone(rec, MobilityParams())
+        assert [r[2] for r in label_lines(out)] == ["U", "T", "U", "U"] * 2 + ["U", "T", "U"]
 
 
 class TestOracleCommand:

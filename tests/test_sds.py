@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     brute_dense_member,
@@ -14,6 +14,7 @@ from helpers import (
     segment_bounds,
     traj_from_meters,
 )
+import sparsemob.sds as sds
 from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory
 from sparsemob.oracle import dense_stay_membership, exact_label, travel_condition_all
 from sparsemob.sds import (
@@ -371,6 +372,99 @@ class TestGapContract:
         ]
         for got, want in zip(whole, zip(*alone)):
             assert got.tolist() == np.concatenate(want).tolist()
+
+
+def scan_travel(x, y, t, stay, witness, delta_t):
+    """Travel flags from the witness scans alone, each starting at offset 1,
+    over a time reach found with Python's exact int/float comparisons."""
+    xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
+    boxes = _block_boxes(x, y)
+    w2 = witness * witness
+    flags = []
+    for i in range(len(ts)):
+        lo = i
+        while lo > 0 and ts[i] - ts[lo - 1] < delta_t:
+            lo -= 1
+        hi = i + 1
+        while hi < len(ts) and ts[hi] - ts[i] < delta_t:
+            hi += 1
+        left = _far_before(xs, ys, boxes, xs[i], ys[i], w2, i - 1, lo)
+        right = _far_after(xs, ys, boxes, xs[i], ys[i], w2, i + 1, hi)
+        flags.append(
+            not stay[i] and left >= 0 and right >= 0 and ts[right] - ts[left] <= delta_t
+        )
+    return flags
+
+
+def kernel_at_reach(reach, *args):
+    """label_kernel with the travel pass's short reach set to ``reach``."""
+    saved = sds.SHORT_REACH
+    sds.SHORT_REACH = reach
+    try:
+        return label_kernel(*args)
+    finally:
+        sds.SHORT_REACH = saved
+
+
+#: a run of records: how many, the gap before each, and the planar step to
+#: each; 1 s runs longer than any short reach tested, gaps of exactly 600 s
+#: and over delta_t, small steps that make stays and large ones that witness
+_run = st.tuples(
+    st.integers(1, 40),
+    st.one_of(
+        st.just(1), st.sampled_from([300, 600, 601, 1801, 5000]), st.integers(1, 700)
+    ),
+    st.one_of(st.floats(-20.0, 20.0), st.floats(-1500.0, 1500.0)),
+    st.one_of(st.floats(-20.0, 20.0), st.floats(-1500.0, 1500.0)),
+)
+
+
+class TestShortReach:
+    """The travel pass's vector sweep over the nearest offsets, then scans
+    past it, against the scans alone."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        runs=st.lists(_run, min_size=1, max_size=8),
+        delta_t=st.sampled_from([600.5, 600.0, 1800.0]),
+        # below the stay escape (800/3) a skipped stay record could have
+        # witnesses
+        witness=st.sampled_from([200.0, 400.0, 800.0]),
+    )
+    # a stay whose middle record has witnesses, which only the skip unflags
+    @example(
+        runs=[(1, 1, 250.0, 0.0), (1, 300, -250.0, 0.0), (1, 300, 250.0, 0.0)],
+        delta_t=600.0,
+        witness=200.0,
+    )
+    def test_any_reach_equals_scans_alone(self, runs, delta_t, witness):
+        gaps, dx, dy = (
+            np.array([run[k] for run in runs for _ in range(run[0])]) for k in (1, 2, 3)
+        )
+        gaps[0] = 0
+        x, y, t = np.cumsum(dx), np.cumsum(dy), np.cumsum(gaps).astype(np.int64)
+        n = len(t)
+        for reach in (0, 1, 2, sds.SHORT_REACH, BLOCK, n + 1):
+            stay, travel = kernel_at_reach(reach, x, y, t, delta_t, 800.0 / 3.0, witness)
+            assert travel.tolist() == scan_travel(x, y, t, stay, witness, delta_t), reach
+
+    @pytest.mark.parametrize("reach", [0, BLOCK])
+    def test_time_tests_are_exact_on_large_integers(self, reach):
+        # int64 differences near 2**60 that float64 would round onto
+        # delta_t: 2**60 - 1 and 2**60 - 2 are within reach, and witnesses
+        # 2**60 + 1 apart do not close a window
+        x = np.array([0.0, 1000.0, 2000.0, 3000.0])
+        y = np.zeros(4)
+        for t, want in (
+            ([0, 2**60 - 1, 2**60], [False, True, False]),
+            ([0, 1, 2**60 - 1, 2**61], [False, True, False, False]),
+            ([0, 2**59 + 1, 2**60 + 1], [False, False, False]),
+        ):
+            n = len(t)
+            _, travel = kernel_at_reach(
+                reach, x[:n], y[:n], np.array(t, dtype=np.int64), 2.0**60, 800.0 / 3.0, 800.0
+            )
+            assert travel.tolist() == want
 
 
 class TestStayFlagsAt:
