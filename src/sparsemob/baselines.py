@@ -245,9 +245,10 @@ class BucketConfig:
     def n_symbols(self) -> int:
         return 1 + (len(self.distance_edges) + 1) * (len(self.gap_edges) + 1)
 
-    def symbol(self, distance: float, gap: float) -> int:
-        d = int(np.searchsorted(self.distance_edges, distance, side="right"))
-        g = int(np.searchsorted(self.gap_edges, gap, side="left"))
+    def symbol(self, distance, gap):
+        """Symbol of an offset, or int64 symbols of arrays of offsets."""
+        d = np.searchsorted(self.distance_edges, distance, side="right")
+        g = np.searchsorted(self.gap_edges, gap, side="left")
         return 1 + d * (len(self.gap_edges) + 1) + g
 
 
@@ -261,10 +262,7 @@ def observations(
         return out
     x, y = planar(traj, ref_lat)
     dist = np.hypot(np.diff(x), np.diff(y))
-    gaps = np.diff(traj.times).astype(np.float64)
-    d = np.searchsorted(buckets.distance_edges, dist, side="right")
-    g = np.searchsorted(buckets.gap_edges, gaps, side="left")
-    out[1:] = 1 + d * (len(buckets.gap_edges) + 1) + g
+    out[1:] = buckets.symbol(dist, np.diff(traj.times).astype(np.float64))
     return out
 
 

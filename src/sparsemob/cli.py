@@ -57,7 +57,6 @@ from .core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
-    planar,
 )
 from .evaluate import (
     ConfusionCounts,
@@ -71,7 +70,7 @@ from .evaluate import (
     sparsity_report,
 )
 from .oracle import ORACLE_LIMIT_DEFAULT, OracleLimitError, exact_label
-from .sds import _joined_codes, recall_lower_bounds
+from .sds import _trajectory_codes, recall_lower_bounds
 from .simulate import CtrwConfig, check_supports, resample
 
 EXIT_OK = 0
@@ -206,18 +205,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             delta_s=pick("delta_s", float, 800.0),
             delta_t=pick("delta_t", float, 1800.0),
         )
-        tail_flush = args.tail_flush
-        if tail_flush is not None:
-            tail_flush = _parse_bool(tail_flush)
-        elif "tail_flush" in cfg:
-            tail_flush = _parse_bool(cfg["tail_flush"])
-        else:
-            tail_flush = True
         return RunConfig(
             params=params,
             seed=pick("seed", int, 0),
             workers=pick("workers", int, 1),
-            tail_flush=tail_flush,
+            tail_flush=pick("tail_flush", _parse_bool, True),
             tz_offset=pick("timezone", _parse_tz, DEFAULT_TZ_OFFSET),
             ref_lat=pick("ref_lat", float, None),
             strict=pick("strict", _parse_bool, False),
@@ -585,14 +577,8 @@ def _record_rows(traj: Trajectory) -> list[tuple[int, float, float, str]]:
 def _label_texts(run: RunConfig, trajectories: list[Trajectory]) -> str:
     """The labels CSV rows of consecutive devices, each labeled as by
     ``sds_label`` alone, joined into as few kernel calls as int64 allows."""
-    xy = [planar(traj, run.ref_lat) for traj in trajectories]
-    codes = _joined_codes(
-        np.concatenate([x for x, _ in xy]),
-        np.concatenate([y for _, y in xy]),
-        np.concatenate([traj.times for traj in trajectories]),
-        [len(traj) for traj in trajectories],
-        run.params,
-        run.tail_flush,
+    codes = _trajectory_codes(
+        trajectories, run.params, ref_lat=run.ref_lat, tail_flush=run.tail_flush
     )
     texts = []
     first = 0
@@ -643,6 +629,12 @@ def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
+    try:
+        # the slicing thresholds obey the rule of delta_t, as in prop1
+        for dt in args.delta_t_grid or ():
+            MobilityParams(run.params.delta_s, dt)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     rows = []
     for traj in trajectories:
@@ -954,8 +946,8 @@ def _build_parser() -> _Parser:
                         help="root seed for all randomness (default 0)")
     shared.add_argument("--workers", type=int, default=None,
                         help="worker processes for per-device parallelism")
-    shared.add_argument("--tail-flush", dest="tail_flush", choices=("on", "off"),
-                        default=None,
+    shared.add_argument("--tail-flush", dest="tail_flush", type=_parse_bool,
+                        default=None, metavar="{on,off}",
                         help="flush a qualifying trailing stay window (default on)")
     shared.add_argument("--timezone", type=_parse_tz, default=None,
                         help="timezone as seconds east of UTC or +HH:MM "

@@ -35,8 +35,8 @@ from .sds import (
     _far_after,
     _far_before,
     _joined_codes,
-    label_kernel,
-    sds_label,
+    _recall_pools,
+    _trajectory_codes,
 )
 from .simulate import (
     CtrwConfig,
@@ -329,21 +329,20 @@ def experiment_trajectory(
 def _trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
     """Per-rate raw counts for one synthetic trajectory.
 
-    The trajectory is projected once and the recall pools take two kernel
-    calls. One more labels every rate's kept subset: the subsets are joined
-    in rate order, each shifted in time more than delta_t past the one
-    before, and the kernel labels across such a gap as it labels separate
-    trajectories. The count fields come from one histogram over (rate,
+    The trajectory is projected once and ``sds._recall_pools`` fixes the
+    recall pools. One more kernel call labels every rate's kept subset: the
+    subsets are joined in rate order, each shifted in time more than delta_t
+    past the one before, and the kernel labels across such a gap as it
+    labels separate trajectories. The count fields come from one histogram over (rate,
     predicted code, truth class, stay pool, travel pool), the gap fields
     from each subset's first and last time.
     """
     path, traj, truth = experiment_trajectory(config, index)
-    d_t, d_s = config.params.delta_t, config.params.delta_s
     x, y = planar(traj, path.origin_lat)
     t = traj.times
-    stay_pool = label_kernel(x, y, t, d_t, d_s, None)[0]
+    stay_pool, travel_pool = _recall_pools(x, y, t, config.params)
     truth_travel = truth == LABEL_TRAVEL
-    travel_pool = label_kernel(x, y, t, d_t, d_s / 3.0, d_s / 2.0)[1] & truth_travel
+    travel_pool &= truth_travel
 
     n = len(t)
     rates = len(config.rates)
@@ -630,7 +629,11 @@ def sparsity_report(
     record_sums = np.zeros(n_bins, dtype=np.int64)
     label_sums = np.zeros((n_bins, 3), dtype=np.int64)  # stay, travel, unlabeled
     coverage_values: dict[float, list[float]] = {dt: [] for dt in delta_t_list}
-    for traj in trajectories:
+    codes = _trajectory_codes(
+        trajectories, params, ref_lat=ref_lat, tail_flush=tail_flush
+    )
+    ends = np.cumsum([len(traj) for traj in trajectories]).tolist()
+    for traj, end in zip(trajectories, ends):
         for dt in delta_t_list:
             if len(traj) >= 1:
                 coverage_values[dt].append(local_coverage(traj, dt))
@@ -641,12 +644,8 @@ def sparsity_report(
         b = min(max(b, 0), n_bins - 1)
         device_counts[b] += 1
         record_sums[b] += len(traj)
-        labels = sds_label(
-            traj, params, ref_lat=ref_lat, tail_flush=tail_flush
-        ).labels
-        label_sums[b, 0] += int((labels == LABEL_STAY).sum())
-        label_sums[b, 1] += int((labels == LABEL_TRAVEL).sum())
-        label_sums[b, 2] += int((labels == LABEL_UNLABELED).sum())
+        mix = np.bincount(codes[end - len(traj) : end], minlength=3)
+        label_sums[b] += mix[[LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED]]
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_records = record_sums / np.where(device_counts, device_counts, np.nan)
         totals = label_sums.sum(axis=1)

@@ -7,9 +7,13 @@ geometric guarantee under the bounded-detour assumption that between two
 observations close in time and space the device does not wander far from
 them.
 
-Pipeline (label_kernel): two passes over the whole trajectory. Record by
-record work reads Python lists (indexing numpy scalars costs several times
-more per step); work over all records at once runs on the numpy arrays.
+Pipeline (label_kernel): two passes over the whole trajectory, each run
+only when it is given its radius (escape=None runs the travel pass alone).
+Record by record work reads Python lists (indexing numpy scalars costs
+several times more per step); work over all records at once runs on the
+numpy arrays. The labeler's radii, delta_s/3 and delta_s, are set in
+_joined_codes, and the recall pools' radii, delta_s and delta_s/2, in
+_recall_pools; every other module labels through these two.
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
@@ -344,7 +348,7 @@ def label_kernel(
     y: np.ndarray,
     t: np.ndarray,
     delta_t: float,
-    escape: float,
+    escape: float | None,
     witness: float | None,
     *,
     tail_flush: bool = True,
@@ -352,13 +356,15 @@ def label_kernel(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stay and travel flags for a whole trajectory in planar coordinates.
 
-    Runs the stay pass at ``escape`` and then, unless ``witness`` is None,
-    the travel pass at ``witness`` skipping the stay flags just computed.
-    With ``witness`` at least ``escape`` the skip never changes a travel
-    flag: a stay window containing the record keeps every member below the
-    witness distance, and witness pairs outside it straddle its >= delta_t
-    span and so fail the window test. ``on_admit(head, cursor)`` receives
-    record indices.
+    Runs the stay pass at ``escape`` and then the travel pass at ``witness``
+    skipping the stay flags just computed; a pass whose radius is None is
+    not run and its flags are all False. With ``witness`` at least
+    ``escape`` the skip never changes a travel flag: a stay window
+    containing the record keeps every member below the witness distance,
+    and witness pairs outside it straddle its >= delta_t span and so fail
+    the window test. So ``escape=None`` gives the travel flags of any
+    ``escape`` up to ``witness``, without the stay pass.
+    ``on_admit(head, cursor)`` receives record indices.
 
     ``t`` holds strictly increasing int64 seconds; every time test against
     ``delta_t`` is exact, whatever the magnitudes.
@@ -369,14 +375,17 @@ def label_kernel(
     such gaps, which pays the per-call set-up of the travel pass's
     whole-array steps once for all of them.
     """
+    stay = np.zeros(len(t), dtype=bool)
+    travel = np.zeros(len(t), dtype=bool)
     if len(t) == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+        return stay, travel
     xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
     boxes = _block_boxes(x, y)
-    stay = _stay_pass(xs, ys, ts, boxes, escape, delta_t, tail_flush, on_admit)
-    if witness is None:
-        return stay, np.zeros(len(t), dtype=bool)
-    return stay, _travel_pass(x, y, t, xs, ys, ts, boxes, stay, witness, delta_t)
+    if escape is not None:
+        stay = _stay_pass(xs, ys, ts, boxes, escape, delta_t, tail_flush, on_admit)
+    if witness is not None:
+        travel = _travel_pass(x, y, t, xs, ys, ts, boxes, stay, witness, delta_t)
+    return stay, travel
 
 
 def sds_label(
@@ -391,23 +400,30 @@ def sds_label(
     Deterministic: equal inputs give bitwise-equal labels. A single record (or
     any segment too sparse to certify anything) stays Unlabeled.
     """
-    x, y = planar(traj, ref_lat)
-    return LabeledTrajectory(traj, _label_codes(x, y, traj.times, params, tail_flush))
+    codes = _trajectory_codes([traj], params, ref_lat=ref_lat, tail_flush=tail_flush)
+    return LabeledTrajectory(traj, codes)
 
 
-def _label_codes(x, y, t, params: MobilityParams, tail_flush=True) -> np.ndarray:
-    """Label codes of records in planar coordinates at the labeler's
-    thresholds."""
-    d_s = params.delta_s
-    stay, travel = label_kernel(
-        x, y, t, params.delta_t, d_s / 3.0, d_s, tail_flush=tail_flush
+def _trajectory_codes(trajectories, params, *, ref_lat=None, tail_flush=True):
+    """int8 label codes of the trajectories' records, one trajectory after
+    another, each as ``sds_label`` gives it alone."""
+    xy = [planar(traj, ref_lat) for traj in trajectories]
+    return _joined_codes(
+        np.concatenate([x for x, _ in xy]),
+        np.concatenate([y for _, y in xy]),
+        np.concatenate([traj.times for traj in trajectories]),
+        [len(traj) for traj in trajectories],
+        params,
+        tail_flush,
     )
-    return stay * LABEL_STAY + travel * LABEL_TRAVEL
 
 
 def _joined_codes(x, y, t, sizes, params: MobilityParams, tail_flush=True):
-    """Label codes of consecutive trajectories, each as if labeled alone, in
-    as few kernel calls as int64 times allow.
+    """int8 label codes of consecutive trajectories in planar coordinates,
+    each as if labeled alone, in as few kernel calls as int64 times allow.
+
+    The labeler's radii: the stay pass escapes at delta_s/3 and travel
+    witnesses lie at delta_s or more.
 
     ``x``, ``y`` and ``t`` hold the trajectories one after another, ``sizes``
     their lengths. Each trajectory's times are rebased to start
@@ -421,7 +437,7 @@ def _joined_codes(x, y, t, sizes, params: MobilityParams, tail_flush=True):
     a superblock box that also holds a neighbour's records would make them
     walk it block by block.
     """
-    d_t = params.delta_t
+    d_s, d_t = params.delta_s, params.delta_t
     gap = math.floor(d_t) + 1 if d_t < 2**63 - 1 else None
     bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
     joined = np.empty_like(t)
@@ -442,51 +458,24 @@ def _joined_codes(x, y, t, sizes, params: MobilityParams, tail_flush=True):
         joined[a:b] = t[a:b] - t[a] + start
         end = None if dense else start + span
     cuts.append(len(t))
-    codes = np.empty(len(t), dtype=np.int64)
+    codes = np.empty(len(t), dtype=np.int8)
     for a, b in zip(cuts, cuts[1:]):
-        codes[a:b] = _label_codes(x[a:b], y[a:b], joined[a:b], params, tail_flush)
+        stay, travel = label_kernel(
+            x[a:b], y[a:b], joined[a:b], d_t, d_s / 3.0, d_s, tail_flush=tail_flush
+        )
+        codes[a:b] = stay * LABEL_STAY + travel * LABEL_TRAVEL
     return codes
 
 
-def stay_flags_at(
-    traj: Trajectory,
-    params: MobilityParams,
-    spatial: float,
-    *,
-    ref_lat: float | None = None,
-    tail_flush: bool = True,
-) -> np.ndarray:
-    """Whole-trajectory stay flags with the stay pass run at ``spatial``.
-
-    With the tail flush on, this is exactly the set of records contained in
-    some window of consecutive records with pairwise distances < ``spatial``,
-    span >= delta_t, and internal gaps <= delta_t (the discrete dense-stay
-    membership), which is what the recall accounting counts.
-    """
-    x, y = planar(traj, ref_lat)
-    return label_kernel(
-        x, y, traj.times, params.delta_t, spatial, None, tail_flush=tail_flush
-    )[0]
-
-
-def travel_flags_at(
-    traj: Trajectory,
-    params: MobilityParams,
-    witness: float,
-    *,
-    ref_lat: float | None = None,
-    tail_flush: bool = True,
-) -> np.ndarray:
-    """Whole-trajectory travel flags with the travel pass run at ``witness``.
-
-    The stay skip uses the standard delta_s/3 stay flags, which for witness
-    thresholds >= delta_s/3 never changes the outcome (see label_kernel).
-    """
-    x, y = planar(traj, ref_lat)
-    return label_kernel(
-        x, y, traj.times, params.delta_t, params.delta_s / 3.0, witness,
-        tail_flush=tail_flush,
-    )[1]
+def _recall_pools(x, y, t, params: MobilityParams) -> tuple[np.ndarray, np.ndarray]:
+    """The records any labeler of this trajectory alone could flag, in
+    planar coordinates: dense-window members at delta_s (with the tail
+    flush always on, so the final window counts), and records with
+    bilateral witnesses at delta_s/2, from the travel pass alone."""
+    d_s, d_t = params.delta_s, params.delta_t
+    stay = label_kernel(x, y, t, d_t, d_s, None)[0]
+    travel = label_kernel(x, y, t, d_t, None, d_s / 2.0)[1]
+    return stay, travel
 
 
 def recall_lower_bounds(
@@ -498,22 +487,19 @@ def recall_lower_bounds(
 ) -> RecallBounds:
     """Lower-bound the recall achievable from this trajectory alone.
 
-    Stay: records certified at the conservative escape distance delta_s/3,
-    over records that are dense-window members at delta_s (no labeler relying
-    only on this trajectory can do better than the latter set, which is why
-    its pass always flushes the final window). Travel: records with bilateral
-    witnesses at delta_s, over records with witnesses at delta_s/2 (the
-    corresponding outer bound). Empty denominators yield a vacuous bound of
-    1.0.
+    Stay: the labeler's stays over the dense-window members at delta_s (no
+    labeler relying only on this trajectory can do better than the latter
+    set). Travel: the labeler's travels over records with witnesses at
+    delta_s/2 (the corresponding outer bound). See ``_recall_pools``. Empty
+    denominators yield a vacuous bound of 1.0.
     """
     x, y = planar(traj, ref_lat)
-    d_s, d_t = params.delta_s, params.delta_t
-    certified_stay, witnessed_half = label_kernel(
-        x, y, traj.times, d_t, d_s / 3.0, d_s / 2.0, tail_flush=tail_flush
-    )
-    dense_stay, certified_travel = label_kernel(x, y, traj.times, d_t, d_s, d_s)
-    s_num, s_den = int(certified_stay.sum()), int(dense_stay.sum())
-    t_num, t_den = int(certified_travel.sum()), int(witnessed_half.sum())
+    t = traj.times
+    codes = _joined_codes(x, y, t, [len(t)], params, tail_flush)
+    dense_stay, witnessed_half = _recall_pools(x, y, t, params)
+    s_num = int((codes == LABEL_STAY).sum())
+    t_num = int((codes == LABEL_TRAVEL).sum())
+    s_den, t_den = int(dense_stay.sum()), int(witnessed_half.sum())
     stay_bound = 1.0 if s_den == 0 else s_num / s_den
     travel_bound = 1.0 if t_den == 0 else t_num / t_den
     return RecallBounds(stay_bound=stay_bound, travel_bound=travel_bound)

@@ -28,7 +28,7 @@ from sparsemob.evaluate import (
     experiment_trajectory,
 )
 from sparsemob.oracle import dense_stay_windows
-from sparsemob.sds import sds_label, stay_flags_at, travel_flags_at
+from sparsemob.sds import label_kernel, sds_label
 from sparsemob.simulate import resample
 
 
@@ -163,6 +163,28 @@ def planar_distance(a, b, ref_lat: float) -> float:
         dlon += 360.0
     dx = dlon * k * math.cos(math.radians(ref_lat))
     return math.hypot(dx, dy)
+
+
+def stay_flags_at(traj, params, spatial, *, ref_lat=None, tail_flush=True):
+    """Stay flags of ``label_kernel``'s stay pass at ``spatial``: with the
+    tail flush on, the records of some window of consecutive records with
+    pairwise distances < ``spatial``, span >= delta_t and internal gaps
+    <= delta_t (the discrete dense-stay membership)."""
+    x, y = planar(traj, ref_lat)
+    return label_kernel(
+        x, y, traj.times, params.delta_t, spatial, None, tail_flush=tail_flush
+    )[0]
+
+
+def travel_flags_at(traj, params, witness, *, ref_lat=None, tail_flush=True):
+    """Travel flags of ``label_kernel``'s travel pass at ``witness``, which
+    skips the stay flags at the labeler's escape, delta_s/3: for witness
+    radii of at least that, the skip changes no flag."""
+    x, y = planar(traj, ref_lat)
+    return label_kernel(
+        x, y, traj.times, params.delta_t, params.delta_s / 3.0, witness,
+        tail_flush=tail_flush,
+    )[1]
 
 
 def segment_bounds(times: np.ndarray, delta_t: float) -> list[tuple[int, int]]:

@@ -20,7 +20,14 @@ from helpers import (
 import sparsemob
 import sparsemob.cli as cli
 import sparsemob.sds as sds
-from sparsemob.core import MobilityParams, Trajectory
+from sparsemob.core import (
+    LABEL_STAY,
+    LABEL_TRAVEL,
+    LABEL_UNLABELED,
+    MobilityParams,
+    Trajectory,
+    global_sparsity,
+)
 from sparsemob.sds import sds_label
 from sparsemob.cli import (
     DataError,
@@ -561,11 +568,11 @@ class TestLabelFile:
 
             def counted(*args, **kwargs):
                 calls.append(len(args[2]))
-                return label_codes(*args, **kwargs)
+                return kernel(*args, **kwargs)
 
-            label_codes = sds._label_codes
+            kernel = sds.label_kernel
             with monkeypatch.context() as patch:
-                patch.setattr(sds, "_label_codes", counted)
+                patch.setattr(sds, "label_kernel", counted)
                 assert main(argv) == 0
             return calls
 
@@ -705,6 +712,21 @@ class TestConfigFile:
         assert (
             main(["label", rec, "--delta-s", "-5", "--out", str(tmp_path / "o")]) == 1
         )
+
+    def test_tail_flush_parses_like_every_key(self, tmp_path, capsys):
+        # a bad file value is a data error naming its key; a bad flag value
+        # stays a usage error
+        rec = write_records(tmp_path / "r.csv", [stay_fixture()])
+        cfg = tmp_path / "run.cfg"
+        out = str(tmp_path / "o")
+        cfg.write_text("tail_flush = maybe\n")
+        assert main(["label", rec, "--config", str(cfg), "--out", out]) == 2
+        assert "config key tail_flush: expected on/off" in capsys.readouterr().err
+        assert main(["label", rec, "--tail-flush", "maybe", "--out", out]) == 1
+        cfg.write_text("tail_flush = off\n")
+        assert main(["label", rec, "--config", str(cfg), "--out", out]) == 0
+        assert main(["label", rec, "--config", str(cfg), "--tail-flush", "on",
+                     "--out", out]) == 0
 
 
 class TestExitCodes:
@@ -1126,6 +1148,46 @@ class TestStatsCommand:
             )
             mix[flush] = (row["stay_fraction"], row["unlabeled_fraction"])
         assert mix == {"on": ("1.0", "0.0"), "off": ("0.0", "1.0")}
+
+    @pytest.mark.parametrize("flush", ["on", "off"])
+    def test_label_mix_equals_devices_labeled_alone(self, tmp_path, rng, flush):
+        # single records, devices the gap contract joins, and one with more
+        # than a superblock of records within delta_t, which is labeled alone
+        dense = traj_from_meters(np.arange(300), np.arange(300) * 5.0, device="z")
+        rec = write_records(tmp_path / "r.csv", mixed_devices(rng, 9) + [dense])
+        sp = tmp_path / "sparsity.csv"
+        argv = ["stats", rec, "--out", str(tmp_path / "s.csv"),
+                "--tail-flush", flush, "--sparsity-out", str(sp)]
+        assert main(argv) == 0
+        lines = [l for l in sp.read_text().splitlines() if not l.startswith("#")]
+        rows = [r for r in csv.DictReader(lines) if r["table"] == "gap_bin"]
+        counts = [np.zeros(3, dtype=np.int64) for _ in rows]
+        for traj in ingest(rec, tz_offset=0, strict=True):
+            if len(traj) < 2:
+                continue  # no mean gap, so in no gap bin
+            xi = global_sparsity(traj)
+            b = next(k for k, r in enumerate(rows) if float(r["lo"]) <= xi < float(r["hi"]))
+            labels = sds_label(traj, MobilityParams(), tail_flush=flush == "on").labels
+            for k, code in enumerate((LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED)):
+                counts[b][k] += (labels == code).sum()
+        got = [
+            (r["stay_fraction"], r["travel_fraction"], r["unlabeled_fraction"])
+            for r in rows
+        ]
+        want = [
+            tuple(repr(int(c) / int(n.sum())) for c in n) if n.sum() else ("NA",) * 3
+            for n in counts
+        ]
+        assert got == want
+        assert sum(n.sum() > 0 for n in counts) >= 2
+
+    @pytest.mark.parametrize("grid", ["-5,nan", "300,0", "nan"])
+    def test_bad_slicing_threshold_is_usage_error(self, tmp_path, capsys, grid):
+        rec = write_records(tmp_path / "r.csv", [stay_fixture()])
+        argv = ["stats", rec, "--out", str(tmp_path / "s.csv"),
+                "--sparsity-out", str(tmp_path / "sp.csv"), f"--delta-t-grid={grid}"]
+        assert main(argv) == 1
+        assert "delta_t must be positive" in capsys.readouterr().err
 
 
 class TestBaselineCommand:

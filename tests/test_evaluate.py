@@ -8,7 +8,9 @@ from helpers import (
     random_trajectory,
     reference_local_consistency_check,
     reference_trajectory_counts,
+    stay_flags_at,
     traj_from_meters,
+    travel_flags_at,
 )
 from sparsemob.core import (
     LABEL_STAY,
@@ -33,12 +35,7 @@ from sparsemob.evaluate import (
     resampling_experiment,
     sparsity_report,
 )
-from sparsemob.sds import (
-    recall_lower_bounds,
-    sds_label,
-    stay_flags_at,
-    travel_flags_at,
-)
+from sparsemob.sds import recall_lower_bounds, sds_label
 from sparsemob.simulate import CtrwConfig, resample
 
 PARAMS = MobilityParams(delta_s=800.0, delta_t=1800.0)

@@ -12,7 +12,9 @@ from helpers import (
     minutes,
     random_trajectory,
     segment_bounds,
+    stay_flags_at,
     traj_from_meters,
+    travel_flags_at,
 )
 import sparsemob.sds as sds
 from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory
@@ -28,8 +30,6 @@ from sparsemob.sds import (
     label_kernel,
     recall_lower_bounds,
     sds_label,
-    stay_flags_at,
-    travel_flags_at,
 )
 
 PARAMS = MobilityParams(delta_s=800.0, delta_t=1800.0)
@@ -419,6 +419,15 @@ _run = st.tuples(
 )
 
 
+def run_arrays(runs):
+    """Planar x, y and int64 times of a list of ``_run`` draws."""
+    gaps, dx, dy = (
+        np.array([run[k] for run in runs for _ in range(run[0])]) for k in (1, 2, 3)
+    )
+    gaps[0] = 0
+    return np.cumsum(dx), np.cumsum(dy), np.cumsum(gaps).astype(np.int64)
+
+
 class TestShortReach:
     """The travel pass's vector sweep over the nearest offsets, then scans
     past it, against the scans alone."""
@@ -438,11 +447,7 @@ class TestShortReach:
         witness=200.0,
     )
     def test_any_reach_equals_scans_alone(self, runs, delta_t, witness):
-        gaps, dx, dy = (
-            np.array([run[k] for run in runs for _ in range(run[0])]) for k in (1, 2, 3)
-        )
-        gaps[0] = 0
-        x, y, t = np.cumsum(dx), np.cumsum(dy), np.cumsum(gaps).astype(np.int64)
+        x, y, t = run_arrays(runs)
         n = len(t)
         for reach in (0, 1, 2, sds.SHORT_REACH, BLOCK, n + 1):
             stay, travel = kernel_at_reach(reach, x, y, t, delta_t, 800.0 / 3.0, witness)
@@ -465,6 +470,32 @@ class TestShortReach:
                 reach, x[:n], y[:n], np.array(t, dtype=np.int64), 2.0**60, 800.0 / 3.0, 800.0
             )
             assert travel.tolist() == want
+
+
+class TestStaySkip:
+    """The travel pass's skip of stay records, against the travel pass alone
+    (escape=None), which the recall pools run."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        runs=st.lists(_run, min_size=1, max_size=8),
+        delta_t=st.sampled_from([600.5, 600.0, 1800.0]),
+        witness=st.sampled_from([200.0, 400.0, 800.0]),
+        tail_flush=st.booleans(),
+    )
+    def test_skip_at_escape_up_to_witness_changes_no_flag(
+        self, runs, delta_t, witness, tail_flush
+    ):
+        x, y, t = run_arrays(runs)
+        stay, alone = label_kernel(x, y, t, delta_t, None, witness, tail_flush=tail_flush)
+        assert not stay.any()
+        for escape in (witness / 3.0, witness / 2.0, 800.0 / 3.0, witness):
+            if escape > witness:
+                continue
+            _, travel = label_kernel(
+                x, y, t, delta_t, escape, witness, tail_flush=tail_flush
+            )
+            assert travel.tolist() == alone.tolist(), escape
 
 
 class TestStayFlagsAt:
