@@ -12,16 +12,14 @@ label every record of a query trajectory (they never abstain).
   bucket x time-gap bucket) as the observation symbol and decodes the
   stay/travel state sequence with Viterbi in log space.
 
-Model files serialize to commented CSV so they can be inspected and reused;
-see :meth:`VotingModel.save` / :meth:`HmmModel.save` for the row layout.
+This module does no I/O: ``sparsemob.cli`` reads and writes model files,
+with every other file layout.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -109,6 +107,10 @@ class VotingModel:
     tz_offset: int = DEFAULT_TZ_OFFSET
     counts: dict[SpatioTemporalBin, tuple[int, int]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.week_start not in _WEEK_ANCHOR:
+            raise ValueError(f"week_start must be one of {sorted(_WEEK_ANCHOR)}")
+
     def add(self, bin_: SpatioTemporalBin, label: int) -> None:
         stay, travel = self.counts.get(bin_, (0, 0))
         if label == LABEL_STAY:
@@ -146,47 +148,6 @@ class VotingModel:
                 float(traj.lons[i]), float(traj.lats[i]), int(traj.times[i])
             )
         return out
-
-    def save(self, path: str | Path) -> None:
-        """Commented CSV: version and binning config up top, then one row
-        per bin sorted by key for byte-stable output."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("# sparsemob voting v1\n")
-            fh.write(f"# seed {self.seed}\n")
-            fh.write(f"# week_start {self.week_start}\n")
-            fh.write(f"# tz_offset {self.tz_offset}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["grid_lon", "grid_lat", "hour", "stay", "travel"])
-            for bin_ in sorted(
-                self.counts, key=lambda b: (b.grid_lon, b.grid_lat, b.hour)
-            ):
-                stay, travel = self.counts[bin_]
-                writer.writerow([bin_.grid_lon, bin_.grid_lat, bin_.hour, stay, travel])
-
-    @classmethod
-    def load(cls, path: str | Path) -> "VotingModel":
-        meta: dict[str, str] = {}
-        rows: list[list[str]] = []
-        with Path(path).open(encoding="utf-8", newline="") as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if len(parts) == 2:
-                        meta[parts[0]] = parts[1]
-                    continue
-                rows.extend(csv.reader([line]))
-        if not rows or rows[0] != ["grid_lon", "grid_lat", "hour", "stay", "travel"]:
-            raise ValueError(f"{path}: not a voting model file")
-        model = cls(
-            seed=int(meta.get("seed", "0")),
-            week_start=meta.get("week_start", "monday"),
-            tz_offset=int(meta.get("tz_offset", str(DEFAULT_TZ_OFFSET))),
-        )
-        for glon, glat, hour, stay, travel in rows[1:]:
-            bin_ = SpatioTemporalBin(int(glon), int(glat), int(hour))
-            model.counts[bin_] = (int(stay), int(travel))
-        return model
 
 
 def voting_train(
@@ -302,57 +263,6 @@ class HmmModel:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def save(self, path: str | Path) -> None:
-        """Commented CSV, one probability or bucket edge per row."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("# sparsemob hmm v1\n")
-            fh.write("# states: 0=stay 1=travel\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["table", "row", "col", "value"])
-            for i, e in enumerate(self.buckets.distance_edges):
-                writer.writerow(["distance_edge", 0, i, repr(float(e))])
-            for i, e in enumerate(self.buckets.gap_edges):
-                writer.writerow(["gap_edge", 0, i, repr(float(e))])
-            for s in range(2):
-                writer.writerow(["initial", s, 0, repr(float(self.initial[s]))])
-            for s in range(2):
-                for j in range(2):
-                    writer.writerow(
-                        ["transition", s, j, repr(float(self.transition[s, j]))]
-                    )
-            for s in range(2):
-                for k in range(self.emission.shape[1]):
-                    writer.writerow(
-                        ["emission", s, k, repr(float(self.emission[s, k]))]
-                    )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "HmmModel":
-        groups: dict[str, list[tuple[int, int, float]]] = {}
-        with Path(path).open(encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        if not rows or rows[0] != ["table", "row", "col", "value"]:
-            raise ValueError(f"{path}: not an hmm model file")
-        for table, row, col, value in rows[1:]:
-            groups.setdefault(table, []).append((int(row), int(col), float(value)))
-        buckets = BucketConfig(
-            distance_edges=tuple(v for _, _, v in sorted(groups["distance_edge"])),
-            gap_edges=tuple(v for _, _, v in sorted(groups["gap_edge"])),
-        )
-        initial = np.zeros(2)
-        for s, _, v in groups["initial"]:
-            initial[s] = v
-        transition = np.zeros((2, 2))
-        for s, j, v in groups["transition"]:
-            transition[s, j] = v
-        emission = np.zeros((2, buckets.n_symbols))
-        for s, k, v in groups["emission"]:
-            emission[s, k] = v
-        return cls(
-            initial=initial, transition=transition, emission=emission, buckets=buckets
-        )
 
 
 def hmm_train(

@@ -23,7 +23,10 @@ shared by every command:
 * Exit codes: 0 success, 1 usage error, 2 data error.
 * A config file of key=value lines can supply any shared flag (keys
   delta_s, delta_t, seed, workers, tail_flush, timezone, ref_lat, strict);
-  explicit flags win over the file.
+  explicit flags win over the file. An unknown key, like a bad value, is a
+  data error.
+* Model files are CSV files like any other; this module holds every file
+  layout the package reads or writes.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone as _tz
 from functools import partial
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .baselines import (
     BucketConfig,
     DEFAULT_TZ_OFFSET,
     HmmModel,
+    SpatioTemporalBin,
     VotingModel,
     hmm_predict,
     hmm_train,
@@ -141,6 +144,19 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _flag_type(parse):
+    """``parse`` as an argparse type: a bad flag value is reported with the
+    parser's own message, as a bad config value is."""
+
+    def parse_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_flag
+
+
 def _parse_time_text(text: str, tz_offset: int) -> int:
     t = text.strip()
     try:
@@ -167,22 +183,25 @@ def _parse_time_text(text: str, tz_offset: int) -> int:
     return int(dt.replace(tzinfo=_tz.utc).timestamp()) - tz_offset
 
 
+#: the keys a config file may set, one per shared flag
+_CONFIG_KEYS = (
+    "delta_s", "delta_t", "seed", "workers", "tail_flush", "timezone", "ref_lat",
+    "strict",
+)
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"config file {path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = value
     return out
 
 
@@ -234,47 +253,68 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_rows(rows) -> list[list[str]]:
-    """Cells of rows that may hold None, NaN or numpy scalars."""
-    return [[_fmt(v) for v in row] for row in rows]
+def _table_text(rows) -> str:
+    """Rows as CSV text, every cell formatted by ``_fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
-def _write_csv(path: str, kind: str, header: list[str], rows) -> None:
-    """Write rows whose cells are str, Python int or finite Python float,
-    which ``csv`` writes as ``_fmt`` would; other rows go through
-    ``_fmt_rows`` first."""
+def _write_csv(path: str, kind: str, header, texts, notes=()) -> None:
+    """Write a CSV: its version line, one ``# note`` line per note, the
+    header, then ``texts``, the body's rows as text (``_table_text``,
+    ``_label_text``, ``_record_text``), in order."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# sparsemob {kind} v1\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.writelines(f"# {note}\n" for note in notes)
+            fh.write(",".join(header) + "\n")
+            fh.writelines(texts)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # less the comma and line end
 
 
 #: the end of a labels CSV row, indexed by label code
 _LABEL_TAILS = tuple(f",{letter}\n" for letter in _LETTERS)
 
+_LABEL_HEADER = ("mid", "time", "label")
+_RECORD_HEADER = ("time", "lon", "lat", "mid")
+
 
 def _label_text(device: str, times: np.ndarray, codes: np.ndarray) -> str:
     """One device's rows of a labels CSV, as ``csv.writer`` would write them:
     the device cell is formatted once, each time with ``str``."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([device, ""])
-    prefix = buf.getvalue()[:-1]  # the cell and its comma
+    prefix = _csv_cell(device) + ","
     tails = [_LABEL_TAILS[c] for c in codes.tolist()]
     return "".join([prefix + str(t) + tail for t, tail in zip(times.tolist(), tails)])
 
 
-def _write_labels(path: str, texts) -> None:
-    """Write a labels CSV from each device's ``_label_text``, in order."""
+def _record_text(traj: Trajectory) -> str:
+    """One device's rows of a records CSV, as ``csv.writer`` would write them:
+    the device cell is formatted once; coordinates are finite, so ``repr``
+    writes them as ``_fmt`` would."""
+    tail = f",{_csv_cell(traj.device)}\n"
+    rows = zip(traj.times.tolist(), traj.lons.tolist(), traj.lats.tolist())
+    return "".join([f"{t},{lon!r},{lat!r}{tail}" for t, lon, lat in rows])
+
+
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, its line ends as written."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# sparsemob labels v1\nmid,time,label\n")
-            fh.writelines(texts)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _numbered_rows(path: str, text: str) -> tuple[list[list[str]], list[int]]:
@@ -299,7 +339,8 @@ def _is_comment(row: list[str]) -> bool:
 
 def _read_table(path: str, required: tuple[str, ...]):
     """The index of each required column of a commented UTF-8 CSV, its data
-    rows, and the file line each of those rows starts on.
+    rows, the file line each of those rows starts on, and the comment rows
+    above its header.
 
     The file is read once and tokenized by one ``csv`` pass. When that pass
     reads one line per row, row ``k`` starts on line ``k + 1``; only when a
@@ -307,13 +348,7 @@ def _read_table(path: str, required: tuple[str, ...]):
     row, to count the lines. Blank rows and rows whose first cell starts
     with ``#`` are comments.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    text = _read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         table = list(reader)
@@ -341,7 +376,7 @@ def _read_table(path: str, required: tuple[str, ...]):
     if not clean:
         keep = [k for k, row in enumerate(rows) if not _is_comment(row)]
         rows, lines = [rows[k] for k in keep], [lines[k] for k in keep]
-    return index, rows, lines
+    return index, rows, lines, table[:head]
 
 
 #: bad rows listed one per line, in the strict error or as warnings
@@ -486,7 +521,7 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
     an unreadable coordinate or a short row is parsed row by row; so are the
     rows that the columnar range checks reject, to word their diagnostics.
     """
-    index, rows, lines = _read_table(path, ("time", "lon", "lat", "mid"))
+    index, rows, lines, _ = _read_table(path, _RECORD_HEADER)
     issues: list[str] = []
     keys, lines, devices, times, lons, lats = _record_columns(
         path, index, rows, lines, tz_offset, issues
@@ -518,7 +553,7 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
 
 def _read_labels(path: str) -> dict[tuple[str, int], int]:
     """Label codes keyed by (mid, time), in file order."""
-    index, rows, lines = _read_table(path, ("mid", "time", "label"))
+    index, rows, lines, _ = _read_table(path, _LABEL_HEADER)
     out: dict[tuple[str, int], int] = {}
     for lineno, row in zip(lines, rows):
         try:
@@ -534,6 +569,86 @@ def _read_labels(path: str) -> dict[tuple[str, int], int]:
             raise DataError(f"{path}:{lineno}: duplicate label for ({mid!r}, {t})")
         out[mid, t] = code
     return out
+
+
+#: each model file's columns, with the parser of each column's cells
+_MODEL_COLUMNS = {
+    "voting": dict.fromkeys(("grid_lon", "grid_lat", "hour", "stay", "travel"), int),
+    "hmm": {"table": str.strip, "row": int, "col": int, "value": float},
+}
+
+
+def _save_model(model: VotingModel | HmmModel, path: str) -> None:
+    """Write a model file. A voting model keeps its settings in notes and
+    has one row per bin, in bin order; an HMM has one (table, row, col,
+    value) row per bucket edge and per probability."""
+    if isinstance(model, VotingModel):
+        kind = "voting"
+        notes = [f"seed {model.seed}", f"week_start {model.week_start}",
+                 f"tz_offset {model.tz_offset}"]
+        rows = sorted((b.grid_lon, b.grid_lat, b.hour, *votes)
+                      for b, votes in model.counts.items())
+    else:
+        kind, notes = "hmm", ["states: 0=stay 1=travel"]
+        tables = (
+            ("distance_edge", [model.buckets.distance_edges]),
+            ("gap_edge", [model.buckets.gap_edges]),
+            ("initial", model.initial[:, None]),
+            ("transition", model.transition),
+            ("emission", model.emission),
+        )
+        rows = [
+            (name, i, j, float(value))
+            for name, table in tables
+            for (i, j), value in np.ndenumerate(np.asarray(table, dtype=np.float64))
+        ]
+    _write_csv(path, kind, list(_MODEL_COLUMNS[kind]), [_table_text(rows)], notes)
+
+
+def _load_model(method: str, path: str) -> VotingModel | HmmModel:
+    """Read a model file of ``method`` ("voting" or "hmm")."""
+    columns = _MODEL_COLUMNS[method]
+    index, rows, lines, notes = _read_table(path, tuple(columns))
+    values = []
+    for lineno, row in zip(lines, rows):
+        try:
+            cells = [parse(row[index[name]]) for name, parse in columns.items()]
+            if method == "voting":
+                glon, glat, hour, stay, travel = cells
+                cells = [SpatioTemporalBin(glon, glat, hour), (stay, travel)]
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        values.append(cells)
+    try:
+        if method == "voting":
+            meta = {}  # from "# key value" comments above the header
+            for note in notes:
+                parts = ",".join(note).lstrip().removeprefix("#").split()
+                if len(parts) == 2:
+                    meta[parts[0]] = parts[1]
+            return VotingModel(
+                seed=int(meta.get("seed", 0)),
+                week_start=meta.get("week_start", "monday"),
+                tz_offset=int(meta.get("tz_offset", DEFAULT_TZ_OFFSET)),
+                counts=dict(values),
+            )
+        tables: dict[str, dict[tuple[int, int], float]] = {}
+        for name, i, j, value in values:
+            tables.setdefault(name, {})[i, j] = value
+        buckets = BucketConfig(*(
+            tuple(v for _, v in sorted(tables.get(name, {}).items()))
+            for name in ("distance_edge", "gap_edge")
+        ))
+        arrays = []
+        for name, shape in (("initial", (2, 1)), ("transition", (2, 2)),
+                            ("emission", (2, buckets.n_symbols))):
+            arrays.append(np.zeros(shape))
+            for cell, value in tables.get(name, {}).items():
+                arrays[-1][cell] = value
+        initial, transition, emission = arrays
+        return HmmModel(initial[:, 0], transition, emission, buckets)
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _aligned_labels(
@@ -559,19 +674,6 @@ def _device_rng(seed: int, device: str) -> np.random.Generator:
 
 
 # ------------------------------------------------------------- commands
-
-
-def _record_rows(traj: Trajectory) -> list[tuple[int, float, float, str]]:
-    """(time, lon, lat, mid) rows of a records CSV for one trajectory; its
-    coordinates are finite, so ``csv`` writes them as ``_fmt`` would."""
-    return list(
-        zip(
-            traj.times.tolist(),
-            traj.lons.tolist(),
-            traj.lats.tolist(),
-            [traj.device] * len(traj),
-        )
-    )
 
 
 def _label_texts(run: RunConfig, trajectories: list[Trajectory]) -> str:
@@ -609,7 +711,7 @@ def run_label(args: argparse.Namespace, run: RunConfig) -> int:
             texts = pool.map(partial(_label_texts, run), chunks)
     else:
         texts = [_label_texts(run, chunk) for chunk in chunks]
-    _write_labels(args.out, texts)
+    _write_csv(args.out, "labels", _LABEL_HEADER, texts)
     return EXIT_OK
 
 
@@ -624,7 +726,7 @@ def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
         except OracleLimitError as exc:
             raise DataError(f"device {traj.device!r}: {exc}") from None
         texts.append(_label_text(traj.device, traj.times, labels.labels))
-    _write_labels(args.out, texts)
+    _write_csv(args.out, "labels", _LABEL_HEADER, texts)
     return EXIT_OK
 
 
@@ -640,12 +742,8 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
     for traj in trajectories:
         s = device_stats(traj, run.params)
         rows.append((s.device, s.records, s.span_seconds, s.mean_gap, s.coverage))
-    _write_csv(
-        args.out,
-        "stats",
-        ["mid", "records", "span_seconds", "mean_gap", "coverage"],
-        _fmt_rows(rows),
-    )
+    header = ["mid", "records", "span_seconds", "mean_gap", "coverage"]
+    _write_csv(args.out, "stats", header, [_table_text(rows)])
     if args.sparsity_out:
         if not trajectories:
             raise DataError("empty dataset: nothing to report sparsity on")
@@ -685,22 +783,9 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
                         None,
                     )
                 )
-        _write_csv(
-            args.sparsity_out,
-            "sparsity",
-            [
-                "table",
-                "lo",
-                "hi",
-                "delta_t",
-                "devices",
-                "mean_records",
-                "stay_fraction",
-                "travel_fraction",
-                "unlabeled_fraction",
-            ],
-            _fmt_rows(out_rows),
-        )
+        header = ["table", "lo", "hi", "delta_t", "devices", "mean_records",
+                  "stay_fraction", "travel_fraction", "unlabeled_fraction"]
+        _write_csv(args.sparsity_out, "sparsity", header, [_table_text(out_rows)])
     return EXIT_OK
 
 
@@ -732,16 +817,16 @@ def _experiment_config(
 def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
     with_truth = args.labels_out is not None
     config = _experiment_config(args, run, with_truth=with_truth)
-    record_rows = []
+    record_texts = []
     label_texts = []
     for i in range(config.trajectories):
         path, traj, truth = experiment_trajectory(config, i, with_truth=with_truth)
-        record_rows.extend(_record_rows(traj))
+        record_texts.append(_record_text(traj))
         if truth is not None:
             label_texts.append(_label_text(traj.device, traj.times, truth))
-    _write_csv(args.out, "records", ["time", "lon", "lat", "mid"], record_rows)
+    _write_csv(args.out, "records", _RECORD_HEADER, record_texts)
     if with_truth:
-        _write_labels(args.labels_out, label_texts)
+        _write_csv(args.labels_out, "labels", _LABEL_HEADER, label_texts)
     return EXIT_OK
 
 
@@ -752,7 +837,7 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
         raise UsageError(f"--rate must lie in [0, 1], got {args.rate}")
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     label_map = _read_labels(args.labels) if args.labels else {}
-    record_rows = []
+    record_texts = []
     label_texts = []
     for traj in trajectories:
         rng = _device_rng(run.seed, traj.device)
@@ -760,10 +845,10 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
         if args.labels:
             labels = _aligned_labels(traj, label_map, strict=run.strict)
             label_texts.append(_label_text(sub.device, sub.times, labels[keep]))
-        record_rows.extend(_record_rows(sub))
-    _write_csv(args.out, "records", ["time", "lon", "lat", "mid"], record_rows)
+        record_texts.append(_record_text(sub))
+    _write_csv(args.out, "records", _RECORD_HEADER, record_texts)
     if args.labels_out:
-        _write_labels(args.labels_out, label_texts)
+        _write_csv(args.labels_out, "labels", _LABEL_HEADER, label_texts)
     return EXIT_OK
 
 
@@ -784,21 +869,9 @@ def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
             )
             for o in outcomes
         ]
-        _write_csv(
-            args.out,
-            "rates",
-            [
-                "rate",
-                "mean_gap",
-                "stay_precision",
-                "stay_recall",
-                "travel_precision",
-                "travel_recall",
-                "accuracy",
-                "f1_accuracy",
-            ],
-            _fmt_rows(rows),
-        )
+        header = ["rate", "mean_gap", "stay_precision", "stay_recall",
+                  "travel_precision", "travel_recall", "accuracy", "f1_accuracy"]
+        _write_csv(args.out, "rates", header, [_table_text(rows)])
         return EXIT_OK
     if not args.predictions or not args.truth:
         raise UsageError("evaluate needs --predictions and --truth (or --experiment)")
@@ -831,7 +904,7 @@ def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
         ("accuracy", report.accuracy),
         ("f1_accuracy", report.f1_accuracy),
     ]
-    _write_csv(args.out, "metrics", ["metric", "value"], _fmt_rows(rows))
+    _write_csv(args.out, "metrics", ["metric", "value"], [_table_text(rows)])
     return EXIT_OK
 
 
@@ -851,12 +924,8 @@ def run_prop1(args: argparse.Namespace, run: RunConfig) -> int:
         (p.delta_s, p.delta_t, results[p].tested, results[p].violations, results[p].rate)
         for p in grid
     ]
-    _write_csv(
-        args.out,
-        "prop1",
-        ["delta_s", "delta_t", "tested", "violations", "rate"],
-        _fmt_rows(rows),
-    )
+    header = ["delta_s", "delta_t", "tested", "violations", "rate"]
+    _write_csv(args.out, "prop1", header, [_table_text(rows)])
     return EXIT_OK
 
 
@@ -868,9 +937,8 @@ def run_bounds(args: argparse.Namespace, run: RunConfig) -> int:
             traj, run.params, ref_lat=run.ref_lat, tail_flush=run.tail_flush
         )
         rows.append((traj.device, b.stay_bound, b.travel_bound))
-    _write_csv(
-        args.out, "bounds", ["mid", "stay_bound", "travel_bound"], _fmt_rows(rows)
-    )
+    header = ["mid", "stay_bound", "travel_bound"]
+    _write_csv(args.out, "bounds", header, [_table_text(rows)])
     return EXIT_OK
 
 
@@ -906,19 +974,10 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
         except ValueError as exc:
             raise DataError(str(exc)) from None
     else:
-        try:
-            if args.method == "voting":
-                model = VotingModel.load(args.load_model)
-            else:
-                model = HmmModel.load(args.load_model)
-        except (OSError, ValueError, KeyError, csv.Error) as exc:
-            raise DataError(f"cannot load model {args.load_model}: {exc}") from None
+        model = _load_model(args.method, args.load_model)
 
     if args.save_model:
-        try:
-            model.save(args.save_model)
-        except OSError as exc:
-            raise DataError(f"cannot write {args.save_model}: {exc}") from None
+        _save_model(model, args.save_model)
 
     if args.records:
         query = ingest(args.records, tz_offset=run.tz_offset, strict=run.strict)
@@ -929,7 +988,7 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
             else:
                 codes = hmm_predict(model, traj, ref_lat=run.ref_lat)
             texts.append(_label_text(traj.device, traj.times, codes))
-        _write_labels(args.out, texts)
+        _write_csv(args.out, "labels", _LABEL_HEADER, texts)
     return EXIT_OK
 
 
@@ -937,6 +996,7 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def _build_parser() -> _Parser:
+    on_off, tz, floats = map(_flag_type, (_parse_bool, _parse_tz, _parse_float_list))
     shared = _Parser(add_help=False)
     shared.add_argument("--delta-s", dest="delta_s", type=float, default=None,
                         help="stay spatial threshold in meters (default 800)")
@@ -946,10 +1006,10 @@ def _build_parser() -> _Parser:
                         help="root seed for all randomness (default 0)")
     shared.add_argument("--workers", type=int, default=None,
                         help="worker processes for per-device parallelism")
-    shared.add_argument("--tail-flush", dest="tail_flush", type=_parse_bool,
+    shared.add_argument("--tail-flush", dest="tail_flush", type=on_off,
                         default=None, metavar="{on,off}",
                         help="flush a qualifying trailing stay window (default on)")
-    shared.add_argument("--timezone", type=_parse_tz, default=None,
+    shared.add_argument("--timezone", type=tz, default=None,
                         help="timezone as seconds east of UTC or +HH:MM "
                              "(default +08:00)")
     shared.add_argument("--ref-lat", dest="ref_lat", type=float, default=None,
@@ -985,7 +1045,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="per-device stats CSV")
     p.add_argument("--sparsity-out", dest="sparsity_out", default=None,
                    help="also write binned sparsity/label-mix report here")
-    p.add_argument("--delta-t-grid", dest="delta_t_grid", type=_parse_float_list,
+    p.add_argument("--delta-t-grid", dest="delta_t_grid", type=floats,
                    default=None,
                    help="comma-separated slicing thresholds for coverage bins")
     p.set_defaults(func=run_stats)
@@ -1022,7 +1082,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trajectories", type=int, default=100)
     p.add_argument("--duration", type=float, default=CtrwConfig.duration)
     p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--rates", type=_parse_float_list, default=None,
+    p.add_argument("--rates", type=floats, default=None,
                    help="comma-separated retention rates (default 1.0..0.1)")
     p.set_defaults(func=run_evaluate)
 
@@ -1030,9 +1090,9 @@ def _build_parser() -> _Parser:
                        help="leave-one-out dwell-locality check")
     p.add_argument("input", help="records CSV")
     p.add_argument("--out", required=True, help="results CSV to write")
-    p.add_argument("--delta-s-grid", dest="delta_s_grid", type=_parse_float_list,
+    p.add_argument("--delta-s-grid", dest="delta_s_grid", type=floats,
                    default=None)
-    p.add_argument("--delta-t-grid", dest="delta_t_grid", type=_parse_float_list,
+    p.add_argument("--delta-t-grid", dest="delta_t_grid", type=floats,
                    default=None)
     p.set_defaults(func=run_prop1)
 

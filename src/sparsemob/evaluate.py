@@ -378,7 +378,7 @@ def resampling_experiment(config: ExperimentConfig) -> list[RateOutcome]:
     indices = range(config.trajectories)
     if config.workers > 1 and config.trajectories > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(config.workers) as pool:
+        with ctx.Pool(min(config.workers, config.trajectories)) as pool:
             parts = pool.map(partial(_trajectory_counts, config), indices)
     else:
         parts = [_trajectory_counts(config, i) for i in indices]

@@ -108,15 +108,6 @@ class TestSpatioTemporalBin:
             SpatioTemporalBin(0, 0, -1)
 
 
-def crlf_rows(data: bytes) -> bytes:
-    """A model file in the older layout: comment lines end in LF, CSV rows
-    in CRLF (``csv.writer``'s default)."""
-    return b"".join(
-        line + (b"\n" if line.startswith(b"#") else b"\r\n")
-        for line in data.splitlines()
-    )
-
-
 class TestVotingModel:
     def test_majority_wins(self):
         model = VotingModel()
@@ -152,6 +143,10 @@ class TestVotingModel:
             tied.add(b, S)
             tied.add(b, T)
             assert tied.predict_bin(b) == VotingModel(seed=seed).predict_bin(b)
+
+    def test_unknown_week_start_rejected(self):
+        with pytest.raises(ValueError, match="week_start"):
+            VotingModel(week_start="friday")
 
     def test_add_rejects_unlabeled(self):
         with pytest.raises(ValueError):
@@ -197,34 +192,6 @@ class TestVotingTrain:
         assert predicted[0] == S
         assert predicted[1] == S
         assert predicted[3] == T
-
-    def test_save_load_round_trip(self, tmp_path):
-        traj, labels = self._pair()
-        model = voting_train([(traj, labels)], seed=5)
-        first = tmp_path / "vote1.csv"
-        second = tmp_path / "vote2.csv"
-        model.save(first)
-        loaded = VotingModel.load(first)
-        assert loaded.seed == 5
-        assert loaded.counts == model.counts
-        loaded.save(second)
-        assert first.read_bytes() == second.read_bytes()
-        assert np.array_equal(loaded.predict(traj), model.predict(traj))
-
-    def test_saved_file_ends_lines_in_lf(self, tmp_path):
-        traj, labels = self._pair()
-        model = voting_train([(traj, labels)], seed=5)
-        path = tmp_path / "vote.csv"
-        model.save(path)
-        assert b"\r" not in path.read_bytes()
-        path.write_bytes(crlf_rows(path.read_bytes()))
-        assert VotingModel.load(path).counts == model.counts
-
-    def test_load_rejects_other_files(self, tmp_path):
-        bogus = tmp_path / "x.csv"
-        bogus.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="voting"):
-            VotingModel.load(bogus)
 
 
 class TestBucketConfig:
@@ -368,35 +335,6 @@ class TestHmmModel:
         predicted = hmm_predict(model, traj, ref_lat=0.0)
         # first record emits the reserved symbol: a tie, resolved to stay
         assert list(predicted) == [S, S, T, S, T]
-
-    def test_save_load_round_trip(self, tmp_path):
-        traj = traj_from_meters([0, 60, 120], [0.0, 1000.0, 2000.0])
-        model = hmm_train([(traj, np.array([S, T, T], dtype=np.int8))], ref_lat=0.0)
-        first = tmp_path / "hmm1.csv"
-        second = tmp_path / "hmm2.csv"
-        model.save(first)
-        loaded = HmmModel.load(first)
-        assert np.array_equal(loaded.initial, model.initial)
-        assert np.array_equal(loaded.transition, model.transition)
-        assert np.array_equal(loaded.emission, model.emission)
-        assert loaded.buckets == model.buckets
-        loaded.save(second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_saved_file_ends_lines_in_lf(self, tmp_path):
-        traj = traj_from_meters([0, 60, 120], [0.0, 1000.0, 2000.0])
-        model = hmm_train([(traj, np.array([S, T, T], dtype=np.int8))], ref_lat=0.0)
-        path = tmp_path / "hmm.csv"
-        model.save(path)
-        assert b"\r" not in path.read_bytes()
-        path.write_bytes(crlf_rows(path.read_bytes()))
-        assert np.array_equal(HmmModel.load(path).emission, model.emission)
-
-    def test_load_rejects_other_files(self, tmp_path):
-        bogus = tmp_path / "x.csv"
-        bogus.write_text("# sparsemob voting v1\ngrid_lon,grid_lat,hour,stay,travel\n")
-        with pytest.raises(ValueError, match="hmm"):
-            HmmModel.load(bogus)
 
     def test_state_labels_order(self):
         assert STATE_LABELS == (S, T)

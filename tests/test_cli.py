@@ -28,16 +28,19 @@ from sparsemob.core import (
     Trajectory,
     global_sparsity,
 )
+from sparsemob.baselines import hmm_train, voting_train
 from sparsemob.sds import sds_label
 from sparsemob.cli import (
     DataError,
     _chunk_bounds,
     _device_rng,
     _fmt,
+    _load_model,
     _parse_bool,
     _parse_float_list,
     _parse_time_text,
     _parse_tz,
+    _save_model,
     ingest,
     main,
 )
@@ -728,8 +731,38 @@ class TestConfigFile:
         assert main(["label", rec, "--config", str(cfg), "--tail-flush", "on",
                      "--out", out]) == 0
 
+    @pytest.mark.parametrize("line", ["delta-s=5", "delta_tt = 10"])
+    def test_unknown_key_is_data_error(self, tmp_path, capsys, line):
+        rec = write_records(tmp_path / "r.csv", [travel_fixture()])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# thresholds\n{line}\n")
+        out = str(tmp_path / "o")
+        assert main(["label", rec, "--config", str(cfg), "--out", out]) == 2
+        key = line.split("=")[0].strip()
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {cfg}:2: unknown config key {key!r}\n"
+        )
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["label", "r.csv", "--tail-flush", "maybe"],
+             "argument --tail-flush: expected on/off, got 'maybe'"),
+            (["label", "r.csv", "--timezone", "noon"],
+             "argument --timezone: invalid literal for int() with base 10: 'noon'"),
+            (["evaluate", "--experiment", "--rates", ","], "argument --rates: empty list"),
+            (["stats", "r.csv", "--delta-t-grid", "300,x"],
+             "argument --delta-t-grid: could not convert string to float: 'x'"),
+            (["prop1", "r.csv", "--delta-s-grid", ","], "argument --delta-s-grid: empty list"),
+        ],
+    )
+    def test_bad_flag_value_names_the_fault(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err and "_parse" not in err
+
     def test_unknown_flag(self, tmp_path):
         assert main(["label", "x.csv", "--out", "y.csv", "--bogus"]) == 1
 
@@ -854,6 +887,22 @@ class TestResampleCommand:
         assert label_lines(lout) == [("t", 0, "U"), ("t", 600, "T"), ("t", 1200, "U")]
         kept = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(kept) == 4  # header plus all three records
+
+    def test_records_written_as_formatted_cells(self, tmp_path):
+        mids = ["a,b", 'say "hi"', "x\ny", "caf\u00e9"]
+        rows = [(mid, t, lon, 1e-7 * t) for mid in sorted(mids)
+                for t, lon in [(0, -0.0), (600, 179.99999999999997), (1200, 1e-300)]]
+        rec = tmp_path / "r.csv"
+        with open(rec, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([("mid", "time", "lon", "lat"), *rows])
+        want = io.StringIO()
+        want.write("# sparsemob records v1\n")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["time", "lon", "lat", "mid"])
+        writer.writerows([_fmt(v) for v in (t, lon, lat, mid)] for mid, t, lon, lat in rows)
+        out = tmp_path / "sub.csv"
+        assert main(["resample", str(rec), "--rate", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_labels_flags_must_pair(self, tmp_path):
         rec = write_records(tmp_path / "r.csv", [travel_fixture()])
@@ -1302,3 +1351,139 @@ class TestBaselineCommand:
             ]
         )
         assert code == 2
+
+
+def crlf_rows(data: bytes) -> bytes:
+    """A model file in the older layout: comment lines end in LF, CSV rows
+    in CRLF (``csv.writer``'s default)."""
+    return b"".join(
+        line + (b"\n" if line.startswith(b"#") else b"\r\n")
+        for line in data.splitlines()
+    )
+
+
+def voting_fixture():
+    traj = traj_from_meters([0, 60, 120, 50000], [0.0, 10.0, 20.0, 5000.0])
+    labels = np.array([LABEL_STAY, LABEL_STAY, LABEL_UNLABELED, LABEL_TRAVEL], np.int8)
+    return traj, voting_train([(traj, labels)], seed=5)
+
+
+def hmm_fixture():
+    traj = traj_from_meters([0, 60, 120], [0.0, 1000.0, 2000.0])
+    labels = np.array([LABEL_STAY, LABEL_TRAVEL, LABEL_TRAVEL], np.int8)
+    return hmm_train([(traj, labels)], ref_lat=0.0)
+
+
+class TestModelFiles:
+    """Model files go through the one reader and writer of every CSV."""
+
+    def test_voting_save_load_round_trip(self, tmp_path):
+        traj, model = voting_fixture()
+        first, second = str(tmp_path / "vote1.csv"), str(tmp_path / "vote2.csv")
+        _save_model(model, first)
+        loaded = _load_model("voting", first)
+        assert loaded.seed == 5
+        assert loaded.counts == model.counts
+        _save_model(loaded, second)
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+        assert np.array_equal(loaded.predict(traj), model.predict(traj))
+
+    def test_voting_saved_file_ends_lines_in_lf(self, tmp_path):
+        _, model = voting_fixture()
+        path = tmp_path / "vote.csv"
+        _save_model(model, str(path))
+        assert b"\r" not in path.read_bytes()
+        path.write_bytes(crlf_rows(path.read_bytes()))
+        assert _load_model("voting", str(path)).counts == model.counts
+
+    def test_voting_load_rejects_other_files(self, tmp_path, capsys):
+        bogus = tmp_path / "x.csv"
+        bogus.write_text("a,b\n1,2\n")
+        with pytest.raises(DataError, match=f"{bogus}: missing required column"):
+            _load_model("voting", str(bogus))
+        argv = ["baseline", "--method", "voting", "--load-model", str(bogus)]
+        assert main(argv) == 2
+        assert str(bogus) in capsys.readouterr().err
+
+    def test_hmm_save_load_round_trip(self, tmp_path):
+        model = hmm_fixture()
+        first, second = str(tmp_path / "hmm1.csv"), str(tmp_path / "hmm2.csv")
+        _save_model(model, first)
+        loaded = _load_model("hmm", first)
+        assert np.array_equal(loaded.initial, model.initial)
+        assert np.array_equal(loaded.transition, model.transition)
+        assert np.array_equal(loaded.emission, model.emission)
+        assert loaded.buckets == model.buckets
+        _save_model(loaded, second)
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+
+    def test_hmm_saved_file_ends_lines_in_lf(self, tmp_path):
+        model = hmm_fixture()
+        path = tmp_path / "hmm.csv"
+        _save_model(model, str(path))
+        assert b"\r" not in path.read_bytes()
+        path.write_bytes(crlf_rows(path.read_bytes()))
+        assert np.array_equal(_load_model("hmm", str(path)).emission, model.emission)
+
+    def test_hmm_load_rejects_other_files(self, tmp_path, capsys):
+        bogus = tmp_path / "x.csv"
+        bogus.write_text("# sparsemob voting v1\ngrid_lon,grid_lat,hour,stay,travel\n")
+        with pytest.raises(DataError, match=f"{bogus}: missing required column"):
+            _load_model("hmm", str(bogus))
+        argv = ["baseline", "--method", "hmm", "--load-model", str(bogus)]
+        assert main(argv) == 2
+        assert str(bogus) in capsys.readouterr().err
+
+    @staticmethod
+    def _predictions(tmp_path, method, edit):
+        """The predictions of a trained model, and of the same model loaded
+        from its file after ``edit`` rewrote the file's text."""
+        rec, lab = TestBaselineCommand._training(tmp_path)
+        model, first, second = (tmp_path / name for name in ("m.csv", "p1.csv", "p2.csv"))
+        base = ["baseline", "--method", method, "--records", rec]
+        assert main([*base, "--train-records", rec, "--train-labels", lab,
+                     "--save-model", str(model), "--out", str(first)]) == 0
+        model.write_text(edit(model.read_text()))
+        assert main([*base, "--load-model", str(model), "--out", str(second)]) == 0
+        return first.read_bytes(), second.read_bytes()
+
+    def test_voting_trailing_blank_row_is_a_comment(self, tmp_path):
+        first, second = self._predictions(tmp_path, "voting", lambda text: text + "\n")
+        assert first == second
+
+    def test_hmm_indented_comment_is_a_comment(self, tmp_path):
+        def edit(text):
+            lines = text.splitlines(keepends=True)
+            return "".join(lines[:5] + ["  # an indented note\n"] + lines[5:])
+
+        first, second = self._predictions(tmp_path, "hmm", edit)
+        assert first == second
+
+    def test_unknown_week_start_refused(self, tmp_path, capsys):
+        _, model = voting_fixture()
+        path = tmp_path / "m.csv"
+        _save_model(model, str(path))
+        path.write_text(path.read_text().replace("monday", "friday"))
+        assert main(["baseline", "--method", "voting", "--load-model", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {path}: "
+            "week_start must be one of ['monday', 'sunday']\n"
+        )
+
+    @pytest.mark.parametrize(
+        "method, model, line",
+        [
+            ("voting", "# sparsemob voting v1\ngrid_lon,grid_lat,hour,stay,travel\n"
+                       "1,2,3,4,5\n1,2,3,4,5.5\n", 4),
+            ("hmm", "# sparsemob hmm v1\ntable,row,col,value\n\n"
+                    "distance_edge,0,zero,100.0\n", 4),
+        ],
+    )
+    def test_non_integer_cell_refused_with_its_line(
+        self, tmp_path, capsys, method, model, line
+    ):
+        path = tmp_path / "m.csv"
+        path.write_text(model)
+        assert main(["baseline", "--method", method, "--load-model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sparsemob: data error: {path}:{line}: invalid literal")

@@ -1,4 +1,6 @@
 """Metrics, the rate-sweep experiment, the leave-one-out check, and reports."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,40 @@ class TestResamplingExperiment:
             ValueError, match="jump_min 800.0 is below the spatial threshold 900.0"
         ):
             resampling_experiment(config)
+
+    @pytest.mark.parametrize("workers, trajectories, size", [(8, 2, 2), (2, 3, 2)])
+    def test_pool_no_larger_than_the_trajectory_count(
+        self, monkeypatch, workers, trajectories, size
+    ):
+        sizes = []
+
+        class InProcessPool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        class Context:
+            def Pool(self, processes):
+                sizes.append(processes)
+                return InProcessPool()
+
+        config = ExperimentConfig(
+            trajectories=trajectories,
+            walk=CtrwConfig(duration=30000.0),
+            rates=(1.0, 0.5),
+            workers=workers,
+        )
+        alone = resampling_experiment(replace(config, workers=1))
+        monkeypatch.setattr(
+            "sparsemob.evaluate.multiprocessing.get_context", lambda method: Context()
+        )
+        assert resampling_experiment(config) == alone
+        assert sizes == [size]
 
     def test_zero_trajectories_gives_empty_counts(self):
         config = ExperimentConfig(
