@@ -426,7 +426,7 @@ def _covered_without(xs, ys, ts, boxes, before, after, i, r2, delta_t) -> bool:
         return False
     n = len(ts)
     # Bounding box of the window's members. A record closer than the radius
-    # to its farthest corner is closer to every member (the test sds._stay_pass
+    # to its farthest corner is closer to every member (the test sds._stay_run
     # admits with), so it joins in O(1); otherwise its nearest far records
     # decide.
     xmin, xmax = (xs[a], xs[b]) if xs[a] < xs[b] else (xs[b], xs[a])

@@ -28,7 +28,7 @@ from sparsemob.evaluate import (
     experiment_trajectory,
 )
 from sparsemob.oracle import dense_stay_windows
-from sparsemob.sds import label_kernel, sds_label
+from sparsemob.sds import _block_boxes, _far_before, label_kernel, sds_label
 from sparsemob.simulate import resample
 
 
@@ -199,6 +199,56 @@ def segment_bounds(times: np.ndarray, delta_t: float) -> list[tuple[int, int]]:
     starts = np.concatenate(([0], cuts))
     stops = np.concatenate((cuts, [n]))
     return list(zip(starts.tolist(), stops.tolist()))
+
+
+def reference_stay_pass(x, y, t, escape, delta_t, tail_flush=True) -> list[bool]:
+    """Stay flags from one record loop over the whole trajectory: the
+    reference for ``label_kernel``'s stay pass, which cuts the trajectory
+    into runs in whole-array steps first.
+
+    A window grows while each cursor is closer than ``escape`` to every
+    member, found through the corner of the window's bounding box or a
+    backward scan for an escape. At an escape the window up to the previous
+    record is flagged if it spans delta_t, and the next one starts just past
+    the escaped member; a gap over delta_t ends the window as the
+    trajectory's end does. Every time test is Python's exact int/float
+    comparison.
+    """
+    xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
+    boxes = _block_boxes(np.asarray(x), np.asarray(y))
+    n = len(ts)
+    flags = [False] * n
+    esc2 = escape * escape
+    head = 0
+    xmin = xmax = xs[0]
+    ymin = ymax = ys[0]
+    for cursor in range(1, n):
+        cx = xs[cursor]
+        cy = ys[cursor]
+        if ts[cursor] - ts[cursor - 1] > delta_t:
+            if tail_flush and ts[cursor - 1] - ts[head] >= delta_t:
+                flags[head:cursor] = [True] * (cursor - head)
+            head = cursor
+            xmin = xmax = cx
+            ymin = ymax = cy
+            continue
+        dx = max(xmax - cx, cx - xmin)
+        dy = max(ymax - cy, cy - ymin)
+        anchor = -1
+        if dx * dx + dy * dy >= esc2:
+            anchor = _far_before(xs, ys, boxes, cx, cy, esc2, cursor - 1, head)
+        if anchor < 0:
+            xmin, xmax = min(xmin, cx), max(xmax, cx)
+            ymin, ymax = min(ymin, cy), max(ymax, cy)
+            continue
+        if ts[cursor - 1] - ts[head] >= delta_t:
+            flags[head:cursor] = [True] * (cursor - head)
+        head = anchor + 1
+        xmin, xmax = min(xs[head : cursor + 1]), max(xs[head : cursor + 1])
+        ymin, ymax = min(ys[head : cursor + 1]), max(ys[head : cursor + 1])
+    if tail_flush and ts[n - 1] - ts[head] >= delta_t:
+        flags[head:] = [True] * (n - head)
+    return flags
 
 
 def fit_power_law_exponent(samples: np.ndarray, lower: float) -> float:

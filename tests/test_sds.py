@@ -11,13 +11,14 @@ from helpers import (
     dense_trajectory,
     minutes,
     random_trajectory,
+    reference_stay_pass,
     segment_bounds,
     stay_flags_at,
     traj_from_meters,
     travel_flags_at,
 )
 import sparsemob.sds as sds
-from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory
+from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory, planar
 from sparsemob.oracle import dense_stay_membership, exact_label, travel_condition_all
 from sparsemob.sds import (
     BLOCK,
@@ -31,6 +32,7 @@ from sparsemob.sds import (
     recall_lower_bounds,
     sds_label,
 )
+from sparsemob.simulate import CtrwConfig, generate_ctrw, observe, synth_schedule
 
 PARAMS = MobilityParams(delta_s=800.0, delta_t=1800.0)
 
@@ -237,21 +239,29 @@ class TestBlockSkip:
         for traj in dense_trajectories(rng, 20, 6):
             x = traj.lons * METERS_PER_DEGREE
             y = traj.lats * METERS_PER_DEGREE
-            admits = [(0, -1)]
-
-            def check(head, cursor):
-                # the head never moves back, so every pair of the window
-                # [head, cursor] not checked at an earlier admit has its
-                # later member past the previous cursor (or the head)
-                last_head, last_cursor = admits[-1]
-                assert last_head <= head < cursor < len(traj)
-                for c in range(max(last_cursor, head) + 1, cursor + 1):
-                    d = np.hypot(x[c] - x[head:c], y[c] - y[head:c])
-                    assert d.max() < escape
-                admits.append((head, cursor))
-
+            check, admits = window_invariant_hook(x, y, escape)
             label_kernel(x, y, traj.times, PARAMS.delta_t, escape, None, on_admit=check)
             assert len(admits) > 1
+
+
+def window_invariant_hook(x, y, escape):
+    """An ``on_admit`` hook that checks the stay window's invariant at every
+    admit, and the list of (head, cursor) pairs it has seen."""
+    admits = [(0, -1)]
+
+    def check(head, cursor):
+        # the head never moves back, so every pair of the window
+        # [head, cursor] not checked at an earlier admit has its
+        # later member past the previous cursor (or the head)
+        last_head, last_cursor = admits[-1]
+        assert last_head <= head < cursor < len(x)
+        assert cursor > last_cursor
+        for c in range(max(last_cursor, head) + 1, cursor + 1):
+            d = np.hypot(x[c] - x[head:c], y[c] - y[head:c])
+            assert d.max() < escape
+        admits.append((head, cursor))
+
+    return check, admits
 
 
 class TestScans:
@@ -406,16 +416,27 @@ def kernel_at_reach(reach, *args):
         sds.SHORT_REACH = saved
 
 
+#: one axis of a run's step: small ones that make stays, large ones that
+#: witness, and integer ones that put two records exactly 800 m apart
+_step = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.floats(-1500.0, 1500.0),
+    st.sampled_from([0.0, 480.0, -480.0, 640.0, -640.0, 800.0, -800.0]),
+)
+
 #: a run of records: how many, the gap before each, and the planar step to
-#: each; 1 s runs longer than any short reach tested, gaps of exactly 600 s
-#: and over delta_t, small steps that make stays and large ones that witness
+#: each; 1 s runs longer than any short reach tested, gaps of exactly
+#: floor(delta_t) and one more for delta_t of 600, 600.5 and 1800, and over
+#: delta_t
 _run = st.tuples(
     st.integers(1, 40),
     st.one_of(
-        st.just(1), st.sampled_from([300, 600, 601, 1801, 5000]), st.integers(1, 700)
+        st.just(1),
+        st.sampled_from([300, 600, 601, 1800, 1801, 5000]),
+        st.integers(1, 700),
     ),
-    st.one_of(st.floats(-20.0, 20.0), st.floats(-1500.0, 1500.0)),
-    st.one_of(st.floats(-20.0, 20.0), st.floats(-1500.0, 1500.0)),
+    _step,
+    _step,
 )
 
 
@@ -496,6 +517,88 @@ class TestStaySkip:
                 x, y, t, delta_t, escape, witness, tail_flush=tail_flush
             )
             assert travel.tolist() == alone.tolist(), escape
+
+
+class TestStayRuns:
+    """The stay pass's runs, cut and flushed in whole-array steps, against
+    one record loop over the whole trajectory."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        runs=st.lists(_run, min_size=1, max_size=8),
+        delta_t=st.sampled_from([1800.0, 600.5]),
+        escape=st.sampled_from([800.0 / 3.0, 800.0]),
+        tail_flush=st.booleans(),
+        integer=st.booleans(),
+    )
+    # a run of steps 800 m long, each one exactly at the escape radius
+    @example(
+        runs=[(1, 1, 0.0, 0.0), (4, 600, 480.0, 640.0)],
+        delta_t=600.5,
+        escape=800.0,
+        tail_flush=True,
+        integer=True,
+    )
+    # a run whose box diagonal is exactly the escape radius: its last record
+    # escapes its first, so it is two windows, neither spanning delta_t
+    @example(
+        runs=[(1, 1, 0.0, 0.0), (1, 1000, 480.0, 0.0), (1, 1000, 0.0, 640.0)],
+        delta_t=1800.0,
+        escape=800.0,
+        tail_flush=True,
+        integer=True,
+    )
+    def test_matches_reference_loop(self, runs, delta_t, escape, tail_flush, integer):
+        x, y, t = run_arrays(runs)
+        if integer:
+            # integer points, where the steps of 800 m tie the radius
+            x, y = np.round(x), np.round(y)
+        stay, _ = label_kernel(x, y, t, delta_t, escape, None, tail_flush=tail_flush)
+        want = reference_stay_pass(x, y, t, escape, delta_t, tail_flush)
+        assert stay.tolist() == want
+
+    @pytest.mark.parametrize("tail_flush", [True, False])
+    def test_time_tests_are_exact_on_large_integers(self, tail_flush):
+        # times past 2**53 and delta_t = 2**62: a run ending at an escape
+        # that spans 2**62 - 1 s, which float64 rounds up to delta_t, is no
+        # stay; runs spanning 2**62 s are, at the trajectory's end only with
+        # the tail flush; a gap of 2**62 + 1 s, which float64 rounds down to
+        # delta_t, cuts
+        b = 2**60
+        x = np.array([0.0, 10.0, 20.0, 1000.0])
+        y = np.zeros(4)
+        for t, delta_t, want in (
+            ([b, b + 2**61, b + 2**62 - 1, b + 2**62], 2.0**62, [False] * 4),
+            ([b, b + 2**61, b + 2**62, b + 2**62 + 1], 2.0**62, [True] * 3 + [False]),
+            ([b, b + 2**61, b + 2**62], 2.0**62, [tail_flush] * 3),
+            ([b, b + 1, b + 2**62 + 2], 2.0**62, [False] * 3),
+            # longer than the whole span: no gap cuts and nothing flushes
+            ([b, b + 2**61, b + 2**62, b + 2**62 + 1], 2.0**63, [False] * 4),
+            ([b, b + 2**61, b + 2**62, b + 2**62 + 1], 1e30, [False] * 4),
+        ):
+            t = np.array(t, dtype=np.int64)
+            args = x[: len(t)], y[: len(t)], t
+            stay, _ = label_kernel(
+                *args, delta_t, 800.0 / 3.0, None, tail_flush=tail_flush
+            )
+            assert stay.tolist() == want, (t, delta_t)
+            assert reference_stay_pass(*args, 800.0 / 3.0, delta_t, tail_flush) == want
+
+    def test_window_invariant_on_sparse_trajectories(self):
+        # power-law gaps as in the c6 corpus, where nearly every record is
+        # admitted by a run's box rather than record by record
+        escape = PARAMS.delta_s / 3.0
+        for d in range(20):
+            rng = np.random.default_rng((14, d))
+            times = synth_schedule(rng, 1000)
+            walk = CtrwConfig(
+                duration=float(times[-1] + 1), seed=int(rng.integers(0, 2**62))
+            )
+            traj = observe(generate_ctrw(walk), times)
+            x, y = planar(traj)
+            check, admits = window_invariant_hook(x, y, escape)
+            label_kernel(x, y, traj.times, PARAMS.delta_t, escape, None, on_admit=check)
+            assert len(admits) > 1
 
 
 class TestStayFlagsAt:
