@@ -200,7 +200,10 @@ class ExperimentConfig:
                 raise ValueError(f"rate {r} outside [0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # _trajectory_counts joins the rates' subsets in time, one after another
+        # a batch joins its (rate, trajectory) subsets in time, one after
+        # another; sds._joined_flags starts a new kernel call where the
+        # joined times would reach 2**63, and this bound keeps the subsets
+        # of one trajectory alone within one call
         if len(self.rates) * (self.walk.duration + self.params.delta_t + 1) >= 2**63:
             raise ValueError("too many rates for this duration: times would overflow")
 
@@ -267,6 +270,12 @@ class RateOutcome:
 
 _COUNT_FIELDS = 12
 
+#: full-rate records in one batch of the experiment's trajectories: the
+#: batch's labeling call holds up to this many times the rate count, and
+#: the kernel copies its arrays into Python lists, so the budget bounds the
+#: memory a batch takes whatever the walk's duration
+BATCH_RECORDS = 2500
+
 # One rate's histogram cells: predicted code p (U, S, T), truth travel tt (the
 # truth code is S + tt), in the stay pool sp, in the travel pool tp. Column k
 # marks the cells that count field k of RateOutcome sums, for the ten fields
@@ -326,66 +335,108 @@ def experiment_trajectory(
     return path, traj, truth
 
 
-def _trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
-    """Per-rate raw counts for one synthetic trajectory.
+def _trajectory_counts(config: ExperimentConfig, indices: range) -> np.ndarray:
+    """Per-rate raw counts summed over the contiguous range ``indices`` of
+    trajectories.
 
-    The trajectory is projected once and ``sds._recall_pools`` fixes the
-    recall pools. One more kernel call labels every rate's kept subset: the
-    subsets are joined in rate order, each shifted in time more than delta_t
-    past the one before, and the kernel labels across such a gap as it
-    labels separate trajectories. The count fields come from one histogram over (rate,
-    predicted code, truth class, stay pool, travel pool), the gap fields
-    from each subset's first and last time.
+    Each trajectory is built and projected at its own origin latitude, then
+    joins a batch. A batch is counted and emptied before the next trajectory
+    would take it past BATCH_RECORDS full-rate records, so a longer
+    ``duration`` makes more batches, not larger ones; a trajectory longer
+    than that is a batch of its own. Counts are integer sums, so every
+    batching gives the same totals.
     """
-    path, traj, truth = experiment_trajectory(config, index)
-    x, y = planar(traj, path.origin_lat)
-    t = traj.times
-    stay_pool, travel_pool = _recall_pools(x, y, t, config.params)
-    truth_travel = truth == LABEL_TRAVEL
+    total = np.zeros((len(config.rates), _COUNT_FIELDS), dtype=np.int64)
+    batch = []
+    held = 0
+    for index in indices:
+        path, traj, truth = experiment_trajectory(config, index)
+        x, y = planar(traj, path.origin_lat)
+        if batch and held + len(x) > BATCH_RECORDS:
+            total += _batch_counts(config, batch)
+            batch, held = [], 0
+        batch.append((index, x, y, traj.times, truth == LABEL_TRAVEL))
+        held += len(x)
+    if batch:
+        total += _batch_counts(config, batch)
+    return total
+
+
+def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
+    """Per-rate raw counts of a batch of trajectories, each given as (index,
+    x, y, times, truth travel mask).
+
+    ``sds._recall_pools`` fixes every trajectory's recall pools in one kernel
+    call per radius pair. One ``sds._joined_codes`` call labels every kept
+    subset, rate after rate and within a rate trajectory after trajectory:
+    the subsets are joined in time, each shifted more than delta_t past the
+    one before, and the kernel labels across such a gap as it labels
+    separate trajectories. The count fields come from one histogram over
+    (rate, predicted code, truth class, stay pool, travel pool), the gap
+    fields from each subset's first and last time.
+    """
+    indices, xs, ys, ts, travels = zip(*batch)
+    lengths = [len(v) for v in ts]
+    x = np.concatenate(xs)
+    y = np.concatenate(ys)
+    t = np.concatenate(ts)
+    truth_travel = np.concatenate(travels)
+    stay_pool, travel_pool = _recall_pools(x, y, t, lengths, config.params)
     travel_pool &= truth_travel
 
-    n = len(t)
     rates = len(config.rates)
     # the keep masks of simulate.resample: one uniform per record from a
     # generator seeded by (seed, index, rate position), so rates stay
     # independent of each other and of the trajectory draws
-    draws = [
-        np.random.default_rng((config.seed, index, k)).random(n) for k in range(rates)
-    ]
-    keep = np.array(draws) < np.array(config.rates)[:, None]
+    keep = np.empty((rates, len(t)), dtype=bool)
+    for k, rate in enumerate(config.rates):
+        draws = [
+            np.random.default_rng((config.seed, index, k)).random(n)
+            for index, n in zip(indices, lengths)
+        ]
+        keep[k] = np.concatenate(draws) < rate
     row, col = np.nonzero(keep)
-    sizes = keep.sum(axis=1)
+    # kept records per (rate, trajectory), the order nonzero lists them in,
+    # as differences of running counts: a trajectory may have no records
+    running = np.zeros((rates, len(t) + 1), dtype=np.int64)
+    np.cumsum(keep, axis=1, out=running[:, 1:])
+    sizes = np.diff(running[:, np.cumsum([0] + lengths)], axis=1).ravel()
     kept = t[col]
-    predicted = np.zeros((rates, n), dtype=np.int64)
+    predicted = np.zeros((rates, len(t)), dtype=np.int64)
     predicted[row, col] = _joined_codes(x[col], y[col], kept, sizes, config.params)
     cell = ((predicted * 2 + truth_travel) * 2 + stay_pool) * 2 + travel_pool
     cell += np.arange(rates)[:, None] * _CELLS
     hist = np.bincount(cell.ravel(), minlength=rates * _CELLS).reshape(rates, _CELLS)
     some = sizes > 0
     ends = np.cumsum(sizes)[some]
-    spans = np.zeros(rates, dtype=np.int64)
+    spans = np.zeros(len(sizes), dtype=np.int64)
     spans[some] = kept[ends - 1] - kept[ends - sizes[some]]
-    return np.column_stack((hist @ _CELL_WEIGHTS, spans, np.maximum(sizes - 1, 0)))
+    spans = spans.reshape(rates, -1).sum(axis=1)
+    gaps = np.maximum(sizes - 1, 0).reshape(rates, -1).sum(axis=1)
+    return np.column_stack((hist @ _CELL_WEIGHTS, spans, gaps))
 
 
 def resampling_experiment(config: ExperimentConfig) -> list[RateOutcome]:
     """Run the experiment and return one pooled outcome per retention rate.
 
+    With several workers, each counts one contiguous range of about
+    ``trajectories / workers`` trajectories.
+
     Raises ValueError, before any trajectory is built, for walk settings
     whose truth labels cannot be exact (see ``simulate.check_supports``).
     """
     check_supports(config.walk, config.params)
-    indices = range(config.trajectories)
-    if config.workers > 1 and config.trajectories > 1:
+    n = config.trajectories
+    workers = min(config.workers, n)
+    if workers > 1:
+        cuts = [n * k // workers for k in range(workers + 1)]
+        ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(config.workers, config.trajectories)) as pool:
-            parts = pool.map(partial(_trajectory_counts, config), indices)
-    else:
-        parts = [_trajectory_counts(config, i) for i in indices]
-    if parts:
+        with ctx.Pool(workers) as pool:
+            parts = pool.map(partial(_trajectory_counts, config), ranges)
         total = np.sum(parts, axis=0)
     else:
-        total = np.zeros((len(config.rates), _COUNT_FIELDS), dtype=np.int64)
+        total = _trajectory_counts(config, range(n))
     return [
         RateOutcome(rate, *(int(v) for v in total[pos]))
         for pos, rate in enumerate(config.rates)

@@ -16,7 +16,9 @@ leave undecided (a few in sparse data) go record by record, on Python lists
 (indexing numpy scalars costs several times more per step). The labeler's
 radii, delta_s/3 and delta_s, are set in _joined_codes, and the recall
 pools' radii, delta_s and delta_s/2, in _recall_pools; every other module
-labels through these two.
+labels through these two. Both take consecutive trajectories and label them
+through _joined_flags, in one kernel call per radius pair where int64 times
+allow.
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
@@ -430,8 +432,10 @@ def label_kernel(
     Segments separated by a time gap of more than ``delta_t`` are labeled
     independently: each gets exactly the flags it would get alone, so
     several trajectories can be labeled in one call by joining them with
-    such gaps, which pays the per-call set-up of the travel pass's
-    whole-array steps once for all of them.
+    such gaps (``_joined_flags``), which pays the per-call set-up of the
+    whole-array steps once for all of them: ``sparsemob label`` labels a
+    file, and the experiment a batch of trajectories and their thinned
+    copies, in one call per radius pair.
     """
     stay = np.zeros(len(t), dtype=bool)
     travel = np.zeros(len(t), dtype=bool)
@@ -480,10 +484,35 @@ def _trajectory_codes(trajectories, params, *, ref_lat=None, tail_flush=True):
 
 def _joined_codes(x, y, t, sizes, params: MobilityParams, tail_flush=True):
     """int8 label codes of consecutive trajectories in planar coordinates,
-    each as if labeled alone, in as few kernel calls as int64 times allow.
+    each as if labeled alone (see ``_joined_flags``).
 
     The labeler's radii: the stay pass escapes at delta_s/3 and travel
     witnesses lie at delta_s or more.
+    """
+    d_s = params.delta_s
+    stay, travel = _joined_flags(
+        x, y, t, sizes, params.delta_t, d_s / 3.0, d_s, tail_flush
+    )
+    return (stay * LABEL_STAY + travel * LABEL_TRAVEL).astype(np.int8)
+
+
+def _recall_pools(
+    x, y, t, sizes, params: MobilityParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records any labeler of each trajectory alone could flag, for
+    consecutive trajectories in planar coordinates as in ``_joined_codes``:
+    dense-window members at delta_s (with the tail flush always on, so the
+    final window counts), and records with bilateral witnesses at
+    delta_s/2, from the travel pass alone."""
+    d_s, d_t = params.delta_s, params.delta_t
+    stay = _joined_flags(x, y, t, sizes, d_t, d_s, None)[0]
+    travel = _joined_flags(x, y, t, sizes, d_t, None, d_s / 2.0)[1]
+    return stay, travel
+
+
+def _joined_flags(x, y, t, sizes, delta_t, escape, witness, tail_flush=True):
+    """``label_kernel``'s stay and travel flags of consecutive trajectories,
+    each as if labeled alone, in as few kernel calls as int64 times allow.
 
     ``x``, ``y`` and ``t`` hold the trajectories one after another, ``sizes``
     their lengths. Each trajectory's times are rebased to start
@@ -497,44 +526,37 @@ def _joined_codes(x, y, t, sizes, params: MobilityParams, tail_flush=True):
     a superblock box that also holds a neighbour's records would make them
     walk it block by block.
     """
-    d_s, d_t = params.delta_s, params.delta_t
-    gap = math.floor(d_t) + 1 if d_t < 2**63 - 1 else None
-    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
-    joined = np.empty_like(t)
+    gap = math.floor(delta_t) + 1 if delta_t < 2**63 - 1 else None
+    sizes = np.asarray(sizes, dtype=np.int64)
+    sizes = sizes[sizes > 0]
+    ends = np.cumsum(sizes)
+    heads = ends - sizes
+    first = t[heads]
+    dense = sizes > SUPER
+    lo, hi = heads[dense], ends[dense] - 1
+    dense[dense] = (t[lo + SUPER] - t[lo] < delta_t) | (t[hi] - t[hi - SUPER] < delta_t)
+    spans = (t[ends - 1] - first).tolist()
+    starts = []
     cuts = []
     end = None
-    for a, b in zip(bounds, bounds[1:]):
-        if a == b:
-            continue
-        span = int(t[b - 1] - t[a])
-        dense = b - a > SUPER and (
-            t[a + SUPER] - t[a] < d_t or t[b - 1] - t[b - 1 - SUPER] < d_t
-        )
-        if end is not None and not dense and gap is not None and end + gap + span < 2**63:
+    for a, span, alone in zip(heads.tolist(), spans, dense.tolist()):
+        if end is not None and not alone and gap is not None and end + gap + span < 2**63:
             start = end + gap
         else:
             start = 0
             cuts.append(a)
-        joined[a:b] = t[a:b] - t[a] + start
-        end = None if dense else start + span
+        starts.append(start)
+        end = None if alone else start + span
+    joined = t - np.repeat(first, sizes)
+    joined += np.repeat(np.array(starts, dtype=np.int64), sizes)
     cuts.append(len(t))
-    codes = np.empty(len(t), dtype=np.int8)
+    stay = np.zeros(len(t), dtype=bool)
+    travel = np.zeros(len(t), dtype=bool)
     for a, b in zip(cuts, cuts[1:]):
-        stay, travel = label_kernel(
-            x[a:b], y[a:b], joined[a:b], d_t, d_s / 3.0, d_s, tail_flush=tail_flush
+        stay[a:b], travel[a:b] = label_kernel(
+            x[a:b], y[a:b], joined[a:b], delta_t, escape, witness,
+            tail_flush=tail_flush,
         )
-        codes[a:b] = stay * LABEL_STAY + travel * LABEL_TRAVEL
-    return codes
-
-
-def _recall_pools(x, y, t, params: MobilityParams) -> tuple[np.ndarray, np.ndarray]:
-    """The records any labeler of this trajectory alone could flag, in
-    planar coordinates: dense-window members at delta_s (with the tail
-    flush always on, so the final window counts), and records with
-    bilateral witnesses at delta_s/2, from the travel pass alone."""
-    d_s, d_t = params.delta_s, params.delta_t
-    stay = label_kernel(x, y, t, d_t, d_s, None)[0]
-    travel = label_kernel(x, y, t, d_t, None, d_s / 2.0)[1]
     return stay, travel
 
 
@@ -556,7 +578,7 @@ def recall_lower_bounds(
     x, y = planar(traj, ref_lat)
     t = traj.times
     codes = _joined_codes(x, y, t, [len(t)], params, tail_flush)
-    dense_stay, witnessed_half = _recall_pools(x, y, t, params)
+    dense_stay, witnessed_half = _recall_pools(x, y, t, [len(t)], params)
     s_num = int((codes == LABEL_STAY).sum())
     t_num = int((codes == LABEL_TRAVEL).sum())
     s_den, t_den = int(dense_stay.sum()), int(witnessed_half.sum())

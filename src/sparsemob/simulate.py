@@ -21,7 +21,7 @@ same path, schedule, jitter, and resampling byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,7 +103,11 @@ class GroundTruthPath:
     ``periods``: each dwell contributes its two endpoints at one position,
     each leg its endpoints, shared vertices deduplicated. Linear
     interpolation over the vertices therefore reproduces the exact position
-    at any time in [0, duration].
+    at any time in [0, duration]; period k runs from vertex k to vertex k + 1.
+
+    The periods are also held as arrays, built once: ``period_stay`` (dwell
+    or leg), ``period_start``, ``period_duration`` and ``period_length`` (a
+    leg's length, 0 for a dwell).
     """
 
     periods: tuple
@@ -113,10 +117,25 @@ class GroundTruthPath:
     duration: float
     origin_lon: float
     origin_lat: float
+    period_stay: np.ndarray = field(init=False, repr=False)
+    period_start: np.ndarray = field(init=False, repr=False)
+    period_duration: np.ndarray = field(init=False, repr=False)
+    period_length: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("vertex_times", "vertex_x", "vertex_y"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        periods = self.periods
+        stay = [isinstance(p, StayPeriod) for p in periods]
+        floats = {
+            "vertex_times": self.vertex_times,
+            "vertex_x": self.vertex_x,
+            "vertex_y": self.vertex_y,
+            "period_start": [p.start for p in periods],
+            "period_duration": [p.duration for p in periods],
+            "period_length": [0.0 if s else p.length for s, p in zip(stay, periods)],
+        }
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in floats.items()}
+        arrays["period_stay"] = np.array(stay, dtype=bool)
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -129,8 +148,8 @@ class GroundTruthPath:
     def period_index_at(self, times) -> np.ndarray:
         """Index into ``periods`` for each time; boundary instants resolve to
         the later period."""
-        starts = np.array([p.start for p in self.periods])
-        idx = np.searchsorted(starts, np.asarray(times, dtype=np.float64), side="right") - 1
+        t = np.asarray(times, dtype=np.float64)
+        idx = np.searchsorted(self.period_start, t, side="right") - 1
         return np.clip(idx, 0, len(self.periods) - 1)
 
 
@@ -300,9 +319,7 @@ def observe(
     if jitter_radius > 0:
         if rng is None:
             rng = np.random.default_rng(0)
-        in_dwell = np.array(
-            [isinstance(path.periods[i], StayPeriod) for i in path.period_index_at(t)]
-        )
+        in_dwell = path.period_stay[path.period_index_at(t)]
         k = int(in_dwell.sum())
         if k:
             r = jitter_radius * np.sqrt(rng.random(k))
@@ -418,49 +435,46 @@ def continuous_labels(
     else (horizon-truncated tail, lone truncated dwell) falls back to the
     exact candidate-window search.
 
+    The closed form runs over all timestamps at once, from the path's
+    per-period arrays; only the fallback timestamps are searched one by
+    one. Distances to a leg's endpoints are ``math.hypot``'s, as the leg
+    length is, since both decide ``< delta_s`` and ``np.hypot`` can differ
+    from it in the last place.
+
     Requires every dwell except the final period to last at least delta_t;
     raises otherwise because the search anchors would no longer be exhaustive.
     """
     t = np.asarray(times, dtype=np.float64)
     if t.size and (t.min() < 0 or t.max() > path.duration):
         raise ValueError("timestamps must lie within [0, duration]")
-    for p in path.periods[:-1]:
-        if isinstance(p, StayPeriod) and p.duration < params.delta_t:
-            raise ValueError(
-                "interior dwell shorter than delta_t; exact labeling unsupported"
-            )
-    labels = np.full(t.size, LABEL_TRAVEL, dtype=np.int8)
-    idx = path.period_index_at(t)
-    exact: list[int] = []
-    n_periods = len(path.periods)
-    for k, (ti, pi) in enumerate(zip(t, idx)):
-        period = path.periods[pi]
-        if isinstance(period, StayPeriod):
-            if period.duration >= params.delta_t:
-                labels[k] = LABEL_STAY
-            else:
-                exact.append(k)
-            continue
-        nxt = path.periods[pi + 1] if pi + 1 < n_periods else None
-        prv = path.periods[pi - 1] if pi > 0 else None
-        closed_form = (
-            isinstance(nxt, StayPeriod)
-            and nxt.duration >= params.delta_t
-            and isinstance(prv, StayPeriod)
-            and prv.duration >= params.delta_t
-            and period.length >= params.delta_s
-            and period.speed * params.delta_t >= params.delta_s
+    d_s, d_t = params.delta_s, params.delta_t
+    stay = path.period_stay
+    duration = path.period_duration
+    if (stay[:-1] & (duration[:-1] < d_t)).any():
+        raise ValueError(
+            "interior dwell shorter than delta_t; exact labeling unsupported"
         )
-        if not closed_form:
-            exact.append(k)
-            continue
-        frac = (ti - period.start) / period.duration
-        px = period.x0 + frac * (period.x1 - period.x0)
-        py = period.y0 + frac * (period.y1 - period.y0)
-        near_prev = math.hypot(px - period.x0, py - period.y0) < params.delta_s
-        near_next = math.hypot(px - period.x1, py - period.y1) < params.delta_s
-        if near_prev or near_next:
-            labels[k] = LABEL_STAY
-    for k in exact:
-        labels[k] = _search_label(path, float(t[k]), params)
+    full = stay & (duration >= d_t)
+    # legs between two full dwells, at least delta_s long and fast enough to
+    # cover delta_s within delta_t
+    closed = np.zeros(len(stay), dtype=bool)
+    closed[1:-1] = ~stay[1:-1] & full[:-2] & full[2:]
+    legs = np.flatnonzero(closed)
+    length = path.period_length[legs]
+    closed[legs] = (length >= d_s) & (length / duration[legs] * d_t >= d_s)
+
+    idx = path.period_index_at(t)
+    labels = np.where(full[idx], LABEL_STAY, LABEL_TRAVEL).astype(np.int8)
+    on_leg = np.flatnonzero(closed[idx])
+    k = idx[on_leg]
+    frac = (t[on_leg] - path.period_start[k]) / duration[k]
+    x0, y0 = path.vertex_x[k], path.vertex_y[k]
+    x1, y1 = path.vertex_x[k + 1], path.vertex_y[k + 1]
+    px = x0 + frac * (x1 - x0)
+    py = y0 + frac * (y1 - y0)
+    offsets = zip(*(v.tolist() for v in (px - x0, py - y0, px - x1, py - y1)))
+    near = [math.hypot(a, b) < d_s or math.hypot(c, d) < d_s for a, b, c, d in offsets]
+    labels[on_leg[near]] = LABEL_STAY
+    for i in np.flatnonzero(~(full | closed)[idx]).tolist():
+        labels[i] = _search_label(path, float(t[i]), params)
     return labels

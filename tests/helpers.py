@@ -29,7 +29,13 @@ from sparsemob.evaluate import (
 )
 from sparsemob.oracle import dense_stay_windows
 from sparsemob.sds import _block_boxes, _far_before, label_kernel, sds_label
-from sparsemob.simulate import resample
+from sparsemob.simulate import (
+    GroundTruthPath,
+    StayPeriod,
+    TravelLeg,
+    _search_label,
+    resample,
+)
 
 
 def traj_from_meters(times, xs, ys=None, device="dev") -> Trajectory:
@@ -540,3 +546,82 @@ def reference_trajectory_counts(config: ExperimentConfig, index: int) -> np.ndar
             int(gaps.size),
         )
     return out
+
+
+def reference_continuous_labels(
+    path: GroundTruthPath, times, params: MobilityParams
+) -> np.ndarray:
+    """Truth labels one timestamp at a time, reading the period objects
+    themselves: the reference for ``simulate.continuous_labels``. Its input
+    checks are left to the library."""
+    t = np.asarray(times, dtype=np.float64)
+    starts = [p.start for p in path.periods]
+    idx = np.searchsorted(starts, t, side="right") - 1
+    idx = np.clip(idx, 0, len(path.periods) - 1)
+    labels = np.full(t.size, LABEL_TRAVEL, dtype=np.int8)
+    exact: list[int] = []
+    n_periods = len(path.periods)
+    for k, (ti, pi) in enumerate(zip(t, idx)):
+        period = path.periods[pi]
+        if isinstance(period, StayPeriod):
+            if period.duration >= params.delta_t:
+                labels[k] = LABEL_STAY
+            else:
+                exact.append(k)
+            continue
+        nxt = path.periods[pi + 1] if pi + 1 < n_periods else None
+        prv = path.periods[pi - 1] if pi > 0 else None
+        closed_form = (
+            isinstance(nxt, StayPeriod)
+            and nxt.duration >= params.delta_t
+            and isinstance(prv, StayPeriod)
+            and prv.duration >= params.delta_t
+            and period.length >= params.delta_s
+            and period.speed * params.delta_t >= params.delta_s
+        )
+        if not closed_form:
+            exact.append(k)
+            continue
+        frac = (ti - period.start) / period.duration
+        px = period.x0 + frac * (period.x1 - period.x0)
+        py = period.y0 + frac * (period.y1 - period.y0)
+        near_prev = math.hypot(px - period.x0, py - period.y0) < params.delta_s
+        near_next = math.hypot(px - period.x1, py - period.y1) < params.delta_s
+        if near_prev or near_next:
+            labels[k] = LABEL_STAY
+    for k in exact:
+        labels[k] = _search_label(path, float(t[k]), params)
+    return labels
+
+
+def axis_path(stops, dwell: float, speed: float = 10.0) -> GroundTruthPath:
+    """A path that dwells ``dwell`` s at each planar point of ``stops`` and
+    moves between them in straight legs at ``speed`` m/s."""
+    stops = np.asarray(stops, dtype=np.float64).tolist()
+    periods = []
+    x, y = stops[0]
+    vt, vx, vy = [0.0], [x], [y]
+    t = 0.0
+    for k, (nx, ny) in enumerate(stops):
+        if k:
+            end = t + math.hypot(nx - x, ny - y) / speed
+            periods.append(TravelLeg(t, end, x, y, nx, ny))
+            t = end
+            vt.append(t)
+            vx.append(nx)
+            vy.append(ny)
+        x, y = nx, ny
+        periods.append(StayPeriod(t, t + dwell, x, y))
+        t += dwell
+        vt.append(t)
+        vx.append(x)
+        vy.append(y)
+    return GroundTruthPath(
+        periods=tuple(periods),
+        vertex_times=np.array(vt),
+        vertex_x=np.array(vx),
+        vertex_y=np.array(vy),
+        duration=t,
+        origin_lon=116.4,
+        origin_lat=39.9,
+    )

@@ -21,7 +21,9 @@ from sparsemob.core import (
     MobilityParams,
     Trajectory,
 )
+from sparsemob import sds
 from sparsemob.evaluate import (
+    BATCH_RECORDS,
     ConfusionCounts,
     ExperimentConfig,
     LocalConsistencyResult,
@@ -211,7 +213,7 @@ class TestExperimentConfig:
             ExperimentConfig(workers=0)
 
     def test_joined_times_must_fit_int64(self):
-        # the rates' subsets are labeled as one trajectory, one after another
+        # one trajectory's rate subsets, joined in time, fit one kernel call
         with pytest.raises(ValueError, match="overflow"):
             ExperimentConfig(walk=CtrwConfig(duration=2.0**62), rates=(1.0, 0.5))
         ExperimentConfig(walk=CtrwConfig(duration=2.0**61), rates=(1.0, 0.5))
@@ -356,7 +358,20 @@ class TestResamplingExperiment:
 
 
 class TestTrajectoryCounts:
-    """The one-call counts against the per-rate composition of public calls."""
+    """The batched counts against the per-rate composition of public calls."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Record counts of the labeler calls, appended as they are made."""
+        calls = []
+        kernel = sds.label_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sds, "label_kernel", counted)
+        return calls
 
     @pytest.mark.parametrize(
         "config",
@@ -379,25 +394,91 @@ class TestTrajectoryCounts:
         ids=["default", "fractional-delta-t", "zero-and-repeated-rates", "no-records"],
     )
     def test_match_reference(self, config):
-        for index in range(config.trajectories):
-            got = _trajectory_counts(config, index)
-            want = reference_trajectory_counts(config, index)
-            assert got.dtype == want.dtype
-            assert got.tolist() == want.tolist(), index
+        n = config.trajectories
+        want = [reference_trajectory_counts(config, i) for i in range(n)]
+        for index in range(n):
+            got = _trajectory_counts(config, range(index, index + 1))
+            assert got.dtype == want[index].dtype
+            assert got.tolist() == want[index].tolist(), index
+        for part in (range(n), range(n // 2, n)):
+            got = _trajectory_counts(config, part)
+            assert got.tolist() == np.sum(want[part.start :], axis=0).tolist()
 
     def test_match_reference_on_tiny_subsets(self):
         config = ExperimentConfig(
             trajectories=12, walk=CtrwConfig(duration=400.0), rates=(0.5, 0.2, 0.0, 1.0)
         )
         sizes = set()
+        want = np.zeros((len(config.rates), 12), dtype=np.int64)
         for index in range(config.trajectories):
             _, traj, _ = experiment_trajectory(config, index, with_truth=False)
             for pos, rate in enumerate(config.rates):
                 rng = np.random.default_rng((config.seed, index, pos))
                 sizes.add(len(resample(traj, rate, rng)[0]))
-            got = _trajectory_counts(config, index)
-            assert got.tolist() == reference_trajectory_counts(config, index).tolist()
+            want += reference_trajectory_counts(config, index)
         assert {0, 1} <= sizes
+        got = _trajectory_counts(config, range(config.trajectories))
+        assert got.tolist() == want.tolist()
+
+    def test_zero_record_trajectory_inside_a_batch(self, kernel_calls):
+        # the first observation often falls past a 200 s walk's end
+        config = ExperimentConfig(
+            trajectories=10, walk=CtrwConfig(duration=200.0), rates=(1.0, 0.0, 0.5, 1.0)
+        )
+        lengths = [
+            len(experiment_trajectory(config, i, with_truth=False)[1])
+            for i in range(config.trajectories)
+        ]
+        first = next(i for i, n in enumerate(lengths) if n)
+        assert 0 in lengths[first:] and sum(lengths) > 0
+        want = sum(reference_trajectory_counts(config, i) for i in range(10))
+        kernel_calls.clear()
+        got = _trajectory_counts(config, range(config.trajectories))
+        assert got.tolist() == want.tolist()
+        # one batch: one call per radius pair
+        assert len(kernel_calls) == 3
+
+    # "exact": the first two trajectories fill the budget to the record
+    @pytest.mark.parametrize("budget", [1, 700, 1500, "exact"])
+    def test_budget_flushes_mid_range(self, monkeypatch, kernel_calls, budget):
+        config = ExperimentConfig(trajectories=6, rates=(1.0, 0.3, 0.0, 0.3))
+        lengths = [
+            len(experiment_trajectory(config, i, with_truth=False)[1])
+            for i in range(config.trajectories)
+        ]
+        if budget == "exact":
+            budget = lengths[0] + lengths[1]
+        want = sum(reference_trajectory_counts(config, i) for i in range(6))
+        monkeypatch.setattr("sparsemob.evaluate.BATCH_RECORDS", budget)
+        kernel_calls.clear()
+        got = _trajectory_counts(config, range(config.trajectories))
+        assert got.tolist() == want.tolist()
+        # the batches the budget makes: each flushed before the next
+        # trajectory would take it past the budget
+        batches = [[]]
+        for n in lengths:
+            if batches[-1] and sum(batches[-1]) + n > budget:
+                batches.append([])
+            batches[-1].append(n)
+        assert len(batches) > 1
+        assert len(kernel_calls) == 3 * len(batches)
+        assert kernel_calls[::3] == [sum(b) for b in batches]
+
+    def test_no_call_holds_more_than_the_budget(self, kernel_calls):
+        config = ExperimentConfig(trajectories=30, seed=4)
+        counts = _trajectory_counts(config, range(config.trajectories))
+        # the full rate's gaps: its records less one per trajectory
+        assert counts[0, 11] > 2 * BATCH_RECORDS
+        assert len(kernel_calls) < config.trajectories
+        assert max(kernel_calls) <= BATCH_RECORDS * len(config.rates)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_ranges_equal_one_process(self, workers):
+        config = ExperimentConfig(
+            trajectories=7, walk=CtrwConfig(duration=60000.0), rates=(1.0, 0.0, 0.5, 1.0)
+        )
+        alone = resampling_experiment(config)
+        assert resampling_experiment(replace(config, workers=workers)) == alone
 
 
 class TestRecallAccounting:

@@ -4,18 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fit_power_law_exponent
+from helpers import axis_path, fit_power_law_exponent, reference_continuous_labels
 from sparsemob.core import (
     LABEL_STAY,
     LABEL_TRAVEL,
     METERS_PER_DEGREE,
     MobilityParams,
 )
+from sparsemob.evaluate import ExperimentConfig, experiment_trajectory
 from sparsemob.oracle import dense_stay_windows
 from sparsemob.simulate import (
     CtrwConfig,
     StayPeriod,
     TravelLeg,
+    _search_label,
     check_supports,
     continuous_labels,
     generate_ctrw,
@@ -262,7 +264,89 @@ class TestWindowDiameter:
         assert window_diameter(path, dwell.start, PARAMS.delta_t) == 0.0
 
 
+class TestContinuousLabelsReference:
+    """The whole-array truth labels against the per-timestamp reference."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [PARAMS, MobilityParams(delta_s=300.0, delta_t=600.5)],
+        ids=["default", "fractional-delta-t"],
+    )
+    def test_experiment_paths(self, params):
+        config = ExperimentConfig(trajectories=400, params=params, seed=5)
+        for index in range(config.trajectories):
+            path, traj, _ = experiment_trajectory(config, index, with_truth=False)
+            got = continuous_labels(path, traj.times, params)
+            want = reference_continuous_labels(path, traj.times, params)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist(), index
+
+    @pytest.mark.parametrize("tail", ["leg", "short-dwell", "full-dwell"])
+    def test_one_hertz_through_the_horizon(self, tail):
+        # the final period is cut at the horizon: a leg, a dwell shorter than
+        # delta_t (the search decides it and the leg before it), or a dwell
+        # that still outlasts delta_t
+        for seed in range(200):
+            path = generate_ctrw(CtrwConfig(seed=seed, duration=20000.0))
+            last = path.periods[-1]
+            kind = (
+                "leg"
+                if isinstance(last, TravelLeg)
+                else "short-dwell" if last.duration < PARAMS.delta_t else "full-dwell"
+            )
+            if kind == tail and len(path.periods) >= 4:
+                break
+        else:
+            pytest.fail(f"no path ends in a {tail}")
+        times = np.arange(0, int(path.duration) + 1)
+        got = continuous_labels(path, times, PARAMS)
+        assert got.tolist() == reference_continuous_labels(path, times, PARAMS).tolist()
+        assert set(got.tolist()) == {LABEL_STAY, LABEL_TRAVEL}
+
+    def test_times_on_period_boundaries(self):
+        for seed in range(20):
+            path = generate_ctrw(CtrwConfig(seed=300 + seed))
+            times = np.concatenate(
+                (path.vertex_times, np.nextafter(path.vertex_times[1:], 0.0))
+            )
+            got = continuous_labels(path, times, PARAMS)
+            want = reference_continuous_labels(path, times, PARAMS)
+            assert got.tolist() == want.tolist(), seed
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_exactly_delta_s_from_an_endpoint_is_travel(self, axis):
+        # a 2560 m leg at 10 m/s takes 256 s, so 80 s into it the device is
+        # exactly 800 m = delta_s from where it left: a tie, which `<` makes
+        # travel; a second nearer it is a dwell instant
+        stops = [(0, 0), (2560, 0), (2560, 3000)]
+        path = axis_path([p[::-1] for p in stops] if axis else stops, dwell=3600.0)
+        leg = path.periods[1]
+        assert isinstance(leg, TravelLeg) and leg.duration == 256.0
+        times = leg.start + np.array([79, 80, 81, 128, 175, 176, 177])
+        got = continuous_labels(path, times, PARAMS)
+        S, T = LABEL_STAY, LABEL_TRAVEL
+        assert got.tolist() == [S, T, T, T, T, T, S]
+        assert got.tolist() == reference_continuous_labels(path, times, PARAMS).tolist()
+        # the closed form agrees with the exact window search at the tie
+        assert got.tolist() == [_search_label(path, float(s), PARAMS) for s in times]
+
+
 class TestObserve:
+    def test_boundary_instants_belong_to_the_later_period(self):
+        # dwells of 3600 s joined by 256 s legs: every period starts on an
+        # integer second, and only reads inside a dwell are jittered
+        path = axis_path([(0, 0), (2560, 0), (2560, 2560)], dwell=3600.0)
+        starts = [int(p.start) for p in path.periods]
+        assert path.period_index_at(starts).tolist() == list(range(len(starts)))
+        assert path.period_index_at([s - 1 for s in starts[1:]]).tolist() == [0, 1, 2, 3]
+        traj = observe(path, starts, jitter_radius=50.0, rng=np.random.default_rng(4))
+        x, _ = path.position_at(starts)
+        ox = (traj.lons - path.origin_lon) * METERS_PER_DEGREE * math.cos(
+            math.radians(path.origin_lat)
+        )
+        moved = np.abs(ox - x) > 1e-6
+        assert moved.tolist() == [isinstance(p, StayPeriod) for p in path.periods]
+
     def test_zero_jitter_reads_exact_dwell_points(self):
         config = CtrwConfig(seed=14)
         path = generate_ctrw(config)
