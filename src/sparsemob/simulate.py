@@ -16,12 +16,15 @@ evaluating candidate windows anchored at path vertices (see
 
 Determinism contract: one ``numpy.random.Generator`` drives one trajectory.
 Draw order is fixed and documented per function, so any seed reproduces the
-same path, schedule, jitter, and resampling byte for byte.
+same path, schedule, jitter, and resampling byte for byte. A function that
+owns its generator may take the uniforms in blocks (:func:`generate_ctrw`):
+it uses the same doubles in the same order as one call per draw, and the
+unused rest of the last block reaches nothing else.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +35,24 @@ from .core import (
     MobilityParams,
     Trajectory,
 )
+
+
+def _power_law_transform(exponent: float, lower: float, upper: float):
+    """The inverse CDF of a power law ~ x^(-exponent) truncated to [lower,
+    upper], applied to a uniform or an array of them. On a Python float it
+    is Python's float math, which numpy's vector ``**`` can differ from in
+    the last place."""
+    if not 0 < lower < upper:
+        raise ValueError("need 0 < lower < upper")
+    if not exponent >= 1.0:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    if exponent == 1.0:
+        # limiting form: log-uniform on [lower, upper]
+        ratio = upper / lower
+        return lambda u: lower * ratio**u
+    k = 1.0 - exponent
+    base, span, power = lower**k, upper**k - lower**k, 1.0 / k
+    return lambda u: (base + u * span) ** power
 
 
 def sample_truncated_power_law(
@@ -45,96 +66,58 @@ def sample_truncated_power_law(
 
     Inverse-CDF transform; consumes exactly one uniform per draw.
     """
-    if not 0 < lower < upper:
-        raise ValueError("need 0 < lower < upper")
-    if exponent < 1.0:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
-    u = rng.random() if size is None else rng.random(size)
-    if exponent == 1.0:
-        # limiting form: log-uniform on [lower, upper]
-        return lower * (upper / lower) ** u
-    k = 1.0 - exponent
-    return (lower**k + u * (upper**k - lower**k)) ** (1.0 / k)
-
-
-@dataclass(frozen=True)
-class StayPeriod:
-    """Dwell at a fixed planar point over [start, end] seconds."""
-
-    start: float
-    end: float
-    x: float
-    y: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class TravelLeg:
-    """Constant-speed straight move from (x0, y0) to (x1, y1) over [start, end]."""
-
-    start: float
-    end: float
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
-
-    @property
-    def speed(self) -> float:
-        return self.length / self.duration
+    transform = _power_law_transform(exponent, lower, upper)
+    return transform(rng.random() if size is None else rng.random(size))
 
 
 @dataclass(frozen=True, eq=False)
 class GroundTruthPath:
-    """Piecewise dwell/leg path plus its vertex polyline.
+    """Piecewise dwell/leg path, held as its vertex polyline and per-period
+    arrays only.
 
-    ``vertex_times`` / ``vertex_x`` / ``vertex_y`` trace the same path as
-    ``periods``: each dwell contributes its two endpoints at one position,
-    each leg its endpoints, shared vertices deduplicated. Linear
+    Period k runs from vertex k to vertex k + 1 of ``vertex_times`` /
+    ``vertex_x`` / ``vertex_y``; ``period_stay`` says whether it is a dwell
+    (both vertices at one position) or a constant-speed straight leg. Linear
     interpolation over the vertices therefore reproduces the exact position
-    at any time in [0, duration]; period k runs from vertex k to vertex k + 1.
+    at any time in [0, duration].
 
-    The periods are also held as arrays, built once: ``period_stay`` (dwell
-    or leg), ``period_start``, ``period_duration`` and ``period_length`` (a
-    leg's length, 0 for a dwell).
+    The other per-period arrays are derived once from the vertices:
+    ``period_start`` (the first vertex time), ``period_duration`` (the
+    vertex time difference) and ``period_length`` (``math.hypot`` of the
+    vertex differences: a leg's length, 0 for a dwell). Every array is
+    read-only.
     """
 
-    periods: tuple
     vertex_times: np.ndarray
     vertex_x: np.ndarray
     vertex_y: np.ndarray
+    period_stay: np.ndarray
     duration: float
     origin_lon: float
     origin_lat: float
-    period_stay: np.ndarray = field(init=False, repr=False)
     period_start: np.ndarray = field(init=False, repr=False)
     period_duration: np.ndarray = field(init=False, repr=False)
     period_length: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        periods = self.periods
-        stay = [isinstance(p, StayPeriod) for p in periods]
-        floats = {
-            "vertex_times": self.vertex_times,
-            "vertex_x": self.vertex_x,
-            "vertex_y": self.vertex_y,
-            "period_start": [p.start for p in periods],
-            "period_duration": [p.duration for p in periods],
-            "period_length": [0.0 if s else p.length for s, p in zip(stay, periods)],
+        vt, vx, vy = (
+            np.asarray(v, dtype=np.float64)
+            for v in (self.vertex_times, self.vertex_x, self.vertex_y)
+        )
+        stay = np.asarray(self.period_stay, dtype=bool)
+        if not vx.shape == vy.shape == vt.shape == (stay.size + 1,):
+            raise ValueError("need a position per vertex and a flag per period")
+        # Python's hypot, not np.hypot: truth labels decide length >= delta_s
+        lengths = map(math.hypot, np.diff(vx).tolist(), np.diff(vy).tolist())
+        arrays = {
+            "vertex_times": vt,
+            "vertex_x": vx,
+            "vertex_y": vy,
+            "period_stay": stay,
+            "period_start": vt[:-1],
+            "period_duration": np.diff(vt),
+            "period_length": np.fromiter(lengths, np.float64, stay.size),
         }
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in floats.items()}
-        arrays["period_stay"] = np.array(stay, dtype=bool)
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -146,11 +129,11 @@ class GroundTruthPath:
         return x, y
 
     def period_index_at(self, times) -> np.ndarray:
-        """Index into ``periods`` for each time; boundary instants resolve to
-        the later period."""
+        """Index of the period holding each time; boundary instants resolve
+        to the later period."""
         t = np.asarray(times, dtype=np.float64)
         idx = np.searchsorted(self.period_start, t, side="right") - 1
-        return np.clip(idx, 0, len(self.periods) - 1)
+        return np.clip(idx, 0, self.period_stay.size - 1)
 
 
 @dataclass(frozen=True)
@@ -162,6 +145,7 @@ class CtrwConfig:
     legs move at constant ``speed`` m/s. ``start_span`` bounds the uniform
     square for the initial position. ``jitter_radius`` is the observation
     noise bound applied by :func:`observe`, not part of the path itself.
+    Every field but ``seed`` must be finite, and both exponents at least 1.
     """
 
     wait_exponent: float = 1.8
@@ -179,13 +163,19 @@ class CtrwConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "seed" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if not min(self.wait_exponent, self.jump_exponent) >= 1.0:
+            raise ValueError("wait_exponent and jump_exponent must be >= 1")
         if not 0 < self.wait_min < self.wait_max:
             raise ValueError("need 0 < wait_min < wait_max")
         if not 0 < self.jump_min < self.jump_max:
             raise ValueError("need 0 < jump_min < jump_max")
-        if self.speed <= 0 or self.duration <= 0:
+        if not (self.speed > 0 and self.duration > 0):
             raise ValueError("speed and duration must be positive")
-        if self.jitter_radius < 0:
+        if not self.jitter_radius >= 0:
             raise ValueError("jitter_radius must be >= 0")
 
 
@@ -220,63 +210,65 @@ def check_supports(config: CtrwConfig, params: MobilityParams) -> None:
         raise ValueError("; ".join(problems))
 
 
+def _uniforms(rng: np.random.Generator):
+    """The generator's doubles one by one, drawn in blocks of 64: the same
+    values in the same order as one ``rng.random()`` call each."""
+    while True:
+        yield from rng.random(64).tolist()
+
+
 def generate_ctrw(config: CtrwConfig) -> GroundTruthPath:
     """Build one ground-truth path from the config seed.
 
     Draw order: initial position (one size-2 uniform), then per cycle one
-    dwell duration, one jump length, one jump direction. The final period is
-    truncated at the horizon; legs are cut at the interpolated position.
+    dwell duration, one jump length, one jump direction, each from one
+    uniform. The uniforms come in blocks (:func:`_uniforms`); the generator
+    is this function's alone, so the unused tail of the last block changes
+    nothing else. Each uniform is transformed one at a time in Python float
+    math, so every path equals the one drawn one ``rng.random()`` at a time.
+    The final period is truncated at the horizon; legs are cut at the
+    interpolated position.
     """
     rng = np.random.default_rng(config.seed)
-    x, y = rng.uniform(-config.start_span, config.start_span, 2)
+    x, y = rng.uniform(-config.start_span, config.start_span, 2).tolist()
+    uniform = _uniforms(rng).__next__
+    wait_at = _power_law_transform(config.wait_exponent, config.wait_min, config.wait_max)
+    jump_at = _power_law_transform(config.jump_exponent, config.jump_min, config.jump_max)
+    # rng.uniform(0, 2 pi) is 0 + 2 pi * u
+    turn = 2.0 * math.pi
     duration = float(config.duration)
-    periods: list = []
+    vt, vx, vy, stay = [0.0], [x], [y], []
     t = 0.0
     while t < duration:
-        wait = float(
-            sample_truncated_power_law(
-                rng, config.wait_exponent, config.wait_min, config.wait_max
-            )
-        )
-        periods.append(StayPeriod(t, min(t + wait, duration), x, y))
-        t += wait
+        t += wait_at(uniform())
+        vt.append(min(t, duration))
+        vx.append(x)
+        vy.append(y)
+        stay.append(True)
         if t >= duration:
             break
-        length = float(
-            sample_truncated_power_law(
-                rng, config.jump_exponent, config.jump_min, config.jump_max
-            )
-        )
-        angle = float(rng.uniform(0.0, 2.0 * math.pi))
+        length = jump_at(uniform())
+        angle = turn * uniform()
         nx = x + length * math.cos(angle)
         ny = y + length * math.sin(angle)
         leg_seconds = length / config.speed
-        if t + leg_seconds <= duration:
-            periods.append(TravelLeg(t, t + leg_seconds, x, y, nx, ny))
+        end = t + leg_seconds
+        if end <= duration:
+            ex, ey = nx, ny
         else:
             frac = (duration - t) / leg_seconds
-            periods.append(
-                TravelLeg(t, duration, x, y, x + frac * (nx - x), y + frac * (ny - y))
-            )
-        t += leg_seconds
+            ex, ey = x + frac * (nx - x), y + frac * (ny - y)
+        vt.append(min(end, duration))
+        vx.append(ex)
+        vy.append(ey)
+        stay.append(False)
+        t = end
         x, y = nx, ny
-
-    vt = [0.0]
-    vx = [periods[0].x]
-    vy = [periods[0].y]
-    for p in periods:
-        if isinstance(p, StayPeriod):
-            end_x, end_y = p.x, p.y
-        else:
-            end_x, end_y = p.x1, p.y1
-        vt.append(p.end)
-        vx.append(end_x)
-        vy.append(end_y)
     return GroundTruthPath(
-        periods=tuple(periods),
         vertex_times=np.array(vt),
         vertex_x=np.array(vx),
         vertex_y=np.array(vy),
+        period_stay=np.array(stay),
         duration=duration,
         origin_lon=config.origin_lon,
         origin_lat=config.origin_lat,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +31,8 @@ from sparsemob.evaluate import (
 from sparsemob.oracle import dense_stay_windows
 from sparsemob.sds import _block_boxes, _far_before, label_kernel, sds_label
 from sparsemob.simulate import (
+    CtrwConfig,
     GroundTruthPath,
-    StayPeriod,
-    TravelLeg,
     _search_label,
     resample,
 )
@@ -551,26 +551,27 @@ def reference_trajectory_counts(config: ExperimentConfig, index: int) -> np.ndar
 def reference_continuous_labels(
     path: GroundTruthPath, times, params: MobilityParams
 ) -> np.ndarray:
-    """Truth labels one timestamp at a time, reading the period objects
-    themselves: the reference for ``simulate.continuous_labels``. Its input
-    checks are left to the library."""
+    """Truth labels one timestamp at a time, reading period objects
+    (:func:`periods_of`): the reference for ``simulate.continuous_labels``.
+    Its input checks are left to the library."""
     t = np.asarray(times, dtype=np.float64)
-    starts = [p.start for p in path.periods]
+    periods = periods_of(path)
+    starts = [p.start for p in periods]
     idx = np.searchsorted(starts, t, side="right") - 1
-    idx = np.clip(idx, 0, len(path.periods) - 1)
+    idx = np.clip(idx, 0, len(periods) - 1)
     labels = np.full(t.size, LABEL_TRAVEL, dtype=np.int8)
     exact: list[int] = []
-    n_periods = len(path.periods)
+    n_periods = len(periods)
     for k, (ti, pi) in enumerate(zip(t, idx)):
-        period = path.periods[pi]
+        period = periods[pi]
         if isinstance(period, StayPeriod):
             if period.duration >= params.delta_t:
                 labels[k] = LABEL_STAY
             else:
                 exact.append(k)
             continue
-        nxt = path.periods[pi + 1] if pi + 1 < n_periods else None
-        prv = path.periods[pi - 1] if pi > 0 else None
+        nxt = periods[pi + 1] if pi + 1 < n_periods else None
+        prv = periods[pi - 1] if pi > 0 else None
         closed_form = (
             isinstance(nxt, StayPeriod)
             and nxt.duration >= params.delta_t
@@ -594,33 +595,147 @@ def reference_continuous_labels(
     return labels
 
 
+@dataclass(frozen=True)
+class StayPeriod:
+    """Dwell at a fixed planar point over [start, end] seconds."""
+
+    start: float
+    end: float
+    x: float
+    y: float
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
+@dataclass(frozen=True)
+class TravelLeg:
+    """Constant-speed straight move from (x0, y0) to (x1, y1) over [start, end]."""
+
+    start: float
+    end: float
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+    @property
+    def length(self) -> float:
+        return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
+
+    @property
+    def speed(self) -> float:
+        return self.length / self.duration
+
+
+def periods_of(path: GroundTruthPath) -> tuple:
+    """The path's periods as objects, rebuilt from its vertex arrays."""
+    vt, vx, vy = (v.tolist() for v in (path.vertex_times, path.vertex_x, path.vertex_y))
+    return tuple(
+        StayPeriod(vt[k], vt[k + 1], vx[k], vy[k])
+        if stay
+        else TravelLeg(vt[k], vt[k + 1], vx[k], vy[k], vx[k + 1], vy[k + 1])
+        for k, stay in enumerate(path.period_stay.tolist())
+    )
+
+
+def reference_ctrw_periods(config: CtrwConfig) -> tuple:
+    """The walk as period objects, one scalar draw at a time: the reference
+    for ``simulate.generate_ctrw``, which draws the same uniforms in blocks.
+
+    Draw order: initial position (one size-2 uniform), then per cycle one
+    dwell duration, one jump length, one jump direction. The final period is
+    truncated at the horizon; legs are cut at the interpolated position.
+    The inverse-CDF transform is written out here rather than taken from
+    the library.
+    """
+    rng = np.random.default_rng(config.seed)
+
+    def power_law(exponent, lower, upper):
+        u = rng.random()
+        if exponent == 1.0:
+            return lower * (upper / lower) ** u
+        k = 1.0 - exponent
+        return (lower**k + u * (upper**k - lower**k)) ** (1.0 / k)
+
+    x, y = rng.uniform(-config.start_span, config.start_span, 2)
+    duration = float(config.duration)
+    periods: list = []
+    t = 0.0
+    while t < duration:
+        wait = power_law(config.wait_exponent, config.wait_min, config.wait_max)
+        periods.append(StayPeriod(t, min(t + wait, duration), x, y))
+        t += wait
+        if t >= duration:
+            break
+        length = power_law(config.jump_exponent, config.jump_min, config.jump_max)
+        angle = float(rng.uniform(0.0, 2.0 * math.pi))
+        nx = x + length * math.cos(angle)
+        ny = y + length * math.sin(angle)
+        leg_seconds = length / config.speed
+        if t + leg_seconds <= duration:
+            periods.append(TravelLeg(t, t + leg_seconds, x, y, nx, ny))
+        else:
+            frac = (duration - t) / leg_seconds
+            periods.append(
+                TravelLeg(t, duration, x, y, x + frac * (nx - x), y + frac * (ny - y))
+            )
+        t += leg_seconds
+        x, y = nx, ny
+    return tuple(periods)
+
+
+def reference_generate_ctrw(config: CtrwConfig) -> GroundTruthPath:
+    """``simulate.generate_ctrw`` through :func:`reference_ctrw_periods`:
+    each period adds its end vertex, at the dwell point or the leg's end."""
+    periods = reference_ctrw_periods(config)
+    vt, vx, vy = [0.0], [periods[0].x], [periods[0].y]
+    for p in periods:
+        stay = isinstance(p, StayPeriod)
+        vt.append(p.end)
+        vx.append(p.x if stay else p.x1)
+        vy.append(p.y if stay else p.y1)
+    return GroundTruthPath(
+        vertex_times=np.array(vt),
+        vertex_x=np.array(vx),
+        vertex_y=np.array(vy),
+        period_stay=np.array([isinstance(p, StayPeriod) for p in periods]),
+        duration=float(config.duration),
+        origin_lon=config.origin_lon,
+        origin_lat=config.origin_lat,
+    )
+
+
 def axis_path(stops, dwell: float, speed: float = 10.0) -> GroundTruthPath:
     """A path that dwells ``dwell`` s at each planar point of ``stops`` and
     moves between them in straight legs at ``speed`` m/s."""
     stops = np.asarray(stops, dtype=np.float64).tolist()
-    periods = []
     x, y = stops[0]
-    vt, vx, vy = [0.0], [x], [y]
+    vt, vx, vy, stay = [0.0], [x], [y], []
     t = 0.0
     for k, (nx, ny) in enumerate(stops):
         if k:
-            end = t + math.hypot(nx - x, ny - y) / speed
-            periods.append(TravelLeg(t, end, x, y, nx, ny))
-            t = end
+            t += math.hypot(nx - x, ny - y) / speed
             vt.append(t)
             vx.append(nx)
             vy.append(ny)
+            stay.append(False)
         x, y = nx, ny
-        periods.append(StayPeriod(t, t + dwell, x, y))
         t += dwell
         vt.append(t)
         vx.append(x)
         vy.append(y)
+        stay.append(True)
     return GroundTruthPath(
-        periods=tuple(periods),
         vertex_times=np.array(vt),
         vertex_x=np.array(vx),
         vertex_y=np.array(vy),
+        period_stay=np.array(stay),
         duration=t,
         origin_lon=116.4,
         origin_lat=39.9,

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     minutes,
     random_trajectory,
+    reference_generate_ctrw,
     reference_ingest,
     traj_from_meters,
     write_labels_csv as write_labels,
@@ -19,6 +20,7 @@ from helpers import (
 )
 import sparsemob
 import sparsemob.cli as cli
+import sparsemob.evaluate as evaluate
 import sparsemob.sds as sds
 from sparsemob.core import (
     LABEL_STAY,
@@ -802,6 +804,13 @@ class TestExitCodes:
             ["simulate", "--jitter", "-1"],
             ["simulate", "--duration", "-5"],
             ["evaluate", "--experiment", "--jitter", "-3"],
+            # not a finite number: no walk can run on such a duration, and a
+            # NaN jitter would pass check_supports and run as no jitter
+            ["simulate", "--duration", "nan"],
+            ["simulate", "--duration", "inf"],
+            ["simulate", "--jitter", "nan"],
+            ["evaluate", "--experiment", "--duration", "nan"],
+            ["evaluate", "--experiment", "--jitter", "nan"],
         ],
     )
     def test_bad_walk_settings_are_usage_errors(self, tmp_path, capsys, argv):
@@ -1047,6 +1056,35 @@ class TestSimulatePipeline:
             "sparsemob: data error: settings cannot guarantee exact truth: "
             "wait_min 1800.0 is below the time threshold 7200.0\n"
         )
+
+    @pytest.mark.parametrize("jitter", [[], ["--jitter", "20"]], ids=["exact", "jitter"])
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_outputs_equal_the_one_draw_at_a_time_walk(
+        self, tmp_path, monkeypatch, command, jitter
+    ):
+        # the walk drawn in blocks and the reference that draws one uniform
+        # at a time give byte-identical files end to end
+        def run(tag):
+            outs = [tmp_path / f"{tag}-out.csv"]
+            argv = [command, "--trajectories", "20", "--seed", "7", *jitter]
+            if command == "simulate":
+                outs.append(tmp_path / f"{tag}-truth.csv")
+                argv += ["--labels-out", str(outs[1])]
+            else:
+                argv += ["--experiment"]
+            assert main([*argv, "--out", str(outs[0])]) == 0
+            return [out.read_bytes() for out in outs]
+
+        blocks = run("blocks")
+        walks = []
+
+        def reference(config):
+            walks.append(config.seed)
+            return reference_generate_ctrw(config)
+
+        monkeypatch.setattr(evaluate, "generate_ctrw", reference)
+        assert run("reference") == blocks
+        assert len(walks) == 20
 
     def test_output_ingestible(self, tmp_path):
         rec = tmp_path / "rec.csv"

@@ -3,8 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import axis_path, fit_power_law_exponent, reference_continuous_labels
+from helpers import (
+    StayPeriod,
+    TravelLeg,
+    axis_path,
+    fit_power_law_exponent,
+    periods_of,
+    reference_continuous_labels,
+    reference_ctrw_periods,
+    reference_generate_ctrw,
+)
 from sparsemob.core import (
     LABEL_STAY,
     LABEL_TRAVEL,
@@ -15,8 +25,7 @@ from sparsemob.evaluate import ExperimentConfig, experiment_trajectory
 from sparsemob.oracle import dense_stay_windows
 from sparsemob.simulate import (
     CtrwConfig,
-    StayPeriod,
-    TravelLeg,
+    GroundTruthPath,
     _search_label,
     check_supports,
     continuous_labels,
@@ -119,15 +128,16 @@ class TestGenerateCtrw:
 
     def test_periods_tile_duration(self):
         path = generate_ctrw(CtrwConfig(seed=3))
-        assert path.periods[0].start == 0.0
-        for prev, cur in zip(path.periods, path.periods[1:]):
+        periods = periods_of(path)
+        assert periods[0].start == 0.0
+        for prev, cur in zip(periods, periods[1:]):
             assert cur.start == prev.end
-        assert path.periods[-1].end == path.duration
+        assert periods[-1].end == path.duration
 
     def test_truncation_bounds_hold(self):
         config = CtrwConfig(seed=4)
         path = generate_ctrw(config)
-        for period in path.periods[:-1]:
+        for period in periods_of(path)[:-1]:
             if isinstance(period, StayPeriod):
                 assert period.duration >= config.wait_min
                 assert period.duration <= config.wait_max
@@ -138,10 +148,126 @@ class TestGenerateCtrw:
     def test_consecutive_dwell_points_separated(self):
         config = CtrwConfig(seed=5)
         path = generate_ctrw(config)
-        dwells = [p for p in path.periods if isinstance(p, StayPeriod)]
+        dwells = [p for p in periods_of(path) if isinstance(p, StayPeriod)]
         for a, b in zip(dwells, dwells[1:]):
             d = math.hypot(a.x - b.x, a.y - b.y)
             assert d >= config.jump_min - 1e-9
+
+
+class TestCtrwConfig:
+    @pytest.mark.parametrize(
+        "field", ["duration", "jitter_radius", "speed", "wait_max", "start_span", "origin_lat"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        # an infinite duration walks forever and a NaN one makes no period
+        # at all; a NaN jitter passes check_supports, as nan >= x is false
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CtrwConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["wait_exponent", "jump_exponent"])
+    @pytest.mark.parametrize("value", [0.0, 0.999, math.nan])
+    def test_exponent_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CtrwConfig(**{field: value})
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_matches_reference(config: CtrwConfig) -> tuple:
+    """generate_ctrw(config) against the one-draw-at-a-time walk, bit for
+    bit; returns the reference's period objects."""
+    got = generate_ctrw(config)
+    want = reference_generate_ctrw(config)
+    periods = reference_ctrw_periods(config)
+    for name in ("vertex_times", "vertex_x", "vertex_y"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    stay = [isinstance(p, StayPeriod) for p in periods]
+    assert got.period_stay.tolist() == stay
+    assert _bits(got.period_start) == _bits([p.start for p in periods])
+    assert _bits(got.period_duration) == _bits([p.duration for p in periods])
+    lengths = [0.0 if s else p.length for s, p in zip(stay, periods)]
+    assert _bits(got.period_length) == _bits(lengths)
+    assert _bits([got.duration]) == _bits([want.duration])
+    return periods
+
+
+class TestGenerateCtrwReference:
+    """The block-drawn walk against the reference that draws one uniform at
+    a time."""
+
+    @pytest.mark.parametrize(
+        "overrides, seeds",
+        [
+            ({}, range(600)),
+            ({"wait_exponent": 1.0, "duration": 20000.0}, range(1000, 1300)),
+            ({"jump_exponent": 1.0, "speed": 3.0}, range(2000, 2200)),
+        ],
+        ids=["default", "log-uniform-wait", "log-uniform-jump"],
+    )
+    def test_bit_identical_over_seeds(self, overrides, seeds):
+        for seed in seeds:
+            assert_matches_reference(CtrwConfig(seed=seed, **overrides))
+
+    def test_both_horizon_cuts(self):
+        # a short horizon ends some walks inside a leg, cut at the
+        # interpolated point, and others inside a dwell cut short
+        cuts = set()
+        for seed in range(60):
+            last = assert_matches_reference(CtrwConfig(seed=seed, duration=9000.0))[-1]
+            assert last.end == 9000.0
+            cuts.add("leg" if isinstance(last, TravelLeg) else "dwell")
+        assert cuts == {"leg", "dwell"}
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        wait_exponent=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+        jump_exponent=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+        wait_min=st.floats(60.0, 5000.0),
+        wait_ratio=st.floats(1.001, 100.0),
+        jump_min=st.floats(1.0, 5000.0),
+        jump_ratio=st.floats(1.001, 100.0),
+        speed=st.floats(0.1, 100.0),
+        duration=st.floats(1.0, 50000.0),
+        start_span=st.floats(0.0, 1e6),
+        seed=st.integers(0, 2**63),
+    )
+    def test_bit_identical_for_any_valid_config(
+        self, wait_ratio, jump_ratio, wait_min, jump_min, **fields
+    ):
+        config = CtrwConfig(
+            wait_min=wait_min,
+            wait_max=wait_min * wait_ratio,
+            jump_min=jump_min,
+            jump_max=jump_min * jump_ratio,
+            **fields,
+        )
+        assert_matches_reference(config)
+
+
+class TestGroundTruthPath:
+    def test_arrays_derived_from_vertices(self):
+        path = axis_path([(0, 0), (300, 400)], dwell=100.0, speed=5.0)
+        assert path.period_stay.tolist() == [True, False, True]
+        assert path.period_start.tolist() == [0.0, 100.0, 200.0]
+        assert path.period_duration.tolist() == [100.0, 100.0, 100.0]
+        assert path.period_length.tolist() == [0.0, 500.0, 0.0]
+        assert not path.period_length.flags.writeable
+
+    @pytest.mark.parametrize("flags", [[True, False], [True, False, True, True]])
+    def test_one_flag_per_period(self, flags):
+        with pytest.raises(ValueError, match="a flag per period"):
+            GroundTruthPath(
+                vertex_times=[0.0, 1.0, 2.0, 3.0],
+                vertex_x=[0.0] * 4,
+                vertex_y=[0.0] * 4,
+                period_stay=flags,
+                duration=3.0,
+                origin_lon=0.0,
+                origin_lat=0.0,
+            )
 
 
 class TestCheckSupports:
@@ -166,7 +292,7 @@ class TestContinuousLabels:
         path = generate_ctrw(CtrwConfig(seed=6))
         dwell = next(
             p
-            for p in path.periods[:-1]
+            for p in periods_of(path)[:-1]
             if isinstance(p, StayPeriod) and p.duration >= PARAMS.delta_t
         )
         mid = (dwell.start + dwell.end) / 2.0
@@ -179,7 +305,7 @@ class TestContinuousLabels:
             path = generate_ctrw(CtrwConfig(seed=seed))
             legs = [
                 p
-                for p in path.periods[1:-1]
+                for p in periods_of(path)[1:-1]
                 if isinstance(p, TravelLeg) and p.length >= 4000.0
             ]
             if legs:
@@ -190,10 +316,11 @@ class TestContinuousLabels:
 
     def test_leg_tail_near_next_dwell_is_stay(self):
         path = generate_ctrw(CtrwConfig(seed=8))
-        for i, p in enumerate(path.periods[:-1]):
+        periods = periods_of(path)
+        for i, p in enumerate(periods[:-1]):
             if not isinstance(p, TravelLeg):
                 continue
-            nxt = path.periods[i + 1]
+            nxt = periods[i + 1]
             if not (isinstance(nxt, StayPeriod) and nxt.duration >= PARAMS.delta_t):
                 continue
             # instant 300 m (< delta_s / 2) short of arrival
@@ -258,7 +385,7 @@ class TestWindowDiameter:
         path = generate_ctrw(CtrwConfig(seed=13))
         dwell = next(
             p
-            for p in path.periods[:-1]
+            for p in periods_of(path)[:-1]
             if isinstance(p, StayPeriod) and p.duration >= PARAMS.delta_t
         )
         assert window_diameter(path, dwell.start, PARAMS.delta_t) == 0.0
@@ -288,13 +415,14 @@ class TestContinuousLabelsReference:
         # that still outlasts delta_t
         for seed in range(200):
             path = generate_ctrw(CtrwConfig(seed=seed, duration=20000.0))
-            last = path.periods[-1]
+            periods = periods_of(path)
+            last = periods[-1]
             kind = (
                 "leg"
                 if isinstance(last, TravelLeg)
                 else "short-dwell" if last.duration < PARAMS.delta_t else "full-dwell"
             )
-            if kind == tail and len(path.periods) >= 4:
+            if kind == tail and len(periods) >= 4:
                 break
         else:
             pytest.fail(f"no path ends in a {tail}")
@@ -320,7 +448,7 @@ class TestContinuousLabelsReference:
         # travel; a second nearer it is a dwell instant
         stops = [(0, 0), (2560, 0), (2560, 3000)]
         path = axis_path([p[::-1] for p in stops] if axis else stops, dwell=3600.0)
-        leg = path.periods[1]
+        leg = periods_of(path)[1]
         assert isinstance(leg, TravelLeg) and leg.duration == 256.0
         times = leg.start + np.array([79, 80, 81, 128, 175, 176, 177])
         got = continuous_labels(path, times, PARAMS)
@@ -336,7 +464,8 @@ class TestObserve:
         # dwells of 3600 s joined by 256 s legs: every period starts on an
         # integer second, and only reads inside a dwell are jittered
         path = axis_path([(0, 0), (2560, 0), (2560, 2560)], dwell=3600.0)
-        starts = [int(p.start) for p in path.periods]
+        periods = periods_of(path)
+        starts = [int(p.start) for p in periods]
         assert path.period_index_at(starts).tolist() == list(range(len(starts)))
         assert path.period_index_at([s - 1 for s in starts[1:]]).tolist() == [0, 1, 2, 3]
         traj = observe(path, starts, jitter_radius=50.0, rng=np.random.default_rng(4))
@@ -345,12 +474,12 @@ class TestObserve:
             math.radians(path.origin_lat)
         )
         moved = np.abs(ox - x) > 1e-6
-        assert moved.tolist() == [isinstance(p, StayPeriod) for p in path.periods]
+        assert moved.tolist() == [isinstance(p, StayPeriod) for p in periods]
 
     def test_zero_jitter_reads_exact_dwell_points(self):
         config = CtrwConfig(seed=14)
         path = generate_ctrw(config)
-        dwell = next(p for p in path.periods if isinstance(p, StayPeriod))
+        dwell = next(p for p in periods_of(path) if isinstance(p, StayPeriod))
         t = int(dwell.start) + 1
         traj = observe(path, [t])
         # exact in the planar frame before conversion; compare via round trip
@@ -377,9 +506,10 @@ class TestObserve:
         )
         oy = (traj.lats - path.origin_lat) * METERS_PER_DEGREE
         offsets = np.hypot(ox - px, oy - py)
+        periods = periods_of(path)
         in_dwell = np.array(
             [
-                isinstance(path.periods[i], StayPeriod)
+                isinstance(periods[i], StayPeriod)
                 for i in path.period_index_at(times.astype(np.float64))
             ]
         )
