@@ -22,7 +22,7 @@ shared by every command:
 * Label CSV columns: mid, time, label with label in {S, T, U}.
 * Exit codes: 0 success, 1 usage error, 2 data error.
 * A config file of key=value lines can supply any shared flag (keys
-  delta_s, delta_t, seed, workers, tail_flush, timezone, ref_lat, strict);
+  delta_s, delta_t, seed, workers, timezone, ref_lat, strict);
   explicit flags win over the file. An unknown key, like a bad value, is a
   data error.
 * Model files are CSV files like any other; this module holds every file
@@ -105,7 +105,6 @@ class RunConfig:
     params: MobilityParams
     seed: int
     workers: int
-    tail_flush: bool
     tz_offset: int
     ref_lat: float | None
     strict: bool
@@ -185,8 +184,7 @@ def _parse_time_text(text: str, tz_offset: int) -> int:
 
 #: the keys a config file may set, one per shared flag
 _CONFIG_KEYS = (
-    "delta_s", "delta_t", "seed", "workers", "tail_flush", "timezone", "ref_lat",
-    "strict",
+    "delta_s", "delta_t", "seed", "workers", "timezone", "ref_lat", "strict",
 )
 
 
@@ -228,7 +226,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             params=params,
             seed=pick("seed", int, 0),
             workers=pick("workers", int, 1),
-            tail_flush=pick("tail_flush", _parse_bool, True),
             tz_offset=pick("timezone", _parse_tz, DEFAULT_TZ_OFFSET),
             ref_lat=pick("ref_lat", float, None),
             strict=pick("strict", _parse_bool, False),
@@ -679,9 +676,7 @@ def _device_rng(seed: int, device: str) -> np.random.Generator:
 def _label_texts(run: RunConfig, trajectories: list[Trajectory]) -> str:
     """The labels CSV rows of consecutive devices, each labeled as by
     ``sds_label`` alone, joined into as few kernel calls as int64 allows."""
-    codes = _trajectory_codes(
-        trajectories, run.params, ref_lat=run.ref_lat, tail_flush=run.tail_flush
-    )
+    codes = _trajectory_codes(trajectories, run.params, ref_lat=run.ref_lat)
     texts = []
     first = 0
     for traj in trajectories:
@@ -748,10 +743,7 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
         if not trajectories:
             raise DataError("empty dataset: nothing to report sparsity on")
         delta_ts = list(args.delta_t_grid) if args.delta_t_grid else None
-        report = sparsity_report(
-            trajectories, run.params, delta_ts, ref_lat=run.ref_lat,
-            tail_flush=run.tail_flush,
-        )
+        report = sparsity_report(trajectories, run.params, delta_ts, ref_lat=run.ref_lat)
         out_rows = []
         for b in range(len(report.device_counts)):
             out_rows.append(
@@ -933,9 +925,7 @@ def run_bounds(args: argparse.Namespace, run: RunConfig) -> int:
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     rows = []
     for traj in trajectories:
-        b = recall_lower_bounds(
-            traj, run.params, ref_lat=run.ref_lat, tail_flush=run.tail_flush
-        )
+        b = recall_lower_bounds(traj, run.params, ref_lat=run.ref_lat)
         rows.append((traj.device, b.stay_bound, b.travel_bound))
     header = ["mid", "stay_bound", "travel_bound"]
     _write_csv(args.out, "bounds", header, [_table_text(rows)])
@@ -996,7 +986,7 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def _build_parser() -> _Parser:
-    on_off, tz, floats = map(_flag_type, (_parse_bool, _parse_tz, _parse_float_list))
+    tz, floats = map(_flag_type, (_parse_tz, _parse_float_list))
     shared = _Parser(add_help=False)
     shared.add_argument("--delta-s", dest="delta_s", type=float, default=None,
                         help="stay spatial threshold in meters (default 800)")
@@ -1006,9 +996,6 @@ def _build_parser() -> _Parser:
                         help="root seed for all randomness (default 0)")
     shared.add_argument("--workers", type=int, default=None,
                         help="worker processes for per-device parallelism")
-    shared.add_argument("--tail-flush", dest="tail_flush", type=on_off,
-                        default=None, metavar="{on,off}",
-                        help="flush a qualifying trailing stay window (default on)")
     shared.add_argument("--timezone", type=tz, default=None,
                         help="timezone as seconds east of UTC or +HH:MM "
                              "(default +08:00)")

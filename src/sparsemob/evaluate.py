@@ -39,6 +39,7 @@ from .sds import (
     _trajectory_codes,
 )
 from .simulate import (
+    SCHEDULE_GAP_MIN,
     CtrwConfig,
     check_supports,
     continuous_labels,
@@ -184,9 +185,6 @@ class ExperimentConfig:
     walk: CtrwConfig = field(default_factory=CtrwConfig)
     trajectories: int = 100
     rates: tuple[float, ...] = DEFAULT_RATES
-    gap_exponent: float = 1.6
-    gap_min: float = 60.0
-    gap_max: float = 21600.0
     seed: int = 0
     workers: int = 1
 
@@ -205,7 +203,10 @@ class ExperimentConfig:
         # joined times would reach 2**63, and this bound keeps the subsets
         # of one trajectory alone within one call
         if len(self.rates) * (self.walk.duration + self.params.delta_t + 1) >= 2**63:
-            raise ValueError("too many rates for this duration: times would overflow")
+            raise ValueError(
+                f"{len(self.rates)} rates x (duration + delta_t + 1) s reaches "
+                "2**63: joined times would overflow"
+            )
 
 
 @dataclass(frozen=True)
@@ -316,13 +317,7 @@ def experiment_trajectory(
     walk = replace(config.walk, seed=int(base.integers(0, 2**62)))
     path = generate_ctrw(walk)
     # enough minimum-length gaps to cover the horizon; clip the overshoot
-    times = synth_schedule(
-        base,
-        int(math.ceil(walk.duration / config.gap_min)),
-        gap_exponent=config.gap_exponent,
-        gap_min=config.gap_min,
-        gap_max=config.gap_max,
-    )
+    times = synth_schedule(base, int(math.ceil(walk.duration / SCHEDULE_GAP_MIN)))
     times = times[times <= walk.duration]
     traj = observe(
         path,
@@ -666,11 +661,10 @@ def sparsity_report(
     delta_t_list: list[float] | None = None,
     *,
     ref_lat: float | None = None,
-    tail_flush: bool = True,
 ) -> SparsityReport:
     """Build the sparsity/label-mix report; single-record devices only
     enter the coverage histograms (their mean gap is undefined). The label
-    mix is :func:`sparsemob.sds.sds_label`'s at ``tail_flush``."""
+    mix is :func:`sparsemob.sds.sds_label`'s."""
     if not trajectories:
         raise ValueError("empty dataset")
     if delta_t_list is None:
@@ -680,9 +674,7 @@ def sparsity_report(
     record_sums = np.zeros(n_bins, dtype=np.int64)
     label_sums = np.zeros((n_bins, 3), dtype=np.int64)  # stay, travel, unlabeled
     coverage_values: dict[float, list[float]] = {dt: [] for dt in delta_t_list}
-    codes = _trajectory_codes(
-        trajectories, params, ref_lat=ref_lat, tail_flush=tail_flush
-    )
+    codes = _trajectory_codes(trajectories, params, ref_lat=ref_lat)
     ends = np.cumsum([len(traj) for traj in trajectories]).tolist()
     for traj, end in zip(trajectories, ends):
         for dt in delta_t_list:

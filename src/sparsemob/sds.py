@@ -261,7 +261,6 @@ def _stay_pass(
     boxes: tuple[list[float], ...],
     escape: float,
     delta_t: float,
-    tail_flush: bool,
     on_admit: AdmitHook | None,
 ) -> np.ndarray:
     """Windowed stay detection over the whole trajectory (planar coords).
@@ -285,8 +284,7 @@ def _stay_pass(
     near, close = _time_limits(ts, delta_t)
     dx = np.diff(x)
     dy = np.diff(y)
-    gap = np.diff(t) > close
-    cut = np.flatnonzero(gap | (dx * dx + dy * dy >= esc2)) + 1
+    cut = np.flatnonzero((np.diff(t) > close) | (dx * dx + dy * dy >= esc2)) + 1
     starts = np.concatenate(([0], cut))
     ends = np.append(cut, n)
     w = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
@@ -306,15 +304,10 @@ def _stay_pass(
             for c in range(s + 1, e):
                 on_admit(s, c)
     # The window open at a run's end is [head, end). It is flushed if it
-    # spans delta_t (d >= delta_t iff d > near) and the run ends at an
-    # escape; at a gap (also one with an escape) or at the trajectory's end
-    # only with the tail flush, without which the final window is dropped
-    # and the detected set no longer matches the dense-window membership
-    # oracle.
+    # spans delta_t (d >= delta_t iff d > near), whether the run ends at an
+    # escape, at a gap or at the trajectory's end: each such window proves a
+    # stay, and the detected set is the dense-window membership of the oracle.
     flush = t[ends - 1] - t[heads] > near
-    if not tail_flush:
-        flush[-1] = False
-        flush[:-1] &= ~gap[cut - 1]
     edges = np.zeros(n + 1, dtype=np.int8)
     edges[heads[flush]] += 1
     edges[ends[flush]] -= 1
@@ -411,7 +404,6 @@ def label_kernel(
     escape: float | None,
     witness: float | None,
     *,
-    tail_flush: bool = True,
     on_admit: AdmitHook | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stay and travel flags for a whole trajectory in planar coordinates.
@@ -444,9 +436,7 @@ def label_kernel(
     xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
     boxes = _block_boxes(x, y)
     if escape is not None:
-        stay = _stay_pass(
-            x, y, t, xs, ys, ts, boxes, escape, delta_t, tail_flush, on_admit
-        )
+        stay = _stay_pass(x, y, t, xs, ys, ts, boxes, escape, delta_t, on_admit)
     if witness is not None:
         travel = _travel_pass(x, y, t, xs, ys, ts, boxes, stay, witness, delta_t)
     return stay, travel
@@ -457,18 +447,17 @@ def sds_label(
     params: MobilityParams,
     *,
     ref_lat: float | None = None,
-    tail_flush: bool = True,
 ) -> LabeledTrajectory:
     """Label every record Stay, Travel, or Unlabeled.
 
     Deterministic: equal inputs give bitwise-equal labels. A single record (or
     any segment too sparse to certify anything) stays Unlabeled.
     """
-    codes = _trajectory_codes([traj], params, ref_lat=ref_lat, tail_flush=tail_flush)
+    codes = _trajectory_codes([traj], params, ref_lat=ref_lat)
     return LabeledTrajectory(traj, codes)
 
 
-def _trajectory_codes(trajectories, params, *, ref_lat=None, tail_flush=True):
+def _trajectory_codes(trajectories, params, *, ref_lat=None):
     """int8 label codes of the trajectories' records, one trajectory after
     another, each as ``sds_label`` gives it alone."""
     xy = [planar(traj, ref_lat) for traj in trajectories]
@@ -478,11 +467,10 @@ def _trajectory_codes(trajectories, params, *, ref_lat=None, tail_flush=True):
         np.concatenate([traj.times for traj in trajectories]),
         [len(traj) for traj in trajectories],
         params,
-        tail_flush,
     )
 
 
-def _joined_codes(x, y, t, sizes, params: MobilityParams, tail_flush=True):
+def _joined_codes(x, y, t, sizes, params: MobilityParams):
     """int8 label codes of consecutive trajectories in planar coordinates,
     each as if labeled alone (see ``_joined_flags``).
 
@@ -490,9 +478,7 @@ def _joined_codes(x, y, t, sizes, params: MobilityParams, tail_flush=True):
     witnesses lie at delta_s or more.
     """
     d_s = params.delta_s
-    stay, travel = _joined_flags(
-        x, y, t, sizes, params.delta_t, d_s / 3.0, d_s, tail_flush
-    )
+    stay, travel = _joined_flags(x, y, t, sizes, params.delta_t, d_s / 3.0, d_s)
     return (stay * LABEL_STAY + travel * LABEL_TRAVEL).astype(np.int8)
 
 
@@ -501,8 +487,7 @@ def _recall_pools(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The records any labeler of each trajectory alone could flag, for
     consecutive trajectories in planar coordinates as in ``_joined_codes``:
-    dense-window members at delta_s (with the tail flush always on, so the
-    final window counts), and records with bilateral witnesses at
+    dense-window members at delta_s, and records with bilateral witnesses at
     delta_s/2, from the travel pass alone."""
     d_s, d_t = params.delta_s, params.delta_t
     stay = _joined_flags(x, y, t, sizes, d_t, d_s, None)[0]
@@ -510,7 +495,7 @@ def _recall_pools(
     return stay, travel
 
 
-def _joined_flags(x, y, t, sizes, delta_t, escape, witness, tail_flush=True):
+def _joined_flags(x, y, t, sizes, delta_t, escape, witness):
     """``label_kernel``'s stay and travel flags of consecutive trajectories,
     each as if labeled alone, in as few kernel calls as int64 times allow.
 
@@ -554,8 +539,7 @@ def _joined_flags(x, y, t, sizes, delta_t, escape, witness, tail_flush=True):
     travel = np.zeros(len(t), dtype=bool)
     for a, b in zip(cuts, cuts[1:]):
         stay[a:b], travel[a:b] = label_kernel(
-            x[a:b], y[a:b], joined[a:b], delta_t, escape, witness,
-            tail_flush=tail_flush,
+            x[a:b], y[a:b], joined[a:b], delta_t, escape, witness
         )
     return stay, travel
 
@@ -565,7 +549,6 @@ def recall_lower_bounds(
     params: MobilityParams,
     *,
     ref_lat: float | None = None,
-    tail_flush: bool = True,
 ) -> RecallBounds:
     """Lower-bound the recall achievable from this trajectory alone.
 
@@ -577,7 +560,7 @@ def recall_lower_bounds(
     """
     x, y = planar(traj, ref_lat)
     t = traj.times
-    codes = _joined_codes(x, y, t, [len(t)], params, tail_flush)
+    codes = _joined_codes(x, y, t, [len(t)], params)
     dense_stay, witnessed_half = _recall_pools(x, y, t, [len(t)], params)
     s_num = int((codes == LABEL_STAY).sum())
     t_num = int((codes == LABEL_TRAVEL).sum())

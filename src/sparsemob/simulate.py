@@ -324,14 +324,17 @@ def observe(
     return Trajectory(device=device, times=t, lons=lons, lats=lats)
 
 
+#: the shortest gap of the observation schedule by default, in seconds
+SCHEDULE_GAP_MIN = 60.0
+
+
 def synth_schedule(
     rng: np.random.Generator,
     count: int,
     *,
     gap_exponent: float = 1.6,
-    gap_min: float = 60.0,
+    gap_min: float = SCHEDULE_GAP_MIN,
     gap_max: float = 21600.0,
-    start: int = 0,
 ) -> np.ndarray:
     """Observation timestamps: cumulative sums of ``count`` power-law gaps.
 
@@ -345,7 +348,7 @@ def synth_schedule(
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     gaps = sample_truncated_power_law(rng, gap_exponent, gap_min, gap_max, size=count)
-    return (start + np.floor(np.cumsum(gaps))).astype(np.int64)
+    return np.floor(np.cumsum(gaps)).astype(np.int64)
 
 
 def resample(

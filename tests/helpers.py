@@ -171,25 +171,22 @@ def planar_distance(a, b, ref_lat: float) -> float:
     return math.hypot(dx, dy)
 
 
-def stay_flags_at(traj, params, spatial, *, ref_lat=None, tail_flush=True):
-    """Stay flags of ``label_kernel``'s stay pass at ``spatial``: with the
-    tail flush on, the records of some window of consecutive records with
-    pairwise distances < ``spatial``, span >= delta_t and internal gaps
-    <= delta_t (the discrete dense-stay membership)."""
+def stay_flags_at(traj, params, spatial, *, ref_lat=None):
+    """Stay flags of ``label_kernel``'s stay pass at ``spatial``: the records
+    of some window of consecutive records with pairwise distances
+    < ``spatial``, span >= delta_t and internal gaps <= delta_t (the
+    discrete dense-stay membership)."""
     x, y = planar(traj, ref_lat)
-    return label_kernel(
-        x, y, traj.times, params.delta_t, spatial, None, tail_flush=tail_flush
-    )[0]
+    return label_kernel(x, y, traj.times, params.delta_t, spatial, None)[0]
 
 
-def travel_flags_at(traj, params, witness, *, ref_lat=None, tail_flush=True):
+def travel_flags_at(traj, params, witness, *, ref_lat=None):
     """Travel flags of ``label_kernel``'s travel pass at ``witness``, which
     skips the stay flags at the labeler's escape, delta_s/3: for witness
     radii of at least that, the skip changes no flag."""
     x, y = planar(traj, ref_lat)
     return label_kernel(
-        x, y, traj.times, params.delta_t, params.delta_s / 3.0, witness,
-        tail_flush=tail_flush,
+        x, y, traj.times, params.delta_t, params.delta_s / 3.0, witness
     )[1]
 
 
@@ -207,7 +204,7 @@ def segment_bounds(times: np.ndarray, delta_t: float) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def reference_stay_pass(x, y, t, escape, delta_t, tail_flush=True) -> list[bool]:
+def reference_stay_pass(x, y, t, escape, delta_t) -> list[bool]:
     """Stay flags from one record loop over the whole trajectory: the
     reference for ``label_kernel``'s stay pass, which cuts the trajectory
     into runs in whole-array steps first.
@@ -232,7 +229,7 @@ def reference_stay_pass(x, y, t, escape, delta_t, tail_flush=True) -> list[bool]
         cx = xs[cursor]
         cy = ys[cursor]
         if ts[cursor] - ts[cursor - 1] > delta_t:
-            if tail_flush and ts[cursor - 1] - ts[head] >= delta_t:
+            if ts[cursor - 1] - ts[head] >= delta_t:
                 flags[head:cursor] = [True] * (cursor - head)
             head = cursor
             xmin = xmax = cx
@@ -252,7 +249,7 @@ def reference_stay_pass(x, y, t, escape, delta_t, tail_flush=True) -> list[bool]
         head = anchor + 1
         xmin, xmax = min(xs[head : cursor + 1]), max(xs[head : cursor + 1])
         ymin, ymax = min(ys[head : cursor + 1]), max(ys[head : cursor + 1])
-    if tail_flush and ts[n - 1] - ts[head] >= delta_t:
+    if ts[n - 1] - ts[head] >= delta_t:
         flags[head:] = [True] * (n - head)
     return flags
 

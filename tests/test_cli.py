@@ -466,16 +466,6 @@ class TestLabelCommand:
         assert main(["label", rec, "--out", str(out)]) == 0
         assert [r[2] for r in label_lines(out)] == ["S", "S", "S", "S", "U"]
 
-    def test_tail_flush_toggle(self, tmp_path):
-        dense = traj_from_meters(minutes(0, 10, 25, 40, 50), [0.0] * 5, device="d")
-        rec = write_records(tmp_path / "r.csv", [dense])
-        on = tmp_path / "on.csv"
-        off = tmp_path / "off.csv"
-        assert main(["label", rec, "--out", str(on)]) == 0
-        assert main(["label", rec, "--tail-flush", "off", "--out", str(off)]) == 0
-        assert [r[2] for r in label_lines(on)] == ["S"] * 5
-        assert [r[2] for r in label_lines(off)] == ["U"] * 5
-
     def test_rerun_and_worker_count_byte_identical(self, tmp_path):
         trajs = [
             traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0], device=f"d{i}")
@@ -531,14 +521,14 @@ class TestLabelCommand:
         assert out.read_bytes().endswith("caf\u00e9,0,U\n".encode("utf-8"))
 
 
-def labels_alone(path, params, *, ref_lat=None, tail_flush=True) -> bytes:
+def labels_alone(path, params, *, ref_lat=None) -> bytes:
     """The labels CSV of a records CSV with each device labeled alone."""
     out = io.StringIO()
     out.write("# sparsemob labels v1\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["mid", "time", "label"])
     for traj in ingest(path, tz_offset=0, strict=True):
-        labeled = sds_label(traj, params, ref_lat=ref_lat, tail_flush=tail_flush)
+        labeled = sds_label(traj, params, ref_lat=ref_lat)
         writer.writerows(
             zip([traj.device] * len(traj), traj.times.tolist(), labeled.letters())
         )
@@ -549,7 +539,7 @@ def mixed_devices(rng, count):
     """Random devices at latitudes 0 to 60 degrees, every third a single
     record, all starting at the same time; then a travel on the equator that
     ``--ref-lat 45`` shrinks below the witness distance, and a dwell that
-    ends the trajectory, so only the tail flush flags it."""
+    ends the trajectory, so only the flush at its end flags it."""
     out = []
     for k in range(count):
         traj = random_trajectory(rng, max_len=1 if k % 3 == 2 else 40)
@@ -588,7 +578,7 @@ class TestLabelFile:
         [
             ([], MobilityParams(), {}),
             (["--ref-lat", "45.0"], MobilityParams(), {"ref_lat": 45.0}),
-            (["--tail-flush", "off"], MobilityParams(), {"tail_flush": False}),
+            (["--delta-s", "300"], MobilityParams(delta_s=300.0), {}),
             (["--delta-t", "600.5"], MobilityParams(delta_t=600.5), {}),
         ],
     )
@@ -718,20 +708,37 @@ class TestConfigFile:
             main(["label", rec, "--delta-s", "-5", "--out", str(tmp_path / "o")]) == 1
         )
 
-    def test_tail_flush_parses_like_every_key(self, tmp_path, capsys):
-        # a bad file value is a data error naming its key; a bad flag value
-        # stays a usage error
-        rec = write_records(tmp_path / "r.csv", [stay_fixture()])
+    def test_strict_parses_like_every_key(self, tmp_path, capsys):
+        # a bad file value is a data error naming its key; on/off values
+        # take effect, and the flag wins over the file
+        rec = tmp_path / "r.csv"
+        rec.write_text("time,lon,lat,mid\n100,0.0,0.0,d\n100,0.1,0.0,d\n")
         cfg = tmp_path / "run.cfg"
         out = str(tmp_path / "o")
-        cfg.write_text("tail_flush = maybe\n")
-        assert main(["label", rec, "--config", str(cfg), "--out", out]) == 2
-        assert "config key tail_flush: expected on/off" in capsys.readouterr().err
-        assert main(["label", rec, "--tail-flush", "maybe", "--out", out]) == 1
-        cfg.write_text("tail_flush = off\n")
-        assert main(["label", rec, "--config", str(cfg), "--out", out]) == 0
-        assert main(["label", rec, "--config", str(cfg), "--tail-flush", "on",
+        cfg.write_text("strict = maybe\n")
+        assert main(["label", str(rec), "--config", str(cfg), "--out", out]) == 2
+        assert "config key strict: expected on/off" in capsys.readouterr().err
+        cfg.write_text("strict = off\n")
+        assert main(["label", str(rec), "--config", str(cfg), "--out", out]) == 0
+        cfg.write_text("strict = on\n")
+        assert main(["label", str(rec), "--config", str(cfg), "--out", out]) == 2
+        assert "duplicate" in capsys.readouterr().err
+        assert main(["label", str(rec), "--config", str(cfg), "--no-strict",
                      "--out", out]) == 0
+
+    def test_tail_flush_is_no_setting(self, tmp_path, capsys):
+        # every open window that spans delta_t is flushed; there is no flag
+        # or config key to turn that off
+        rec = write_records(tmp_path / "r.csv", [stay_fixture()])
+        out = str(tmp_path / "o")
+        assert main(["label", rec, "--tail-flush", "off", "--out", out]) == 1
+        assert "unrecognized arguments: --tail-flush off" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tail_flush = on\n")
+        assert main(["label", rec, "--config", str(cfg), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {cfg}:1: unknown config key 'tail_flush'\n"
+        )
 
     @pytest.mark.parametrize("line", ["delta-s=5", "delta_tt = 10"])
     def test_unknown_key_is_data_error(self, tmp_path, capsys, line):
@@ -750,8 +757,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["label", "r.csv", "--tail-flush", "maybe"],
-             "argument --tail-flush: expected on/off, got 'maybe'"),
+            (["label", "r.csv", "--delta-s", "wide"],
+             "argument --delta-s: invalid float value: 'wide'"),
             (["label", "r.csv", "--timezone", "noon"],
              "argument --timezone: invalid literal for int() with base 10: 'noon'"),
             (["evaluate", "--experiment", "--rates", ","], "argument --rates: empty list"),
@@ -819,6 +826,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("sparsemob: error: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_time_overflow_names_what_reaches_it(self, tmp_path, capsys):
+        # simulate has no --rates flag: the message names the product of the
+        # rate count and the joined span that reaches 2**63
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--trajectories", "2", "--delta-t", "1e19"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "sparsemob: error: 10 rates x (duration + delta_t + 1) s reaches "
+            "2**63: joined times would overflow\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1171,19 +1190,6 @@ class TestBoundsCommand:
         row = [l for l in out.read_text().splitlines() if l.startswith("m,")][0]
         assert row == "m,0.0,1.0"
 
-    def test_tail_flush_off_keeps_stay_bound_in_unit_interval(self, tmp_path):
-        # the first dwell never escapes at delta_s; its dense-window
-        # membership must still count in the stay denominator
-        traj = traj_from_meters(
-            [0, 600, 1200, 1800, 2400, 10000, 11800, 12000],
-            [0, 0, 0, 0, 400, 0, 0, 5000],
-            device="f",
-        )
-        rec = write_records(tmp_path / "r.csv", [traj])
-        out = tmp_path / "b.csv"
-        assert main(["bounds", rec, "--out", str(out), "--tail-flush", "off"]) == 0
-        row = [l for l in out.read_text().splitlines() if l.startswith("f,")][0]
-        assert row == f"f,{6 / 7!r},1.0"
 
 
 class TestStatsCommand:
@@ -1218,33 +1224,13 @@ class TestStatsCommand:
         kinds = {line.split(",")[0] for line in text.splitlines()[2:]}
         assert kinds == {"gap_bin", "coverage_bin"}
 
-    def test_sparsity_label_mix_follows_tail_flush(self, tmp_path):
-        # one dwell that never escapes: all S with the tail flush, all U without
-        traj = traj_from_meters(np.arange(5) * 600, np.arange(5) * 5.0, device="d")
-        rec = write_records(tmp_path / "r.csv", [traj])
-        mix = {}
-        for flush in ("on", "off"):
-            sp = tmp_path / f"sparsity-{flush}.csv"
-            argv = ["stats", rec, "--out", str(tmp_path / "s.csv"),
-                    "--tail-flush", flush, "--sparsity-out", str(sp)]
-            assert main(argv) == 0
-            lines = [l for l in sp.read_text().splitlines() if not l.startswith("#")]
-            row = next(
-                r for r in csv.DictReader(lines)
-                if r["table"] == "gap_bin" and r["devices"] == "1"
-            )
-            mix[flush] = (row["stay_fraction"], row["unlabeled_fraction"])
-        assert mix == {"on": ("1.0", "0.0"), "off": ("0.0", "1.0")}
-
-    @pytest.mark.parametrize("flush", ["on", "off"])
-    def test_label_mix_equals_devices_labeled_alone(self, tmp_path, rng, flush):
+    def test_label_mix_equals_devices_labeled_alone(self, tmp_path, rng):
         # single records, devices the gap contract joins, and one with more
         # than a superblock of records within delta_t, which is labeled alone
         dense = traj_from_meters(np.arange(300), np.arange(300) * 5.0, device="z")
         rec = write_records(tmp_path / "r.csv", mixed_devices(rng, 9) + [dense])
         sp = tmp_path / "sparsity.csv"
-        argv = ["stats", rec, "--out", str(tmp_path / "s.csv"),
-                "--tail-flush", flush, "--sparsity-out", str(sp)]
+        argv = ["stats", rec, "--out", str(tmp_path / "s.csv"), "--sparsity-out", str(sp)]
         assert main(argv) == 0
         lines = [l for l in sp.read_text().splitlines() if not l.startswith("#")]
         rows = [r for r in csv.DictReader(lines) if r["table"] == "gap_bin"]
@@ -1254,7 +1240,7 @@ class TestStatsCommand:
                 continue  # no mean gap, so in no gap bin
             xi = global_sparsity(traj)
             b = next(k for k, r in enumerate(rows) if float(r["lo"]) <= xi < float(r["hi"]))
-            labels = sds_label(traj, MobilityParams(), tail_flush=flush == "on").labels
+            labels = sds_label(traj, MobilityParams()).labels
             for k, code in enumerate((LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED)):
                 counts[b][k] += (labels == code).sum()
         got = [

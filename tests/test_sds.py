@@ -49,12 +49,12 @@ def three_record_travel():
     return traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0])
 
 
-def kernel(traj, witness=PARAMS.delta_s, **kw):
+def kernel(traj, witness=PARAMS.delta_s):
     """label_kernel at the labeler's thresholds on an equator-built fixture."""
     x = traj.lons * METERS_PER_DEGREE
     y = traj.lats * METERS_PER_DEGREE
     return label_kernel(
-        x, y, traj.times, PARAMS.delta_t, PARAMS.delta_s / 3.0, witness, **kw
+        x, y, traj.times, PARAMS.delta_t, PARAMS.delta_s / 3.0, witness
     )
 
 
@@ -74,7 +74,6 @@ class TestDetectStays:
         # co-located records spanning 35 min, no escape ever
         traj = traj_from_meters(minutes(0, 10, 20, 35), [0.0, 10.0, 5.0, 8.0])
         assert kernel(traj, witness=None)[0].all()
-        assert not kernel(traj, witness=None, tail_flush=False)[0].any()
 
     def test_window_invariant_on_admission(self, rng):
         # whenever the scan admits a record without an escape, every pair in
@@ -354,10 +353,9 @@ class TestGapContract:
         joins=st.lists(st.integers(1, 5000), min_size=3, max_size=3),
         delta_t=st.sampled_from([1800.0, 600.5]),
         witness=st.sampled_from([None, 400.0, 800.0]),
-        tail_flush=st.booleans(),
     )
     def test_gap_over_delta_t_splits_labeling(
-        self, segments, joins, delta_t, witness, tail_flush
+        self, segments, joins, delta_t, witness
     ):
         # segments joined by gaps > delta_t label as if each were alone
         escape = 800.0 / 3.0
@@ -375,10 +373,9 @@ class TestGapContract:
         x = np.concatenate([p[0] for p in parts])
         y = np.concatenate([p[1] for p in parts])
         t = np.concatenate(joined_t).astype(np.int64)
-        whole = label_kernel(x, y, t, delta_t, escape, witness, tail_flush=tail_flush)
+        whole = label_kernel(x, y, t, delta_t, escape, witness)
         alone = [
-            label_kernel(px, py, pt, delta_t, escape, witness, tail_flush=tail_flush)
-            for px, py, pt in parts
+            label_kernel(px, py, pt, delta_t, escape, witness) for px, py, pt in parts
         ]
         for got, want in zip(whole, zip(*alone)):
             assert got.tolist() == np.concatenate(want).tolist()
@@ -502,20 +499,17 @@ class TestStaySkip:
         runs=st.lists(_run, min_size=1, max_size=8),
         delta_t=st.sampled_from([600.5, 600.0, 1800.0]),
         witness=st.sampled_from([200.0, 400.0, 800.0]),
-        tail_flush=st.booleans(),
     )
     def test_skip_at_escape_up_to_witness_changes_no_flag(
-        self, runs, delta_t, witness, tail_flush
+        self, runs, delta_t, witness
     ):
         x, y, t = run_arrays(runs)
-        stay, alone = label_kernel(x, y, t, delta_t, None, witness, tail_flush=tail_flush)
+        stay, alone = label_kernel(x, y, t, delta_t, None, witness)
         assert not stay.any()
         for escape in (witness / 3.0, witness / 2.0, 800.0 / 3.0, witness):
             if escape > witness:
                 continue
-            _, travel = label_kernel(
-                x, y, t, delta_t, escape, witness, tail_flush=tail_flush
-            )
+            _, travel = label_kernel(x, y, t, delta_t, escape, witness)
             assert travel.tolist() == alone.tolist(), escape
 
 
@@ -528,7 +522,6 @@ class TestStayRuns:
         runs=st.lists(_run, min_size=1, max_size=8),
         delta_t=st.sampled_from([1800.0, 600.5]),
         escape=st.sampled_from([800.0 / 3.0, 800.0]),
-        tail_flush=st.booleans(),
         integer=st.booleans(),
     )
     # a run of steps 800 m long, each one exactly at the escape radius
@@ -536,7 +529,6 @@ class TestStayRuns:
         runs=[(1, 1, 0.0, 0.0), (4, 600, 480.0, 640.0)],
         delta_t=600.5,
         escape=800.0,
-        tail_flush=True,
         integer=True,
     )
     # a run whose box diagonal is exactly the escape radius: its last record
@@ -545,32 +537,29 @@ class TestStayRuns:
         runs=[(1, 1, 0.0, 0.0), (1, 1000, 480.0, 0.0), (1, 1000, 0.0, 640.0)],
         delta_t=1800.0,
         escape=800.0,
-        tail_flush=True,
         integer=True,
     )
-    def test_matches_reference_loop(self, runs, delta_t, escape, tail_flush, integer):
+    def test_matches_reference_loop(self, runs, delta_t, escape, integer):
         x, y, t = run_arrays(runs)
         if integer:
             # integer points, where the steps of 800 m tie the radius
             x, y = np.round(x), np.round(y)
-        stay, _ = label_kernel(x, y, t, delta_t, escape, None, tail_flush=tail_flush)
-        want = reference_stay_pass(x, y, t, escape, delta_t, tail_flush)
+        stay, _ = label_kernel(x, y, t, delta_t, escape, None)
+        want = reference_stay_pass(x, y, t, escape, delta_t)
         assert stay.tolist() == want
 
-    @pytest.mark.parametrize("tail_flush", [True, False])
-    def test_time_tests_are_exact_on_large_integers(self, tail_flush):
+    def test_time_tests_are_exact_on_large_integers(self):
         # times past 2**53 and delta_t = 2**62: a run ending at an escape
         # that spans 2**62 - 1 s, which float64 rounds up to delta_t, is no
-        # stay; runs spanning 2**62 s are, at the trajectory's end only with
-        # the tail flush; a gap of 2**62 + 1 s, which float64 rounds down to
-        # delta_t, cuts
+        # stay; runs spanning 2**62 s are, also at the trajectory's end; a
+        # gap of 2**62 + 1 s, which float64 rounds down to delta_t, cuts
         b = 2**60
         x = np.array([0.0, 10.0, 20.0, 1000.0])
         y = np.zeros(4)
         for t, delta_t, want in (
             ([b, b + 2**61, b + 2**62 - 1, b + 2**62], 2.0**62, [False] * 4),
             ([b, b + 2**61, b + 2**62, b + 2**62 + 1], 2.0**62, [True] * 3 + [False]),
-            ([b, b + 2**61, b + 2**62], 2.0**62, [tail_flush] * 3),
+            ([b, b + 2**61, b + 2**62], 2.0**62, [True] * 3),
             ([b, b + 1, b + 2**62 + 2], 2.0**62, [False] * 3),
             # longer than the whole span: no gap cuts and nothing flushes
             ([b, b + 2**61, b + 2**62, b + 2**62 + 1], 2.0**63, [False] * 4),
@@ -578,11 +567,9 @@ class TestStayRuns:
         ):
             t = np.array(t, dtype=np.int64)
             args = x[: len(t)], y[: len(t)], t
-            stay, _ = label_kernel(
-                *args, delta_t, 800.0 / 3.0, None, tail_flush=tail_flush
-            )
+            stay, _ = label_kernel(*args, delta_t, 800.0 / 3.0, None)
             assert stay.tolist() == want, (t, delta_t)
-            assert reference_stay_pass(*args, 800.0 / 3.0, delta_t, tail_flush) == want
+            assert reference_stay_pass(*args, 800.0 / 3.0, delta_t) == want
 
     def test_window_invariant_on_sparse_trajectories(self):
         # power-law gaps as in the c6 corpus, where nearly every record is
@@ -652,12 +639,9 @@ class TestRecallBounds:
     def test_bounds_lie_in_unit_interval(self, rng):
         for _ in range(40):
             traj = random_trajectory(rng)
-            for tail_flush in (True, False):
-                bounds = recall_lower_bounds(
-                    traj, PARAMS, ref_lat=0.0, tail_flush=tail_flush
-                )
-                assert 0.0 <= bounds.stay_bound <= 1.0
-                assert 0.0 <= bounds.travel_bound <= 1.0
+            bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0)
+            assert 0.0 <= bounds.stay_bound <= 1.0
+            assert 0.0 <= bounds.travel_bound <= 1.0
 
     def test_matches_literal_window_and_witness_ratios(self, rng):
         # stay: dense members at delta_s/3 over dense members at delta_s;
@@ -679,17 +663,6 @@ class TestRecallBounds:
             ]
             assert bounds.stay_bound == stay
             assert bounds.travel_bound == ratio(*witness)
-
-    def test_tail_flush_off_stay_denominator_is_dense_membership(self):
-        # the first dwell escapes at delta_s/3 but never at delta_s; without
-        # the tail flush the delta_s pass would drop it from the denominator
-        traj = traj_from_meters(
-            [0, 600, 1200, 1800, 2400, 10000, 11800, 12000],
-            [0, 0, 0, 0, 400, 0, 0, 5000],
-        )
-        bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0, tail_flush=False)
-        assert bounds.stay_bound == 6 / 7
-        assert bounds.travel_bound == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
