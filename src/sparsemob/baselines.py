@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_TZ_OFFSET,
     LABEL_STAY,
     LABEL_TRAVEL,
     LABEL_UNLABELED,
@@ -35,8 +36,6 @@ HOURS_PER_WEEK = 168
 
 #: days from Unix epoch day (a Thursday) to the start of the index week
 _WEEK_ANCHOR = {"monday": 3, "sunday": 4}
-
-DEFAULT_TZ_OFFSET = 8 * 3600
 
 
 def grid_index(lon: float, lat: float) -> tuple[int, int]:

@@ -27,54 +27,38 @@ shared by every command:
   data error.
 * Model files are CSV files like any other; this module holds every file
   layout the package reads or writes.
+
+A start pays only for the command it runs: at the top this module imports
+the standard library, numpy and ``core``; each ``run_*`` imports the modules
+it calls, and the parser adds flags only to the command that argv names.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import math
-import multiprocessing
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone as _tz
-from functools import partial
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .baselines import (
-    BucketConfig,
-    DEFAULT_TZ_OFFSET,
-    HmmModel,
-    SpatioTemporalBin,
-    VotingModel,
-    hmm_predict,
-    hmm_train,
-    voting_train,
-)
 from .core import (
     _CODE_BY_LETTER,
     _LETTERS,
+    DEFAULT_TZ_OFFSET,
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
 )
-from .evaluate import (
-    ConfusionCounts,
-    DEFAULT_RATES,
-    ExperimentConfig,
-    MetricsReport,
-    device_stats,
-    experiment_trajectory,
-    prop1_violation_rate,
-    resampling_experiment,
-    sparsity_report,
-)
-from .oracle import ORACLE_LIMIT_DEFAULT, OracleLimitError, exact_label
-from .sds import _trajectory_codes, recall_lower_bounds
-from .simulate import CtrwConfig, check_supports, resample
+
+if TYPE_CHECKING:  # for annotations alone; each command imports what it runs
+    from .baselines import HmmModel, VotingModel
+    from .evaluate import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,13 +102,21 @@ class RunConfig:
 
 
 def _parse_tz(text: str) -> int:
-    """Timezone as signed seconds east of UTC, or +HH:MM form."""
+    """Timezone as signed seconds east of UTC, or [+-]HH:MM form with
+    unsigned digits and MM at most 59; either strictly inside +/-24 h, the
+    offsets ``datetime.timezone`` takes."""
     t = text.strip()
     if ":" in t:
-        sign = -1 if t.startswith("-") else 1
-        hh, mm = t.lstrip("+-").split(":", 1)
-        return sign * (int(hh) * 3600 + int(mm) * 60)
-    return int(t)
+        form = re.fullmatch(r"([+-]?)([0-9]+):([0-9]+)", t)
+        if form is None or int(form[3]) > 59:
+            raise ValueError(f"expected [+-]HH:MM with MM at most 59, got {text!r}")
+        sign = -1 if form[1] == "-" else 1
+        offset = sign * (int(form[2]) * 3600 + int(form[3]) * 60)
+    else:
+        offset = int(t)
+    if not -86400 < offset < 86400:
+        raise ValueError(f"offset must lie strictly inside +/-24 h, got {text!r}")
+    return offset
 
 
 def _parse_bool(text: str) -> bool:
@@ -579,6 +571,8 @@ def _save_model(model: VotingModel | HmmModel, path: str) -> None:
     """Write a model file. A voting model keeps its settings in notes and
     has one row per bin, in bin order; an HMM has one (table, row, col,
     value) row per bucket edge and per probability."""
+    from .baselines import VotingModel
+
     if isinstance(model, VotingModel):
         kind = "voting"
         notes = [f"seed {model.seed}", f"week_start {model.week_start}",
@@ -604,6 +598,8 @@ def _save_model(model: VotingModel | HmmModel, path: str) -> None:
 
 def _load_model(method: str, path: str) -> VotingModel | HmmModel:
     """Read a model file of ``method`` ("voting" or "hmm")."""
+    from .baselines import BucketConfig, HmmModel, SpatioTemporalBin, VotingModel
+
     columns = _MODEL_COLUMNS[method]
     index, rows, lines, notes = _read_table(path, tuple(columns))
     values = []
@@ -664,6 +660,8 @@ def _aligned_labels(
 
 
 def _device_rng(seed: int, device: str) -> np.random.Generator:
+    import hashlib
+
     # device ids are strings; hash to an integer stream id so per-device
     # randomness is independent of dataset composition and order
     digest = hashlib.sha256(device.encode("utf-8")).digest()
@@ -676,6 +674,8 @@ def _device_rng(seed: int, device: str) -> np.random.Generator:
 def _label_texts(run: RunConfig, trajectories: list[Trajectory]) -> str:
     """The labels CSV rows of consecutive devices, each labeled as by
     ``sds_label`` alone, joined into as few kernel calls as int64 allows."""
+    from .sds import _trajectory_codes
+
     codes = _trajectory_codes(trajectories, run.params, ref_lat=run.ref_lat)
     texts = []
     first = 0
@@ -700,6 +700,9 @@ def run_label(args: argparse.Namespace, run: RunConfig) -> int:
     bounds = _chunk_bounds([len(traj) for traj in trajectories], run.workers)
     chunks = [trajectories[a:b] for a, b in zip(bounds, bounds[1:])]
     if len(chunks) > 1:
+        import multiprocessing
+        from functools import partial
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(chunks)) as pool:
             # ordered map keeps the merge deterministic for any worker count
@@ -711,6 +714,8 @@ def run_label(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
+    from .oracle import OracleLimitError, exact_label
+
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     texts = []
     for traj in trajectories:
@@ -726,6 +731,8 @@ def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
+    from .evaluate import device_stats, sparsity_report
+
     try:
         # the slicing thresholds obey the rule of delta_t, as in prop1
         for dt in args.delta_t_grid or ():
@@ -786,6 +793,9 @@ def _experiment_config(
 ) -> ExperimentConfig:
     """The experiment settings; with ``with_truth``, only settings whose
     continuous truth labels are exact (see ``check_supports``)."""
+    from .evaluate import DEFAULT_RATES, ExperimentConfig
+    from .simulate import CtrwConfig, check_supports
+
     try:
         walk = CtrwConfig(duration=args.duration, jitter_radius=args.jitter)
         config = ExperimentConfig(
@@ -807,6 +817,8 @@ def _experiment_config(
 
 
 def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
+    from .evaluate import experiment_trajectory
+
     with_truth = args.labels_out is not None
     config = _experiment_config(args, run, with_truth=with_truth)
     record_texts = []
@@ -823,6 +835,8 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
+    from .simulate import resample
+
     if (args.labels is None) != (args.labels_out is None):
         raise UsageError("--labels and --labels-out must be used together")
     if not 0.0 <= args.rate <= 1.0:
@@ -845,6 +859,8 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
+    from .evaluate import ConfusionCounts, MetricsReport, resampling_experiment
+
     if args.experiment:
         config = _experiment_config(args, run, with_truth=True)
         outcomes = resampling_experiment(config)
@@ -901,6 +917,8 @@ def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_prop1(args: argparse.Namespace, run: RunConfig) -> int:
+    from .evaluate import prop1_violation_rate
+
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     grid_s = args.delta_s_grid or (run.params.delta_s,)
     grid_t = args.delta_t_grid or (run.params.delta_t,)
@@ -922,6 +940,8 @@ def run_prop1(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_bounds(args: argparse.Namespace, run: RunConfig) -> int:
+    from .sds import recall_lower_bounds
+
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     rows = []
     for traj in trajectories:
@@ -933,6 +953,8 @@ def run_bounds(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
+    from .baselines import BucketConfig, hmm_predict, hmm_train, voting_train
+
     training = args.train_records is not None
     if training != (args.train_labels is not None):
         raise UsageError("--train-records and --train-labels must be used together")
@@ -985,60 +1007,59 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
 # ------------------------------------------------------------ arg wiring
 
 
-def _build_parser() -> _Parser:
-    tz, floats = map(_flag_type, (_parse_tz, _parse_float_list))
-    shared = _Parser(add_help=False)
-    shared.add_argument("--delta-s", dest="delta_s", type=float, default=None,
-                        help="stay spatial threshold in meters (default 800)")
-    shared.add_argument("--delta-t", dest="delta_t", type=float, default=None,
-                        help="stay temporal threshold in seconds (default 1800)")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="root seed for all randomness (default 0)")
-    shared.add_argument("--workers", type=int, default=None,
-                        help="worker processes for per-device parallelism")
-    shared.add_argument("--timezone", type=tz, default=None,
-                        help="timezone as seconds east of UTC or +HH:MM "
-                             "(default +08:00)")
-    shared.add_argument("--ref-lat", dest="ref_lat", type=float, default=None,
-                        help="projection reference latitude (default: per-device "
-                             "first record)")
-    shared.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="make data diagnostics fatal")
-    shared.add_argument("--config", default=None,
-                        help="key=value file supplying any shared flag")
+def _add_shared(p: _Parser) -> None:
+    """The flags every command takes; a config file can supply each."""
+    p.add_argument("--delta-s", dest="delta_s", type=float, default=None,
+                   help="stay spatial threshold in meters (default 800)")
+    p.add_argument("--delta-t", dest="delta_t", type=float, default=None,
+                   help="stay temporal threshold in seconds (default 1800)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="root seed for all randomness (default 0)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes for per-device parallelism")
+    p.add_argument("--timezone", type=_flag_type(_parse_tz), default=None,
+                   help="timezone as seconds east of UTC or +HH:MM "
+                        "(default +08:00)")
+    p.add_argument("--ref-lat", dest="ref_lat", type=float, default=None,
+                   help="projection reference latitude (default: per-device "
+                        "first record)")
+    p.add_argument("--strict", action=argparse.BooleanOptionalAction,
+                   default=None,
+                   help="make data diagnostics fatal")
+    p.add_argument("--config", default=None,
+                   help="key=value file supplying any shared flag")
 
-    parser = _Parser(prog="sparsemob",
-                     description="Stay/travel inference on sparse trajectories.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("label", parents=[shared],
-                       help="label records with the sliding-window inference")
+def _label_args(p: _Parser) -> None:
     p.add_argument("input", help="records CSV")
     p.add_argument("--out", required=True, help="labels CSV to write")
     p.set_defaults(func=run_label)
 
-    p = sub.add_parser("oracle", parents=[shared],
-                       help="label records with the exhaustive reference oracle")
+
+def _oracle_args(p: _Parser) -> None:
+    from .oracle import ORACLE_LIMIT_DEFAULT
+
     p.add_argument("input", help="records CSV")
     p.add_argument("--out", required=True, help="labels CSV to write")
     p.add_argument("--limit", type=int, default=ORACLE_LIMIT_DEFAULT,
                    help="per-device record cap for the quadratic oracle")
     p.set_defaults(func=run_oracle)
 
-    p = sub.add_parser("stats", parents=[shared],
-                       help="per-device sampling statistics")
+
+def _stats_args(p: _Parser) -> None:
     p.add_argument("input", help="records CSV")
     p.add_argument("--out", required=True, help="per-device stats CSV")
     p.add_argument("--sparsity-out", dest="sparsity_out", default=None,
                    help="also write binned sparsity/label-mix report here")
-    p.add_argument("--delta-t-grid", dest="delta_t_grid", type=floats,
-                   default=None,
+    p.add_argument("--delta-t-grid", dest="delta_t_grid",
+                   type=_flag_type(_parse_float_list), default=None,
                    help="comma-separated slicing thresholds for coverage bins")
     p.set_defaults(func=run_stats)
 
-    p = sub.add_parser("simulate", parents=[shared],
-                       help="generate synthetic trajectories")
+
+def _simulate_args(p: _Parser) -> None:
+    from .simulate import CtrwConfig
+
     p.add_argument("--out", required=True, help="records CSV to write")
     p.add_argument("--labels-out", dest="labels_out", default=None,
                    help="also write ground-truth labels here")
@@ -1048,8 +1069,8 @@ def _build_parser() -> _Parser:
                    help="dwell observation jitter radius in meters")
     p.set_defaults(func=run_simulate)
 
-    p = sub.add_parser("resample", parents=[shared],
-                       help="keep each record with a fixed probability")
+
+def _resample_args(p: _Parser) -> None:
     p.add_argument("input", help="records CSV")
     p.add_argument("--out", required=True, help="records CSV to write")
     p.add_argument("--rate", type=float, required=True)
@@ -1059,8 +1080,10 @@ def _build_parser() -> _Parser:
                    help="where to write the carried labels")
     p.set_defaults(func=run_resample)
 
-    p = sub.add_parser("evaluate", parents=[shared],
-                       help="score predictions, or run the resampling experiment")
+
+def _evaluate_args(p: _Parser) -> None:
+    from .simulate import CtrwConfig
+
     p.add_argument("--predictions", default=None, help="predicted labels CSV")
     p.add_argument("--truth", default=None, help="ground-truth labels CSV")
     p.add_argument("--out", required=True, help="metrics CSV to write")
@@ -1069,28 +1092,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--trajectories", type=int, default=100)
     p.add_argument("--duration", type=float, default=CtrwConfig.duration)
     p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--rates", type=floats, default=None,
+    p.add_argument("--rates", type=_flag_type(_parse_float_list), default=None,
                    help="comma-separated retention rates (default 1.0..0.1)")
     p.set_defaults(func=run_evaluate)
 
-    p = sub.add_parser("prop1", parents=[shared],
-                       help="leave-one-out dwell-locality check")
+
+def _prop1_args(p: _Parser) -> None:
+    floats = _flag_type(_parse_float_list)
     p.add_argument("input", help="records CSV")
     p.add_argument("--out", required=True, help="results CSV to write")
-    p.add_argument("--delta-s-grid", dest="delta_s_grid", type=floats,
-                   default=None)
-    p.add_argument("--delta-t-grid", dest="delta_t_grid", type=floats,
-                   default=None)
+    p.add_argument("--delta-s-grid", dest="delta_s_grid", type=floats, default=None)
+    p.add_argument("--delta-t-grid", dest="delta_t_grid", type=floats, default=None)
     p.set_defaults(func=run_prop1)
 
-    p = sub.add_parser("bounds", parents=[shared],
-                       help="per-device recall lower bounds")
+
+def _bounds_args(p: _Parser) -> None:
     p.add_argument("input", help="records CSV")
     p.add_argument("--out", required=True, help="bounds CSV to write")
     p.set_defaults(func=run_bounds)
 
-    p = sub.add_parser("baseline", parents=[shared],
-                       help="train or apply the voting / HMM baselines")
+
+def _baseline_args(p: _Parser) -> None:
     p.add_argument("--method", choices=("voting", "hmm"), required=True)
     p.add_argument("--train-records", dest="train_records", default=None)
     p.add_argument("--train-labels", dest="train_labels", default=None)
@@ -1102,11 +1124,41 @@ def _build_parser() -> _Parser:
                    default="monday")
     p.set_defaults(func=run_baseline)
 
+
+#: each command's help line and the function that adds its own arguments
+_COMMANDS = {
+    "label": ("label records with the sliding-window inference", _label_args),
+    "oracle": ("label records with the exhaustive reference oracle", _oracle_args),
+    "stats": ("per-device sampling statistics", _stats_args),
+    "simulate": ("generate synthetic trajectories", _simulate_args),
+    "resample": ("keep each record with a fixed probability", _resample_args),
+    "evaluate": ("score predictions, or run the resampling experiment", _evaluate_args),
+    "prop1": ("leave-one-out dwell-locality check", _prop1_args),
+    "bounds": ("per-device recall lower bounds", _bounds_args),
+    "baseline": ("train or apply the voting / HMM baselines", _baseline_args),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The parser: every command with its help line, but the shared flags
+    and the command's own arguments only for ``command``."""
+    parser = _Parser(prog="sparsemob",
+                     description="Stay/travel inference on sparse trajectories.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            _add_shared(p)
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the first argv entry naming a command is the one argparse runs: before
+    # it, an option is -h or unknown (neither takes a value at the top
+    # level) and any other word is an invalid choice
+    parser = _build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -19,6 +19,9 @@ import numpy as np
 EARTH_RADIUS_M = 6_371_000.0
 #: meters per degree of latitude (and of longitude at the equator)
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
+#: the fixed offset, in seconds east of UTC, that wall-clock times and
+#: hours of the week are read in unless configured otherwise (UTC+8)
+DEFAULT_TZ_OFFSET = 8 * 3600
 
 
 class MetricUndefinedError(ValueError):

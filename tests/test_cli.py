@@ -2,6 +2,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,18 @@ class TestSmallParsers:
         assert _parse_tz("-05:00") == -18000
         assert _parse_tz("+05:30") == 19800
         assert _parse_tz("0") == 0
+        # the offsets nearest +/-24 h that datetime.timezone takes
+        assert _parse_tz("+23:59") == 86340 and _parse_tz("-23:59") == -86340
+        assert _parse_tz("86399") == 86399 and _parse_tz("-86399") == -86399
+
+    @pytest.mark.parametrize(
+        "text",
+        ["25:00", "+24:00", "-24:00", "86400", "-86400", "99999999999999999999",
+         "+08:75", "+08:-30", "+-08:00", "08:+30", ":30", "+08:", "08:3O"],
+    )
+    def test_timezone_not_an_offset_rejected(self, text):
+        with pytest.raises(ValueError):
+            _parse_tz(text)
 
     def test_bool_forms(self):
         assert _parse_bool("on") and _parse_bool("TRUE") and _parse_bool("1")
@@ -740,6 +753,29 @@ class TestConfigFile:
             f"sparsemob: data error: {cfg}:1: unknown config key 'tail_flush'\n"
         )
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("25:00", "offset must lie strictly inside +/-24 h, got '25:00'"),
+            ("+08:75", "expected [+-]HH:MM with MM at most 59, got '+08:75'"),
+            ("+08:-30", "expected [+-]HH:MM with MM at most 59, got '+08:-30'"),
+            ("99999999999999999999",
+             "offset must lie strictly inside +/-24 h, got '99999999999999999999'"),
+        ],
+    )
+    def test_timezone_not_an_offset_is_data_error(self, tmp_path, capsys, value, message):
+        # a clock-form file that a bogus offset would shift, or drop whole
+        rec = tmp_path / "r.csv"
+        rec.write_text("time,lon,lat,mid\n18:02:41/07/12/2016,0.0,0.0,d\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"timezone = {value}\n")
+        out = tmp_path / "o"
+        assert main(["label", str(rec), "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: config key timezone: {message}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["delta-s=5", "delta_tt = 10"])
     def test_unknown_key_is_data_error(self, tmp_path, capsys, line):
         rec = write_records(tmp_path / "r.csv", [travel_fixture()])
@@ -761,6 +797,15 @@ class TestExitCodes:
              "argument --delta-s: invalid float value: 'wide'"),
             (["label", "r.csv", "--timezone", "noon"],
              "argument --timezone: invalid literal for int() with base 10: 'noon'"),
+            (["label", "r.csv", "--timezone", "25:00"],
+             "argument --timezone: offset must lie strictly inside +/-24 h, got '25:00'"),
+            (["label", "r.csv", "--timezone", "+08:75"],
+             "argument --timezone: expected [+-]HH:MM with MM at most 59, got '+08:75'"),
+            (["label", "r.csv", "--timezone=+08:-30"],
+             "argument --timezone: expected [+-]HH:MM with MM at most 59, got '+08:-30'"),
+            (["label", "r.csv", "--timezone", "99999999999999999999"],
+             "argument --timezone: offset must lie strictly inside +/-24 h, "
+             "got '99999999999999999999'"),
             (["evaluate", "--experiment", "--rates", ","], "argument --rates: empty list"),
             (["stats", "r.csv", "--delta-t-grid", "300,x"],
              "argument --delta-t-grid: could not convert string to float: 'x'"),
@@ -1511,3 +1556,86 @@ class TestModelFiles:
         assert main(["baseline", "--method", method, "--load-model", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"sparsemob: data error: {path}:{line}: invalid literal")
+
+
+#: the modules a start of the CLI loads only for the commands that run them
+LAZY_MODULES = (
+    "multiprocessing",
+    "sparsemob.baselines",
+    "sparsemob.evaluate",
+    "sparsemob.oracle",
+    "sparsemob.sds",
+    "sparsemob.simulate",
+)
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # a fresh interpreter, so that no module this process loaded masks one
+    rec = write_records(tmp_path / "r.csv", [travel_fixture()])
+    out = tmp_path / "lab.csv"
+    code = f"""
+import contextlib, io, sys
+import sparsemob.cli
+lazy = {LAZY_MODULES!r}
+with contextlib.redirect_stderr(io.StringIO()):
+    assert sparsemob.cli.main([]) == 1
+print(*[m for m in lazy if m in sys.modules])
+assert sparsemob.cli.main(["label", {rec!r}, "--workers", "1", "--out", {str(out)!r}]) == 0
+print(*[m for m in lazy if m in sys.modules])
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(sparsemob.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["", "sparsemob.sds"]
+    assert [r[2] for r in label_lines(out)] == ["U", "T", "U"]
+
+
+SHARED_FLAGS = ["--delta-s", "--delta-t", "--seed", "--workers", "--timezone",
+                "--ref-lat", "--strict", "--no-strict", "--config"]
+
+#: each command's help line, and its own arguments in usage order
+COMMANDS = {
+    "label": ("label records with the sliding-window inference", ["--out", "input"]),
+    "oracle": ("label records with the exhaustive reference oracle",
+               ["--out", "--limit", "input"]),
+    "stats": ("per-device sampling statistics",
+              ["--out", "--sparsity-out", "--delta-t-grid", "input"]),
+    "simulate": ("generate synthetic trajectories",
+                 ["--out", "--labels-out", "--trajectories", "--duration", "--jitter"]),
+    "resample": ("keep each record with a fixed probability",
+                 ["--out", "--rate", "--labels", "--labels-out", "input"]),
+    "evaluate": ("score predictions, or run the resampling experiment",
+                 ["--predictions", "--truth", "--out", "--experiment", "--trajectories",
+                  "--duration", "--jitter", "--rates"]),
+    "prop1": ("leave-one-out dwell-locality check",
+              ["--out", "--delta-s-grid", "--delta-t-grid", "input"]),
+    "bounds": ("per-device recall lower bounds", ["--out", "input"]),
+    "baseline": ("train or apply the voting / HMM baselines",
+                 ["--method", "--train-records", "--train-labels", "--load-model",
+                  "--save-model", "--records", "--out", "--week-start"]),
+}
+
+
+class TestCommandLineSurface:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_names_shared_and_own_arguments(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert usage.startswith(f"usage: sparsemob {command} [-h] ")
+        named = re.findall(r"--[\w-]+|\binput\b", usage)
+        assert named == SHARED_FLAGS + COMMANDS[command][1]
+
+    def test_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        listed = re.findall(r"^    (\w+) +(.+)$", capsys.readouterr().out, re.M)
+        assert listed == [(name, line) for name, (line, _) in COMMANDS.items()]
+
+    def test_unknown_command_names_every_command(self, capsys):
+        assert main(["labl"]) == 1
+        choices = ", ".join(f"'{name}'" for name in COMMANDS)
+        assert capsys.readouterr().err.endswith(
+            f"sparsemob: error: argument command: invalid choice: 'labl' "
+            f"(choose from {choices})\n"
+        )

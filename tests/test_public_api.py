@@ -1,8 +1,13 @@
 """The package's public surface: README's quick start and its entry points."""
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sparsemob
 
@@ -62,6 +67,33 @@ def test_all_is_readme_entry_points_and_their_types():
     exec("from sparsemob import *", namespace)
     for name in sparsemob.__all__:
         assert namespace[name] is getattr(sparsemob, name)
+    assert set(namespace) - {"__builtins__"} == set(sparsemob.__all__)
+
+
+def test_names_resolve_on_first_use():
+    # a fresh interpreter, where no name has been looked up yet: dir lists
+    # them all, and a star import binds every one
+    code = """
+import sparsemob
+listed = set(dir(sparsemob))
+namespace = {}
+exec("from sparsemob import *", namespace)
+print(set(sparsemob.__all__) <= listed, sorted(namespace) == sorted(
+    sparsemob.__all__ + ["__builtins__"]), *sorted(sparsemob.__all__))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(sparsemob.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["True", "True", *sorted(ENTRY_POINTS + TYPES)]
+
+
+def test_unknown_attribute_is_the_standard_error():
+    with pytest.raises(AttributeError) as caught:
+        sparsemob.no_such_name
+    assert str(caught.value) == "module 'sparsemob' has no attribute 'no_such_name'"
+    assert not hasattr(sparsemob, "no_such_name")
 
 
 def test_readme_names_the_entry_points():
