@@ -797,6 +797,10 @@ class TestExitCodes:
              "argument --delta-s: invalid float value: 'wide'"),
             (["label", "r.csv", "--timezone", "noon"],
              "argument --timezone: invalid literal for int() with base 10: 'noon'"),
+            (["evaluate", "--experiment", "--rates", ","], "argument --rates: empty list"),
+            (["stats", "r.csv", "--delta-t-grid", "300,x"],
+             "argument --delta-t-grid: could not convert string to float: 'x'"),
+            (["prop1", "r.csv", "--delta-s-grid", ","], "argument --delta-s-grid: empty list"),
             (["label", "r.csv", "--timezone", "25:00"],
              "argument --timezone: offset must lie strictly inside +/-24 h, got '25:00'"),
             (["label", "r.csv", "--timezone", "+08:75"],
@@ -806,10 +810,6 @@ class TestExitCodes:
             (["label", "r.csv", "--timezone", "99999999999999999999"],
              "argument --timezone: offset must lie strictly inside +/-24 h, "
              "got '99999999999999999999'"),
-            (["evaluate", "--experiment", "--rates", ","], "argument --rates: empty list"),
-            (["stats", "r.csv", "--delta-t-grid", "300,x"],
-             "argument --delta-t-grid: could not convert string to float: 'x'"),
-            (["prop1", "r.csv", "--delta-s-grid", ","], "argument --delta-s-grid: empty list"),
         ],
     )
     def test_bad_flag_value_names_the_fault(self, tmp_path, capsys, argv, message):
