@@ -42,6 +42,7 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone as _tz
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -326,18 +327,19 @@ def _is_comment(row: list[str]) -> bool:
     return not row or row[0].lstrip().startswith("#")
 
 
-def _read_table(path: str, required: tuple[str, ...]):
-    """The index of each required column of a commented UTF-8 CSV, its data
-    rows, the file line each of those rows starts on, and the comment rows
-    above its header.
+def _read_table(path: str, text: str, required: tuple[str, ...]):
+    """The index of each required column of the commented CSV ``text``,
+    read from ``path``, its data rows, the file line each of those rows
+    starts on, and the comment rows above its header.
 
-    The file is read once and tokenized by one ``csv`` pass. When that pass
-    reads one line per row, row ``k`` starts on line ``k + 1``; only when a
-    quoted field holds a line break is the same text parsed again, row by
-    row, to count the lines. Blank rows and rows whose first cell starts
-    with ``#`` are comments.
+    The text, read once by the caller, is tokenized by one ``csv`` pass.
+    When that pass reads one line per row, row ``k`` starts on line
+    ``k + 1``; only when a quoted field holds a line break is the same text
+    parsed again, row by row, to count the lines. Blank rows and rows whose
+    first cell starts with ``#`` are comments. Records texts that
+    ``_split_records`` splits do not come here; ``csv`` would give them the
+    same cells.
     """
-    text = _read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         table = list(reader)
@@ -441,15 +443,71 @@ def _parse_rows(
     return parsed
 
 
-def _record_columns(
-    path: str,
-    index: dict[str, int],
-    rows: list[list[str]],
-    lines: list[int],
-    tz_offset: int,
-    issues: list[str],
-):
-    """The accepted rows of a records table as columns.
+def _split_records(text: str):
+    """The records table in ``text`` as ``_csv_records`` gives it, split
+    into columns by ``str.split`` instead of ``csv``; or None when ``csv``
+    might tokenize ``text`` otherwise, or reject it.
+
+    The text is split when it holds no ``"`` and no ``\\r``, so that
+    ``csv`` reads one line per row and every cell as written; no cell is
+    longer than ``csv.field_size_limit()``; its header names the records
+    columns; and every data line holds the header's cell count and a first
+    cell that is not a comment. Blank, whitespace-only and ragged lines
+    miss that count, and so are left to ``csv``.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")  # not splitlines, which breaks at \x85 too
+    if not lines[-1]:  # the line feed that ends the last row
+        lines.pop()
+    limit = csv.field_size_limit()
+    if max(map(len, lines), default=0) > limit:
+        long = [line for line in lines if len(line) > limit]
+        if max(map(len, ",".join(long).split(","))) > limit:
+            return None  # csv refuses a cell that long
+    head = next(
+        (k for k, line in enumerate(lines) if line and not _is_comment(line.split(","))),
+        None,
+    )
+    if head is None:
+        return None
+    header = [c.strip() for c in lines[head].split(",")]
+    if not set(_RECORD_HEADER) <= set(header):
+        return None
+    width = len(header)
+    del lines[: head + 1]
+    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        return None
+    cells = ",".join(lines).split(",") if lines else []
+    firsts = cells[::width]
+    if "#" in "".join(firsts) and any(c.lstrip().startswith("#") for c in firsts):
+        return None
+    columns = [cells[header.index(name) :: width] for name in _RECORD_HEADER]
+    first = head + 2  # the file line of the first data row
+
+    def row(i: int) -> list[str]:  # cells in _RECORD_HEADER order
+        return [column[i] for column in columns]
+
+    index = {name: k for k, name in enumerate(_RECORD_HEADER)}
+    return index, row, columns, np.arange(first, first + len(lines))
+
+
+def _csv_records(path: str, text: str):
+    """The records table in ``text``, tokenized by ``csv``: the index of
+    each records column in a row, a function that gives data row ``i``, the
+    time, lon, lat and mid cells as four lists (None when a row is too short
+    to hold them all), and the file line each data row starts on."""
+    index, rows, lines, _ = _read_table(path, text, _RECORD_HEADER)
+    try:
+        columns = [list(map(itemgetter(index[name]), rows)) for name in _RECORD_HEADER]
+    except IndexError:
+        columns = None
+    return index, rows.__getitem__, columns, lines
+
+
+def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
+    """The accepted rows of a records table, as ``_split_records`` or
+    ``_csv_records`` gives it, as columns.
 
     Returns ``keys``, the device ids in ``str`` order (a numpy ``U`` array
     would drop trailing NULs), and the arrays lines, devices (indices into
@@ -460,22 +518,28 @@ def _record_columns(
     ``int``/``float`` cannot read or an int64 cannot hold, is parsed row by
     row throughout.
     """
-    ti, xi, yi, mi = (index[name] for name in ("time", "lon", "lat", "mid"))
-    try:
-        times = np.array(list(map(int, map(itemgetter(ti), rows))), dtype=np.int64)
-        lons = np.array(list(map(float, map(itemgetter(xi), rows))))
-        lats = np.array(list(map(float, map(itemgetter(yi), rows))))
-        mids = list(map(str.strip, map(itemgetter(mi), rows)))
-    except (ValueError, IndexError, OverflowError):
-        parsed = _parse_rows(path, rows, lines, index, tz_offset, issues)
+    index, row, columns, lines = table
+    lines = np.asarray(lines, dtype=np.int64)
+    if columns is not None:
+        try:
+            times = np.array(list(map(int, columns[0])), dtype=np.int64)
+            lons = np.array(list(map(float, columns[1])))
+            lats = np.array(list(map(float, columns[2])))
+        except (ValueError, OverflowError):
+            columns = None
+    if columns is None:
+        rows = [row(i) for i in range(len(lines))]
+        parsed = _parse_rows(path, rows, lines.tolist(), index, tz_offset, issues)
         lines, mids, times, lons, lats = ([r[k] for r in parsed] for k in range(5))
+        lines = np.array(lines, dtype=np.int64)
         times = np.array(times, dtype=np.int64)
         lons = np.array(lons, dtype=np.float64)
         lats = np.array(lats, dtype=np.float64)
+    else:
+        mids = list(map(str.strip, columns[3]))
     keys = sorted(set(mids))
     code = {mid: k for k, mid in enumerate(keys)}
     devices = np.array([code[mid] for mid in mids], dtype=np.int64)
-    lines = np.array(lines, dtype=np.int64)
     # the checks of _parse_row, written so that NaN fails them too; the rows
     # that _parse_row accepted pass them all
     ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
@@ -486,7 +550,7 @@ def _record_columns(
     if not ok.all():
         bad = np.flatnonzero(~ok).tolist()
         _parse_rows(
-            path, [rows[i] for i in bad], lines[bad].tolist(), index, tz_offset, issues
+            path, [row(i) for i in bad], lines[bad].tolist(), index, tz_offset, issues
         )
         lines, devices, times, lons, lats = (
             column[ok] for column in (lines, devices, times, lons, lats)
@@ -505,15 +569,20 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
     line order. Rejections are warnings unless strict mode makes them fatal.
     Devices come back in lexicographic id order.
 
+    The file is read once. Text with no quote and no carriage return, whose
+    data lines all hold the header's cell count and no comment, is split
+    into columns by ``str.split`` (``_split_records``); any other text is
+    tokenized by ``csv``. Both give the same cells, so the same result.
     Times in plain integer epoch seconds take a columnar path. A file with
     any other time form (ISO-8601, clock form, ``1468317761.0``, garbage),
     an unreadable coordinate or a short row is parsed row by row; so are the
     rows that the columnar range checks reject, to word their diagnostics.
     """
-    index, rows, lines, _ = _read_table(path, _RECORD_HEADER)
+    text = _read_text(path)
+    table = _split_records(text) or _csv_records(path, text)
     issues: list[str] = []
     keys, lines, devices, times, lons, lats = _record_columns(
-        path, index, rows, lines, tz_offset, issues
+        path, table, tz_offset, issues
     )
     order = np.lexsort((lines, times, devices))
     devices, times = devices[order], times[order]
@@ -542,7 +611,7 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
 
 def _read_labels(path: str) -> dict[tuple[str, int], int]:
     """Label codes keyed by (mid, time), in file order."""
-    index, rows, lines, _ = _read_table(path, _LABEL_HEADER)
+    index, rows, lines, _ = _read_table(path, _read_text(path), _LABEL_HEADER)
     out: dict[tuple[str, int], int] = {}
     for lineno, row in zip(lines, rows):
         try:
@@ -601,7 +670,7 @@ def _load_model(method: str, path: str) -> VotingModel | HmmModel:
     from .baselines import BucketConfig, HmmModel, SpatioTemporalBin, VotingModel
 
     columns = _MODEL_COLUMNS[method]
-    index, rows, lines, notes = _read_table(path, tuple(columns))
+    index, rows, lines, notes = _read_table(path, _read_text(path), tuple(columns))
     values = []
     for lineno, row in zip(lines, rows):
         try:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -424,6 +422,9 @@ def resampling_experiment(config: ExperimentConfig) -> list[RateOutcome]:
     n = config.trajectories
     workers = min(config.workers, n)
     if workers > 1:
+        import multiprocessing
+        from functools import partial
+
         cuts = [n * k // workers for k in range(workers + 1)]
         ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
         ctx = multiprocessing.get_context("fork")

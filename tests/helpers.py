@@ -387,7 +387,7 @@ def _reference_read_table(path: str, required: tuple[str, ...]):
     rows: list[tuple[int, list[str]]] = []
     header: list[str] | None = None
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or row[0].lstrip().startswith("#"):
                     continue

@@ -390,6 +390,108 @@ class TestIngest:
                 want = ingest_outcome(reference_ingest, path, strict, capsys)
                 assert got == want, (case, strict, path.read_text())
 
+    def test_split_matches_reference(self, tmp_path, capsys):
+        # quote-free texts, which ingest splits into columns without csv
+        # unless a line breaks the split's rules: 239 of the 400 draws take
+        # the split, the others go to csv
+        rng = np.random.default_rng(20261019)
+        path = tmp_path / "r.csv"
+        split = 0
+        for case in range(400):
+            text = random_quote_free_text(rng)
+            split += cli._split_records(text) is not None
+            path.write_bytes(text.encode("utf-8"))
+            for strict in (False, True):
+                got = ingest_outcome(ingest, path, strict, capsys)
+                want = ingest_outcome(reference_ingest, path, strict, capsys)
+                assert got == want, (case, strict, text)
+        assert split == 239
+
+    def test_field_limit_as_csv(self, tmp_path, capsys):
+        # csv refuses a cell longer than its field limit, and the split
+        # must too; a cell of exactly the limit is read
+        limit = csv.field_size_limit()
+        path, out = tmp_path / "r.csv", tmp_path / "lab.csv"
+        fixture = travel_fixture()
+        for size in (limit, limit + 1):
+            mid = "m" * size
+            text = "# records\ntime,lon,lat,mid\n" + "".join(
+                f"{t},{lon!r},{lat!r},{mid}\n"
+                for t, lon, lat in zip(
+                    fixture.times.tolist(), fixture.lons.tolist(), fixture.lats.tolist()
+                )
+            )
+            path.write_text(text)
+            code = main(["label", str(path), "--out", str(out)])
+            if size == limit:
+                assert cli._split_records(text) is not None
+                assert code == 0
+                assert label_lines(out) == [
+                    (mid, 0, "U"), (mid, 600, "T"), (mid, 1200, "U")
+                ]
+            else:
+                assert code == 2
+                assert capsys.readouterr().err == (
+                    f"sparsemob: data error: {path}:3: field larger than field "
+                    f"limit ({limit})\n"
+                )
+
+
+#: Cell texts for the quote-free differential ingest test: NUL, form feed,
+#: NEL and line separator in and around cells (csv and str.split break lines
+#: at none of them, str.splitlines at all but NUL), surrounding blanks, and
+#: values that ingest rejects; no device id starts with '#', which the
+#: reference accepts.
+_ODD = ["\x00", "\x0c", "\x85", "\u2028"]
+_SPLIT_MIDS = ["a", "b", " a ", "", "  ", "x#y"] + [f"c{ch}d" for ch in _ODD]
+_SPLIT_MIDS += [f"e{ch}" for ch in _ODD]
+_SPLIT_TIMES = ["100", "160", " 220 ", "1468317761", "\x0c100", "\x85160 "]
+_SPLIT_TIMES += ["160\u2028", "2016-07-12T18:02:41", "160.0", "garbage"]
+_SPLIT_COORDS = ["0.5", " -0.0 ", "45\x0c", "\u20281e2", "nan", "181", "x", ""]
+#: lines that csv reads as a comment, a one-cell row, or a row narrower or
+#: wider than a four-column header: a text holding one is not split
+_ODD_LINES = ["", "   ", "\x0c", "# note", "  #1,2,3,a", "1,2", "100,0.5,0.5,a,extra"]
+
+
+def random_quote_free_text(rng: np.random.Generator) -> str:
+    """A records CSV of up to 24 rows with no quote and no carriage return.
+
+    Comment and blank lines may stand above the header; the header may
+    order the columns otherwise, add a fifth, pad names with spaces, start
+    with a BOM or lack a column. In 40% of the files, blank, whitespace-only,
+    comment and ragged lines fall between rows. The last line may lack its
+    line feed.
+    """
+
+    def pick(options: list[str]) -> str:
+        # not rng.choice, whose numpy str array drops trailing NULs
+        return options[int(rng.integers(len(options)))]
+
+    lines = [pick(["# sparsemob records v1", "", "  #a,b", "#\x85"])
+             for _ in range(int(rng.integers(0, 3)))]
+    names = ["time", "lon", "lat", "mid"]
+    if rng.random() < 0.5:
+        names = [names[k] for k in rng.permutation(4)]
+    if rng.random() < 0.3:
+        names.insert(int(rng.integers(5)), "note")
+    if rng.random() < 0.05:
+        names.pop(int(rng.integers(len(names))))
+    header = [f" {n} " if rng.random() < 0.2 else n for n in names]
+    lines.append(",".join(header))
+    if rng.random() < 0.15:
+        lines[0] = "\ufeff" + lines[0]
+    cells = {"time": _SPLIT_TIMES, "lon": _SPLIT_COORDS, "lat": _SPLIT_COORDS,
+             "mid": _SPLIT_MIDS, "note": _SPLIT_MIDS}
+    odd = rng.random() < 0.4
+    for _ in range(int(rng.integers(0, 25))):
+        if odd and rng.random() < 0.15:
+            lines.append(pick(_ODD_LINES))
+        else:
+            lines.append(",".join(
+                pick(cells[n]) if rng.random() < 0.3 else cells[n][0] for n in names
+            ))
+    return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+
 
 #: Cell texts for the differential ingest test: device ids with a trailing
 #: NUL, a quoted comma, or surrounding and whitespace-only blanks; times in
@@ -417,9 +519,11 @@ def random_records_text(rng: np.random.Generator) -> str:
 
     Half of the files use plain epoch times only and no short rows, so
     ingest parses them by column and rejects rows by its vector checks; the
-    others mix in every other time form and short rows. Comment and blank
-    lines fall between rows, and some files end with a rejected row followed
-    by a valid row with the same device and time.
+    others mix in every other time form and short rows. Half of the files
+    have no quoted device id, so that with no comment or blank line between
+    rows they are split without ``csv``. Comment and blank lines fall
+    between rows, and some files end with a rejected row followed by a
+    valid row with the same device and time.
     """
 
     def pick(options: list[str]) -> str:
@@ -427,6 +531,7 @@ def random_records_text(rng: np.random.Generator) -> str:
         return options[int(rng.integers(len(options)))]
 
     plain = rng.random() < 0.5
+    mids = _MIDS if rng.random() < 0.5 else [m for m in _MIDS if '"' not in m]
     times = _PLAIN_TIMES if plain else _PLAIN_TIMES + _OTHER_TIMES
     lines = ["time,lon,lat,mid"]
     for _ in range(int(rng.integers(0, 25))):
@@ -438,7 +543,7 @@ def random_records_text(rng: np.random.Generator) -> str:
             pick(times),
             pick(_COORDS) if rng.random() < 0.3 else "0.5",
             pick(_COORDS) if rng.random() < 0.3 else "-0.0",
-            pick(_MIDS),
+            pick(mids),
         ]
         if not plain and draw > 0.95:
             cells = cells[: int(rng.integers(1, 4))]
@@ -1570,7 +1675,6 @@ LAZY_MODULES = (
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
-    # a fresh interpreter, so that no module this process loaded masks one
     rec = write_records(tmp_path / "r.csv", [travel_fixture()])
     out = tmp_path / "lab.csv"
     code = f"""
@@ -1583,13 +1687,28 @@ print(*[m for m in lazy if m in sys.modules])
 assert sparsemob.cli.main(["label", {rec!r}, "--workers", "1", "--out", {str(out)!r}]) == 0
 print(*[m for m in lazy if m in sys.modules])
 """
+    assert fresh_stdout(code) == ["", "sparsemob.sds"]
+    assert [r[2] for r in label_lines(out)] == ["U", "T", "U"]
+    # stats and prop1 import evaluate, where only the experiment starts a pool
+    for command in ("stats", "prop1"):
+        code = f"""
+import sys
+import sparsemob.cli
+assert sparsemob.cli.main([{command!r}, {rec!r}, "--out", {str(out)!r}]) == 0
+print("sparsemob.evaluate" in sys.modules, "multiprocessing" in sys.modules)
+"""
+        assert fresh_stdout(code) == ["True False"], command
+
+
+def fresh_stdout(code: str) -> list[str]:
+    """The lines ``code`` prints in a fresh interpreter, so that no module
+    this process loaded masks one; it must exit 0 and print no errors."""
     env = {**os.environ, "PYTHONPATH": str(Path(sparsemob.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines() == ["", "sparsemob.sds"]
-    assert [r[2] for r in label_lines(out)] == ["U", "T", "U"]
+    return done.stdout.splitlines()
 
 
 SHARED_FLAGS = ["--delta-s", "--delta-t", "--seed", "--workers", "--timezone",

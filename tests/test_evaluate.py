@@ -341,9 +341,8 @@ class TestResamplingExperiment:
             workers=workers,
         )
         alone = resampling_experiment(replace(config, workers=1))
-        monkeypatch.setattr(
-            "sparsemob.evaluate.multiprocessing.get_context", lambda method: Context()
-        )
+        # evaluate imports multiprocessing only where it starts a pool
+        monkeypatch.setattr("multiprocessing.get_context", lambda method: Context())
         assert resampling_experiment(config) == alone
         assert sizes == [size]
 
