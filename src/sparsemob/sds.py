@@ -10,15 +10,16 @@ them.
 Pipeline (label_kernel): two passes over the whole trajectory, each run
 only when it is given its radius (escape=None runs the travel pass alone).
 Each pass does most of its work over all records at once, on the numpy
-arrays: the stay pass cuts the trajectory into runs and the travel pass
-tests its short reach in whole-array steps. The records that these steps
-leave undecided (a few in sparse data) go record by record, on Python lists
-(indexing numpy scalars costs several times more per step). The labeler's
-radii, delta_s/3 and delta_s, are set in _joined_codes, and the recall
-pools' radii, delta_s and delta_s/2, in _recall_pools; every other module
-labels through these two. Both take consecutive trajectories and label them
-through _joined_flags, in one kernel call per radius pair where int64 times
-allow.
+arrays: the stay pass cuts the trajectory into runs, and the travel pass
+tests its short reach, and scans past it for every record whose delta_t
+reach is wide, in whole-array steps. What these steps leave (loose stay
+runs, and the few witness scans of sparse data) goes record by record, on
+Python lists (indexing numpy scalars costs several times more per step).
+The labeler's radii, delta_s/3 and delta_s, are set in _joined_codes, and
+the recall pools' radii, delta_s and delta_s/2, in _recall_pools; every
+other module labels through these two. Both take consecutive trajectories
+and label them through _joined_flags, in one kernel call per radius pair
+where int64 times allow.
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
@@ -41,6 +42,12 @@ allow.
   SHORT_REACH nearest records on each side are tested for all records at
   once, which in sparse data covers nearly all that delta_t reaches; a
   record that finds no witness there scans on past them, up to delta_t.
+  Where that reach holds more than SUPER records, as at 1 Hz, the records
+  scan in lockstep: the superblock boxes in reach of each, then the blocks
+  of its nearest superblock that reaches the radius, then the records of
+  its nearest such block, each level one array step for all of them. The
+  other records scan one by one, which costs less for the few per call of
+  sparse data.
 
 Both the stay pass's backward search for an escape and the witness scans
 step over a block of BLOCK consecutive records at once when the farthest
@@ -63,7 +70,6 @@ keeps a window member.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,6 +93,8 @@ BLOCK = 16
 SUPER = BLOCK * BLOCK
 #: offsets the travel pass tests as whole arrays before it scans
 SHORT_REACH = BLOCK // 2
+#: cells (queries x boxes) of one banded array step of the lockstep scans
+LOCKSTEP_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -102,27 +110,25 @@ class RecallBounds:
                 raise ValueError(f"{name} out of [0, 1]: {v}")
 
 
-def _block_boxes(x: np.ndarray, y: np.ndarray) -> tuple[list[float], ...]:
+def _block_boxes(x: np.ndarray, y: np.ndarray) -> tuple:
     """Bounding boxes as eight lists: xmin, xmax, ymin, ymax of each block of
     BLOCK consecutive records (the last block repeats the final record as
-    padding), then the same of each superblock of BLOCK consecutive blocks."""
+    padding), then the same of each superblock of BLOCK consecutive blocks;
+    then the block boxes once more as one (4, blocks) array, which the
+    lockstep scans read."""
     m = -(-len(x) // BLOCK)
     idx = np.minimum(np.arange(m * BLOCK), len(x) - 1).reshape(m, BLOCK)
     bx = x[idx]
     by = y[idx]
-    blocks = (
-        bx.min(axis=1).tolist(),
-        bx.max(axis=1).tolist(),
-        by.min(axis=1).tolist(),
-        by.max(axis=1).tolist(),
-    )
+    array = np.stack((bx.min(axis=1), bx.max(axis=1), by.min(axis=1), by.max(axis=1)))
+    blocks = array.tolist()
     # plain Python, which costs less than numpy reductions on the short
     # trajectories of sparse data
-    supers = tuple(
+    supers = [
         [pick(v[k : k + BLOCK]) for k in range(0, m, BLOCK)]
         for pick, v in zip((min, max, min, max), blocks)
-    )
-    return blocks + supers
+    ]
+    return (*blocks, *supers, array)
 
 
 def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
@@ -131,7 +137,7 @@ def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
     A block or superblock whose farthest box corner is closer than the radius
     holds no such record, so the scan steps over it whole.
     """
-    bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes
+    bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes[:8]
     reached = -1  # the last superblock whose box reaches the radius
     while a >= lo:
         k = a // BLOCK
@@ -159,7 +165,7 @@ def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
 def _far_after(xs, ys, boxes, cx, cy, r2, b, hi) -> int:
     """Smallest index in [b, hi) at squared distance >= r2 from (cx, cy), or
     -1; the mirror image of _far_before."""
-    bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes
+    bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes[:8]
     reached = -1
     while b < hi:
         k = b // BLOCK
@@ -182,6 +188,72 @@ def _far_after(xs, ys, boxes, cx, cy, r2, b, hi) -> int:
                     return i
         b = stop
     return -1
+
+
+def _first_reach(boxes, cx, cy, r2, start, stop, step) -> np.ndarray:
+    """For each query q, the first of the boxes start[q], start[q] + step, ...,
+    stop[q] with a corner at squared distance >= r2 from (cx[q], cy[q]), or
+    -1. ``boxes`` holds xmin, xmax, ymin and ymax arrays; a record is the box
+    of its own point.
+
+    The queries test one band of as many boxes as the longest range holds
+    (a shorter range repeats its last box), in chunks of queries that keep
+    each band within LOCKSTEP_CELLS cells. The distances are the scalar
+    scans' own float operations, so the tests agree exactly.
+    """
+    xmin, xmax, ymin, ymax = boxes
+    out = np.full(len(start), -1)
+    offsets = step * np.arange(int(((stop - start) * step).max()) + 1)[:, None]
+    clip = np.minimum if step > 0 else np.maximum
+    cols = max(1, LOCKSTEP_CELLS // len(offsets))
+    for a in range(0, len(start), cols):
+        u = clip(start[a : a + cols] + offsets, stop[a : a + cols])
+        px = cx[a : a + cols]
+        py = cy[a : a + cols]
+        dx = np.maximum(xmax[u] - px, px - xmin[u])
+        dy = np.maximum(ymax[u] - py, py - ymin[u])
+        reach = dx * dx + dy * dy >= r2
+        first = u[reach.argmax(axis=0), np.arange(u.shape[1])]
+        out[a : a + cols] = np.where(reach.any(axis=0), first, -1)
+    return out
+
+
+def _far_lockstep(x, y, supers, blocks, cx, cy, r2, front, end, step) -> np.ndarray:
+    """_far_before (step -1) or _far_after (step 1) for many queries at once:
+    for each query q, the index nearest front[q] in the range from front[q]
+    to end[q], both included, at squared distance >= r2 from (cx[q], cy[q]),
+    or -1. ``supers`` and ``blocks`` hold the superblock and block boxes as
+    xmin, xmax, ymin and ymax arrays.
+
+    Each round tests, for every query still searching, the superblocks its
+    range reaches, then the blocks of the nearest superblock whose box
+    reaches the radius, then the records of the nearest such block. A query
+    whose hit held no witness goes on past the hit in the next round.
+    """
+    levels = ((supers, SUPER), (blocks, BLOCK), ((x, x, y, y), 1))
+    front = front.copy()
+    found = np.full(len(front), -1)
+    live = np.flatnonzero((end - front) * step >= 0)
+    while len(live):
+        q = live
+        f, e = front[q], end[q]
+        for boxes, size in levels:
+            u = _first_reach(boxes, cx[q], cy[q], r2, f // size, e // size, step)
+            hit = u >= 0
+            # no witness through the end of the range tested
+            front[q[~hit]] = e[~hit] + step
+            q, u = q[hit], u[hit]
+            if len(q) == 0:
+                break
+            if size == 1:
+                found[q] = u
+            else:
+                # the part of the range inside the hit
+                first, last = u * size, u * size + size - 1
+                f = np.clip(f[hit], first, last)
+                e = np.clip(e[hit], first, last)
+        live = live[(found[live] < 0) & ((end[live] - front[live]) * step >= 0)]
+    return found
 
 
 def _time_limits(ts: list[int], delta_t: float) -> tuple[int, int]:
@@ -258,7 +330,7 @@ def _stay_pass(
     xs: list[float],
     ys: list[float],
     ts: list[int],
-    boxes: tuple[list[float], ...],
+    boxes: tuple,
     escape: float,
     delta_t: float,
     on_admit: AdmitHook | None,
@@ -322,7 +394,7 @@ def _travel_pass(
     xs: list[float],
     ys: list[float],
     ts: list[int],
-    boxes: tuple[list[float], ...],
+    boxes: tuple,
     stay_flags: np.ndarray,
     witness: float,
     delta_t: float,
@@ -335,7 +407,9 @@ def _travel_pass(
     one whole-array step each, where a witness out of reach fails the test
     of the two witnesses' time apart. A record that is not Stay and lacks a
     witness on a side that its reach extends past scans on from offset
-    SHORT_REACH + 1, up to delta_t, so no scan crosses such a gap.
+    SHORT_REACH + 1, up to delta_t, so no scan crosses such a gap. Records
+    whose reach holds more than SUPER records scan all at once
+    (_far_lockstep); the rest, every record of sparse data, one by one.
     """
     n = len(ts)
     flags = np.zeros(n, dtype=bool)
@@ -378,18 +452,41 @@ def _travel_pass(
     flags[done] = t[right[done]] - t[left[done]] <= close
 
     rest = np.flatnonzero(todo & ~done)
+    # the reach [lo, hi) of each: the records less than delta_t away, with
+    # the sums clamped to the span so that int64 never wraps
+    tr = t[rest]
+    lo = np.searchsorted(t, tr - np.minimum(near, tr - t[0]))
+    hi = np.searchsorted(t, tr + np.minimum(near, t[-1] - tr), side="right")
+    # a reach of more than a superblock scans in lockstep with the others
+    wide = hi - lo > SUPER
+    if wide.any():
+        q = rest[wide]
+        l, r = left[q], right[q]
+        cx, cy = x[q], y[q]
+        supers, blocks = np.array(boxes[4:8]), boxes[8]
+        s = l < 0
+        l[s] = _far_lockstep(
+            x, y, supers, blocks, cx[s], cy[s], w2, q[s] - k0 - 1, lo[wide][s], -1
+        )
+        s = (r < 0) & (l >= 0)
+        r[s] = _far_lockstep(
+            x, y, supers, blocks, cx[s], cy[s], w2, q[s] + k0 + 1, hi[wide][s] - 1, 1
+        )
+        s = (l >= 0) & (r >= 0)
+        flags[q[s]] = t[r[s]] - t[l[s]] <= close
+        rest, lo, hi = rest[~wide], lo[~wide], hi[~wide]
     found = []
-    for i, l, r in zip(rest.tolist(), left[rest].tolist(), right[rest].tolist()):
+    for i, l, r, a, b in zip(
+        *(v.tolist() for v in (rest, left[rest], right[rest], lo, hi))
+    ):
         cx = xs[i]
         cy = ys[i]
         if l < 0:
-            lo = bisect_left(ts, ts[i] - near)
-            l = _far_before(xs, ys, boxes, cx, cy, w2, i - k0 - 1, lo)
+            l = _far_before(xs, ys, boxes, cx, cy, w2, i - k0 - 1, a)
             if l < 0:
                 continue
         if r < 0:
-            hi = bisect_right(ts, ts[i] + near)
-            r = _far_after(xs, ys, boxes, cx, cy, w2, i + k0 + 1, hi)
+            r = _far_after(xs, ys, boxes, cx, cy, w2, i + k0 + 1, b)
         if r >= 0 and ts[r] - ts[l] <= delta_t:
             found.append(i)
     flags[found] = True

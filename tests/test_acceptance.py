@@ -211,6 +211,38 @@ def test_c6_labeling_runtime_near_linear_in_dataset_size():
     )
 
 
+def _dense_walk(records: int, seed: int):
+    """One walk observed at 1 Hz for ``records`` seconds: dwells of 1,200 s,
+    shorter than delta_t, between 3 km jumps (300 s legs), so that most
+    records are Travel and a witness scan may reach 3,599 records."""
+    walk = CtrwConfig(
+        wait_min=1200.0,
+        wait_max=1200.5,
+        jump_min=3000.0,
+        jump_max=3000.5,
+        duration=float(records),
+        seed=seed,
+    )
+    times = np.arange(records, dtype=np.int64)
+    return [observe(generate_ctrw(walk), times, device="dense")]
+
+
+def test_c6_dense_labeling_runtime_linear_at_fixed_delta_t():
+    # c6's corpora hold about 30 records per delta_t; at 1 Hz each holds
+    # 3,600, and the cost per record must not grow with the trajectory's
+    # length. A bound on scan steps per record waits for kernel counters.
+    small = _dense_walk(6_000, seed=13)
+    big = _dense_walk(24_000, seed=13)
+    t_small = _label_time(small)
+    t_big = _label_time(big)
+    ratio = t_big / t_small
+    assert ratio <= 12.0, f"4x dense data took {ratio:.1f}x time"
+    print(
+        f"\n[c6 dense] labeling 6,000 records at 1 Hz in {t_small:.3f}s, "
+        f"24,000 in {t_big:.3f}s, ratio {ratio:.1f}x <= 12x"
+    )
+
+
 def test_c7_hand_traced_fixtures():
     stay = traj_from_meters(
         minutes(0, 10, 25, 40, 50), [0.0, 50.0, 90.0, 30.0, 1000.0], device="s"

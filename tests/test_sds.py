@@ -27,6 +27,7 @@ from sparsemob.sds import (
     _block_boxes,
     _far_after,
     _far_before,
+    _far_lockstep,
     RecallBounds,
     label_kernel,
     recall_lower_bounds,
@@ -488,6 +489,75 @@ class TestShortReach:
                 reach, x[:n], y[:n], np.array(t, dtype=np.int64), 2.0**60, 800.0 / 3.0, 800.0
             )
             assert travel.tolist() == want
+
+
+class TestLockstep:
+    """The travel pass's lockstep scans, which records whose delta_t reach
+    holds more than a superblock take, against the scalar scans, on draws
+    of TestScans' integer points, where distances tie the radius at box
+    corners."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(300, 3000),
+        r2=st.sampled_from([25.0, 32.0, 33.0, 36.0]),
+    )
+    def test_match_scalar_scans(self, seed, n, r2):
+        rng = np.random.default_rng(seed)
+        x, y = TestScans().trajectory(rng, n)
+        xs, ys = x.tolist(), y.tolist()
+        boxes = _block_boxes(x, y)
+        supers, blocks = np.array(boxes[4:8]), boxes[8]
+        queries = 200
+        cx = rng.integers(-TestScans.NEAR, TestScans.NEAR + 1, queries).astype(float)
+        cy = rng.integers(-TestScans.NEAR, TestScans.NEAR + 1, queries).astype(float)
+        # ranges in either order, so that some are empty, and fronts one
+        # past either end of the records, as the travel pass passes them
+        a = rng.integers(-1, n, queries)
+        lo = rng.integers(0, n, queries)
+        got = _far_lockstep(x, y, supers, blocks, cx, cy, r2, a, lo, -1)
+        want = [
+            _far_before(xs, ys, boxes, px, py, r2, f, e)
+            for px, py, f, e in zip(cx.tolist(), cy.tolist(), a.tolist(), lo.tolist())
+        ]
+        assert got.tolist() == want
+        b = rng.integers(0, n + 1, queries)
+        hi = rng.integers(0, n + 1, queries)
+        got = _far_lockstep(x, y, supers, blocks, cx, cy, r2, b, hi - 1, 1)
+        want = [
+            _far_after(xs, ys, boxes, px, py, r2, f, e)
+            for px, py, f, e in zip(cx.tolist(), cy.tolist(), b.tolist(), hi.tolist())
+        ]
+        assert got.tolist() == want
+
+    @settings(deadline=None, max_examples=12)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(300, 3000),
+        delta_t=st.sampled_from([600.0, 600.5, 1800.0, 7200.0]),
+        # at 5 the near records witness each other now and then; at 6
+        # only the far ones witness
+        witness=st.sampled_from([5.0, 6.0]),
+        escape=st.sampled_from([None, 1.5]),
+    )
+    def test_travel_flags_equal_scans_alone(self, seed, n, delta_t, witness, escape):
+        x, y = TestScans().trajectory(np.random.default_rng(seed), n)
+        t = np.arange(n, dtype=np.int64)
+        stay, travel = label_kernel(x, y, t, delta_t, escape, witness)
+        assert travel.tolist() == scan_travel(x, y, t, stay, witness, delta_t)
+
+    def test_reach_is_exact_where_int64_sums_wrap(self):
+        # 600 one-second records at 0 and 600 more at 2**62: at delta_t
+        # 2**62, t[700] + (delta_t - 1) passes 2**63; records 600 to 1198
+        # have witnesses 599 and 1199, exactly delta_t apart
+        t = np.concatenate([np.arange(600), 2**62 + np.arange(600)]).astype(np.int64)
+        x = np.zeros(len(t))
+        x[599], x[1199] = -1000.0, 1000.0
+        y = np.zeros(len(t))
+        stay, travel = label_kernel(x, y, t, 2.0**62, 800.0 / 3.0, 800.0)
+        assert travel.tolist() == scan_travel(x, y, t, stay, 800.0, 2.0**62)
+        assert travel[600:1199].all()
 
 
 class TestStaySkip:
