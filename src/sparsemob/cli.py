@@ -740,11 +740,10 @@ def _device_rng(seed: int, device: str) -> np.random.Generator:
 # ------------------------------------------------------------- commands
 
 
-def _label_texts(run: RunConfig, trajectories: list[Trajectory]) -> str:
-    """The labels CSV rows of consecutive devices, each labeled as by
-    ``sds_label`` alone, joined into as few kernel calls as int64 allows."""
+def run_label(args: argparse.Namespace, run: RunConfig) -> int:
     from .sds import _trajectory_codes
 
+    trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     codes = _trajectory_codes(trajectories, run.params, ref_lat=run.ref_lat)
     texts = []
     first = 0
@@ -752,32 +751,6 @@ def _label_texts(run: RunConfig, trajectories: list[Trajectory]) -> str:
         stop = first + len(traj)
         texts.append(_label_text(traj.device, traj.times, codes[first:stop]))
         first = stop
-    return "".join(texts)
-
-
-def _chunk_bounds(sizes: list[int], chunks: int) -> list[int]:
-    """Bounds of at most ``chunks`` contiguous, non-empty runs of devices of
-    about equal record counts: with all records cut into ``chunks`` equal
-    parts, each device joins the run of the part that holds its middle."""
-    middles = np.cumsum(sizes) - np.asarray(sizes) / 2
-    cuts = np.searchsorted(middles, sum(sizes) * np.arange(1, chunks) / chunks, "right")
-    return sorted({0, *cuts.tolist(), len(sizes)})
-
-
-def run_label(args: argparse.Namespace, run: RunConfig) -> int:
-    trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    bounds = _chunk_bounds([len(traj) for traj in trajectories], run.workers)
-    chunks = [trajectories[a:b] for a, b in zip(bounds, bounds[1:])]
-    if len(chunks) > 1:
-        import multiprocessing
-        from functools import partial
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(chunks)) as pool:
-            # ordered map keeps the merge deterministic for any worker count
-            texts = pool.map(partial(_label_texts, run), chunks)
-    else:
-        texts = [_label_texts(run, chunk) for chunk in chunks]
     _write_csv(args.out, "labels", _LABEL_HEADER, texts)
     return EXIT_OK
 
@@ -1085,7 +1058,7 @@ def _add_shared(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="root seed for all randomness (default 0)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for per-device parallelism")
+                   help="worker processes for evaluate --experiment")
     p.add_argument("--timezone", type=_flag_type(_parse_tz), default=None,
                    help="timezone as seconds east of UTC or +HH:MM "
                         "(default +08:00)")

@@ -557,6 +557,8 @@ def sds_label(
 def _trajectory_codes(trajectories, params, *, ref_lat=None):
     """int8 label codes of the trajectories' records, one trajectory after
     another, each as ``sds_label`` gives it alone."""
+    if not trajectories:
+        return np.zeros(0, dtype=np.int8)
     xy = [planar(traj, ref_lat) for traj in trajectories]
     return _joined_codes(
         np.concatenate([x for x, _ in xy]),

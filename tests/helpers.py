@@ -28,7 +28,13 @@ from sparsemob.evaluate import (
     LocalConsistencyResult,
     experiment_trajectory,
 )
-from sparsemob.oracle import dense_stay_windows
+from sparsemob.oracle import (
+    ORACLE_LIMIT_DEFAULT,
+    _check_limit,
+    _dist2,
+    _members,
+    _windows,
+)
 from sparsemob.sds import _block_boxes, _far_before, label_kernel, sds_label
 from sparsemob.simulate import (
     CtrwConfig,
@@ -343,6 +349,82 @@ def brute_travel_witness(
                 return True
     return False
 
+
+
+def dense_stay_windows(
+    traj: Trajectory,
+    params: MobilityParams,
+    *,
+    ref_lat: float | None = None,
+) -> list[tuple[int, int]]:
+    """Maximal qualifying windows whose internal gaps are all <= delta_t, as
+    inclusive (p, q) index pairs: all any single-trajectory labeler can
+    possibly certify as Stay.
+
+    No such window crosses a gap over delta_t, so the oracle's window sweep
+    runs on each run of records between those gaps alone, with the distances
+    of the whole trajectory's plane; a later run's windows end later, so the
+    runs' windows in order are the trajectory's.
+
+    The tests check these windows against the simulator's continuous dwells,
+    and :func:`reference_local_consistency_check` runs it on every remainder
+    as the reference for :func:`sparsemob.evaluate.local_consistency_check`,
+    which decides each removal without building windows. Not size-limited:
+    it builds the n x n distance matrix and the sweep is O(L^2).
+    """
+    t = traj.times.tolist()
+    cuts = [0, *(k for k in range(1, len(t)) if t[k] - t[k - 1] > params.delta_t), len(t)]
+    d2 = _dist2(traj, ref_lat)
+    return [
+        (a + p, a + q)
+        for a, b in zip(cuts, cuts[1:])
+        for p, q in _windows(d2[a:b, a:b], traj.times[a:b], params)
+    ]
+
+
+def dense_stay_membership(
+    traj: Trajectory,
+    params: MobilityParams,
+    *,
+    ref_lat: float | None = None,
+    limit: int = ORACLE_LIMIT_DEFAULT,
+) -> np.ndarray:
+    """Boolean flag per record: member of some window of
+    :func:`dense_stay_windows`."""
+    _check_limit(traj, limit)
+    return _members(len(traj), dense_stay_windows(traj, params, ref_lat=ref_lat))
+
+
+def travel_condition_all(
+    traj: Trajectory,
+    spatial: float,
+    delta_t: float,
+    *,
+    ref_lat: float | None = None,
+    limit: int = ORACLE_LIMIT_DEFAULT,
+) -> np.ndarray:
+    """Brute-force bilateral witness check for every record at once.
+
+    Record i is witnessed iff there exist p < i < q with d(i, p) >= spatial,
+    d(i, q) >= spatial, and t_q - t_p <= delta_t. Endpoint records are never
+    witnessed (one side is empty).
+    """
+    _check_limit(traj, limit)
+    n = len(traj)
+    out = np.zeros(n, dtype=bool)
+    if n < 3:
+        return out
+    d2 = _dist2(traj, ref_lat)
+    s2 = spatial * spatial
+    t = traj.times
+    window_ok = (t[None, :] - t[:, None]) <= delta_t  # [p, q]
+    far = d2 >= s2
+    for i in range(1, n - 1):
+        lp = far[i, :i]
+        rq = far[i, i + 1 :]
+        if lp.any() and rq.any():
+            out[i] = bool((lp[:, None] & rq[None, :] & window_ok[:i, i + 1 :]).any())
+    return out
 
 def fold_path_score(
     initial: np.ndarray,

@@ -15,6 +15,7 @@ from helpers import (
     minutes,
     random_trajectory,
     traj_from_meters,
+    travel_condition_all,
     write_records_csv,
 )
 from sparsemob.baselines import viterbi
@@ -27,7 +28,7 @@ from sparsemob.evaluate import (
     prop1_violation_rate,
     resampling_experiment,
 )
-from sparsemob.oracle import exact_label, travel_condition_all
+from sparsemob.oracle import exact_label
 from sparsemob.sds import sds_label
 from sparsemob.simulate import CtrwConfig, generate_ctrw, observe, synth_schedule
 

@@ -35,7 +35,6 @@ from sparsemob.baselines import hmm_train, voting_train
 from sparsemob.sds import sds_label
 from sparsemob.cli import (
     DataError,
-    _chunk_bounds,
     _device_rng,
     _fmt,
     _load_model,
@@ -670,7 +669,8 @@ def mixed_devices(rng, count):
 
 class TestLabelFile:
     """A labels file equals every device labeled alone with sds_label, for
-    any batching of devices into kernel calls and worker chunks."""
+    any batching of devices into kernel calls and any ``--workers`` value,
+    which ``label`` ignores: it labels in one process."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -727,22 +727,12 @@ class TestLabelFile:
         assert kernel_calls(["label", rec, "--out", str(out)]) == [3, 300, 6]
         assert out.read_bytes() == labels_alone(rec, MobilityParams())
 
-    @pytest.mark.parametrize(
-        "sizes, chunks, bounds",
-        [
-            ([1] * 10, 2, [0, 5, 10]),
-            ([1] * 11, 3, [0, 4, 7, 11]),
-            ([3000, 3000, 1100], 2, [0, 1, 3]),
-            ([100, 1, 1, 1], 2, [0, 1, 4]),
-            ([1, 1, 1, 100], 2, [0, 3, 4]),
-            ([100, 1, 1], 3, [0, 1, 3]),
-            ([5], 3, [0, 1]),
-            ([5, 5], 1, [0, 2]),
-            ([], 2, [0]),
-        ],
-    )
-    def test_chunks_split_records_not_devices(self, sizes, chunks, bounds):
-        assert _chunk_bounds(sizes, chunks) == bounds
+    def test_file_without_records_writes_the_header(self, tmp_path):
+        rec = tmp_path / "r.csv"
+        rec.write_text("time,lon,lat,mid\n")
+        out = tmp_path / "lab.csv"
+        assert main(["label", str(rec), "--out", str(out)]) == 0
+        assert out.read_text() == "# sparsemob labels v1\nmid,time,label\n"
 
     @pytest.mark.parametrize("delta_t", ["inf", "1e300"])
     def test_gap_too_long_for_int64_labels_each_device_alone(
@@ -1698,6 +1688,20 @@ assert sparsemob.cli.main([{command!r}, {rec!r}, "--out", {str(out)!r}]) == 0
 print("sparsemob.evaluate" in sys.modules, "multiprocessing" in sys.modules)
 """
         assert fresh_stdout(code) == ["True False"], command
+    # label ignores --workers: more workers and devices start no pool
+    trajs = [
+        traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0], device=f"d{i}")
+        for i in range(3)
+    ]
+    rec = write_records(tmp_path / "three.csv", trajs)
+    code = f"""
+import sys
+import sparsemob.cli
+assert sparsemob.cli.main(["label", {rec!r}, "--workers", "3", "--out", {str(out)!r}]) == 0
+print("multiprocessing" in sys.modules)
+"""
+    assert fresh_stdout(code) == ["False"]
+    assert [r[2] for r in label_lines(out)] == ["U", "T", "U"] * 3
 
 
 def fresh_stdout(code: str) -> list[str]:

@@ -8,9 +8,12 @@ from helpers import (
     brute_dense_member,
     brute_stay_oracle,
     brute_travel_witness,
+    dense_stay_membership,
+    dense_stay_windows,
     minutes,
     random_trajectory,
     traj_from_meters,
+    travel_condition_all,
 )
 from sparsemob import sds
 from sparsemob.core import (
@@ -19,13 +22,7 @@ from sparsemob.core import (
     LabeledTrajectory,
     MobilityParams,
 )
-from sparsemob.oracle import (
-    OracleLimitError,
-    dense_stay_membership,
-    dense_stay_windows,
-    exact_label,
-    travel_condition_all,
-)
+from sparsemob.oracle import OracleLimitError, exact_label
 from sparsemob.sds import sds_label
 
 PARAMS = MobilityParams(delta_s=800.0, delta_t=1800.0)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     brute_dense_member,
     brute_travel_witness,
+    dense_stay_membership,
     dense_trajectory,
     minutes,
     random_trajectory,
@@ -15,11 +16,12 @@ from helpers import (
     segment_bounds,
     stay_flags_at,
     traj_from_meters,
+    travel_condition_all,
     travel_flags_at,
 )
 import sparsemob.sds as sds
 from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory, planar
-from sparsemob.oracle import dense_stay_membership, exact_label, travel_condition_all
+from sparsemob.oracle import exact_label
 from sparsemob.sds import (
     BLOCK,
     SUPER,
@@ -384,16 +386,20 @@ class TestGapContract:
 
 def scan_travel(x, y, t, stay, witness, delta_t):
     """Travel flags from the witness scans alone, each starting at offset 1,
-    over a time reach found with Python's exact int/float comparisons."""
+    over a time reach found with Python's exact int/float comparisons.
+
+    Record i's reach is [lo, hi): lo the first record less than delta_t
+    before it (or i), hi the first after it at delta_t or more (or the end).
+    Both only grow with i, so two pointers find every reach in one pass."""
     xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
     boxes = _block_boxes(x, y)
     w2 = witness * witness
     flags = []
+    lo = hi = 0
     for i in range(len(ts)):
-        lo = i
-        while lo > 0 and ts[i] - ts[lo - 1] < delta_t:
-            lo -= 1
-        hi = i + 1
+        while lo < i and ts[i] - ts[lo] >= delta_t:
+            lo += 1
+        hi = max(hi, i + 1)
         while hi < len(ts) and ts[hi] - ts[i] < delta_t:
             hi += 1
         left = _far_before(xs, ys, boxes, xs[i], ys[i], w2, i - 1, lo)

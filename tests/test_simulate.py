@@ -9,6 +9,7 @@ from helpers import (
     StayPeriod,
     TravelLeg,
     axis_path,
+    dense_stay_windows,
     fit_power_law_exponent,
     periods_of,
     reference_continuous_labels,
@@ -22,7 +23,6 @@ from sparsemob.core import (
     MobilityParams,
 )
 from sparsemob.evaluate import ExperimentConfig, experiment_trajectory
-from sparsemob.oracle import dense_stay_windows
 from sparsemob.simulate import (
     CtrwConfig,
     GroundTruthPath,
