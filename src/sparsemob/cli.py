@@ -327,19 +327,68 @@ def _is_comment(row: list[str]) -> bool:
     return not row or row[0].lstrip().startswith("#")
 
 
-def _read_table(path: str, text: str, required: tuple[str, ...]):
-    """The index of each required column of the commented CSV ``text``,
-    read from ``path``, its data rows, the file line each of those rows
-    starts on, and the comment rows above its header.
+def _split_table(text: str, required: tuple[str, ...]):
+    """The table in ``text`` as ``_read_table`` gives it, split into columns
+    by ``str.split`` instead of ``csv``; or None when ``csv`` might tokenize
+    ``text`` otherwise, or reject it.
 
-    The text, read once by the caller, is tokenized by one ``csv`` pass.
-    When that pass reads one line per row, row ``k`` starts on line
+    The text is split when it holds no ``"`` and no ``\\r``, so that
+    ``csv`` reads one line per row and every cell as written; no cell is
+    longer than ``csv.field_size_limit()``; its header names the required
+    columns; and every data line holds the header's cell count and a first
+    cell that is not a comment. Blank, whitespace-only and ragged lines
+    miss that count, and so are left to ``csv``.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")  # not splitlines, which breaks at \x85 too
+    if not lines[-1]:  # the line feed that ends the last row
+        lines.pop()
+    limit = csv.field_size_limit()
+    if max(map(len, lines), default=0) > limit:
+        long = [line for line in lines if len(line) > limit]
+        if max(map(len, ",".join(long).split(","))) > limit:
+            return None  # csv refuses a cell that long
+    head = next(
+        (k for k, line in enumerate(lines) if line and not _is_comment(line.split(","))),
+        None,
+    )
+    if head is None:
+        return None
+    header = [c.strip() for c in lines[head].split(",")]
+    if not set(required) <= set(header):
+        return None
+    width = len(header)
+    notes = [line.split(",") for line in lines[:head]]
+    del lines[: head + 1]
+    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        return None
+    cells = ",".join(lines).split(",") if lines else []
+    firsts = cells[::width]
+    if "#" in "".join(firsts) and any(c.lstrip().startswith("#") for c in firsts):
+        return None
+    columns = [cells[header.index(name) :: width] for name in required]
+    first = head + 2  # the file line of the first data row
+    return columns, np.arange(first, first + len(lines)), notes
+
+
+def _read_table(path: str, text: str, required: tuple[str, ...]):
+    """The required columns of the commented CSV ``text``, read from
+    ``path``: each column's cells as a list, in ``required`` order, with
+    None for a cell past the end of a short row; the file line each data
+    row starts on; and the comment rows above the header.
+
+    Every CSV the package reads comes here, as text read once by the
+    caller. ``_split_table`` splits a quote-free text into columns; any
+    other text is tokenized by one ``csv`` pass, which gives the same
+    cells. When that pass reads one line per row, row ``k`` starts on line
     ``k + 1``; only when a quoted field holds a line break is the same text
     parsed again, row by row, to count the lines. Blank rows and rows whose
-    first cell starts with ``#`` are comments. Records texts that
-    ``_split_records`` splits do not come here; ``csv`` would give them the
-    same cells.
+    first cell starts with ``#`` are comments.
     """
+    split = _split_table(text, required)
+    if split is not None:
+        return split
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         table = list(reader)
@@ -353,11 +402,10 @@ def _read_table(path: str, text: str, required: tuple[str, ...]):
     if head is None:
         raise DataError(f"{path}: missing header row")
     header = [c.strip() for c in table[head]]
-    index: dict[str, int] = {}
     for name in required:
         if name not in header:
             raise DataError(f"{path}: missing required column {name!r}")
-        index[name] = header.index(name)
+    index = [header.index(name) for name in required]
     rows, lines = table[head + 1 :], lines[head + 1 :]
     try:
         # past the header, comments are rare: look for one in C first
@@ -367,7 +415,19 @@ def _read_table(path: str, text: str, required: tuple[str, ...]):
     if not clean:
         keep = [k for k, row in enumerate(rows) if not _is_comment(row)]
         rows, lines = [rows[k] for k in keep], [lines[k] for k in keep]
-    return index, rows, lines, table[:head]
+    try:
+        columns = [list(map(itemgetter(k), rows)) for k in index]
+    except IndexError:  # a short row
+        columns = [[row[k] if k < len(row) else None for row in rows] for k in index]
+    return columns, lines, table[:head]
+
+
+def _present(cell: str | None) -> str:
+    """A cell of ``_read_table``'s columns; for None, a cell past the end of
+    a short row, the IndexError that indexing the row would raise."""
+    if cell is None:
+        raise IndexError("list index out of range")
+    return cell
 
 
 #: bad rows listed one per line, in the strict error or as warnings
@@ -401,157 +461,78 @@ def _id_fault(mid: str) -> str | None:
     return None
 
 
-def _parse_row(
-    row: list[str], index: dict[str, int], tz_offset: int
-) -> tuple[str, int, float, float]:
-    """One records row as (mid, time, lon, lat). Raises ValueError or
-    IndexError with the message ingest reports for the row."""
-    mid = row[index["mid"]].strip()
-    fault = _id_fault(mid)
-    if fault:
-        raise ValueError(fault)
-    t = _parse_time_text(row[index["time"]], tz_offset)
-    lon = float(row[index["lon"]])
-    lat = float(row[index["lat"]])
-    # written so that NaN fails them too
-    if not -180.0 <= lon <= 180.0:
-        raise ValueError(f"longitude out of range: {lon}")
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError(f"latitude out of range: {lat}")
-    # last, so a row with another fault keeps that fault's message
-    if not 0 <= t < 2**63:
-        raise ValueError(f"time out of range: {t}")
-    return mid, t, lon, lat
-
-
-def _parse_rows(
-    path: str,
-    rows: list[list[str]],
-    lines: list[int],
-    index: dict[str, int],
-    tz_offset: int,
-    issues: list[str],
-) -> list[tuple[int, str, int, float, float]]:
-    """(lineno, mid, time, lon, lat) of each row that parses; a line-numbered
-    issue for each one that does not."""
-    parsed = []
-    for lineno, row in zip(lines, rows):
+def _column(parse, cells: list, faults: dict[int, str], blank, again=None) -> list:
+    """``parse`` over ``cells`` in one ``map``, resumed past each cell it
+    refuses. A refused cell is read on its own by ``again``, if given; a
+    missing cell (None), or one that does not read, leaves ``blank`` in its
+    place and its message in ``faults`` under its row, unless the row has a
+    fault already."""
+    values: list = []
+    rest = iter(cells)
+    while True:
         try:
-            parsed.append((lineno, *_parse_row(row, index, tz_offset)))
+            values.extend(map(parse, rest))
+            return values
+        except (ValueError, TypeError) as exc:
+            row, refusal = len(values), exc
+        try:
+            cell = _present(cells[row])
+            if again is None:
+                raise refusal
+            values.append(again(cell))
         except (ValueError, IndexError) as exc:
-            issues.append(f"{path}:{lineno}: {exc}")
-    return parsed
-
-
-def _split_records(text: str):
-    """The records table in ``text`` as ``_csv_records`` gives it, split
-    into columns by ``str.split`` instead of ``csv``; or None when ``csv``
-    might tokenize ``text`` otherwise, or reject it.
-
-    The text is split when it holds no ``"`` and no ``\\r``, so that
-    ``csv`` reads one line per row and every cell as written; no cell is
-    longer than ``csv.field_size_limit()``; its header names the records
-    columns; and every data line holds the header's cell count and a first
-    cell that is not a comment. Blank, whitespace-only and ragged lines
-    miss that count, and so are left to ``csv``.
-    """
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")  # not splitlines, which breaks at \x85 too
-    if not lines[-1]:  # the line feed that ends the last row
-        lines.pop()
-    limit = csv.field_size_limit()
-    if max(map(len, lines), default=0) > limit:
-        long = [line for line in lines if len(line) > limit]
-        if max(map(len, ",".join(long).split(","))) > limit:
-            return None  # csv refuses a cell that long
-    head = next(
-        (k for k, line in enumerate(lines) if line and not _is_comment(line.split(","))),
-        None,
-    )
-    if head is None:
-        return None
-    header = [c.strip() for c in lines[head].split(",")]
-    if not set(_RECORD_HEADER) <= set(header):
-        return None
-    width = len(header)
-    del lines[: head + 1]
-    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
-        return None
-    cells = ",".join(lines).split(",") if lines else []
-    firsts = cells[::width]
-    if "#" in "".join(firsts) and any(c.lstrip().startswith("#") for c in firsts):
-        return None
-    columns = [cells[header.index(name) :: width] for name in _RECORD_HEADER]
-    first = head + 2  # the file line of the first data row
-
-    def row(i: int) -> list[str]:  # cells in _RECORD_HEADER order
-        return [column[i] for column in columns]
-
-    index = {name: k for k, name in enumerate(_RECORD_HEADER)}
-    return index, row, columns, np.arange(first, first + len(lines))
-
-
-def _csv_records(path: str, text: str):
-    """The records table in ``text``, tokenized by ``csv``: the index of
-    each records column in a row, a function that gives data row ``i``, the
-    time, lon, lat and mid cells as four lists (None when a row is too short
-    to hold them all), and the file line each data row starts on."""
-    index, rows, lines, _ = _read_table(path, text, _RECORD_HEADER)
-    try:
-        columns = [list(map(itemgetter(index[name]), rows)) for name in _RECORD_HEADER]
-    except IndexError:
-        columns = None
-    return index, rows.__getitem__, columns, lines
+            faults.setdefault(row, str(exc))
+            values.append(blank)
 
 
 def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
-    """The accepted rows of a records table, as ``_split_records`` or
-    ``_csv_records`` gives it, as columns.
+    """The accepted rows of a records table, as ``_read_table`` gives it, as
+    columns.
 
     Returns ``keys``, the device ids in ``str`` order (a numpy ``U`` array
     would drop trailing NULs), and the arrays lines, devices (indices into
     ``keys``), times, lons and lats, in line order. Each column is parsed
-    with one ``int``/``float`` call per cell and checked as a vector; only
-    the rows those checks reject are parsed again, row by row, for their
-    messages. A file with a short row, or a time or coordinate cell that
-    ``int``/``float`` cannot read or an int64 cannot hold, is parsed row by
-    row throughout.
+    once, by ``str.strip``, ``int`` or ``float`` over the whole list, and
+    checked as a vector; only a cell those refuse is read on its own, a
+    time by ``_parse_time_text``. Each refused row goes to ``issues``, in
+    line order, worded by its first fault: a missing or refused device id,
+    then a time, lon or lat that does not parse, then the lon, lat and time
+    ranges.
     """
-    index, row, columns, lines = table
+    (time_cells, lon_cells, lat_cells, mid_cells), lines, _ = table
     lines = np.asarray(lines, dtype=np.int64)
-    if columns is not None:
-        try:
-            times = np.array(list(map(int, columns[0])), dtype=np.int64)
-            lons = np.array(list(map(float, columns[1])))
-            lats = np.array(list(map(float, columns[2])))
-        except (ValueError, OverflowError):
-            columns = None
-    if columns is None:
-        rows = [row(i) for i in range(len(lines))]
-        parsed = _parse_rows(path, rows, lines.tolist(), index, tz_offset, issues)
-        lines, mids, times, lons, lats = ([r[k] for r in parsed] for k in range(5))
-        lines = np.array(lines, dtype=np.int64)
-        times = np.array(times, dtype=np.int64)
-        lons = np.array(lons, dtype=np.float64)
-        lats = np.array(lats, dtype=np.float64)
-    else:
-        mids = list(map(str.strip, columns[3]))
+    faults: dict[int, str] = {}  # each refused row's first fault, by column
+    mids = _column(str.strip, mid_cells, faults, "")
     keys = sorted(set(mids))
     code = {mid: k for k, mid in enumerate(keys)}
     devices = np.array([code[mid] for mid in mids], dtype=np.int64)
-    # the checks of _parse_row, written so that NaN fails them too; the rows
-    # that _parse_row accepted pass them all
-    ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
     # the ids _id_fault refuses, checked once per id
     refused = [k for k, mid in enumerate(keys) if _id_fault(mid)]
     if refused:
-        ok &= ~np.isin(devices, refused)
+        for i in np.flatnonzero(np.isin(devices, refused)).tolist():
+            faults.setdefault(i, _id_fault(mids[i]))
+    parsed_times = _column(
+        int, time_cells, faults, 0, lambda cell: _parse_time_text(cell, tz_offset)
+    )
+    try:
+        times = np.array(parsed_times, dtype=np.int64)
+    except OverflowError:  # a time past int64 is out of range, worded below
+        times = np.array([t if 0 <= t < 2**63 else -1 for t in parsed_times], np.int64)
+    lons = np.array(_column(float, lon_cells, faults, 0.0), dtype=np.float64)
+    lats = np.array(_column(float, lat_cells, faults, 0.0), dtype=np.float64)
+    # written so that NaN fails them too
+    ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
+    if faults:
+        ok[list(faults)] = False
     if not ok.all():
-        bad = np.flatnonzero(~ok).tolist()
-        _parse_rows(
-            path, [row(i) for i in bad], lines[bad].tolist(), index, tz_offset, issues
-        )
+        for i in np.flatnonzero(~ok).tolist():
+            lon, lat = float(lons[i]), float(lats[i])
+            fault = faults.get(i) or (
+                f"longitude out of range: {lon}" if not -180.0 <= lon <= 180.0
+                else f"latitude out of range: {lat}" if not -90.0 <= lat <= 90.0
+                else f"time out of range: {parsed_times[i]}"
+            )
+            issues.append(f"{path}:{lines[i]}: {fault}")
         lines, devices, times, lons, lats = (
             column[ok] for column in (lines, devices, times, lons, lats)
         )
@@ -569,20 +550,17 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
     line order. Rejections are warnings unless strict mode makes them fatal.
     Devices come back in lexicographic id order.
 
-    The file is read once. Text with no quote and no carriage return, whose
-    data lines all hold the header's cell count and no comment, is split
-    into columns by ``str.split`` (``_split_records``); any other text is
-    tokenized by ``csv``. Both give the same cells, so the same result.
-    Times in plain integer epoch seconds take a columnar path. A file with
-    any other time form (ISO-8601, clock form, ``1468317761.0``, garbage),
-    an unreadable coordinate or a short row is parsed row by row; so are the
-    rows that the columnar range checks reject, to word their diagnostics.
+    The file is read once, into columns by ``_read_table``. Each column is
+    parsed once (``_record_columns``): plain integer epoch times by ``int``
+    over the whole column, and only a time cell that ``int`` refuses
+    (ISO-8601, clock form, ``1468317761.0``, garbage) by
+    ``_parse_time_text``. Range checks, grouping and sorting are array
+    operations.
     """
     text = _read_text(path)
-    table = _split_records(text) or _csv_records(path, text)
     issues: list[str] = []
     keys, lines, devices, times, lons, lats = _record_columns(
-        path, table, tz_offset, issues
+        path, _read_table(path, text, _RECORD_HEADER), tz_offset, issues
     )
     order = np.lexsort((lines, times, devices))
     devices, times = devices[order], times[order]
@@ -611,13 +589,12 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
 
 def _read_labels(path: str) -> dict[tuple[str, int], int]:
     """Label codes keyed by (mid, time), in file order."""
-    index, rows, lines, _ = _read_table(path, _read_text(path), _LABEL_HEADER)
+    columns, lines, _ = _read_table(path, _read_text(path), _LABEL_HEADER)
     out: dict[tuple[str, int], int] = {}
-    for lineno, row in zip(lines, rows):
+    for lineno, mid, t, letter in zip(lines, *columns):
         try:
-            mid = row[index["mid"]].strip()
-            t = int(row[index["time"]])
-            letter = row[index["label"]].strip()
+            mid, t = _present(mid).strip(), int(_present(t))
+            letter = _present(letter).strip()
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         code = _CODE_BY_LETTER.get(letter)
@@ -666,21 +643,28 @@ def _save_model(model: VotingModel | HmmModel, path: str) -> None:
 
 
 def _load_model(method: str, path: str) -> VotingModel | HmmModel:
-    """Read a model file of ``method`` ("voting" or "hmm")."""
+    """Read a model file of ``method`` ("voting" or "hmm"). A key (a voting
+    bin, or an HMM table's cell) given twice, or an HMM cell at a negative
+    index, is a data error naming its line."""
     from .baselines import BucketConfig, HmmModel, SpatioTemporalBin, VotingModel
 
-    columns = _MODEL_COLUMNS[method]
-    index, rows, lines, notes = _read_table(path, _read_text(path), tuple(columns))
-    values = []
-    for lineno, row in zip(lines, rows):
+    parsers = _MODEL_COLUMNS[method]
+    columns, lines, notes = _read_table(path, _read_text(path), tuple(parsers))
+    entries: dict = {}
+    for lineno, *row in zip(lines, *columns):
         try:
-            cells = [parse(row[index[name]]) for name, parse in columns.items()]
+            cells = [parse(_present(cell)) for parse, cell in zip(parsers.values(), row)]
             if method == "voting":
-                glon, glat, hour, stay, travel = cells
-                cells = [SpatioTemporalBin(glon, glat, hour), (stay, travel)]
+                key, value = SpatioTemporalBin(*cells[:3]), tuple(cells[3:])
+            elif min(cells[1:3]) < 0:
+                raise ValueError(f"negative index in key {tuple(cells[:3])}")
+            else:
+                key, value = tuple(cells[:3]), cells[3]
+            if key in entries:
+                raise ValueError(f"duplicate key {tuple(cells[:3])}")
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        values.append(cells)
+        entries[key] = value
     try:
         if method == "voting":
             meta = {}  # from "# key value" comments above the header
@@ -692,10 +676,10 @@ def _load_model(method: str, path: str) -> VotingModel | HmmModel:
                 seed=int(meta.get("seed", 0)),
                 week_start=meta.get("week_start", "monday"),
                 tz_offset=int(meta.get("tz_offset", DEFAULT_TZ_OFFSET)),
-                counts=dict(values),
+                counts=entries,
             )
         tables: dict[str, dict[tuple[int, int], float]] = {}
-        for name, i, j, value in values:
+        for (name, i, j), value in entries.items():
             tables.setdefault(name, {})[i, j] = value
         buckets = BucketConfig(*(
             tuple(v for _, v in sorted(tables.get(name, {}).items()))

@@ -542,6 +542,31 @@ def reference_ingest(path: str, *, tz_offset: int, strict: bool) -> list[Traject
     return trajectories
 
 
+def reference_read_labels(path: str) -> dict[tuple[str, int], int]:
+    """Row-by-row labels reading: the reference for ``cli._read_labels``.
+
+    Label codes keyed by (mid, time), in file order; the first row that
+    does not parse, has an unknown letter or repeats a key is a data error
+    naming its line.
+    """
+    index, rows = _reference_read_table(path, ("mid", "time", "label"))
+    codes = {"S": LABEL_STAY, "T": LABEL_TRAVEL, "U": LABEL_UNLABELED}
+    out: dict[tuple[str, int], int] = {}
+    for lineno, row in rows:
+        try:
+            mid = row[index["mid"]].strip()
+            t = int(row[index["time"]])
+            letter = row[index["label"]].strip()
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if letter not in codes:
+            raise DataError(f"{path}:{lineno}: unknown label letter: {letter!r}")
+        if (mid, t) in out:
+            raise DataError(f"{path}:{lineno}: duplicate label for ({mid!r}, {t})")
+        out[mid, t] = codes[letter]
+    return out
+
+
 def reference_local_consistency_check(
     traj: Trajectory,
     params: MobilityParams,

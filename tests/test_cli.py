@@ -15,6 +15,7 @@ from helpers import (
     random_trajectory,
     reference_generate_ctrw,
     reference_ingest,
+    reference_read_labels,
     traj_from_meters,
     write_labels_csv as write_labels,
     write_records_csv as write_records,
@@ -262,9 +263,9 @@ class TestIngest:
         [
             # parsed by column, rejected by the vector range check
             ("0", ["-5"]),
-            # too large for int64, so parsed row by row
+            # too large for int64: the conversion's overflow marks it
             ("0", ["99999999999999999999"]),
-            # an ISO time sends the whole file down the per-row parser
+            # int refuses an ISO time, which is then read on its own
             ("1970-01-01T00:00:00", ["-5", "99999999999999999999"]),
         ],
     )
@@ -290,14 +291,21 @@ class TestIngest:
         assert main(strict) == 2
         assert f"data error: {len(bad)} bad row(s)" in capsys.readouterr().err
 
-    def test_other_faults_worded_before_time_range(self, tmp_path, capsys):
+    @pytest.mark.parametrize("first", ["0", "1970-01-01T00:00:00"])
+    def test_other_faults_worded_before_time_range(self, tmp_path, capsys, first):
+        # a time cell that int refuses is read on its own; every other
+        # fault must be worded as in a file where int reads every time
         path = tmp_path / "r.csv"
-        path.write_text("time,lon,lat,mid\n-5,x,0.0,d\n-5,0.0,95.0,d\n-5,0.0,0.0, \n")
-        assert ingest(str(path), tz_offset=0, strict=False) == []
+        path.write_text(
+            f"time,lon,lat,mid\n{first},0.0,0.0,b\n"
+            "-5,x,0.0,d\n-5,0.0,95.0,d\n-5,0.0,0.0, \n-5,0.0\n"
+        )
+        assert [t.device for t in ingest(str(path), tz_offset=0, strict=False)] == ["b"]
         assert capsys.readouterr().err.splitlines() == [
-            f"warning: {path}:2: could not convert string to float: 'x' (row skipped)",
-            f"warning: {path}:3: latitude out of range: 95.0 (row skipped)",
-            f"warning: {path}:4: empty device id (row skipped)",
+            f"warning: {path}:3: could not convert string to float: 'x' (row skipped)",
+            f"warning: {path}:4: latitude out of range: 95.0 (row skipped)",
+            f"warning: {path}:5: empty device id (row skipped)",
+            f"warning: {path}:6: list index out of range (row skipped)",
         ]
 
     def test_time_range_ends_at_int64_limit(self, tmp_path, capsys):
@@ -398,13 +406,31 @@ class TestIngest:
         split = 0
         for case in range(400):
             text = random_quote_free_text(rng)
-            split += cli._split_records(text) is not None
+            split += cli._split_table(text, cli._RECORD_HEADER) is not None
             path.write_bytes(text.encode("utf-8"))
             for strict in (False, True):
                 got = ingest_outcome(ingest, path, strict, capsys)
                 want = ingest_outcome(reference_ingest, path, strict, capsys)
                 assert got == want, (case, strict, text)
         assert split == 239
+
+    def test_labels_split_matches_reference(self, tmp_path):
+        # quote-free labels texts take the split that records texts take,
+        # unless a line breaks its rules, and must read as csv reads them
+        # row by row: 251 of the 400 draws take the split, the others go to
+        # csv; 158 of them read, the others are data errors of every kind
+        rng = np.random.default_rng(20261020)
+        path = tmp_path / "l.csv"
+        split = 0
+        for case in range(400):
+            text = random_quote_free_labels(rng)
+            split += cli._split_table(text, cli._LABEL_HEADER) is not None
+            path.write_bytes(text.encode("utf-8"))
+            got, want = (
+                labels_outcome(fn, path) for fn in (cli._read_labels, reference_read_labels)
+            )
+            assert got == want, (case, text)
+        assert split == 251
 
     def test_field_limit_as_csv(self, tmp_path, capsys):
         # csv refuses a cell longer than its field limit, and the split
@@ -423,7 +449,7 @@ class TestIngest:
             path.write_text(text)
             code = main(["label", str(path), "--out", str(out)])
             if size == limit:
-                assert cli._split_records(text) is not None
+                assert cli._split_table(text, cli._RECORD_HEADER) is not None
                 assert code == 0
                 assert label_lines(out) == [
                     (mid, 0, "U"), (mid, 600, "T"), (mid, 1200, "U")
@@ -492,6 +518,67 @@ def random_quote_free_text(rng: np.random.Generator) -> str:
     return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
 
 
+#: Cell texts for the quote-free differential labels test: times that int
+#: reads, around _ODD blanks or not, and some that it refuses; letters that
+#: read, padded or not, and some that are unknown.
+_LABEL_TIMES = ["\x0c100", "\x85160 ", "160\u2028", " 220 ", "160.0", "garbage", ""]
+_LABEL_LETTERS = [" S ", "T\x0c", "\x85U", "X", "s", ""]
+
+
+def random_quote_free_labels(rng: np.random.Generator) -> str:
+    """A labels CSV of up to 24 rows with no quote and no carriage return.
+
+    Comment and blank lines may stand above the header; the header may
+    order the columns otherwise, add a fourth, pad names with spaces, start
+    with a BOM or lack a column. Each row's time is new unless drawn from
+    the odd cells; a row may repeat an earlier (mid, time) key. In 40% of
+    the files, blank, comment and ragged lines fall between rows.
+    """
+
+    def pick(options: list[str]) -> str:
+        # not rng.choice, whose numpy str array drops trailing NULs
+        return options[int(rng.integers(len(options)))]
+
+    lines = [pick(["# sparsemob labels v1", "", "  #a,b", "#\x85"])
+             for _ in range(int(rng.integers(0, 3)))]
+    names = ["mid", "time", "label"]
+    if rng.random() < 0.5:
+        names = [names[k] for k in rng.permutation(3)]
+    if rng.random() < 0.3:
+        names.insert(int(rng.integers(4)), "note")
+    if rng.random() < 0.05:
+        names.pop(int(rng.integers(len(names))))
+    lines.append(",".join(f" {n} " if rng.random() < 0.2 else n for n in names))
+    if rng.random() < 0.15:
+        lines[0] = "\ufeff" + lines[0]
+    odd = rng.random() < 0.4
+    rows: list[dict[str, str]] = []
+    for k in range(int(rng.integers(0, 25))):
+        if odd and rng.random() < 0.1:
+            lines.append(pick(["", "\x0c", "# note", "  #1,2", "a,1", "a,1,S,x,y"]))
+            continue
+        if rows and rng.random() < 0.03:
+            row = dict(rows[int(rng.integers(len(rows)))])  # a repeated key
+        else:
+            row = {"mid": pick(_SPLIT_MIDS), "time": str(60 * k),
+                   "label": pick(["S", "T", "U"]), "note": pick(_SPLIT_MIDS)}
+        if rng.random() < 0.04:
+            row["time"] = pick(_LABEL_TIMES)
+        if rng.random() < 0.04:
+            row["label"] = pick(_LABEL_LETTERS)
+        rows.append(row)
+        lines.append(",".join(row[n] for n in names))
+    return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+
+
+def labels_outcome(fn, path):
+    """What a labels reader returns, in order, or the error it raises."""
+    try:
+        return list(fn(str(path)).items()), None
+    except DataError as exc:
+        return None, str(exc)
+
+
 #: Cell texts for the differential ingest test: device ids with a trailing
 #: NUL, a quoted comma, or surrounding and whitespace-only blanks; times in
 #: every accepted form and some rejected ones, all in range because the
@@ -517,8 +604,9 @@ def random_records_text(rng: np.random.Generator) -> str:
     """A records CSV of up to 24 rows drawn from the cell texts above.
 
     Half of the files use plain epoch times only and no short rows, so
-    ingest parses them by column and rejects rows by its vector checks; the
-    others mix in every other time form and short rows. Half of the files
+    ``int`` reads every time in one pass and ingest rejects rows by its
+    vector checks; the others mix in every other time form, read cell by
+    cell, and short rows. Half of the files
     have no quoted device id, so that with no comment or blank line between
     rows they are split without ``csv``. Comment and blank lines fall
     between rows, and some files end with a rejected row followed by a
@@ -1651,6 +1739,50 @@ class TestModelFiles:
         assert main(["baseline", "--method", method, "--load-model", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"sparsemob: data error: {path}:{line}: invalid literal")
+
+    @pytest.mark.parametrize(
+        "row, negative, key",
+        [
+            ("initial,1,0,", "initial,-1,0,", "('initial', -1, 0)"),
+            ("emission,1,15,", "emission,1,-1,", "('emission', 1, -1)"),
+        ],
+    )
+    def test_negative_index_refused_with_its_line(
+        self, tmp_path, capsys, row, negative, key
+    ):
+        # numpy would wrap a negative index round to the cell it names from
+        # the end, and the file would load as if it held the row it replaced
+        path = tmp_path / "m.csv"
+        _save_model(hmm_fixture(), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        (k,) = [k for k, line in enumerate(lines) if line.startswith(row)]
+        lines[k] = lines[k].replace(row, negative)
+        path.write_text("".join(lines))
+        assert main(["baseline", "--method", "hmm", "--load-model", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {path}:{k + 1}: negative index in key {key}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "method, repeated, key",
+        [
+            # a bin with other votes: the later row replaced the earlier one
+            ("voting", "0,0,80,999,0", "(0, 0, 80)"),
+            # an HMM cell with its own value passed the row-sum check
+            ("hmm", "initial,1,0,0.3333333333333333", "('initial', 1, 0)"),
+        ],
+    )
+    def test_repeated_key_refused_with_its_line(
+        self, tmp_path, capsys, method, repeated, key
+    ):
+        path = tmp_path / "m.csv"
+        _save_model(voting_fixture()[1] if method == "voting" else hmm_fixture(), str(path))
+        text = path.read_text() + repeated + "\n"
+        path.write_text(text)
+        assert main(["baseline", "--method", method, "--load-model", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {path}:{text.count(chr(10))}: duplicate key {key}\n"
+        )
 
 
 #: the modules a start of the CLI loads only for the commands that run them
