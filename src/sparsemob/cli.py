@@ -163,11 +163,13 @@ def _parse_time_text(text: str, tz_offset: int) -> int:
         if f.is_integer():
             return int(f)
         raise ValueError(f"non-integer epoch time {text!r}")
+    # no text is both ISO 8601 and in the clock form, so the order of the
+    # two tries changes no value; ISO 8601 goes first, as it costs less
     try:
-        dt = datetime.strptime(t, "%H:%M:%S/%m/%d/%Y")
+        dt = datetime.fromisoformat(t)
     except ValueError:
         try:
-            dt = datetime.fromisoformat(t)
+            dt = datetime.strptime(t, "%H:%M:%S/%m/%d/%Y")
         except ValueError:
             raise ValueError(f"unrecognized time {text!r}") from None
     if dt.tzinfo is not None:
@@ -642,20 +644,29 @@ def _save_model(model: VotingModel | HmmModel, path: str) -> None:
     _write_csv(path, kind, list(_MODEL_COLUMNS[kind]), [_table_text(rows)], notes)
 
 
+#: the tables of an HMM model file, edge tables first
+_HMM_TABLES = ("distance_edge", "gap_edge", "initial", "transition", "emission")
+
+
 def _load_model(method: str, path: str) -> VotingModel | HmmModel:
     """Read a model file of ``method`` ("voting" or "hmm"). A key (a voting
-    bin, or an HMM table's cell) given twice, or an HMM cell at a negative
-    index, is a data error naming its line."""
+    bin, or an HMM table's cell) given twice, an HMM table of another name,
+    or an HMM cell at a negative index or outside its table's shape, is a
+    data error naming its line. An edge table's shape is one row of as many
+    cells as it has."""
     from .baselines import BucketConfig, HmmModel, SpatioTemporalBin, VotingModel
 
     parsers = _MODEL_COLUMNS[method]
     columns, lines, notes = _read_table(path, _read_text(path), tuple(parsers))
     entries: dict = {}
+    line_of: dict = {}
     for lineno, *row in zip(lines, *columns):
         try:
             cells = [parse(_present(cell)) for parse, cell in zip(parsers.values(), row)]
             if method == "voting":
                 key, value = SpatioTemporalBin(*cells[:3]), tuple(cells[3:])
+            elif cells[0] not in _HMM_TABLES:
+                raise ValueError(f"unknown table {cells[0]!r}")
             elif min(cells[1:3]) < 0:
                 raise ValueError(f"negative index in key {tuple(cells[:3])}")
             else:
@@ -665,6 +676,16 @@ def _load_model(method: str, path: str) -> VotingModel | HmmModel:
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         entries[key] = value
+        line_of[key] = lineno
+
+    def check_shapes(shapes: dict[str, tuple[int, int]]) -> None:
+        for (name, i, j), lineno in line_of.items():
+            shape = shapes.get(name)
+            if shape is not None and (i >= shape[0] or j >= shape[1]):
+                raise DataError(
+                    f"{path}:{lineno}: index ({i}, {j}) outside table {name!r} "
+                    f"of shape {shape}"
+                )
     try:
         if method == "voting":
             meta = {}  # from "# key value" comments above the header
@@ -681,13 +702,15 @@ def _load_model(method: str, path: str) -> VotingModel | HmmModel:
         tables: dict[str, dict[tuple[int, int], float]] = {}
         for (name, i, j), value in entries.items():
             tables.setdefault(name, {})[i, j] = value
-        buckets = BucketConfig(*(
-            tuple(v for _, v in sorted(tables.get(name, {}).items()))
-            for name in ("distance_edge", "gap_edge")
-        ))
+        edges = [tuple(v for _, v in sorted(tables.get(name, {}).items()))
+                 for name in _HMM_TABLES[:2]]
+        check_shapes({name: (1, len(e)) for name, e in zip(_HMM_TABLES, edges)})
+        buckets = BucketConfig(*edges)
+        shapes = {"initial": (2, 1), "transition": (2, 2),
+                  "emission": (2, buckets.n_symbols)}
+        check_shapes(shapes)
         arrays = []
-        for name, shape in (("initial", (2, 1)), ("transition", (2, 2)),
-                            ("emission", (2, buckets.n_symbols))):
+        for name, shape in shapes.items():
             arrays.append(np.zeros(shape))
             for cell, value in tables.get(name, {}).items():
                 arrays[-1][cell] = value

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,10 +31,10 @@ from .core import (
 )
 from .sds import (
     _block_boxes,
-    _far_after,
     _far_before,
     _joined_codes,
     _recall_pools,
+    _stay_heads,
     _trajectory_codes,
 )
 from .simulate import (
@@ -451,87 +452,6 @@ class LocalConsistencyResult:
         return self.violations / self.tested if self.tested else 0.0
 
 
-def _covered_without(xs, ys, ts, boxes, before, after, i, r2, delta_t) -> bool:
-    """Whether some dense dwell window of the trajectory without record ``i``
-    strictly time-covers ``ts[i]``.
-
-    Such a window is [p, i-1] + [i+1, q] for some p < i < q: every pair
-    closer than the radius (squared: ``r2``), every consecutive gap <=
-    delta_t, the new gap ``ts[i+1] - ts[i-1]`` included, and
-    ``ts[q] - ts[p] >= delta_t``. The search grows q from i+1 with p = i-1,
-    then moves p left one record at a time; the largest valid q only falls
-    as p does, so q shrinks and never grows again.
-
-    ``before[c]`` and ``after[c]`` hold the nearest record before and after
-    c at squared distance >= r2 (-1: none), filled on first use and shared
-    by every removal from the trajectory.
-    """
-    a, b = i - 1, i + 1
-    dx = xs[a] - xs[b]
-    dy = ys[a] - ys[b]
-    if ts[b] - ts[a] > delta_t or dx * dx + dy * dy >= r2:
-        return False
-    n = len(ts)
-    # Bounding box of the window's members. A record closer than the radius
-    # to its farthest corner is closer to every member (the test sds._stay_run
-    # admits with), so it joins in O(1); otherwise its nearest far records
-    # decide.
-    xmin, xmax = (xs[a], xs[b]) if xs[a] < xs[b] else (xs[b], xs[a])
-    ymin, ymax = (ys[a], ys[b]) if ys[a] < ys[b] else (ys[b], ys[a])
-    q = b
-    while ts[q] - ts[a] < delta_t:
-        c = q + 1
-        if c == n or ts[c] - ts[q] > delta_t:
-            break
-        cx = xs[c]
-        cy = ys[c]
-        dx = xmax - cx if xmax - cx > cx - xmin else cx - xmin
-        dy = ymax - cy if ymax - cy > cy - ymin else cy - ymin
-        if dx * dx + dy * dy >= r2:
-            u = before[c]
-            if u is None:
-                u = before[c] = _far_before(xs, ys, boxes, cx, cy, r2, c - 1, 0)
-            if u == i:  # gone; a is the one member before it
-                u = _far_before(xs, ys, boxes, cx, cy, r2, a, a)
-            if u >= a:
-                break
-        q = c
-        xmin = cx if cx < xmin else xmin
-        xmax = cx if cx > xmax else xmax
-        ymin = cy if cy < ymin else ymin
-        ymax = cy if cy > ymax else ymax
-    else:
-        return True
-    p = a
-    while p > 0 and ts[p] - ts[p - 1] <= delta_t:
-        p -= 1
-        cx = xs[p]
-        cy = ys[p]
-        dx = xmax - cx if xmax - cx > cx - xmin else cx - xmin
-        dy = ymax - cy if ymax - cy > cy - ymin else cy - ymin
-        if dx * dx + dy * dy >= r2:
-            j = after[p]
-            if j is None:
-                j = after[p] = _far_after(xs, ys, boxes, cx, cy, r2, p + 1, n)
-            if j == i:  # gone; look among the members after it
-                j = _far_after(xs, ys, boxes, cx, cy, r2, b, q + 1)
-            if 0 <= j <= b:
-                return False
-            if b < j <= q:
-                q = j - 1
-                xmin = min(min(xs[p + 1 : i]), min(xs[b : q + 1]))
-                xmax = max(max(xs[p + 1 : i]), max(xs[b : q + 1]))
-                ymin = min(min(ys[p + 1 : i]), min(ys[b : q + 1]))
-                ymax = max(max(ys[p + 1 : i]), max(ys[b : q + 1]))
-        xmin = cx if cx < xmin else xmin
-        xmax = cx if cx > xmax else xmax
-        ymin = cy if cy < ymin else ymin
-        ymax = cy if cy > ymax else ymax
-        if ts[q] - ts[p] >= delta_t:
-            return True
-    return False
-
-
 def local_consistency_check(
     traj: Trajectory,
     params: MobilityParams,
@@ -547,12 +467,22 @@ def local_consistency_check(
     then both lie within the spatial threshold; count a violation when
     either does not.
 
-    The trajectory is projected once. A covering window holds both
-    neighbors of the removed record, so each removal is decided by growing
-    one window outward from them. The cost is the records it reaches, each
-    admitted in O(1): by the window's bounding box while that stays within
-    delta_s, otherwise by the record's nearest far records, which are found
-    once per trajectory and shared by every removal.
+    The trajectory is projected once, and the stay pass gives each record's
+    window head at delta_s (``sds._stay_heads``). A window covering removed
+    record i holds i-1 and i+1, so it is [p, i-1] + [i+1, c] for some c.
+    The search starts at p = heads[i-1] and grows c from i+1 until the
+    window breaks (p passes i-1, or a gap over delta_t comes) or spans
+    delta_t. Each new c moves p past the nearest record before c at delta_s
+    or more from it:
+    * a record whose head is p or earlier moves p nowhere, so a stretch of
+      them joins in one bisection of the heads;
+    * otherwise that record is heads[c] - 1 when it lies in the window of
+      c - 1, and _far_before scans the records before that window for it
+      when it does not;
+    * the removed record is no member, so where it is the record found the
+      search looks again before it.
+    A removal costs a step for each record up to delta_t past it whose head
+    moves past p; in a dwell the heads stay put and it takes a few.
     """
     n = len(traj)
     if n < 3:
@@ -562,19 +492,49 @@ def local_consistency_check(
     ys = y.tolist()
     ts = traj.times.tolist()
     boxes = _block_boxes(x, y)
-    before: list[int | None] = [None] * n
-    after: list[int | None] = [None] * n
+    delta_t = params.delta_t
     r2 = params.delta_s * params.delta_s
+    heads = _stay_heads(
+        x, y, traj.times, xs, ys, ts, boxes, params.delta_s, delta_t
+    ).tolist()
     tested = 0
     violations = 0
     for i in range(1, n - 1):
-        if not _covered_without(
-            xs, ys, ts, boxes, before, after, i, r2, params.delta_t
-        ):
+        a = i - 1
+        if ts[i + 1] - ts[a] > delta_t:
+            continue
+        p = heads[a]
+        c = i + 1
+        covered = False
+        while True:
+            # records c..e-1 have heads at or before p: none is far from a
+            # member of the window, or follows a gap over delta_t
+            e = bisect_right(heads, p, c)
+            if e > c and ts[e - 1] - ts[p] >= delta_t:
+                covered = True
+                break
+            c = e
+            if c == n or ts[c] - ts[c - 1] > delta_t:
+                break
+            h = heads[c - 1]
+            u = heads[c] - 1  # the nearest far record in [h, c - 1], if >= h
+            if u < h and h > p:
+                u = _far_before(xs, ys, boxes, xs[c], ys[c], r2, h - 1, p)
+            if u == i:  # gone; look before it
+                u = _far_before(xs, ys, boxes, xs[c], ys[c], r2, a, p)
+            if u >= p:
+                p = u + 1
+                if p > a:
+                    break
+            if ts[c] - ts[p] >= delta_t:
+                covered = True
+                break
+            c += 1
+        if not covered:
             continue
         tested += 1
-        lx = xs[i] - xs[i - 1]
-        ly = ys[i] - ys[i - 1]
+        lx = xs[i] - xs[a]
+        ly = ys[i] - ys[a]
         rx = xs[i] - xs[i + 1]
         ry = ys[i] - ys[i + 1]
         if lx * lx + ly * ly >= r2 or rx * rx + ry * ry >= r2:

@@ -28,12 +28,16 @@ where int64 times allow.
   budget per hop (record-to-record plus the unobserved detours on either
   side) is what makes the certificate sound. A time gap > delta_t ends the
   window the way the trajectory's end does, and the next one starts at the
-  gap. Whole-array steps first cut the trajectory into runs at such gaps
-  and at each record that escapes the one before it, where a window always
-  ends. A run whose bounding box has a diagonal under the radius is one
-  window; only the other runs go record by record, so sparse data rarely
+  gap. The pass yields each record's window head: the first record of the
+  longest such window ending at it. Whole-array steps first cut the
+  trajectory into runs at such gaps and at each record that escapes the one
+  before it, where a window always ends. A run whose bounding box has a
+  diagonal under the radius is one window, whose start is every record's
+  head; only the other runs go record by record, so sparse data rarely
   reaches the loop (at delta_s/3, 2 of 31,776 runs in the label-sparse
-  benchmark, and 8 of 81,621 in the experiment's).
+  benchmark, and 8 of 81,621 in the experiment's). The windows to flush,
+  and so the Stay flags, then follow from the heads in whole-array steps.
+  The leave-one-out check of ``evaluate`` reads the heads at delta_s.
 * Travel pass: a record not flagged Stay is Travel when it has a witness at
   distance >= delta_s on each side, with the two witnesses at most delta_t
   apart. Any fixed-length window covering the record then also covers a
@@ -71,7 +75,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -84,8 +87,6 @@ from .core import (
     Trajectory,
     planar,
 )
-
-AdmitHook = Callable[[int, int], None]
 
 #: records per bounding box in the scans' block skip
 BLOCK = 16
@@ -268,13 +269,12 @@ def _time_limits(ts: list[int], delta_t: float) -> tuple[int, int]:
     return span, span
 
 
-def _stay_run(xs, ys, ts, boxes, esc2, delta_t, start, end, flags, on_admit) -> int:
+def _stay_run(xs, ys, boxes, esc2, start, end) -> list[int]:
     """The stay pass record by record over the run [start, end), which has
-    no gap over delta_t: flags each window that an escape inside the run
-    ends, if it spans delta_t, and returns the head of the window open at
-    the run's end."""
+    no gap over delta_t: the head of each of its records."""
     bxmin, bxmax, bymin, bymax = boxes[:4]
     head = start
+    heads = [start]
     # Bounding box of window positions [head, cursor-1]. If the cursor is
     # closer than `escape` to the farthest box corner it cannot escape against
     # any member, which keeps the common grow-the-window step O(1).
@@ -290,8 +290,7 @@ def _stay_run(xs, ys, ts, boxes, esc2, delta_t, start, end, flags, on_admit) -> 
         else:
             anchor = _far_before(xs, ys, boxes, cx, cy, esc2, cursor - 1, head)
         if anchor < 0:
-            if on_admit is not None:
-                on_admit(head, cursor)
+            heads.append(head)
             if cx < xmin:
                 xmin = cx
             elif cx > xmax:
@@ -301,13 +300,10 @@ def _stay_run(xs, ys, ts, boxes, esc2, delta_t, start, end, flags, on_admit) -> 
             elif cy > ymax:
                 ymax = cy
             continue
-        # The window up to the previous record is flushed if it already spans
-        # the dwell threshold; the cursor itself is not part of that window.
-        if ts[cursor - 1] - ts[head] >= delta_t:
-            flags[head:cursor] = True
         # inside a run the record before the cursor never escapes it, so the
         # new window holds at least two records
         head = anchor + 1
+        heads.append(head)
         # blocks k0..k1-1 lie whole in [head, cursor] and enter by their
         # boxes; the records of [head, first) and [last, cursor] by value
         k0 = -(-head // BLOCK)
@@ -320,10 +316,10 @@ def _stay_run(xs, ys, ts, boxes, esc2, delta_t, start, end, flags, on_admit) -> 
         xmax = max(bxmax[k0:k1] + wx)
         ymin = min(bymin[k0:k1] + wy)
         ymax = max(bymax[k0:k1] + wy)
-    return head
+    return heads
 
 
-def _stay_pass(
+def _stay_heads(
     x: np.ndarray,
     y: np.ndarray,
     t: np.ndarray,
@@ -333,58 +329,56 @@ def _stay_pass(
     boxes: tuple,
     escape: float,
     delta_t: float,
-    on_admit: AdmitHook | None,
 ) -> np.ndarray:
-    """Windowed stay detection over the whole trajectory (planar coords).
-
-    ``escape`` is the pairwise distance at which a window breaks; a gap
-    > delta_t ends the window as the trajectory's end does. ``on_admit(head,
-    cursor)`` fires, in cursor order, whenever a cursor joins the window
-    without an escape; tests use it to check the window invariant
-    exhaustively.
+    """The stay windows of the whole trajectory (planar coords), as the head
+    of each record: ``heads[c]`` is the first record of the longest window
+    ending at c in which every pair is closer than ``escape`` and every gap
+    is at most delta_t.
 
     The trajectory is first cut into runs, in whole-array steps: a window
-    ends at a gap over delta_t, and at a record that escapes the record
-    before it, which _far_before finds first, so in both cases the next
-    window starts at that record. A run whose bounding box has a diagonal
-    under the radius is one window, as the corner test admits each of its
-    cursors (float subtraction is monotone, so no corner distance exceeds
-    the diagonal). Only the other runs go record by record, in _stay_run.
+    starts afresh at a gap over delta_t, and at a record that escapes the
+    record before it, which _far_before finds first, so in both cases at
+    that record. A run whose bounding box has a diagonal under the radius is
+    one window, its start the head of each of its records, as the corner
+    test admits each of its cursors (float subtraction is monotone, so no
+    corner distance exceeds the diagonal). Only the other runs go record by
+    record, in _stay_run.
     """
-    n = len(ts)
     esc2 = escape * escape
-    near, close = _time_limits(ts, delta_t)
+    close = _time_limits(ts, delta_t)[1]
     dx = np.diff(x)
     dy = np.diff(y)
     cut = np.flatnonzero((np.diff(t) > close) | (dx * dx + dy * dy >= esc2)) + 1
     starts = np.concatenate(([0], cut))
-    ends = np.append(cut, n)
+    ends = np.append(cut, len(ts))
     w = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
     h = np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)
-    loose = w * w + h * h >= esc2
-    flags = np.zeros(n, dtype=bool)
-    heads = starts.copy()
-    walk = np.arange(len(starts)) if on_admit is not None else np.flatnonzero(loose)
-    for k, s, e, slow in zip(
-        walk.tolist(), starts[walk].tolist(), ends[walk].tolist(), loose[walk].tolist()
-    ):
-        if slow:
-            heads[k] = _stay_run(
-                xs, ys, ts, boxes, esc2, delta_t, s, e, flags, on_admit
-            )
-        else:
-            for c in range(s + 1, e):
-                on_admit(s, c)
-    # The window open at a run's end is [head, end). It is flushed if it
-    # spans delta_t (d >= delta_t iff d > near), whether the run ends at an
-    # escape, at a gap or at the trajectory's end: each such window proves a
-    # stay, and the detected set is the dense-window membership of the oracle.
-    flush = t[ends - 1] - t[heads] > near
-    edges = np.zeros(n + 1, dtype=np.int8)
-    edges[heads[flush]] += 1
-    edges[ends[flush]] -= 1
-    flags |= np.cumsum(edges[:n]) > 0
-    return flags
+    heads = np.repeat(starts, ends - starts)
+    loose = np.flatnonzero(w * w + h * h >= esc2)
+    for s, e in zip(starts[loose].tolist(), ends[loose].tolist()):
+        heads[s:e] = _stay_run(xs, ys, boxes, esc2, s, e)
+    return heads
+
+
+def _stay_pass(t: np.ndarray, ts: list[int], heads: np.ndarray, delta_t: float) -> np.ndarray:
+    """Windowed stay detection from the heads of ``_stay_heads``.
+
+    A window ends where the head changes, at an escape or a gap over
+    delta_t, and at the trajectory's end. It is flushed if it spans delta_t
+    (d >= delta_t iff d > near): each such window proves a stay, and the
+    detected set is the dense-window membership of the oracle. A record is
+    Stay when the running maximum of the flushed windows' ends, over the
+    windows starting at it or before, reaches it.
+    """
+    n = len(ts)
+    near = _time_limits(ts, delta_t)[0]
+    ends = np.append(np.flatnonzero(heads[1:] != heads[:-1]), n - 1)
+    first = heads[ends]
+    flush = t[ends] - t[first] > near
+    # windows end in order, and each starts past the one before
+    reach = np.full(n, -1)
+    reach[first[flush]] = ends[flush]
+    return np.maximum.accumulate(reach) >= np.arange(n)
 
 
 def _travel_pass(
@@ -500,8 +494,6 @@ def label_kernel(
     delta_t: float,
     escape: float | None,
     witness: float | None,
-    *,
-    on_admit: AdmitHook | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stay and travel flags for a whole trajectory in planar coordinates.
 
@@ -512,8 +504,9 @@ def label_kernel(
     containing the record keeps every member below the witness distance,
     and witness pairs outside it straddle its >= delta_t span and so fail
     the window test. So ``escape=None`` gives the travel flags of any
-    ``escape`` up to ``witness``, without the stay pass.
-    ``on_admit(head, cursor)`` receives record indices.
+    ``escape`` up to ``witness``, without the stay pass. The stay pass
+    finds each record's window head (``_stay_heads``) and flags the windows
+    those heads delimit (``_stay_pass``).
 
     ``t`` holds strictly increasing int64 seconds; every time test against
     ``delta_t`` is exact, whatever the magnitudes.
@@ -533,7 +526,8 @@ def label_kernel(
     xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
     boxes = _block_boxes(x, y)
     if escape is not None:
-        stay = _stay_pass(x, y, t, xs, ys, ts, boxes, escape, delta_t, on_admit)
+        heads = _stay_heads(x, y, t, xs, ys, ts, boxes, escape, delta_t)
+        stay = _stay_pass(t, ts, heads, delta_t)
     if witness is not None:
         travel = _travel_pass(x, y, t, xs, ys, ts, boxes, stay, witness, delta_t)
     return stay, travel

@@ -35,7 +35,13 @@ from sparsemob.oracle import (
     _members,
     _windows,
 )
-from sparsemob.sds import _block_boxes, _far_before, label_kernel, sds_label
+from sparsemob.sds import (
+    _block_boxes,
+    _far_before,
+    _stay_heads,
+    label_kernel,
+    sds_label,
+)
 from sparsemob.simulate import (
     CtrwConfig,
     GroundTruthPath,
@@ -210,17 +216,19 @@ def segment_bounds(times: np.ndarray, delta_t: float) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def reference_stay_pass(x, y, t, escape, delta_t) -> list[bool]:
-    """Stay flags from one record loop over the whole trajectory: the
-    reference for ``label_kernel``'s stay pass, which cuts the trajectory
-    into runs in whole-array steps first.
+def reference_stay_pass(x, y, t, escape, delta_t) -> tuple[list[bool], list[int]]:
+    """Stay flags and window heads from one record loop over the whole
+    trajectory: the reference for ``label_kernel``'s stay pass, which cuts
+    the trajectory into runs in whole-array steps first, and for the heads
+    of ``sds._stay_heads``.
 
     A window grows while each cursor is closer than ``escape`` to every
     member, found through the corner of the window's bounding box or a
     backward scan for an escape. At an escape the window up to the previous
     record is flagged if it spans delta_t, and the next one starts just past
     the escaped member; a gap over delta_t ends the window as the
-    trajectory's end does. Every time test is Python's exact int/float
+    trajectory's end does. A record's head is the head of the window just
+    after the loop reached it. Every time test is Python's exact int/float
     comparison.
     """
     xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
@@ -229,6 +237,7 @@ def reference_stay_pass(x, y, t, escape, delta_t) -> list[bool]:
     flags = [False] * n
     esc2 = escape * escape
     head = 0
+    heads = [0]
     xmin = xmax = xs[0]
     ymin = ymax = ys[0]
     for cursor in range(1, n):
@@ -238,6 +247,7 @@ def reference_stay_pass(x, y, t, escape, delta_t) -> list[bool]:
             if ts[cursor - 1] - ts[head] >= delta_t:
                 flags[head:cursor] = [True] * (cursor - head)
             head = cursor
+            heads.append(head)
             xmin = xmax = cx
             ymin = ymax = cy
             continue
@@ -247,17 +257,28 @@ def reference_stay_pass(x, y, t, escape, delta_t) -> list[bool]:
         if dx * dx + dy * dy >= esc2:
             anchor = _far_before(xs, ys, boxes, cx, cy, esc2, cursor - 1, head)
         if anchor < 0:
+            heads.append(head)
             xmin, xmax = min(xmin, cx), max(xmax, cx)
             ymin, ymax = min(ymin, cy), max(ymax, cy)
             continue
         if ts[cursor - 1] - ts[head] >= delta_t:
             flags[head:cursor] = [True] * (cursor - head)
         head = anchor + 1
+        heads.append(head)
         xmin, xmax = min(xs[head : cursor + 1]), max(xs[head : cursor + 1])
         ymin, ymax = min(ys[head : cursor + 1]), max(ys[head : cursor + 1])
     if ts[n - 1] - ts[head] >= delta_t:
         flags[head:] = [True] * (n - head)
-    return flags
+    return flags, heads
+
+
+def stay_heads(x, y, t, escape, delta_t) -> np.ndarray:
+    """``sds._stay_heads`` of a whole trajectory in planar coordinates."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    t = np.asarray(t, dtype=np.int64)
+    return _stay_heads(
+        x, y, t, x.tolist(), y.tolist(), t.tolist(), _block_boxes(x, y), escape, delta_t
+    )
 
 
 def fit_power_law_exponent(samples: np.ndarray, lower: float) -> float:

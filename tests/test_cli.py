@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,22 @@ class TestParseTimeText:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="unrecognized"):
             _parse_time_text("yesterday", 0)
+
+    def test_forms_are_disjoint_and_errors_name_the_text(self):
+        # neither form reads the other's text, so the order in which the
+        # parser tries them changes no value and no error
+        clock, iso = "18:02:41/07/12/2016", "2016-07-12T18:02:41"
+        with pytest.raises(ValueError):
+            datetime.fromisoformat(clock)
+        with pytest.raises(ValueError):
+            datetime.strptime(iso, "%H:%M:%S/%m/%d/%Y")
+        assert _parse_time_text(clock, 28800) == TABLE_EPOCH
+        assert _parse_time_text(iso, 28800) == TABLE_EPOCH
+        for text in (" yesterday ", "18:02:41/13/12/2016", "2016-13-12T18:02:41",
+                     "18:02:41 07/12/2016", ""):
+            with pytest.raises(ValueError) as err:
+                _parse_time_text(text, 0)
+            assert str(err.value) == f"unrecognized time {text!r}"
 
 
 class TestSmallParsers:
@@ -1761,6 +1778,46 @@ class TestModelFiles:
         assert main(["baseline", "--method", "hmm", "--load-model", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"sparsemob: data error: {path}:{k + 1}: negative index in key {key}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row, outside, message",
+        [
+            # numpy raised IndexError, reported without the line
+            ("initial,1,0,", "initial,5,0,", "(5, 0) outside table 'initial' of shape (2, 1)"),
+            ("emission,1,15,", "emission,1,16,",
+             "(1, 16) outside table 'emission' of shape (2, 16)"),
+            ("transition,1,1,", "transition,1,2,",
+             "(1, 2) outside table 'transition' of shape (2, 2)"),
+            # edge cells were sorted by index, so these loaded as if in place
+            ("distance_edge,0,3,", "distance_edge,0,4,",
+             "(0, 4) outside table 'distance_edge' of shape (1, 4)"),
+            ("gap_edge,0,1,", "gap_edge,1,0,", "(1, 0) outside table 'gap_edge' of shape (1, 2)"),
+        ],
+    )
+    def test_index_outside_table_refused_with_its_line(
+        self, tmp_path, capsys, row, outside, message
+    ):
+        path = tmp_path / "m.csv"
+        _save_model(hmm_fixture(), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        (k,) = [k for k, line in enumerate(lines) if line.startswith(row)]
+        lines[k] = lines[k].replace(row, outside)
+        path.write_text("".join(lines))
+        assert main(["baseline", "--method", "hmm", "--load-model", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {path}:{k + 1}: index {message}\n"
+        )
+
+    def test_unknown_hmm_table_refused_with_its_line(self, tmp_path, capsys):
+        # such a row was dropped without a word
+        path = tmp_path / "m.csv"
+        _save_model(hmm_fixture(), str(path))
+        text = path.read_text() + "bogus,0,0,1.0\n"
+        path.write_text(text)
+        assert main(["baseline", "--method", "hmm", "--load-model", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"sparsemob: data error: {path}:{text.count(chr(10))}: unknown table 'bogus'\n"
         )
 
     @pytest.mark.parametrize(

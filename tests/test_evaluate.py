@@ -604,6 +604,21 @@ def ring_trajectory(rng: np.random.Generator, params: MobilityParams) -> Traject
     )
 
 
+def spike_trajectory(rng: np.random.Generator, params: MobilityParams) -> Trajectory:
+    """A dwell inside delta_s, sampled every few seconds, with a few
+    single-record spikes: some at least delta_s away from every record of
+    it, some far only from its far side. A spike's removal leaves windows
+    that it cut short whole again, and a spike may be the one record that
+    the records after it escape."""
+    n = int(rng.integers(20, 70))
+    times = np.cumsum(rng.integers(1, int(params.delta_t) // 8, size=n))
+    x = rng.normal(0.0, params.delta_s / 8.0, n)
+    y = rng.normal(0.0, params.delta_s / 8.0, n)
+    spikes = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    x[spikes] += params.delta_s * rng.uniform(0.6, 2.0, len(spikes))
+    return traj_from_meters(times - times[0], x, y)
+
+
 def antimeridian_trajectory() -> Trajectory:
     """A dwell at 60N that straddles longitude 180, with one excursion of
     about 1.7 km; unwrapped, its records would lie a globe apart."""
@@ -644,6 +659,19 @@ class TestLocalConsistencyReference:
             trajs += [ring_trajectory(rng, params), dense_trajectory(rng, 16)]
             for traj in trajs:
                 r = assert_matches_reference(traj, params)
+                tested += r.tested
+                violations += r.violations
+        assert tested > 0 and violations > 0
+
+    def test_spikes_inside_dwells(self):
+        # a removed spike leaves records whose heads lie past the window, so
+        # the check scans before them; a spike's neighbours escape it, so
+        # the check looks again before the removed record
+        rng = np.random.default_rng(516)
+        tested = violations = 0
+        for params in LOO_GRID:
+            for _ in range(30):
+                r = assert_matches_reference(spike_trajectory(rng, params), params)
                 tested += r.tested
                 violations += r.violations
         assert tested > 0 and violations > 0

@@ -15,6 +15,7 @@ from helpers import (
     reference_stay_pass,
     segment_bounds,
     stay_flags_at,
+    stay_heads,
     traj_from_meters,
     travel_condition_all,
     travel_flags_at,
@@ -79,24 +80,25 @@ class TestDetectStays:
         assert kernel(traj, witness=None)[0].all()
 
     def test_window_invariant_on_admission(self, rng):
-        # whenever the scan admits a record without an escape, every pair in
-        # the window must still be closer than the escape distance
+        # whenever a record joins the window without an escape, every pair in
+        # the window must still be closer than the escape distance; so must
+        # every pair of the window that an escape or a gap leaves
         for _ in range(40):
             traj = random_trajectory(rng)
             x = traj.lons * METERS_PER_DEGREE
             y = traj.lats * METERS_PER_DEGREE
             escape = PARAMS.delta_s / 3.0
             segments = segment_bounds(traj.times, PARAMS.delta_t)
-
-            def check(head, cursor):
+            heads = stay_heads(x, y, traj.times, escape, PARAMS.delta_t).tolist()
+            for cursor, head in enumerate(heads):
                 # whole-trajectory indices: the window lies in one segment
-                assert any(s <= head < cursor < e for s, e in segments)
+                assert any(s <= head <= cursor < e for s, e in segments)
+                if cursor and head == heads[cursor - 1]:
+                    assert head < cursor
                 for a in range(head, cursor + 1):
                     for b in range(a + 1, cursor + 1):
                         d = math.hypot(x[a] - x[b], y[a] - y[b])
                         assert d < escape
-
-            label_kernel(x, y, traj.times, PARAMS.delta_t, escape, None, on_admit=check)
 
 
 class TestDetectTravels:
@@ -241,29 +243,31 @@ class TestBlockSkip:
         for traj in dense_trajectories(rng, 20, 6):
             x = traj.lons * METERS_PER_DEGREE
             y = traj.lats * METERS_PER_DEGREE
-            check, admits = window_invariant_hook(x, y, escape)
-            label_kernel(x, y, traj.times, PARAMS.delta_t, escape, None, on_admit=check)
-            assert len(admits) > 1
+            heads = stay_heads(x, y, traj.times, escape, PARAMS.delta_t)
+            assert window_invariant(x, y, traj.times, heads, escape, PARAMS.delta_t)
 
 
-def window_invariant_hook(x, y, escape):
-    """An ``on_admit`` hook that checks the stay window's invariant at every
-    admit, and the list of (head, cursor) pairs it has seen."""
-    admits = [(0, -1)]
-
-    def check(head, cursor):
+def window_invariant(x, y, t, heads, escape, delta_t):
+    """Check the stay window [heads[c], c] of every record c, and return the
+    admits: the (head, cursor) pairs of the cursors that joined the window
+    of the record before them without an escape."""
+    segments = segment_bounds(t, delta_t)
+    admits = []
+    last_head = 0
+    for cursor, head in enumerate(heads.tolist()):
         # the head never moves back, so every pair of the window
-        # [head, cursor] not checked at an earlier admit has its
-        # later member past the previous cursor (or the head)
-        last_head, last_cursor = admits[-1]
-        assert last_head <= head < cursor < len(x)
-        assert cursor > last_cursor
-        for c in range(max(last_cursor, head) + 1, cursor + 1):
-            d = np.hypot(x[c] - x[head:c], y[c] - y[head:c])
-            assert d.max() < escape
-        admits.append((head, cursor))
-
-    return check, admits
+        # [head, cursor] not checked at an earlier cursor has the cursor
+        # as its later member
+        assert last_head <= head <= cursor < len(x)
+        # whole-trajectory indices: the window lies in one segment
+        assert any(s <= head <= cursor < e for s, e in segments)
+        d = np.hypot(x[cursor] - x[head:cursor], y[cursor] - y[head:cursor])
+        assert (d < escape).all()
+        if cursor and head == last_head:
+            assert head < cursor
+            admits.append((head, cursor))
+        last_head = head
+    return admits
 
 
 class TestScans:
@@ -621,8 +625,22 @@ class TestStayRuns:
             # integer points, where the steps of 800 m tie the radius
             x, y = np.round(x), np.round(y)
         stay, _ = label_kernel(x, y, t, delta_t, escape, None)
-        want = reference_stay_pass(x, y, t, escape, delta_t)
+        want, heads = reference_stay_pass(x, y, t, escape, delta_t)
         assert stay.tolist() == want
+        assert stay_heads(x, y, t, escape, delta_t).tolist() == heads
+
+    def test_heads_match_reference_loop(self, rng):
+        # random, dense and c6-schedule draws, at the labeler's escape radius
+        # and at the leave-one-out check's
+        trajs = [random_trajectory(rng) for _ in range(60)]
+        trajs += list(dense_trajectories(rng, 10, 2))
+        trajs += list(schedule_trajectories(8))
+        for traj in trajs:
+            x, y = planar(traj)
+            for escape in (PARAMS.delta_s / 3.0, PARAMS.delta_s):
+                _, heads = reference_stay_pass(x, y, traj.times, escape, PARAMS.delta_t)
+                got = stay_heads(x, y, traj.times, escape, PARAMS.delta_t)
+                assert got.tolist() == heads
 
     def test_time_tests_are_exact_on_large_integers(self):
         # times past 2**53 and delta_t = 2**62: a run ending at an escape
@@ -645,23 +663,28 @@ class TestStayRuns:
             args = x[: len(t)], y[: len(t)], t
             stay, _ = label_kernel(*args, delta_t, 800.0 / 3.0, None)
             assert stay.tolist() == want, (t, delta_t)
-            assert reference_stay_pass(*args, 800.0 / 3.0, delta_t) == want
+            flags, heads = reference_stay_pass(*args, 800.0 / 3.0, delta_t)
+            assert flags == want
+            assert stay_heads(*args, 800.0 / 3.0, delta_t).tolist() == heads
 
     def test_window_invariant_on_sparse_trajectories(self):
         # power-law gaps as in the c6 corpus, where nearly every record is
         # admitted by a run's box rather than record by record
         escape = PARAMS.delta_s / 3.0
-        for d in range(20):
-            rng = np.random.default_rng((14, d))
-            times = synth_schedule(rng, 1000)
-            walk = CtrwConfig(
-                duration=float(times[-1] + 1), seed=int(rng.integers(0, 2**62))
-            )
-            traj = observe(generate_ctrw(walk), times)
+        for traj in schedule_trajectories(20):
             x, y = planar(traj)
-            check, admits = window_invariant_hook(x, y, escape)
-            label_kernel(x, y, traj.times, PARAMS.delta_t, escape, None, on_admit=check)
-            assert len(admits) > 1
+            heads = stay_heads(x, y, traj.times, escape, PARAMS.delta_t)
+            assert window_invariant(x, y, traj.times, heads, escape, PARAMS.delta_t)
+
+
+def schedule_trajectories(count):
+    """``count`` walks of 1,000 records each, observed at power-law gaps as
+    in the c6 corpus."""
+    for d in range(count):
+        rng = np.random.default_rng((14, d))
+        times = synth_schedule(rng, 1000)
+        walk = CtrwConfig(duration=float(times[-1] + 1), seed=int(rng.integers(0, 2**62)))
+        yield observe(generate_ctrw(walk), times)
 
 
 class TestStayFlagsAt:
