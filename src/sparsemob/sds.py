@@ -10,11 +10,12 @@ them.
 Pipeline (label_kernel): two passes over the whole trajectory, each run
 only when it is given its radius (escape=None runs the travel pass alone).
 Each pass does most of its work over all records at once, on the numpy
-arrays: the stay pass cuts the trajectory into runs, and the travel pass
-tests its short reach, and scans past it for every record whose delta_t
-reach is wide, in whole-array steps. What these steps leave (loose stay
-runs, and the few witness scans of sparse data) goes record by record, on
-Python lists (indexing numpy scalars costs several times more per step).
+arrays: the stay pass cuts the trajectory into runs and finds the windows
+of long ones, and the travel pass tests its short reach, and scans past it
+for every record whose delta_t reach is wide, in whole-array steps. What
+these steps leave (short loose stay runs, and the few witness scans of
+sparse data) goes record by record, on Python lists (indexing numpy
+scalars costs several times more per step).
 The labeler's radii, delta_s/3 and delta_s, are set in _joined_codes, and
 the recall pools' radii, delta_s and delta_s/2, in _recall_pools; every
 other module labels through these two. Both take consecutive trajectories
@@ -33,9 +34,11 @@ where int64 times allow.
   trajectory into runs at such gaps and at each record that escapes the one
   before it, where a window always ends. A run whose bounding box has a
   diagonal under the radius is one window, whose start is every record's
-  head; only the other runs go record by record, so sparse data rarely
-  reaches the loop (at delta_s/3, 2 of 31,776 runs in the label-sparse
-  benchmark, and 8 of 81,621 in the experiment's). The windows to flush,
+  head. The other runs of more than SUPER records, as at 1 Hz, find their
+  heads together in whole-array rounds (_stay_lockstep); only the shorter
+  ones go record by record, so sparse data rarely reaches the loop (at
+  delta_s/3, 2 of 31,776 runs in the label-sparse benchmark, and 8 of
+  81,621 in the experiment's, none of them long). The windows to flush,
   and so the Stay flags, then follow from the heads in whole-array steps.
   The leave-one-out check of ``evaluate`` reads the heads at delta_s.
 * Travel pass: a record not flagged Stay is Travel when it has a witness at
@@ -271,7 +274,9 @@ def _time_limits(ts: list[int], delta_t: float) -> tuple[int, int]:
 
 def _stay_run(xs, ys, boxes, esc2, start, end) -> list[int]:
     """The stay pass record by record over the run [start, end), which has
-    no gap over delta_t: the head of each of its records."""
+    no gap over delta_t: the head of each of its records. Runs of more than
+    SUPER records take _stay_lockstep instead, which finds the same heads at
+    a lower cost per record but a higher one per call."""
     bxmin, bxmax, bymin, bymax = boxes[:4]
     head = start
     heads = [start]
@@ -319,6 +324,120 @@ def _stay_run(xs, ys, boxes, esc2, start, end) -> list[int]:
     return heads
 
 
+def _range_table(blocks) -> np.ndarray:
+    """A sparse table over the m block boxes for _range_admit: row [L, k] is
+    the box of blocks k .. k + 2**L - 1 (clipped to the last) as (xmin,
+    -xmax, ymin, -ymax), so that the elementwise minimum of two rows is the
+    box of their union; row [L, m] is empty."""
+    m = blocks.shape[1]
+    table = np.full((max(m.bit_length(), 1), m + 1, 4), np.inf)
+    table[0, :m] = blocks.T
+    table[0, :m, 1::2] *= -1.0
+    for level in range(1, len(table)):
+        step = 1 << (level - 1)
+        half = table[level - 1]
+        table[level] = half
+        np.minimum(half[: m - step], half[step:m], out=table[level, : m - step])
+    return table
+
+
+def _range_admit(table, rows, r2, query, first, last, part, which) -> np.ndarray:
+    """For each query q, True when every point of box rows[query[q]] lies at
+    squared distance < r2 from every point of a box holding blocks first[q]
+    .. last[q] and box part[which[q]]: no record in the second box is that
+    far from one in the first. Where last[q] < first[q] the second box holds
+    block first[q] instead, which is still sound. The queries go in chunks
+    whose boxes hold LOCKSTEP_CELLS cells."""
+    width = table.shape[1]
+    table = table.reshape(-1, 4)
+    out = np.empty(len(query), dtype=bool)
+    for i in range(0, len(query), LOCKSTEP_CELLS // 4):
+        q = slice(i, i + LOCKSTEP_CELLS // 4)
+        level = np.frexp(np.maximum(last[q] - first[q] + 1, 1))[1] - 1
+        one = level * width + first[q]
+        two = np.maximum(one, one + last[q] - first[q] + 1 - (1 << level))
+        box = np.minimum(table.take(one, axis=0), table.take(two, axis=0))
+        np.minimum(box, part.take(which[q], axis=0), out=box)
+        p = rows.take(query[q], axis=0)
+        d = np.maximum(-box[:, 1::2] - p[:, ::2], -p[:, 1::2] - box[:, ::2])
+        d *= d
+        out[q] = d[:, 0] + d[:, 1] < r2
+    return out
+
+
+def _stay_lockstep(x, y, boxes, esc2, starts, ends) -> np.ndarray:
+    """_stay_run over the runs [starts[i], ends[i]) at once: an array whose
+    entries in each run are the heads of its records.
+
+    heads(c) = max(heads(c - 1), A(c) + 1), where A(c) is the nearest record
+    before c at escape or more from it: the running maximum of the A(c) + 1
+    found, seeded with each run's start. That maximum up to c - 1, ``lb``,
+    bounds heads(c - 1) from below, so c needs its A only if it is lb or
+    later. A query is the cursors of a block or, once its box tests fail,
+    one cursor; ``top`` is its highest record not yet ruled out. Each round
+    a box admit rules out lb .. top, or else one rules out the window of the
+    last ``width`` records (cut at a block start), or else each cursor's
+    window is scanned for its A by _far_lockstep. The window grows fourfold
+    each round.
+    """
+    supers, blocks = np.array(boxes[4:8]), boxes[8]
+    n, m = len(x), blocks.shape[1]
+    # key[c]: A(c) + 1 once found; a run's start keys itself
+    key = np.zeros(n, dtype=np.int64)
+    key[starts] = starts
+    # each query: its first cursor c, its number of cursors, and the row of
+    # its box in ``rows``
+    c, size = [], []
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        k = np.arange((s + 1) // BLOCK, (e - 1) // BLOCK + 1) * BLOCK
+        c.append(np.maximum(k, s + 1))
+        size.append(np.minimum(k + BLOCK, e) - c[-1])
+    c, size = np.concatenate(c), np.concatenate(size)
+    query = c // BLOCK
+    top = c + size - 2
+    table = _range_table(blocks)
+    rows = np.concatenate((table[0, :m], np.stack((x, -x, y, -y), axis=1)))
+    bound = np.maximum.accumulate(key)
+    width = SUPER
+    while len(c):
+        lb = bound[c - 1]
+        # lb never falls along c: the box of the records from each lb to its
+        # block's end, once per lb
+        new = np.diff(lb, prepend=-1) != 0
+        low = lb[new, None]
+        band = np.minimum(np.minimum(low + np.arange(BLOCK), low | (BLOCK - 1)), n - 1)
+        bx, by = x[band], y[band]
+        part = np.stack((bx.min(1), -bx.max(1), by.min(1), -by.max(1)), axis=1)
+        keep = (top >= lb) & ~_range_admit(
+            table, rows, esc2, query, lb // BLOCK + 1, top // BLOCK, part, np.cumsum(new) - 1
+        )
+        c, size, query, top, lb = c[keep], size[keep], query[keep], top[keep], lb[keep]
+        lo = np.maximum(lb, -(-(top - width + 1) // BLOCK) * BLOCK)
+        scan = lo == lb
+        cut = ~scan
+        # the window's first block is a row of ``rows`` too
+        k = lo[cut] // BLOCK
+        scan[cut] = ~_range_admit(table, rows, esc2, query[cut], k + 1, top[cut] // BLOCK, rows, k)
+        # the cursors of a block that failed go on one by one
+        count = np.where(scan, size, 1)
+        at = np.repeat(np.arange(len(c)), count)
+        c = c[at] + np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
+        scan, lo = scan[at], lo[at]
+        size = np.where(scan, 1, size[at])
+        query = np.where(scan, m + c, query[at])
+        top = np.where(scan, np.minimum(top[at], c - 1), top[at])
+        q = c[scan]
+        a = _far_lockstep(x, y, supers, blocks, x[q], y[q], esc2, top[scan], lo[scan], -1)
+        hit = a >= 0
+        key[q[hit]] = a[hit] + 1
+        keep = ~scan
+        keep[scan] = ~hit
+        c, size, query, top = c[keep], size[keep], query[keep], lo[keep] - 1
+        bound = np.maximum.accumulate(key)
+        width *= 4
+    return bound
+
+
 def _stay_heads(
     x: np.ndarray,
     y: np.ndarray,
@@ -341,8 +460,9 @@ def _stay_heads(
     that record. A run whose bounding box has a diagonal under the radius is
     one window, its start the head of each of its records, as the corner
     test admits each of its cursors (float subtraction is monotone, so no
-    corner distance exceeds the diagonal). Only the other runs go record by
-    record, in _stay_run.
+    corner distance exceeds the diagonal). Of the other runs, those of more
+    than SUPER records find their heads together in _stay_lockstep, and the
+    rest go record by record in _stay_run.
     """
     esc2 = escape * escape
     close = _time_limits(ts, delta_t)[1]
@@ -355,6 +475,14 @@ def _stay_heads(
     h = np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)
     heads = np.repeat(starts, ends - starts)
     loose = np.flatnonzero(w * w + h * h >= esc2)
+    if len(ts) > SUPER:  # else no run is long enough
+        size = ends[loose] - starts[loose]
+        long = loose[size > SUPER]
+        if len(long):
+            bound = _stay_lockstep(x, y, boxes, esc2, starts[long], ends[long])
+            for s, e in zip(starts[long].tolist(), ends[long].tolist()):
+                heads[s:e] = bound[s:e]
+            loose = loose[size <= SUPER]
     for s, e in zip(starts[loose].tolist(), ends[loose].tolist()):
         heads[s:e] = _stay_run(xs, ys, boxes, esc2, s, e)
     return heads

@@ -163,6 +163,49 @@ def dense_trajectory(
     return traj_from_meters(times, xs, ys, device="dense")
 
 
+#: shapes of :func:`one_hz_path`
+ONE_HZ_KINDS = ("walk", "loop", "drift", "excursions", "ties")
+
+
+def one_hz_path(rng: np.random.Generator, kind: str, n: int, radius: float):
+    """Planar x, y of ``n`` records one second apart, shaped so that the
+    stay pass at ``radius`` meets long loose runs:
+
+    * ``walk``: a walk at 0.3 to 12 m/s whose heading wanders;
+    * ``loop``: circles whose diameter lies within 20% of ``radius``;
+    * ``drift``: a drift at 0.05 to 1 m/s under a few meters of noise;
+    * ``excursions``: a dwell with one to three gradual excursions of
+      0.5 to 3 ``radius`` and single-record spikes;
+    * ``ties``: a lazy walk on a grid of 80 m, where records 800 m apart
+      (offsets of 10 and 0, or 6 and 8 cells) tie the radius delta_s and
+      box corners tie it too.
+    """
+    if kind == "walk":
+        heading = np.cumsum(rng.normal(0.0, rng.uniform(0.01, 0.5), n))
+        speed = rng.uniform(0.3, 12.0)
+        return np.cumsum(speed * np.cos(heading)), np.cumsum(speed * np.sin(heading))
+    if kind == "loop":
+        r = 0.5 * radius * rng.uniform(0.8, 1.2)
+        angle = 2.0 * math.pi * np.arange(n) / rng.uniform(60.0, 2000.0)
+        return r * np.cos(angle) + rng.normal(0, 2, n), r * np.sin(angle) + rng.normal(0, 2, n)
+    if kind == "drift":
+        x = rng.uniform(0.05, 1.0) * np.arange(n)
+        return x + rng.normal(0.0, 3.0, n), rng.normal(0.0, 3.0, n)
+    if kind == "excursions":
+        x = rng.normal(0.0, rng.uniform(1.0, 0.1 * radius), n)
+        y = rng.normal(0.0, rng.uniform(1.0, 0.1 * radius), n)
+        for _ in range(int(rng.integers(1, 4))):
+            s = int(rng.integers(0, n))
+            k = int(rng.integers(30, 1500))
+            bump = radius * rng.uniform(0.5, 3.0) * np.sin(np.linspace(0.0, math.pi, k))
+            x[s : s + k] += bump[: n - s]
+        spikes = rng.random(n) < 0.005
+        y[spikes] += radius * rng.uniform(1.0, 3.0, spikes.sum())
+        return x, y
+    xy = 80.0 * np.cumsum(rng.choice([-1, 0, 0, 0, 1], size=(n, 2)), axis=0)
+    return xy[:, 0], xy[:, 1]
+
+
 def planar_distance(a, b, ref_lat: float) -> float:
     """Planar-approximation distance in meters between (lon, lat) pairs.
 

@@ -29,6 +29,7 @@ from sparsemob.evaluate import (
     resampling_experiment,
 )
 from sparsemob.oracle import exact_label
+from sparsemob import sds
 from sparsemob.sds import sds_label
 from sparsemob.simulate import CtrwConfig, generate_ctrw, observe, synth_schedule
 
@@ -228,19 +229,56 @@ def _dense_walk(records: int, seed: int):
     return [observe(generate_ctrw(walk), times, device="dense")]
 
 
-def test_c6_dense_labeling_runtime_linear_at_fixed_delta_t():
+def _dwell_after_excursion(records: int):
+    """A 1 Hz dwell inside a few tens of meters, after one gradual excursion
+    500 m out and back at 1 m/s early on."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(0.0, 10.0, records)
+    y = rng.normal(0.0, 10.0, records)
+    out = np.arange(500.0)
+    x[600:1600] += np.concatenate((out, out[::-1]))
+    return [traj_from_meters(np.arange(records), x, y, device="dwell")]
+
+
+def _cells(monkeypatch, corpus, ref_lat) -> int:
+    """Cells (queries x band rows) the lockstep scans test while labeling
+    ``corpus``, counted at ``sds._first_reach``."""
+    cells = [0]
+    first_reach = sds._first_reach
+
+    def counted(boxes, cx, cy, r2, start, stop, step):
+        cells[0] += len(start) * (int(((stop - start) * step).max()) + 1)
+        return first_reach(boxes, cx, cy, r2, start, stop, step)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sds, "_first_reach", counted)
+        for traj in corpus:
+            sds_label(traj, PARAMS, ref_lat=ref_lat)
+    return cells[0]
+
+
+def test_c6_dense_labeling_runtime_linear_at_fixed_delta_t(monkeypatch):
     # c6's corpora hold about 30 records per delta_t; at 1 Hz each holds
     # 3,600, and the cost per record must not grow with the trajectory's
-    # length. A bound on scan steps per record waits for kernel counters.
+    # length. Beside the timing, the cells the lockstep scans test give a
+    # bound that host noise cannot move: 479,210 for 6,000 records and
+    # 2,214,300 for 24,000 (4.6x, the longer walk holding more legs), and
+    # 33,837 (0.39 per record) on a day-long dwell after an excursion.
     small = _dense_walk(6_000, seed=13)
     big = _dense_walk(24_000, seed=13)
     t_small = _label_time(small)
     t_big = _label_time(big)
     ratio = t_big / t_small
     assert ratio <= 12.0, f"4x dense data took {ratio:.1f}x time"
+    c_small = _cells(monkeypatch, small, 39.9)
+    c_big = _cells(monkeypatch, big, 39.9)
+    assert c_big <= 5 * c_small, f"4x dense data tested {c_big / c_small:.2f}x the cells"
+    c_dwell = _cells(monkeypatch, _dwell_after_excursion(86_400), 0.0)
+    assert c_dwell <= 4 * 86_400, f"{c_dwell / 86_400:.1f} cells per dwell record"
     print(
         f"\n[c6 dense] labeling 6,000 records at 1 Hz in {t_small:.3f}s, "
-        f"24,000 in {t_big:.3f}s, ratio {ratio:.1f}x <= 12x"
+        f"24,000 in {t_big:.3f}s, ratio {ratio:.1f}x <= 12x; cells "
+        f"{c_big / c_small:.2f}x <= 5x, {c_dwell / 86_400:.2f} per dwell record <= 4"
     )
 
 

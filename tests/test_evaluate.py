@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     dense_trajectory,
     minutes,
+    one_hz_path,
     random_trajectory,
     reference_local_consistency_check,
     reference_trajectory_counts,
@@ -697,6 +698,26 @@ class TestLocalConsistencyReference:
     def test_dense_dwell_shorter_than_delta_t(self):
         r = assert_matches_reference(dwell_1hz(), MobilityParams(300.0, 600.0))
         assert r.tested == 0
+
+    def test_one_hz_walks_and_loops(self, monkeypatch):
+        # 1 Hz walks and loops of about delta_s across, whose heads at
+        # delta_s come from the stay pass's whole-array rounds for loose
+        # runs of more than a superblock (counted). The reference rebuilds
+        # every window per removal, so the draws stay at 300-340 records
+        calls = []
+        lockstep = sds._stay_lockstep
+        monkeypatch.setattr(sds, "_stay_lockstep", lambda *a: calls.append(1) or lockstep(*a))
+        rng = np.random.default_rng(517)
+        tested = 0
+        for params in (MobilityParams(300.0, 120.0), MobilityParams(100.0, 60.0)):
+            for kind in ("walk", "loop"):
+                n = int(rng.integers(300, 341))
+                x = y = np.zeros(n)
+                while np.hypot(np.ptp(x), np.ptp(y)) < params.delta_s:  # a loose run
+                    x, y = one_hz_path(rng, kind, n, params.delta_s)
+                traj = traj_from_meters(np.arange(n), x, y)
+                tested += assert_matches_reference(traj, params).tested
+        assert tested > 0 and len(calls) == 4
 
     def test_dense_dwell_longer_than_delta_t(self):
         r = assert_matches_reference(dwell_1hz(), MobilityParams(300.0, 120.0))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    ONE_HZ_KINDS,
     brute_dense_member,
     brute_travel_witness,
     dense_stay_membership,
     dense_trajectory,
     minutes,
+    one_hz_path,
     random_trajectory,
     reference_stay_pass,
     segment_bounds,
@@ -675,6 +677,94 @@ class TestStayRuns:
             x, y = planar(traj)
             heads = stay_heads(x, y, traj.times, escape, PARAMS.delta_t)
             assert window_invariant(x, y, traj.times, heads, escape, PARAMS.delta_t)
+
+
+def one_hz_times(rng, n, delta_t):
+    """``n`` times one second apart, with up to two gaps just over delta_t
+    that cut the path into runs the stay pass takes separately."""
+    gaps = np.ones(n, dtype=np.int64)
+    gaps[0] = 0
+    gaps[rng.integers(1, n, int(rng.integers(0, 3)))] = math.floor(delta_t) + 1
+    return np.cumsum(gaps)
+
+
+class TestStayLockstep:
+    """Loose runs of more than SUPER records, whose heads _stay_lockstep
+    finds in whole-array rounds, against one record loop."""
+
+    @staticmethod
+    def runs_counted(monkeypatch):
+        """The number of long loose runs _stay_lockstep is given, per call."""
+        calls = []
+        lockstep = sds._stay_lockstep
+
+        def counted(x, y, boxes, esc2, starts, ends):
+            calls.append(len(starts))
+            return lockstep(x, y, boxes, esc2, starts, ends)
+
+        monkeypatch.setattr(sds, "_stay_lockstep", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ONE_HZ_KINDS)
+    def test_heads_and_flags_match_reference_loop(self, kind, monkeypatch):
+        calls = self.runs_counted(monkeypatch)
+        rng = np.random.default_rng((515, ONE_HZ_KINDS.index(kind)))
+        for k in range(10):
+            n = int(rng.integers(SUPER + 1, 2500))
+            delta_t = (1800.0, 600.5)[k % 2]
+            # shaped at either radius, labeled at both
+            x, y = one_hz_path(rng, kind, n, (PARAMS.delta_s / 3.0, PARAMS.delta_s)[k // 2 % 2])
+            t = one_hz_times(rng, n, delta_t)
+            for escape in (PARAMS.delta_s / 3.0, PARAMS.delta_s):
+                flags, heads = reference_stay_pass(x, y, t, escape, delta_t)
+                assert stay_heads(x, y, t, escape, delta_t).tolist() == heads
+                stay, _ = label_kernel(x, y, t, delta_t, escape, None)
+                assert stay.tolist() == flags
+        assert len(calls) >= 10
+
+    def test_bound_that_reaches_top_still_tests_that_record(self, monkeypatch):
+        # a dwell at the origin with three records off it: 302 lies at the
+        # radius from the dwell and 303 at the radius from 550. In one
+        # round the cursors from 304 on find 302, so the bound becomes 303,
+        # while the block holding 550 clears the window [304, 558] of its
+        # last records; its highest record not ruled out is then 303, the
+        # bound itself, which still has to be tested
+        calls = self.runs_counted(monkeypatch)
+        y = np.zeros(600)
+        y[[301, 302, 303, 550]] = [400.0, 800.0, 480.0, -320.0]
+        x, t = np.zeros(600), np.arange(600)
+        heads = stay_heads(x, y, t, PARAMS.delta_s, PARAMS.delta_t)
+        assert heads.tolist() == reference_stay_pass(x, y, t, PARAMS.delta_s, PARAMS.delta_t)[1]
+        assert heads[549:551].tolist() == [303, 304]
+        assert calls == [1]
+
+    def test_joined_trajectories_match_reference_loop(self, monkeypatch):
+        # 1 Hz paths between 300 records 10 s apart at either end, so that
+        # no end holds a superblock within delta_t and _joined_flags labels
+        # them all in one kernel call
+        calls = self.runs_counted(monkeypatch)
+        rng = np.random.default_rng(516)
+        for delta_t in (1800.0, 600.5):
+            xs, ys, ts, sizes = [], [], [], []
+            for kind in ONE_HZ_KINDS * 2:
+                n = int(rng.integers(SUPER + 1, 1500))
+                x, y = one_hz_path(rng, kind, n + 600, PARAMS.delta_s / 3.0)
+                ends = 10 * np.arange(300)
+                t = np.concatenate((ends, 3000 + np.arange(n), 3000 + n + ends))
+                xs.append(x)
+                ys.append(y)
+                ts.append(t)
+                sizes.append(n + 600)
+            x, y, t = np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
+            for escape in (PARAMS.delta_s / 3.0, PARAMS.delta_s):
+                calls.clear()
+                stay, _ = sds._joined_flags(x, y, t, sizes, delta_t, escape, None)
+                want = sum(
+                    (reference_stay_pass(*v, escape, delta_t)[0] for v in zip(xs, ys, ts)),
+                    [],
+                )
+                assert stay.tolist() == want
+                assert len(calls) == 1 and calls[0] > 1
 
 
 def schedule_trajectories(count):
