@@ -30,7 +30,9 @@ shared by every command:
 
 A start pays only for the command it runs: at the top this module imports
 the standard library, numpy and ``core``; each ``run_*`` imports the modules
-it calls, and the parser adds flags only to the command that argv names.
+it calls, and a call builds only the parser of the command that argv
+starts with, falling back to the full parser tree for top-level help and
+usage errors.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ from .core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
+    check_ref_lat,
 )
 
 if TYPE_CHECKING:  # for annotations alone; each command imports what it runs
@@ -97,6 +100,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.ref_lat is not None:
+            check_ref_lat(self.ref_lat)
 
 
 # ---------------------------------------------------------------- parsing
@@ -873,7 +880,11 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
     record_texts = []
     label_texts = []
     for i in range(config.trajectories):
-        path, traj, truth = experiment_trajectory(config, i, with_truth=with_truth)
+        # without truth, check_supports has not bounded the jitter
+        try:
+            path, traj, truth = experiment_trajectory(config, i, with_truth=with_truth)
+        except ValueError as exc:
+            raise UsageError(f"settings give an invalid trajectory: {exc}") from None
         record_texts.append(_record_text(traj))
         if truth is not None:
             label_texts.append(_label_text(traj.device, traj.times, truth))
@@ -1202,14 +1213,34 @@ def _build_parser(command: str | None) -> _Parser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser(...).parse_args(argv)``, from one parser where it can.
+
+    The tree hands the arguments after the command to that command's
+    sub-parser, a ``_Parser`` named ``sparsemob <command>``, through
+    ``parse_known_args``, and its top-level parser then reports any left
+    over. So when argv starts with a command, that parser built alone gives
+    the same settings, help and errors unless arguments are left over. Those,
+    and an argv that does not start with a command, go to the tree.
+    """
     # the first argv entry naming a command is the one argparse runs: before
     # it, an option is -h or unknown (neither takes a value at the top
     # level) and any other word is an invalid choice
-    parser = _build_parser(next((a for a in argv if a in _COMMANDS), None))
+    command = next((a for a in argv if a in _COMMANDS), None)
+    if argv[:1] == [command]:
+        parser = _Parser(prog=f"sparsemob {command}")
+        _add_shared(parser)
+        _COMMANDS[command][1](parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
+        if not rest:
+            return args
+    return _build_parser(command).parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -124,6 +124,14 @@ class MobilityParams:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
 
 
+def check_ref_lat(ref_lat: float) -> None:
+    """Refuse a reference latitude off the sphere: outside [-90, 90], or NaN,
+    at which every distance would be NaN and no record could escape a
+    window."""
+    if not -90.0 <= ref_lat <= 90.0:
+        raise ValueError(f"ref_lat must lie in [-90, 90], got {ref_lat}")
+
+
 def project_to_meters(
     lons: np.ndarray, lats: np.ndarray, ref_lat: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +144,9 @@ def project_to_meters(
     the trajectory, Euclidean distance in this plane is a true metric
     (symmetry and the triangle inequality hold), which the labeling proofs
     rely on. The package projects trajectories through :func:`planar`.
+    A ``ref_lat`` outside [-90, 90], NaN included, is a ``ValueError``.
     """
+    check_ref_lat(ref_lat)
     k = METERS_PER_DEGREE
     lons = np.asarray(lons, dtype=np.float64)
     # the span test is a cheap necessary condition for any shift

@@ -989,6 +989,59 @@ class TestConfigFile:
         )
 
 
+class TestSettingRanges:
+    """Settings every command shares, refused with exit 1 from a flag or a
+    config file alike, before any input is read or output written."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "90.5", "-91"])
+    def test_reference_latitude_off_the_sphere_refused(self, tmp_path, capsys, value):
+        # four records 100 km apart; at --ref-lat nan every squared distance
+        # was NaN, so no record escaped a window and all four read S
+        rec = tmp_path / "r.csv"
+        rec.write_text(
+            "time,lon,lat,mid\n0,116.4,39.9,d\n1000,117.4,39.9,d\n"
+            "2000,116.4,40.9,d\n3000,118.4,39.9,d\n"
+        )
+        out = tmp_path / "o.csv"
+        assert main(["label", str(rec), "--out", str(out)]) == 0
+        assert [r[2] for r in label_lines(out)] == ["U"] * 4
+        out.unlink()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"ref_lat = {value}\n")
+        for flag in ([f"--ref-lat={value}"], ["--config", str(cfg)]):
+            assert main(["label", str(rec), *flag, "--out", str(out)]) == 1, flag
+            assert capsys.readouterr().err == (
+                f"sparsemob: error: ref_lat must lie in [-90, 90], got {float(value)}\n"
+            )
+            assert not out.exists()
+
+    def test_poles_are_reference_latitudes(self, tmp_path):
+        rec = write_records(tmp_path / "r.csv", [travel_fixture()])
+        for value in ("90", "-90"):
+            assert main(["label", rec, "--ref-lat", value, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--trajectories", "1", "--seed", "-5"],
+            ["evaluate", "--experiment", "--trajectories", "1", "--seed", "-1"],
+            ["resample", "{rec}", "--rate", "0.5", "--seed", "-1"],
+            ["simulate", "--trajectories", "1", "--config", "{cfg}"],
+            # label ignores the seed, but a negative one is refused alike
+            ["label", "{rec}", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_refused(self, tmp_path, capsys, argv):
+        rec = write_records(tmp_path / "r.csv", [travel_fixture()])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-3\n")
+        out = tmp_path / "o.csv"
+        argv = [a.format(rec=rec, cfg=cfg) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "sparsemob: error: seed must be >= 0\n"
+        assert not out.exists()
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
@@ -1071,6 +1124,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("sparsemob: error: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_jitter_off_the_globe_is_usage_error(self, tmp_path, capsys):
+        # without --labels-out no truth check bounds the jitter
+        out = tmp_path / "o.csv"
+        argv = ["simulate", "--trajectories", "1", "--jitter", "1e9", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "sparsemob: error: settings give an invalid trajectory: "
+            "coordinates out of range or not finite\n"
+        )
         assert not out.exists()
 
     def test_time_overflow_names_what_reaches_it(self, tmp_path, capsys):
@@ -1930,7 +1994,80 @@ COMMANDS = {
 }
 
 
+#: command lines for the parser: help, usage errors and settings that parse
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["labl"], ["-h", "label"], ["label"], ["label", "-h"],
+    *[[command, "--help"] for command in COMMANDS],
+    ["label", "x.csv", "--out", "y.csv"],
+    ["label", "x.csv", "--out=y.csv", "--workers=3", "--strict", "--no-strict"],
+    # left over after the command's own parse
+    ["label", "x.csv", "--out", "y.csv", "--bogus"],
+    ["label", "x.csv", "--out", "y.csv", "extra"],
+    ["label", "x.csv", "--out", "y.csv", "--", "z"],
+    ["evaluate", "--out", "o", "--experiment", "extra"],
+    # an option before the command
+    ["--seed", "1", "label", "x.csv", "--out", "y.csv"],
+    ["--bogus", "label", "x.csv", "--out", "y.csv"],
+    # abbreviations, --, and command words as values
+    ["label", "x.csv", "--ou", "y.csv"],
+    ["label", "x.csv", "--o", "y.csv"],
+    ["label", "x.csv", "--out", "y.csv", "--he"],
+    ["label", "--out", "y.csv", "--", "x.csv"],
+    ["label", "label", "--out", "label"],
+    ["prop1", "label", "--out", "o", "--delta-s-grid", "300,800"],
+    # missing and badly typed values
+    ["label", "x.csv"], ["label", "x.csv", "--out"], ["label", "--bogus"],
+    ["label", "x.csv", "--out", "y.csv", "--delta-s", "wide"],
+    ["label", "x.csv", "--out", "y.csv", "--bogus", "--delta-s", "wide"],
+    ["label", "x.csv", "--out", "y.csv", "--timezone", "25:00"],
+    ["simulate", "--trajectories", "x", "--out", "s"],
+    ["evaluate", "--experiment", "--out", "r", "--rates", ","],
+    ["baseline", "--method", "svm"],
+    ["baseline", "--method", "voting", "--week", "sunday"],
+    ["oracle", "r.csv", "--out", "o", "--limit", "x"],
+    # settings that parse and are refused later
+    ["label", "x.csv", "--out", "y", "--ref-lat", "nan"],
+    ["simulate", "--out", "s", "--seed", "-1"],
+]
+
+
+class _Parsed(Exception):
+    """Raised in place of running a command whose line parsed."""
+
+
+def _settings(args) -> dict:
+    # by repr, so that a NaN setting equals itself
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
 class TestCommandLineSurface:
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+    def test_one_parser_per_call_as_the_full_tree(self, monkeypatch, capsys, argv):
+        # main builds only the named command's parser, and the full tree only
+        # for top-level help and usage errors; output, exit code and
+        # settings must be those of the full tree
+        def parsed(args):
+            raise _Parsed(_settings(args))
+
+        trees = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_resolve", parsed)
+        monkeypatch.setattr(cli, "_build_parser", lambda c: trees.append(c) or build(c))
+        try:
+            got = [main(argv), None]
+        except _Parsed as exc:
+            got = [None, exc.args[0]]
+        got += capsys.readouterr()
+        command = next((a for a in argv if a in COMMANDS), None)
+        try:
+            want = [None, _settings(build(command).parse_args(argv))]
+        except SystemExit as exc:
+            want = [exc.code, None]
+        want += capsys.readouterr()
+        assert got == want
+        top_level = argv[:1] != [command] or "unrecognized arguments" in want[3]
+        assert trees == ([command] if top_level else [])
+
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_help_names_shared_and_own_arguments(self, capsys, command):
         assert main([command, "--help"]) == 0

@@ -106,6 +106,20 @@ class TestPlanarDistance:
         empty = Trajectory("d", [], [], [])
         assert [a.size for a in planar(empty)] == [0, 0]
 
+    @pytest.mark.parametrize("ref_lat", [math.nan, math.inf, -math.inf, 1e308, 90.5, -91.0])
+    def test_reference_latitude_off_the_sphere_refused(self, ref_lat):
+        # at NaN every distance was NaN, and no record escaped a window
+        traj = Trajectory("d", [0, 60], [116.0, 117.0], [39.9, 39.9])
+        with pytest.raises(ValueError, match=r"ref_lat must lie in \[-90, 90\]"):
+            project_to_meters(traj.lons, traj.lats, ref_lat)
+        with pytest.raises(ValueError, match="ref_lat"):
+            planar(traj, ref_lat)
+
+    def test_poles_are_reference_latitudes(self):
+        for ref_lat in (-90.0, 90.0):
+            x, y = project_to_meters(np.array([1.0]), np.array([0.0]), ref_lat)
+            assert abs(x[0]) < 1e-9 and y[0] == 0.0
+
     def test_planar_distance_takes_the_short_way_round(self):
         a, b = (179.9999, 10.0), (-179.9999, 10.0)
         d = planar_distance(a, b, 10.0)
