@@ -772,6 +772,8 @@ def run_label(args: argparse.Namespace, run: RunConfig) -> int:
 def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
     from .oracle import OracleLimitError, exact_label
 
+    if args.limit < 1:
+        raise UsageError(f"--limit must be at least 1, got {args.limit}")
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     texts = []
     for traj in trajectories:

@@ -8,11 +8,15 @@ approximation at one reference latitude per trajectory: the given one (the
 CLI's ``--ref-lat``, the same for every device), else the device's first
 record's. :func:`planar` is that rule and the only projection every module
 uses, so comparisons against thresholds are consistent across modules.
+Beside it, :func:`radii` is the one rule that turns ``delta_s`` into the
+radii those distances are compared against: the labeler's, the recall
+pools', the oracle's and the leave-one-out check's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +173,33 @@ def planar(
     if ref_lat is None:
         ref_lat = float(traj.lats[0]) if len(traj) else 0.0
     return project_to_meters(traj.lons, traj.lats, ref_lat)
+
+
+class Radii(NamedTuple):
+    """Radii in meters of the plane: the stay pass's escape and the travel
+    pass's witness radius; the dense-window radius of the stay pool, the
+    oracle and the leave-one-out check; and the travel pool's witness
+    radius."""
+
+    escape: float
+    witness: float
+    dense: float
+    travel_pool: float
+
+
+def radii(params: MobilityParams) -> Radii:
+    """The one rule that turns ``delta_s`` into radii.
+
+    A window whose records lie within delta_s/3 of each other certifies a
+    stay: each hop, record to record plus the unobserved detours on either
+    side, spends at most a third of the diameter budget. A witness at delta_s
+    or more on each side, the two at most delta_t apart, certifies travel.
+    The recall pools hold what any labeler of the trajectory alone could
+    flag: the members of dense windows at delta_s, and records with
+    witnesses at delta_s/2.
+    """
+    d_s = params.delta_s
+    return Radii(escape=d_s / 3.0, witness=d_s, dense=d_s, travel_pool=d_s / 2.0)
 
 
 def global_sparsity(traj: Trajectory) -> float:

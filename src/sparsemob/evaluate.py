@@ -28,6 +28,7 @@ from .core import (
     global_sparsity,
     local_coverage,
     planar,
+    radii,
 )
 from .sds import (
     _block_boxes,
@@ -334,11 +335,15 @@ def _trajectory_counts(config: ExperimentConfig, indices: range) -> np.ndarray:
     trajectories.
 
     Each trajectory is built and projected at its own origin latitude, then
-    joins a batch. A batch is counted and emptied before the next trajectory
-    would take it past BATCH_RECORDS full-rate records, so a longer
-    ``duration`` makes more batches, not larger ones; a trajectory longer
-    than that is a batch of its own. Counts are integer sums, so every
-    batching gives the same totals.
+    joins a batch. That is the plane the simulator decides the truth labels
+    in, not the one ``label`` takes by default (the first record's
+    latitude): in one plane, labeler and truth agree on every tie at
+    delta_s, so the counts score the labeler, not the gap between two
+    planes, which the truth does not yet bound. A batch is counted and
+    emptied before the next trajectory would take it past BATCH_RECORDS
+    full-rate records, so a longer ``duration`` makes more batches, not
+    larger ones; a trajectory longer than that is a batch of its own. Counts
+    are integer sums, so every batching gives the same totals.
     """
     total = np.zeros((len(config.rates), _COUNT_FIELDS), dtype=np.int64)
     batch = []
@@ -461,19 +466,19 @@ def local_consistency_check(
     """Leave-one-out test of dwell-cluster locality.
 
     For each interior record: drop it, and call the record tested when some
-    dense dwell window of the remainder (every pair within delta_s, every
-    gap <= delta_t, spanning delta_t; see :mod:`sparsemob.oracle`) strictly
-    time-covers it. A tested record's immediate original neighbors should
-    then both lie within the spatial threshold; count a violation when
-    either does not.
+    dense dwell window of the remainder (every pair closer than the
+    ``dense`` radius of ``core.radii``, delta_s; every gap <= delta_t;
+    spanning delta_t; see :mod:`sparsemob.oracle`) strictly time-covers it.
+    A tested record's immediate original neighbors should then both lie
+    within that radius; count a violation when either does not.
 
     The trajectory is projected once, and the stay pass gives each record's
-    window head at delta_s (``sds._stay_heads``). A window covering removed
-    record i holds i-1 and i+1, so it is [p, i-1] + [i+1, c] for some c.
-    The search starts at p = heads[i-1] and grows c from i+1 until the
-    window breaks (p passes i-1, or a gap over delta_t comes) or spans
-    delta_t. Each new c moves p past the nearest record before c at delta_s
-    or more from it:
+    window head at that radius (``sds._stay_heads``). A window covering
+    removed record i holds i-1 and i+1, so it is [p, i-1] + [i+1, c] for
+    some c. The search starts at p = heads[i-1] and grows c from i+1 until
+    the window breaks (p passes i-1, or a gap over delta_t comes) or spans
+    delta_t. Each new c moves p past the nearest record before c at that
+    radius or more from it:
     * a record whose head is p or earlier moves p nowhere, so a stretch of
       them joins in one bisection of the heads;
     * otherwise that record is heads[c] - 1 when it lies in the window of
@@ -493,10 +498,9 @@ def local_consistency_check(
     ts = traj.times.tolist()
     boxes = _block_boxes(x, y)
     delta_t = params.delta_t
-    r2 = params.delta_s * params.delta_s
-    heads = _stay_heads(
-        x, y, traj.times, xs, ys, ts, boxes, params.delta_s, delta_t
-    ).tolist()
+    dense = radii(params).dense
+    r2 = dense * dense
+    heads = _stay_heads(x, y, traj.times, xs, ys, ts, boxes, dense, delta_t).tolist()
     tested = 0
     violations = 0
     for i in range(1, n - 1):

@@ -20,6 +20,7 @@ from .core import (
     MobilityParams,
     Trajectory,
     planar,
+    radii,
 )
 
 ORACLE_LIMIT_DEFAULT = 200
@@ -45,8 +46,9 @@ def _windows(
     d2: np.ndarray, times: np.ndarray, params: MobilityParams
 ) -> list[tuple[int, int]]:
     """Maximal windows of consecutive records with every pair closer than
-    delta_s and a span of at least delta_t, as inclusive (p, q) index pairs,
-    given the records' squared pairwise distances ``d2``.
+    the ``dense`` radius of ``core.radii`` (delta_s) and a span of at least
+    delta_t, as inclusive (p, q) index pairs, given the records' squared
+    pairwise distances ``d2``.
 
     The largest q whose [p, q] meets the distance rule never falls as p
     grows, so a two-pointer sweep checks each new record against the window
@@ -54,7 +56,8 @@ def _windows(
     it and is skipped.
     """
     n = len(times)
-    s2 = params.delta_s * params.delta_s
+    dense = radii(params).dense
+    s2 = dense * dense
     t = times.tolist()
     out: list[tuple[int, int]] = []
     q = 0

@@ -16,11 +16,11 @@ for every record whose delta_t reach is wide, in whole-array steps. What
 these steps leave (short loose stay runs, and the few witness scans of
 sparse data) goes record by record, on Python lists (indexing numpy
 scalars costs several times more per step).
-The labeler's radii, delta_s/3 and delta_s, are set in _joined_codes, and
-the recall pools' radii, delta_s and delta_s/2, in _recall_pools; every
-other module labels through these two. Both take consecutive trajectories
-and label them through _joined_flags, in one kernel call per radius pair
-where int64 times allow.
+Every other module labels through _joined_codes, at the labeler's radii,
+and _recall_pools, at the recall pools' radii; both read them from
+``core.radii``, the one rule that derives radii from delta_s. Both take
+consecutive trajectories and label them through _joined_flags, in one
+kernel call per radius pair where int64 times allow.
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
@@ -40,7 +40,8 @@ where int64 times allow.
   delta_s/3, 2 of 31,776 runs in the label-sparse benchmark, and 8 of
   81,621 in the experiment's, none of them long). The windows to flush,
   and so the Stay flags, then follow from the heads in whole-array steps.
-  The leave-one-out check of ``evaluate`` reads the heads at delta_s.
+  The leave-one-out check of ``evaluate`` reads the heads at the dense
+  radius, delta_s.
 * Travel pass: a record not flagged Stay is Travel when it has a witness at
   distance >= delta_s on each side, with the two witnesses at most delta_t
   apart. Any fixed-length window covering the record then also covers a
@@ -89,6 +90,7 @@ from .core import (
     MobilityParams,
     Trajectory,
     planar,
+    radii,
 )
 
 #: records per bounding box in the scans' block skip
@@ -695,11 +697,11 @@ def _joined_codes(x, y, t, sizes, params: MobilityParams):
     """int8 label codes of consecutive trajectories in planar coordinates,
     each as if labeled alone (see ``_joined_flags``).
 
-    The labeler's radii: the stay pass escapes at delta_s/3 and travel
-    witnesses lie at delta_s or more.
+    The labeler's radii, from ``core.radii``: the stay pass escapes at
+    ``escape`` and travel witnesses lie at ``witness`` or more.
     """
-    d_s = params.delta_s
-    stay, travel = _joined_flags(x, y, t, sizes, params.delta_t, d_s / 3.0, d_s)
+    r = radii(params)
+    stay, travel = _joined_flags(x, y, t, sizes, params.delta_t, r.escape, r.witness)
     return (stay * LABEL_STAY + travel * LABEL_TRAVEL).astype(np.int8)
 
 
@@ -708,11 +710,12 @@ def _recall_pools(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The records any labeler of each trajectory alone could flag, for
     consecutive trajectories in planar coordinates as in ``_joined_codes``:
-    dense-window members at delta_s, and records with bilateral witnesses at
-    delta_s/2, from the travel pass alone."""
-    d_s, d_t = params.delta_s, params.delta_t
-    stay = _joined_flags(x, y, t, sizes, d_t, d_s, None)[0]
-    travel = _joined_flags(x, y, t, sizes, d_t, None, d_s / 2.0)[1]
+    dense-window members at the ``dense`` radius of ``core.radii``, and
+    records with bilateral witnesses at its ``travel_pool`` radius, from the
+    travel pass alone."""
+    r, d_t = radii(params), params.delta_t
+    stay = _joined_flags(x, y, t, sizes, d_t, r.dense, None)[0]
+    travel = _joined_flags(x, y, t, sizes, d_t, None, r.travel_pool)[1]
     return stay, travel
 
 
@@ -773,11 +776,12 @@ def recall_lower_bounds(
 ) -> RecallBounds:
     """Lower-bound the recall achievable from this trajectory alone.
 
-    Stay: the labeler's stays over the dense-window members at delta_s (no
-    labeler relying only on this trajectory can do better than the latter
-    set). Travel: the labeler's travels over records with witnesses at
-    delta_s/2 (the corresponding outer bound). See ``_recall_pools``. Empty
-    denominators yield a vacuous bound of 1.0.
+    Stay: the labeler's stays over the dense-window members at the
+    ``dense`` radius, delta_s (no labeler relying only on this trajectory
+    can do better than the latter set). Travel: the labeler's travels over
+    records with witnesses at the ``travel_pool`` radius, delta_s/2 (the
+    corresponding outer bound). ``core.radii`` sets both; see
+    ``_recall_pools``. Empty denominators yield a vacuous bound of 1.0.
     """
     x, y = planar(traj, ref_lat)
     t = traj.times

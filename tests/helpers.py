@@ -22,6 +22,7 @@ from sparsemob.core import (
     MobilityParams,
     Trajectory,
     planar,
+    radii,
 )
 from sparsemob.evaluate import (
     ExperimentConfig,
@@ -230,18 +231,19 @@ def stay_flags_at(traj, params, spatial, *, ref_lat=None):
     """Stay flags of ``label_kernel``'s stay pass at ``spatial``: the records
     of some window of consecutive records with pairwise distances
     < ``spatial``, span >= delta_t and internal gaps <= delta_t (the
-    discrete dense-stay membership)."""
+    discrete dense-stay membership; at ``radii(params).dense``, the stay
+    pool)."""
     x, y = planar(traj, ref_lat)
     return label_kernel(x, y, traj.times, params.delta_t, spatial, None)[0]
 
 
 def travel_flags_at(traj, params, witness, *, ref_lat=None):
     """Travel flags of ``label_kernel``'s travel pass at ``witness``, which
-    skips the stay flags at the labeler's escape, delta_s/3: for witness
-    radii of at least that, the skip changes no flag."""
+    skips the stay flags at the labeler's escape radius: for witness radii
+    of at least that, the skip changes no flag."""
     x, y = planar(traj, ref_lat)
     return label_kernel(
-        x, y, traj.times, params.delta_t, params.delta_s / 3.0, witness
+        x, y, traj.times, params.delta_t, radii(params).escape, witness
     )[1]
 
 
@@ -647,7 +649,8 @@ def reference_local_consistency_check(
     when either does not.
     """
     x, y = planar(traj, ref_lat)
-    s2 = params.delta_s * params.delta_s
+    dense = radii(params).dense
+    s2 = dense * dense
     tested = 0
     violations = 0
     for i in range(1, len(traj) - 1):
@@ -682,8 +685,9 @@ def reference_trajectory_counts(config: ExperimentConfig, index: int) -> np.ndar
     path, traj, truth = experiment_trajectory(config, index)
     ref = path.origin_lat
     params = config.params
-    stay_pool = stay_flags_at(traj, params, params.delta_s, ref_lat=ref)
-    travel_pool = travel_flags_at(traj, params, params.delta_s / 2.0, ref_lat=ref) & (
+    r = radii(params)
+    stay_pool = stay_flags_at(traj, params, r.dense, ref_lat=ref)
+    travel_pool = travel_flags_at(traj, params, r.travel_pool, ref_lat=ref) & (
         truth == LABEL_TRAVEL
     )
     eval_pool = stay_pool | travel_pool

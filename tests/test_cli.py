@@ -878,6 +878,18 @@ class TestOracleCommand:
         assert main(["oracle", rec, "--limit", "10", "--out", str(out)]) == 2
         assert main(["oracle", rec, "--limit", "20", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_limit_below_one_is_usage_error(self, tmp_path, capsys, limit):
+        # refused before ingest: a missing input file gives the same error
+        rec = write_records(tmp_path / "r.csv", [stay_fixture()])
+        out = tmp_path / "lab.csv"
+        for path in (rec, str(tmp_path / "missing.csv")):
+            assert main(["oracle", path, "--limit", limit, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"sparsemob: error: --limit must be at least 1, got {limit}\n"
+            )
+            assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_supplies_thresholds(self, tmp_path):

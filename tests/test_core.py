@@ -26,6 +26,7 @@ from sparsemob.core import (
     local_coverage,
     planar,
     project_to_meters,
+    radii,
 )
 
 
@@ -180,6 +181,20 @@ class TestMobilityParams:
     def test_nonpositive_rejected(self, kw):
         with pytest.raises(ValueError):
             MobilityParams(**kw)
+
+
+class TestRadii:
+    @pytest.mark.parametrize("delta_s", [800.0, 1.0, 0.1, 800.5, 1e-300, 3e300])
+    def test_bit_for_bit(self, delta_s):
+        # the references in the tests read this rule too, so only this test
+        # sees a drift in the rule itself; the thirds of these do not round
+        # evenly, and the last two lie near the ends of the float range
+        for delta_t in (1.0, 1800.0):
+            got = radii(MobilityParams(delta_s, delta_t))
+            assert got._fields == ("escape", "witness", "dense", "travel_pool")
+            assert [r.hex() for r in got] == [
+                (delta_s / 3.0).hex(), delta_s.hex(), delta_s.hex(), (delta_s / 2.0).hex()
+            ]
 
 
 def segment_lengths(times, delta_t):

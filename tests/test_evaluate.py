@@ -21,6 +21,7 @@ from sparsemob.core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
+    radii,
 )
 from sparsemob import sds
 from sparsemob.evaluate import (
@@ -270,11 +271,10 @@ class TestResamplingExperiment:
             path, traj, truth = experiment_trajectory(config, index)
             ref = path.origin_lat
             labels = sds_label(traj, config.params, ref_lat=ref).labels
-            pool = stay_flags_at(
-                traj, config.params, config.params.delta_s, ref_lat=ref
-            )
+            r = radii(config.params)
+            pool = stay_flags_at(traj, config.params, r.dense, ref_lat=ref)
             tpool = travel_flags_at(
-                traj, config.params, config.params.delta_s / 2.0, ref_lat=ref
+                traj, config.params, r.travel_pool, ref_lat=ref
             ) & (truth == T)
             stay_rec += int(((labels == S) & pool).sum())
             stay_pool_total += int(pool.sum())
@@ -492,7 +492,7 @@ class TestRecallAccounting:
             ref = path.origin_lat
             stay = sds_label(traj, config.params, ref_lat=ref).labels == S
             pool = stay_flags_at(
-                traj, config.params, config.params.delta_s, ref_lat=ref
+                traj, config.params, radii(config.params).dense, ref_lat=ref
             )
             bound = recall_lower_bounds(traj, config.params, ref_lat=ref).stay_bound
             assert bool((stay <= pool).all())

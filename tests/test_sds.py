@@ -23,7 +23,7 @@ from helpers import (
     travel_flags_at,
 )
 import sparsemob.sds as sds
-from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory, planar
+from sparsemob.core import METERS_PER_DEGREE, MobilityParams, Trajectory, planar, radii
 from sparsemob.oracle import exact_label
 from sparsemob.sds import (
     BLOCK,
@@ -833,22 +833,24 @@ class TestRecallBounds:
             assert 0.0 <= bounds.travel_bound <= 1.0
 
     def test_matches_literal_window_and_witness_ratios(self, rng):
-        # stay: dense members at delta_s/3 over dense members at delta_s;
-        # travel: witnesses at delta_s over witnesses at delta_s/2
+        # stay: dense members at the escape radius (delta_s/3) over dense
+        # members at the dense radius (delta_s); travel: witnesses at the
+        # witness radius (delta_s) over witnesses at the travel pool's
+        # (delta_s/2), all from the rule the labeler reads
         def ratio(num, den):
             return 1.0 if den.sum() == 0 else num.sum() / den.sum()
 
+        r, d_t = radii(PARAMS), PARAMS.delta_t
         for _ in range(60):
             traj = random_trajectory(rng, max_len=14)
             bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0)
-            d_s, d_t = PARAMS.delta_s, PARAMS.delta_t
             stay = ratio(
-                brute_dense_member(traj, d_s / 3.0, d_t),
-                brute_dense_member(traj, d_s, d_t),
+                brute_dense_member(traj, r.escape, d_t),
+                brute_dense_member(traj, r.dense, d_t),
             )
             witness = [
                 np.array([brute_travel_witness(traj, i, w, d_t) for i in range(len(traj))])
-                for w in (d_s, d_s / 2.0)
+                for w in (r.witness, r.travel_pool)
             ]
             assert bounds.stay_bound == stay
             assert bounds.travel_bound == ratio(*witness)
