@@ -273,8 +273,8 @@ _COUNT_FIELDS = 12
 
 #: full-rate records in one batch of the experiment's trajectories: the
 #: batch's labeling call holds up to this many times the rate count, and
-#: the kernel copies its arrays into Python lists, so the budget bounds the
-#: memory a batch takes whatever the walk's duration
+#: the kernel's whole-array steps a few arrays of that length, so the budget
+#: bounds the memory a batch takes whatever the walk's duration
 BATCH_RECORDS = 2500
 
 # One rate's histogram cells: predicted code p (U, S, T), truth travel tt (the
@@ -493,14 +493,14 @@ def local_consistency_check(
     if n < 3:
         return LocalConsistencyResult(tested=0, violations=0)
     x, y = planar(traj, ref_lat)
-    xs = x.tolist()
-    ys = y.tolist()
-    ts = traj.times.tolist()
+    # the loop reads every record's time and head, so lists, which cost it
+    # less per read than memoryviews of the arrays
+    xs, ys, ts = x.tolist(), y.tolist(), traj.times.tolist()
     boxes = _block_boxes(x, y)
     delta_t = params.delta_t
     dense = radii(params).dense
     r2 = dense * dense
-    heads = _stay_heads(x, y, traj.times, xs, ys, ts, boxes, dense, delta_t).tolist()
+    heads = _stay_heads(x, y, traj.times, xs, ys, boxes, dense, delta_t).tolist()
     tested = 0
     violations = 0
     for i in range(1, n - 1):

@@ -14,8 +14,10 @@ arrays: the stay pass cuts the trajectory into runs and finds the windows
 of long ones, and the travel pass tests its short reach, and scans past it
 for every record whose delta_t reach is wide, in whole-array steps. What
 these steps leave (short loose stay runs, and the few witness scans of
-sparse data) goes record by record, on Python lists (indexing numpy
-scalars costs several times more per step).
+sparse data) goes record by record, on memoryviews of the arrays and of
+the block boxes: an index yields the Python float or int a list would, and
+a view costs nothing per record to make, so a call whose scans read a few
+hundred records pays for those alone.
 Every other module labels through _joined_codes, at the labeler's radii,
 and _recall_pools, at the recall pools' radii; both read them from
 ``core.radii``, the one rule that derives radii from delta_s. Both take
@@ -78,6 +80,7 @@ keeps a window member.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,24 +120,27 @@ class RecallBounds:
 
 
 def _block_boxes(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Bounding boxes as eight lists: xmin, xmax, ymin, ymax of each block of
-    BLOCK consecutive records (the last block repeats the final record as
-    padding), then the same of each superblock of BLOCK consecutive blocks;
-    then the block boxes once more as one (4, blocks) array, which the
+    """Bounding boxes of blocks of BLOCK consecutive records (the last block
+    repeats the final record as padding) and of superblocks of BLOCK
+    consecutive blocks: xmin, xmax, ymin and ymax of the blocks, then of the
+    superblocks, as memoryviews, which the scalar scans index; then the same
+    boxes as one (4, blocks) and one (4, superblocks) array, which the
     lockstep scans read."""
-    m = -(-len(x) // BLOCK)
-    idx = np.minimum(np.arange(m * BLOCK), len(x) - 1).reshape(m, BLOCK)
-    bx = x[idx]
-    by = y[idx]
-    array = np.stack((bx.min(axis=1), bx.max(axis=1), by.min(axis=1), by.max(axis=1)))
-    blocks = array.tolist()
-    # plain Python, which costs less than numpy reductions on the short
-    # trajectories of sparse data
-    supers = [
-        [pick(v[k : k + BLOCK]) for k in range(0, m, BLOCK)]
-        for pick, v in zip((min, max, min, max), blocks)
-    ]
-    return (*blocks, *supers, array)
+    n = len(x)
+    m = -(-n // BLOCK)
+    pad = np.empty((2, m * BLOCK))
+    pad[0, :n] = x
+    pad[1, :n] = y
+    pad[:, n:] = pad[:, n - 1 : n]
+    pad = pad.reshape(2, m, BLOCK)
+    blocks = np.empty((4, m))
+    pad.min(axis=2, out=blocks[::2])
+    pad.max(axis=2, out=blocks[1::2])
+    first = np.arange(0, m, BLOCK)
+    supers = np.empty((4, len(first)))
+    np.minimum.reduceat(blocks[::2], first, axis=1, out=supers[::2])
+    np.maximum.reduceat(blocks[1::2], first, axis=1, out=supers[1::2])
+    return (*map(memoryview, blocks), *map(memoryview, supers), blocks, supers)
 
 
 def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
@@ -262,13 +268,13 @@ def _far_lockstep(x, y, supers, blocks, cx, cy, r2, front, end, step) -> np.ndar
     return found
 
 
-def _time_limits(ts: list[int], delta_t: float) -> tuple[int, int]:
-    """Integer thresholds for the time differences d of the records ``ts``:
+def _time_limits(t: np.ndarray, delta_t: float) -> tuple[int, int]:
+    """Integer thresholds for the time differences d of the records ``t``:
     d < delta_t iff d <= near, and d <= delta_t iff d <= close, as
     ``(near, close)``. numpy would compare int64 against a float through
-    float64, which rounds large ones; a delta_t past the whole span clamps
-    both to the span."""
-    span = ts[-1] - ts[0]
+    float64, which rounds large ones, so the span is a Python int; a
+    delta_t past the whole span clamps both to the span."""
+    span = int(t[-1]) - int(t[0])
     if delta_t <= span:
         return math.ceil(delta_t) - 1, math.floor(delta_t)
     return span, span
@@ -317,12 +323,12 @@ def _stay_run(xs, ys, boxes, esc2, start, end) -> list[int]:
         k1 = (cursor + 1) // BLOCK
         first = min(k0 * BLOCK, cursor + 1)
         last = max(k1 * BLOCK, first)
-        wx = xs[head:first] + xs[last : cursor + 1]
-        wy = ys[head:first] + ys[last : cursor + 1]
-        xmin = min(bxmin[k0:k1] + wx)
-        xmax = max(bxmax[k0:k1] + wx)
-        ymin = min(bymin[k0:k1] + wy)
-        ymax = max(bymax[k0:k1] + wy)
+        wx = [*xs[head:first], *xs[last : cursor + 1]]
+        wy = [*ys[head:first], *ys[last : cursor + 1]]
+        xmin = min([*bxmin[k0:k1], *wx])
+        xmax = max([*bxmax[k0:k1], *wx])
+        ymin = min([*bymin[k0:k1], *wy])
+        ymax = max([*bymax[k0:k1], *wy])
     return heads
 
 
@@ -382,7 +388,7 @@ def _stay_lockstep(x, y, boxes, esc2, starts, ends) -> np.ndarray:
     window is scanned for its A by _far_lockstep. The window grows fourfold
     each round.
     """
-    supers, blocks = np.array(boxes[4:8]), boxes[8]
+    blocks, supers = boxes[8:]
     n, m = len(x), blocks.shape[1]
     # key[c]: A(c) + 1 once found; a run's start keys itself
     key = np.zeros(n, dtype=np.int64)
@@ -444,9 +450,8 @@ def _stay_heads(
     x: np.ndarray,
     y: np.ndarray,
     t: np.ndarray,
-    xs: list[float],
-    ys: list[float],
-    ts: list[int],
+    xs: Sequence[float],
+    ys: Sequence[float],
     boxes: tuple,
     escape: float,
     delta_t: float,
@@ -467,17 +472,17 @@ def _stay_heads(
     rest go record by record in _stay_run.
     """
     esc2 = escape * escape
-    close = _time_limits(ts, delta_t)[1]
+    close = _time_limits(t, delta_t)[1]
     dx = np.diff(x)
     dy = np.diff(y)
     cut = np.flatnonzero((np.diff(t) > close) | (dx * dx + dy * dy >= esc2)) + 1
     starts = np.concatenate(([0], cut))
-    ends = np.append(cut, len(ts))
+    ends = np.append(cut, len(t))
     w = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
     h = np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)
     heads = np.repeat(starts, ends - starts)
     loose = np.flatnonzero(w * w + h * h >= esc2)
-    if len(ts) > SUPER:  # else no run is long enough
+    if len(t) > SUPER:  # else no run is long enough
         size = ends[loose] - starts[loose]
         long = loose[size > SUPER]
         if len(long):
@@ -490,7 +495,7 @@ def _stay_heads(
     return heads
 
 
-def _stay_pass(t: np.ndarray, ts: list[int], heads: np.ndarray, delta_t: float) -> np.ndarray:
+def _stay_pass(t: np.ndarray, heads: np.ndarray, delta_t: float) -> np.ndarray:
     """Windowed stay detection from the heads of ``_stay_heads``.
 
     A window ends where the head changes, at an escape or a gap over
@@ -500,8 +505,8 @@ def _stay_pass(t: np.ndarray, ts: list[int], heads: np.ndarray, delta_t: float) 
     Stay when the running maximum of the flushed windows' ends, over the
     windows starting at it or before, reaches it.
     """
-    n = len(ts)
-    near = _time_limits(ts, delta_t)[0]
+    n = len(t)
+    near = _time_limits(t, delta_t)[0]
     ends = np.append(np.flatnonzero(heads[1:] != heads[:-1]), n - 1)
     first = heads[ends]
     flush = t[ends] - t[first] > near
@@ -515,9 +520,9 @@ def _travel_pass(
     x: np.ndarray,
     y: np.ndarray,
     t: np.ndarray,
-    xs: list[float],
-    ys: list[float],
-    ts: list[int],
+    xs: memoryview,
+    ys: memoryview,
+    ts: memoryview,
     boxes: tuple,
     stay_flags: np.ndarray,
     witness: float,
@@ -535,10 +540,10 @@ def _travel_pass(
     whose reach holds more than SUPER records scan all at once
     (_far_lockstep); the rest, every record of sparse data, one by one.
     """
-    n = len(ts)
+    n = len(t)
     flags = np.zeros(n, dtype=bool)
     w2 = witness * witness
-    near, close = _time_limits(ts, delta_t)
+    near, close = _time_limits(t, delta_t)
 
     k0 = SHORT_REACH
     width = n + k0 + 1
@@ -587,7 +592,7 @@ def _travel_pass(
         q = rest[wide]
         l, r = left[q], right[q]
         cx, cy = x[q], y[q]
-        supers, blocks = np.array(boxes[4:8]), boxes[8]
+        blocks, supers = boxes[8:]
         s = l < 0
         l[s] = _far_lockstep(
             x, y, supers, blocks, cx[s], cy[s], w2, q[s] - k0 - 1, lo[wide][s], -1
@@ -639,7 +644,9 @@ def label_kernel(
     those heads delimit (``_stay_pass``).
 
     ``t`` holds strictly increasing int64 seconds; every time test against
-    ``delta_t`` is exact, whatever the magnitudes.
+    ``delta_t`` is exact, whatever the magnitudes. The record-by-record
+    scans read memoryviews of the arrays, which need C-contiguous ones in
+    native byte order: other inputs are copied to float64 and int64 first.
 
     Segments separated by a time gap of more than ``delta_t`` are labeled
     independently: each gets exactly the flags it would get alone, so
@@ -653,11 +660,14 @@ def label_kernel(
     travel = np.zeros(len(t), dtype=bool)
     if len(t) == 0:
         return stay, travel
-    xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    t = np.ascontiguousarray(t, dtype=np.int64)
+    xs, ys, ts = memoryview(x), memoryview(y), memoryview(t)
     boxes = _block_boxes(x, y)
     if escape is not None:
-        heads = _stay_heads(x, y, t, xs, ys, ts, boxes, escape, delta_t)
-        stay = _stay_pass(t, ts, heads, delta_t)
+        heads = _stay_heads(x, y, t, xs, ys, boxes, escape, delta_t)
+        stay = _stay_pass(t, heads, delta_t)
     if witness is not None:
         travel = _travel_pass(x, y, t, xs, ys, ts, boxes, stay, witness, delta_t)
     return stay, travel

@@ -319,10 +319,11 @@ def reference_stay_pass(x, y, t, escape, delta_t) -> tuple[list[bool], list[int]
 
 def stay_heads(x, y, t, escape, delta_t) -> np.ndarray:
     """``sds._stay_heads`` of a whole trajectory in planar coordinates."""
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     t = np.asarray(t, dtype=np.int64)
     return _stay_heads(
-        x, y, t, x.tolist(), y.tolist(), t.tolist(), _block_boxes(x, y), escape, delta_t
+        x, y, t, memoryview(x), memoryview(y), _block_boxes(x, y), escape, delta_t
     )
 
 
@@ -666,6 +667,68 @@ def reference_local_consistency_check(
             for p, q in dense_stay_windows(rest, params, ref_lat=ref_lat)
         )
         if not covered:
+            continue
+        tested += 1
+        left2 = (x[i] - x[i - 1]) ** 2 + (y[i] - y[i - 1]) ** 2
+        right2 = (x[i] - x[i + 1]) ** 2 + (y[i] - y[i + 1]) ** 2
+        if left2 >= s2 or right2 >= s2:
+            violations += 1
+    return LocalConsistencyResult(tested=tested, violations=violations)
+
+
+def windowed_local_consistency_check(
+    traj: Trajectory,
+    params: MobilityParams,
+    *,
+    ref_lat: float | None = None,
+) -> LocalConsistencyResult:
+    """The check of :func:`reference_local_consistency_check`, rebuilding per
+    removed record i only the windows of the remainder near it: the
+    reference for ``evaluate.local_consistency_check`` on thousands of
+    dense records, where the other one rebuilds too much.
+
+    Records within 2 * delta_t of i suffice. A window covering i holds
+    i - 1 and i + 1. Grow [i - 1, i + 1] inside it one record at a time
+    until it spans delta_t: every run of a window's records is pairwise
+    close and gap-bounded, so the grown one is a window that covers i too.
+    Each record grown adds a gap of at most delta_t to a span under
+    delta_t, so it spans less than 2 * delta_t and lies within that of t_i.
+
+    The trajectory is projected once, at ``ref_lat`` or its first record's
+    latitude, and each slice keeps that plane: projected alone, a slice would
+    lie in the plane of its own first record. In a slice, the longest window
+    from record a ends just before the first record that follows a gap over
+    delta_t or lies at the dense radius or more from a record at a or later.
+    Removing i changes a record's first such far successor only where that
+    was i, and then to its second.
+    """
+    x, y = planar(traj, ref_lat)
+    t = traj.times
+    n = len(t)
+    d_t = params.delta_t
+    dense = radii(params).dense
+    s2 = dense * dense
+    # each record's first two far successors in the whole trajectory, n if none
+    succ = np.full((n, 2), n)
+    for c in range(n):
+        far = np.flatnonzero((x[c + 1 :] - x[c]) ** 2 + (y[c + 1 :] - y[c]) ** 2 >= s2)
+        succ[c, : len(far[:2])] = far[:2] + c + 1
+    tested = 0
+    violations = 0
+    for i in range(1, n - 1):
+        lo = int(np.searchsorted(t, t[i] - 2 * d_t))
+        hi = int(np.searchsorted(t, t[i] + 2 * d_t, side="right"))
+        keep = np.r_[lo:i, i + 1 : hi]
+        ts = t[keep]
+        first, second = succ[keep].T
+        far = np.minimum(np.where(first == i, second, first), hi)
+        far -= lo + (far > i)  # its position in the slice, len(keep) if past it
+        cuts = np.append(np.flatnonzero(np.diff(ts) > d_t) + 1, len(keep))
+        gap = cuts[np.searchsorted(cuts, np.arange(len(keep)), side="right")]
+        end = np.minimum.accumulate(np.minimum(far, gap)[::-1])[::-1] - 1
+        # windows from the records before i
+        end, ts_a = end[: i - lo], ts[: i - lo]
+        if not ((ts[end] > t[i]) & (ts[end] - ts_a >= d_t)).any():
             continue
         tested += 1
         left2 = (x[i] - x[i - 1]) ** 2 + (y[i] - y[i - 1]) ** 2

@@ -14,6 +14,7 @@ from helpers import (
     stay_flags_at,
     traj_from_meters,
     travel_flags_at,
+    windowed_local_consistency_check,
 )
 from sparsemob.core import (
     LABEL_STAY,
@@ -642,10 +643,24 @@ def dwell_1hz(n: int = 400) -> Trajectory:
 
 
 def assert_matches_reference(traj, params) -> LocalConsistencyResult:
+    """The check against both references, which must agree with each other."""
     got = local_consistency_check(traj, params)
     want = reference_local_consistency_check(traj, params)
     assert (got.tested, got.violations) == (want.tested, want.violations), params
+    windowed = windowed_local_consistency_check(traj, params)
+    assert (windowed.tested, windowed.violations) == (want.tested, want.violations), params
     return got
+
+
+def dense_dwell_with_spikes(rng: np.random.Generator, n: int, radius: float):
+    """Planar x, y of ``n`` records in a dwell inside ``radius``, as in
+    spike_trajectory, with spikes on 2% of them: some at ``radius`` or more
+    from every record of the dwell, some far only from its far side."""
+    x = rng.normal(0.0, radius / 8.0, n)
+    y = rng.normal(0.0, radius / 8.0, n)
+    spikes = rng.random(n) < 0.02
+    x[spikes] += radius * rng.uniform(0.6, 2.0, spikes.sum())
+    return x, y
 
 
 class TestLocalConsistencyReference:
@@ -722,6 +737,29 @@ class TestLocalConsistencyReference:
     def test_dense_dwell_longer_than_delta_t(self):
         r = assert_matches_reference(dwell_1hz(), MobilityParams(300.0, 120.0))
         assert (r.tested, r.violations) == (398, 0)
+
+    @pytest.mark.parametrize(
+        "params", [MobilityParams(300.0, 600.0), MobilityParams(100.0, 120.0)]
+    )
+    def test_thousands_of_one_hz_records(self, params):
+        # drifts whose heads move every few records, dwells with spikes and
+        # with gradual excursions, and loops, against the windowed reference
+        # alone: at 600 s the removal loop's scans step over superblocks
+        rng = np.random.default_rng((518, int(params.delta_t)))
+        tested = violations = 0
+        for kind in ("drift", "spikes", "excursions", "loop"):
+            n = int(rng.integers(2900, 3100))
+            if kind == "spikes":
+                x, y = dense_dwell_with_spikes(rng, n, params.delta_s)
+            else:
+                x, y = one_hz_path(rng, kind, n, params.delta_s)
+            traj = traj_from_meters(np.arange(n), x, y)
+            got = local_consistency_check(traj, params)
+            want = windowed_local_consistency_check(traj, params)
+            assert (got.tested, got.violations) == (want.tested, want.violations), kind
+            tested += got.tested
+            violations += got.violations
+        assert tested > 0 and violations > 0
 
 
 class TestDeviceStats:

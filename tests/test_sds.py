@@ -343,6 +343,66 @@ class TestScans:
                 assert reads[0] <= 6 * (a // SUPER - lo // SUPER + 1)
 
 
+class TestBlockBoxes:
+    """_block_boxes against a literal min and max over each block and
+    superblock of the records, the last block padded with the final record."""
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 4097, 4113])
+    def test_match_literal_min_max(self, rng, n):
+        x, y = rng.normal(0.0, 1000.0, (2, n))
+        m = -(-n // BLOCK)
+        padded = [v.tolist() + [v[-1]] * (m * BLOCK - n) for v in (x, y)]
+
+        def literal(size):
+            return np.array(
+                [
+                    [pick(v[k : k + size]) for k in range(0, m * BLOCK, size)]
+                    for v in padded
+                    for pick in (min, max)
+                ]
+            )
+
+        boxes = _block_boxes(x, y)
+        blocks, supers = boxes[8:]
+        assert blocks.tobytes() == literal(BLOCK).tobytes()
+        assert supers.tobytes() == literal(SUPER).tobytes()
+        assert supers.shape == (4, -(-m // BLOCK))
+        # the scalar scans read the same boxes as the lockstep rounds
+        for view, row in zip(boxes[:8], [*blocks, *supers]):
+            assert isinstance(view, memoryview)
+            assert view.tobytes() == row.tobytes()
+
+
+class TestInputLayouts:
+    """label_kernel reads memoryviews of its arrays: any layout of the same
+    values gives the same flags."""
+
+    @staticmethod
+    def layouts(v):
+        """The same values contiguous, strided, read-only and big-endian."""
+        strided = np.repeat(v, 2)[::2]
+        frozen = v.copy()
+        frozen.setflags(write=False)
+        return [v.copy(), strided, frozen, v.astype(v.dtype.newbyteorder(">"))]
+
+    @pytest.mark.parametrize("kind", ONE_HZ_KINDS)
+    def test_flags_equal_across_layouts(self, kind):
+        # 1 Hz times near 2**62, where float64 would round the time tests:
+        # 40 records go record by record, 700 through the lockstep rounds
+        rng = np.random.default_rng((519, ONE_HZ_KINDS.index(kind)))
+        delta_t = 600.5
+        for n in (40, 700):
+            x, y = one_hz_path(rng, kind, n, PARAMS.delta_s / 3.0)
+            t = 2**62 + one_hz_times(rng, n, delta_t)
+            stay, travel = label_kernel(x, y, t, delta_t, PARAMS.delta_s / 3.0, PARAMS.delta_s)
+            assert stay.tolist() == reference_stay_pass(x, y, t, PARAMS.delta_s / 3.0, delta_t)[0]
+            assert travel.tolist() == scan_travel(x, y, t, stay, PARAMS.delta_s, delta_t)
+            for args in zip(*map(self.layouts, (x, y, t))):
+                got = label_kernel(*args, delta_t, PARAMS.delta_s / 3.0, PARAMS.delta_s)
+                assert got[0].tolist() == stay.tolist()
+                assert got[1].tolist() == travel.tolist()
+
+
 #: one record of a segment: the gap since the previous record (ignored for
 #: the first), then the planar step from it; short gaps and small steps
 #: often enough that stay windows and witnesses both occur
@@ -520,7 +580,7 @@ class TestLockstep:
         x, y = TestScans().trajectory(rng, n)
         xs, ys = x.tolist(), y.tolist()
         boxes = _block_boxes(x, y)
-        supers, blocks = np.array(boxes[4:8]), boxes[8]
+        blocks, supers = boxes[8:]
         queries = 200
         cx = rng.integers(-TestScans.NEAR, TestScans.NEAR + 1, queries).astype(float)
         cy = rng.integers(-TestScans.NEAR, TestScans.NEAR + 1, queries).astype(float)
