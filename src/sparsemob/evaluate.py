@@ -311,14 +311,19 @@ def experiment_trajectory(
     Single generator seeded by (seed, index) drives the walk seed, the
     schedule, and observation jitter, in that order, so trajectory ``index``
     is identical no matter which other indices are generated or in what
-    order. Returns (path, trajectory, truth labels or None).
+    order. The schedule takes the uniforms of ceil(duration /
+    SCHEDULE_GAP_MIN) gaps, enough to reach the horizon at the shortest
+    gap: it transforms only those that reach it and skips the rest
+    (``synth_schedule``'s ``horizon``), so the jitter draws start where
+    they would after the full draw. Returns (path, trajectory, truth labels
+    or None).
     """
     base = np.random.default_rng((config.seed, index))
     walk = replace(config.walk, seed=int(base.integers(0, 2**62)))
     path = generate_ctrw(walk)
-    # enough minimum-length gaps to cover the horizon; clip the overshoot
-    times = synth_schedule(base, int(math.ceil(walk.duration / SCHEDULE_GAP_MIN)))
-    times = times[times <= walk.duration]
+    # enough minimum-length gaps to cover the horizon, drawn up to it
+    count = int(math.ceil(walk.duration / SCHEDULE_GAP_MIN))
+    times = synth_schedule(base, count, horizon=walk.duration)
     traj = observe(
         path,
         times,
@@ -372,7 +377,9 @@ def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     one before, and the kernel labels across such a gap as it labels
     separate trajectories. The count fields come from one histogram over
     (rate, predicted code, truth class, stay pool, travel pool), the gap
-    fields from each subset's first and last time.
+    fields from each subset's first and last time. The keep masks are
+    ``simulate.resample``'s draws, with no generator built at rates 0.0 and
+    1.0, whose masks need none.
     """
     indices, xs, ys, ts, travels = zip(*batch)
     lengths = [len(v) for v in ts]
@@ -386,9 +393,14 @@ def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     rates = len(config.rates)
     # the keep masks of simulate.resample: one uniform per record from a
     # generator seeded by (seed, index, rate position), so rates stay
-    # independent of each other and of the trajectory draws
+    # independent of each other and of the trajectory draws. A uniform is
+    # always below 1.0 and never below 0.0, so those two rates keep all or
+    # nothing without building their generators: no other stream moves.
     keep = np.empty((rates, len(t)), dtype=bool)
     for k, rate in enumerate(config.rates):
+        if rate in (0.0, 1.0):
+            keep[k] = rate == 1.0
+            continue
         draws = [
             np.random.default_rng((config.seed, index, k)).random(n)
             for index, n in zip(indices, lengths)

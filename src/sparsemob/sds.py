@@ -516,6 +516,22 @@ def _stay_pass(t: np.ndarray, heads: np.ndarray, delta_t: float) -> np.ndarray:
     return np.maximum.accumulate(reach) >= np.arange(n)
 
 
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """For each column of a 2-D bool array whose last row is all True, the
+    first row that holds True: ``rows.argmax(axis=0)``, as two whole-row
+    steps per row instead of a reduction along each short column. A running
+    OR of the rows turns True in a column at its first True row, and the
+    rows before the last where it is still False number that row. The
+    count takes the smallest unsigned type that holds the row count, and
+    adds the OR's bytes as they are."""
+    seen = np.zeros(rows.shape[1], dtype=bool)
+    count = np.zeros(rows.shape[1], dtype=np.min_scalar_type(len(rows)))
+    for row in rows[:-1]:
+        seen |= row
+        count += seen.view(np.uint8)
+    return len(rows) - 1 - count
+
+
 def _travel_pass(
     x: np.ndarray,
     y: np.ndarray,
@@ -558,9 +574,10 @@ def _travel_pass(
     # the same hits keyed by the earlier record: row k - 1, column i holds
     # hits[k - 1, i + k]
     ahead = as_strided(hits.reshape(-1)[1:], (k0 + 1, n), (width + 1, 1))
-    # the nearest witness on each side within SHORT_REACH records
-    k_left = hits[:, :n].argmax(axis=0) + 1
-    k_right = ahead.argmax(axis=0) + 1
+    # the nearest witness on each side within SHORT_REACH records, by a
+    # running OR down the rows rather than a reduction along each column
+    k_left = _first_rows(hits[:, :n]) + 1
+    k_right = _first_rows(ahead) + 1
     has_left = k_left <= k0
     has_right = k_right <= k0
     # records i and i + k0 + 1 are less than delta_t apart: a search from

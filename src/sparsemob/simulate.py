@@ -19,7 +19,10 @@ Draw order is fixed and documented per function, so any seed reproduces the
 same path, schedule, jitter, and resampling byte for byte. A function that
 owns its generator may take the uniforms in blocks (:func:`generate_ctrw`):
 it uses the same doubles in the same order as one call per draw, and the
-unused rest of the last block reaches nothing else.
+unused rest of the last block reaches nothing else. A function given a
+caller's generator may skip draws it does not need by advancing the bit
+generator by the same count (:func:`synth_schedule`), so the caller's next
+draws are the same.
 """
 from __future__ import annotations
 
@@ -53,21 +56,6 @@ def _power_law_transform(exponent: float, lower: float, upper: float):
     k = 1.0 - exponent
     base, span, power = lower**k, upper**k - lower**k, 1.0 / k
     return lambda u: (base + u * span) ** power
-
-
-def sample_truncated_power_law(
-    rng: np.random.Generator,
-    exponent: float,
-    lower: float,
-    upper: float,
-    size: int | None = None,
-):
-    """Draw from a power-law density ~ x^(-exponent) truncated to [lower, upper].
-
-    Inverse-CDF transform; consumes exactly one uniform per draw.
-    """
-    transform = _power_law_transform(exponent, lower, upper)
-    return transform(rng.random() if size is None else rng.random(size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +124,12 @@ class GroundTruthPath:
         return np.clip(idx, 0, self.period_stay.size - 1)
 
 
+#: the most dwell cycles a walk may hold, counted by the bound ``duration /
+#: wait_min``: the walk is drawn one cycle at a time, so a longer one would
+#: run for hours
+MAX_WALK_CYCLES = 10**6
+
+
 @dataclass(frozen=True)
 class CtrwConfig:
     """Continuous-time random-walk generator settings.
@@ -146,6 +140,8 @@ class CtrwConfig:
     square for the initial position. ``jitter_radius`` is the observation
     noise bound applied by :func:`observe`, not part of the path itself.
     Every field but ``seed`` must be finite, and both exponents at least 1.
+    ``duration / wait_min``, which bounds the walk's dwell cycles, must not
+    exceed MAX_WALK_CYCLES.
     """
 
     wait_exponent: float = 1.8
@@ -175,6 +171,11 @@ class CtrwConfig:
             raise ValueError("need 0 < jump_min < jump_max")
         if not (self.speed > 0 and self.duration > 0):
             raise ValueError("speed and duration must be positive")
+        if self.duration / self.wait_min > MAX_WALK_CYCLES:
+            raise ValueError(
+                f"duration / wait_min is {self.duration / self.wait_min:.6g}, "
+                f"over the {MAX_WALK_CYCLES} dwell cycles a walk may hold"
+            )
         if not self.jitter_radius >= 0:
             raise ValueError("jitter_radius must be >= 0")
 
@@ -327,28 +328,68 @@ def observe(
 #: the shortest gap of the observation schedule by default, in seconds
 SCHEDULE_GAP_MIN = 60.0
 
+#: uniforms :func:`synth_schedule` draws and transforms at a time
+SCHEDULE_BLOCK = 512
+
 
 def synth_schedule(
     rng: np.random.Generator,
     count: int,
     *,
+    horizon: float = math.inf,
     gap_exponent: float = 1.6,
     gap_min: float = SCHEDULE_GAP_MIN,
     gap_max: float = 21600.0,
 ) -> np.ndarray:
-    """Observation timestamps: cumulative sums of ``count`` power-law gaps.
+    """Observation timestamps: cumulative sums of up to ``count`` power-law
+    gaps, floored to whole seconds, those at or before ``horizon``.
 
-    One vectorized block of ``count`` uniforms; floored to whole seconds,
-    and gap_min >= 2 keeps the result strictly increasing after flooring.
+    The gaps are drawn and transformed in blocks of SCHEDULE_BLOCK
+    uniforms, each block's sums carried on from the last sum of the one
+    before, so every time equals the one from a single draw of ``count``
+    uniforms. Once a time passes the horizon every later one does too: the
+    draws stop there, and the bit generator advances past the rest of the
+    ``count`` uniforms, so the draws after this call are the same as ever.
+    gap_min >= 2 keeps the result strictly increasing after flooring.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if gap_min < 2.0:
         raise ValueError("gap_min below 2 s can collide after flooring")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    gaps = sample_truncated_power_law(rng, gap_exponent, gap_min, gap_max, size=count)
-    return np.floor(np.cumsum(gaps)).astype(np.int64)
+    if math.isnan(horizon):
+        raise ValueError("horizon must not be NaN")
+    transform = _power_law_transform(gap_exponent, gap_min, gap_max)
+    blocks = [np.zeros(0, dtype=np.int64)]
+    total = 0.0
+    used = 0
+    while used < count:
+        size = min(SCHEDULE_BLOCK, count - used)
+        used += size
+        # slot 0 carries the running total, so the sums are the sequential ones
+        sums = np.empty(size + 1)
+        sums[0] = total
+        sums[1:] = transform(rng.random(size))
+        np.cumsum(sums, out=sums)
+        total = sums[-1]
+        times = np.floor(sums[1:]).astype(np.int64)
+        if times[-1] > horizon:
+            blocks.append(times[times <= horizon])
+            break
+        blocks.append(times)
+    if used < count:
+        _skip_uniforms(rng, count - used)
+    return np.concatenate(blocks)
+
+
+def _skip_uniforms(rng: np.random.Generator, count: int) -> None:
+    """Move ``rng`` past ``count`` uniforms as if it had drawn them. A PCG64
+    generator takes one step per uniform and advances at once, unless a
+    32-bit draw left half a step buffered, which advancing would drop."""
+    bits = rng.bit_generator
+    if isinstance(bits, np.random.PCG64) and not bits.state["has_uint32"]:
+        bits.advance(count)
+    else:
+        rng.random(count)
 
 
 def resample(

@@ -46,6 +46,7 @@ from sparsemob.sds import (
 from sparsemob.simulate import (
     CtrwConfig,
     GroundTruthPath,
+    _power_law_transform,
     _search_label,
     resample,
 )
@@ -736,6 +737,36 @@ def windowed_local_consistency_check(
         if left2 >= s2 or right2 >= s2:
             violations += 1
     return LocalConsistencyResult(tested=tested, violations=violations)
+
+
+def sample_truncated_power_law(
+    rng: np.random.Generator,
+    exponent: float,
+    lower: float,
+    upper: float,
+    size: int | None = None,
+):
+    """Draw from a power-law density ~ x^(-exponent) truncated to [lower, upper].
+
+    Inverse-CDF transform; consumes exactly one uniform per draw.
+    """
+    transform = _power_law_transform(exponent, lower, upper)
+    return transform(rng.random() if size is None else rng.random(size))
+
+
+def reference_schedule(
+    rng: np.random.Generator,
+    count: int,
+    *,
+    gap_exponent: float = 1.6,
+    gap_min: float = 60.0,
+    gap_max: float = 21600.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps of one draw of ``count`` uniforms, transformed as one array,
+    and their floored running sums: the reference for
+    ``simulate.synth_schedule``."""
+    gaps = sample_truncated_power_law(rng, gap_exponent, gap_min, gap_max, size=count)
+    return gaps, np.floor(np.cumsum(gaps)).astype(np.int64)
 
 
 def reference_trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:

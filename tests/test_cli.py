@@ -1138,6 +1138,30 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, truth",
+        [(["simulate"], False), (["simulate"], True), (["evaluate", "--experiment"], False)],
+        ids=["simulate", "simulate-truth", "experiment"],
+    )
+    def test_walk_past_the_cycle_bound_is_refused_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, command, truth
+    ):
+        # a walk of 1e12 s is about 5.6e8 dwell cycles, drawn one by one
+        def no_walk(config):
+            raise AssertionError("a walk was drawn")
+
+        monkeypatch.setattr(evaluate, "generate_ctrw", no_walk)
+        out = tmp_path / "o.csv"
+        argv = command + ["--trajectories", "1", "--duration", "1e12", "--out", str(out)]
+        if truth:
+            argv += ["--labels-out", str(tmp_path / "l.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "sparsemob: error: duration / wait_min is 5.55556e+08, over the "
+            "1000000 dwell cycles a walk may hold\n"
+        )
+        assert not out.exists()
+
     def test_jitter_off_the_globe_is_usage_error(self, tmp_path, capsys):
         # without --labels-out no truth check bounds the jitter
         out = tmp_path / "o.csv"

@@ -216,10 +216,14 @@ class TestExperimentConfig:
             ExperimentConfig(workers=0)
 
     def test_joined_times_must_fit_int64(self):
-        # one trajectory's rate subsets, joined in time, fit one kernel call
+        # one trajectory's rate subsets, joined in time, fit one kernel call;
+        # dwells long enough that the walk stays within its cycle bound
+        long_dwells = {"wait_min": 2.0**50, "wait_max": 2.0**51}
         with pytest.raises(ValueError, match="overflow"):
-            ExperimentConfig(walk=CtrwConfig(duration=2.0**62), rates=(1.0, 0.5))
-        ExperimentConfig(walk=CtrwConfig(duration=2.0**61), rates=(1.0, 0.5))
+            ExperimentConfig(
+                walk=CtrwConfig(duration=2.0**62, **long_dwells), rates=(1.0, 0.5)
+            )
+        ExperimentConfig(walk=CtrwConfig(duration=2.0**61, **long_dwells), rates=(1.0, 0.5))
 
 
 class TestExperimentTrajectory:
@@ -420,6 +424,26 @@ class TestTrajectoryCounts:
         assert {0, 1} <= sizes
         got = _trajectory_counts(config, range(config.trajectories))
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("rates", [(1.0, 0.5, 0.0), (0.0,), (0.5, 1.0)])
+    def test_constant_masks_build_no_generator(self, monkeypatch, rates):
+        # a uniform is always below 1.0 and never below 0.0, so those rates'
+        # masks are constant and their generators, seeded (seed, index,
+        # rate position), are never built
+        config = ExperimentConfig(trajectories=5, rates=rates, seed=11)
+        want = sum(reference_trajectory_counts(config, i) for i in range(5))
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def recorded(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        got = _trajectory_counts(config, range(config.trajectories))
+        assert got.tolist() == want.tolist()
+        drawn = {s[2] for s in seeds if isinstance(s, tuple) and len(s) == 3}
+        assert drawn == {k for k, rate in enumerate(rates) if rate == 0.5}
 
     def test_zero_record_trajectory_inside_a_batch(self, kernel_calls):
         # the first observation often falls past a 200 s walk's end

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from helpers import (
     ONE_HZ_KINDS,
@@ -33,6 +34,7 @@ from sparsemob.sds import (
     _far_after,
     _far_before,
     _far_lockstep,
+    _first_rows,
     RecallBounds,
     label_kernel,
     recall_lower_bounds,
@@ -543,6 +545,23 @@ class TestShortReach:
         for reach in (0, 1, 2, sds.SHORT_REACH, BLOCK, n + 1):
             stay, travel = kernel_at_reach(reach, x, y, t, delta_t, 800.0 / 3.0, witness)
             assert travel.tolist() == scan_travel(x, y, t, stay, witness, delta_t), reach
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 300])
+    def test_first_rows_equals_argmax(self, n):
+        # the travel pass's hit rows, built as it builds them: one row per
+        # offset, an all-True row last, read as the contiguous slice and as
+        # the strided view keyed by the earlier record
+        rng = np.random.default_rng(n)
+        # 255 and 256 rows: the count's type widens past uint8 there
+        for reach in (0, 1, 2, 8, 16, 254, 255, n + 1):
+            width = n + reach + 1
+            for density in (0.05, 0.5, 0.95):
+                hits = rng.random((reach + 1, width)) < density
+                hits[reach] = True
+                ahead = as_strided(hits.reshape(-1)[1:], (reach + 1, n), (width + 1, 1))
+                for rows in (hits[:, :n], ahead):
+                    got = _first_rows(rows)
+                    assert got.tolist() == rows.argmax(axis=0).tolist(), reach
 
     @pytest.mark.parametrize("reach", [0, BLOCK])
     def test_time_tests_are_exact_on_large_integers(self, reach):

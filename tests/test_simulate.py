@@ -1,4 +1,5 @@
 """Random-walk generator, continuous truth labels, and sampling utilities."""
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,10 @@ from helpers import (
     reference_continuous_labels,
     reference_ctrw_periods,
     reference_generate_ctrw,
+    reference_schedule,
+    sample_truncated_power_law,
 )
+import sparsemob.simulate as simulate
 from sparsemob.core import (
     LABEL_STAY,
     LABEL_TRAVEL,
@@ -24,6 +28,8 @@ from sparsemob.core import (
 )
 from sparsemob.evaluate import ExperimentConfig, experiment_trajectory
 from sparsemob.simulate import (
+    MAX_WALK_CYCLES,
+    SCHEDULE_BLOCK,
     CtrwConfig,
     GroundTruthPath,
     _search_label,
@@ -32,7 +38,6 @@ from sparsemob.simulate import (
     generate_ctrw,
     observe,
     resample,
-    sample_truncated_power_law,
     synth_schedule,
     window_diameter,
 )
@@ -170,6 +175,18 @@ class TestCtrwConfig:
     def test_exponent_below_one_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             CtrwConfig(**{field: value})
+
+    def test_walk_past_the_cycle_bound_rejected(self):
+        # the walk draws its dwell cycles one by one, and duration / wait_min
+        # bounds how many it draws: at 1e12 s it would run for hours
+        with pytest.raises(ValueError, match="over the 1000000 dwell cycles"):
+            CtrwConfig(duration=1e12)
+        bound = MAX_WALK_CYCLES * 1800.0
+        CtrwConfig(duration=bound)
+        with pytest.raises(ValueError, match="dwell cycles"):
+            CtrwConfig(duration=math.nextafter(bound, math.inf))
+        # the bound is on the ratio, not the duration
+        CtrwConfig(duration=1e12, wait_min=1e9, wait_max=2e9)
 
 
 def _bits(values) -> bytes:
@@ -597,6 +614,12 @@ class TestSynthSchedule:
         with pytest.raises(ValueError):
             synth_schedule(rng, 10, gap_min=1.0)
 
+    def test_nan_horizon_rejected(self, rng):
+        # every comparison with NaN is false: no time lies at or before such
+        # a horizon, and none passes it to stop the draws
+        with pytest.raises(ValueError, match="horizon"):
+            synth_schedule(rng, 10, horizon=math.nan)
+
     def test_gap_distribution_matches_generating_law(self, rng):
         # round trip: fitted exponent close to the configured one; the fixed
         # upper truncation biases the plain estimator high by about 0.07 here
@@ -604,6 +627,112 @@ class TestSynthSchedule:
         gaps = np.diff(times).astype(np.float64)
         fitted = fit_power_law_exponent(gaps, 60.0)
         assert fitted == pytest.approx(1.6, abs=0.1)
+
+
+class TestScheduleHorizon:
+    """The blocked draw up to a horizon against one draw of all ``count``
+    uniforms clipped at the horizon, bit for bit, and the generator's next
+    draws after it."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The gap blocks synth_schedule transforms, as it transforms them."""
+        blocks = []
+        make = simulate._power_law_transform
+
+        def recording(*args):
+            transform = make(*args)
+
+            def record(u):
+                blocks.append(transform(u))
+                return blocks[-1]
+
+            return record
+
+        monkeypatch.setattr(simulate, "_power_law_transform", recording)
+        return blocks
+
+    @pytest.mark.parametrize(
+        "count, horizon, law",
+        [
+            (4320, 259200.0, {}),
+            (4320, 259200.0, {"gap_exponent": 1.0}),
+            (4320, 2000.0, {}),
+            (4320, 100000.5, {}),
+            (700, 1e12, {"gap_max": 600.0}),
+            (0, 1000.0, {}),
+        ],
+        ids=["experiment", "log-uniform", "first-block", "fractional", "unreached", "empty"],
+    )
+    def test_blocked_draw_equals_full_draw(self, drawn, count, horizon, law):
+        for seed in range(1000):
+            ref = np.random.default_rng((seed, 1))
+            gaps, times = reference_schedule(ref, count, **law)
+            drawn.clear()
+            rng = np.random.default_rng((seed, 1))
+            got = synth_schedule(rng, count, horizon=horizon, **law)
+            assert got.tolist() == times[times <= horizon].tolist(), seed
+            # the gaps transformed block by block are the full array's
+            # lanes, whatever a lane's position in its block
+            used = np.concatenate([np.zeros(0)] + drawn)
+            assert _bits(used) == _bits(gaps[: len(used)]), seed
+            assert len(used) >= len(got)
+            assert _bits(rng.random(64)) == _bits(ref.random(64)), seed
+            if horizon == 2000.0:
+                assert len(drawn) == 1
+            if horizon == 1e12:
+                assert len(used) == count
+
+    def test_count_only_form_equals_full_draw(self, drawn):
+        # counts on either side of whole blocks, so that blocks end anywhere
+        for seed in range(1000):
+            count = 1 + seed % (3 * SCHEDULE_BLOCK)
+            ref = np.random.default_rng(seed)
+            gaps, times = reference_schedule(ref, count)
+            drawn.clear()
+            rng = np.random.default_rng(seed)
+            assert synth_schedule(rng, count).tolist() == times.tolist(), seed
+            assert _bits(np.concatenate(drawn)) == _bits(gaps), seed
+            assert _bits(rng.random(64)) == _bits(ref.random(64)), seed
+
+    def test_count_only_form_is_pinned(self):
+        # the benchmark's inputs draw their schedules in this form and pin
+        # digests of the files made from them
+        digest = hashlib.sha256()
+        for d in range(10):
+            times = synth_schedule(np.random.default_rng((0, d)), 1000)
+            digest.update(times.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "1d1e2bfe98de70a0e533d521ed0ac263e3fd518280cd62034f77e85abf93810f"
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            np.random.default_rng,
+            lambda seed: np.random.Generator(np.random.MT19937(seed)),
+            lambda seed: np.random.Generator(np.random.Philox(seed)),
+            lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
+            lambda seed: np.random.Generator(np.random.SFC64(seed)),
+        ],
+        ids=["pcg64", "mt19937", "philox", "pcg64dxsm", "sfc64"],
+    )
+    @pytest.mark.parametrize("half", [False, True], ids=["whole", "half-buffered"])
+    def test_next_draws_align_on_any_bit_generator(self, make, half):
+        # a 32-bit draw may leave half a 64-bit step buffered, which a
+        # PCG64 advance would drop
+        for seed in range(20):
+            rng, ref = make(seed), make(seed)
+            if half:
+                rng.integers(0, 2**32, dtype=np.uint32)
+                ref.integers(0, 2**32, dtype=np.uint32)
+            _, times = reference_schedule(ref, 4320)
+            got = synth_schedule(rng, 4320, horizon=50000.0)
+            assert got.tolist() == times[times <= 50000.0].tolist()
+            assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == (
+                ref.integers(0, 2**32, 3, dtype=np.uint32).tolist()
+            )
+            assert _bits(rng.random(64)) == _bits(ref.random(64))
 
 
 class TestDiscreteContinuousLinkage:
