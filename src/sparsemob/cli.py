@@ -318,8 +318,9 @@ def _read_text(path: str) -> str:
 
 def _numbered_rows(path: str, text: str) -> tuple[list[list[str]], list[int]]:
     """The ``csv`` rows of ``text`` and the line each starts on, parsed row
-    by row: for text whose quoted fields hold line breaks, or that ``csv``
-    rejects (reported with the line the bad row starts on)."""
+    by row, so that a row whose quoted fields hold line breaks is numbered
+    by its first line, and a row that ``csv`` rejects is reported with the
+    line it starts on."""
     reader = csv.reader(io.StringIO(text, newline=""))
     rows, lines, start = [], [], 1
     try:
@@ -389,24 +390,14 @@ def _read_table(path: str, text: str, required: tuple[str, ...]):
 
     Every CSV the package reads comes here, as text read once by the
     caller. ``_split_table`` splits a quote-free text into columns; any
-    other text is tokenized by one ``csv`` pass, which gives the same
-    cells. When that pass reads one line per row, row ``k`` starts on line
-    ``k + 1``; only when a quoted field holds a line break is the same text
-    parsed again, row by row, to count the lines. Blank rows and rows whose
-    first cell starts with ``#`` are comments.
+    other text is tokenized by one ``csv`` pass, ``_numbered_rows``, which
+    gives the same cells and the line each row starts on. Blank rows and
+    rows whose first cell starts with ``#`` are comments.
     """
     split = _split_table(text, required)
     if split is not None:
         return split
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        table = list(reader)
-    except csv.Error:
-        table = None  # the row-by-row pass reports the line its row starts on
-    if table is None or reader.line_num != len(table):
-        table, lines = _numbered_rows(path, text)
-    else:
-        lines = list(range(1, len(table) + 1))
+    table, lines = _numbered_rows(path, text)
     head = next((k for k, row in enumerate(table) if not _is_comment(row)), None)
     if head is None:
         raise DataError(f"{path}: missing header row")

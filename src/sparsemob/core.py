@@ -15,6 +15,7 @@ pools', the oracle's and the leave-one-out check's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -116,7 +117,11 @@ class LabeledTrajectory:
 @dataclass(frozen=True)
 class MobilityParams:
     """Spatial/temporal thresholds defining a stay: within ``delta_s`` meters
-    for at least ``delta_t`` seconds."""
+    for at least ``delta_t`` seconds.
+
+    Every distance test compares squares: ``delta_s`` must be at least about
+    4.475e-154 m, so that each radius of :func:`radii` squares to a normal
+    float, not to 0.0, which a distance of 0 reaches, or to a subnormal."""
 
     delta_s: float = 800.0
     delta_t: float = 1800.0
@@ -124,6 +129,13 @@ class MobilityParams:
     def __post_init__(self) -> None:
         if not self.delta_s > 0:
             raise ValueError(f"delta_s must be positive, got {self.delta_s}")
+        r = min(radii(self))
+        if r * r < sys.float_info.min:
+            floor = 3.0 * math.sqrt(sys.float_info.min)
+            raise ValueError(
+                f"delta_s must be at least about {floor:.4g}, where every squared"
+                f" radius is a normal float, got {self.delta_s}"
+            )
         if not self.delta_t > 0:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
 

@@ -32,7 +32,7 @@ from .core import (
 )
 from .sds import (
     _block_boxes,
-    _far_before,
+    _far_scan,
     _joined_codes,
     _recall_pools,
     _stay_heads,
@@ -494,10 +494,10 @@ def local_consistency_check(
     * a record whose head is p or earlier moves p nowhere, so a stretch of
       them joins in one bisection of the heads;
     * otherwise that record is heads[c] - 1 when it lies in the window of
-      c - 1, and _far_before scans the records before that window for it
-      when it does not;
+      c - 1, which starts at h = heads[c - 1]; when it does not, _far_scan
+      looks for it backward from h - 1 down to p, both included;
     * the removed record is no member, so where it is the record found the
-      search looks again before it.
+      search looks again before it, from i - 1 down to p.
     A removal costs a step for each record up to delta_t past it whose head
     moves past p; in a dwell the heads stay put and it takes a few.
     """
@@ -535,9 +535,9 @@ def local_consistency_check(
             h = heads[c - 1]
             u = heads[c] - 1  # the nearest far record in [h, c - 1], if >= h
             if u < h and h > p:
-                u = _far_before(xs, ys, boxes, xs[c], ys[c], r2, h - 1, p)
+                u = _far_scan(xs, ys, boxes, xs[c], ys[c], r2, h - 1, p, -1)
             if u == i:  # gone; look before it
-                u = _far_before(xs, ys, boxes, xs[c], ys[c], r2, a, p)
+                u = _far_scan(xs, ys, boxes, xs[c], ys[c], r2, a, p, -1)
             if u >= p:
                 p = u + 1
                 if p > a:

@@ -60,18 +60,20 @@ kernel call per radius pair where int64 times allow.
   sparse data.
 
 Both the stay pass's backward search for an escape and the witness scans
-step over a block of BLOCK consecutive records at once when the farthest
-corner of the block's bounding box is closer than the radius sought: no
-record in it can escape or witness. A second level does the same for a
-superblock of SUPER = BLOCK * BLOCK records, tested only while more than one
-block of the scan range remains, so a short scan pays one integer comparison
-for it, and once per scan: a superblock whose box reaches the radius is
-walked block by block without testing it again. On densely sampled data,
-where delta_t holds thousands of records, a scan over records that stay
-within the radius then costs about one step per superblock instead of one
-per record. After an escape the stay pass rebuilds the window's box from
-the block boxes of the full blocks inside it and the records of its partial
-ends.
+are one search: the record nearest a front, in a range from that front to
+an end, both included, at the radius or more. _far_scan runs it record by
+record, backward or forward, and _far_lockstep for many queries at once.
+It steps over a block of BLOCK consecutive records at once when the
+farthest corner of the block's bounding box is closer than the radius
+sought: no record in it can escape or witness. A second level does the same
+for a superblock of SUPER = BLOCK * BLOCK records, tested only while more
+than one block of the scan range remains, so a short scan pays one integer
+comparison for it, and once per scan: a superblock whose box reaches the
+radius is walked block by block without testing it again. On densely
+sampled data, where delta_t holds thousands of records, a scan over records
+that stay within the radius then costs about one step per superblock
+instead of one per record. After an escape the stay pass rebuilds the
+window's box from the window's own records, at most SUPER of them.
 
 Both passes compare squared planar distances against squared thresholds; ties
 resolve as: distance >= threshold escapes/witnesses, distance < threshold
@@ -143,62 +145,41 @@ def _block_boxes(x: np.ndarray, y: np.ndarray) -> tuple:
     return (*map(memoryview, blocks), *map(memoryview, supers), blocks, supers)
 
 
-def _far_before(xs, ys, boxes, cx, cy, r2, a, lo) -> int:
-    """Largest index in [lo, a] at squared distance >= r2 from (cx, cy), or -1.
+def _far_scan(xs, ys, boxes, cx, cy, r2, front, end, step) -> int:
+    """The index nearest ``front`` in the range from front to end, both
+    included, at squared distance >= r2 from (cx, cy), or -1: the search of
+    _far_lockstep for one query, record by record. It runs backward for
+    step -1 and forward for step 1; a range whose end lies behind its front
+    is empty.
 
     A block or superblock whose farthest box corner is closer than the radius
     holds no such record, so the scan steps over it whole.
     """
     bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes[:8]
+    # the offsets of a block's and a superblock's last record in scan order
+    edge, super_edge = (BLOCK - 1, SUPER - 1) if step > 0 else (0, 0)
     reached = -1  # the last superblock whose box reaches the radius
-    while a >= lo:
-        k = a // BLOCK
-        first = k * BLOCK
+    while (end - front) * step >= 0:
+        k = front // BLOCK
+        last = k * BLOCK + edge
+        more = (end - last) * step > 0  # the range goes on past block k
         s = k // BLOCK
-        if first > lo and s != reached:
+        if more and s != reached:
             dx = sxmax[s] - cx if sxmax[s] - cx > cx - sxmin[s] else cx - sxmin[s]
             dy = symax[s] - cy if symax[s] - cy > cy - symin[s] else cy - symin[s]
             if dx * dx + dy * dy < r2:
-                a = s * SUPER - 1
+                front = s * SUPER + super_edge + step
                 continue
             reached = s
         dx = bxmax[k] - cx if bxmax[k] - cx > cx - bxmin[k] else cx - bxmin[k]
         dy = bymax[k] - cy if bymax[k] - cy > cy - bymin[k] else cy - bymin[k]
         if dx * dx + dy * dy >= r2:
-            for i in range(a, (first if first > lo else lo) - 1, -1):
+            for i in range(front, (last if more else end) + step, step):
                 ddx = cx - xs[i]
                 ddy = cy - ys[i]
                 if ddx * ddx + ddy * ddy >= r2:
                     return i
-        a = first - 1
-    return -1
-
-
-def _far_after(xs, ys, boxes, cx, cy, r2, b, hi) -> int:
-    """Smallest index in [b, hi) at squared distance >= r2 from (cx, cy), or
-    -1; the mirror image of _far_before."""
-    bxmin, bxmax, bymin, bymax, sxmin, sxmax, symin, symax = boxes[:8]
-    reached = -1
-    while b < hi:
-        k = b // BLOCK
-        stop = k * BLOCK + BLOCK
-        s = k // BLOCK
-        if stop < hi and s != reached:
-            dx = sxmax[s] - cx if sxmax[s] - cx > cx - sxmin[s] else cx - sxmin[s]
-            dy = symax[s] - cy if symax[s] - cy > cy - symin[s] else cy - symin[s]
-            if dx * dx + dy * dy < r2:
-                b = s * SUPER + SUPER
-                continue
-            reached = s
-        dx = bxmax[k] - cx if bxmax[k] - cx > cx - bxmin[k] else cx - bxmin[k]
-        dy = bymax[k] - cy if bymax[k] - cy > cy - bymin[k] else cy - bymin[k]
-        if dx * dx + dy * dy >= r2:
-            for i in range(b, stop if stop < hi else hi):
-                ddx = cx - xs[i]
-                ddy = cy - ys[i]
-                if ddx * ddx + ddy * ddy >= r2:
-                    return i
-        b = stop
+        front = last + step
     return -1
 
 
@@ -231,11 +212,11 @@ def _first_reach(boxes, cx, cy, r2, start, stop, step) -> np.ndarray:
 
 
 def _far_lockstep(x, y, supers, blocks, cx, cy, r2, front, end, step) -> np.ndarray:
-    """_far_before (step -1) or _far_after (step 1) for many queries at once:
-    for each query q, the index nearest front[q] in the range from front[q]
-    to end[q], both included, at squared distance >= r2 from (cx[q], cy[q]),
-    or -1. ``supers`` and ``blocks`` hold the superblock and block boxes as
-    xmin, xmax, ymin and ymax arrays.
+    """_far_scan for many queries at once, with its arguments and result as
+    arrays: for each query q, the index nearest front[q] in the range from
+    front[q] to end[q], both included, at squared distance >= r2 from
+    (cx[q], cy[q]), or -1. ``supers`` and ``blocks`` hold the superblock and
+    block boxes as xmin, xmax, ymin and ymax arrays.
 
     Each round tests, for every query still searching, the superblocks its
     range reaches, then the blocks of the nearest superblock whose box
@@ -284,8 +265,9 @@ def _stay_run(xs, ys, boxes, esc2, start, end) -> list[int]:
     """The stay pass record by record over the run [start, end), which has
     no gap over delta_t: the head of each of its records. Runs of more than
     SUPER records take _stay_lockstep instead, which finds the same heads at
-    a lower cost per record but a higher one per call."""
-    bxmin, bxmax, bymin, bymax = boxes[:4]
+    a lower cost per record but a higher one per call; so a window here
+    holds at most SUPER records, and after an escape its box is rebuilt
+    from its own records."""
     head = start
     heads = [start]
     # Bounding box of window positions [head, cursor-1]. If the cursor is
@@ -301,7 +283,7 @@ def _stay_run(xs, ys, boxes, esc2, start, end) -> list[int]:
         if dx * dx + dy * dy < esc2:
             anchor = -1
         else:
-            anchor = _far_before(xs, ys, boxes, cx, cy, esc2, cursor - 1, head)
+            anchor = _far_scan(xs, ys, boxes, cx, cy, esc2, cursor - 1, head, -1)
         if anchor < 0:
             heads.append(head)
             if cx < xmin:
@@ -317,18 +299,8 @@ def _stay_run(xs, ys, boxes, esc2, start, end) -> list[int]:
         # new window holds at least two records
         head = anchor + 1
         heads.append(head)
-        # blocks k0..k1-1 lie whole in [head, cursor] and enter by their
-        # boxes; the records of [head, first) and [last, cursor] by value
-        k0 = -(-head // BLOCK)
-        k1 = (cursor + 1) // BLOCK
-        first = min(k0 * BLOCK, cursor + 1)
-        last = max(k1 * BLOCK, first)
-        wx = [*xs[head:first], *xs[last : cursor + 1]]
-        wy = [*ys[head:first], *ys[last : cursor + 1]]
-        xmin = min([*bxmin[k0:k1], *wx])
-        xmax = max([*bxmax[k0:k1], *wx])
-        ymin = min([*bymin[k0:k1], *wy])
-        ymax = max([*bymax[k0:k1], *wy])
+        xmin, xmax = min(xs[head : cursor + 1]), max(xs[head : cursor + 1])
+        ymin, ymax = min(ys[head : cursor + 1]), max(ys[head : cursor + 1])
     return heads
 
 
@@ -463,13 +435,14 @@ def _stay_heads(
 
     The trajectory is first cut into runs, in whole-array steps: a window
     starts afresh at a gap over delta_t, and at a record that escapes the
-    record before it, which _far_before finds first, so in both cases at
+    record before it, which _far_scan finds first, so in both cases at
     that record. A run whose bounding box has a diagonal under the radius is
     one window, its start the head of each of its records, as the corner
     test admits each of its cursors (float subtraction is monotone, so no
     corner distance exceeds the diagonal). Of the other runs, those of more
     than SUPER records find their heads together in _stay_lockstep, and the
-    rest go record by record in _stay_run.
+    rest go record by record in _stay_run, whose windows so hold at most
+    SUPER records.
     """
     esc2 = escape * escape
     close = _time_limits(t, delta_t)[1]
@@ -598,13 +571,13 @@ def _travel_pass(
     flags[done] = t[right[done]] - t[left[done]] <= close
 
     rest = np.flatnonzero(todo & ~done)
-    # the reach [lo, hi) of each: the records less than delta_t away, with
-    # the sums clamped to the span so that int64 never wraps
+    # the reach lo..hi of each, both included: the records less than delta_t
+    # away, with the sums clamped to the span so that int64 never wraps
     tr = t[rest]
     lo = np.searchsorted(t, tr - np.minimum(near, tr - t[0]))
-    hi = np.searchsorted(t, tr + np.minimum(near, t[-1] - tr), side="right")
+    hi = np.searchsorted(t, tr + np.minimum(near, t[-1] - tr), side="right") - 1
     # a reach of more than a superblock scans in lockstep with the others
-    wide = hi - lo > SUPER
+    wide = hi - lo >= SUPER
     if wide.any():
         q = rest[wide]
         l, r = left[q], right[q]
@@ -616,7 +589,7 @@ def _travel_pass(
         )
         s = (r < 0) & (l >= 0)
         r[s] = _far_lockstep(
-            x, y, supers, blocks, cx[s], cy[s], w2, q[s] + k0 + 1, hi[wide][s] - 1, 1
+            x, y, supers, blocks, cx[s], cy[s], w2, q[s] + k0 + 1, hi[wide][s], 1
         )
         s = (l >= 0) & (r >= 0)
         flags[q[s]] = t[r[s]] - t[l[s]] <= close
@@ -628,11 +601,11 @@ def _travel_pass(
         cx = xs[i]
         cy = ys[i]
         if l < 0:
-            l = _far_before(xs, ys, boxes, cx, cy, w2, i - k0 - 1, a)
+            l = _far_scan(xs, ys, boxes, cx, cy, w2, i - k0 - 1, a, -1)
             if l < 0:
                 continue
         if r < 0:
-            r = _far_after(xs, ys, boxes, cx, cy, w2, i + k0 + 1, b)
+            r = _far_scan(xs, ys, boxes, cx, cy, w2, i + k0 + 1, b, 1)
         if r >= 0 and ts[r] - ts[l] <= delta_t:
             found.append(i)
     flags[found] = True

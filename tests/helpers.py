@@ -38,7 +38,7 @@ from sparsemob.oracle import (
 )
 from sparsemob.sds import (
     _block_boxes,
-    _far_before,
+    _far_scan,
     _stay_heads,
     label_kernel,
     sds_label,
@@ -164,6 +164,10 @@ def dense_trajectory(
         ys[edges] += reach * np.sin(angle)
     return traj_from_meters(times, xs, ys, device="dense")
 
+
+#: the smallest delta_s that MobilityParams accepts, 0x1.8p-510: the stay
+#: pass's radius, delta_s / 3, squares to sys.float_info.min exactly there
+SMALLEST_DELTA_S = 3.0 * 2.0**-511
 
 #: shapes of :func:`one_hz_path`
 ONE_HZ_KINDS = ("walk", "loop", "drift", "excursions", "ties")
@@ -301,7 +305,7 @@ def reference_stay_pass(x, y, t, escape, delta_t) -> tuple[list[bool], list[int]
         dy = max(ymax - cy, cy - ymin)
         anchor = -1
         if dx * dx + dy * dy >= esc2:
-            anchor = _far_before(xs, ys, boxes, cx, cy, esc2, cursor - 1, head)
+            anchor = _far_scan(xs, ys, boxes, cx, cy, esc2, cursor - 1, head, -1)
         if anchor < 0:
             heads.append(head)
             xmin, xmax = min(xmin, cx), max(xmax, cx)

@@ -195,7 +195,7 @@ def _label_time(corpus) -> float:
 
 def _scalar_work(monkeypatch, corpus) -> int:
     """The kernel's record-by-record steps while labeling ``corpus``: calls
-    of ``sds._far_before`` and ``sds._far_after``, and cursors of
+    of ``sds._far_scan``, in either direction, and cursors of
     ``sds._stay_run``."""
     work = [0]
 
@@ -210,8 +210,7 @@ def _scalar_work(monkeypatch, corpus) -> int:
         return end - start
 
     with monkeypatch.context() as patch:
-        for name in ("_far_before", "_far_after"):
-            patch.setattr(sds, name, count(getattr(sds, name), lambda *args: 1))
+        patch.setattr(sds, "_far_scan", count(sds._far_scan, lambda *args: 1))
         patch.setattr(sds, "_stay_run", count(sds._stay_run, cursors))
         for traj in corpus:
             sds_label(traj, PARAMS, ref_lat=39.9)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    SMALLEST_DELTA_S,
     minutes,
     random_trajectory,
     reference_generate_ctrw,
@@ -1024,6 +1025,27 @@ class TestSettingRanges:
             assert main(["label", str(rec), *flag, "--out", str(out)]) == 1, flag
             assert capsys.readouterr().err == (
                 f"sparsemob: error: ref_lat must lie in [-90, 90], got {float(value)}\n"
+            )
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["4.4750044387201234e-154", "1e-200", "1e-300"])
+    def test_delta_s_whose_squared_radii_underflow_refused(self, tmp_path, capsys, value):
+        # ten records at one spot, 600 s apart: all Stay at the smallest
+        # delta_s accepted; at 1e-200 they read UTTTTTTTTU
+        rec = write_records(
+            tmp_path / "r.csv", [traj_from_meters(np.arange(10) * 600, [0.0] * 10)]
+        )
+        out = tmp_path / "o.csv"
+        assert main(["label", rec, "--delta-s", repr(SMALLEST_DELTA_S), "--out", str(out)]) == 0
+        assert [r[2] for r in label_lines(out)] == ["S"] * 10
+        out.unlink()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"delta_s = {value}\n")
+        for flag in (["--delta-s", value], ["--config", str(cfg)]):
+            assert main(["label", rec, *flag, "--out", str(out)]) == 1, flag
+            assert capsys.readouterr().err == (
+                "sparsemob: error: delta_s must be at least about 4.475e-154, where"
+                f" every squared radius is a normal float, got {float(value)}\n"
             )
             assert not out.exists()
 

@@ -1,11 +1,13 @@
 """Domain types, distances, segmentation, and sparsity metrics."""
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    SMALLEST_DELTA_S,
     minutes,
     planar_distance,
     random_trajectory,
@@ -182,9 +184,20 @@ class TestMobilityParams:
         with pytest.raises(ValueError):
             MobilityParams(**kw)
 
+    @pytest.mark.parametrize(
+        "delta_s", [math.nextafter(SMALLEST_DELTA_S, 0.0), 1e-200, 1e-300, 5e-324]
+    )
+    def test_delta_s_whose_squared_radii_underflow_rejected(self, delta_s):
+        # (delta_s / 3) ** 2 falls below the smallest normal float; at 1e-200
+        # it was 0.0, which a distance of 0 reaches
+        with pytest.raises(ValueError, match=r"delta_s must be at least about 4\.475e-154"):
+            MobilityParams(delta_s)
+        smallest = radii(MobilityParams(SMALLEST_DELTA_S)).escape
+        assert smallest * smallest == sys.float_info.min
+
 
 class TestRadii:
-    @pytest.mark.parametrize("delta_s", [800.0, 1.0, 0.1, 800.5, 1e-300, 3e300])
+    @pytest.mark.parametrize("delta_s", [800.0, 1.0, 0.1, 800.5, SMALLEST_DELTA_S, 3e300])
     def test_bit_for_bit(self, delta_s):
         # the references in the tests read this rule too, so only this test
         # sees a drift in the rule itself; the thirds of these do not round

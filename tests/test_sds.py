@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from helpers import (
     ONE_HZ_KINDS,
+    SMALLEST_DELTA_S,
     brute_dense_member,
     brute_travel_witness,
     dense_stay_membership,
@@ -31,9 +32,8 @@ from sparsemob.sds import (
     SUPER,
     LabeledTrajectory,
     _block_boxes,
-    _far_after,
-    _far_before,
     _far_lockstep,
+    _far_scan,
     _first_rows,
     RecallBounds,
     label_kernel,
@@ -205,6 +205,24 @@ class TestSdsLabel:
         assert exact_label(traj, PARAMS).letters() == letters
         assert not travel_condition_all(traj, PARAMS.delta_s, PARAMS.delta_t).any()
 
+    def test_colocated_dwell_is_stay_at_every_accepted_delta_s(self):
+        # ten records at one spot, 600 s apart: every distance is 0, under
+        # any delta_s, so all ten are Stay. At delta_s 1e-200 the squared
+        # radii underflowed to 0.0, which 0 reaches: every record escaped
+        # and witnessed, and the labeler read UTTTTTTTTU, the oracle
+        # TTTTTTTTTT
+        traj = traj_from_meters(np.arange(10) * 600, [0.0] * 10)
+        accepted = []
+        for delta_s in (SMALLEST_DELTA_S, 1e-200, 1e-300, 5e-324):
+            try:
+                params = MobilityParams(delta_s)
+            except ValueError:
+                continue
+            accepted.append(delta_s)
+            assert sds_label(traj, params, ref_lat=0.0).letters() == ["S"] * 10
+            assert exact_label(traj, params, ref_lat=0.0).letters() == ["S"] * 10
+        assert accepted == [SMALLEST_DELTA_S]
+
     def test_empty_trajectory(self):
         empty = Trajectory("d", np.array([], dtype=np.int64), np.array([]), np.array([]))
         assert sds_label(empty, PARAMS, ref_lat=0.0).letters() == []
@@ -275,8 +293,8 @@ def window_invariant(x, y, t, heads, escape, delta_t):
 
 
 class TestScans:
-    """_far_before and _far_after against a literal scan, on integer points
-    where distances tie the radius at box corners."""
+    """_far_scan, backward and forward, against a literal scan, on integer
+    points where distances tie the radius at box corners."""
 
     NEAR = 2  # near records lie in [-NEAR, NEAR]^2 around the origin
     FAR = [(3.0, 4.0), (-3.0, -4.0), (4.0, -3.0), (5.0, 0.0), (4.0, 4.0)]
@@ -321,12 +339,14 @@ class TestScans:
                 for _ in range(30):
                     lo, a = sorted(rng.integers(0, n, 2).tolist())
                     b, hi = sorted(rng.integers(0, n + 1, 2).tolist())
-                    want = max((i for i in range(lo, a + 1) if d2[i] >= r2), default=-1)
-                    reads[0] = 0
-                    assert _far_before(xs, ys, boxes, 0.0, 0.0, r2, a, lo) == want
-                    want = min((i for i in range(b, hi) if d2[i] >= r2), default=-1)
-                    reads[0] = 0
-                    assert _far_after(xs, ys, boxes, 0.0, 0.0, r2, b, hi) == want
+                    # a forward range is empty where b == hi, its front one
+                    # past the end of the records where both are n
+                    for front, end, step in ((a, lo, -1), (b, hi - 1, 1)):
+                        scan = range(front, end + step, step)
+                        want = next((i for i in scan if d2[i] >= r2), -1)
+                        reads[0] = 0
+                        got = _far_scan(xs, ys, boxes, 0.0, 0.0, r2, front, end, step)
+                        assert got == want
 
     def test_near_range_costs_one_box_per_superblock(self, rng):
         # every box corner is closer than the radius: a scan reads one box
@@ -337,12 +357,10 @@ class TestScans:
             boxes, reads = self.counted(_block_boxes(x, y), 6 * (n // SUPER + 3))
             for _ in range(50):
                 lo, a = sorted(rng.integers(0, n, 2).tolist())
-                reads[0] = 0
-                assert _far_before(xs, ys, boxes, 0.0, 0.0, 50.0, a, lo) == -1
-                assert reads[0] <= 6 * (a // SUPER - lo // SUPER + 1)
-                reads[0] = 0
-                assert _far_after(xs, ys, boxes, 0.0, 0.0, 50.0, lo, a + 1) == -1
-                assert reads[0] <= 6 * (a // SUPER - lo // SUPER + 1)
+                for front, end, step in ((a, lo, -1), (lo, a, 1)):
+                    reads[0] = 0
+                    assert _far_scan(xs, ys, boxes, 0.0, 0.0, 50.0, front, end, step) == -1
+                    assert reads[0] <= 6 * (a // SUPER - lo // SUPER + 1)
 
 
 class TestBlockBoxes:
@@ -470,8 +488,8 @@ def scan_travel(x, y, t, stay, witness, delta_t):
         hi = max(hi, i + 1)
         while hi < len(ts) and ts[hi] - ts[i] < delta_t:
             hi += 1
-        left = _far_before(xs, ys, boxes, xs[i], ys[i], w2, i - 1, lo)
-        right = _far_after(xs, ys, boxes, xs[i], ys[i], w2, i + 1, hi)
+        left = _far_scan(xs, ys, boxes, xs[i], ys[i], w2, i - 1, lo, -1)
+        right = _far_scan(xs, ys, boxes, xs[i], ys[i], w2, i + 1, hi - 1, 1)
         flags.append(
             not stay[i] and left >= 0 and right >= 0 and ts[right] - ts[left] <= delta_t
         )
@@ -584,7 +602,7 @@ class TestShortReach:
 
 class TestLockstep:
     """The travel pass's lockstep scans, which records whose delta_t reach
-    holds more than a superblock take, against the scalar scans, on draws
+    holds more than a superblock take, against the scalar scan, on draws
     of TestScans' integer points, where distances tie the radius at box
     corners."""
 
@@ -604,23 +622,18 @@ class TestLockstep:
         cx = rng.integers(-TestScans.NEAR, TestScans.NEAR + 1, queries).astype(float)
         cy = rng.integers(-TestScans.NEAR, TestScans.NEAR + 1, queries).astype(float)
         # ranges in either order, so that some are empty, and fronts one
-        # past either end of the records, as the travel pass passes them
-        a = rng.integers(-1, n, queries)
-        lo = rng.integers(0, n, queries)
-        got = _far_lockstep(x, y, supers, blocks, cx, cy, r2, a, lo, -1)
-        want = [
-            _far_before(xs, ys, boxes, px, py, r2, f, e)
-            for px, py, f, e in zip(cx.tolist(), cy.tolist(), a.tolist(), lo.tolist())
-        ]
-        assert got.tolist() == want
-        b = rng.integers(0, n + 1, queries)
-        hi = rng.integers(0, n + 1, queries)
-        got = _far_lockstep(x, y, supers, blocks, cx, cy, r2, b, hi - 1, 1)
-        want = [
-            _far_after(xs, ys, boxes, px, py, r2, f, e)
-            for px, py, f, e in zip(cx.tolist(), cy.tolist(), b.tolist(), hi.tolist())
-        ]
-        assert got.tolist() == want
+        # past either end of the records, as the travel pass passes them;
+        # both scans take the same front, end and step
+        for front, end, step in (
+            (rng.integers(-1, n, queries), rng.integers(0, n, queries), -1),
+            (rng.integers(0, n + 1, queries), rng.integers(0, n + 1, queries) - 1, 1),
+        ):
+            got = _far_lockstep(x, y, supers, blocks, cx, cy, r2, front, end, step)
+            want = [
+                _far_scan(xs, ys, boxes, px, py, r2, f, e, step)
+                for px, py, f, e in zip(*(v.tolist() for v in (cx, cy, front, end)))
+            ]
+            assert got.tolist() == want
 
     @settings(deadline=None, max_examples=12)
     @given(
