@@ -43,7 +43,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone as _tz
+from datetime import datetime, timedelta, timezone as _tz
 from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -179,9 +179,12 @@ def _parse_time_text(text: str, tz_offset: int) -> int:
             dt = datetime.strptime(t, "%H:%M:%S/%m/%d/%Y")
         except ValueError:
             raise ValueError(f"unrecognized time {text!r}") from None
+    # the whole second the time falls in, exactly: no float, no truncation
+    # toward zero
+    epoch = datetime(1970, 1, 1, tzinfo=_tz.utc)
     if dt.tzinfo is not None:
-        return int(dt.timestamp())
-    return int(dt.replace(tzinfo=_tz.utc).timestamp()) - tz_offset
+        return (dt - epoch) // timedelta(seconds=1)
+    return (dt.replace(tzinfo=_tz.utc) - epoch) // timedelta(seconds=1) - tz_offset
 
 
 #: the keys a config file may set, one per shared flag

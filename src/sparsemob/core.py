@@ -1,11 +1,11 @@
 """Domain types and primitive operations for sparse location trajectories.
 
 A trajectory is a time-ordered sequence of (timestamp, longitude, latitude)
-records for one device. Timestamps are integer epoch seconds; sub-second
-precision is truncated at ingestion. All distance computations in this package
-compare squared Euclidean distances ``dx*dx + dy*dy`` in one planar
-approximation at one reference latitude per trajectory: the given one (the
-CLI's ``--ref-lat``, the same for every device), else the device's first
+records for one device. Timestamps are integer epoch seconds; a time with a
+fraction is read at ingestion as the whole second it falls in. All distances
+in this package compare squared Euclidean distances ``dx*dx + dy*dy`` in one
+planar approximation at one reference latitude per trajectory: the given one
+(the CLI's ``--ref-lat``, the same for every device), else the device's first
 record's. :func:`planar` is that rule and the only projection every module
 uses, so comparisons against thresholds are consistent across modules.
 Beside it, :func:`radii` is the one rule that turns ``delta_s`` into the

@@ -727,13 +727,9 @@ def _joined_flags(x, y, t, sizes, delta_t, escape, witness):
     their lengths. Each trajectory's times are rebased to start
     ``floor(delta_t) + 1`` s after the previous one ends, and the kernel
     labels across a gap longer than delta_t as it labels separate
-    trajectories. A trajectory whose joined times would reach 2**63 starts a
-    new call; when the gap itself does not fit, each one is its own call.
-
-    A trajectory with more than SUPER records within delta_t of its first or
-    last record is labeled alone: its scans run past a superblock there, and
-    a superblock box that also holds a neighbour's records would make them
-    walk it block by block.
+    trajectories. Calls are cut only where int64 forces it: a trajectory
+    whose joined times would reach 2**63 starts a new call, and when the gap
+    itself does not fit, each one is its own call.
     """
     gap = math.floor(delta_t) + 1 if delta_t < 2**63 - 1 else None
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -741,21 +737,18 @@ def _joined_flags(x, y, t, sizes, delta_t, escape, witness):
     ends = np.cumsum(sizes)
     heads = ends - sizes
     first = t[heads]
-    dense = sizes > SUPER
-    lo, hi = heads[dense], ends[dense] - 1
-    dense[dense] = (t[lo + SUPER] - t[lo] < delta_t) | (t[hi] - t[hi - SUPER] < delta_t)
     spans = (t[ends - 1] - first).tolist()
     starts = []
     cuts = []
     end = None
-    for a, span, alone in zip(heads.tolist(), spans, dense.tolist()):
-        if end is not None and not alone and gap is not None and end + gap + span < 2**63:
+    for a, span in zip(heads.tolist(), spans):
+        if end is not None and gap is not None and end + gap + span < 2**63:
             start = end + gap
         else:
             start = 0
             cuts.append(a)
         starts.append(start)
-        end = None if alone else start + span
+        end = start + span
     joined = t - np.repeat(first, sizes)
     joined += np.repeat(np.array(starts, dtype=np.int64), sizes)
     cuts.append(len(t))

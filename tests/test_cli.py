@@ -102,6 +102,19 @@ class TestParseTimeText:
             )
         assert _parse_time_text("2016-07-12T10:02:41Z", 28800) == TABLE_EPOCH
 
+    @pytest.mark.parametrize(
+        "text, tz_offset, want",
+        [
+            # the whole second a time falls in: floored, not truncated
+            # toward zero, and not rounded through a float
+            ("1969-12-31T23:59:59.5+00:00", 28800, -1),
+            ("3000-01-01T00:00:00.999999+00:00", 0, 32503680000),
+            ("9999-12-31T23:59:59.999999", 0, 253402300799),
+        ],
+    )
+    def test_fraction_reads_as_its_whole_second(self, text, tz_offset, want):
+        assert _parse_time_text(text, tz_offset) == want
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="unrecognized"):
             _parse_time_text("yesterday", 0)
@@ -325,6 +338,18 @@ class TestIngest:
             f"warning: {path}:5: empty device id (row skipped)",
             f"warning: {path}:6: list index out of range (row skipped)",
         ]
+
+    def test_half_second_before_epoch_is_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "time,lon,lat,mid\n0,0.0,0.0,d\n1969-12-31T23:59:59.5+00:00,0.0,0.0,d\n"
+        )
+        with pytest.raises(DataError) as info:
+            ingest(str(path), tz_offset=0, strict=True)
+        assert str(info.value) == f"1 bad row(s):\n{path}:3: time out of range: -1"
+        out = str(tmp_path / "o.csv")
+        assert main(["label", str(path), "--strict", "--out", out]) == 2
+        assert f"{path}:3: time out of range: -1" in capsys.readouterr().err
 
     def test_time_range_ends_at_int64_limit(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
@@ -821,8 +846,9 @@ class TestLabelFile:
         assert main(["label", rec, "--workers", workers, "--out", str(out)]) == 0
         assert out.read_bytes() == labels_alone(rec, MobilityParams())
 
-    def test_dense_device_is_labeled_alone(self, tmp_path, kernel_calls):
-        # 300 records at 1 s: more than a superblock within delta_t
+    def test_dense_device_joins_the_one_kernel_call(self, tmp_path, kernel_calls):
+        # 300 records at 1 s, more than a superblock within delta_t, share
+        # the file's one kernel call with the devices on either side
         walk = traj_from_meters(np.arange(300), np.arange(300) * 5.0, device="b")
         short = [
             traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0], device=d)
@@ -830,7 +856,7 @@ class TestLabelFile:
         ]
         rec = write_records(tmp_path / "r.csv", [short[0], walk, *short[1:]])
         out = tmp_path / "lab.csv"
-        assert kernel_calls(["label", rec, "--out", str(out)]) == [3, 300, 6]
+        assert kernel_calls(["label", rec, "--out", str(out)]) == [309]
         assert out.read_bytes() == labels_alone(rec, MobilityParams())
 
     def test_file_without_records_writes_the_header(self, tmp_path):
@@ -1593,7 +1619,7 @@ class TestStatsCommand:
 
     def test_label_mix_equals_devices_labeled_alone(self, tmp_path, rng):
         # single records, devices the gap contract joins, and one with more
-        # than a superblock of records within delta_t, which is labeled alone
+        # than a superblock of records within delta_t
         dense = traj_from_meters(np.arange(300), np.arange(300) * 5.0, device="z")
         rec = write_records(tmp_path / "r.csv", mixed_devices(rng, 9) + [dense])
         sp = tmp_path / "sparsity.csv"

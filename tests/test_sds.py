@@ -663,6 +663,41 @@ class TestLockstep:
         assert travel.tolist() == scan_travel(x, y, t, stay, 800.0, 2.0**62)
         assert travel[600:1199].all()
 
+    def test_joined_trajectories_equal_each_alone(self, monkeypatch):
+        # 1 Hz paths joined back to back, so that superblocks straddle the
+        # joins, then sparse walks, single records and empty trajectories:
+        # the travel pass alone flags each as its own kernel call does, in
+        # one call for them all
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return label_kernel(*args)
+
+        monkeypatch.setattr(sds, "label_kernel", counted)
+        rng = np.random.default_rng(604)
+        trajs = []
+        for kind in ONE_HZ_KINDS:
+            n = int(rng.integers(SUPER + 1, 1500))
+            x, y = one_hz_path(rng, kind, n, PARAMS.delta_s)
+            trajs.append((x, y, 10**6 + np.arange(n, dtype=np.int64)))
+        for max_len in (40, 40, 1, 1):
+            traj = random_trajectory(rng, max_len)
+            trajs.append((*planar(traj), traj.times))
+        empty = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64))
+        trajs.insert(2, empty)
+        trajs.append(empty)
+        x, y, t = (np.concatenate(v) for v in zip(*trajs))
+        sizes = [len(v[2]) for v in trajs]
+        for delta_t in (1800.0, 600.5):
+            for witness in (PARAMS.delta_s, PARAMS.delta_s / 2.0):
+                calls.clear()
+                _, travel = sds._joined_flags(x, y, t, sizes, delta_t, None, witness)
+                assert calls == [len(t)]
+                want = [label_kernel(*v, delta_t, None, witness)[1] for v in trajs]
+                assert travel.tolist() == np.concatenate(want).tolist()
+                assert travel.any()
+
 
 class TestStaySkip:
     """The travel pass's skip of stay records, against the travel pass alone
@@ -831,22 +866,19 @@ class TestStayLockstep:
         assert calls == [1]
 
     def test_joined_trajectories_match_reference_loop(self, monkeypatch):
-        # 1 Hz paths between 300 records 10 s apart at either end, so that
-        # no end holds a superblock within delta_t and _joined_flags labels
-        # them all in one kernel call
+        # 1 Hz paths joined back to back, so that superblocks straddle the
+        # joins, all in one kernel call and so one round of lockstep
         calls = self.runs_counted(monkeypatch)
         rng = np.random.default_rng(516)
         for delta_t in (1800.0, 600.5):
-            xs, ys, ts, sizes = [], [], [], []
+            xs, ys, ts = [], [], []
             for kind in ONE_HZ_KINDS * 2:
                 n = int(rng.integers(SUPER + 1, 1500))
-                x, y = one_hz_path(rng, kind, n + 600, PARAMS.delta_s / 3.0)
-                ends = 10 * np.arange(300)
-                t = np.concatenate((ends, 3000 + np.arange(n), 3000 + n + ends))
+                x, y = one_hz_path(rng, kind, n, PARAMS.delta_s / 3.0)
                 xs.append(x)
                 ys.append(y)
-                ts.append(t)
-                sizes.append(n + 600)
+                ts.append(one_hz_times(rng, n, delta_t))
+            sizes = [len(t) for t in ts]
             x, y, t = np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
             for escape in (PARAMS.delta_s / 3.0, PARAMS.delta_s):
                 calls.clear()
