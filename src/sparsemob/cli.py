@@ -58,6 +58,7 @@ from .core import (
     MobilityParams,
     Trajectory,
     check_ref_lat,
+    project_runs,
 )
 
 if TYPE_CHECKING:  # for annotations alone; each command imports what it runs
@@ -167,8 +168,22 @@ def _parse_time_text(text: str, tz_offset: int) -> int:
     except ValueError:
         pass
     else:
-        if f.is_integer():
-            return int(f)
+        # float's syntax says which texts are numbers; the value is read
+        # exactly, so no time lands on the nearest double
+        if math.isfinite(f):
+            from decimal import Decimal, InvalidOperation
+
+            try:
+                exact = Decimal(t)
+            except InvalidOperation:
+                # an exponent past what Decimal holds (about 10**18): as
+                # float read the text as finite, the value is 0 or a
+                # fraction too small for a double
+                if Decimal(t.lower().partition("e")[0]) == 0:
+                    return 0
+            else:
+                if exact == exact.to_integral_value():
+                    return int(exact)
         raise ValueError(f"non-integer epoch time {text!r}")
     # no text is both ISO 8601 and in the clock form, so the order of the
     # two tries changes no value; ISO 8601 goes first, as it costs less
@@ -266,7 +281,7 @@ def _table_text(rows) -> str:
 def _write_csv(path: str, kind: str, header, texts, notes=()) -> None:
     """Write a CSV: its version line, one ``# note`` line per note, the
     header, then ``texts``, the body's rows as text (``_table_text``,
-    ``_label_text``, ``_record_text``), in order."""
+    ``_label_rows``, ``_record_text``), in order."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# sparsemob {kind} v1\n")
@@ -284,19 +299,71 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]  # less the comma and line end
 
 
-#: the end of a labels CSV row, indexed by label code
-_LABEL_TAILS = tuple(f",{letter}\n" for letter in _LETTERS)
-
 _LABEL_HEADER = ("mid", "time", "label")
 _RECORD_HEADER = ("time", "lon", "lat", "mid")
 
 
-def _label_text(device: str, times: np.ndarray, codes: np.ndarray) -> str:
-    """One device's rows of a labels CSV, as ``csv.writer`` would write them:
-    the device cell is formatted once, each time with ``str``."""
-    prefix = _csv_cell(device) + ","
-    tails = [_LABEL_TAILS[c] for c in codes.tolist()]
-    return "".join([prefix + str(t) + tail for t, tail in zip(times.tolist(), tails)])
+#: bytes of the row matrix that ``_label_rows`` lays out at once
+_LABEL_BLOCK_BYTES = 1 << 20
+
+
+def _label_rows(devices: list[str], sizes, times: np.ndarray, codes) -> str:
+    """Rows of a labels CSV, as ``csv.writer`` would write them: ``sizes[k]``
+    rows of device ``devices[k]``, for k in order, with their ``times`` (each
+    0 <= t < 2**63) and label ``codes``.
+
+    One pass over the columns builds the bytes. Each row of a byte matrix
+    holds its device's cell, formatted once per device by ``_csv_cell`` and
+    left-aligned, then its time's decimal digits, right-aligned, then the
+    ``,L\n`` tail of its code; a mask of the bytes each row fills then packs
+    the matrix. Blocks of rows are laid out in turn, so that a long device id
+    cannot make the matrix large.
+    """
+    times = np.asarray(times, dtype=np.int64)
+    if not len(times):
+        return ""
+    cells = [(_csv_cell(device) + ",").encode("utf-8") for device in devices]
+    cell_len = np.array(list(map(len, cells)), dtype=np.int64)
+    widest = int(cell_len.max())
+    # every cell with its first byte's offset, padded so that each offset is
+    # followed by `widest` bytes
+    joined = np.frombuffer(b"".join(cells) + bytes(widest), dtype=np.uint8)
+    first = np.cumsum(cell_len) - cell_len
+    width = len(str(int(times.max())))  # the digits of the longest time
+    # each time's digits past the first: how many powers of ten it reaches
+    extra = np.searchsorted(10 ** np.arange(1, width, dtype=np.int64), times, "right")
+    letters = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)[np.asarray(codes, np.intp)]
+    owner = np.repeat(np.arange(len(cells)), sizes)
+    step = max(1, _LABEL_BLOCK_BYTES // (widest + width + 3))
+    blocks = []
+    for a in range(0, len(times), step):
+        rows = slice(a, a + step)
+        device = owner[rows, None]
+        wide = int(cell_len[device].max())  # a block without the widest cell is narrower
+        block = np.empty((len(device), wide + width + 3), dtype=np.uint8)
+        keep = np.ones(block.shape, dtype=bool)
+        block[:, :wide] = joined[first[device] + np.arange(wide)]
+        keep[:, :wide] = np.arange(wide) < cell_len[device]
+        rest = times[rows]
+        for j in range(wide + width - 1, wide - 1, -1):
+            quotient = rest // 10
+            block[:, j] = rest - quotient * 10 + ord("0")
+            rest = quotient
+        keep[:, wide : wide + width] = np.arange(width) >= width - 1 - extra[rows, None]
+        block[:, -3], block[:, -2], block[:, -1] = ord(","), letters[rows], ord("\n")
+        blocks.append(block[keep].tobytes())
+    return b"".join(blocks).decode("utf-8")
+
+
+def _trajectory_labels(trajectories: list[Trajectory], codes: list) -> str:
+    """``_label_rows`` of ``trajectories``, ``codes`` holding each one's
+    label codes."""
+    return _label_rows(
+        [traj.device for traj in trajectories],
+        [len(traj) for traj in trajectories],
+        np.concatenate([np.zeros(0, np.int64), *(traj.times for traj in trajectories)]),
+        np.concatenate([np.zeros(0, np.int8), *codes]),
+    )
 
 
 def _record_text(traj: Trajectory) -> str:
@@ -488,6 +555,20 @@ def _column(parse, cells: list, faults: dict[int, str], blank, again=None) -> li
             values.append(blank)
 
 
+def _floats(cells: list, faults: dict[int, str]) -> np.ndarray:
+    """A coordinate column as float64, in one numpy call, which runs
+    Python's own ``float`` on each ``str`` cell. A column that call refuses,
+    or that holds a None (a cell past the end of a short row, which numpy
+    reads as NaN), goes to ``_column``, which words each fault."""
+    try:
+        values = np.array(cells, dtype=np.float64)
+        if not (np.isnan(values).any() and None in cells):
+            return values
+    except ValueError:
+        pass
+    return np.array(_column(float, cells, faults, 0.0), dtype=np.float64)
+
+
 def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
     """The accepted rows of a records table, as ``_read_table`` gives it, as
     columns.
@@ -495,12 +576,14 @@ def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
     Returns ``keys``, the device ids in ``str`` order (a numpy ``U`` array
     would drop trailing NULs), and the arrays lines, devices (indices into
     ``keys``), times, lons and lats, in line order. Each column is parsed
-    once, by ``str.strip``, ``int`` or ``float`` over the whole list, and
-    checked as a vector; only a cell those refuse is read on its own, a
-    time by ``_parse_time_text``. Each refused row goes to ``issues``, in
-    line order, worded by its first fault: a missing or refused device id,
-    then a time, lon or lat that does not parse, then the lon, lat and time
-    ranges.
+    once and checked as a vector: the ids by ``str.strip`` over the whole
+    list, the times and coordinates by one numpy conversion each, which runs
+    ``int`` or ``float`` on every cell. Only a column that conversion
+    refuses is read by ``_column``, and then only a cell that ``int`` or
+    ``float`` refuses is read on its own, a time by ``_parse_time_text``.
+    Each refused row goes to ``issues``, in line order, worded by its first
+    fault: a missing or refused device id, then a time, lon or lat that does
+    not parse, then the lon, lat and time ranges.
     """
     (time_cells, lon_cells, lat_cells, mid_cells), lines, _ = table
     lines = np.asarray(lines, dtype=np.int64)
@@ -508,21 +591,25 @@ def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
     mids = _column(str.strip, mid_cells, faults, "")
     keys = sorted(set(mids))
     code = {mid: k for k, mid in enumerate(keys)}
-    devices = np.array([code[mid] for mid in mids], dtype=np.int64)
+    devices = np.fromiter(map(code.__getitem__, mids), dtype=np.int64, count=len(mids))
     # the ids _id_fault refuses, checked once per id
     refused = [k for k, mid in enumerate(keys) if _id_fault(mid)]
     if refused:
         for i in np.flatnonzero(np.isin(devices, refused)).tolist():
             faults.setdefault(i, _id_fault(mids[i]))
-    parsed_times = _column(
-        int, time_cells, faults, 0, lambda cell: _parse_time_text(cell, tz_offset)
-    )
     try:
-        times = np.array(parsed_times, dtype=np.int64)
-    except OverflowError:  # a time past int64 is out of range, worded below
-        times = np.array([t if 0 <= t < 2**63 else -1 for t in parsed_times], np.int64)
-    lons = np.array(_column(float, lon_cells, faults, 0.0), dtype=np.float64)
-    lats = np.array(_column(float, lat_cells, faults, 0.0), dtype=np.float64)
+        # int on every cell; a None, past the end of a short row, is refused
+        parsed_times = times = np.array(time_cells, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        parsed_times = _column(
+            int, time_cells, faults, 0, lambda cell: _parse_time_text(cell, tz_offset)
+        )
+        try:
+            times = np.array(parsed_times, dtype=np.int64)
+        except OverflowError:  # a time past int64 is out of range, worded below
+            times = np.array([t if 0 <= t < 2**63 else -1 for t in parsed_times], np.int64)
+    lons = _floats(lon_cells, faults)
+    lats = _floats(lat_cells, faults)
     # written so that NaN fails them too
     ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
     if faults:
@@ -542,42 +629,57 @@ def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
     return keys, lines, devices, times, lons, lats
 
 
-def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
-    """Read a records CSV into per-device trajectories.
+def _ingest_columns(path: str, *, tz_offset: int, strict: bool):
+    """Read a records CSV into columns, sorted by device id, then time.
 
-    Groups by device id, sorts by time, and rejects rows that fail to parse,
-    have a blank device id or one starting with ``#``, lie out of range
+    Returns ``keys``, the device ids in lexicographic order, and the arrays
+    devices (indices into ``keys``), times, lons and lats of the accepted
+    rows. A key may have no rows. Rejects rows that fail to parse, have a
+    blank device id or one starting with ``#``, lie out of range
     (coordinates, or a time outside 0 <= t < 2**63) or duplicate a (device,
-    time) pair, each with a line-numbered diagnostic:
-    parse rejections in line order, then duplicates in device, time and
-    line order. Rejections are warnings unless strict mode makes them fatal.
-    Devices come back in lexicographic id order.
+    time) pair, each with a line-numbered diagnostic: parse rejections in
+    line order, then duplicates in device, time and line order. Rejections
+    are warnings unless strict mode makes them fatal.
 
     The file is read once, into columns by ``_read_table``. Each column is
-    parsed once (``_record_columns``): plain integer epoch times by ``int``
-    over the whole column, and only a time cell that ``int`` refuses
-    (ISO-8601, clock form, ``1468317761.0``, garbage) by
+    parsed once (``_record_columns``): plain integer epoch times by one
+    conversion of the whole column, and only a time cell that ``int``
+    refuses (ISO-8601, clock form, ``1468317761.0``, garbage) by
     ``_parse_time_text``. Range checks, grouping and sorting are array
-    operations.
+    operations; rows already in (device, time) order, as every records CSV
+    the package writes has them, are not sorted again.
     """
     text = _read_text(path)
     issues: list[str] = []
     keys, lines, devices, times, lons, lats = _record_columns(
         path, _read_table(path, text, _RECORD_HEADER), tz_offset, issues
     )
-    order = np.lexsort((lines, times, devices))
-    devices, times = devices[order], times[order]
-    dup = np.zeros(len(order), dtype=bool)
-    dup[1:] = (devices[1:] == devices[:-1]) & (times[1:] == times[:-1])
-    for i in np.flatnonzero(dup).tolist():
-        issues.append(
-            f"{path}:{int(lines[order[i]])}: duplicate record for device "
-            f"{keys[devices[i]]!r} at time {int(times[i])}"
-        )
-    order, devices, times = order[~dup], devices[~dup], times[~dup]
-    lons, lats = lons[order], lats[order]
+    step = np.diff(devices)
+    if not ((step > 0) | (step == 0) & (np.diff(times) > 0)).all():
+        order = np.lexsort((lines, times, devices))
+        devices, times = devices[order], times[order]
+        dup = np.zeros(len(order), dtype=bool)
+        dup[1:] = (devices[1:] == devices[:-1]) & (times[1:] == times[:-1])
+        for i in np.flatnonzero(dup).tolist():
+            issues.append(
+                f"{path}:{int(lines[order[i]])}: duplicate record for device "
+                f"{keys[devices[i]]!r} at time {int(times[i])}"
+            )
+        order, devices, times = order[~dup], devices[~dup], times[~dup]
+        lons, lats = lons[order], lats[order]
+    _report_issues(issues, strict)
+    return keys, devices, times, lons, lats
+
+
+def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
+    """Read a records CSV into per-device trajectories, devices in
+    lexicographic id order; rows are read, checked and rejected as
+    ``_ingest_columns`` says."""
+    keys, devices, times, lons, lats = _ingest_columns(
+        path, tz_offset=tz_offset, strict=strict
+    )
     starts = np.flatnonzero(np.diff(devices, prepend=-1)).tolist()
-    trajectories = [
+    return [
         Trajectory(
             device=keys[devices[a]],
             times=times[a:b],
@@ -586,8 +688,6 @@ def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
         )
         for a, b in zip(starts, starts[1:] + [len(devices)])
     ]
-    _report_issues(issues, strict)
-    return trajectories
 
 
 def _read_labels(path: str) -> dict[tuple[str, int], int]:
@@ -749,17 +849,17 @@ def _device_rng(seed: int, device: str) -> np.random.Generator:
 
 
 def run_label(args: argparse.Namespace, run: RunConfig) -> int:
-    from .sds import _trajectory_codes
+    from .sds import _joined_codes
 
-    trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    codes = _trajectory_codes(trajectories, run.params, ref_lat=run.ref_lat)
-    texts = []
-    first = 0
-    for traj in trajectories:
-        stop = first + len(traj)
-        texts.append(_label_text(traj.device, traj.times, codes[first:stop]))
-        first = stop
-    _write_csv(args.out, "labels", _LABEL_HEADER, texts)
+    # columns from ingest to output: every device is projected, labeled and
+    # formatted in the same whole-array steps, each as if alone
+    keys, devices, times, lons, lats = _ingest_columns(
+        args.input, tz_offset=run.tz_offset, strict=run.strict
+    )
+    sizes = np.bincount(devices, minlength=len(keys))
+    x, y = project_runs(lons, lats, sizes, run.ref_lat)
+    codes = _joined_codes(x, y, times, sizes, run.params)
+    _write_csv(args.out, "labels", _LABEL_HEADER, [_label_rows(keys, sizes, times, codes)])
     return EXIT_OK
 
 
@@ -769,7 +869,7 @@ def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
     if args.limit < 1:
         raise UsageError(f"--limit must be at least 1, got {args.limit}")
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    texts = []
+    codes = []
     for traj in trajectories:
         try:
             labels = exact_label(
@@ -777,8 +877,8 @@ def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
             )
         except OracleLimitError as exc:
             raise DataError(f"device {traj.device!r}: {exc}") from None
-        texts.append(_label_text(traj.device, traj.times, labels.labels))
-    _write_csv(args.out, "labels", _LABEL_HEADER, texts)
+        codes.append(labels.labels)
+    _write_csv(args.out, "labels", _LABEL_HEADER, [_trajectory_labels(trajectories, codes)])
     return EXIT_OK
 
 
@@ -873,20 +973,20 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
 
     with_truth = args.labels_out is not None
     config = _experiment_config(args, run, with_truth=with_truth)
-    record_texts = []
-    label_texts = []
+    trajectories = []
+    truths = []
     for i in range(config.trajectories):
         # without truth, check_supports has not bounded the jitter
         try:
             path, traj, truth = experiment_trajectory(config, i, with_truth=with_truth)
         except ValueError as exc:
             raise UsageError(f"settings give an invalid trajectory: {exc}") from None
-        record_texts.append(_record_text(traj))
-        if truth is not None:
-            label_texts.append(_label_text(traj.device, traj.times, truth))
-    _write_csv(args.out, "records", _RECORD_HEADER, record_texts)
+        trajectories.append(traj)
+        truths.append(truth)
+    _write_csv(args.out, "records", _RECORD_HEADER, map(_record_text, trajectories))
     if with_truth:
-        _write_csv(args.labels_out, "labels", _LABEL_HEADER, label_texts)
+        _write_csv(args.labels_out, "labels", _LABEL_HEADER,
+                   [_trajectory_labels(trajectories, truths)])
     return EXIT_OK
 
 
@@ -899,18 +999,19 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
         raise UsageError(f"--rate must lie in [0, 1], got {args.rate}")
     trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
     label_map = _read_labels(args.labels) if args.labels else {}
-    record_texts = []
-    label_texts = []
+    subs = []
+    codes = []
     for traj in trajectories:
         rng = _device_rng(run.seed, traj.device)
         sub, keep = resample(traj, args.rate, rng)
         if args.labels:
-            labels = _aligned_labels(traj, label_map, strict=run.strict)
-            label_texts.append(_label_text(sub.device, sub.times, labels[keep]))
-        record_texts.append(_record_text(sub))
-    _write_csv(args.out, "records", _RECORD_HEADER, record_texts)
+            codes.append(_aligned_labels(traj, label_map, strict=run.strict)[keep])
+        subs.append(sub)
+    _write_csv(args.out, "records", _RECORD_HEADER, map(_record_text, subs))
     if args.labels_out:
-        _write_csv(args.labels_out, "labels", _LABEL_HEADER, label_texts)
+        # an empty --labels path reads no labels: the file has no rows
+        rows = [_trajectory_labels(subs, codes)] if args.labels else []
+        _write_csv(args.labels_out, "labels", _LABEL_HEADER, rows)
     return EXIT_OK
 
 
@@ -1049,14 +1150,11 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
 
     if args.records:
         query = ingest(args.records, tz_offset=run.tz_offset, strict=run.strict)
-        texts = []
-        for traj in query:
-            if args.method == "voting":
-                codes = model.predict(traj)
-            else:
-                codes = hmm_predict(model, traj, ref_lat=run.ref_lat)
-            texts.append(_label_text(traj.device, traj.times, codes))
-        _write_csv(args.out, "labels", _LABEL_HEADER, texts)
+        if args.method == "voting":
+            codes = [model.predict(traj) for traj in query]
+        else:
+            codes = [hmm_predict(model, traj, ref_lat=run.ref_lat) for traj in query]
+        _write_csv(args.out, "labels", _LABEL_HEADER, [_trajectory_labels(query, codes)])
     return EXIT_OK
 
 

@@ -6,8 +6,10 @@ fraction is read at ingestion as the whole second it falls in. All distances
 in this package compare squared Euclidean distances ``dx*dx + dy*dy`` in one
 planar approximation at one reference latitude per trajectory: the given one
 (the CLI's ``--ref-lat``, the same for every device), else the device's first
-record's. :func:`planar` is that rule and the only projection every module
-uses, so comparisons against thresholds are consistent across modules.
+record's. One rule projects every record, so comparisons against
+thresholds are consistent across modules: :func:`planar` applies it to one
+trajectory, and :func:`project_runs` to consecutive trajectories at once,
+each as if alone, with no per-trajectory object.
 Beside it, :func:`radii` is the one rule that turns ``delta_s`` into the
 radii those distances are compared against: the labeler's, the recall
 pools', the oracle's and the leave-one-out check's.
@@ -148,30 +150,67 @@ def check_ref_lat(ref_lat: float) -> None:
         raise ValueError(f"ref_lat must lie in [-90, 90], got {ref_lat}")
 
 
+def _project(lons, lats, origin, scale) -> tuple[np.ndarray, np.ndarray]:
+    """The one projection rule, for records whose origin longitude and
+    longitude scale are ``origin`` and ``scale``: each a scalar, or one value
+    per record.
+
+    Longitudes more than 180 degrees from their origin are shifted by 360
+    first, so a device that crosses the antimeridian stays contiguous; others
+    project unchanged. Longitude then maps to meters at ``scale``, latitude
+    at ``METERS_PER_DEGREE``.
+    """
+    lons = np.asarray(lons, dtype=np.float64)
+    # the span of all records is a cheap necessary condition for any shift
+    if len(lons) and lons.max() - lons.min() > 180.0:
+        d = lons - origin
+        lons = np.where(d > 180.0, lons - 360.0, np.where(d < -180.0, lons + 360.0, lons))
+    return lons * scale, np.asarray(lats, dtype=np.float64) * METERS_PER_DEGREE
+
+
+def _scale(ref_lat: float) -> float:
+    """Meters per degree of longitude at ``ref_lat``: by ``math.cos``, as a
+    Python float, since ``np.cos`` can differ in the last place."""
+    return METERS_PER_DEGREE * math.cos(math.radians(ref_lat))
+
+
+def project_runs(
+    lons: np.ndarray, lats: np.ndarray, sizes, ref_lat: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project consecutive trajectories' lon/lat arrays to planar (x, y)
+    meters, each trajectory as :func:`planar` projects it alone.
+
+    ``lons`` and ``lats`` hold the trajectories one after another, ``sizes``
+    their lengths. Each trajectory's origin, its first longitude, and its
+    scale, at ``ref_lat`` or else at its first latitude, are found once and
+    repeated over its records, and ``_project`` runs once for all of them.
+    A ``ref_lat`` outside [-90, 90], NaN included, is a ``ValueError``.
+    """
+    if ref_lat is not None:
+        check_ref_lat(ref_lat)
+    lons = np.asarray(lons, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    sizes = sizes[sizes > 0]
+    heads = np.cumsum(sizes) - sizes
+    refs = np.asarray(lats)[heads].tolist() if ref_lat is None else [ref_lat] * len(sizes)
+    origin = np.repeat(lons[heads], sizes)
+    return _project(lons, lats, origin, np.repeat(list(map(_scale, refs)), sizes))
+
+
 def project_to_meters(
     lons: np.ndarray, lats: np.ndarray, ref_lat: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project lon/lat arrays to planar (x, y) meters about ``ref_lat``.
+    """Project one trajectory's lon/lat arrays to planar (x, y) meters about
+    ``ref_lat``, by the rule :func:`project_runs` applies to many.
 
-    Longitudes more than 180 degrees from the first one are shifted by 360
-    first, so a device that crosses the antimeridian stays contiguous; others
-    project unchanged. Latitude maps to meters at ``METERS_PER_DEGREE``;
-    longitude at that rate scaled by cos(ref_lat). With ``ref_lat`` fixed for
-    the trajectory, Euclidean distance in this plane is a true metric
-    (symmetry and the triangle inequality hold), which the labeling proofs
-    rely on. The package projects trajectories through :func:`planar`.
-    A ``ref_lat`` outside [-90, 90], NaN included, is a ``ValueError``.
+    With ``ref_lat`` fixed for the trajectory, Euclidean distance in this
+    plane is a true metric (symmetry and the triangle inequality hold),
+    which the labeling proofs rely on. A ``ref_lat`` outside [-90, 90], NaN
+    included, is a ``ValueError``.
     """
     check_ref_lat(ref_lat)
-    k = METERS_PER_DEGREE
     lons = np.asarray(lons, dtype=np.float64)
-    # the span test is a cheap necessary condition for any shift
-    if len(lons) and lons.max() - lons.min() > 180.0:
-        d = lons - lons[0]
-        lons = np.where(d > 180.0, lons - 360.0, np.where(d < -180.0, lons + 360.0, lons))
-    x = lons * (k * math.cos(math.radians(ref_lat)))
-    y = np.asarray(lats, dtype=np.float64) * k
-    return x, y
+    return _project(lons, lats, lons[0] if len(lons) else 0.0, _scale(ref_lat))
 
 
 def planar(

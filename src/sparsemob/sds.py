@@ -95,6 +95,7 @@ from .core import (
     MobilityParams,
     Trajectory,
     planar,
+    project_runs,
     radii,
 )
 
@@ -683,14 +684,13 @@ def _trajectory_codes(trajectories, params, *, ref_lat=None):
     another, each as ``sds_label`` gives it alone."""
     if not trajectories:
         return np.zeros(0, dtype=np.int8)
-    xy = [planar(traj, ref_lat) for traj in trajectories]
-    return _joined_codes(
-        np.concatenate([x for x, _ in xy]),
-        np.concatenate([y for _, y in xy]),
-        np.concatenate([traj.times for traj in trajectories]),
-        [len(traj) for traj in trajectories],
-        params,
+    lons, lats, t = (
+        np.concatenate([getattr(traj, name) for traj in trajectories])
+        for name in ("lons", "lats", "times")
     )
+    sizes = [len(traj) for traj in trajectories]
+    x, y = project_runs(lons, lats, sizes, ref_lat)
+    return _joined_codes(x, y, t, sizes, params)
 
 
 def _joined_codes(x, y, t, sizes, params: MobilityParams):

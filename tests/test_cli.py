@@ -115,6 +115,36 @@ class TestParseTimeText:
     def test_fraction_reads_as_its_whole_second(self, text, tz_offset, want):
         assert _parse_time_text(text, tz_offset) == want
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # above 2**53 a double would land on its neighbour
+            ("9007199254740993.0", 9007199254740993),
+            ("9223372036854775807.0", 2**63 - 1),
+            ("9223372036854775807.000", 2**63 - 1),
+            ("1_0.0e1", 100),
+        ],
+    )
+    def test_decimal_point_epoch_read_exactly(self, text, want):
+        assert _parse_time_text(text, 0) == want
+
+    @pytest.mark.parametrize(
+        "text", ["0e9999999999999999999", "-0.0E-9999999999999999999", "0_0e1_0"]
+    )
+    def test_zero_with_any_exponent_reads_zero(self, text):
+        # past about 10**18 the exponent is more than Decimal holds
+        assert _parse_time_text(text, 0) == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-400", "1e-9999999999999999999", "9007199254740993.5", "inf", "nan"],
+    )
+    def test_decimal_point_epoch_with_a_fraction_refused(self, text):
+        # 1e-400 is a double's 0.0, but not an integer
+        with pytest.raises(ValueError) as err:
+            _parse_time_text(text, 0)
+        assert str(err.value) == f"non-integer epoch time {text!r}"
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="unrecognized"):
             _parse_time_text("yesterday", 0)
@@ -134,6 +164,69 @@ class TestParseTimeText:
             with pytest.raises(ValueError) as err:
                 _parse_time_text(text, 0)
             assert str(err.value) == f"unrecognized time {text!r}"
+
+
+#: Cells that Python's own int reads, each in another form
+_INT_CELLS = [
+    "60", "1_000", "\u0661\u0662\u0663", "\xa060\u2009", "+60", " 7 ", "-3",
+    str(2**63 - 1),
+]
+#: Cells that Python's own float reads, every special value among them
+_FLOAT_CELLS = _INT_CELLS + [
+    "0.5", "-0.0", "1_0.5", "\u0661.5", "\xa01.5\u2009", "+2e1", "inf", "-inf",
+    "Infinity", "nan", "-nan", "1e500", "-1e500", "1e-400",
+]
+
+
+class TestColumnConversion:
+    """Ingest converts each numeric column in one numpy call, which must read
+    every cell as Python's own ``int`` and ``float`` read it one at a time,
+    as ``_column`` does, and refuse what they refuse: a numpy release that
+    converts otherwise fails here, not in a labels file."""
+
+    def test_int_column_as_int_reads_it(self):
+        got = np.array(_INT_CELLS, dtype=np.int64)
+        assert got.tolist() == cli._column(int, _INT_CELLS, {}, 0)
+
+    def test_float_column_as_float_reads_it_bit_for_bit(self):
+        want = np.array(cli._column(float, _FLOAT_CELLS, {}, 0.0), dtype=np.float64)
+        assert np.array(_FLOAT_CELLS, dtype=np.float64).tobytes() == want.tobytes()
+        faults = {}
+        assert cli._floats(_FLOAT_CELLS, faults).tobytes() == want.tobytes()
+        assert faults == {}
+        assert np.signbit(want[_FLOAT_CELLS.index("-nan")])
+
+    @pytest.mark.parametrize("cell", ["1.0", "1e3", "", "x", "5\x00", "0x10", "١٫٥"])
+    def test_cells_int_refuses_are_refused(self, cell):
+        with pytest.raises(ValueError):
+            int(cell)
+        with pytest.raises(ValueError):
+            np.array(["1", cell], dtype=np.int64)
+
+    def test_time_past_int64_overflows_the_conversion(self):
+        with pytest.raises(OverflowError):
+            np.array(["0", "9223372036854775808"], dtype=np.int64)
+
+    def test_missing_cell_is_refused(self):
+        # numpy reads None as NaN in a float array, so _floats reads such a
+        # column by _column, which words the fault as indexing the row does
+        with pytest.raises(TypeError):
+            np.array(["1", None], dtype=np.int64)
+        assert np.isnan(np.array(["1", None], dtype=np.float64)[1])
+        faults = {}
+        assert cli._floats(["1", None], faults).tolist() == [1.0, 0.0]
+        assert faults == {1: "list index out of range"}
+
+    @pytest.mark.parametrize("row", ["60,a", "60,a,0.5"])
+    def test_short_row_warns_index_out_of_range(self, tmp_path, capsys, row):
+        path = tmp_path / "r.csv"
+        path.write_text(f"time,mid,lon,lat\n0,a,0.5,0.5\n{row}\n")
+        warning = f"warning: {path}:3: list index out of range (row skipped)\n"
+        (traj,) = ingest(str(path), tz_offset=0, strict=False)
+        assert traj.times.tolist() == [0]
+        assert capsys.readouterr().err == warning
+        assert main(["label", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr().err == warning
 
 
 class TestSmallParsers:
@@ -322,6 +415,21 @@ class TestIngest:
         assert main(strict) == 2
         assert f"data error: {len(bad)} bad row(s)" in capsys.readouterr().err
 
+    def test_exponent_past_decimal_range_is_a_row_fault(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "time,lon,lat,mid\n0e9999999999999999999,0.0,0.0,d\n"
+            "1e-9999999999999999999,0.0,0.0,d\n60,0.0,0.0,d\n"
+        )
+        issue = f"{path}:3: non-integer epoch time '1e-9999999999999999999'"
+        trajs = ingest(str(path), tz_offset=0, strict=False)
+        assert [list(t.times) for t in trajs] == [[0, 60]]
+        assert capsys.readouterr().err == f"warning: {issue} (row skipped)\n"
+        out = str(tmp_path / "o.csv")
+        strict = ["label", str(path), "--timezone", "0", "--strict", "--out", out]
+        assert main(strict) == 2
+        assert capsys.readouterr().err == f"sparsemob: data error: 1 bad row(s):\n{issue}\n"
+
     @pytest.mark.parametrize("first", ["0", "1970-01-01T00:00:00"])
     def test_other_faults_worded_before_time_range(self, tmp_path, capsys, first):
         # a time cell that int refuses is read on its own; every other
@@ -359,6 +467,15 @@ class TestIngest:
         (traj,) = ingest(str(path), tz_offset=0, strict=False)
         assert list(traj.times) == [2**63 - 1]
         assert f"time out of range: {2**63}" in capsys.readouterr().err
+
+    def test_int64_limit_written_with_a_decimal_point_accepted(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "time,lon,lat,mid\n9007199254740993.0,0.0,0.0,d\n"
+            f"{2**63 - 1}.0,0.0,0.0,d\n"
+        )
+        (traj,) = ingest(str(path), tz_offset=0, strict=True)
+        assert traj.times.tolist() == [9007199254740993, 2**63 - 1]
 
     def test_rows_numbered_by_file_line_after_quoted_newline(self, tmp_path, capsys):
         path = tmp_path / "nl.csv"
@@ -767,6 +884,87 @@ class TestLabelCommand:
         )
         assert (done.returncode, done.stderr) == (0, b"")
         assert out.read_bytes().endswith("caf\u00e9,0,U\n".encode("utf-8"))
+
+
+def reference_label(path, out, strict: bool, capsys):
+    """What ``label`` should give for ``path``, built from row-by-row parts:
+    ``reference_ingest``, then ``sds_label`` per device, then
+    ``csv.writer``. Returns the exit code, the output bytes (None when no
+    file is written) and stderr."""
+    try:
+        trajs = reference_ingest(str(path), tz_offset=28800, strict=strict)
+    except DataError as exc:
+        print(f"sparsemob: data error: {exc}", file=sys.stderr)
+        return 2, None, capsys.readouterr().err
+    text = io.StringIO()
+    text.write("# sparsemob labels v1\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["mid", "time", "label"])
+    for traj in trajs:
+        letters = sds_label(traj, MobilityParams()).letters()
+        writer.writerows(zip([traj.device] * len(traj), traj.times.tolist(), letters))
+    return 0, text.getvalue().encode("utf-8"), capsys.readouterr().err
+
+
+def label_outcome(path, out, strict: bool, capsys):
+    """What ``label`` gives for ``path``, as ``reference_label`` returns it."""
+    out.unlink(missing_ok=True)
+    code = main(["label", str(path), "--out", str(out)] + ["--strict"] * strict)
+    written = out.read_bytes() if out.exists() else None
+    return code, written, capsys.readouterr().err
+
+
+class TestLabelDifferential:
+    """``label`` reads, labels and writes whole columns; its bytes, warnings
+    and exit code must equal those of a device-by-device reference."""
+
+    def test_random_files_match_reference(self, tmp_path, capsys):
+        # unsorted rows, duplicates, bad and quoted cells, short rows
+        rng = np.random.default_rng(20261020)
+        path, out = tmp_path / "r.csv", tmp_path / "o.csv"
+        for case in range(300):
+            path.write_text(random_records_text(rng))
+            for strict in (False, True):
+                got = label_outcome(path, out, strict, capsys)
+                want = reference_label(path, out, strict, capsys)
+                assert got == want, (case, strict, path.read_text())
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_formatter_edges_match_reference(self, tmp_path, capsys, shuffle):
+        # times of one digit, of every digit count at a power of ten and at
+        # the int64 limit; ids that csv quotes, and ids outside ASCII
+        times = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, 2**63 - 1]
+        mids = ["a", "a,b", 'say "hi"', "x\ny", "caf\u00e9", "\u65e5\u672c", "z" * 200]
+        rows = [(t, mid) for mid in mids for t in times]
+        if shuffle:
+            rows = [rows[k] for k in np.random.default_rng(7).permutation(len(rows))]
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["time", "lon", "lat", "mid"])
+        writer.writerows((t, 116.0 + (t % 7) * 0.01, 39.9, mid) for t, mid in rows)
+        path, out = tmp_path / "r.csv", tmp_path / "o.csv"
+        path.write_bytes(text.getvalue().encode("utf-8"))
+        got = label_outcome(path, out, True, capsys)
+        assert got == reference_label(path, out, True, capsys)
+        assert b"\n9223372036854775807," not in got[1]
+        assert f",{2**63 - 1},".encode() in got[1]
+
+    def test_label_rows_in_blocks_as_csv_writes_them(self, monkeypatch):
+        # a block of a few rows at a time, as a long device id gives
+        rng = np.random.default_rng(5)
+        mids = ["a", "b,c", "caf\u00e9", "l" * 40]
+        sizes = [3, 0, 4, 2]
+        times = np.array([0, 9, 10, 99, 100, 2**63 - 1, 10**18, 1, 7], dtype=np.int64)
+        codes = rng.integers(0, 3, len(times)).astype(np.int8)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        owner = np.repeat(np.arange(len(mids)), sizes)
+        for k, t, c in zip(owner.tolist(), times.tolist(), codes.tolist()):
+            writer.writerow([mids[k], t, "UST"[c]])
+        for block in (1, 30, 60, 1 << 22):
+            monkeypatch.setattr(cli, "_LABEL_BLOCK_BYTES", block)
+            assert cli._label_rows(mids, sizes, times, codes) == want.getvalue(), block
+        assert cli._label_rows([], [], np.zeros(0, np.int64), np.zeros(0, np.int8)) == ""
 
 
 def labels_alone(path, params, *, ref_lat=None) -> bytes:
@@ -1332,6 +1530,13 @@ class TestResampleCommand:
             ["resample", rec, "--rate", "0.5", "--labels", lab, "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+    def test_empty_labels_path_writes_no_label_rows(self, tmp_path):
+        rec = write_records(tmp_path / "r.csv", [travel_fixture()])
+        lout = tmp_path / "l.csv"
+        args = ["resample", rec, "--rate", "1", "--labels", "", "--labels-out", str(lout)]
+        assert main([*args, "--out", str(tmp_path / "o.csv")]) == 0
+        assert lout.read_text() == "# sparsemob labels v1\nmid,time,label\n"
 
     @pytest.mark.parametrize("rate", ["1.5", "nan", "-0.1"])
     def test_rate_outside_unit_interval_is_usage_error(self, tmp_path, capsys, rate):
