@@ -632,14 +632,15 @@ def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
 def _ingest_columns(path: str, *, tz_offset: int, strict: bool):
     """Read a records CSV into columns, sorted by device id, then time.
 
-    Returns ``keys``, the device ids in lexicographic order, and the arrays
-    devices (indices into ``keys``), times, lons and lats of the accepted
-    rows. A key may have no rows. Rejects rows that fail to parse, have a
-    blank device id or one starting with ``#``, lie out of range
-    (coordinates, or a time outside 0 <= t < 2**63) or duplicate a (device,
-    time) pair, each with a line-numbered diagnostic: parse rejections in
-    line order, then duplicates in device, time and line order. Rejections
-    are warnings unless strict mode makes them fatal.
+    Returns ``keys``, the ids of the devices with accepted rows in
+    lexicographic order, ``sizes``, each one's record count (at least 1),
+    and the arrays times, lons and lats of the accepted rows, device after
+    device. Rejects rows that fail to parse, have a blank device id or one
+    starting with ``#``, lie out of range (coordinates, or a time outside
+    0 <= t < 2**63) or duplicate a (device, time) pair, each with a
+    line-numbered diagnostic: parse rejections in line order, then
+    duplicates in device, time and line order. Rejections are warnings
+    unless strict mode makes them fatal.
 
     The file is read once, into columns by ``_read_table``. Each column is
     parsed once (``_record_columns``): plain integer epoch times by one
@@ -668,25 +669,22 @@ def _ingest_columns(path: str, *, tz_offset: int, strict: bool):
         order, devices, times = order[~dup], devices[~dup], times[~dup]
         lons, lats = lons[order], lats[order]
     _report_issues(issues, strict)
-    return keys, devices, times, lons, lats
+    sizes = np.bincount(devices, minlength=len(keys))
+    keys = [key for key, size in zip(keys, sizes.tolist()) if size]
+    return keys, sizes[sizes > 0], times, lons, lats
 
 
 def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
     """Read a records CSV into per-device trajectories, devices in
     lexicographic id order; rows are read, checked and rejected as
     ``_ingest_columns`` says."""
-    keys, devices, times, lons, lats = _ingest_columns(
+    keys, sizes, times, lons, lats = _ingest_columns(
         path, tz_offset=tz_offset, strict=strict
     )
-    starts = np.flatnonzero(np.diff(devices, prepend=-1)).tolist()
+    ends = np.cumsum(sizes).tolist()
     return [
-        Trajectory(
-            device=keys[devices[a]],
-            times=times[a:b],
-            lons=lons[a:b],
-            lats=lats[a:b],
-        )
-        for a, b in zip(starts, starts[1:] + [len(devices)])
+        Trajectory(device=key, times=times[a:b], lons=lons[a:b], lats=lats[a:b])
+        for key, a, b in zip(keys, [0] + ends, ends)
     ]
 
 
@@ -853,10 +851,9 @@ def run_label(args: argparse.Namespace, run: RunConfig) -> int:
 
     # columns from ingest to output: every device is projected, labeled and
     # formatted in the same whole-array steps, each as if alone
-    keys, devices, times, lons, lats = _ingest_columns(
+    keys, sizes, times, lons, lats = _ingest_columns(
         args.input, tz_offset=run.tz_offset, strict=run.strict
     )
-    sizes = np.bincount(devices, minlength=len(keys))
     x, y = project_runs(lons, lats, sizes, run.ref_lat)
     codes = _joined_codes(x, y, times, sizes, run.params)
     _write_csv(args.out, "labels", _LABEL_HEADER, [_label_rows(keys, sizes, times, codes)])
@@ -883,7 +880,8 @@ def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
-    from .evaluate import device_stats, sparsity_report
+    from .evaluate import coverages, mean_gaps, sparsity_report, spans
+    from .sds import _joined_codes
 
     try:
         # the slicing thresholds obey the rule of delta_t, as in prop1
@@ -891,52 +889,40 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
             MobilityParams(run.params.delta_s, dt)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    rows = []
-    for traj in trajectories:
-        s = device_stats(traj, run.params)
-        rows.append((s.device, s.records, s.span_seconds, s.mean_gap, s.coverage))
+    # columns from ingest to output, as in run_label
+    keys, sizes, times, lons, lats = _ingest_columns(
+        args.input, tz_offset=run.tz_offset, strict=run.strict
+    )
+    columns = (
+        sizes.tolist(),
+        spans(times, sizes).tolist(),
+        mean_gaps(times, sizes).tolist(),
+        coverages(times, sizes, run.params.delta_t).tolist(),
+    )
     header = ["mid", "records", "span_seconds", "mean_gap", "coverage"]
-    _write_csv(args.out, "stats", header, [_table_text(rows)])
+    _write_csv(args.out, "stats", header, [_table_text(zip(keys, *columns))])
     if args.sparsity_out:
-        if not trajectories:
+        if not keys:
             raise DataError("empty dataset: nothing to report sparsity on")
-        delta_ts = list(args.delta_t_grid) if args.delta_t_grid else None
-        report = sparsity_report(trajectories, run.params, delta_ts, ref_lat=run.ref_lat)
-        out_rows = []
-        for b in range(len(report.device_counts)):
-            out_rows.append(
-                (
-                    "gap_bin",
-                    report.xi_edges[b],
-                    report.xi_edges[b + 1],
-                    None,
-                    report.device_counts[b],
-                    report.mean_records[b],
-                    report.stay_fraction[b],
-                    report.travel_fraction[b],
-                    report.unlabeled_fraction[b],
-                )
-            )
+        x, y = project_runs(lons, lats, sizes, run.ref_lat)
+        codes = _joined_codes(x, y, times, sizes, run.params)
+        delta_ts = list(args.delta_t_grid or [run.params.delta_t])
+        report = sparsity_report(times, sizes, codes, delta_ts)
+        edges = report.xi_edges.tolist()
+        fields = (report.device_counts, report.mean_records, report.stay_fraction,
+                  report.travel_fraction, report.unlabeled_fraction)
+        rows = [
+            ("gap_bin", lo, hi, None, *cells)
+            for lo, hi, *cells in zip(edges, edges[1:], *(f.tolist() for f in fields))
+        ]
+        edges = report.coverage_edges.tolist()
         for dt in sorted(report.coverage_counts):
-            counts = report.coverage_counts[dt]
-            for b in range(len(counts)):
-                out_rows.append(
-                    (
-                        "coverage_bin",
-                        report.coverage_edges[b],
-                        report.coverage_edges[b + 1],
-                        dt,
-                        counts[b],
-                        None,
-                        None,
-                        None,
-                        None,
-                    )
-                )
+            counts = report.coverage_counts[dt].tolist()
+            rows += [("coverage_bin", lo, hi, dt, n, *[None] * 4)
+                     for lo, hi, n in zip(edges, edges[1:], counts)]
         header = ["table", "lo", "hi", "delta_t", "devices", "mean_records",
                   "stay_fraction", "travel_fraction", "unlabeled_fraction"]
-        _write_csv(args.sparsity_out, "sparsity", header, [_table_text(out_rows)])
+        _write_csv(args.sparsity_out, "sparsity", header, [_table_text(rows)])
     return EXIT_OK
 
 
@@ -1097,13 +1083,14 @@ def run_prop1(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_bounds(args: argparse.Namespace, run: RunConfig) -> int:
-    from .sds import recall_lower_bounds
+    from .sds import recall_bounds
 
-    trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    rows = []
-    for traj in trajectories:
-        b = recall_lower_bounds(traj, run.params, ref_lat=run.ref_lat)
-        rows.append((traj.device, b.stay_bound, b.travel_bound))
+    keys, sizes, times, lons, lats = _ingest_columns(
+        args.input, tz_offset=run.tz_offset, strict=run.strict
+    )
+    x, y = project_runs(lons, lats, sizes, run.ref_lat)
+    stay, travel = recall_bounds(x, y, times, sizes, run.params)
+    rows = zip(keys, stay.tolist(), travel.tolist())
     header = ["mid", "stay_bound", "travel_bound"]
     _write_csv(args.out, "bounds", header, [_table_text(rows)])
     return EXIT_OK

@@ -8,8 +8,9 @@ planar approximation at one reference latitude per trajectory: the given one
 (the CLI's ``--ref-lat``, the same for every device), else the device's first
 record's. One rule projects every record, so comparisons against
 thresholds are consistent across modules: :func:`planar` applies it to one
-trajectory, and :func:`project_runs` to consecutive trajectories at once,
-each as if alone, with no per-trajectory object.
+trajectory, with its origin and scale as scalars, and :func:`project_runs`
+to consecutive trajectories at once, each as if alone, with no
+per-trajectory object.
 Beside it, :func:`radii` is the one rule that turns ``delta_s`` into the
 radii those distances are compared against: the labeler's, the recall
 pools', the oracle's and the leave-one-out check's.
@@ -29,10 +30,6 @@ METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
 #: the fixed offset, in seconds east of UTC, that wall-clock times and
 #: hours of the week are read in unless configured otherwise (UTC+8)
 DEFAULT_TZ_OFFSET = 8 * 3600
-
-
-class MetricUndefinedError(ValueError):
-    """Raised when a metric's minimum-support precondition is not met."""
 
 
 # Compact integer codes used for label arrays in hot paths.
@@ -197,33 +194,25 @@ def project_runs(
     return _project(lons, lats, origin, np.repeat(list(map(_scale, refs)), sizes))
 
 
-def project_to_meters(
-    lons: np.ndarray, lats: np.ndarray, ref_lat: float
+def planar(
+    traj: Trajectory, ref_lat: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project one trajectory's lon/lat arrays to planar (x, y) meters about
-    ``ref_lat``, by the rule :func:`project_runs` applies to many.
+    """The trajectory's records in planar (x, y) meters, by the rule
+    :func:`project_runs` applies to many, with the origin and scale as
+    scalars.
 
-    With ``ref_lat`` fixed for the trajectory, Euclidean distance in this
+    Projected about ``ref_lat`` when given, else about the first record's
+    latitude (0.0 for an empty trajectory, which needs none). With the
+    reference latitude fixed for the trajectory, Euclidean distance in this
     plane is a true metric (symmetry and the triangle inequality hold),
     which the labeling proofs rely on. A ``ref_lat`` outside [-90, 90], NaN
     included, is a ``ValueError``.
     """
-    check_ref_lat(ref_lat)
-    lons = np.asarray(lons, dtype=np.float64)
-    return _project(lons, lats, lons[0] if len(lons) else 0.0, _scale(ref_lat))
-
-
-def planar(
-    traj: Trajectory, ref_lat: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The trajectory's records in planar (x, y) meters.
-
-    Projected about ``ref_lat`` when given, else about the first record's
-    latitude (0.0 for an empty trajectory, which needs none).
-    """
     if ref_lat is None:
         ref_lat = float(traj.lats[0]) if len(traj) else 0.0
-    return project_to_meters(traj.lons, traj.lats, ref_lat)
+    check_ref_lat(ref_lat)
+    lons = traj.lons
+    return _project(lons, traj.lats, lons[0] if len(lons) else 0.0, _scale(ref_lat))
 
 
 class Radii(NamedTuple):
@@ -251,33 +240,3 @@ def radii(params: MobilityParams) -> Radii:
     """
     d_s = params.delta_s
     return Radii(escape=d_s / 3.0, witness=d_s, dense=d_s, travel_pool=d_s / 2.0)
-
-
-def global_sparsity(traj: Trajectory) -> float:
-    """Mean consecutive time gap in seconds.
-
-    Raises :class:`MetricUndefinedError` for trajectories with fewer than two
-    records, where no gap exists.
-    """
-    if len(traj) < 2:
-        raise MetricUndefinedError(
-            f"global sparsity undefined for {len(traj)} record(s)"
-        )
-    return float(np.diff(traj.times).mean())
-
-
-def local_coverage(traj: Trajectory, delta_t: float) -> float:
-    """Fraction of records that are not temporally isolated.
-
-    A record is isolated when both of its adjacent gaps exceed ``delta_t``.
-    Endpoint records have only one adjacent gap and are never isolated, so
-    trajectories with fewer than three records score 1.0.
-    """
-    n = len(traj)
-    if n < 1:
-        raise MetricUndefinedError("local coverage undefined for an empty trajectory")
-    if n < 3:
-        return 1.0
-    gaps = np.diff(traj.times)
-    isolated = int(((gaps[:-1] > delta_t) & (gaps[1:] > delta_t)).sum())
-    return (n - isolated) / n

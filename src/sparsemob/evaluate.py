@@ -9,6 +9,12 @@ Scoring conventions used throughout:
 * The resampling experiment pools raw counts over trajectories first and
   forms ratios once at the end, so rare per-trajectory degeneracies (an
   empty subsample, say) cannot poison aggregate ratios.
+
+The sampling statistics (:func:`spans`, :func:`mean_gaps`,
+:func:`coverages`) and :func:`sparsity_report` take a file's devices as
+``cli`` ingest gives them: every device's sorted times one after another,
+and each one's record count. Each is a few whole-array steps over all
+devices at once; none builds a per-device object.
 """
 from __future__ import annotations
 
@@ -25,8 +31,6 @@ from .core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
-    global_sparsity,
-    local_coverage,
     planar,
     radii,
 )
@@ -36,7 +40,6 @@ from .sds import (
     _joined_codes,
     _recall_pools,
     _stay_heads,
-    _trajectory_codes,
 )
 from .simulate import (
     SCHEDULE_GAP_MIN,
@@ -419,12 +422,11 @@ def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     cell += np.arange(rates)[:, None] * _CELLS
     hist = np.bincount(cell.ravel(), minlength=rates * _CELLS).reshape(rates, _CELLS)
     some = sizes > 0
-    ends = np.cumsum(sizes)[some]
-    spans = np.zeros(len(sizes), dtype=np.int64)
-    spans[some] = kept[ends - 1] - kept[ends - sizes[some]]
-    spans = spans.reshape(rates, -1).sum(axis=1)
+    span = np.zeros(len(sizes), dtype=np.int64)
+    span[some] = spans(kept, sizes[some])
+    span = span.reshape(rates, -1).sum(axis=1)
     gaps = np.maximum(sizes - 1, 0).reshape(rates, -1).sum(axis=1)
-    return np.column_stack((hist @ _CELL_WEIGHTS, spans, gaps))
+    return np.column_stack((hist @ _CELL_WEIGHTS, span, gaps))
 
 
 def resampling_experiment(config: ExperimentConfig) -> list[RateOutcome]:
@@ -579,29 +581,44 @@ def prop1_violation_rate(
     return out
 
 
-@dataclass(frozen=True)
-class DeviceStats:
-    """Per-device sampling summary."""
-
-    device: str
-    records: int
-    span_seconds: int
-    mean_gap: float | None
-    coverage: float | None
+def spans(times: np.ndarray, sizes) -> np.ndarray:
+    """Each device's last time less its first, 0 for a lone record, for
+    devices whose sorted times lie one after another in ``times``, with
+    ``sizes`` records each (every size at least 1)."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    return times[ends - 1] - times[ends - sizes]
 
 
-def device_stats(traj: Trajectory, params: MobilityParams) -> DeviceStats:
-    n = len(traj)
-    span = int(traj.times[-1] - traj.times[0]) if n >= 2 else 0
-    mean_gap = global_sparsity(traj) if n >= 2 else None
-    coverage = local_coverage(traj, params.delta_t) if n >= 1 else None
-    return DeviceStats(
-        device=traj.device,
-        records=n,
-        span_seconds=span,
-        mean_gap=mean_gap,
-        coverage=coverage,
-    )
+def mean_gaps(times: np.ndarray, sizes) -> np.ndarray:
+    """Each device's global sparsity: its mean consecutive time gap in
+    seconds, laid out as in :func:`spans`, NaN for a lone record, which
+    has no gap.
+
+    The mean is the span over the gap count, which is the mean of the gaps
+    as long as the span is below 2**53 s; above it, one rounding of the
+    span instead of one per gap and per partial sum.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # a lone record's 0 / 0
+        return spans(times, sizes) / (sizes - 1)
+
+
+def coverages(times: np.ndarray, sizes, delta_t: float) -> np.ndarray:
+    """Each device's fraction of records that are not temporally isolated,
+    laid out as in :func:`spans`.
+
+    A record is isolated when both of its adjacent gaps exceed ``delta_t``.
+    A device's first and last records have only one adjacent gap and are
+    never isolated, so devices with fewer than three records score 1.0.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    wide = np.diff(times) > delta_t
+    wide[np.cumsum(sizes)[:-1] - 1] = False  # from one device to the next
+    isolated = np.zeros(len(times), dtype=bool)
+    isolated[1:-1] = wide[:-1] & wide[1:]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return (sizes - np.bincount(owner[isolated], minlength=len(sizes))) / sizes
 
 
 #: fixed log-spaced gap bins, comparable across datasets; the first and last
@@ -633,49 +650,36 @@ class SparsityReport:
 
 
 def sparsity_report(
-    trajectories: list[Trajectory],
-    params: MobilityParams,
-    delta_t_list: list[float] | None = None,
-    *,
-    ref_lat: float | None = None,
+    times: np.ndarray, sizes, codes: np.ndarray, delta_ts: list[float]
 ) -> SparsityReport:
-    """Build the sparsity/label-mix report; single-record devices only
-    enter the coverage histograms (their mean gap is undefined). The label
-    mix is :func:`sparsemob.sds.sds_label`'s."""
-    if not trajectories:
+    """Build the sparsity/label-mix report of devices laid out as in
+    :func:`spans`, ``codes`` holding their records' label codes, with one
+    coverage histogram per distinct threshold of ``delta_ts``. Single-record
+    devices only enter the coverage histograms (their mean gap is
+    undefined)."""
+    if not len(sizes):
         raise ValueError("empty dataset")
-    if delta_t_list is None:
-        delta_t_list = [params.delta_t]
+    sizes = np.asarray(sizes, dtype=np.int64)
     n_bins = len(GAP_BIN_EDGES) - 1
-    device_counts = np.zeros(n_bins, dtype=np.int64)
-    record_sums = np.zeros(n_bins, dtype=np.int64)
-    label_sums = np.zeros((n_bins, 3), dtype=np.int64)  # stay, travel, unlabeled
-    coverage_values: dict[float, list[float]] = {dt: [] for dt in delta_t_list}
-    codes = _trajectory_codes(trajectories, params, ref_lat=ref_lat)
-    ends = np.cumsum([len(traj) for traj in trajectories]).tolist()
-    for traj, end in zip(trajectories, ends):
-        for dt in delta_t_list:
-            if len(traj) >= 1:
-                coverage_values[dt].append(local_coverage(traj, dt))
-        if len(traj) < 2:
-            continue
-        xi = global_sparsity(traj)
-        b = int(np.searchsorted(GAP_BIN_EDGES, xi, side="right") - 1)
-        b = min(max(b, 0), n_bins - 1)
-        device_counts[b] += 1
-        record_sums[b] += len(traj)
-        mix = np.bincount(codes[end - len(traj) : end], minlength=3)
-        label_sums[b] += mix[[LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED]]
+    gaps = mean_gaps(times, sizes)
+    some = sizes > 1
+    bins = np.searchsorted(GAP_BIN_EDGES, gaps[some], side="right") - 1
+    bins = np.clip(bins, 0, n_bins - 1)
+    device_counts = np.bincount(bins, minlength=n_bins)
+    record_sums = np.bincount(bins, weights=sizes[some], minlength=n_bins)
+    # each record of a binned device counted in its (bin, code) cell
+    cells = np.repeat(bins, sizes[some]) * 3 + codes[np.repeat(some, sizes)]
+    label_sums = np.bincount(cells, minlength=n_bins * 3).reshape(n_bins, 3)
+    label_sums = label_sums[:, [LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED]]
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_records = record_sums / np.where(device_counts, device_counts, np.nan)
         totals = label_sums.sum(axis=1)
         fractions = label_sums / np.where(totals, totals, np.nan)[:, None]
-    coverage_counts = {}
-    for dt, values in coverage_values.items():
-        arr = np.asarray(values, dtype=np.float64)
-        counts, _ = np.histogram(arr, bins=COVERAGE_BIN_EDGES)
-        # np.histogram's last bin is closed, so full coverage lands in it
-        coverage_counts[dt] = counts
+    # np.histogram's last bin is closed, so full coverage lands in it
+    coverage_counts = {
+        dt: np.histogram(coverages(times, sizes, dt), bins=COVERAGE_BIN_EDGES)[0]
+        for dt in dict.fromkeys(delta_ts)
+    }
     return SparsityReport(
         xi_edges=GAP_BIN_EDGES.copy(),
         device_counts=device_counts,

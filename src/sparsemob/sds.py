@@ -22,7 +22,9 @@ Every other module labels through _joined_codes, at the labeler's radii,
 and _recall_pools, at the recall pools' radii; both read them from
 ``core.radii``, the one rule that derives radii from delta_s. Both take
 consecutive trajectories and label them through _joined_flags, in one
-kernel call per radius pair where int64 times allow.
+kernel call per radius pair where int64 times allow. recall_bounds gives
+every trajectory of a file its recall bounds from one call of each;
+sds_label and recall_lower_bounds are the forms for one Trajectory.
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
@@ -95,7 +97,6 @@ from .core import (
     MobilityParams,
     Trajectory,
     planar,
-    project_runs,
     radii,
 )
 
@@ -675,22 +676,8 @@ def sds_label(
     Deterministic: equal inputs give bitwise-equal labels. A single record (or
     any segment too sparse to certify anything) stays Unlabeled.
     """
-    codes = _trajectory_codes([traj], params, ref_lat=ref_lat)
-    return LabeledTrajectory(traj, codes)
-
-
-def _trajectory_codes(trajectories, params, *, ref_lat=None):
-    """int8 label codes of the trajectories' records, one trajectory after
-    another, each as ``sds_label`` gives it alone."""
-    if not trajectories:
-        return np.zeros(0, dtype=np.int8)
-    lons, lats, t = (
-        np.concatenate([getattr(traj, name) for traj in trajectories])
-        for name in ("lons", "lats", "times")
-    )
-    sizes = [len(traj) for traj in trajectories]
-    x, y = project_runs(lons, lats, sizes, ref_lat)
-    return _joined_codes(x, y, t, sizes, params)
+    x, y = planar(traj, ref_lat)
+    return LabeledTrajectory(traj, _joined_codes(x, y, traj.times, [len(traj)], params))
 
 
 def _joined_codes(x, y, t, sizes, params: MobilityParams):
@@ -761,28 +748,41 @@ def _joined_flags(x, y, t, sizes, delta_t, escape, witness):
     return stay, travel
 
 
+def recall_bounds(x, y, t, sizes, params: MobilityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bounds on the recall achievable from each trajectory alone, for
+    consecutive trajectories in planar coordinates as in ``_joined_codes``:
+    each trajectory's stay and travel bounds, as two float arrays.
+
+    Stay: the labeler's stays over the dense-window members at the
+    ``dense`` radius, delta_s (no labeler relying only on the trajectory
+    can do better than the latter set). Travel: the labeler's travels over
+    records with witnesses at the ``travel_pool`` radius, delta_s/2 (the
+    corresponding outer bound). ``core.radii`` sets both; see
+    ``_recall_pools``. Empty denominators yield a vacuous bound of 1.0.
+    One ``_joined_codes`` and one ``_recall_pools`` call serve every
+    trajectory; ``np.bincount`` counts each one's flagged records.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    codes = _joined_codes(x, y, t, sizes, params)
+    pools = _recall_pools(x, y, t, sizes, params)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    bounds = []
+    for code, pool in zip((LABEL_STAY, LABEL_TRAVEL), pools):
+        num = np.bincount(owner[codes == code], minlength=len(sizes))
+        den = np.bincount(owner[pool], minlength=len(sizes))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bounds.append(np.where(den > 0, num / den, 1.0))
+    return bounds[0], bounds[1]
+
+
 def recall_lower_bounds(
     traj: Trajectory,
     params: MobilityParams,
     *,
     ref_lat: float | None = None,
 ) -> RecallBounds:
-    """Lower-bound the recall achievable from this trajectory alone.
-
-    Stay: the labeler's stays over the dense-window members at the
-    ``dense`` radius, delta_s (no labeler relying only on this trajectory
-    can do better than the latter set). Travel: the labeler's travels over
-    records with witnesses at the ``travel_pool`` radius, delta_s/2 (the
-    corresponding outer bound). ``core.radii`` sets both; see
-    ``_recall_pools``. Empty denominators yield a vacuous bound of 1.0.
-    """
+    """Lower-bound the recall achievable from this trajectory alone: its
+    two bounds of :func:`recall_bounds`."""
     x, y = planar(traj, ref_lat)
-    t = traj.times
-    codes = _joined_codes(x, y, t, [len(t)], params)
-    dense_stay, witnessed_half = _recall_pools(x, y, t, [len(t)], params)
-    s_num = int((codes == LABEL_STAY).sum())
-    t_num = int((codes == LABEL_TRAVEL).sum())
-    s_den, t_den = int(dense_stay.sum()), int(witnessed_half.sum())
-    stay_bound = 1.0 if s_den == 0 else s_num / s_den
-    travel_bound = 1.0 if t_den == 0 else t_num / t_den
-    return RecallBounds(stay_bound=stay_bound, travel_bound=travel_bound)
+    stay, travel = recall_bounds(x, y, traj.times, [len(traj)], params)
+    return RecallBounds(stay_bound=float(stay[0]), travel_bound=float(travel[0]))

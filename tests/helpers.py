@@ -8,6 +8,7 @@ the same answers the library computes with pruned or vectorized scans.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ from sparsemob.core import (
     radii,
 )
 from sparsemob.evaluate import (
+    COVERAGE_BIN_EDGES,
+    GAP_BIN_EDGES,
     ExperimentConfig,
     LocalConsistencyResult,
     experiment_trajectory,
@@ -41,6 +44,7 @@ from sparsemob.sds import (
     _far_scan,
     _stay_heads,
     label_kernel,
+    recall_lower_bounds,
     sds_label,
 )
 from sparsemob.simulate import (
@@ -637,6 +641,90 @@ def reference_read_labels(path: str) -> dict[tuple[str, int], int]:
             raise DataError(f"{path}:{lineno}: duplicate label for ({mid!r}, {t})")
         out[mid, t] = codes[letter]
     return out
+
+
+def _csv_text(kind: str, header, rows) -> str:
+    """A CSV as the CLI writes it: version line, header, then rows whose
+    cells read NA for None or NaN, ``repr`` for a float, ``str`` else."""
+
+    def cell(value) -> str:
+        if value is None or (isinstance(value, float) and math.isnan(value)):
+            return "NA"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    out = io.StringIO()
+    out.write(f"# sparsemob {kind} v1\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
+def reference_stats(
+    trajs: list[Trajectory], params: MobilityParams, delta_ts, *, ref_lat=None
+) -> tuple[str, str | None]:
+    """Device-by-device ``stats``: the texts of its per-device CSV and of its
+    sparsity report at the coverage thresholds ``delta_ts`` (None with no
+    device, which has nothing to report). Each device's gaps come from
+    ``np.diff`` of its own times and its label mix from ``sds_label``."""
+    rows = []
+    n_bins = len(GAP_BIN_EDGES) - 1
+    devices = [0] * n_bins
+    records = [0] * n_bins
+    mix = [[0, 0, 0] for _ in range(n_bins)]  # stay, travel, unlabeled
+    coverage = {dt: [] for dt in sorted(set(delta_ts))}
+    for traj in trajs:
+        n = len(traj)
+        gaps = np.diff(traj.times)
+        mean_gap = float(gaps.mean()) if n > 1 else None
+
+        def covered(delta_t: float) -> float:
+            wide = (gaps > delta_t).tolist()
+            return (n - sum(map(bool.__and__, wide, wide[1:]))) / n
+
+        rows.append((traj.device, n, int(traj.times[-1] - traj.times[0]), mean_gap,
+                     covered(params.delta_t)))
+        for dt, values in coverage.items():
+            values.append(covered(dt))
+        if mean_gap is None:
+            continue
+        b = int(np.searchsorted(GAP_BIN_EDGES, mean_gap, side="right")) - 1
+        b = min(max(b, 0), n_bins - 1)
+        devices[b] += 1
+        records[b] += n
+        letters = sds_label(traj, params, ref_lat=ref_lat).letters()
+        for k, letter in enumerate("STU"):
+            mix[b][k] += letters.count(letter)
+    stats = _csv_text("stats", ["mid", "records", "span_seconds", "mean_gap", "coverage"], rows)
+    if not trajs:
+        return stats, None
+    report = []
+    for b in range(n_bins):
+        total = sum(mix[b])
+        report.append(
+            ("gap_bin", float(GAP_BIN_EDGES[b]), float(GAP_BIN_EDGES[b + 1]), None, devices[b],
+             records[b] / devices[b] if devices[b] else None,
+             *[m / total if total else None for m in mix[b]])
+        )
+    for dt, values in coverage.items():
+        counts = np.histogram(values, bins=COVERAGE_BIN_EDGES)[0].tolist()
+        for b, count in enumerate(counts):
+            report.append(
+                ("coverage_bin", float(COVERAGE_BIN_EDGES[b]), float(COVERAGE_BIN_EDGES[b + 1]),
+                 dt, count, None, None, None, None)
+            )
+    header = ["table", "lo", "hi", "delta_t", "devices", "mean_records",
+              "stay_fraction", "travel_fraction", "unlabeled_fraction"]
+    return stats, _csv_text("sparsity", header, report)
+
+
+def reference_bounds(trajs: list[Trajectory], params: MobilityParams, *, ref_lat=None) -> str:
+    """Device-by-device ``bounds``: one ``recall_lower_bounds`` per device."""
+    rows = []
+    for traj in trajs:
+        b = recall_lower_bounds(traj, params, ref_lat=ref_lat)
+        rows.append((traj.device, b.stay_bound, b.travel_bound))
+    return _csv_text("bounds", ["mid", "stay_bound", "travel_bound"], rows)
 
 
 def reference_local_consistency_check(

@@ -15,9 +15,11 @@ from helpers import (
     SMALLEST_DELTA_S,
     minutes,
     random_trajectory,
+    reference_bounds,
     reference_generate_ctrw,
     reference_ingest,
     reference_read_labels,
+    reference_stats,
     traj_from_meters,
     write_labels_csv as write_labels,
     write_records_csv as write_records,
@@ -32,7 +34,6 @@ from sparsemob.core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
-    global_sparsity,
 )
 from sparsemob.baselines import hmm_train, voting_train
 from sparsemob.sds import sds_label
@@ -1836,7 +1837,7 @@ class TestStatsCommand:
         for traj in ingest(rec, tz_offset=0, strict=True):
             if len(traj) < 2:
                 continue  # no mean gap, so in no gap bin
-            xi = global_sparsity(traj)
+            xi = np.diff(traj.times).mean()
             b = next(k for k, r in enumerate(rows) if float(r["lo"]) <= xi < float(r["hi"]))
             labels = sds_label(traj, MobilityParams()).labels
             for k, code in enumerate((LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED)):
@@ -1859,6 +1860,149 @@ class TestStatsCommand:
                 "--sparsity-out", str(tmp_path / "sp.csv"), f"--delta-t-grid={grid}"]
         assert main(argv) == 1
         assert "delta_t must be positive" in capsys.readouterr().err
+
+
+def outcome(argv, outs, capsys):
+    """What ``main(argv)`` gives: exit code, the bytes of each of ``outs``
+    (None for one not written) and stderr."""
+    for out in outs:
+        out.unlink(missing_ok=True)
+    code = main(argv)
+    written = [out.read_bytes() if out.exists() else None for out in outs]
+    return code, written, capsys.readouterr().err
+
+
+def reference_outcome(command, path, outs, strict, capsys, params, delta_ts, ref_lat):
+    """What ``stats --sparsity-out`` or ``bounds`` should give for ``path``,
+    as ``outcome`` returns it, built device by device from
+    ``reference_ingest``, ``reference_stats`` and ``reference_bounds``."""
+    try:
+        trajs = reference_ingest(str(path), tz_offset=28800, strict=strict)
+    except DataError as exc:
+        print(f"sparsemob: data error: {exc}", file=sys.stderr)
+        return 2, [None] * len(outs), capsys.readouterr().err
+    if command == "bounds":
+        texts = [reference_bounds(trajs, params, ref_lat=ref_lat)]
+    else:
+        texts = list(reference_stats(trajs, params, delta_ts, ref_lat=ref_lat))
+    code = 0
+    if texts[-1] is None:
+        print("sparsemob: data error: empty dataset: nothing to report sparsity on",
+              file=sys.stderr)
+        code = 2
+    written = [None if text is None else text.encode("utf-8") for text in texts]
+    return code, written, capsys.readouterr().err
+
+
+#: (flags, params, slicing thresholds, ref_lat) of the differential tests
+_STATS_FLAGS = [
+    ([], MobilityParams(), [1800.0], None),
+    (["--delta-t-grid", "600,1800,600"], MobilityParams(), [600.0, 1800.0, 600.0], None),
+    (["--ref-lat", "45.0"], MobilityParams(), [1800.0], 45.0),
+    (["--delta-t", "600.5", "--delta-s", "300"], MobilityParams(300.0, 600.5), [600.5], None),
+]
+#: each command with each set of flags it takes: bounds has no thresholds
+_STATS_CASES = [("stats", *case) for case in _STATS_FLAGS]
+_STATS_CASES += [("bounds", *case) for case in _STATS_FLAGS if "--delta-t-grid" not in case[0]]
+
+
+class TestStatsBoundsDifferential:
+    """``stats`` and ``bounds`` read, measure, label and write whole columns;
+    their bytes, warnings and exit codes must equal those of a
+    device-by-device reference."""
+
+    @staticmethod
+    def _compare(tmp_path, capsys, path, command, flags, params, delta_ts, ref_lat, strict):
+        if command == "bounds":
+            outs = [tmp_path / "b.csv"]
+            argv = ["bounds", str(path), "--out", str(outs[0])]
+        else:
+            outs = [tmp_path / "s.csv", tmp_path / "sp.csv"]
+            argv = ["stats", str(path), "--out", str(outs[0]), "--sparsity-out", str(outs[1])]
+        got = outcome(argv + flags + ["--strict"] * strict, outs, capsys)
+        want = reference_outcome(command, path, outs, strict, capsys, params, delta_ts, ref_lat)
+        assert got == want, (command, flags, strict, path.read_text())
+        return got
+
+    @pytest.mark.parametrize("command, flags, params, delta_ts, ref_lat", _STATS_CASES)
+    def test_random_files_match_reference(
+        self, tmp_path, capsys, command, flags, params, delta_ts, ref_lat
+    ):
+        # unsorted rows, duplicates, bad and quoted cells, short rows,
+        # devices whose every row is refused, and files with no device
+        rng = np.random.default_rng(20261021)
+        path = tmp_path / "r.csv"
+        for _ in range(60):
+            path.write_text(random_records_text(rng))
+            for strict in (False, True):
+                self._compare(tmp_path, capsys, path, command, flags, params, delta_ts,
+                              ref_lat, strict)
+
+    @pytest.mark.parametrize("command, flags, params, delta_ts, ref_lat", _STATS_CASES)
+    def test_edge_file_matches_reference(
+        self, tmp_path, rng, capsys, command, flags, params, delta_ts, ref_lat
+    ):
+        # lone records, a device whose every row is refused, and devices
+        # with stays and travel, each starting long after the one before
+        # ends, rows shuffled
+        trajs = [random_trajectory(rng) for _ in range(6)]
+        rows = [
+            (int(t) + 10**7 * k, repr(float(lon)), repr(float(lat)), f"d{k}")
+            for k, traj in enumerate(trajs)
+            for t, lon, lat in zip(traj.times, traj.lons, traj.lats)
+        ]
+        rows += [(5, "0.5", "0.5", "lone"), (7, "0.5", "0.5", "solo")]
+        rows += [(t, "999.0", "0.5", "refused") for t in (0, 60, 120)]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        path = tmp_path / "r.csv"
+        lines = [",".join(map(str, row)) + "\n" for row in rows]
+        path.write_text("time,lon,lat,mid\n" + "".join(lines))
+        code, written, err = self._compare(
+            tmp_path, capsys, path, command, flags, params, delta_ts, ref_lat, False
+        )
+        assert code == 0 and err.count("longitude out of range: 999.0") == 3
+        assert all(b"refused" not in text for text in written)
+        assert all(b"\nlone," in text for text in written[:1])
+
+    def test_kernel_calls_per_file(self, tmp_path, rng, monkeypatch):
+        # 1,000 devices, every third a lone record: bounds labels at the
+        # labeler's radii and at the two pools', stats at the labeler's,
+        # each in one kernel call for the whole file, and neither builds a
+        # Trajectory
+        trajs = []
+        for k in range(1000):
+            traj = random_trajectory(rng, max_len=1 if k % 3 == 2 else 20)
+            trajs.append(Trajectory(f"d{k:04d}", traj.times, traj.lons, traj.lats))
+        rec = write_records(tmp_path / "r.csv", trajs)
+        total = sum(map(len, trajs))
+        kernel = sds.label_kernel
+        calls, built = [], []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return kernel(*args)
+
+        monkeypatch.setattr(sds, "label_kernel", counted)
+        monkeypatch.setattr(Trajectory, "__post_init__", lambda self: built.append(self))
+        assert main(["bounds", rec, "--out", str(tmp_path / "b.csv")]) == 0
+        assert (calls, built) == ([total] * 3, [])
+        calls.clear()
+        argv = ["stats", rec, "--out", str(tmp_path / "s.csv"),
+                "--sparsity-out", str(tmp_path / "sp.csv")]
+        assert main(argv) == 0
+        assert (calls, built) == ([total], [])
+
+    def test_repeated_threshold_counts_each_device_once(self, tmp_path):
+        # a threshold given twice gets one histogram, of each device once
+        trajs = [traj_from_meters([0, 600], [0.0, 5.0], device=d) for d in "abc"]
+        rec = write_records(tmp_path / "r.csv", trajs)
+        sp = tmp_path / "sp.csv"
+        argv = ["stats", rec, "--out", str(tmp_path / "s.csv"), "--sparsity-out", str(sp),
+                "--delta-t-grid", "1800,1800"]
+        assert main(argv) == 0
+        rows = [line for line in sp.read_text().splitlines() if line.startswith("coverage_bin")]
+        assert len(rows) == 10
+        assert rows[-1] == "coverage_bin,0.9,1.0,1800.0,3,NA,NA,NA,NA"
 
 
 class TestBaselineCommand:

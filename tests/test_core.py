@@ -20,16 +20,18 @@ from sparsemob.core import (
     LABEL_TRAVEL,
     LABEL_UNLABELED,
     METERS_PER_DEGREE,
-    MetricUndefinedError,
     MobilityParams,
     Trajectory,
     codes_to_letters,
-    global_sparsity,
-    local_coverage,
     planar,
-    project_to_meters,
     radii,
 )
+from sparsemob.evaluate import coverages, mean_gaps
+
+
+def at(lons, lats) -> Trajectory:
+    """A trajectory of the given coordinates, one record a second."""
+    return Trajectory("d", np.arange(len(lons)), lons, lats)
 
 
 class TestPlanarDistance:
@@ -73,7 +75,7 @@ class TestPlanarDistance:
     def test_projection_matches_distance(self, rng):
         lons = 116.0 + rng.random(50)
         lats = 39.0 + rng.random(50)
-        x, y = project_to_meters(lons, lats, ref_lat=39.5)
+        x, y = planar(at(lons, lats), ref_lat=39.5)
         for i in range(0, 50, 7):
             for j in range(1, 50, 11):
                 d = planar_distance((lons[i], lats[i]), (lons[j], lats[j]), 39.5)
@@ -83,27 +85,28 @@ class TestPlanarDistance:
         # 179.9999 and -179.9999 are 0.0002 deg apart the short way round
         lons = np.array([179.9999, -179.9999, 179.9999])
         lats = np.full(3, 10.0)
-        x, y = project_to_meters(lons, lats, ref_lat=10.0)
+        x, y = planar(at(lons, lats), ref_lat=10.0)
         gap = 0.0002 * METERS_PER_DEGREE * math.cos(math.radians(10.0))
         assert abs(x[1] - x[0]) == pytest.approx(gap, rel=1e-6)
         assert x[2] == x[0]
-        east = project_to_meters(-lons, lats, ref_lat=10.0)[0]
+        east = planar(at(-lons, lats), ref_lat=10.0)[0]
         assert abs(east[1] - east[0]) == pytest.approx(gap, rel=1e-6)
 
     def test_projection_unchanged_off_the_antimeridian(self, rng):
         lons = 116.0 + rng.random(50)
         lats = 39.0 + rng.random(50)
-        x, _ = project_to_meters(lons, lats, ref_lat=39.5)
+        x, _ = planar(at(lons, lats), ref_lat=39.5)
         scale = METERS_PER_DEGREE * math.cos(math.radians(39.5))
         assert np.array_equal(x, lons * scale)
-        assert [a.size for a in project_to_meters(np.array([]), np.array([]), 0.0)] == [0, 0]
 
     def test_planar_projects_about_the_first_record_by_default(self):
         traj = Trajectory("d", [0, 60], [116.0, 116.01], [39.5, 41.0])
         for ref_lat, want in ((None, 39.5), (10.0, 10.0)):
             got = planar(traj, ref_lat)
-            expected = project_to_meters(traj.lons, traj.lats, want)
+            expected = planar(traj, want)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        scale = METERS_PER_DEGREE * math.cos(math.radians(39.5))
+        assert planar(traj)[0].tolist() == [116.0 * scale, 116.01 * scale]
 
     def test_planar_accepts_an_empty_trajectory(self):
         empty = Trajectory("d", [], [], [])
@@ -114,13 +117,11 @@ class TestPlanarDistance:
         # at NaN every distance was NaN, and no record escaped a window
         traj = Trajectory("d", [0, 60], [116.0, 117.0], [39.9, 39.9])
         with pytest.raises(ValueError, match=r"ref_lat must lie in \[-90, 90\]"):
-            project_to_meters(traj.lons, traj.lats, ref_lat)
-        with pytest.raises(ValueError, match="ref_lat"):
             planar(traj, ref_lat)
 
     def test_poles_are_reference_latitudes(self):
         for ref_lat in (-90.0, 90.0):
-            x, y = project_to_meters(np.array([1.0]), np.array([0.0]), ref_lat)
+            x, y = planar(at([1.0], [0.0]), ref_lat)
             assert abs(x[0]) < 1e-9 and y[0] == 0.0
 
     def test_planar_distance_takes_the_short_way_round(self):
@@ -247,59 +248,105 @@ class TestDivide:
         assert segment_bounds(np.array([], dtype=np.int64), 10.0) == []
 
 
+def columns(*trajs):
+    """The times and sizes of trajectories laid out one after another."""
+    return np.concatenate([t.times for t in trajs]), [len(t) for t in trajs]
+
+
+def mean_gap(traj) -> float:
+    return float(mean_gaps(*columns(traj))[0])
+
+
+def coverage(traj, delta_t) -> float:
+    return float(coverages(*columns(traj), delta_t)[0])
+
+
 class TestGlobalSparsity:
     def test_uniform_gaps(self):
-        assert global_sparsity(traj_from_meters(minutes(0, 10, 20), [0.0] * 3)) == 600.0
+        assert mean_gap(traj_from_meters(minutes(0, 10, 20), [0.0] * 3)) == 600.0
 
     def test_single_gap(self):
-        assert global_sparsity(traj_from_meters(minutes(0, 30), [0.0] * 2)) == 1800.0
+        assert mean_gap(traj_from_meters(minutes(0, 30), [0.0] * 2)) == 1800.0
 
     def test_mixed_gaps(self):
         traj = traj_from_meters(minutes(0, 10, 120, 240, 250), [0.0] * 5)
-        assert global_sparsity(traj) == 3750.0
+        assert mean_gap(traj) == 3750.0
 
     def test_undefined_below_two_records(self):
-        with pytest.raises(MetricUndefinedError):
-            global_sparsity(traj_from_meters([0], [0.0]))
+        assert math.isnan(mean_gap(traj_from_meters([0], [0.0])))
 
     @settings(deadline=None, max_examples=50)
     @given(k=st.integers(min_value=1, max_value=100))
     def test_scales_with_time_dilation(self, k):
         base = [0, 600, 7800, 9000]
-        a = global_sparsity(traj_from_meters(base, [0.0] * 4))
-        b = global_sparsity(traj_from_meters([t * k for t in base], [0.0] * 4))
+        a = mean_gap(traj_from_meters(base, [0.0] * 4))
+        b = mean_gap(traj_from_meters([t * k for t in base], [0.0] * 4))
         assert b == pytest.approx(k * a, rel=1e-12)
+
+    def test_each_device_its_own_mean(self, rng):
+        trajs = [random_trajectory(rng) for _ in range(20)]
+        got = mean_gaps(*columns(*trajs))
+        for traj, value in zip(trajs, got.tolist()):
+            if len(traj) < 2:
+                assert math.isnan(value)
+            else:
+                assert value == float(np.diff(traj.times).mean())
+
+    def test_span_over_gaps_above_two_to_the_53(self):
+        # the gaps 1 and 2**53 + 1 sum, as doubles, to 2**53, whose half is
+        # 2**52; the span, 2**53 + 2, is a double, and so is its half
+        traj = Trajectory("d", [0, 1, 2**53 + 2], [0.0] * 3, [0.0] * 3)
+        assert float(np.diff(traj.times).mean()) == 2.0**52
+        assert mean_gap(traj) == 2**52 + 1
 
 
 class TestLocalCoverage:
     def test_one_isolated_interior_record(self):
         traj = traj_from_meters(minutes(0, 10, 120, 240, 250), [0.0] * 5)
-        assert local_coverage(traj, 1800.0) == pytest.approx(0.8)
+        assert coverage(traj, 1800.0) == pytest.approx(0.8)
 
     def test_all_dense(self):
         traj = traj_from_meters(minutes(0, 10, 20, 30), [0.0] * 4)
-        assert local_coverage(traj, 1800.0) == 1.0
+        assert coverage(traj, 1800.0) == 1.0
 
     def test_middle_of_three_isolated(self):
         traj = traj_from_meters(minutes(0, 60, 120), [0.0] * 3)
-        assert local_coverage(traj, 1800.0) == pytest.approx(2 / 3)
+        assert coverage(traj, 1800.0) == pytest.approx(2 / 3)
 
     def test_endpoints_never_isolated(self):
         # both gaps huge: only the interior record can be isolated
         traj = traj_from_meters([0, 100000, 200000], [0.0] * 3)
-        assert local_coverage(traj, 1800.0) == pytest.approx(2 / 3)
+        assert coverage(traj, 1800.0) == pytest.approx(2 / 3)
+        # nor are a device's ends beside another device's far-off records
+        lone = traj_from_meters([10**9], [0.0])
+        got = coverages(*columns(lone, traj, lone, lone), 1800.0)
+        assert got.tolist() == [1.0, 2 / 3, 1.0, 1.0]
 
     def test_empty_undefined(self):
-        empty = Trajectory("d", np.array([], dtype=np.int64), np.array([]), np.array([]))
-        with pytest.raises(MetricUndefinedError):
-            local_coverage(empty, 1800.0)
+        # a device has at least one record; with no device there is nothing
+        none = np.zeros(0, dtype=np.int64)
+        assert coverages(none, [], 1800.0).size == 0
+        assert mean_gaps(none, []).size == 0
 
     @settings(deadline=None, max_examples=50)
     @given(k=st.integers(min_value=1, max_value=50))
     def test_invariant_under_joint_dilation(self, k):
         # index 2 is isolated (gaps 7200 and 22200), so coverage is 0.8
         base = [0, 600, 7800, 30000, 31000]
-        a = local_coverage(traj_from_meters(base, [0.0] * 5), 1800.0)
+        a = coverage(traj_from_meters(base, [0.0] * 5), 1800.0)
         assert a == pytest.approx(0.8)
-        b = local_coverage(traj_from_meters([t * k for t in base], [0.0] * 5), 1800.0 * k)
+        b = coverage(traj_from_meters([t * k for t in base], [0.0] * 5), 1800.0 * k)
         assert a == b
+
+    def test_each_device_as_alone(self, rng):
+        # each device starting long after the one before ends
+        trajs = [random_trajectory(rng) for _ in range(20)]
+        trajs = [
+            Trajectory("d", t.times + 10**7 * k, t.lons, t.lats) for k, t in enumerate(trajs)
+        ]
+        for delta_t in (60.0, 1800.0, 7200.5):
+            got = coverages(*columns(*trajs), delta_t)
+            for traj, value in zip(trajs, got.tolist()):
+                gaps = np.diff(traj.times)
+                isolated = int(((gaps[:-1] > delta_t) & (gaps[1:] > delta_t)).sum())
+                assert value == (len(traj) - isolated) / len(traj)

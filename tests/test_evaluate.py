@@ -34,13 +34,15 @@ from sparsemob.evaluate import (
     RateOutcome,
     _trajectory_counts,
     compute_metrics,
-    device_stats,
+    coverages,
     experiment_trajectory,
     harmonic_mean,
     local_consistency_check,
+    mean_gaps,
     prop1_violation_rate,
     resampling_experiment,
     sparsity_report,
+    spans,
 )
 from sparsemob.sds import recall_lower_bounds, sds_label
 from sparsemob.simulate import CtrwConfig, resample
@@ -786,39 +788,53 @@ class TestLocalConsistencyReference:
         assert tested > 0 and violations > 0
 
 
+def columns(trajs):
+    """The times and sizes of trajectories laid out one after another."""
+    return np.concatenate([t.times for t in trajs]), [len(t) for t in trajs]
+
+
 class TestDeviceStats:
     def test_basic_fields(self):
         traj = traj_from_meters(minutes(0, 10, 120, 240, 250), [0.0] * 5)
-        s = device_stats(traj, PARAMS)
-        assert s.records == 5
-        assert s.span_seconds == 15000
-        assert s.mean_gap == pytest.approx(3750.0)
-        assert s.coverage == pytest.approx(0.8)
+        times, sizes = columns([traj])
+        assert spans(times, sizes).tolist() == [15000]
+        assert mean_gaps(times, sizes).tolist() == [pytest.approx(3750.0)]
+        assert coverages(times, sizes, PARAMS.delta_t).tolist() == [pytest.approx(0.8)]
 
     def test_single_record(self):
-        s = device_stats(traj_from_meters([5], [0.0]), PARAMS)
-        assert (s.records, s.span_seconds, s.mean_gap) == (1, 0, None)
-        assert s.coverage == 1.0
+        times, sizes = columns([traj_from_meters([5], [0.0])])
+        assert spans(times, sizes).tolist() == [0]
+        assert np.isnan(mean_gaps(times, sizes)).all()
+        assert coverages(times, sizes, PARAMS.delta_t).tolist() == [1.0]
 
-    def test_empty(self):
-        empty = Trajectory(
-            device="d",
-            times=np.array([], dtype=np.int64),
-            lons=np.array([]),
-            lats=np.array([]),
-        )
-        s = device_stats(empty, PARAMS)
-        assert (s.records, s.mean_gap, s.coverage) == (0, None, None)
+    def test_empty(self, tmp_path):
+        # a device whose every row is refused has no records and no row:
+        # ingest gives each device it keeps one record or more
+        from sparsemob.cli import _ingest_columns
+
+        path = tmp_path / "r.csv"
+        path.write_text("time,lon,lat,mid\n0,0.0,0.0,a\n0,999.0,0.0,b\n60,0.0,0.0,c\n")
+        keys, sizes, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, sizes.tolist()) == (["a", "c"], [1, 1])
+        assert spans(times, sizes).tolist() == [0, 0]
+
+
+def report_of(trajs, delta_ts=(PARAMS.delta_t,)):
+    """``sparsity_report`` of trajectories, each labeled alone."""
+    times, sizes = columns(trajs)
+    codes = np.concatenate([sds_label(t, PARAMS).labels for t in trajs])
+    return sparsity_report(times, sizes, codes, list(delta_ts))
 
 
 class TestSparsityReport:
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            sparsity_report([], PARAMS)
+        none = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="empty dataset"):
+            sparsity_report(none, [], none.astype(np.int8), [PARAMS.delta_t])
 
     def test_single_trajectory_single_bucket(self):
         traj = traj_from_meters(minutes(0, 10, 20, 40), [0.0, 5.0, 10.0, 2.0])
-        report = sparsity_report([traj], PARAMS)
+        report = report_of([traj])
         assert report.device_counts.sum() == 1
         bucket = int(np.nonzero(report.device_counts)[0][0])
         assert report.mean_records[bucket] == 4.0
@@ -829,7 +845,7 @@ class TestSparsityReport:
     def test_devices_bucketed_by_mean_gap(self):
         fast = traj_from_meters([0, 100, 200], [0.0, 1.0, 2.0], device="fast")
         slow = traj_from_meters([0, 30000, 60000], [0.0, 1.0, 2.0], device="slow")
-        report = sparsity_report([fast, slow], PARAMS)
+        report = report_of([fast, slow])
         occupied = np.nonzero(report.device_counts)[0]
         assert len(occupied) == 2
         empty = report.device_counts == 0
@@ -839,7 +855,7 @@ class TestSparsityReport:
     def test_single_record_devices_only_in_coverage(self):
         lone = traj_from_meters([3], [0.0], device="solo")
         pair = traj_from_meters([0, 600], [0.0, 5.0], device="pair")
-        report = sparsity_report([lone, pair], PARAMS)
+        report = report_of([lone, pair])
         assert report.device_counts.sum() == 1
         assert report.coverage_counts[PARAMS.delta_t].sum() == 2
 
@@ -848,7 +864,7 @@ class TestSparsityReport:
             traj_from_meters(np.arange(6) * 600 + k, np.zeros(6), device=f"d{k}")
             for k in range(5)
         ]
-        report = sparsity_report(trajs, PARAMS, [1800.0])
+        report = report_of(trajs, [1800.0])
         counts = report.coverage_counts[1800.0]
         assert counts[-1] == 5
         assert counts[:-1].sum() == 0
@@ -856,8 +872,40 @@ class TestSparsityReport:
     def test_multiple_coverage_thresholds(self):
         # gaps of 600 s: never isolated at 1800, every interior record at 300
         traj = traj_from_meters(np.arange(5) * 600, np.zeros(5))
-        report = sparsity_report([traj], PARAMS, [1800.0, 300.0])
+        report = report_of([traj], [1800.0, 300.0])
         assert report.coverage_counts[1800.0][-1] == 1
         loose = report.coverage_counts[300.0]
         assert loose[-1] == 0
         assert loose.sum() == 1
+
+    def test_repeated_threshold_counts_each_device_once(self):
+        # a threshold given twice gets one histogram, of each device once
+        trajs = [traj_from_meters([0, 600], [0.0, 5.0], device=d) for d in "abc"]
+        report = report_of(trajs, [1800.0, 300.0, 1800.0])
+        assert sorted(report.coverage_counts) == [300.0, 1800.0]
+        assert [c.sum() for c in report.coverage_counts.values()] == [3, 3]
+
+    def test_matches_devices_binned_one_by_one(self, rng):
+        trajs = [random_trajectory(rng) for _ in range(40)]
+        report = report_of(trajs, [600.0, 1800.0])
+        n_bins = len(report.device_counts)
+        devices = np.zeros(n_bins, dtype=np.int64)
+        records = np.zeros(n_bins, dtype=np.int64)
+        mix = np.zeros((n_bins, 3), dtype=np.int64)
+        for traj in trajs:
+            if len(traj) < 2:
+                continue
+            xi = np.diff(traj.times).mean()
+            b = min(int(np.searchsorted(report.xi_edges, xi, side="right")) - 1, n_bins - 1)
+            devices[b] += 1
+            records[b] += len(traj)
+            labels = sds_label(traj, PARAMS).labels
+            mix[b] += [(labels == c).sum() for c in (S, T, U)]
+        assert report.device_counts.tolist() == devices.tolist()
+        occupied = devices > 0
+        means = records[occupied] / devices[occupied]
+        assert report.mean_records[occupied].tolist() == means.tolist()
+        fractions = mix[occupied] / mix[occupied].sum(axis=1)[:, None]
+        assert report.stay_fraction[occupied].tolist() == fractions[:, 0].tolist()
+        assert report.travel_fraction[occupied].tolist() == fractions[:, 1].tolist()
+        assert report.unlabeled_fraction[occupied].tolist() == fractions[:, 2].tolist()
