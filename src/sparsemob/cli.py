@@ -1060,19 +1060,21 @@ def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_prop1(args: argparse.Namespace, run: RunConfig) -> int:
-    from .evaluate import prop1_violation_rate
+    from .evaluate import local_consistency_check
 
-    trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
+    keys, sizes, times, lons, lats = _ingest_columns(
+        args.input, tz_offset=run.tz_offset, strict=run.strict
+    )
     grid_s = args.delta_s_grid or (run.params.delta_s,)
     grid_t = args.delta_t_grid or (run.params.delta_t,)
     try:
         grid = [MobilityParams(s, t) for s in grid_s for t in grid_t]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    try:
-        results = prop1_violation_rate(trajectories, grid, ref_lat=run.ref_lat)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    if not keys:
+        raise DataError("empty dataset")
+    x, y = project_runs(lons, lats, sizes, run.ref_lat)
+    results = {p: local_consistency_check(x, y, times, sizes, p) for p in dict.fromkeys(grid)}
     rows = [
         (p.delta_s, p.delta_t, results[p].tested, results[p].violations, results[p].rate)
         for p in grid
@@ -1106,6 +1108,8 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
         raise UsageError("baseline needs either training inputs or --load-model")
     if args.records and not args.out:
         raise UsageError("--records requires --out for the predictions")
+    if args.out and not args.records:
+        raise UsageError("--out requires --records to predict")
 
     model: VotingModel | HmmModel
     if training:

@@ -7,10 +7,9 @@ in this package compare squared Euclidean distances ``dx*dx + dy*dy`` in one
 planar approximation at one reference latitude per trajectory: the given one
 (the CLI's ``--ref-lat``, the same for every device), else the device's first
 record's. One rule projects every record, so comparisons against
-thresholds are consistent across modules: :func:`planar` applies it to one
-trajectory, with its origin and scale as scalars, and :func:`project_runs`
-to consecutive trajectories at once, each as if alone, with no
-per-trajectory object.
+thresholds are consistent across modules: :func:`project_runs` projects
+consecutive trajectories at once, each as if alone, with no per-trajectory
+object, and :func:`planar` is that rule for one trajectory.
 Beside it, :func:`radii` is the one rule that turns ``delta_s`` into the
 radii those distances are compared against: the labeler's, the recall
 pools', the oracle's and the leave-one-out check's.
@@ -147,24 +146,6 @@ def check_ref_lat(ref_lat: float) -> None:
         raise ValueError(f"ref_lat must lie in [-90, 90], got {ref_lat}")
 
 
-def _project(lons, lats, origin, scale) -> tuple[np.ndarray, np.ndarray]:
-    """The one projection rule, for records whose origin longitude and
-    longitude scale are ``origin`` and ``scale``: each a scalar, or one value
-    per record.
-
-    Longitudes more than 180 degrees from their origin are shifted by 360
-    first, so a device that crosses the antimeridian stays contiguous; others
-    project unchanged. Longitude then maps to meters at ``scale``, latitude
-    at ``METERS_PER_DEGREE``.
-    """
-    lons = np.asarray(lons, dtype=np.float64)
-    # the span of all records is a cheap necessary condition for any shift
-    if len(lons) and lons.max() - lons.min() > 180.0:
-        d = lons - origin
-        lons = np.where(d > 180.0, lons - 360.0, np.where(d < -180.0, lons + 360.0, lons))
-    return lons * scale, np.asarray(lats, dtype=np.float64) * METERS_PER_DEGREE
-
-
 def _scale(ref_lat: float) -> float:
     """Meters per degree of longitude at ``ref_lat``: by ``math.cos``, as a
     Python float, since ``np.cos`` can differ in the last place."""
@@ -174,14 +155,19 @@ def _scale(ref_lat: float) -> float:
 def project_runs(
     lons: np.ndarray, lats: np.ndarray, sizes, ref_lat: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project consecutive trajectories' lon/lat arrays to planar (x, y)
-    meters, each trajectory as :func:`planar` projects it alone.
+    """The one projection rule: consecutive trajectories' lon/lat arrays in
+    planar (x, y) meters, each trajectory as if projected alone.
 
     ``lons`` and ``lats`` hold the trajectories one after another, ``sizes``
-    their lengths. Each trajectory's origin, its first longitude, and its
-    scale, at ``ref_lat`` or else at its first latitude, are found once and
-    repeated over its records, and ``_project`` runs once for all of them.
-    A ``ref_lat`` outside [-90, 90], NaN included, is a ``ValueError``.
+    their lengths. Each trajectory's longitudes more than 180 degrees from
+    its first one are shifted by 360 first, so a device that crosses the
+    antimeridian stays contiguous; others project unchanged. Longitude then
+    maps to meters at the scale of ``ref_lat`` when given, else of the
+    trajectory's first latitude, and latitude at ``METERS_PER_DEGREE``.
+    With the reference latitude fixed for a trajectory, Euclidean distance
+    in its plane is a true metric (symmetry and the triangle inequality
+    hold), which the labeling proofs rely on. A ``ref_lat`` outside
+    [-90, 90], NaN included, is a ``ValueError``.
     """
     if ref_lat is not None:
         check_ref_lat(ref_lat)
@@ -190,29 +176,18 @@ def project_runs(
     sizes = sizes[sizes > 0]
     heads = np.cumsum(sizes) - sizes
     refs = np.asarray(lats)[heads].tolist() if ref_lat is None else [ref_lat] * len(sizes)
-    origin = np.repeat(lons[heads], sizes)
-    return _project(lons, lats, origin, np.repeat(list(map(_scale, refs)), sizes))
+    scale = np.repeat(list(map(_scale, refs)), sizes)
+    # the span of all records is a cheap necessary condition for any shift
+    if len(lons) and lons.max() - lons.min() > 180.0:
+        d = lons - np.repeat(lons[heads], sizes)
+        lons = np.where(d > 180.0, lons - 360.0, np.where(d < -180.0, lons + 360.0, lons))
+    return lons * scale, np.asarray(lats, dtype=np.float64) * METERS_PER_DEGREE
 
 
-def planar(
-    traj: Trajectory, ref_lat: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The trajectory's records in planar (x, y) meters, by the rule
-    :func:`project_runs` applies to many, with the origin and scale as
-    scalars.
-
-    Projected about ``ref_lat`` when given, else about the first record's
-    latitude (0.0 for an empty trajectory, which needs none). With the
-    reference latitude fixed for the trajectory, Euclidean distance in this
-    plane is a true metric (symmetry and the triangle inequality hold),
-    which the labeling proofs rely on. A ``ref_lat`` outside [-90, 90], NaN
-    included, is a ``ValueError``.
-    """
-    if ref_lat is None:
-        ref_lat = float(traj.lats[0]) if len(traj) else 0.0
-    check_ref_lat(ref_lat)
-    lons = traj.lons
-    return _project(lons, traj.lats, lons[0] if len(lons) else 0.0, _scale(ref_lat))
+def planar(traj: Trajectory, ref_lat: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The trajectory's records in planar (x, y) meters: :func:`project_runs`
+    of it alone."""
+    return project_runs(traj.lons, traj.lats, [len(traj)], ref_lat)
 
 
 class Radii(NamedTuple):

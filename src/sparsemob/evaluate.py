@@ -14,7 +14,9 @@ The sampling statistics (:func:`spans`, :func:`mean_gaps`,
 :func:`coverages`) and :func:`sparsity_report` take a file's devices as
 ``cli`` ingest gives them: every device's sorted times one after another,
 and each one's record count. Each is a few whole-array steps over all
-devices at once; none builds a per-device object.
+devices at once; none builds a per-device object. Nor does
+:func:`local_consistency_check`, which takes them projected by
+``core.project_runs``, as the experiment projects each batch.
 """
 from __future__ import annotations
 
@@ -31,13 +33,14 @@ from .core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
-    planar,
+    project_runs,
     radii,
 )
 from .sds import (
     _block_boxes,
     _far_scan,
     _joined_codes,
+    _joined_times,
     _recall_pools,
     _stay_heads,
 )
@@ -202,9 +205,9 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         # a batch joins its (rate, trajectory) subsets in time, one after
-        # another; sds._joined_flags starts a new kernel call where the
-        # joined times would reach 2**63, and this bound keeps the subsets
-        # of one trajectory alone within one call
+        # another; sds._joined_times starts a new run where the joined
+        # times would reach 2**63, and this bound keeps the subsets of one
+        # trajectory alone within one run
         if len(self.rates) * (self.walk.duration + self.params.delta_t + 1) >= 2**63:
             raise ValueError(
                 f"{len(self.rates)} rates x (duration + delta_t + 1) s reaches "
@@ -342,28 +345,28 @@ def _trajectory_counts(config: ExperimentConfig, indices: range) -> np.ndarray:
     """Per-rate raw counts summed over the contiguous range ``indices`` of
     trajectories.
 
-    Each trajectory is built and projected at its own origin latitude, then
-    joins a batch. That is the plane the simulator decides the truth labels
-    in, not the one ``label`` takes by default (the first record's
-    latitude): in one plane, labeler and truth agree on every tie at
-    delta_s, so the counts score the labeler, not the gap between two
-    planes, which the truth does not yet bound. A batch is counted and
-    emptied before the next trajectory would take it past BATCH_RECORDS
-    full-rate records, so a longer ``duration`` makes more batches, not
-    larger ones; a trajectory longer than that is a batch of its own. Counts
-    are integer sums, so every batching gives the same totals.
+    Each trajectory's lons and lats join a batch, which ``_batch_counts``
+    projects at the walk's origin latitude, every path's ``origin_lat``:
+    the plane the simulator decides the truth labels in, not the one
+    ``label`` takes by default (the first record's latitude). In one plane,
+    labeler and truth agree on every tie at delta_s, so the counts score
+    the labeler, not the gap between two planes, which the truth does not
+    yet bound. A batch is counted and emptied before the next trajectory
+    would take it past BATCH_RECORDS full-rate records, so a longer
+    ``duration`` makes more batches, not larger ones; a trajectory longer
+    than that is a batch of its own. Counts are integer sums, so every
+    batching gives the same totals.
     """
     total = np.zeros((len(config.rates), _COUNT_FIELDS), dtype=np.int64)
     batch = []
     held = 0
     for index in indices:
-        path, traj, truth = experiment_trajectory(config, index)
-        x, y = planar(traj, path.origin_lat)
-        if batch and held + len(x) > BATCH_RECORDS:
+        _, traj, truth = experiment_trajectory(config, index)
+        if batch and held + len(traj) > BATCH_RECORDS:
             total += _batch_counts(config, batch)
             batch, held = [], 0
-        batch.append((index, x, y, traj.times, truth == LABEL_TRAVEL))
-        held += len(x)
+        batch.append((index, traj.lons, traj.lats, traj.times, truth == LABEL_TRAVEL))
+        held += len(traj)
     if batch:
         total += _batch_counts(config, batch)
     return total
@@ -371,8 +374,10 @@ def _trajectory_counts(config: ExperimentConfig, indices: range) -> np.ndarray:
 
 def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     """Per-rate raw counts of a batch of trajectories, each given as (index,
-    x, y, times, truth travel mask).
+    lons, lats, times, truth travel mask).
 
+    One ``core.project_runs`` call projects the batch, each trajectory
+    about its own first longitude, at the walk's origin latitude.
     ``sds._recall_pools`` fixes every trajectory's recall pools in one kernel
     call per radius pair. One ``sds._joined_codes`` call labels every kept
     subset, rate after rate and within a rate trajectory after trajectory:
@@ -384,10 +389,10 @@ def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     ``simulate.resample``'s draws, with no generator built at rates 0.0 and
     1.0, whose masks need none.
     """
-    indices, xs, ys, ts, travels = zip(*batch)
+    indices, lons, lats, ts, travels = zip(*batch)
     lengths = [len(v) for v in ts]
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    lat0 = config.walk.origin_lat
+    x, y = project_runs(np.concatenate(lons), np.concatenate(lats), lengths, lat0)
     t = np.concatenate(ts)
     truth_travel = np.concatenate(travels)
     stay_pool, travel_pool = _recall_pools(x, y, t, lengths, config.params)
@@ -472,12 +477,11 @@ class LocalConsistencyResult:
 
 
 def local_consistency_check(
-    traj: Trajectory,
-    params: MobilityParams,
-    *,
-    ref_lat: float | None = None,
+    x: np.ndarray, y: np.ndarray, t: np.ndarray, sizes, params: MobilityParams
 ) -> LocalConsistencyResult:
-    """Leave-one-out test of dwell-cluster locality.
+    """Leave-one-out test of dwell-cluster locality, pooled over consecutive
+    trajectories in planar coordinates (as ``core.project_runs`` gives
+    them), each as if checked alone.
 
     For each interior record: drop it, and call the record tested when some
     dense dwell window of the remainder (every pair closer than the
@@ -486,13 +490,25 @@ def local_consistency_check(
     A tested record's immediate original neighbors should then both lie
     within that radius; count a violation when either does not.
 
-    The trajectory is projected once, and the stay pass gives each record's
-    window head at that radius (``sds._stay_heads``). A window covering
-    removed record i holds i-1 and i+1, so it is [p, i-1] + [i+1, c] for
-    some c. The search starts at p = heads[i-1] and grows c from i+1 until
-    the window breaks (p passes i-1, or a gap over delta_t comes) or spans
-    delta_t. Each new c moves p past the nearest record before c at that
-    radius or more from it:
+    The trajectories are joined in time as the labeler joins them
+    (``sds._joined_times``); no window or neighbor pair spans a gap between
+    two, so ``_leave_one_out`` checks each run of them in one pass.
+    """
+    joined, cuts = _joined_times(t, sizes, params.delta_t)
+    runs = [_leave_one_out(x[a:b], y[a:b], joined[a:b], params) for a, b in zip(cuts, cuts[1:])]
+    return LocalConsistencyResult(sum(r[0] for r in runs), sum(r[1] for r in runs))
+
+
+def _leave_one_out(x, y, t, params: MobilityParams) -> tuple[int, int]:
+    """The tested records and violations of ``local_consistency_check`` in
+    one run of records, in planar coordinates, with int64 times.
+
+    The stay pass gives each record its window head at the dense radius
+    (``sds._stay_heads``). A window covering removed record i holds i-1 and
+    i+1, so it is [p, i-1] + [i+1, c] for some c. The search starts at p =
+    heads[i-1] and grows c from i+1 until the window breaks (p passes i-1,
+    or a gap over delta_t comes) or spans delta_t. Each new c moves p past
+    the nearest record before c at that radius or more from it:
     * a record whose head is p or earlier moves p nowhere, so a stretch of
       them joins in one bisection of the heads;
     * otherwise that record is heads[c] - 1 when it lies in the window of
@@ -503,20 +519,16 @@ def local_consistency_check(
     A removal costs a step for each record up to delta_t past it whose head
     moves past p; in a dwell the heads stay put and it takes a few.
     """
-    n = len(traj)
-    if n < 3:
-        return LocalConsistencyResult(tested=0, violations=0)
-    x, y = planar(traj, ref_lat)
+    n = len(t)
     # the loop reads every record's time and head, so lists, which cost it
     # less per read than memoryviews of the arrays
-    xs, ys, ts = x.tolist(), y.tolist(), traj.times.tolist()
+    xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
     boxes = _block_boxes(x, y)
     delta_t = params.delta_t
     dense = radii(params).dense
     r2 = dense * dense
-    heads = _stay_heads(x, y, traj.times, xs, ys, boxes, dense, delta_t).tolist()
-    tested = 0
-    violations = 0
+    heads = _stay_heads(x, y, t, xs, ys, boxes, dense, delta_t).tolist()
+    tested = violations = 0
     for i in range(1, n - 1):
         a = i - 1
         if ts[i + 1] - ts[a] > delta_t:
@@ -557,7 +569,7 @@ def local_consistency_check(
         ry = ys[i] - ys[i + 1]
         if lx * lx + ly * ly >= r2 or rx * rx + ry * ry >= r2:
             violations += 1
-    return LocalConsistencyResult(tested=tested, violations=violations)
+    return tested, violations
 
 
 def prop1_violation_rate(
@@ -566,19 +578,16 @@ def prop1_violation_rate(
     *,
     ref_lat: float | None = None,
 ) -> dict[MobilityParams, LocalConsistencyResult]:
-    """Pooled leave-one-out check over a dataset, per threshold pair."""
+    """Pooled leave-one-out check over a dataset, per threshold pair: the
+    trajectories are joined into columns and projected once, and each
+    distinct pair checks all of them in one ``local_consistency_check``."""
     if not trajectories:
         raise ValueError("empty dataset")
-    out: dict[MobilityParams, LocalConsistencyResult] = {}
-    for params in params_grid:
-        tested = 0
-        violations = 0
-        for traj in trajectories:
-            res = local_consistency_check(traj, params, ref_lat=ref_lat)
-            tested += res.tested
-            violations += res.violations
-        out[params] = LocalConsistencyResult(tested=tested, violations=violations)
-    return out
+    sizes = [len(traj) for traj in trajectories]
+    columns = zip(*((traj.times, traj.lons, traj.lats) for traj in trajectories))
+    t, lons, lats = map(np.concatenate, columns)
+    x, y = project_runs(lons, lats, sizes, ref_lat)
+    return {p: local_consistency_check(x, y, t, sizes, p) for p in dict.fromkeys(params_grid)}
 
 
 def spans(times: np.ndarray, sizes) -> np.ndarray:

@@ -22,7 +22,8 @@ Every other module labels through _joined_codes, at the labeler's radii,
 and _recall_pools, at the recall pools' radii; both read them from
 ``core.radii``, the one rule that derives radii from delta_s. Both take
 consecutive trajectories and label them through _joined_flags, in one
-kernel call per radius pair where int64 times allow. recall_bounds gives
+kernel call per radius pair where int64 times allow (_joined_times, which
+``evaluate``'s leave-one-out check joins by too). recall_bounds gives
 every trajectory of a file its recall bounds from one call of each;
 sds_label and recall_lower_bounds are the forms for one Trajectory.
 
@@ -706,17 +707,17 @@ def _recall_pools(
     return stay, travel
 
 
-def _joined_flags(x, y, t, sizes, delta_t, escape, witness):
-    """``label_kernel``'s stay and travel flags of consecutive trajectories,
-    each as if labeled alone, in as few kernel calls as int64 times allow.
+def _joined_times(t, sizes, delta_t) -> tuple[np.ndarray, list[int]]:
+    """Consecutive trajectories' times joined in time, in as few runs as
+    int64 allows, and the cuts between those runs.
 
-    ``x``, ``y`` and ``t`` hold the trajectories one after another, ``sizes``
-    their lengths. Each trajectory's times are rebased to start
-    ``floor(delta_t) + 1`` s after the previous one ends, and the kernel
-    labels across a gap longer than delta_t as it labels separate
-    trajectories. Calls are cut only where int64 forces it: a trajectory
-    whose joined times would reach 2**63 starts a new call, and when the gap
-    itself does not fit, each one is its own call.
+    ``t`` holds the trajectories' times one after another, ``sizes`` their
+    lengths. Each trajectory's times are rebased to start ``floor(delta_t)
+    + 1`` s after the previous one ends, and the kernel labels across a gap
+    longer than delta_t as it labels separate trajectories. A trajectory
+    whose joined times would reach 2**63 starts a new run at 0, and when
+    the gap itself does not fit, each one is its own run. The cuts are the
+    first record of each run, then ``len(t)``.
     """
     gap = math.floor(delta_t) + 1 if delta_t < 2**63 - 1 else None
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -739,6 +740,13 @@ def _joined_flags(x, y, t, sizes, delta_t, escape, witness):
     joined = t - np.repeat(first, sizes)
     joined += np.repeat(np.array(starts, dtype=np.int64), sizes)
     cuts.append(len(t))
+    return joined, cuts
+
+
+def _joined_flags(x, y, t, sizes, delta_t, escape, witness):
+    """``label_kernel``'s stay and travel flags of consecutive trajectories,
+    each as if labeled alone, in one kernel call per run of ``_joined_times``."""
+    joined, cuts = _joined_times(t, sizes, delta_t)
     stay = np.zeros(len(t), dtype=bool)
     travel = np.zeros(len(t), dtype=bool)
     for a, b in zip(cuts, cuts[1:]):

@@ -37,6 +37,7 @@ from .core import (
     METERS_PER_DEGREE,
     MobilityParams,
     Trajectory,
+    _scale,
 )
 
 
@@ -277,7 +278,8 @@ def generate_ctrw(config: CtrwConfig) -> GroundTruthPath:
 
 
 def planar_to_lonlat(x, y, origin_lon: float, origin_lat: float):
-    """Invert the equirectangular projection used by the analysis side.
+    """Invert the equirectangular projection used by the analysis side,
+    dividing by the longitude scale ``core.project_runs`` multiplies by.
 
     Latitude shifts by y alone, so projecting the result back with
     ``ref_lat=origin_lat`` recovers the planar offsets exactly (up to float
@@ -286,7 +288,7 @@ def planar_to_lonlat(x, y, origin_lon: float, origin_lat: float):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     lats = origin_lat + y / METERS_PER_DEGREE
-    lons = origin_lon + x / (METERS_PER_DEGREE * math.cos(math.radians(origin_lat)))
+    lons = origin_lon + x / _scale(origin_lat)
     return lons, lats
 
 

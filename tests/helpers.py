@@ -769,6 +769,21 @@ def reference_local_consistency_check(
     return LocalConsistencyResult(tested=tested, violations=violations)
 
 
+def reference_prop1(trajs: list[Trajectory], grid, *, ref_lat=None) -> str:
+    """Device-by-device ``prop1``: one ``reference_local_consistency_check``
+    per device and threshold pair, pooled per pair in grid order."""
+    rows = []
+    for params in grid:
+        got = [reference_local_consistency_check(t, params, ref_lat=ref_lat) for t in trajs]
+        pooled = LocalConsistencyResult(
+            sum(r.tested for r in got), sum(r.violations for r in got)
+        )
+        rows.append(
+            (params.delta_s, params.delta_t, pooled.tested, pooled.violations, pooled.rate)
+        )
+    return _csv_text("prop1", ["delta_s", "delta_t", "tested", "violations", "rate"], rows)
+
+
 def windowed_local_consistency_check(
     traj: Trajectory,
     params: MobilityParams,

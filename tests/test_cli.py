@@ -18,6 +18,7 @@ from helpers import (
     reference_bounds,
     reference_generate_ctrw,
     reference_ingest,
+    reference_prop1,
     reference_read_labels,
     reference_stats,
     traj_from_meters,
@@ -32,6 +33,7 @@ from sparsemob.core import (
     LABEL_STAY,
     LABEL_TRAVEL,
     LABEL_UNLABELED,
+    METERS_PER_DEGREE,
     MobilityParams,
     Trajectory,
 )
@@ -2005,6 +2007,129 @@ class TestStatsBoundsDifferential:
         assert rows[-1] == "coverage_bin,0.9,1.0,1800.0,3,NA,NA,NA,NA"
 
 
+def reference_prop1_outcome(path, strict, capsys, grid, ref_lat):
+    """What ``prop1`` should give for ``path``, as ``outcome`` returns it,
+    built device by device from ``reference_ingest`` and
+    ``reference_prop1``."""
+    try:
+        trajs = reference_ingest(str(path), tz_offset=28800, strict=strict)
+        if not trajs:
+            raise DataError("empty dataset")
+    except DataError as exc:
+        print(f"sparsemob: data error: {exc}", file=sys.stderr)
+        return 2, [None], capsys.readouterr().err
+    text = reference_prop1(trajs, grid, ref_lat=ref_lat)
+    return 0, [text.encode("utf-8")], capsys.readouterr().err
+
+
+def _grid(delta_s, delta_t):
+    return [MobilityParams(s, t) for s in delta_s for t in delta_t]
+
+
+#: (flags, threshold grid, ref_lat) of the prop1 differential tests
+_PROP1_CASES = [
+    ([], _grid([800.0], [1800.0]), None),
+    (["--delta-s-grid", "300,800", "--delta-t-grid", "600,1800,600"],
+     _grid([300.0, 800.0], [600.0, 1800.0, 600.0]), None),
+    (["--ref-lat", "45.0"], _grid([800.0], [1800.0]), 45.0),
+    (["--delta-t", "600.5"], _grid([800.0], [600.5]), None),
+]
+
+
+class TestProp1Differential:
+    """``prop1`` projects a file once and checks every device per threshold
+    pair in one pass; its bytes, warnings and exit codes must equal those of
+    a device-by-device reference."""
+
+    @staticmethod
+    def _compare(tmp_path, capsys, path, flags, grid, ref_lat, strict):
+        out = tmp_path / "p.csv"
+        argv = ["prop1", str(path), "--out", str(out), *flags] + ["--strict"] * strict
+        got = outcome(argv, [out], capsys)
+        want = reference_prop1_outcome(path, strict, capsys, grid, ref_lat)
+        assert got == want, (flags, strict, path.read_text())
+        return got
+
+    @pytest.mark.parametrize("flags, grid, ref_lat", _PROP1_CASES)
+    def test_random_files_match_reference(self, tmp_path, capsys, flags, grid, ref_lat):
+        # unsorted rows, duplicates, bad and quoted cells, short rows,
+        # devices whose every row is refused, and files with no device
+        rng = np.random.default_rng(20261022)
+        path = tmp_path / "r.csv"
+        for _ in range(60):
+            path.write_text(random_records_text(rng))
+            for strict in (False, True):
+                self._compare(tmp_path, capsys, path, flags, grid, ref_lat, strict)
+
+    @pytest.mark.parametrize("flags, grid, ref_lat", _PROP1_CASES)
+    def test_edge_file_matches_reference(self, tmp_path, rng, capsys, flags, grid, ref_lat):
+        # devices with dwells and excursions, lone records and a device
+        # whose every row is refused, rows shuffled
+        trajs = [random_trajectory(rng) for _ in range(6)]
+        rows = [
+            (int(t) + 10**7 * k, repr(float(lon)), repr(float(lat)), f"d{k}")
+            for k, traj in enumerate(trajs)
+            for t, lon, lat in zip(traj.times, traj.lons, traj.lats)
+        ]
+        rows += [(5, "0.5", "0.5", "lone"), (0, "999.0", "0.5", "refused")]
+        rows += [(60, "999.0", "0.5", "refused")]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        path = tmp_path / "r.csv"
+        lines = [",".join(map(str, row)) + "\n" for row in rows]
+        path.write_text("time,lon,lat,mid\n" + "".join(lines))
+        code, _, err = self._compare(tmp_path, capsys, path, flags, grid, ref_lat, False)
+        assert code == 0 and err.count("longitude out of range: 999.0") == 2
+
+    def test_times_near_int64_max_cut_the_join(self, tmp_path, capsys, monkeypatch):
+        # device a spans 0 .. 2**63 - 1, so b, a dwell just before 2**63 - 1,
+        # would join past int64 and takes a run of its own; a's excursion
+        # is a violation, b's dwell is not
+        top = 2**63 - 1
+        deg = 1.0 / METERS_PER_DEGREE
+        rows = [(0, 0.0, "a"), (900, 5000.0, "a"), (1800, 0.0, "a"), (top, 0.0, "a")]
+        rows += [(top - 1800, 0.0, "b"), (top - 900, 100.0, "b"), (top, 0.0, "b")]
+        path = tmp_path / "r.csv"
+        lines = [f"{t},{x * deg!r},0.0,{d}\n" for t, x, d in rows]
+        path.write_text("time,lon,lat,mid\n" + "".join(lines))
+        joined_times = evaluate._joined_times
+        cuts = []
+
+        def recorded(*args):
+            joined = joined_times(*args)
+            cuts.append(joined[1])
+            return joined
+
+        monkeypatch.setattr(evaluate, "_joined_times", recorded)
+        grid = _grid([800.0], [1800.0])
+        code, written, _ = self._compare(tmp_path, capsys, path, [], grid, None, False)
+        assert code == 0 and cuts == [[0, 4, 7]]
+        assert written[0].splitlines()[-1] == b"800.0,1800.0,2,1,0.5"
+
+    def test_one_pass_per_distinct_pair(self, tmp_path, rng, capsys, monkeypatch):
+        # 1,000 devices, every third a lone record: one stay pass per
+        # distinct threshold pair for the whole file, and no Trajectory
+        trajs = []
+        for k in range(1000):
+            traj = random_trajectory(rng, max_len=1 if k % 3 == 2 else 20)
+            trajs.append(Trajectory(f"d{k:04d}", traj.times, traj.lons, traj.lats))
+        rec = write_records(tmp_path / "r.csv", trajs)
+        heads = evaluate._stay_heads
+        calls, built = [], []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return heads(*args)
+
+        monkeypatch.setattr(evaluate, "_stay_heads", counted)
+        monkeypatch.setattr(Trajectory, "__post_init__", lambda self: built.append(self))
+        flags, grid, _ = _PROP1_CASES[1]  # six pairs, four of them distinct
+        out = tmp_path / "p.csv"
+        got = outcome(["prop1", rec, "--out", str(out), *flags], [out], capsys)
+        assert (calls, built) == ([sum(map(len, trajs))] * 4, [])
+        monkeypatch.undo()
+        assert got == (0, [reference_prop1(trajs, grid).encode("utf-8")], "")
+
+
 class TestBaselineCommand:
     @staticmethod
     def _training(tmp_path):
@@ -2083,6 +2208,17 @@ class TestBaselineCommand:
             )
             == 1
         )
+
+    def test_out_without_records_is_usage_error(self, tmp_path, capsys):
+        # predictions need records to predict, as --records needs --out;
+        # refused before training, so no model file is written either
+        rec, lab = self._training(tmp_path)
+        out, model = tmp_path / "p.csv", tmp_path / "m.csv"
+        argv = ["baseline", "--method", "voting", "--train-records", rec,
+                "--train-labels", lab, "--save-model", str(model), "--out", str(out)]
+        assert main(argv) == 1
+        assert "--out requires --records" in capsys.readouterr().err
+        assert not out.exists() and not model.exists()
 
     def test_load_wrong_kind_is_data_error(self, tmp_path):
         rec, lab = self._training(tmp_path)

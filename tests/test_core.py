@@ -24,6 +24,7 @@ from sparsemob.core import (
     Trajectory,
     codes_to_letters,
     planar,
+    project_runs,
     radii,
 )
 from sparsemob.evaluate import coverages, mean_gaps
@@ -128,6 +129,93 @@ class TestPlanarDistance:
         a, b = (179.9999, 10.0), (-179.9999, 10.0)
         d = planar_distance(a, b, 10.0)
         assert d == pytest.approx(0.0002 * METERS_PER_DEGREE * math.cos(math.radians(10.0)))
+
+
+def per_device_projection(lons, lats, sizes, ref_lat) -> tuple[list, list]:
+    """Each device's records projected alone, record by record in Python
+    floats: longitudes more than 180 degrees from the device's first one
+    shifted by 360, then scaled by ``math.cos`` of the reference latitude,
+    ``ref_lat`` or else the device's first latitude."""
+    xs, ys = [], []
+    start = 0
+    for n in sizes:
+        lon_run, lat_run = lons[start : start + n], lats[start : start + n]
+        start += n
+        if not n:
+            continue
+        lat0 = lat_run[0] if ref_lat is None else ref_lat
+        scale = METERS_PER_DEGREE * math.cos(math.radians(lat0))
+        for lon, lat in zip(lon_run, lat_run):
+            d = lon - lon_run[0]
+            lon = lon - 360.0 if d > 180.0 else lon + 360.0 if d < -180.0 else lon
+            xs.append(lon * scale)
+            ys.append(lat * METERS_PER_DEGREE)
+    return xs, ys
+
+
+def bits(values) -> list[int]:
+    """The IEEE bit patterns of float64 values: equal bits, equal floats,
+    -0.0 and 0.0 told apart."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestProjectRuns:
+    """Many devices projected at once, each bit for bit as alone."""
+
+    @staticmethod
+    def _devices(rng):
+        # ordinary devices, devices on either side of the antimeridian and
+        # starting on either side of it, lone records and zero-size runs
+        lons, lats, sizes = [], [], []
+        for k in range(40):
+            n = [0, 1, int(rng.integers(2, 12))][k % 3]
+            if k % 4 == 1:  # straddles the antimeridian
+                side = rng.choice([-1.0, 1.0], n)
+                lon = side * (180.0 - rng.uniform(0.0, 0.01, n))
+            else:
+                lon = rng.uniform(-179.0, 179.0) + rng.uniform(-0.5, 0.5, n)
+            lons += np.clip(lon, -180.0, 180.0).tolist()
+            lat = rng.uniform(-80.0, 80.0) + rng.normal(0.0, 0.1, n)
+            lats += np.clip(lat, -90.0, 90.0).tolist()
+            sizes.append(n)
+        return lons, lats, sizes
+
+    @pytest.mark.parametrize("ref_lat", [None, 45.0, -89.5])
+    def test_many_devices_equal_each_alone(self, rng, ref_lat):
+        for _ in range(20):
+            lons, lats, sizes = self._devices(rng)
+            x, y = project_runs(np.array(lons), np.array(lats), sizes, ref_lat)
+            want_x, want_y = per_device_projection(lons, lats, sizes, ref_lat)
+            assert (bits(x), bits(y)) == (bits(want_x), bits(want_y))
+
+    def test_antimeridian_device_beside_ordinary_ones(self):
+        # the shift follows each device's own first longitude
+        lons = [116.0, 116.001, 179.9999, -179.9999, -179.9999, 179.9999, 0.0]
+        lats = [39.9, 39.9, 10.0, 10.0, 10.0, 10.0, 0.0]
+        sizes = [2, 2, 2, 1]
+        x, y = project_runs(np.array(lons), np.array(lats), sizes)
+        want = per_device_projection(lons, lats, sizes, None)
+        assert (bits(x), bits(y)) == (bits(want[0]), bits(want[1]))
+        gap = 0.0002 * METERS_PER_DEGREE * math.cos(math.radians(10.0))
+        assert abs(x[3] - x[2]) == pytest.approx(gap, rel=1e-6)
+        assert abs(x[5] - x[4]) == pytest.approx(gap, rel=1e-6)
+
+    @pytest.mark.parametrize("sizes", [[], [0], [0, 0, 0]])
+    def test_empty_input(self, sizes):
+        x, y = project_runs(np.zeros(0), np.zeros(0), sizes)
+        assert (x.size, y.size) == (0, 0)
+
+    @pytest.mark.parametrize("ref_lat", [None, 45.0])
+    def test_planar_is_a_one_device_run(self, rng, ref_lat):
+        lons, lats, sizes = self._devices(rng)
+        x, y = project_runs(np.array(lons), np.array(lats), sizes, ref_lat)
+        ends = np.cumsum(sizes).tolist()
+        for n, end in zip(sizes, ends):
+            traj = Trajectory("d", np.arange(n), lons[end - n : end], lats[end - n : end])
+            got = planar(traj, ref_lat)
+            alone = project_runs(traj.lons, traj.lats, [n], ref_lat)
+            assert bits(got[0]) == bits(alone[0]) == bits(x[end - n : end])
+            assert bits(got[1]) == bits(alone[1]) == bits(y[end - n : end])
 
 
 class TestTrajectory:

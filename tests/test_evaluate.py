@@ -22,6 +22,7 @@ from sparsemob.core import (
     LABEL_UNLABELED,
     MobilityParams,
     Trajectory,
+    planar,
     radii,
 )
 from sparsemob import sds
@@ -54,6 +55,12 @@ S, T, U = LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED
 
 def codes(*values):
     return np.array(values, dtype=np.int8)
+
+
+def check_one(traj, params, ref_lat=None) -> LocalConsistencyResult:
+    """``local_consistency_check`` of one trajectory, projected by ``planar``."""
+    x, y = planar(traj, ref_lat)
+    return local_consistency_check(x, y, traj.times, [len(traj)], params)
 
 
 class TestHarmonicMean:
@@ -580,7 +587,7 @@ class TestProp1:
 
     def test_empty_trajectory_untested(self):
         empty = Trajectory("e", [], [], [])
-        assert local_consistency_check(empty, PARAMS) == LocalConsistencyResult(0, 0)
+        assert check_one(empty, PARAMS) == LocalConsistencyResult(0, 0)
 
     def test_result_rate_zero_when_untested(self):
         assert LocalConsistencyResult(tested=0, violations=0).rate == 0.0
@@ -589,7 +596,7 @@ class TestProp1:
         config = ExperimentConfig(trajectories=3, walk=CtrwConfig(duration=60000.0))
         for i in range(3):
             _, traj, _ = experiment_trajectory(config, i, with_truth=False)
-            r = local_consistency_check(traj, PARAMS, ref_lat=39.9)
+            r = check_one(traj, PARAMS, ref_lat=39.9)
             assert 0 <= r.violations <= r.tested <= max(len(traj) - 2, 0)
 
 
@@ -670,7 +677,7 @@ def dwell_1hz(n: int = 400) -> Trajectory:
 
 def assert_matches_reference(traj, params) -> LocalConsistencyResult:
     """The check against both references, which must agree with each other."""
-    got = local_consistency_check(traj, params)
+    got = check_one(traj, params)
     want = reference_local_consistency_check(traj, params)
     assert (got.tested, got.violations) == (want.tested, want.violations), params
     windowed = windowed_local_consistency_check(traj, params)
@@ -734,7 +741,7 @@ class TestLocalConsistencyReference:
         for params in LOO_GRID:
             r = assert_matches_reference(traj, params)
             assert r.tested > 0
-        assert local_consistency_check(traj, PARAMS).violations == 1
+        assert check_one(traj, PARAMS).violations == 1
 
     def test_dense_dwell_shorter_than_delta_t(self):
         r = assert_matches_reference(dwell_1hz(), MobilityParams(300.0, 600.0))
@@ -780,7 +787,7 @@ class TestLocalConsistencyReference:
             else:
                 x, y = one_hz_path(rng, kind, n, params.delta_s)
             traj = traj_from_meters(np.arange(n), x, y)
-            got = local_consistency_check(traj, params)
+            got = check_one(traj, params)
             want = windowed_local_consistency_check(traj, params)
             assert (got.tested, got.violations) == (want.tested, want.violations), kind
             tested += got.tested
