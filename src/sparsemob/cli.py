@@ -883,6 +883,8 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
     from .evaluate import coverages, mean_gaps, sparsity_report, spans
     from .sds import _joined_codes
 
+    if args.delta_t_grid and not args.sparsity_out:
+        raise UsageError("--delta-t-grid requires --sparsity-out to slice")
     try:
         # the slicing thresholds obey the rule of delta_t, as in prop1
         for dt in args.delta_t_grid or ():
@@ -893,6 +895,8 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
     keys, sizes, times, lons, lats = _ingest_columns(
         args.input, tz_offset=run.tz_offset, strict=run.strict
     )
+    if args.sparsity_out and not keys:
+        raise DataError("empty dataset: nothing to report sparsity on")
     columns = (
         sizes.tolist(),
         spans(times, sizes).tolist(),
@@ -902,8 +906,6 @@ def run_stats(args: argparse.Namespace, run: RunConfig) -> int:
     header = ["mid", "records", "span_seconds", "mean_gap", "coverage"]
     _write_csv(args.out, "stats", header, [_table_text(zip(keys, *columns))])
     if args.sparsity_out:
-        if not keys:
-            raise DataError("empty dataset: nothing to report sparsity on")
         x, y = project_runs(lons, lats, sizes, run.ref_lat)
         codes = _joined_codes(x, y, times, sizes, run.params)
         delta_ts = list(args.delta_t_grid or [run.params.delta_t])
@@ -1004,6 +1006,10 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
 def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
     from .evaluate import ConfusionCounts, MetricsReport, resampling_experiment
 
+    if args.experiment and (args.predictions is not None or args.truth is not None):
+        raise UsageError("--experiment reads no --predictions or --truth")
+    if args.rates and not args.experiment:
+        raise UsageError("--rates requires --experiment")
     if args.experiment:
         config = _experiment_config(args, run, with_truth=True)
         outcomes = resampling_experiment(config)

@@ -40,10 +40,6 @@ _LETTERS = "UST"  # indexed by code
 _CODE_BY_LETTER = {letter: code for code, letter in enumerate(_LETTERS)}
 
 
-def codes_to_letters(codes: np.ndarray) -> list[str]:
-    return [_LETTERS[c] for c in np.asarray(codes).tolist()]
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A single device's records in strictly increasing time order.
@@ -109,7 +105,7 @@ class LabeledTrajectory:
         return len(self.trajectory)
 
     def letters(self) -> list[str]:
-        return codes_to_letters(self.labels)
+        return [_LETTERS[c] for c in self.labels.tolist()]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .core import (
     LABEL_TRAVEL,
     LABEL_UNLABELED,
     MobilityParams,
-    Trajectory,
     project_runs,
     radii,
 )
@@ -151,26 +150,13 @@ class MetricsReport:
         )
 
 
-def compute_metrics(
-    predicted: np.ndarray,
-    truth: np.ndarray,
-    eval_mask: np.ndarray | None = None,
-) -> MetricsReport:
-    """Score predictions against truth, optionally over a record subset.
-
-    ``eval_mask`` selects which records count at all; within the selection,
-    abstentions still count against recall and accuracy.
-    """
+def compute_metrics(predicted: np.ndarray, truth: np.ndarray) -> MetricsReport:
+    """Score predicted label codes against truth codes over every record;
+    to score a subset of records, index both arrays first."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
         raise ValueError("predicted and truth must have the same length")
-    if eval_mask is not None:
-        eval_mask = np.asarray(eval_mask, dtype=bool)
-        if eval_mask.shape != truth.shape:
-            raise ValueError("eval_mask must have the same length as the labels")
-        predicted = predicted[eval_mask]
-        truth = truth[eval_mask]
     return MetricsReport.from_counts(ConfusionCounts.from_labels(truth, predicted))
 
 
@@ -493,6 +479,9 @@ def local_consistency_check(
     The trajectories are joined in time as the labeler joins them
     (``sds._joined_times``); no window or neighbor pair spans a gap between
     two, so ``_leave_one_out`` checks each run of them in one pass.
+    ``sparsemob prop1`` calls it once per distinct threshold pair on a
+    whole file; one Trajectory is ``local_consistency_check(*planar(traj,
+    ref_lat), traj.times, [len(traj)], params)``.
     """
     joined, cuts = _joined_times(t, sizes, params.delta_t)
     runs = [_leave_one_out(x[a:b], y[a:b], joined[a:b], params) for a, b in zip(cuts, cuts[1:])]
@@ -570,24 +559,6 @@ def _leave_one_out(x, y, t, params: MobilityParams) -> tuple[int, int]:
         if lx * lx + ly * ly >= r2 or rx * rx + ry * ry >= r2:
             violations += 1
     return tested, violations
-
-
-def prop1_violation_rate(
-    trajectories: list[Trajectory],
-    params_grid: list[MobilityParams],
-    *,
-    ref_lat: float | None = None,
-) -> dict[MobilityParams, LocalConsistencyResult]:
-    """Pooled leave-one-out check over a dataset, per threshold pair: the
-    trajectories are joined into columns and projected once, and each
-    distinct pair checks all of them in one ``local_consistency_check``."""
-    if not trajectories:
-        raise ValueError("empty dataset")
-    sizes = [len(traj) for traj in trajectories]
-    columns = zip(*((traj.times, traj.lons, traj.lats) for traj in trajectories))
-    t, lons, lats = map(np.concatenate, columns)
-    x, y = project_runs(lons, lats, sizes, ref_lat)
-    return {p: local_consistency_check(x, y, t, sizes, p) for p in dict.fromkeys(params_grid)}
 
 
 def spans(times: np.ndarray, sizes) -> np.ndarray:

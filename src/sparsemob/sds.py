@@ -24,8 +24,8 @@ and _recall_pools, at the recall pools' radii; both read them from
 consecutive trajectories and label them through _joined_flags, in one
 kernel call per radius pair where int64 times allow (_joined_times, which
 ``evaluate``'s leave-one-out check joins by too). recall_bounds gives
-every trajectory of a file its recall bounds from one call of each;
-sds_label and recall_lower_bounds are the forms for one Trajectory.
+every trajectory of a file its recall bounds from one call of each, as
+``sparsemob bounds`` does; sds_label is the form for one Trajectory.
 
 * Stay pass: grow a window of consecutive records while every pair stays
   within one third of delta_s; when a new record breaks that bound against
@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -109,19 +108,6 @@ SUPER = BLOCK * BLOCK
 SHORT_REACH = BLOCK // 2
 #: cells (queries x boxes) of one banded array step of the lockstep scans
 LOCKSTEP_CELLS = 1 << 14
-
-
-@dataclass(frozen=True)
-class RecallBounds:
-    """Per-trajectory lower bounds on achievable stay/travel recall."""
-
-    stay_bound: float
-    travel_bound: float
-
-    def __post_init__(self) -> None:
-        for name, v in (("stay_bound", self.stay_bound), ("travel_bound", self.travel_bound)):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} out of [0, 1]: {v}")
 
 
 def _block_boxes(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -768,7 +754,9 @@ def recall_bounds(x, y, t, sizes, params: MobilityParams) -> tuple[np.ndarray, n
     corresponding outer bound). ``core.radii`` sets both; see
     ``_recall_pools``. Empty denominators yield a vacuous bound of 1.0.
     One ``_joined_codes`` and one ``_recall_pools`` call serve every
-    trajectory; ``np.bincount`` counts each one's flagged records.
+    trajectory; ``np.bincount`` counts each one's flagged records. One
+    Trajectory's bounds are ``recall_bounds(*planar(traj, ref_lat),
+    traj.times, [len(traj)], params)``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     codes = _joined_codes(x, y, t, sizes, params)
@@ -781,16 +769,3 @@ def recall_bounds(x, y, t, sizes, params: MobilityParams) -> tuple[np.ndarray, n
         with np.errstate(invalid="ignore", divide="ignore"):
             bounds.append(np.where(den > 0, num / den, 1.0))
     return bounds[0], bounds[1]
-
-
-def recall_lower_bounds(
-    traj: Trajectory,
-    params: MobilityParams,
-    *,
-    ref_lat: float | None = None,
-) -> RecallBounds:
-    """Lower-bound the recall achievable from this trajectory alone: its
-    two bounds of :func:`recall_bounds`."""
-    x, y = planar(traj, ref_lat)
-    stay, travel = recall_bounds(x, y, traj.times, [len(traj)], params)
-    return RecallBounds(stay_bound=float(stay[0]), travel_bound=float(travel[0]))

@@ -23,6 +23,7 @@ from sparsemob.core import (
     MobilityParams,
     Trajectory,
     planar,
+    project_runs,
     radii,
 )
 from sparsemob.evaluate import (
@@ -44,7 +45,7 @@ from sparsemob.sds import (
     _far_scan,
     _stay_heads,
     label_kernel,
-    recall_lower_bounds,
+    recall_bounds,
     sds_label,
 )
 from sparsemob.simulate import (
@@ -718,12 +719,24 @@ def reference_stats(
     return stats, _csv_text("sparsity", header, report)
 
 
+def trajectory_bounds(traj: Trajectory, params: MobilityParams, *, ref_lat=None):
+    """``recall_bounds`` of one trajectory alone: its stay and travel bounds."""
+    stay, travel = recall_bounds(*planar(traj, ref_lat), traj.times, [len(traj)], params)
+    return float(stay[0]), float(travel[0])
+
+
+def projected_corpus(trajs: list[Trajectory], *, ref_lat=None):
+    """Trajectories' columns as the multi-device commands read them:
+    x and y from one ``project_runs`` call, times and sizes."""
+    sizes = [len(traj) for traj in trajs]
+    columns = zip(*((traj.times, traj.lons, traj.lats) for traj in trajs))
+    t, lons, lats = map(np.concatenate, columns)
+    return (*project_runs(lons, lats, sizes, ref_lat), t, sizes)
+
+
 def reference_bounds(trajs: list[Trajectory], params: MobilityParams, *, ref_lat=None) -> str:
-    """Device-by-device ``bounds``: one ``recall_lower_bounds`` per device."""
-    rows = []
-    for traj in trajs:
-        b = recall_lower_bounds(traj, params, ref_lat=ref_lat)
-        rows.append((traj.device, b.stay_bound, b.travel_bound))
+    """Device-by-device ``bounds``: one ``recall_bounds`` call per device."""
+    rows = [(traj.device, *trajectory_bounds(traj, params, ref_lat=ref_lat)) for traj in trajs]
     return _csv_text("bounds", ["mid", "stay_bound", "travel_bound"], rows)
 
 

@@ -13,6 +13,7 @@ from helpers import (
     enumerate_best_score,
     fold_path_score,
     minutes,
+    projected_corpus,
     random_trajectory,
     traj_from_meters,
     travel_condition_all,
@@ -25,7 +26,7 @@ from sparsemob.evaluate import (
     DEFAULT_RATES,
     ExperimentConfig,
     experiment_trajectory,
-    prop1_violation_rate,
+    local_consistency_check,
     resampling_experiment,
 )
 from sparsemob.oracle import exact_label
@@ -144,7 +145,9 @@ def test_c5_leave_one_out_violations_absent_on_simulated_data():
         experiment_trajectory(exact_cfg, i, with_truth=False)[1]
         for i in range(exact_cfg.trajectories)
     ]
-    results = prop1_violation_rate(exact, grid, ref_lat=39.9)
+    # prop1's steps: the corpus projected once, one check per threshold pair
+    columns = projected_corpus(exact, ref_lat=39.9)
+    results = [local_consistency_check(*columns, params) for params in grid]
 
     # Keep the position-noise bound small next to delta_s. A removed dwell
     # record can sit up to 2x the bound farther from a window member than
@@ -157,10 +160,10 @@ def test_c5_leave_one_out_violations_absent_on_simulated_data():
         experiment_trajectory(jitter_cfg, i, with_truth=False)[1]
         for i in range(jitter_cfg.trajectories)
     ]
-    results_jittered = prop1_violation_rate(jittered, [PARAMS], ref_lat=39.9)
+    jittered_result = local_consistency_check(*projected_corpus(jittered, ref_lat=39.9), PARAMS)
 
     tested = 0
-    for res in list(results.values()) + list(results_jittered.values()):
+    for res in results + [jittered_result]:
         assert res.violations == 0
         assert res.rate == 0.0
         tested += res.tested

@@ -1612,6 +1612,14 @@ class TestEvaluateFiles:
         )
         assert code == 2
 
+    def test_rates_without_experiment_is_usage_error(self, tmp_path, capsys):
+        labels = write_labels(tmp_path / "t.csv", [("d", 0, "S")])
+        out = tmp_path / "m.csv"
+        argv = ["evaluate", "--predictions", labels, "--truth", labels, "--rates", "0.5"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "--rates requires --experiment" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulatePipeline:
     def test_simulate_label_evaluate_round_trip(self, tmp_path):
@@ -1738,6 +1746,16 @@ class TestEvaluateExperiment:
         assert first[0] == "1.0"
         assert first[2] == "1.0"  # full-density stay precision
 
+    @pytest.mark.parametrize("flag", ["--predictions", "--truth"])
+    def test_label_files_with_experiment_are_usage_error(self, tmp_path, capsys, flag):
+        # the experiment builds its own truth and predictions, so a named
+        # file would go unread, here one that does not exist
+        out = tmp_path / "r.csv"
+        argv = ["evaluate", "--experiment", "--trajectories", "1", flag, str(tmp_path / "no.csv")]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "--experiment reads no --predictions or --truth" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProp1Command:
     def test_violation_fixture_reported(self, tmp_path):
@@ -1863,6 +1881,24 @@ class TestStatsCommand:
         assert main(argv) == 1
         assert "delta_t must be positive" in capsys.readouterr().err
 
+    def test_delta_t_grid_without_sparsity_out_is_usage_error(self, tmp_path, capsys):
+        # the grid slices only the sparsity report's coverage histograms
+        rec = write_records(tmp_path / "r.csv", [stay_fixture()])
+        out = tmp_path / "s.csv"
+        assert main(["stats", rec, "--out", str(out), "--delta-t-grid", "600"]) == 1
+        assert "--delta-t-grid requires --sparsity-out" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_file_with_sparsity_out_writes_nothing(self, tmp_path, capsys):
+        # refused before either file is written, as prop1 refuses it
+        path = tmp_path / "r.csv"
+        path.write_text("time,lon,lat,mid\n")
+        outs = [tmp_path / "s.csv", tmp_path / "sp.csv"]
+        argv = ["stats", str(path), "--out", str(outs[0]), "--sparsity-out", str(outs[1])]
+        assert outcome(argv, outs, capsys) == (
+            2, [None, None], "sparsemob: data error: empty dataset: nothing to report sparsity on\n"
+        )
+
 
 def outcome(argv, outs, capsys):
     """What ``main(argv)`` gives: exit code, the bytes of each of ``outs``
@@ -1887,13 +1923,12 @@ def reference_outcome(command, path, outs, strict, capsys, params, delta_ts, ref
         texts = [reference_bounds(trajs, params, ref_lat=ref_lat)]
     else:
         texts = list(reference_stats(trajs, params, delta_ts, ref_lat=ref_lat))
-    code = 0
     if texts[-1] is None:
+        # refused before the stats file is written
         print("sparsemob: data error: empty dataset: nothing to report sparsity on",
               file=sys.stderr)
-        code = 2
-    written = [None if text is None else text.encode("utf-8") for text in texts]
-    return code, written, capsys.readouterr().err
+        return 2, [None] * len(outs), capsys.readouterr().err
+    return 0, [text.encode("utf-8") for text in texts], capsys.readouterr().err
 
 
 #: (flags, params, slicing thresholds, ref_lat) of the differential tests

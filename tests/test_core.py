@@ -21,8 +21,8 @@ from sparsemob.core import (
     LABEL_UNLABELED,
     METERS_PER_DEGREE,
     MobilityParams,
+    LabeledTrajectory,
     Trajectory,
-    codes_to_letters,
     planar,
     project_runs,
     radii,
@@ -258,7 +258,8 @@ class TestTrajectory:
 class TestLabels:
     def test_letter_round_trip(self):
         codes = np.array([LABEL_STAY, LABEL_TRAVEL, LABEL_UNLABELED], dtype=np.int8)
-        assert codes_to_letters(codes) == ["S", "T", "U"]
+        labeled = LabeledTrajectory(Trajectory("d", [0, 1, 2], [0.0] * 3, [0.0] * 3), codes)
+        assert labeled.letters() == ["S", "T", "U"]
         assert [_CODE_BY_LETTER[s] for s in "STU"] == codes.tolist()
 
 

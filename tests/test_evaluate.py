@@ -8,11 +8,13 @@ from helpers import (
     dense_trajectory,
     minutes,
     one_hz_path,
+    projected_corpus,
     random_trajectory,
     reference_local_consistency_check,
     reference_trajectory_counts,
     stay_flags_at,
     traj_from_meters,
+    trajectory_bounds,
     travel_flags_at,
     windowed_local_consistency_check,
 )
@@ -26,6 +28,7 @@ from sparsemob.core import (
     radii,
 )
 from sparsemob import sds
+from sparsemob.cli import main
 from sparsemob.evaluate import (
     BATCH_RECORDS,
     ConfusionCounts,
@@ -40,12 +43,11 @@ from sparsemob.evaluate import (
     harmonic_mean,
     local_consistency_check,
     mean_gaps,
-    prop1_violation_rate,
     resampling_experiment,
     sparsity_report,
     spans,
 )
-from sparsemob.sds import recall_lower_bounds, sds_label
+from sparsemob.sds import sds_label
 from sparsemob.simulate import CtrwConfig, resample
 
 PARAMS = MobilityParams(delta_s=800.0, delta_t=1800.0)
@@ -139,17 +141,6 @@ class TestComputeMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             compute_metrics(codes(S, S), codes(S, S, T))
-
-    def test_mask_restricts_evaluation(self):
-        truth = codes(S, T, S, T)
-        predicted = codes(S, S, S, S)
-        mask = np.array([True, False, True, False])
-        report = compute_metrics(predicted, truth, mask)
-        assert report.accuracy == 1.0
-
-    def test_mask_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compute_metrics(codes(S, T), codes(S, T), np.array([True]))
 
     def test_ratio_identities_over_random_tables(self, rng):
         for _ in range(40):
@@ -528,7 +519,7 @@ class TestRecallAccounting:
             pool = stay_flags_at(
                 traj, config.params, radii(config.params).dense, ref_lat=ref
             )
-            bound = recall_lower_bounds(traj, config.params, ref_lat=ref).stay_bound
+            bound = trajectory_bounds(traj, config.params, ref_lat=ref)[0]
             assert bool((stay <= pool).all())
             if pool.any():
                 nonempty += 1
@@ -542,28 +533,32 @@ class TestProp1:
         # dropping the middle record leaves a qualifying dwell window whose
         # span covers the dropped timestamp, yet the excursion was 5 km
         traj = traj_from_meters([0, 900, 1800], [0.0, 5000.0, 0.0])
-        results = prop1_violation_rate([traj], [PARAMS], ref_lat=0.0)
-        r = results[PARAMS]
+        r = check_one(traj, PARAMS, ref_lat=0.0)
         assert r.tested == 1
         assert r.violations == 1
         assert r.rate == 1.0
 
     def test_clean_dwell_not_violated(self):
         traj = traj_from_meters([0, 900, 1800], [0.0, 100.0, 0.0])
-        r = prop1_violation_rate([traj], [PARAMS], ref_lat=0.0)[PARAMS]
+        r = check_one(traj, PARAMS, ref_lat=0.0)
         assert r.tested == 1
         assert r.violations == 0
         assert r.rate == 0.0
 
     def test_record_outside_windows_not_tested(self):
         traj = traj_from_meters(minutes(0, 10, 20), [0.0, 1000.0, 2000.0])
-        r = prop1_violation_rate([traj], [PARAMS], ref_lat=0.0)[PARAMS]
+        r = check_one(traj, PARAMS, ref_lat=0.0)
         assert r.tested == 0
         assert r.rate == 0.0
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            prop1_violation_rate([], [PARAMS], ref_lat=0.0)
+    def test_empty_dataset_rejected(self, tmp_path, capsys):
+        # the prop1 command refuses a file with no records before it
+        # writes any output
+        path, out = tmp_path / "r.csv", tmp_path / "p.csv"
+        path.write_text("time,lon,lat,mid\n")
+        assert main(["prop1", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "sparsemob: data error: empty dataset\n"
+        assert not out.exists()
 
     def test_zero_rate_on_exact_simulated_reads(self):
         config = ExperimentConfig(trajectories=5, walk=CtrwConfig(duration=90000.0))
@@ -572,9 +567,9 @@ class TestProp1:
             experiment_trajectory(config, i, with_truth=False)[1]
             for i in range(config.trajectories)
         ]
-        results = prop1_violation_rate(trajs, grid, ref_lat=39.9)
+        columns = projected_corpus(trajs, ref_lat=39.9)
         for params in grid:
-            assert results[params].violations == 0
+            assert local_consistency_check(*columns, params).violations == 0
 
     def test_zero_rate_with_bounded_jitter(self):
         walk = CtrwConfig(jump_min=1600.0, jitter_radius=100.0, duration=90000.0)
@@ -582,7 +577,7 @@ class TestProp1:
         trajs = [
             experiment_trajectory(config, i, with_truth=False)[1] for i in range(4)
         ]
-        r = prop1_violation_rate(trajs, [PARAMS], ref_lat=39.9)[PARAMS]
+        r = local_consistency_check(*projected_corpus(trajs, ref_lat=39.9), PARAMS)
         assert r.violations == 0
 
     def test_empty_trajectory_untested(self):

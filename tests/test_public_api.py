@@ -12,6 +12,7 @@ import pytest
 import sparsemob
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 #: the entry points README's "Library quick start" names
 ENTRY_POINTS = [
@@ -103,3 +104,20 @@ def test_readme_names_the_entry_points():
     named = [n for n in re.findall(r"`(\w+)`", section) if n != "sparsemob"]
     assert sorted({n for n in imported + named if n.islower()}) == ENTRY_POINTS
     assert {n for n in imported if not n.islower()} <= set(TYPES)
+
+
+def test_benchmark_modules_import_against_the_package(tmp_path):
+    # the benchmark builds its inputs and checks its outputs with these
+    # modules: a name they import from the package must not go unnoticed
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import inputs, checks"
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(sparsemob.__file__).parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PERFBENCH)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert list(tmp_path.iterdir()) == []

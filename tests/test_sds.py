@@ -21,6 +21,7 @@ from helpers import (
     stay_flags_at,
     stay_heads,
     traj_from_meters,
+    trajectory_bounds,
     travel_condition_all,
     travel_flags_at,
 )
@@ -35,9 +36,7 @@ from sparsemob.sds import (
     _far_lockstep,
     _far_scan,
     _first_rows,
-    RecallBounds,
     label_kernel,
-    recall_lower_bounds,
     sds_label,
 )
 from sparsemob.simulate import CtrwConfig, generate_ctrw, observe, synth_schedule
@@ -935,26 +934,24 @@ class TestTravelFlagsAt:
 class TestRecallBounds:
     def test_tight_cluster_bound_one(self):
         traj = traj_from_meters([0, 500, 1000, 2000], [0.0, 20.0, 40.0, 10.0])
-        bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0)
-        assert bounds.stay_bound == 1.0
+        stay, _ = trajectory_bounds(traj, PARAMS, ref_lat=0.0)
+        assert stay == 1.0
 
     def test_no_detectable_stay_vacuous_one(self):
-        bounds = recall_lower_bounds(three_record_travel(), PARAMS, ref_lat=0.0)
-        assert bounds.stay_bound == 1.0
-        assert bounds.travel_bound == 1.0
+        assert trajectory_bounds(three_record_travel(), PARAMS, ref_lat=0.0) == (1.0, 1.0)
 
     def test_medium_cluster_detected_only_at_full_threshold(self):
         # diameter 300 m: inside delta_s but every window breaks at delta_s/3
         traj = traj_from_meters([0, 600, 1200, 2400], [0.0, 300.0, 0.0, 300.0])
-        bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0)
-        assert bounds.stay_bound == 0.0
+        stay, _ = trajectory_bounds(traj, PARAMS, ref_lat=0.0)
+        assert stay == 0.0
 
     def test_bounds_lie_in_unit_interval(self, rng):
         for _ in range(40):
             traj = random_trajectory(rng)
-            bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0)
-            assert 0.0 <= bounds.stay_bound <= 1.0
-            assert 0.0 <= bounds.travel_bound <= 1.0
+            stay, travel = trajectory_bounds(traj, PARAMS, ref_lat=0.0)
+            assert 0.0 <= stay <= 1.0
+            assert 0.0 <= travel <= 1.0
 
     def test_matches_literal_window_and_witness_ratios(self, rng):
         # stay: dense members at the escape radius (delta_s/3) over dense
@@ -967,7 +964,7 @@ class TestRecallBounds:
         r, d_t = radii(PARAMS), PARAMS.delta_t
         for _ in range(60):
             traj = random_trajectory(rng, max_len=14)
-            bounds = recall_lower_bounds(traj, PARAMS, ref_lat=0.0)
+            bounds = trajectory_bounds(traj, PARAMS, ref_lat=0.0)
             stay = ratio(
                 brute_dense_member(traj, r.escape, d_t),
                 brute_dense_member(traj, r.dense, d_t),
@@ -976,12 +973,7 @@ class TestRecallBounds:
                 np.array([brute_travel_witness(traj, i, w, d_t) for i in range(len(traj))])
                 for w in (r.witness, r.travel_pool)
             ]
-            assert bounds.stay_bound == stay
-            assert bounds.travel_bound == ratio(*witness)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecallBounds(stay_bound=1.5, travel_bound=0.0)
+            assert bounds == (stay, ratio(*witness))
 
 
 class TestLabeledTrajectory:
