@@ -44,8 +44,8 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone as _tz
-from itertools import repeat
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import itemgetter, ne
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -556,14 +556,24 @@ def _column(parse, cells: list, faults: dict[int, str], blank, again=None) -> li
 
 
 def _floats(cells: list, faults: dict[int, str]) -> np.ndarray:
-    """A coordinate column as float64, in one numpy call, which runs
-    Python's own ``float`` on each ``str`` cell. A column that call refuses,
-    or that holds a None (a cell past the end of a short row, which numpy
-    reads as NaN), goes to ``_column``, which words each fault."""
+    """A coordinate column as float64. Each run of consecutive cells with
+    equal text, such as a stay's records give, is read once: one numpy call
+    runs Python's own ``float`` on the first cell of each run, and the values
+    are spread back over the runs. A column with no repeat is converted
+    whole, after the one pass that compares the texts. A column that call
+    refuses, or that holds a None (a cell past the end of a short row, which
+    numpy reads as NaN), goes to ``_column``, cell by cell, which words each
+    fault."""
+    # 1 where a cell's text differs from the one above; text, not value, so
+    # "0.0" and "-0.0" each keep their own conversion
+    head = b"\x01" + bytes(map(ne, cells[1:], cells))
+    heads = cells if 0 not in head else list(compress(cells, head))
     try:
-        values = np.array(cells, dtype=np.float64)
-        if not (np.isnan(values).any() and None in cells):
-            return values
+        values = np.array(heads, dtype=np.float64)
+        if not (np.isnan(values).any() and None in heads):
+            if heads is cells:
+                return values
+            return values[np.cumsum(np.frombuffer(head, dtype=bool)) - 1]
     except ValueError:
         pass
     return np.array(_column(float, cells, faults, 0.0), dtype=np.float64)
@@ -577,10 +587,12 @@ def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
     would drop trailing NULs), and the arrays lines, devices (indices into
     ``keys``), times, lons and lats, in line order. Each column is parsed
     once and checked as a vector: the ids by ``str.strip`` over the whole
-    list, the times and coordinates by one numpy conversion each, which runs
-    ``int`` or ``float`` on every cell. Only a column that conversion
-    refuses is read by ``_column``, and then only a cell that ``int`` or
-    ``float`` refuses is read on its own, a time by ``_parse_time_text``.
+    list, the times by one numpy conversion, which runs ``int`` on every
+    cell, and each coordinate column by one that runs ``float`` on the first
+    cell of each run of equal texts (``_floats``). Only a column that
+    conversion refuses is read by ``_column``, and then only a cell that
+    ``int`` or ``float`` refuses is read on its own, a time by
+    ``_parse_time_text``.
     Each refused row goes to ``issues``, in line order, worded by its first
     fault: a missing or refused device id, then a time, lon or lat that does
     not parse, then the lon, lat and time ranges.
@@ -646,9 +658,11 @@ def _ingest_columns(path: str, *, tz_offset: int, strict: bool):
     parsed once (``_record_columns``): plain integer epoch times by one
     conversion of the whole column, and only a time cell that ``int``
     refuses (ISO-8601, clock form, ``1468317761.0``, garbage) by
-    ``_parse_time_text``. Range checks, grouping and sorting are array
-    operations; rows already in (device, time) order, as every records CSV
-    the package writes has them, are not sorted again.
+    ``_parse_time_text``; coordinates by one conversion of the first cell
+    of each run of equal texts, so a stay's repeated position is read once.
+    Range checks, grouping and sorting are array operations; rows already in
+    (device, time) order, as every records CSV the package writes has them,
+    are not sorted again.
     """
     text = _read_text(path)
     issues: list[str] = []
@@ -932,16 +946,23 @@ def _experiment_config(
     args: argparse.Namespace, run: RunConfig, *, with_truth: bool
 ) -> ExperimentConfig:
     """The experiment settings; with ``with_truth``, only settings whose
-    continuous truth labels are exact (see ``check_supports``)."""
+    continuous truth labels are exact (see ``check_supports``). A walk flag
+    left unset (None) takes the default of its field."""
     from .evaluate import DEFAULT_RATES, ExperimentConfig
     from .simulate import CtrwConfig, check_supports
 
+    def given(value, default):
+        return default if value is None else value
+
     try:
-        walk = CtrwConfig(duration=args.duration, jitter_radius=args.jitter)
+        walk = CtrwConfig(
+            duration=given(args.duration, CtrwConfig.duration),
+            jitter_radius=given(args.jitter, CtrwConfig.jitter_radius),
+        )
         config = ExperimentConfig(
             params=run.params,
             walk=walk,
-            trajectories=args.trajectories,
+            trajectories=given(args.trajectories, ExperimentConfig.trajectories),
             rates=tuple(args.rates) if getattr(args, "rates", None) else DEFAULT_RATES,
             seed=run.seed,
             workers=run.workers,
@@ -1008,8 +1029,10 @@ def run_evaluate(args: argparse.Namespace, run: RunConfig) -> int:
 
     if args.experiment and (args.predictions is not None or args.truth is not None):
         raise UsageError("--experiment reads no --predictions or --truth")
-    if args.rates and not args.experiment:
-        raise UsageError("--rates requires --experiment")
+    if not args.experiment:
+        for flag in ("trajectories", "duration", "jitter", "rates"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} requires --experiment")
     if args.experiment:
         config = _experiment_config(args, run, with_truth=True)
         outcomes = resampling_experiment(config)
@@ -1233,16 +1256,16 @@ def _resample_args(p: _Parser) -> None:
 
 
 def _evaluate_args(p: _Parser) -> None:
-    from .simulate import CtrwConfig
-
     p.add_argument("--predictions", default=None, help="predicted labels CSV")
     p.add_argument("--truth", default=None, help="ground-truth labels CSV")
     p.add_argument("--out", required=True, help="metrics CSV to write")
     p.add_argument("--experiment", action="store_true",
                    help="run the synthetic precision/recall-vs-rate experiment")
-    p.add_argument("--trajectories", type=int, default=100)
-    p.add_argument("--duration", type=float, default=CtrwConfig.duration)
-    p.add_argument("--jitter", type=float, default=0.0)
+    # the walk flags default to None, so that run_evaluate can refuse them
+    # without --experiment; _experiment_config fills in the defaults
+    p.add_argument("--trajectories", type=int, default=None)
+    p.add_argument("--duration", type=float, default=None)
+    p.add_argument("--jitter", type=float, default=None)
     p.add_argument("--rates", type=_flag_type(_parse_float_list), default=None,
                    help="comma-separated retention rates (default 1.0..0.1)")
     p.set_defaults(func=run_evaluate)

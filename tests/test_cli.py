@@ -185,7 +185,9 @@ class TestColumnConversion:
     """Ingest converts each numeric column in one numpy call, which must read
     every cell as Python's own ``int`` and ``float`` read it one at a time,
     as ``_column`` does, and refuse what they refuse: a numpy release that
-    converts otherwise fails here, not in a labels file."""
+    converts otherwise fails here, not in a labels file. A coordinate column
+    hands that call only the first cell of each run of equal texts, and must
+    still read, bit for bit, and refuse, row by row, as ``_column`` does."""
 
     def test_int_column_as_int_reads_it(self):
         got = np.array(_INT_CELLS, dtype=np.int64)
@@ -219,6 +221,74 @@ class TestColumnConversion:
         faults = {}
         assert cli._floats(["1", None], faults).tolist() == [1.0, 0.0]
         assert faults == {1: "list index out of range"}
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            # equal values, other texts: each text is a run of its own, and
+            # keeps its sign bit
+            ["0.0", "0.0", "-0.0", "-0.0", "0.0", "-0", "-0.0"],
+            ["nan", "nan", "-nan", "-nan", "nan", "NaN", "-nan"],
+            ["1.0", "1.0", "1.00", "+1.0", "+1.0", "1", "1.0", "1e0"],
+            # a refused cell inside and as a run; missing cells in a run
+            ["0.5", "0.5", "x", "0.5", "0.5", "x", "x", "x", "0.5"],
+            ["0.5", "", "", "0.5", None, None, None, "0.5", "0.5", None],
+            [None, None, "-0.0", "-0.0", "nan", "nan", "y", None, "1e500", "1e500"],
+            ["1", "1", "1", "1"], ["1"], [None], [],
+        ],
+    )
+    def test_runs_read_as_cell_by_cell(self, cells):
+        want_faults, got_faults = {}, {}
+        want = np.array(cli._column(float, cells, want_faults, 0.0), dtype=np.float64)
+        got = cli._floats(cells, got_faults)
+        assert got.tobytes() == want.tobytes()
+        assert got_faults == want_faults
+
+    @pytest.mark.parametrize("runs", [10, 10_000])
+    def test_each_run_converted_once(self, monkeypatch, runs):
+        # the float conversion is handed one cell per run: 10 for a column
+        # of 10 runs of 1,000 equal cells, and the whole column, in one
+        # call, for a column with no repeat
+        cells = [repr(k / 8) for k in range(runs) for _ in range(10_000 // runs)]
+        calls = []
+        array = np.array
+
+        def counted(obj, *args, **kwargs):
+            calls.append(len(obj))
+            return array(obj, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "array", counted)
+            got = cli._floats(cells, {})
+        assert calls == [runs]
+        assert got.tolist() == list(map(float, cells))
+
+    def test_each_row_of_a_refused_run_is_worded(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "time,lon,lat,mid\n0,0.5,0.5,a\n60,x,0.5,a\n120,x,0.5,a\n"
+            "180,x,0.5,a\n240,0.5,0.5,a\n"
+        )
+        issues = [f"{path}:{line}: could not convert string to float: 'x'"
+                  for line in (3, 4, 5)]
+        (traj,) = ingest(str(path), tz_offset=0, strict=False)
+        assert traj.times.tolist() == [0, 240]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {issue} (row skipped)" for issue in issues
+        ]
+        with pytest.raises(DataError) as info:
+            ingest(str(path), tz_offset=0, strict=True)
+        assert str(info.value) == "3 bad row(s):\n" + "\n".join(issues)
+
+    def test_coordinate_runs_match_reference(self, tmp_path, capsys):
+        rng = np.random.default_rng(20261021)
+        path = tmp_path / "r.csv"
+        for case in range(300):
+            path.write_text(random_run_records_text(rng))
+            for strict in (False, True):
+                got = ingest_outcome(ingest, path, strict, capsys)
+                want = ingest_outcome(reference_ingest, path, strict, capsys)
+                assert got == want, (case, strict, path.read_text())
 
     @pytest.mark.parametrize("row", ["60,a", "60,a,0.5"])
     def test_short_row_warns_index_out_of_range(self, tmp_path, capsys, row):
@@ -800,6 +870,41 @@ def random_records_text(rng: np.random.Generator) -> str:
         lines.append(",".join(cells))
     if rng.random() < 0.3:
         lines += ["100,x,0.5,a", "100,0.5,0.5,a"]
+    return "\n".join(lines) + "\n"
+
+
+#: Coordinate texts for runs: equal values written otherwise, and values
+#: out of range; and texts that float refuses, drawn less often, so that
+#: more than half of the columns convert in one call
+_RUN_COORDS = ["0.0", "-0.0", "nan", "-nan", "1.0", "1.00", "+1.0", "116.5",
+               "39.9", "200", "-inf"]
+_RUN_REFUSED = ["x", ""]
+
+
+def random_run_records_text(rng: np.random.Generator) -> str:
+    """A records CSV of 41 to 48 rows whose coordinates repeat in runs, as a
+    stay's records do. Each run of 1 to 8 rows shares one device and one
+    lon and lat text; a row may change one of them for another text, and a
+    run may lose its last cells, so that missing cells run too. Columns
+    are ordered mid, time, lon, lat, so that a short row keeps its id."""
+
+    def pick(options: list[str]) -> str:
+        return options[int(rng.integers(len(options)))]
+
+    def coord() -> str:
+        return pick(_RUN_REFUSED if rng.random() < 0.02 else _RUN_COORDS)
+
+    lines = ["mid,time,lon,lat"]
+    time = 0
+    while len(lines) <= 40:
+        mid, lon, lat = pick(["a", "b", "c"]), coord(), coord()
+        keep = 4 if rng.random() < 0.96 else int(rng.integers(2, 4))
+        for _ in range(int(rng.integers(1, 9))):
+            time += 60
+            cells = [mid, str(time), lon, lat]
+            if rng.random() < 0.1:
+                cells[int(rng.integers(2, 4))] = coord()
+            lines.append(",".join(cells[:keep]))
     return "\n".join(lines) + "\n"
 
 
@@ -1619,6 +1724,32 @@ class TestEvaluateFiles:
         assert main([*argv, "--out", str(out)]) == 1
         assert "--rates requires --experiment" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--trajectories", "5", "--jitter", "3"], ["--duration", "30000"],
+                  ["--jitter", "0"]],
+    )
+    def test_walk_flags_without_experiment_are_usage_errors(self, tmp_path, capsys, flags):
+        # only the experiment draws walks; scoring files would ignore these,
+        # also when one is given at its default
+        labels = write_labels(tmp_path / "t.csv", [("d", 0, "S")])
+        out = tmp_path / "m.csv"
+        argv = ["evaluate", "--predictions", labels, "--truth", labels, *flags]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"{flags[0]} requires --experiment" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_walk_flags_default_as_given(self, tmp_path):
+        # the walk flags default to unset; the experiment fills in the
+        # defaults of its fields, and reads as if they were given
+        runs = [[], ["--trajectories", "100", "--duration", "259200", "--jitter", "0"]]
+        texts = []
+        for k, flags in enumerate(runs):
+            out = tmp_path / f"r{k}.csv"
+            argv = ["evaluate", "--experiment", "--rates", "1.0,0.5", *flags]
+            assert main([*argv, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
 
 class TestSimulatePipeline:
