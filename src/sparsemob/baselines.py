@@ -12,6 +12,10 @@ label every record of a query trajectory (they never abstain).
   bucket x time-gap bucket) as the observation symbol and decodes the
   stay/travel state sequence with Viterbi in log space.
 
+Training and prediction run on consecutive trajectories' columns, as
+``sparsemob.cli`` reads a file; the functions that take trajectories join
+them into such columns first.
+
 This module does no I/O: ``sparsemob.cli`` reads and writes model files,
 with every other file layout.
 """
@@ -29,7 +33,7 @@ from .core import (
     LABEL_TRAVEL,
     LABEL_UNLABELED,
     Trajectory,
-    planar,
+    project_runs,
 )
 
 HOURS_PER_WEEK = 168
@@ -141,12 +145,28 @@ class VotingModel:
         )
 
     def predict(self, traj: Trajectory) -> np.ndarray:
-        out = np.empty(len(traj), dtype=np.int8)
-        for i in range(len(traj)):
-            out[i] = self.predict_record(
-                float(traj.lons[i]), float(traj.lats[i]), int(traj.times[i])
-            )
-        return out
+        return self._predict(traj.lons, traj.lats, traj.times)
+
+    def _predict(self, lons, lats, times) -> np.ndarray:
+        """The label of each record of the columns: no trajectory needed."""
+        labels = map(self.predict_record, lons.tolist(), lats.tolist(), times.tolist())
+        return np.fromiter(labels, dtype=np.int8, count=len(times))
+
+
+def _columns(pairs):
+    """(trajectory, labels) pairs as columns: lons, lats, times, each
+    trajectory's record count and the labels, trajectory after trajectory."""
+    pairs = list(pairs)
+    if any(len(np.asarray(labels)) != len(traj) for traj, labels in pairs):
+        raise ValueError("labels must align with trajectory records")
+    trajs = [traj for traj, _ in pairs]
+    return (
+        np.concatenate([np.zeros(0), *(traj.lons for traj in trajs)]),
+        np.concatenate([np.zeros(0), *(traj.lats for traj in trajs)]),
+        np.concatenate([np.zeros(0, np.int64), *(traj.times for traj in trajs)]),
+        [len(traj) for traj in trajs],
+        np.concatenate([np.zeros(0, np.int64), *(np.asarray(l) for _, l in pairs)]),
+    )
 
 
 def voting_train(
@@ -161,23 +181,21 @@ def voting_train(
     Unlabeled positions contribute nothing. Accumulation is commutative, so
     any training order yields the same model.
     """
+    lons, lats, times, _, labels = _columns(pairs)
+    return _vote(lons, lats, times, labels, seed=seed, week_start=week_start,
+                 tz_offset=tz_offset)
+
+
+def _vote(lons, lats, times, labels, *, seed, week_start, tz_offset) -> VotingModel:
+    """``voting_train`` over records as columns: the bins need no
+    trajectory, so neither does training."""
     model = VotingModel(seed=seed, week_start=week_start, tz_offset=tz_offset)
-    for traj, labels in pairs:
-        labels = np.asarray(labels)
-        if len(labels) != len(traj):
-            raise ValueError("labels must align with trajectory records")
-        for i in range(len(traj)):
-            code = int(labels[i])
-            if code == LABEL_UNLABELED:
-                continue
+    rows = zip(lons.tolist(), lats.tolist(), times.tolist(), labels.tolist())
+    for lon, lat, time, code in rows:
+        if code != LABEL_UNLABELED:
             model.add(
-                spatiotemporal_bin(
-                    float(traj.lons[i]),
-                    float(traj.lats[i]),
-                    int(traj.times[i]),
-                    week_start=week_start,
-                    tz_offset=tz_offset,
-                ),
+                spatiotemporal_bin(lon, lat, time, week_start=week_start,
+                                   tz_offset=tz_offset),
                 code,
             )
     return model
@@ -216,13 +234,18 @@ def observations(
     traj: Trajectory, buckets: BucketConfig, *, ref_lat: float | None = None
 ) -> np.ndarray:
     """Observation symbol per record: 0 for the first, offset bucket after."""
-    n = len(traj)
-    out = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return out
-    x, y = planar(traj, ref_lat)
+    return _symbols(traj.lons, traj.lats, traj.times, [len(traj)], buckets, ref_lat)
+
+
+def _symbols(lons, lats, times, sizes, buckets: BucketConfig, ref_lat) -> np.ndarray:
+    """``observations`` of consecutive trajectories: one projection and one
+    ``diff`` over all their records, then 0 at each one's first record."""
+    x, y = project_runs(lons, lats, sizes, ref_lat)
+    out = np.zeros(len(times), dtype=np.int64)
     dist = np.hypot(np.diff(x), np.diff(y))
-    out[1:] = buckets.symbol(dist, np.diff(traj.times).astype(np.float64))
+    out[1:] = buckets.symbol(dist, np.diff(times).astype(np.float64))
+    sizes = np.asarray(sizes, dtype=np.int64)
+    out[(np.cumsum(sizes) - sizes)[sizes > 0]] = 0
     return out
 
 
@@ -278,29 +301,33 @@ def hmm_train(
     counts take every labeled record's own symbol. All three tables get
     add-one smoothing, so no probability is ever zero.
     """
+    return _hmm_fit(*_columns(pairs), buckets, ref_lat)
+
+
+def _hmm_fit(lons, lats, times, sizes, labels, buckets=None, ref_lat=None) -> HmmModel:
+    """``hmm_train`` over consecutive trajectories as columns, ``sizes``
+    their record counts: each count is one ``bincount`` over all records."""
     if buckets is None:
         buckets = BucketConfig()
-    pairs = list(pairs)
-    if not pairs:
+    if not len(sizes):
         raise ValueError("empty training set")
-    state_of = {LABEL_STAY: 0, LABEL_TRAVEL: 1}
-    init_counts = np.zeros(2, dtype=np.int64)
-    trans_counts = np.zeros((2, 2), dtype=np.int64)
-    emit_counts = np.zeros((2, buckets.n_symbols), dtype=np.int64)
-    for traj, labels in pairs:
-        labels = np.asarray(labels)
-        if len(labels) != len(traj):
-            raise ValueError("labels must align with trajectory records")
-        syms = observations(traj, buckets, ref_lat=ref_lat)
-        states = [state_of.get(int(c)) for c in labels]
-        if states and states[0] is not None:
-            init_counts[states[0]] += 1
-        for k in range(len(states)):
-            if states[k] is None:
-                continue
-            emit_counts[states[k], syms[k]] += 1
-            if k + 1 < len(states) and states[k + 1] is not None:
-                trans_counts[states[k], states[k + 1]] += 1
+    n_symbols = buckets.n_symbols
+    syms = _symbols(lons, lats, times, sizes, buckets, ref_lat)
+    # state 0 for stay, 1 for travel, -1 for a record without either label
+    states = np.where(labels == LABEL_STAY, 0, np.where(labels == LABEL_TRAVEL, 1, -1))
+    labeled = states >= 0
+    sizes = np.asarray(sizes, dtype=np.int64)
+    heads = (np.cumsum(sizes) - sizes)[sizes > 0]
+    # consecutive records of one trajectory, both labeled
+    pair = labeled[:-1] & labeled[1:]
+    pair[heads[heads > 0] - 1] = False
+    init_counts = np.bincount(states[heads][labeled[heads]], minlength=2)
+    trans_counts = np.bincount(
+        states[:-1][pair] * 2 + states[1:][pair], minlength=4
+    ).reshape(2, 2)
+    emit_counts = np.bincount(
+        states[labeled] * n_symbols + syms[labeled], minlength=2 * n_symbols
+    ).reshape(2, n_symbols)
     initial = (init_counts + 1) / (init_counts.sum() + 2)
     transition = (trans_counts + 1) / (trans_counts.sum(axis=1, keepdims=True) + 2)
     emission = (emit_counts + 1) / (
@@ -364,9 +391,18 @@ def hmm_predict(
     model: HmmModel, traj: Trajectory, *, ref_lat: float | None = None
 ) -> np.ndarray:
     """Label every record of a trajectory by Viterbi decoding."""
-    if len(traj) == 0:
-        return np.zeros(0, dtype=np.int8)
-    syms = observations(traj, model.buckets, ref_lat=ref_lat)
-    states, _ = viterbi(model.initial, model.transition, model.emission, syms)
-    return np.array([STATE_LABELS[s] for s in states], dtype=np.int8)
+    return _hmm_decode(model, traj.lons, traj.lats, traj.times, [len(traj)], ref_lat)
+
+
+def _hmm_decode(model: HmmModel, lons, lats, times, sizes, ref_lat=None) -> np.ndarray:
+    """``hmm_predict`` of consecutive trajectories as columns: the symbols
+    of all of them at once, then one ``viterbi`` call per trajectory."""
+    syms = _symbols(lons, lats, times, sizes, model.buckets, ref_lat)
+    states = np.zeros(len(times), dtype=np.int64)
+    ends = np.cumsum(np.asarray(sizes, dtype=np.int64)).tolist()
+    for a, b in zip([0] + ends, ends):
+        if b > a:
+            states[a:b] = viterbi(model.initial, model.transition, model.emission,
+                                  syms[a:b])[0]
+    return np.asarray(STATE_LABELS, dtype=np.int8)[states]
 

@@ -18,7 +18,10 @@ shared by every command:
   without a line feed (the label writer would leave it unquoted).
   Time accepts epoch seconds, ISO-8601, or HH:MM:SS/MM/DD/YYYY; wall-clock
   forms without an explicit offset are interpreted in the configured
-  timezone.
+  timezone. Every command that reads records (``label``, ``oracle``,
+  ``stats``, ``resample``, ``prop1``, ``bounds``, ``baseline``) reads them
+  into the same columns, ``_ingest_columns``', and builds no per-device
+  object from them.
 * Label CSV columns: mid, time, label with label in {S, T, U}.
 * Exit codes: 0 success, 1 usage error, 2 data error.
 * A config file of key=value lines can supply any shared flag (keys
@@ -44,7 +47,7 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone as _tz
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, ne
 from typing import TYPE_CHECKING
 
@@ -56,7 +59,6 @@ from .core import (
     DEFAULT_TZ_OFFSET,
     LABEL_UNLABELED,
     MobilityParams,
-    Trajectory,
     check_ref_lat,
     project_runs,
 )
@@ -281,7 +283,7 @@ def _table_text(rows) -> str:
 def _write_csv(path: str, kind: str, header, texts, notes=()) -> None:
     """Write a CSV: its version line, one ``# note`` line per note, the
     header, then ``texts``, the body's rows as text (``_table_text``,
-    ``_label_rows``, ``_record_text``), in order."""
+    ``_label_rows``, ``_record_rows``), in order."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# sparsemob {kind} v1\n")
@@ -355,24 +357,19 @@ def _label_rows(devices: list[str], sizes, times: np.ndarray, codes) -> str:
     return b"".join(blocks).decode("utf-8")
 
 
-def _trajectory_labels(trajectories: list[Trajectory], codes: list) -> str:
-    """``_label_rows`` of ``trajectories``, ``codes`` holding each one's
-    label codes."""
-    return _label_rows(
-        [traj.device for traj in trajectories],
-        [len(traj) for traj in trajectories],
-        np.concatenate([np.zeros(0, np.int64), *(traj.times for traj in trajectories)]),
-        np.concatenate([np.zeros(0, np.int8), *codes]),
-    )
+def _owners(devices: list[str], sizes) -> chain:
+    """Each record's device, for ``sizes[k]`` records of ``devices[k]``."""
+    return chain.from_iterable(map(repeat, devices, np.asarray(sizes).tolist()))
 
 
-def _record_text(traj: Trajectory) -> str:
-    """One device's rows of a records CSV, as ``csv.writer`` would write them:
-    the device cell is formatted once; coordinates are finite, so ``repr``
-    writes them as ``_fmt`` would."""
-    tail = f",{_csv_cell(traj.device)}\n"
-    rows = zip(traj.times.tolist(), traj.lons.tolist(), traj.lats.tolist())
-    return "".join([f"{t},{lon!r},{lat!r}{tail}" for t, lon, lat in rows])
+def _record_rows(devices: list[str], sizes, times, lons, lats) -> str:
+    """Rows of a records CSV, as ``csv.writer`` would write them: ``sizes[k]``
+    rows of device ``devices[k]``, for k in order, with their ``times``,
+    ``lons`` and ``lats``. Each device cell is formatted once; coordinates
+    are finite, so ``repr`` writes them as ``_fmt`` would."""
+    tails = _owners([f",{_csv_cell(device)}\n" for device in devices], sizes)
+    rows = zip(np.asarray(times).tolist(), lons.tolist(), lats.tolist(), tails)
+    return "".join([f"{t},{lon!r},{lat!r}{tail}" for t, lon, lat, tail in rows])
 
 
 def _read_text(path: str) -> str:
@@ -688,20 +685,6 @@ def _ingest_columns(path: str, *, tz_offset: int, strict: bool):
     return keys, sizes[sizes > 0], times, lons, lats
 
 
-def ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
-    """Read a records CSV into per-device trajectories, devices in
-    lexicographic id order; rows are read, checked and rejected as
-    ``_ingest_columns`` says."""
-    keys, sizes, times, lons, lats = _ingest_columns(
-        path, tz_offset=tz_offset, strict=strict
-    )
-    ends = np.cumsum(sizes).tolist()
-    return [
-        Trajectory(device=key, times=times[a:b], lons=lons[a:b], lats=lats[a:b])
-        for key, a, b in zip(keys, [0] + ends, ends)
-    ]
-
-
 def _read_labels(path: str) -> dict[tuple[str, int], int]:
     """Label codes keyed by (mid, time), in file order."""
     columns, lines, _ = _read_table(path, _read_text(path), _LABEL_HEADER)
@@ -834,18 +817,20 @@ def _load_model(method: str, path: str) -> VotingModel | HmmModel:
 
 
 def _aligned_labels(
-    traj: Trajectory, label_map: dict[tuple[str, int], int], *, strict: bool
+    keys: list[str], sizes, times, label_map: dict[tuple[str, int], int], *, strict: bool
 ) -> np.ndarray:
-    """Label codes aligned to a trajectory's records; missing entries
-    abstain (or fail in strict mode)."""
-    out = np.full(len(traj), LABEL_UNLABELED, dtype=np.int8)
-    for i, t in enumerate(traj.times):
-        key = (traj.device, int(t))
-        if key in label_map:
-            out[i] = label_map[key]
-        elif strict:
-            raise DataError(f"no label for record ({traj.device!r}, {int(t)})")
-    return out
+    """Label codes aligned to the records of ``_ingest_columns``' columns;
+    a record without a label abstains, or in strict mode is a data error
+    naming the first such record."""
+    records = list(zip(_owners(keys, sizes), times.tolist()))
+    codes = np.fromiter(map(label_map.get, records, repeat(-1)), np.int8, len(records))
+    missing = codes < 0
+    if missing.any():
+        if strict:
+            mid, t = records[int(missing.argmax())]
+            raise DataError(f"no label for record ({mid!r}, {t})")
+        codes[missing] = LABEL_UNLABELED
+    return codes
 
 
 def _device_rng(seed: int, device: str) -> np.random.Generator:
@@ -875,21 +860,23 @@ def run_label(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_oracle(args: argparse.Namespace, run: RunConfig) -> int:
-    from .oracle import OracleLimitError, exact_label
+    from .oracle import OracleLimitError, _check_limit, _exact_codes
 
     if args.limit < 1:
         raise UsageError(f"--limit must be at least 1, got {args.limit}")
-    trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    codes = []
-    for traj in trajectories:
+    # columns from ingest to output, as in run_label
+    keys, sizes, times, lons, lats = _ingest_columns(
+        args.input, tz_offset=run.tz_offset, strict=run.strict
+    )
+    # before any labeling, the first device over the limit, in id order
+    for k in np.flatnonzero(sizes > args.limit).tolist():
         try:
-            labels = exact_label(
-                traj, run.params, ref_lat=run.ref_lat, limit=args.limit
-            )
+            _check_limit(int(sizes[k]), args.limit)
         except OracleLimitError as exc:
-            raise DataError(f"device {traj.device!r}: {exc}") from None
-        codes.append(labels.labels)
-    _write_csv(args.out, "labels", _LABEL_HEADER, [_trajectory_labels(trajectories, codes)])
+            raise DataError(f"device {keys[k]!r}: {exc}") from None
+    x, y = project_runs(lons, lats, sizes, run.ref_lat)
+    codes = _exact_codes(x, y, times, sizes, run.params)
+    _write_csv(args.out, "labels", _LABEL_HEADER, [_label_rows(keys, sizes, times, codes)])
     return EXIT_OK
 
 
@@ -983,7 +970,7 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
     with_truth = args.labels_out is not None
     config = _experiment_config(args, run, with_truth=with_truth)
     trajectories = []
-    truths = []
+    truths = [np.zeros(0, np.int8)]
     for i in range(config.trajectories):
         # without truth, check_supports has not bounded the jitter
         try:
@@ -992,34 +979,43 @@ def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
             raise UsageError(f"settings give an invalid trajectory: {exc}") from None
         trajectories.append(traj)
         truths.append(truth)
-    _write_csv(args.out, "records", _RECORD_HEADER, map(_record_text, trajectories))
+    devices = [traj.device for traj in trajectories]
+    sizes = [len(traj) for traj in trajectories]
+    times, lons, lats = (
+        np.concatenate([np.zeros(0, dtype), *(getattr(traj, name) for traj in trajectories)])
+        for name, dtype in (("times", np.int64), ("lons", np.float64), ("lats", np.float64))
+    )
+    _write_csv(args.out, "records", _RECORD_HEADER,
+               [_record_rows(devices, sizes, times, lons, lats)])
     if with_truth:
         _write_csv(args.labels_out, "labels", _LABEL_HEADER,
-                   [_trajectory_labels(trajectories, truths)])
+                   [_label_rows(devices, sizes, times, np.concatenate(truths))])
     return EXIT_OK
 
 
 def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
-    from .simulate import resample
-
     if (args.labels is None) != (args.labels_out is None):
         raise UsageError("--labels and --labels-out must be used together")
     if not 0.0 <= args.rate <= 1.0:
         raise UsageError(f"--rate must lie in [0, 1], got {args.rate}")
-    trajectories = ingest(args.input, tz_offset=run.tz_offset, strict=run.strict)
-    label_map = _read_labels(args.labels) if args.labels else {}
-    subs = []
-    codes = []
-    for traj in trajectories:
-        rng = _device_rng(run.seed, traj.device)
-        sub, keep = resample(traj, args.rate, rng)
-        if args.labels:
-            codes.append(_aligned_labels(traj, label_map, strict=run.strict)[keep])
-        subs.append(sub)
-    _write_csv(args.out, "records", _RECORD_HEADER, map(_record_text, subs))
+    keys, sizes, times, lons, lats = _ingest_columns(
+        args.input, tz_offset=run.tz_offset, strict=run.strict
+    )
+    if args.labels:
+        label_map = _read_labels(args.labels)
+        codes = _aligned_labels(keys, sizes, times, label_map, strict=run.strict)
+    # simulate.resample's draws: one uniform per record from the device's
+    # own generator
+    draws = [_device_rng(run.seed, key).random(n) for key, n in zip(keys, sizes.tolist())]
+    keep = np.concatenate([np.zeros(0), *draws]) < args.rate
+    owner = np.repeat(np.arange(len(keys)), sizes)
+    kept = np.bincount(owner[keep], minlength=len(keys))
+    times = times[keep]
+    _write_csv(args.out, "records", _RECORD_HEADER,
+               [_record_rows(keys, kept, times, lons[keep], lats[keep])])
     if args.labels_out:
         # an empty --labels path reads no labels: the file has no rows
-        rows = [_trajectory_labels(subs, codes)] if args.labels else []
+        rows = [_label_rows(keys, kept, times, codes[keep])] if args.labels else []
         _write_csv(args.labels_out, "labels", _LABEL_HEADER, rows)
     return EXIT_OK
 
@@ -1128,7 +1124,7 @@ def run_bounds(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
-    from .baselines import BucketConfig, hmm_predict, hmm_train, voting_train
+    from .baselines import _hmm_decode, _hmm_fit, _vote
 
     training = args.train_records is not None
     if training != (args.train_labels is not None):
@@ -1139,27 +1135,27 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
         raise UsageError("--records requires --out for the predictions")
     if args.out and not args.records:
         raise UsageError("--out requires --records to predict")
+    if training and args.load_model:
+        raise UsageError("--load-model cannot be used with training inputs")
+    voting_training = training and args.method == "voting"
+    if args.week_start is not None and not voting_training:
+        raise UsageError("--week-start applies only to training --method voting")
 
+    # columns from ingest to output, as in run_label
     model: VotingModel | HmmModel
     if training:
-        trajectories = ingest(
+        keys, sizes, times, lons, lats = _ingest_columns(
             args.train_records, tz_offset=run.tz_offset, strict=run.strict
         )
         label_map = _read_labels(args.train_labels)
-        pairs = [
-            (traj, _aligned_labels(traj, label_map, strict=run.strict))
-            for traj in trajectories
-        ]
+        labels = _aligned_labels(keys, sizes, times, label_map, strict=run.strict)
         try:
-            if args.method == "voting":
-                model = voting_train(
-                    pairs,
-                    seed=run.seed,
-                    week_start=args.week_start,
-                    tz_offset=run.tz_offset,
-                )
+            if voting_training:
+                model = _vote(lons, lats, times, labels, seed=run.seed,
+                              week_start=args.week_start or "monday",
+                              tz_offset=run.tz_offset)
             else:
-                model = hmm_train(pairs, BucketConfig(), ref_lat=run.ref_lat)
+                model = _hmm_fit(lons, lats, times, sizes, labels, ref_lat=run.ref_lat)
         except ValueError as exc:
             raise DataError(str(exc)) from None
     else:
@@ -1169,12 +1165,14 @@ def run_baseline(args: argparse.Namespace, run: RunConfig) -> int:
         _save_model(model, args.save_model)
 
     if args.records:
-        query = ingest(args.records, tz_offset=run.tz_offset, strict=run.strict)
+        keys, sizes, times, lons, lats = _ingest_columns(
+            args.records, tz_offset=run.tz_offset, strict=run.strict
+        )
         if args.method == "voting":
-            codes = [model.predict(traj) for traj in query]
+            codes = model._predict(lons, lats, times)
         else:
-            codes = [hmm_predict(model, traj, ref_lat=run.ref_lat) for traj in query]
-        _write_csv(args.out, "labels", _LABEL_HEADER, [_trajectory_labels(query, codes)])
+            codes = _hmm_decode(model, lons, lats, times, sizes, run.ref_lat)
+        _write_csv(args.out, "labels", _LABEL_HEADER, [_label_rows(keys, sizes, times, codes)])
     return EXIT_OK
 
 
@@ -1294,8 +1292,10 @@ def _baseline_args(p: _Parser) -> None:
     p.add_argument("--save-model", dest="save_model", default=None)
     p.add_argument("--records", default=None, help="records CSV to label")
     p.add_argument("--out", default=None, help="predictions CSV to write")
+    # None, so that run_baseline can refuse it where no voting model is
+    # trained; voting training fills in monday
     p.add_argument("--week-start", dest="week_start", choices=("monday", "sunday"),
-                   default="monday")
+                   default=None)
     p.set_defaults(func=run_baseline)
 
 

@@ -12,8 +12,8 @@ Scoring conventions used throughout:
 
 The sampling statistics (:func:`spans`, :func:`mean_gaps`,
 :func:`coverages`) and :func:`sparsity_report` take a file's devices as
-``cli`` ingest gives them: every device's sorted times one after another,
-and each one's record count. Each is a few whole-array steps over all
+``cli._ingest_columns`` gives them: every device's sorted times one after
+another, and each one's record count. Each is a few whole-array steps over all
 devices at once; none builds a per-device object. Nor does
 :func:`local_consistency_check`, which takes them projected by
 ``core.project_runs``, as the experiment projects each batch.
@@ -371,9 +371,10 @@ def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     one before, and the kernel labels across such a gap as it labels
     separate trajectories. The count fields come from one histogram over
     (rate, predicted code, truth class, stay pool, travel pool), the gap
-    fields from each subset's first and last time. The keep masks are
-    ``simulate.resample``'s draws, with no generator built at rates 0.0 and
-    1.0, whose masks need none.
+    fields from each subset's first and last time. The keep masks are drawn
+    by ``simulate.resample``'s rule, one uniform per record below the rate,
+    as the ``resample`` command draws them, with no generator built at rates
+    0.0 and 1.0, whose masks need none.
     """
     indices, lons, lats, ts, travels = zip(*batch)
     lengths = [len(v) for v in ts]
@@ -385,7 +386,7 @@ def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     travel_pool &= truth_travel
 
     rates = len(config.rates)
-    # the keep masks of simulate.resample: one uniform per record from a
+    # simulate.resample's rule: one uniform per record from a
     # generator seeded by (seed, index, rate position), so rates stay
     # independent of each other and of the trajectory draws. A uniform is
     # always below 1.0 and never below 0.0, so those two rates keep all or

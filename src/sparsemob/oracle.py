@@ -30,15 +30,14 @@ class OracleLimitError(ValueError):
     """Trajectory too long for the exhaustive oracle."""
 
 
-def _check_limit(traj: Trajectory, limit: int) -> None:
-    if len(traj) > limit:
-        raise OracleLimitError(
-            f"trajectory has {len(traj)} records, oracle limit is {limit}"
-        )
+def _check_limit(size: int, limit: int) -> None:
+    """Refuse a trajectory of ``size`` records longer than ``limit``."""
+    if size > limit:
+        raise OracleLimitError(f"trajectory has {size} records, oracle limit is {limit}")
 
 
-def _dist2(traj: Trajectory, ref_lat: float | None) -> np.ndarray:
-    x, y = planar(traj, ref_lat)
+def _dist2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared pairwise distances of planar points."""
     return (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
 
 
@@ -77,6 +76,18 @@ def _members(n: int, windows: list[tuple[int, int]]) -> np.ndarray:
     return flags
 
 
+def _exact_codes(x, y, t, sizes, params: MobilityParams) -> np.ndarray:
+    """int8 Stay/Travel codes of consecutive trajectories in planar
+    coordinates, each labeled alone by window semantics: one ``_windows``
+    sweep over each trajectory's slice. Sizes are not limited here; a
+    caller checks each one with ``_check_limit`` first."""
+    ends = np.cumsum(np.asarray(sizes, dtype=np.int64)).tolist()
+    stay = np.zeros(len(t), dtype=bool)
+    for a, b in zip([0] + ends, ends):
+        stay[a:b] = _members(b - a, _windows(_dist2(x[a:b], y[a:b]), t[a:b], params))
+    return np.where(stay, LABEL_STAY, LABEL_TRAVEL).astype(np.int8)
+
+
 def exact_label(
     traj: Trajectory,
     params: MobilityParams,
@@ -87,6 +98,6 @@ def exact_label(
     """Total Stay/Travel labeling by window semantics (declarative, not the
     windowed labeler's control flow). A lone record is Travel: no two-record
     window exists to certify a dwell."""
-    _check_limit(traj, limit)
-    stay = _members(len(traj), _windows(_dist2(traj, ref_lat), traj.times, params))
-    return LabeledTrajectory(traj, np.where(stay, LABEL_STAY, LABEL_TRAVEL))
+    _check_limit(len(traj), limit)
+    x, y = planar(traj, ref_lat)
+    return LabeledTrajectory(traj, _exact_codes(x, y, traj.times, [len(traj)], params))

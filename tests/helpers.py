@@ -451,7 +451,7 @@ def dense_stay_windows(
     """
     t = traj.times.tolist()
     cuts = [0, *(k for k in range(1, len(t)) if t[k] - t[k - 1] > params.delta_t), len(t)]
-    d2 = _dist2(traj, ref_lat)
+    d2 = _dist2(*planar(traj, ref_lat))
     return [
         (a + p, a + q)
         for a, b in zip(cuts, cuts[1:])
@@ -468,7 +468,7 @@ def dense_stay_membership(
 ) -> np.ndarray:
     """Boolean flag per record: member of some window of
     :func:`dense_stay_windows`."""
-    _check_limit(traj, limit)
+    _check_limit(len(traj), limit)
     return _members(len(traj), dense_stay_windows(traj, params, ref_lat=ref_lat))
 
 
@@ -486,12 +486,12 @@ def travel_condition_all(
     d(i, q) >= spatial, and t_q - t_p <= delta_t. Endpoint records are never
     witnessed (one side is empty).
     """
-    _check_limit(traj, limit)
+    _check_limit(len(traj), limit)
     n = len(traj)
     out = np.zeros(n, dtype=bool)
     if n < 3:
         return out
-    d2 = _dist2(traj, ref_lat)
+    d2 = _dist2(*planar(traj, ref_lat))
     s2 = spatial * spatial
     t = traj.times
     window_ok = (t[None, :] - t[:, None]) <= delta_t  # [p, q]
@@ -567,7 +567,9 @@ def _reference_read_table(path: str, required: tuple[str, ...]):
 
 
 def reference_ingest(path: str, *, tz_offset: int, strict: bool) -> list[Trajectory]:
-    """Row-by-row records ingest: the reference for ``cli.ingest``.
+    """Row-by-row records ingest: the reference for ``cli._ingest_columns``,
+    whose columns hold these trajectories' ids, lengths and arrays one
+    after another.
 
     One parse per row and a dict of per-device lists, sorted per device by
     (time, line). It has no time-range rule, so an out-of-range time reaches

@@ -271,6 +271,27 @@ class TestHmmTrain:
         # no transition pair was labeled on both ends
         assert model.transition == pytest.approx(np.full((2, 2), 0.5))
 
+    def test_counts_over_trajectories_match_a_loop_per_trajectory(self, rng):
+        # every count is one bincount over all trajectories' records; no
+        # initial or transition count may cross from one trajectory into
+        # the next, and an empty trajectory counts nothing
+        for _ in range(20):
+            pairs = []
+            for _ in range(int(rng.integers(1, 8))):
+                traj = random_trajectory(rng, max_len=1 if rng.random() < 0.3 else 12)
+                if rng.random() < 0.1:
+                    traj = traj_from_meters([], [])
+                labels = rng.choice([S, T, U], size=len(traj)).astype(np.int8)
+                pairs.append((traj, labels))
+            buckets = BucketConfig()
+            model = hmm_train(pairs, buckets)
+            init, trans, emit = reference_hmm_counts(pairs, buckets)
+            assert model.initial.tolist() == ((init + 1) / (init.sum() + 2)).tolist()
+            want = (trans + 1) / (trans.sum(axis=1, keepdims=True) + 2)
+            assert model.transition.tolist() == want.tolist()
+            want = (emit + 1) / (emit.sum(axis=1, keepdims=True) + buckets.n_symbols)
+            assert model.emission.tolist() == want.tolist()
+
     def test_rows_are_distributions(self, rng):
         pairs = []
         for _ in range(4):
@@ -282,6 +303,27 @@ class TestHmmTrain:
         assert model.transition.sum(axis=1) == pytest.approx([1.0, 1.0])
         assert model.emission.sum(axis=1) == pytest.approx([1.0, 1.0])
         assert (model.emission > 0).all()
+
+
+def reference_hmm_counts(pairs, buckets):
+    """Initial, transition and emission counts of ``hmm_train``, record by
+    record, one trajectory at a time."""
+    state_of = {S: 0, T: 1}
+    init = np.zeros(2, dtype=np.int64)
+    trans = np.zeros((2, 2), dtype=np.int64)
+    emit = np.zeros((2, buckets.n_symbols), dtype=np.int64)
+    for traj, labels in pairs:
+        syms = observations(traj, buckets)
+        states = [state_of.get(int(c)) for c in labels]
+        if states and states[0] is not None:
+            init[states[0]] += 1
+        for k in range(len(states)):
+            if states[k] is None:
+                continue
+            emit[states[k], syms[k]] += 1
+            if k + 1 < len(states) and states[k + 1] is not None:
+                trans[states[k], states[k + 1]] += 1
+    return init, trans, emit
 
 
 def sharp_emission_model() -> HmmModel:

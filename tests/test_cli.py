@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     SMALLEST_DELTA_S,
     minutes,
+    _csv_text,
     random_trajectory,
     reference_bounds,
     reference_generate_ctrw,
@@ -37,8 +38,10 @@ from sparsemob.core import (
     MobilityParams,
     Trajectory,
 )
-from sparsemob.baselines import hmm_train, voting_train
+from sparsemob.baselines import hmm_predict, hmm_train, voting_train
+from sparsemob.oracle import OracleLimitError, exact_label
 from sparsemob.sds import sds_label
+from sparsemob.simulate import resample
 from sparsemob.cli import (
     DataError,
     _device_rng,
@@ -48,8 +51,8 @@ from sparsemob.cli import (
     _parse_float_list,
     _parse_time_text,
     _parse_tz,
+    _ingest_columns,
     _save_model,
-    ingest,
     main,
 )
 
@@ -271,13 +274,13 @@ class TestColumnConversion:
         )
         issues = [f"{path}:{line}: could not convert string to float: 'x'"
                   for line in (3, 4, 5)]
-        (traj,) = ingest(str(path), tz_offset=0, strict=False)
-        assert traj.times.tolist() == [0, 240]
+        keys, _, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, times.tolist()) == (["a"], [0, 240])
         assert capsys.readouterr().err.splitlines() == [
             f"warning: {issue} (row skipped)" for issue in issues
         ]
         with pytest.raises(DataError) as info:
-            ingest(str(path), tz_offset=0, strict=True)
+            _ingest_columns(str(path), tz_offset=0, strict=True)
         assert str(info.value) == "3 bad row(s):\n" + "\n".join(issues)
 
     def test_coordinate_runs_match_reference(self, tmp_path, capsys):
@@ -286,8 +289,8 @@ class TestColumnConversion:
         for case in range(300):
             path.write_text(random_run_records_text(rng))
             for strict in (False, True):
-                got = ingest_outcome(ingest, path, strict, capsys)
-                want = ingest_outcome(reference_ingest, path, strict, capsys)
+                got = ingest_outcome(_ingest_columns, path, strict, capsys)
+                want = ingest_outcome(reference_columns, path, strict, capsys)
                 assert got == want, (case, strict, path.read_text())
 
     @pytest.mark.parametrize("row", ["60,a", "60,a,0.5"])
@@ -295,8 +298,8 @@ class TestColumnConversion:
         path = tmp_path / "r.csv"
         path.write_text(f"time,mid,lon,lat\n0,a,0.5,0.5\n{row}\n")
         warning = f"warning: {path}:3: list index out of range (row skipped)\n"
-        (traj,) = ingest(str(path), tz_offset=0, strict=False)
-        assert traj.times.tolist() == [0]
+        keys, _, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, times.tolist()) == (["a"], [0])
         assert capsys.readouterr().err == warning
         assert main(["label", str(path), "--out", str(tmp_path / "o.csv")]) == 0
         assert capsys.readouterr().err == warning
@@ -351,10 +354,10 @@ class TestIngest:
             "time,lon,lat,mid\n"
             "18:02:41/07/12/2016,116.523625,39.792935,1370021020431\n"
         )
-        (traj,) = ingest(str(path), tz_offset=28800, strict=True)
-        assert traj.device == "1370021020431"
-        assert list(traj.times) == [TABLE_EPOCH]
-        assert traj.lons[0] == 116.523625
+        keys, _, times, lons, _ = _ingest_columns(str(path), tz_offset=28800, strict=True)
+        assert keys == ["1370021020431"]
+        assert times.tolist() == [TABLE_EPOCH]
+        assert lons.tolist() == [116.523625]
 
     def test_time_formats_agree(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -365,25 +368,27 @@ class TestIngest:
             "2016-07-12T18:02:41,116.5,39.7,c\n"
             "2016-07-12T10:02:41+00:00,116.5,39.7,d\n"
         )
-        trajs = ingest(str(path), tz_offset=28800, strict=True)
-        assert [int(t.times[0]) for t in trajs] == [TABLE_EPOCH] * 4
+        keys, sizes, times, _, _ = _ingest_columns(str(path), tz_offset=28800, strict=True)
+        assert (keys, sizes.tolist()) == (["a", "b", "c", "d"], [1] * 4)
+        assert times.tolist() == [TABLE_EPOCH] * 4
 
     def test_empty_with_header(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("time,lon,lat,mid\n")
-        assert ingest(str(path), tz_offset=0, strict=True) == []
+        keys, *columns = _ingest_columns(str(path), tz_offset=0, strict=True)
+        assert (keys, [len(column) for column in columns]) == ([], [0] * 4)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("")
         with pytest.raises(DataError, match="header"):
-            ingest(str(path), tz_offset=0, strict=False)
+            _ingest_columns(str(path), tz_offset=0, strict=False)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("time,lon,lat\n0,0.0,0.0\n")
         with pytest.raises(DataError, match="mid"):
-            ingest(str(path), tz_offset=0, strict=False)
+            _ingest_columns(str(path), tz_offset=0, strict=False)
 
     def test_rows_sorted_and_devices_ordered(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -393,10 +398,10 @@ class TestIngest:
             "0,0.2,0.0,zeta\n"
             "5,0.3,0.0,alpha\n"
         )
-        trajs = ingest(str(path), tz_offset=0, strict=True)
-        assert [t.device for t in trajs] == ["alpha", "zeta"]
-        assert list(trajs[1].times) == [0, 600]
-        assert trajs[1].lons[0] == 0.2
+        keys, sizes, times, lons, _ = _ingest_columns(str(path), tz_offset=0, strict=True)
+        assert (keys, sizes.tolist()) == (["alpha", "zeta"], [1, 2])
+        assert times.tolist() == [5, 0, 600]
+        assert lons.tolist() == [0.3, 0.2, 0.1]
 
     def test_duplicate_keeps_first_with_warning(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
@@ -406,16 +411,16 @@ class TestIngest:
             "100,0.5,0.0,d\n"
             "200,0.002,0.0,d\n"
         )
-        (traj,) = ingest(str(path), tz_offset=0, strict=False)
-        assert list(traj.times) == [100, 200]
-        assert traj.lons[0] == 0.001
+        keys, _, times, lons, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, times.tolist()) == (["d"], [100, 200])
+        assert lons.tolist() == [0.001, 0.002]
         assert "duplicate" in capsys.readouterr().err
 
     def test_duplicate_fatal_in_strict_mode(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("time,lon,lat,mid\n100,0.0,0.0,d\n100,0.1,0.0,d\n")
         with pytest.raises(DataError, match=":3"):
-            ingest(str(path), tz_offset=0, strict=True)
+            _ingest_columns(str(path), tz_offset=0, strict=True)
 
     def test_bad_coordinates_skipped_or_fatal(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
@@ -423,8 +428,8 @@ class TestIngest:
             "time,lon,lat,mid\n0,0.0,95.0,d\n60,0.0,0.0,d\n120,nan,0.0,d\n"
             "180,-180.5,0.0,d\n240,0.0,-91,d\n300,180,-90,d\n"
         )
-        (traj,) = ingest(str(path), tz_offset=0, strict=False)
-        assert list(traj.times) == [60, 300]
+        keys, _, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, times.tolist()) == (["d"], [60, 300])
         assert capsys.readouterr().err == "".join(
             f"warning: {path}:{line}: {message} (row skipped)\n"
             for line, message in [
@@ -435,25 +440,25 @@ class TestIngest:
             ]
         )
         with pytest.raises(DataError):
-            ingest(str(path), tz_offset=0, strict=True)
+            _ingest_columns(str(path), tz_offset=0, strict=True)
 
     def test_warnings_capped_at_twenty_lines(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
         bad = "".join(f"{i},0.0,95.0,d\n" for i in range(25))
         path.write_text("time,lon,lat,mid\n" + bad + "100,0.0,0.0,d\n")
-        (traj,) = ingest(str(path), tz_offset=0, strict=False)
-        assert list(traj.times) == [100]
+        keys, _, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, times.tolist()) == (["d"], [100])
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 21
         assert lines[0].startswith(f"warning: {path}:2: ")
         assert lines[19].startswith(f"warning: {path}:21: ")
         assert lines[20] == "warning: ... and 5 more row(s) skipped"
         with pytest.raises(DataError, match=r"25 bad row\(s\)(.|\n)*\.\.\. and 5 more$"):
-            ingest(str(path), tz_offset=0, strict=True)
+            _ingest_columns(str(path), tz_offset=0, strict=True)
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            ingest(str(tmp_path / "absent.csv"), tz_offset=0, strict=False)
+            _ingest_columns(str(tmp_path / "absent.csv"), tz_offset=0, strict=False)
 
     @pytest.mark.parametrize(
         "first, bad",
@@ -474,13 +479,13 @@ class TestIngest:
             + "60,0.0,0.0,d\n"
         )
         issues = [f"{path}:{k}: time out of range: {t}" for k, t in enumerate(bad, 3)]
-        trajs = ingest(str(path), tz_offset=0, strict=False)
-        assert [list(t.times) for t in trajs] == [[0, 60]]
+        keys, _, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, times.tolist()) == (["d"], [0, 60])
         assert capsys.readouterr().err.splitlines() == [
             f"warning: {issue} (row skipped)" for issue in issues
         ]
         with pytest.raises(DataError) as info:
-            ingest(str(path), tz_offset=0, strict=True)
+            _ingest_columns(str(path), tz_offset=0, strict=True)
         assert str(info.value) == f"{len(bad)} bad row(s):\n" + "\n".join(issues)
         out = str(tmp_path / "o.csv")
         assert main(["label", str(path), "--timezone", "0", "--out", out]) == 0
@@ -495,8 +500,8 @@ class TestIngest:
             "1e-9999999999999999999,0.0,0.0,d\n60,0.0,0.0,d\n"
         )
         issue = f"{path}:3: non-integer epoch time '1e-9999999999999999999'"
-        trajs = ingest(str(path), tz_offset=0, strict=False)
-        assert [list(t.times) for t in trajs] == [[0, 60]]
+        keys, _, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, times.tolist()) == (["d"], [0, 60])
         assert capsys.readouterr().err == f"warning: {issue} (row skipped)\n"
         out = str(tmp_path / "o.csv")
         strict = ["label", str(path), "--timezone", "0", "--strict", "--out", out]
@@ -512,7 +517,7 @@ class TestIngest:
             f"time,lon,lat,mid\n{first},0.0,0.0,b\n"
             "-5,x,0.0,d\n-5,0.0,95.0,d\n-5,0.0,0.0, \n-5,0.0\n"
         )
-        assert [t.device for t in ingest(str(path), tz_offset=0, strict=False)] == ["b"]
+        assert _ingest_columns(str(path), tz_offset=0, strict=False)[0] == ["b"]
         assert capsys.readouterr().err.splitlines() == [
             f"warning: {path}:3: could not convert string to float: 'x' (row skipped)",
             f"warning: {path}:4: latitude out of range: 95.0 (row skipped)",
@@ -526,7 +531,7 @@ class TestIngest:
             "time,lon,lat,mid\n0,0.0,0.0,d\n1969-12-31T23:59:59.5+00:00,0.0,0.0,d\n"
         )
         with pytest.raises(DataError) as info:
-            ingest(str(path), tz_offset=0, strict=True)
+            _ingest_columns(str(path), tz_offset=0, strict=True)
         assert str(info.value) == f"1 bad row(s):\n{path}:3: time out of range: -1"
         out = str(tmp_path / "o.csv")
         assert main(["label", str(path), "--strict", "--out", out]) == 2
@@ -537,8 +542,8 @@ class TestIngest:
         path.write_text(
             f"time,lon,lat,mid\n{2**63 - 1},0.0,0.0,d\n{2**63},0.0,0.0,d\n"
         )
-        (traj,) = ingest(str(path), tz_offset=0, strict=False)
-        assert list(traj.times) == [2**63 - 1]
+        keys, _, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+        assert (keys, times.tolist()) == (["d"], [2**63 - 1])
         assert f"time out of range: {2**63}" in capsys.readouterr().err
 
     def test_int64_limit_written_with_a_decimal_point_accepted(self, tmp_path):
@@ -547,8 +552,8 @@ class TestIngest:
             "time,lon,lat,mid\n9007199254740993.0,0.0,0.0,d\n"
             f"{2**63 - 1}.0,0.0,0.0,d\n"
         )
-        (traj,) = ingest(str(path), tz_offset=0, strict=True)
-        assert traj.times.tolist() == [9007199254740993, 2**63 - 1]
+        keys, _, times, _, _ = _ingest_columns(str(path), tz_offset=0, strict=True)
+        assert (keys, times.tolist()) == (["d"], [9007199254740993, 2**63 - 1])
 
     def test_rows_numbered_by_file_line_after_quoted_newline(self, tmp_path, capsys):
         path = tmp_path / "nl.csv"
@@ -562,8 +567,8 @@ class TestIngest:
             (b'time,lon,lat,mid\r\n0,0.0,0.0,"a\r\nb"\r\n60,0.0,95.0,d\r\n', "a\r\nb", 4),
         ]:
             path.write_bytes(text)
-            (traj,) = ingest(str(path), tz_offset=0, strict=False)
-            assert traj.device == device, text
+            keys, _, _, _, _ = _ingest_columns(str(path), tz_offset=0, strict=False)
+            assert keys == [device], text
             assert capsys.readouterr().err == (
                 f"warning: {path}:{line}: latitude out of range: 95.0 (row skipped)\n"
             ), text
@@ -577,10 +582,10 @@ class TestIngest:
             os.write(write_end, b'time,lon,lat,mid\n0,0.0,0.0,"a\nb"\n60,0.0,95.0,d\n')
             os.close(write_end)
             path = f"/dev/fd/{read_end}"
-            (traj,) = ingest(path, tz_offset=0, strict=False)
+            keys, _, _, _, _ = _ingest_columns(path, tz_offset=0, strict=False)
         finally:
             os.close(read_end)
-        assert traj.device == "a\nb"
+        assert keys == ["a\nb"]
         assert capsys.readouterr().err == (
             f"warning: {path}:4: latitude out of range: 95.0 (row skipped)\n"
         )
@@ -597,12 +602,12 @@ class TestIngest:
             f"{path}:3: device id starts with '#': '#a'",
             f"{path}:4: device id starts with '#': '#a'",
         ]
-        assert [t.device for t in ingest(str(path), tz_offset=0, strict=False)] == ["b"]
+        assert _ingest_columns(str(path), tz_offset=0, strict=False)[0] == ["b"]
         assert capsys.readouterr().err.splitlines() == [
             f"warning: {issue} (row skipped)" for issue in issues
         ]
         with pytest.raises(DataError) as info:
-            ingest(str(path), tz_offset=0, strict=True)
+            _ingest_columns(str(path), tz_offset=0, strict=True)
         assert str(info.value) == "2 bad row(s):\n" + "\n".join(issues)
 
     @pytest.mark.parametrize("first", ["0", "1970-01-01T00:00:00"])
@@ -614,10 +619,10 @@ class TestIngest:
             f'time,lon,lat,mid\n{first},0.0,0.0,b\n60,0.0,0.0,"x\ry"\n'.encode()
         )
         issue = f"{path}:3: device id holds a carriage return but no line feed: 'x\\ry'"
-        assert [t.device for t in ingest(str(path), tz_offset=0, strict=False)] == ["b"]
+        assert _ingest_columns(str(path), tz_offset=0, strict=False)[0] == ["b"]
         assert capsys.readouterr().err == f"warning: {issue} (row skipped)\n"
         with pytest.raises(DataError) as info:
-            ingest(str(path), tz_offset=0, strict=True)
+            _ingest_columns(str(path), tz_offset=0, strict=True)
         assert str(info.value) == "1 bad row(s):\n" + issue
 
     def test_matches_per_row_reference(self, tmp_path, capsys):
@@ -626,8 +631,8 @@ class TestIngest:
         for case in range(400):
             path.write_text(random_records_text(rng))
             for strict in (False, True):
-                got = ingest_outcome(ingest, path, strict, capsys)
-                want = ingest_outcome(reference_ingest, path, strict, capsys)
+                got = ingest_outcome(_ingest_columns, path, strict, capsys)
+                want = ingest_outcome(reference_columns, path, strict, capsys)
                 assert got == want, (case, strict, path.read_text())
 
     def test_split_matches_reference(self, tmp_path, capsys):
@@ -642,8 +647,8 @@ class TestIngest:
             split += cli._split_table(text, cli._RECORD_HEADER) is not None
             path.write_bytes(text.encode("utf-8"))
             for strict in (False, True):
-                got = ingest_outcome(ingest, path, strict, capsys)
-                want = ingest_outcome(reference_ingest, path, strict, capsys)
+                got = ingest_outcome(_ingest_columns, path, strict, capsys)
+                want = ingest_outcome(reference_columns, path, strict, capsys)
                 assert got == want, (case, strict, text)
         assert split == 239
 
@@ -908,15 +913,27 @@ def random_run_records_text(rng: np.random.Generator) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_columns(path, *, tz_offset, strict):
+    """``reference_ingest``'s trajectories as the columns ``_ingest_columns``
+    returns: ids, record counts, then times, lons and lats."""
+    trajs = reference_ingest(path, tz_offset=tz_offset, strict=strict)
+    return (
+        [traj.device for traj in trajs],
+        np.array([len(traj) for traj in trajs], dtype=np.int64),
+        *(
+            np.concatenate([np.zeros(0, dtype), *(getattr(traj, name) for traj in trajs)])
+            for name, dtype in (("times", np.int64), ("lons", float), ("lats", float))
+        ),
+    )
+
+
 def ingest_outcome(fn, path, strict, capsys):
     """What an ingest returns, raises and prints, as comparable values."""
     try:
-        trajs = fn(str(path), tz_offset=28800, strict=strict)
+        keys, sizes, times, lons, lats = fn(str(path), tz_offset=28800, strict=strict)
     except DataError as exc:
         return None, str(exc), capsys.readouterr().err
-    got = [
-        (t.device, t.times.tolist(), t.lons.tobytes(), t.lats.tobytes()) for t in trajs
-    ]
+    got = (keys, sizes.tolist(), times.tolist(), lons.tobytes(), lats.tobytes())
     return got, None, capsys.readouterr().err
 
 
@@ -1081,7 +1098,7 @@ def labels_alone(path, params, *, ref_lat=None) -> bytes:
     out.write("# sparsemob labels v1\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["mid", "time", "label"])
-    for traj in ingest(path, tz_offset=0, strict=True):
+    for traj in reference_ingest(path, tz_offset=0, strict=True):
         labeled = sds_label(traj, params, ref_lat=ref_lat)
         writer.writerows(
             zip([traj.device] * len(traj), traj.times.tolist(), labeled.letters())
@@ -1848,9 +1865,9 @@ class TestSimulatePipeline:
     def test_output_ingestible(self, tmp_path):
         rec = tmp_path / "rec.csv"
         assert main(["simulate", "--trajectories", "2", "--duration", "30000", "--out", str(rec)]) == 0
-        trajs = ingest(str(rec), tz_offset=0, strict=True)
-        assert [t.device for t in trajs] == ["sim00000", "sim00001"]
-        assert all(len(t) > 0 for t in trajs)
+        keys, sizes, _, _, _ = _ingest_columns(str(rec), tz_offset=0, strict=True)
+        assert keys == ["sim00000", "sim00001"]
+        assert (sizes > 0).all()
 
 
 class TestEvaluateExperiment:
@@ -1985,7 +2002,7 @@ class TestStatsCommand:
         lines = [l for l in sp.read_text().splitlines() if not l.startswith("#")]
         rows = [r for r in csv.DictReader(lines) if r["table"] == "gap_bin"]
         counts = [np.zeros(3, dtype=np.int64) for _ in rows]
-        for traj in ingest(rec, tz_offset=0, strict=True):
+        for traj in reference_ingest(rec, tz_offset=0, strict=True):
             if len(traj) < 2:
                 continue  # no mean gap, so in no gap bin
             xi = np.diff(traj.times).mean()
@@ -2419,6 +2436,212 @@ class TestBaselineCommand:
             ]
         )
         assert code == 2
+
+    def test_load_model_with_training_inputs_is_usage_error(self, tmp_path, capsys):
+        # training would replace the loaded model, unread; refused before
+        # either is touched, so a model that does not exist is not noticed
+        rec, lab = self._training(tmp_path)
+        model = tmp_path / "m.csv"
+        argv = ["baseline", "--method", "voting", "--train-records", rec,
+                "--train-labels", lab, "--load-model", str(tmp_path / "no-such.csv"),
+                "--save-model", str(model)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "sparsemob: error: --load-model cannot be used with training inputs\n"
+        )
+        assert not model.exists()
+
+    @pytest.mark.parametrize("method, load", [("hmm", False), ("hmm", True), ("voting", True)])
+    def test_week_start_without_voting_training_is_usage_error(
+        self, tmp_path, capsys, method, load
+    ):
+        # only voting training numbers the hours of the week; a loaded
+        # voting model keeps its own week_start
+        rec, lab = self._training(tmp_path)
+        model, out = tmp_path / "m.csv", tmp_path / "p.csv"
+        train = ["--train-records", rec, "--train-labels", lab]
+        assert main(["baseline", "--method", method, *train, "--save-model", str(model)]) == 0
+        source = ["--load-model", str(model)] if load else train
+        argv = ["baseline", "--method", method, *source, "--week-start", "sunday",
+                "--records", rec, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "sparsemob: error: --week-start applies only to training --method voting\n"
+        )
+        assert not out.exists()
+
+    def test_week_start_defaults_to_monday_for_voting_training(self, tmp_path):
+        rec, lab = self._training(tmp_path)
+        train = ["baseline", "--method", "voting", "--train-records", rec, "--train-labels", lab]
+        models = [tmp_path / f"m-{k}.csv" for k in range(3)]
+        for model, flags in zip(models, [[], ["--week-start", "monday"],
+                                         ["--week-start", "sunday"]]):
+            assert main([*train, *flags, "--save-model", str(model)]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+        assert b"# week_start monday\n" in models[0].read_bytes()
+        assert b"# week_start sunday\n" in models[2].read_bytes()
+
+
+#: device ids that csv quotes, with leading spaces, which ingest strips, and
+#: outside ASCII
+_ODD_IDS = ["a,b", 'say "hi"', "x\ny", "  lead", "caf\u00e9", "\u65e5\u672c", "d"]
+
+
+def many_small_devices(tmp_path, rng, tag="", count=80):
+    """Paths of a records CSV of ``count`` random devices of 1 to 12
+    records, ids from ``_ODD_IDS``, rows shuffled, and of a labels CSV that
+    gives a random letter to all but about a tenth of the records, rows
+    shuffled too; their names start with ``tag``."""
+    records, labels = [], []
+    for k in range(count):
+        traj = random_trajectory(rng, max_len=12)
+        mid = f"{_ODD_IDS[k % len(_ODD_IDS)]}{k}"
+        for t, lon, lat in zip(traj.times.tolist(), traj.lons.tolist(), traj.lats.tolist()):
+            records.append((t + 10**6 * k, repr(lon), repr(lat), mid))
+            if rng.random() < 0.9:
+                labels.append((mid.strip(), t + 10**6 * k, "STU"[int(rng.integers(3))]))
+    paths = []
+    for name, header, rows in [("r.csv", cli._RECORD_HEADER, records),
+                               ("l.csv", cli._LABEL_HEADER, labels)]:
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        path = tmp_path / f"{tag}{name}"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        paths.append(str(path))
+    return paths
+
+
+def reference_codes(trajs, label_map, strict):
+    """Each trajectory's label codes from ``label_map``, U where it has none;
+    in strict mode, the data error of the first record without one."""
+    out = []
+    for traj in trajs:
+        codes = []
+        for t in traj.times.tolist():
+            if strict and (traj.device, t) not in label_map:
+                raise DataError(f"no label for record ({traj.device!r}, {t})")
+            codes.append(label_map.get((traj.device, t), LABEL_UNLABELED))
+        out.append(np.array(codes, dtype=np.int8))
+    return out
+
+
+def label_text(trajs, codes) -> str:
+    """The labels CSV of ``trajs`` with their ``codes``, by ``csv.writer``."""
+    rows = [
+        (traj.device, t, "UST"[c])
+        for traj, cs in zip(trajs, codes)
+        for t, c in zip(traj.times.tolist(), cs.tolist())
+    ]
+    return _csv_text("labels", cli._LABEL_HEADER, rows)
+
+
+def run_outcome(argv, outs, capsys):
+    """``outcome`` with each file's text in place of its bytes."""
+    code, written, err = outcome(argv, outs, capsys)
+    return code, [None if w is None else w.decode("utf-8") for w in written], err
+
+
+def refused(exc, outs, capsys):
+    """What ``main`` gives for a data error raised before any output."""
+    capsys.readouterr()
+    return 2, [None] * len(outs), f"sparsemob: data error: {exc}\n"
+
+
+class TestPerDeviceDifferential:
+    """``oracle``, ``resample`` and ``baseline`` read, compute and write
+    whole columns; their bytes, errors and exit codes must equal those built
+    device by device, from ``reference_ingest``'s trajectories, by the
+    library's one-trajectory functions."""
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_oracle(self, tmp_path, rng, capsys, edge):
+        # a limit of the longest device's size passes; one less is refused,
+        # naming the first device over it in id order
+        rec, _ = many_small_devices(tmp_path, rng)
+        trajs = reference_ingest(rec, tz_offset=28800, strict=True)
+        limit = max(map(len, trajs)) - edge
+        out = tmp_path / "o.csv"
+        got = run_outcome(["oracle", rec, "--limit", str(limit), "--out", str(out)],
+                          [out], capsys)
+        try:
+            codes = [exact_label(traj, MobilityParams(), limit=limit).labels
+                     for traj in trajs]
+        except OracleLimitError as exc:
+            first = next(traj for traj in trajs if len(traj) > limit)
+            want = refused(f"device {first.device!r}: {exc}", [out], capsys)
+        else:
+            want = (0, [label_text(trajs, codes)], "")
+        assert got == want
+        assert got[0] == 2 * edge
+
+    @pytest.mark.parametrize("rate", ["0", "0.5", "1"])
+    @pytest.mark.parametrize("with_labels, strict", [(False, False), (True, False), (True, True)])
+    def test_resample(self, tmp_path, rng, capsys, rate, with_labels, strict):
+        rec, lab = many_small_devices(tmp_path, rng)
+        outs = [tmp_path / "o.csv", tmp_path / "ol.csv"]
+        argv = ["resample", rec, "--rate", rate, "--seed", "3", "--out", str(outs[0])]
+        if with_labels:
+            argv += ["--labels", lab, "--labels-out", str(outs[1])]
+        got = run_outcome(argv + ["--strict"] * strict, outs, capsys)
+        trajs = reference_ingest(rec, tz_offset=28800, strict=True)
+        try:
+            codes = reference_codes(trajs, reference_read_labels(lab), strict)
+        except DataError as exc:
+            want = refused(exc, outs, capsys)
+        else:
+            subs, kept = [], []
+            for traj, cs in zip(trajs, codes):
+                sub, keep = resample(traj, float(rate), _device_rng(3, traj.device))
+                subs.append(sub)
+                kept.append(cs[keep])
+            rows = [
+                (t, lon, lat, sub.device)
+                for sub in subs
+                for t, lon, lat in zip(sub.times.tolist(), sub.lons.tolist(),
+                                       sub.lats.tolist())
+            ]
+            texts = [_csv_text("records", cli._RECORD_HEADER, rows)]
+            texts.append(label_text(subs, kept) if with_labels else None)
+            want = (0, texts, "")
+        assert got == want
+        assert got[0] == (2 if strict else 0)
+
+    @pytest.mark.parametrize("method, flags", [
+        *((method, flags) for method in ("voting", "hmm")
+          for flags in ([], ["--ref-lat", "30"], ["--strict"])),
+        ("voting", ["--seed", "4", "--week-start", "sunday"]),
+    ])
+    def test_baseline(self, tmp_path, rng, capsys, method, flags):
+        rec, lab = many_small_devices(tmp_path, rng)
+        query, _ = many_small_devices(tmp_path, rng, "query-")
+        model, out, again = tmp_path / "m.csv", tmp_path / "p.csv", tmp_path / "p2.csv"
+        argv = ["baseline", "--method", method, "--train-records", rec, "--train-labels", lab,
+                "--save-model", str(model), "--records", query, "--out", str(out), *flags]
+        got = run_outcome(argv, [model, out], capsys)
+        strict = "--strict" in flags
+        trajs = reference_ingest(rec, tz_offset=28800, strict=True)
+        queries = reference_ingest(query, tz_offset=28800, strict=True)
+        try:
+            pairs = zip(trajs, reference_codes(trajs, reference_read_labels(lab), strict))
+        except DataError as exc:
+            assert got == refused(exc, [model, out], capsys)
+            return
+        ref_lat = 30.0 if "--ref-lat" in flags else None
+        if method == "voting":
+            seed, week_start = (4, "sunday") if "--seed" in flags else (0, "monday")
+            trained = voting_train(pairs, seed=seed, week_start=week_start, tz_offset=28800)
+            codes = [trained.predict(traj) for traj in queries]
+        else:
+            trained = hmm_train(pairs, ref_lat=ref_lat)
+            codes = [hmm_predict(trained, traj, ref_lat=ref_lat) for traj in queries]
+        _save_model(trained, str(tmp_path / "want.csv"))
+        want_model = (tmp_path / "want.csv").read_text()
+        assert got == (0, [want_model, label_text(queries, codes)], "")
+        # a reloaded model predicts alike
+        reload = ["baseline", "--method", method, "--load-model", str(model),
+                  "--records", query, "--out", str(again)]
+        reload += ["--ref-lat", "30"] if ref_lat is not None else []
+        assert run_outcome(reload, [again], capsys) == (0, [label_text(queries, codes)], "")
 
 
 def crlf_rows(data: bytes) -> bytes:
