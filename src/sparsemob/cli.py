@@ -21,7 +21,9 @@ shared by every command:
   timezone. Every command that reads records (``label``, ``oracle``,
   ``stats``, ``resample``, ``prop1``, ``bounds``, ``baseline``) reads them
   into the same columns, ``_ingest_columns``', and builds no per-device
-  object from them.
+  object from them. Every CSV is read through one index of its code units
+  (``csvindex``): times, runs of equal cells and cell bounds are read
+  there, and only the cells that need one become strings.
 * Label CSV columns: mid, time, label with label in {S, T, U}.
 * Exit codes: 0 success, 1 usage error, 2 data error.
 * A config file of key=value lines can supply any shared flag (keys
@@ -33,9 +35,9 @@ shared by every command:
 
 A start pays only for the command it runs: at the top this module imports
 the standard library, numpy and ``core``; each ``run_*`` imports the modules
-it calls, and a call builds only the parser of the command that argv
-starts with, falling back to the full parser tree for top-level help and
-usage errors.
+it calls, ``csvindex`` too when it reads a CSV, and a call builds only the
+parser of the command that argv starts with, falling back to the full
+parser tree for top-level help and usage errors.
 """
 from __future__ import annotations
 
@@ -47,8 +49,8 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone as _tz
-from itertools import chain, compress, repeat
-from operator import itemgetter, ne
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -301,6 +303,19 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]  # less the comma and line end
 
 
+#: a character for which csv.writer quotes a cell
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _id_cells(devices: list[str]) -> list[str]:
+    """Each id of ``devices`` as ``_csv_cell`` writes it. One search screens
+    them all; only an id that holds a character ``csv`` quotes, or is empty,
+    goes through ``_csv_cell``."""
+    if "" not in devices and not _QUOTED.search("".join(devices)):
+        return devices
+    return [_csv_cell(d) if not d or _QUOTED.search(d) else d for d in devices]
+
+
 _LABEL_HEADER = ("mid", "time", "label")
 _RECORD_HEADER = ("time", "lon", "lat", "mid")
 
@@ -315,16 +330,16 @@ def _label_rows(devices: list[str], sizes, times: np.ndarray, codes) -> str:
     0 <= t < 2**63) and label ``codes``.
 
     One pass over the columns builds the bytes. Each row of a byte matrix
-    holds its device's cell, formatted once per device by ``_csv_cell`` and
-    left-aligned, then its time's decimal digits, right-aligned, then the
-    ``,L\n`` tail of its code; a mask of the bytes each row fills then packs
-    the matrix. Blocks of rows are laid out in turn, so that a long device id
-    cannot make the matrix large.
+    holds its device's cell (``_id_cells``), left-aligned, then its time's
+    decimal digits, right-aligned, then the ``,L\n`` tail of its code; a
+    mask of the bytes each row fills then packs the matrix. Blocks of rows
+    are laid out in turn, so that a long device id cannot make the matrix
+    large.
     """
     times = np.asarray(times, dtype=np.int64)
     if not len(times):
         return ""
-    cells = [(_csv_cell(device) + ",").encode("utf-8") for device in devices]
+    cells = [(cell + ",").encode("utf-8") for cell in _id_cells(devices)]
     cell_len = np.array(list(map(len, cells)), dtype=np.int64)
     widest = int(cell_len.max())
     # every cell with its first byte's offset, padded so that each offset is
@@ -365,9 +380,9 @@ def _owners(devices: list[str], sizes) -> chain:
 def _record_rows(devices: list[str], sizes, times, lons, lats) -> str:
     """Rows of a records CSV, as ``csv.writer`` would write them: ``sizes[k]``
     rows of device ``devices[k]``, for k in order, with their ``times``,
-    ``lons`` and ``lats``. Each device cell is formatted once; coordinates
-    are finite, so ``repr`` writes them as ``_fmt`` would."""
-    tails = _owners([f",{_csv_cell(device)}\n" for device in devices], sizes)
+    ``lons`` and ``lats``. Each device cell is formatted once (``_id_cells``);
+    coordinates are finite, so ``repr`` writes them as ``_fmt`` would."""
+    tails = _owners([f",{cell}\n" for cell in _id_cells(devices)], sizes)
     rows = zip(np.asarray(times).tolist(), lons.tolist(), lats.tolist(), tails)
     return "".join([f"{t},{lon!r},{lat!r}{tail}" for t, lon, lat, tail in rows])
 
@@ -400,72 +415,26 @@ def _numbered_rows(path: str, text: str) -> tuple[list[list[str]], list[int]]:
     return rows, lines
 
 
-def _is_comment(row: list[str]) -> bool:
-    return not row or row[0].lstrip().startswith("#")
-
-
-def _split_table(text: str, required: tuple[str, ...]):
-    """The table in ``text`` as ``_read_table`` gives it, split into columns
-    by ``str.split`` instead of ``csv``; or None when ``csv`` might tokenize
-    ``text`` otherwise, or reject it.
-
-    The text is split when it holds no ``"`` and no ``\\r``, so that
-    ``csv`` reads one line per row and every cell as written; no cell is
-    longer than ``csv.field_size_limit()``; its header names the required
-    columns; and every data line holds the header's cell count and a first
-    cell that is not a comment. Blank, whitespace-only and ragged lines
-    miss that count, and so are left to ``csv``.
-    """
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")  # not splitlines, which breaks at \x85 too
-    if not lines[-1]:  # the line feed that ends the last row
-        lines.pop()
-    limit = csv.field_size_limit()
-    if max(map(len, lines), default=0) > limit:
-        long = [line for line in lines if len(line) > limit]
-        if max(map(len, ",".join(long).split(","))) > limit:
-            return None  # csv refuses a cell that long
-    head = next(
-        (k for k, line in enumerate(lines) if line and not _is_comment(line.split(","))),
-        None,
-    )
-    if head is None:
-        return None
-    header = [c.strip() for c in lines[head].split(",")]
-    if not set(required) <= set(header):
-        return None
-    width = len(header)
-    notes = [line.split(",") for line in lines[:head]]
-    del lines[: head + 1]
-    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
-        return None
-    cells = ",".join(lines).split(",") if lines else []
-    firsts = cells[::width]
-    if "#" in "".join(firsts) and any(c.lstrip().startswith("#") for c in firsts):
-        return None
-    columns = [cells[header.index(name) :: width] for name in required]
-    first = head + 2  # the file line of the first data row
-    return columns, np.arange(first, first + len(lines)), notes
-
-
 def _read_table(path: str, text: str, required: tuple[str, ...]):
     """The required columns of the commented CSV ``text``, read from
-    ``path``: each column's cells as a list, in ``required`` order, with
-    None for a cell past the end of a short row; the file line each data
+    ``path``, as a ``csvindex.Table``: each cell as its span of a text and of
+    that text's code units, in ``required`` order; the file line each data
     row starts on; and the comment rows above the header.
 
     Every CSV the package reads comes here, as text read once by the
-    caller. ``_split_table`` splits a quote-free text into columns; any
-    other text is tokenized by one ``csv`` pass, ``_numbered_rows``, which
-    gives the same cells and the line each row starts on. Blank rows and
-    rows whose first cell starts with ``#`` are comments.
+    caller. ``csvindex.split_table`` indexes a quote-free text where it
+    lies; any other text is tokenized by one ``csv`` pass, ``_numbered_rows``,
+    which gives the same cells and the line each row starts on, and its
+    required cells are joined into one text to index. Blank rows and rows
+    whose first cell starts with ``#`` are comments.
     """
-    split = _split_table(text, required)
+    from .csvindex import is_comment, joined_table, split_table
+
+    split = split_table(text, required)
     if split is not None:
         return split
     table, lines = _numbered_rows(path, text)
-    head = next((k for k, row in enumerate(table) if not _is_comment(row)), None)
+    head = next((k for k, row in enumerate(table) if not is_comment(row)), None)
     if head is None:
         raise DataError(f"{path}: missing header row")
     header = [c.strip() for c in table[head]]
@@ -480,13 +449,13 @@ def _read_table(path: str, text: str, required: tuple[str, ...]):
     except IndexError:  # a blank row
         clean = False
     if not clean:
-        keep = [k for k, row in enumerate(rows) if not _is_comment(row)]
+        keep = [k for k, row in enumerate(rows) if not is_comment(row)]
         rows, lines = [rows[k] for k in keep], [lines[k] for k in keep]
     try:
         columns = [list(map(itemgetter(k), rows)) for k in index]
     except IndexError:  # a short row
         columns = [[row[k] if k < len(row) else None for row in rows] for k in index]
-    return columns, lines, table[:head]
+    return joined_table(columns, lines, table[:head])
 
 
 def _present(cell: str | None) -> str:
@@ -528,12 +497,14 @@ def _id_fault(mid: str) -> str | None:
     return None
 
 
-def _column(parse, cells: list, faults: dict[int, str], blank, again=None) -> list:
+def _column(parse, cells: list, faults: dict[int, str], blank, again=None,
+            first=None, stop=None) -> list:
     """``parse`` over ``cells`` in one ``map``, resumed past each cell it
     refuses. A refused cell is read on its own by ``again``, if given; a
     missing cell (None), or one that does not read, leaves ``blank`` in its
     place and its message in ``faults`` under its row, unless the row has a
-    fault already."""
+    fault already. Cell k stands for row k, or, when ``first`` and ``stop``
+    are given, for the rows from ``first[k]`` up to ``stop[k]``."""
     values: list = []
     rest = iter(cells)
     while True:
@@ -541,39 +512,31 @@ def _column(parse, cells: list, faults: dict[int, str], blank, again=None) -> li
             values.extend(map(parse, rest))
             return values
         except (ValueError, TypeError) as exc:
-            row, refusal = len(values), exc
+            k, refusal = len(values), exc
         try:
-            cell = _present(cells[row])
+            cell = _present(cells[k])
             if again is None:
                 raise refusal
             values.append(again(cell))
         except (ValueError, IndexError) as exc:
-            faults.setdefault(row, str(exc))
+            for row in [k] if first is None else range(first[k], stop[k]):
+                faults.setdefault(row, str(exc))
             values.append(blank)
 
 
-def _floats(cells: list, faults: dict[int, str]) -> np.ndarray:
-    """A coordinate column as float64. Each run of consecutive cells with
-    equal text, such as a stay's records give, is read once: one numpy call
-    runs Python's own ``float`` on the first cell of each run, and the values
-    are spread back over the runs. A column with no repeat is converted
-    whole, after the one pass that compares the texts. A column that call
-    refuses, or that holds a None (a cell past the end of a short row, which
-    numpy reads as NaN), goes to ``_column``, cell by cell, which words each
-    fault."""
-    # 1 where a cell's text differs from the one above; text, not value, so
-    # "0.0" and "-0.0" each keep their own conversion
-    head = b"\x01" + bytes(map(ne, cells[1:], cells))
-    heads = cells if 0 not in head else list(compress(cells, head))
+def _floats(cells: list, first, stop, faults: dict[int, str]) -> np.ndarray:
+    """The first cells of a coordinate column's runs (``csvindex.heads``) as
+    float64, in one numpy call, which runs Python's own ``float`` on each. A
+    list that call refuses, or that holds a None (a missing cell, which numpy
+    reads as NaN), goes to ``_column``, cell by cell, which words each fault
+    under every row of its run."""
     try:
-        values = np.array(heads, dtype=np.float64)
-        if not (np.isnan(values).any() and None in heads):
-            if heads is cells:
-                return values
-            return values[np.cumsum(np.frombuffer(head, dtype=bool)) - 1]
+        values = np.array(cells, dtype=np.float64)
+        if not (np.isnan(values).any() and None in cells):
+            return values
     except ValueError:
         pass
-    return np.array(_column(float, cells, faults, 0.0), dtype=np.float64)
+    return np.array(_column(float, cells, faults, 0.0, None, first, stop), dtype=np.float64)
 
 
 def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
@@ -582,43 +545,41 @@ def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
 
     Returns ``keys``, the device ids in ``str`` order (a numpy ``U`` array
     would drop trailing NULs), and the arrays lines, devices (indices into
-    ``keys``), times, lons and lats, in line order. Each column is parsed
-    once and checked as a vector: the ids by ``str.strip`` over the whole
-    list, the times by one numpy conversion, which runs ``int`` on every
-    cell, and each coordinate column by one that runs ``float`` on the first
-    cell of each run of equal texts (``_floats``). Only a column that
-    conversion refuses is read by ``_column``, and then only a cell that
-    ``int`` or ``float`` refuses is read on its own, a time by
-    ``_parse_time_text``.
+    ``keys``), times, lons and lats, in line order. ``csvindex.scan`` reads
+    from the code units every time written as 1 to 18 ASCII digits, and the
+    runs of equal texts in the mid, lon and lat columns. Only the first
+    cell of each run becomes a string: an id is stripped once per run, and
+    one numpy call runs ``float`` on the first cell of each coordinate run
+    (``_floats``). Every other time goes to ``_column`` as a string, which
+    runs ``int`` on it, and ``_parse_time_text`` if ``int`` refuses it.
     Each refused row goes to ``issues``, in line order, worded by its first
     fault: a missing or refused device id, then a time, lon or lat that does
     not parse, then the lon, lat and time ranges.
     """
-    (time_cells, lon_cells, lat_cells, mid_cells), lines, _ = table
-    lines = np.asarray(lines, dtype=np.int64)
+    from .csvindex import heads, scan, spread
+
+    lines = table.lines
+    times, same = scan(table)
     faults: dict[int, str] = {}  # each refused row's first fault, by column
-    mids = _column(str.strip, mid_cells, faults, "")
+    (mid_cells, first, stop, run), lon, lat = heads(table, same, [3, 1, 2])
+    mids = _column(str.strip, mid_cells, faults, "", None, first, stop)
     keys = sorted(set(mids))
     code = {mid: k for k, mid in enumerate(keys)}
-    devices = np.fromiter(map(code.__getitem__, mids), dtype=np.int64, count=len(mids))
+    devices = spread(np.fromiter(map(code.__getitem__, mids), np.int64, len(mids)), run)
     # the ids _id_fault refuses, checked once per id
     refused = [k for k, mid in enumerate(keys) if _id_fault(mid)]
     if refused:
         for i in np.flatnonzero(np.isin(devices, refused)).tolist():
-            faults.setdefault(i, _id_fault(mids[i]))
-    try:
-        # int on every cell; a None, past the end of a short row, is refused
-        parsed_times = times = np.array(time_cells, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
-        parsed_times = _column(
-            int, time_cells, faults, 0, lambda cell: _parse_time_text(cell, tz_offset)
-        )
-        try:
-            times = np.array(parsed_times, dtype=np.int64)
-        except OverflowError:  # a time past int64 is out of range, worded below
-            times = np.array([t if 0 <= t < 2**63 else -1 for t in parsed_times], np.int64)
-    lons = _floats(lon_cells, faults)
-    lats = _floats(lat_cells, faults)
+            faults.setdefault(i, _id_fault(keys[devices[i]]))
+    late = {}  # each time read as a string that is out of range, by row
+    slow = (times < 0).nonzero()[0]
+    if len(slow):
+        parsed = _column(int, table.cells(0, slow), faults, 0,
+                         lambda cell: _parse_time_text(cell, tz_offset), slow, slow + 1)
+        times[slow] = [t if 0 <= t < 2**63 else -1 for t in parsed]
+        late = {r: t for r, t in zip(slow.tolist(), parsed) if not 0 <= t < 2**63}
+    lons = spread(_floats(*lon[:3], faults), lon[3])
+    lats = spread(_floats(*lat[:3], faults), lat[3])
     # written so that NaN fails them too
     ok = (np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0) & (times >= 0)
     if faults:
@@ -629,7 +590,7 @@ def _record_columns(path: str, table, tz_offset: int, issues: list[str]):
             fault = faults.get(i) or (
                 f"longitude out of range: {lon}" if not -180.0 <= lon <= 180.0
                 else f"latitude out of range: {lat}" if not -90.0 <= lat <= 90.0
-                else f"time out of range: {parsed_times[i]}"
+                else f"time out of range: {late[i]}"
             )
             issues.append(f"{path}:{lines[i]}: {fault}")
         lines, devices, times, lons, lats = (
@@ -651,15 +612,15 @@ def _ingest_columns(path: str, *, tz_offset: int, strict: bool):
     duplicates in device, time and line order. Rejections are warnings
     unless strict mode makes them fatal.
 
-    The file is read once, into columns by ``_read_table``. Each column is
-    parsed once (``_record_columns``): plain integer epoch times by one
-    conversion of the whole column, and only a time cell that ``int``
-    refuses (ISO-8601, clock form, ``1468317761.0``, garbage) by
-    ``_parse_time_text``; coordinates by one conversion of the first cell
-    of each run of equal texts, so a stay's repeated position is read once.
-    Range checks, grouping and sorting are array operations; rows already in
-    (device, time) order, as every records CSV the package writes has them,
-    are not sorted again.
+    The file is read once, and ``_read_table`` indexes its cells as spans of
+    one array of code units. ``_record_columns`` reads each column once: a
+    time written as ASCII digits straight from the units, and only a time
+    cell that is not (ISO-8601, clock form, ``1468317761.0``, garbage) as a
+    string, by ``int`` or ``_parse_time_text``; ids and coordinates as one
+    string per run of equal texts, so a stay's repeated position is read
+    once. Range checks, grouping and sorting are array operations; rows
+    already in (device, time) order, as every records CSV the package writes
+    has them, are not sorted again.
     """
     text = _read_text(path)
     issues: list[str] = []
@@ -687,9 +648,9 @@ def _ingest_columns(path: str, *, tz_offset: int, strict: bool):
 
 def _read_labels(path: str) -> dict[tuple[str, int], int]:
     """Label codes keyed by (mid, time), in file order."""
-    columns, lines, _ = _read_table(path, _read_text(path), _LABEL_HEADER)
+    table = _read_table(path, _read_text(path), _LABEL_HEADER)
     out: dict[tuple[str, int], int] = {}
-    for lineno, mid, t, letter in zip(lines, *columns):
+    for lineno, mid, t, letter in zip(table.lines.tolist(), *map(table.cells, range(3))):
         try:
             mid, t = _present(mid).strip(), int(_present(t))
             letter = _present(letter).strip()
@@ -753,10 +714,10 @@ def _load_model(method: str, path: str) -> VotingModel | HmmModel:
     from .baselines import BucketConfig, HmmModel, SpatioTemporalBin, VotingModel
 
     parsers = _MODEL_COLUMNS[method]
-    columns, lines, notes = _read_table(path, _read_text(path), tuple(parsers))
+    table = _read_table(path, _read_text(path), tuple(parsers))
     entries: dict = {}
     line_of: dict = {}
-    for lineno, *row in zip(lines, *columns):
+    for lineno, *row in zip(table.lines.tolist(), *map(table.cells, range(len(parsers)))):
         try:
             cells = [parse(_present(cell)) for parse, cell in zip(parsers.values(), row)]
             if method == "voting":
@@ -785,7 +746,7 @@ def _load_model(method: str, path: str) -> VotingModel | HmmModel:
     try:
         if method == "voting":
             meta = {}  # from "# key value" comments above the header
-            for note in notes:
+            for note in table.notes:
                 parts = ",".join(note).lstrip().removeprefix("#").split()
                 if len(parts) == 2:
                     meta[parts[0]] = parts[1]

@@ -703,7 +703,9 @@ def _joined_times(t, sizes, delta_t) -> tuple[np.ndarray, list[int]]:
     longer than delta_t as it labels separate trajectories. A trajectory
     whose joined times would reach 2**63 starts a new run at 0, and when
     the gap itself does not fit, each one is its own run. The cuts are the
-    first record of each run, then ``len(t)``.
+    first record of each run, then ``len(t)``. When the whole join fits, the
+    starts are one ``cumsum``; only a join that must be cut walks the
+    trajectories one by one.
     """
     gap = math.floor(delta_t) + 1 if delta_t < 2**63 - 1 else None
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -711,20 +713,24 @@ def _joined_times(t, sizes, delta_t) -> tuple[np.ndarray, list[int]]:
     ends = np.cumsum(sizes)
     heads = ends - sizes
     first = t[heads]
-    spans = (t[ends - 1] - first).tolist()
-    starts = []
-    cuts = []
-    end = None
-    for a, span in zip(heads.tolist(), spans):
-        if end is not None and gap is not None and end + gap + span < 2**63:
-            start = end + gap
-        else:
-            start = 0
-            cuts.append(a)
-        starts.append(start)
-        end = start + span
+    spans = t[ends - 1] - first
+    # a float sum within 2**62 bounds the exact one well below 2**63
+    if gap is not None and float(spans.sum(dtype=np.float64)) + gap * len(spans) < 2**62:
+        steps = spans + gap
+        starts = np.cumsum(steps) - steps
+        cuts = heads[:1].tolist()
+    else:
+        starts, cuts, end = [], [], None
+        for a, span in zip(heads.tolist(), spans.tolist()):
+            if end is not None and gap is not None and end + gap + span < 2**63:
+                start = end + gap
+            else:
+                start = 0
+                cuts.append(a)
+            starts.append(start)
+            end = start + span
     joined = t - np.repeat(first, sizes)
-    joined += np.repeat(np.array(starts, dtype=np.int64), sizes)
+    joined += np.repeat(np.asarray(starts, dtype=np.int64), sizes)
     cuts.append(len(t))
     return joined, cuts
 

@@ -28,6 +28,7 @@ from helpers import (
 )
 import sparsemob
 import sparsemob.cli as cli
+import sparsemob.csvindex as csvindex
 import sparsemob.evaluate as evaluate
 import sparsemob.sds as sds
 from sparsemob.core import (
@@ -184,6 +185,24 @@ _FLOAT_CELLS = _INT_CELLS + [
 ]
 
 
+def column_runs(cells):
+    """Each row's run of equal texts in ``cells`` (None for a missing cell),
+    the column of a table that the ``csv`` branch of ``_read_table`` joins,
+    after a time column; and ``csvindex.heads``' first cell, first row and
+    stop of each run."""
+    table = csvindex.joined_table([["0"] * len(cells), cells], np.arange(len(cells)), [])
+    _, same = csvindex.scan(table)
+    *heads, run = csvindex.heads(table, same, [1])[0]
+    return run, heads
+
+
+def float_column(cells, faults):
+    """``cells`` as ingest reads a coordinate column: ``_floats`` over the
+    first cell of each run, spread over the runs."""
+    run, heads = column_runs(cells)
+    return csvindex.spread(cli._floats(*heads, faults), run)
+
+
 class TestColumnConversion:
     """Ingest converts each numeric column in one numpy call, which must read
     every cell as Python's own ``int`` and ``float`` read it one at a time,
@@ -200,7 +219,7 @@ class TestColumnConversion:
         want = np.array(cli._column(float, _FLOAT_CELLS, {}, 0.0), dtype=np.float64)
         assert np.array(_FLOAT_CELLS, dtype=np.float64).tobytes() == want.tobytes()
         faults = {}
-        assert cli._floats(_FLOAT_CELLS, faults).tobytes() == want.tobytes()
+        assert float_column(_FLOAT_CELLS, faults).tobytes() == want.tobytes()
         assert faults == {}
         assert np.signbit(want[_FLOAT_CELLS.index("-nan")])
 
@@ -217,12 +236,12 @@ class TestColumnConversion:
 
     def test_missing_cell_is_refused(self):
         # numpy reads None as NaN in a float array, so _floats reads such a
-        # column by _column, which words the fault as indexing the row does
+        # list by _column, which words the fault as indexing the row does
         with pytest.raises(TypeError):
             np.array(["1", None], dtype=np.int64)
         assert np.isnan(np.array(["1", None], dtype=np.float64)[1])
         faults = {}
-        assert cli._floats(["1", None], faults).tolist() == [1.0, 0.0]
+        assert float_column(["1", None], faults).tolist() == [1.0, 0.0]
         assert faults == {1: "list index out of range"}
 
     @pytest.mark.parametrize(
@@ -243,7 +262,7 @@ class TestColumnConversion:
     def test_runs_read_as_cell_by_cell(self, cells):
         want_faults, got_faults = {}, {}
         want = np.array(cli._column(float, cells, want_faults, 0.0), dtype=np.float64)
-        got = cli._floats(cells, got_faults)
+        got = float_column(cells, got_faults)
         assert got.tobytes() == want.tobytes()
         assert got_faults == want_faults
 
@@ -253,6 +272,7 @@ class TestColumnConversion:
         # of 10 runs of 1,000 equal cells, and the whole column, in one
         # call, for a column with no repeat
         cells = [repr(k / 8) for k in range(runs) for _ in range(10_000 // runs)]
+        run, heads = column_runs(cells)
         calls = []
         array = np.array
 
@@ -262,9 +282,9 @@ class TestColumnConversion:
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "array", counted)
-            got = cli._floats(cells, {})
+            got = cli._floats(*heads, {})
         assert calls == [runs]
-        assert got.tolist() == list(map(float, cells))
+        assert csvindex.spread(got, run).tolist() == list(map(float, cells))
 
     def test_each_row_of_a_refused_run_is_worded(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
@@ -644,7 +664,7 @@ class TestIngest:
         split = 0
         for case in range(400):
             text = random_quote_free_text(rng)
-            split += cli._split_table(text, cli._RECORD_HEADER) is not None
+            split += csvindex.split_table(text, cli._RECORD_HEADER) is not None
             path.write_bytes(text.encode("utf-8"))
             for strict in (False, True):
                 got = ingest_outcome(_ingest_columns, path, strict, capsys)
@@ -662,7 +682,7 @@ class TestIngest:
         split = 0
         for case in range(400):
             text = random_quote_free_labels(rng)
-            split += cli._split_table(text, cli._LABEL_HEADER) is not None
+            split += csvindex.split_table(text, cli._LABEL_HEADER) is not None
             path.write_bytes(text.encode("utf-8"))
             got, want = (
                 labels_outcome(fn, path) for fn in (cli._read_labels, reference_read_labels)
@@ -687,7 +707,7 @@ class TestIngest:
             path.write_text(text)
             code = main(["label", str(path), "--out", str(out)])
             if size == limit:
-                assert cli._split_table(text, cli._RECORD_HEADER) is not None
+                assert csvindex.split_table(text, cli._RECORD_HEADER) is not None
                 assert code == 0
                 assert label_lines(out) == [
                     (mid, 0, "U"), (mid, 600, "T"), (mid, 1200, "U")
@@ -935,6 +955,121 @@ def ingest_outcome(fn, path, strict, capsys):
         return None, str(exc), capsys.readouterr().err
     got = (keys, sizes.tolist(), times.tolist(), lons.tobytes(), lats.tobytes())
     return got, None, capsys.readouterr().err
+
+
+#: Cell texts for the character-index differential test. Ids hold non-ASCII
+#: and astral-plane text and NUL, so that a file takes the UTF-32 index;
+#: times are 18 and 19 digits long, carry leading zeros, or hold "+", "_" or
+#: a space, which int reads or refuses; coordinate texts differ from
+#: each other by one unit, in length or in their last unit.
+_INDEX_MIDS = ["a", "d\x00", "\x00", "\u00e9t\u00e9", "\U0001f600", " \U0001f600 ", "b\x00\x00"]
+_INDEX_TIMES = [
+    "999999999999999999", "100000000000000000", "0000000000000000120",
+    "9223372036854775807", "1000000000000000000", "007", "0", "+60", "1_000",
+    " 120", "120 ", "1 20", "\u0663", "12\x00", "2016-07-12T18:02:41",
+]
+_INDEX_COORDS = ["1.5", "1.50", "1.5e0", "116.38462817393842", "116.38462817393841",
+                 "116.3846281739384", "-0.0", "0.0", "39.9", " 39.9", "nan", "x"]
+
+
+def random_index_text(rng: np.random.Generator, labels: bool) -> str:
+    """A quote-free records CSV, or labels CSV, of up to 30 rows from the
+    cells above. Coordinates run: a text holds for a run of 1 to 6 rows, next
+    to runs of texts of other lengths. One file in ten holds a cell of
+    exactly ``csv``'s field limit, of ASCII or of non-ASCII text."""
+
+    def pick(options: list[str]) -> str:
+        return options[int(rng.integers(len(options)))]
+
+    names = ["mid", "time", "label"] if labels else ["time", "lon", "lat", "mid"]
+    names = [names[k] for k in rng.permutation(len(names))]
+    lines = [",".join(names)]
+    lon = lat = "0.5"
+    for k in range(int(rng.integers(0, 31))):
+        if rng.random() < 0.3:
+            lon, lat = pick(_INDEX_COORDS), pick(_INDEX_COORDS)
+        row = {"mid": pick(_INDEX_MIDS), "lon": lon, "lat": lat,
+               "time": pick(_INDEX_TIMES) if rng.random() < 0.4 else str(60 * k),
+               "label": pick(["S", "T", "U"])}
+        lines.append(",".join(row[n] for n in names))
+    if len(lines) > 1 and rng.random() < 0.1:
+        row = lines[-1].split(",")
+        row[int(rng.integers(len(row)))] = pick(["m", "\u00e9"]) * csv.field_size_limit()
+        lines[-1] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+class TestCharacterIndex:
+    """Ingest reads times, runs and cells from one index of code units:
+    bytes for an ASCII file, UTF-32 for any other. Both must read every file
+    as the row-by-row references do."""
+
+    def test_records_match_reference(self, tmp_path, capsys):
+        rng = np.random.default_rng(20261022)
+        path = tmp_path / "r.csv"
+        wide = 0
+        for case in range(300):
+            text = random_index_text(rng, labels=False)
+            wide += not text.isascii()
+            path.write_bytes(text.encode("utf-8"))
+            for strict in (False, True):
+                got = ingest_outcome(_ingest_columns, path, strict, capsys)
+                want = ingest_outcome(reference_columns, path, strict, capsys)
+                assert got == want, (case, strict, text)
+        assert 0 < wide < 300
+
+    def test_labels_match_reference(self, tmp_path):
+        rng = np.random.default_rng(20261023)
+        path = tmp_path / "l.csv"
+        for case in range(300):
+            text = random_index_text(rng, labels=True)
+            path.write_bytes(text.encode("utf-8"))
+            got, want = (
+                labels_outcome(fn, path) for fn in (cli._read_labels, reference_read_labels)
+            )
+            assert got == want, (case, text)
+
+    @pytest.mark.parametrize("unit", ["m", "\u00e9"])
+    def test_cell_at_the_field_limit_is_indexed(self, unit):
+        limit = csv.field_size_limit()
+        text = f"time,lon,lat,mid\n0,1.5,1.5,{unit * limit}\n60,1.5,1.5,{unit * limit}\n"
+        table = csvindex.split_table(text, cli._RECORD_HEADER)
+        assert table.cells(3) == [unit * limit] * 2
+        times, same = csvindex.scan(table)
+        # a cell longer than SCAN_UNITS is read once per row, equal or not
+        assert times.tolist() == [0, 60]
+        assert same[1:].tolist() == [[False, True], [False, True], [False, False]]
+        longer = text.replace(unit * limit, unit * (limit + 1), 1)
+        assert csvindex.split_table(longer, cli._RECORD_HEADER) is None
+
+    def test_runs_are_exact(self):
+        # the first cell of each run, and only it, heads a run: equal length
+        # and equal units, across a line feed and next to longer and shorter
+        # cells, with ids that hold the same units as the next row's time
+        rows = [("60", "1.5", "2.5", "60"), ("61", "1.5", "2.50", "60"),
+                ("62", "1.50", "2.50", "60\x00"), ("63", "1.5", "2.5", "6"),
+                ("64", "1.5", "2.5", "6")]
+        text = "time,lon,lat,mid\n" + "".join(",".join(r) + "\n" for r in rows)
+        for body in (text, text.replace("6", "\u0666")):
+            table = csvindex.split_table(body, cli._RECORD_HEADER)
+            _, same = csvindex.scan(table)
+            assert same[1:].astype(int).tolist() == [
+                [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 1, 0, 0, 1],
+            ]
+
+
+class TestIdCells:
+    def test_screen_matches_csv_cell(self):
+        # the one screen sends an id through _csv_cell only when csv would
+        # quote it; every id comes out as _csv_cell writes it
+        rng = np.random.default_rng(20261024)
+        units = [",", '"', "\n", "\r", " ", "a", "\u00e9", "\U0001f600", "\x00", "\t", "#"]
+        for _ in range(300):
+            ids = ["".join(units[int(k)] for k in rng.integers(0, len(units), int(n)))
+                   for n in rng.integers(0, 4, int(rng.integers(1, 8)))]
+            assert cli._id_cells(ids) == [cli._csv_cell(d) for d in ids], ids
+        plain = ["a", " a", "a ", "\u00e9", "\U0001f600", "\x00", "\t#"]
+        assert cli._id_cells(plain) is plain
 
 
 class TestLabelCommand:
@@ -2868,6 +3003,7 @@ class TestModelFiles:
 LAZY_MODULES = (
     "multiprocessing",
     "sparsemob.baselines",
+    "sparsemob.csvindex",
     "sparsemob.evaluate",
     "sparsemob.oracle",
     "sparsemob.sds",
@@ -2888,7 +3024,7 @@ print(*[m for m in lazy if m in sys.modules])
 assert sparsemob.cli.main(["label", {rec!r}, "--workers", "1", "--out", {str(out)!r}]) == 0
 print(*[m for m in lazy if m in sys.modules])
 """
-    assert fresh_stdout(code) == ["", "sparsemob.sds"]
+    assert fresh_stdout(code) == ["", "sparsemob.csvindex sparsemob.sds"]
     assert [r[2] for r in label_lines(out)] == ["U", "T", "U"]
     # stats and prop1 import evaluate, where only the experiment starts a pool
     for command in ("stats", "prop1"):

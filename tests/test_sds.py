@@ -890,6 +890,44 @@ class TestStayLockstep:
                 assert len(calls) == 1 and calls[0] > 1
 
 
+def reference_joined_times(t, sizes, delta_t):
+    """``sds._joined_times`` as a walk over the trajectories, one by one."""
+    gap = math.floor(delta_t) + 1 if delta_t < 2**63 - 1 else None
+    sizes = [n for n in sizes if n]
+    starts, cuts, end, a = [], [], None, 0
+    for n in sizes:
+        span = int(t[a + n - 1]) - int(t[a])
+        if end is not None and gap is not None and end + gap + span < 2**63:
+            start = end + gap
+        else:
+            start = 0
+            cuts.append(a)
+        starts.append(start)
+        end = start + span
+        a += n
+    firsts = np.cumsum([0] + sizes[:-1]).tolist()
+    joined = [int(t[i]) - int(t[first]) + start
+              for first, n, start in zip(firsts, sizes, starts) for i in range(first, first + n)]
+    return joined, cuts + [len(t)]
+
+
+class TestJoinedTimes:
+    def test_matches_the_walk(self):
+        # one cumsum where the whole join fits in int64, the walk where it
+        # must be cut: spans near 2**62 and 2**63, empty trajectories, and
+        # gaps from a second to one that does not fit
+        rng = np.random.default_rng(20261025)
+        for _ in range(300):
+            sizes = rng.integers(0, 4, int(rng.integers(0, 8))).tolist()
+            top = [2**20, 2**61, 2**62, 2**63 - 1][int(rng.integers(4))]
+            t = np.concatenate([np.zeros(0, np.int64)] + [
+                np.sort(rng.integers(0, top, n, dtype=np.int64)) for n in sizes
+            ])
+            for delta_t in (0.5, 1800.0, 2.0**61, 2.0**63):
+                joined, cuts = sds._joined_times(t, sizes, delta_t)
+                assert (joined.tolist(), cuts) == reference_joined_times(t, sizes, delta_t)
+
+
 def schedule_trajectories(count):
     """``count`` walks of 1,000 records each, observed at power-law gaps as
     in the c6 corpus."""
