@@ -353,38 +353,54 @@ def viterbi(
     the returned log-probability bit for bit.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
-    n = symbols.size
-    if n == 0:
+    if symbols.size == 0:
         raise ValueError("cannot decode an empty symbol sequence")
-    n_states = len(initial)
+    states, score = _viterbi(_log_tables(initial, transition, emission), symbols.tolist())
+    return np.array(states, dtype=np.int64), score
+
+
+def _log_tables(initial, transition, emission) -> tuple[list, list, list]:
+    """A model's log tables as nested lists of floats, log 0 as -inf."""
     with np.errstate(divide="ignore"):
-        li = np.log(np.asarray(initial, dtype=np.float64))
-        lt = np.log(np.asarray(transition, dtype=np.float64))
-        le = np.log(np.asarray(emission, dtype=np.float64))
-    score = np.array([li[s] + le[s, symbols[0]] for s in range(n_states)])
-    back = np.zeros((n, n_states), dtype=np.int64)
-    for k in range(1, n):
-        nxt = np.empty(n_states)
-        for j in range(n_states):
+        li, lt, le = (
+            np.log(np.asarray(table, dtype=np.float64)).tolist()
+            for table in (initial, transition, emission)
+        )
+    return li, lt, le
+
+
+def _viterbi(logs: tuple[list, list, list], symbols: list[int]) -> tuple[list[int], float]:
+    """``viterbi`` of a non-empty symbol list on ``_log_tables``' lists. A
+    Python float sum is numpy's float64 sum, so the score is the same bit
+    for bit."""
+    li, lt, le = logs
+    states = range(len(li))
+    score = [li[s] + le[s][symbols[0]] for s in states]
+    back = []
+    for symbol in symbols[1:]:
+        nxt = []
+        ptr = []
+        for j in states:
             best_i = 0
-            best = score[0] + lt[0, j]
-            for i in range(1, n_states):
-                cand = score[i] + lt[i, j]
+            best = score[0] + lt[0][j]
+            for i in states[1:]:
+                cand = score[i] + lt[i][j]
                 if cand > best:
                     best = cand
                     best_i = i
-            back[k, j] = best_i
-            nxt[j] = best + le[j, symbols[k]]
+            ptr.append(best_i)
+            nxt.append(best + le[j][symbol])
+        back.append(ptr)
         score = nxt
     last = 0
-    for s in range(1, n_states):
+    for s in states[1:]:
         if score[s] > score[last]:
             last = s
-    states = np.empty(n, dtype=np.int64)
-    states[-1] = last
-    for k in range(n - 1, 0, -1):
-        states[k - 1] = back[k, states[k]]
-    return states, float(score[last])
+    path = [last]
+    for ptr in reversed(back):
+        path.append(ptr[path[-1]])
+    path.reverse()
+    return path, score[last]
 
 
 def hmm_predict(
@@ -396,13 +412,14 @@ def hmm_predict(
 
 def _hmm_decode(model: HmmModel, lons, lats, times, sizes, ref_lat=None) -> np.ndarray:
     """``hmm_predict`` of consecutive trajectories as columns: the symbols
-    of all of them at once, then one ``viterbi`` call per trajectory."""
-    syms = _symbols(lons, lats, times, sizes, model.buckets, ref_lat)
-    states = np.zeros(len(times), dtype=np.int64)
+    of all of them at once and the model's log tables once, then one
+    ``viterbi`` decode per trajectory."""
+    syms = _symbols(lons, lats, times, sizes, model.buckets, ref_lat).tolist()
+    logs = _log_tables(model.initial, model.transition, model.emission)
+    states = []
     ends = np.cumsum(np.asarray(sizes, dtype=np.int64)).tolist()
     for a, b in zip([0] + ends, ends):
         if b > a:
-            states[a:b] = viterbi(model.initial, model.transition, model.emission,
-                                  syms[a:b])[0]
-    return np.asarray(STATE_LABELS, dtype=np.int8)[states]
+            states += _viterbi(logs, syms[a:b])[0]
+    return np.asarray(STATE_LABELS, dtype=np.int8)[np.array(states, dtype=np.int64)]
 

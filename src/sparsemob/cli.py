@@ -794,13 +794,14 @@ def _aligned_labels(
     return codes
 
 
-def _device_rng(seed: int, device: str) -> np.random.Generator:
-    import hashlib
+def _device_streams(seed: int, devices: list[str]):
+    from hashlib import sha256
+
+    from .simulate import seeded
 
     # device ids are strings; hash to an integer stream id so per-device
     # randomness is independent of dataset composition and order
-    digest = hashlib.sha256(device.encode("utf-8")).digest()
-    return np.random.default_rng((seed, int.from_bytes(digest[:8], "big")))
+    return seeded((seed, int.from_bytes(sha256(d.encode()).digest()[:8], "big")) for d in devices)
 
 
 # ------------------------------------------------------------- commands
@@ -926,20 +927,19 @@ def _experiment_config(
 
 
 def run_simulate(args: argparse.Namespace, run: RunConfig) -> int:
-    from .evaluate import experiment_trajectory
+    from .evaluate import _trajectories
 
     with_truth = args.labels_out is not None
     config = _experiment_config(args, run, with_truth=with_truth)
     trajectories = []
     truths = [np.zeros(0, np.int8)]
-    for i in range(config.trajectories):
-        # without truth, check_supports has not bounded the jitter
-        try:
-            path, traj, truth = experiment_trajectory(config, i, with_truth=with_truth)
-        except ValueError as exc:
-            raise UsageError(f"settings give an invalid trajectory: {exc}") from None
-        trajectories.append(traj)
-        truths.append(truth)
+    # without truth, check_supports has not bounded the jitter
+    try:
+        for _, traj, truth in _trajectories(config, range(config.trajectories), with_truth):
+            trajectories.append(traj)
+            truths.append(truth)
+    except ValueError as exc:
+        raise UsageError(f"settings give an invalid trajectory: {exc}") from None
     devices = [traj.device for traj in trajectories]
     sizes = [len(traj) for traj in trajectories]
     times, lons, lats = (
@@ -967,7 +967,7 @@ def run_resample(args: argparse.Namespace, run: RunConfig) -> int:
         codes = _aligned_labels(keys, sizes, times, label_map, strict=run.strict)
     # simulate.resample's draws: one uniform per record from the device's
     # own generator
-    draws = [_device_rng(run.seed, key).random(n) for key, n in zip(keys, sizes.tolist())]
+    draws = [rng.random(n) for n, rng in zip(sizes.tolist(), _device_streams(run.seed, keys))]
     keep = np.concatenate([np.zeros(0), *draws]) < args.rate
     owner = np.repeat(np.arange(len(keys)), sizes)
     kept = np.bincount(owner[keep], minlength=len(keys))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,10 +46,11 @@ from .sds import (
 from .simulate import (
     SCHEDULE_GAP_MIN,
     CtrwConfig,
+    _walk,
     check_supports,
     continuous_labels,
-    generate_ctrw,
     observe,
+    seeded,
     synth_schedule,
 )
 
@@ -295,6 +296,11 @@ _CELL_WEIGHTS = np.array(
 )
 
 
+#: trajectories whose generators are seeded in one pass; each one's two
+#: generators live until the chunk's last trajectory is built
+SEED_CHUNK = 64
+
+
 def experiment_trajectory(
     config: ExperimentConfig, index: int, *, with_truth: bool = True
 ):
@@ -303,28 +309,40 @@ def experiment_trajectory(
     Single generator seeded by (seed, index) drives the walk seed, the
     schedule, and observation jitter, in that order, so trajectory ``index``
     is identical no matter which other indices are generated or in what
-    order. The schedule takes the uniforms of ceil(duration /
-    SCHEDULE_GAP_MIN) gaps, enough to reach the horizon at the shortest
-    gap: it transforms only those that reach it and skips the rest
-    (``synth_schedule``'s ``horizon``), so the jitter draws start where
-    they would after the full draw. Returns (path, trajectory, truth labels
-    or None).
+    order. The walk draws from its own generator, seeded by the walk seed.
+    The schedule takes the uniforms of ceil(duration / SCHEDULE_GAP_MIN)
+    gaps, enough to reach the horizon at the shortest gap: it transforms
+    only those that reach it and skips the rest (``synth_schedule``'s
+    ``horizon``), so the jitter draws start where they would after the full
+    draw. Returns (path, trajectory, truth labels or None).
     """
-    base = np.random.default_rng((config.seed, index))
-    walk = replace(config.walk, seed=int(base.integers(0, 2**62)))
-    path = generate_ctrw(walk)
+    return next(_trajectories(config, (index,), with_truth=with_truth))
+
+
+def _trajectories(config: ExperimentConfig, indices, with_truth: bool = True):
+    """``experiment_trajectory`` of each of ``indices`` (a range or a tuple)
+    in turn. The (seed, index) generators of SEED_CHUNK trajectories are
+    seeded in one pass (``simulate.seeded``), then their walk generators,
+    from the walk seeds each one draws first."""
+    walk = config.walk
     # enough minimum-length gaps to cover the horizon, drawn up to it
     count = int(math.ceil(walk.duration / SCHEDULE_GAP_MIN))
-    times = synth_schedule(base, count, horizon=walk.duration)
-    traj = observe(
-        path,
-        times,
-        device=f"sim{index:05d}",
-        jitter_radius=walk.jitter_radius,
-        rng=base,
-    )
-    truth = continuous_labels(path, times, config.params) if with_truth else None
-    return path, traj, truth
+    for at in range(0, len(indices), SEED_CHUNK):
+        chunk = indices[at : at + SEED_CHUNK]
+        bases = list(seeded([(config.seed, index) for index in chunk]))
+        walks = seeded([int(base.integers(0, 2**62)) for base in bases])
+        for index, base, walk_rng in zip(chunk, bases, walks):
+            path = _walk(walk, walk_rng)
+            times = synth_schedule(base, count, horizon=walk.duration)
+            traj = observe(
+                path,
+                times,
+                device=f"sim{index:05d}",
+                jitter_radius=walk.jitter_radius,
+                rng=base,
+            )
+            truth = continuous_labels(path, times, config.params) if with_truth else None
+            yield path, traj, truth
 
 
 def _trajectory_counts(config: ExperimentConfig, indices: range) -> np.ndarray:
@@ -346,8 +364,7 @@ def _trajectory_counts(config: ExperimentConfig, indices: range) -> np.ndarray:
     total = np.zeros((len(config.rates), _COUNT_FIELDS), dtype=np.int64)
     batch = []
     held = 0
-    for index in indices:
-        _, traj, truth = experiment_trajectory(config, index)
+    for index, (_, traj, truth) in zip(indices, _trajectories(config, indices)):
         if batch and held + len(traj) > BATCH_RECORDS:
             total += _batch_counts(config, batch)
             batch, held = [], 0
@@ -373,8 +390,8 @@ def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     (rate, predicted code, truth class, stay pool, travel pool), the gap
     fields from each subset's first and last time. The keep masks are drawn
     by ``simulate.resample``'s rule, one uniform per record below the rate,
-    as the ``resample`` command draws them, with no generator built at rates
-    0.0 and 1.0, whose masks need none.
+    as the ``resample`` command draws them, from generators seeded in one
+    pass, with none built at rates 0.0 and 1.0, whose masks need none.
     """
     indices, lons, lats, ts, travels = zip(*batch)
     lengths = [len(v) for v in ts]
@@ -391,15 +408,14 @@ def _batch_counts(config: ExperimentConfig, batch: list) -> np.ndarray:
     # independent of each other and of the trajectory draws. A uniform is
     # always below 1.0 and never below 0.0, so those two rates keep all or
     # nothing without building their generators: no other stream moves.
+    drawn = [k for k, rate in enumerate(config.rates) if rate not in (0.0, 1.0)]
+    streams = seeded([(config.seed, index, k) for k in drawn for index in indices])
     keep = np.empty((rates, len(t)), dtype=bool)
     for k, rate in enumerate(config.rates):
         if rate in (0.0, 1.0):
             keep[k] = rate == 1.0
             continue
-        draws = [
-            np.random.default_rng((config.seed, index, k)).random(n)
-            for index, n in zip(indices, lengths)
-        ]
+        draws = [next(streams).random(n) for n in lengths]
         keep[k] = np.concatenate(draws) < rate
     row, col = np.nonzero(keep)
     # kept records per (rate, trajectory), the order nonzero lists them in,

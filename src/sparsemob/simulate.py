@@ -22,12 +22,17 @@ it uses the same doubles in the same order as one call per draw, and the
 unused rest of the last block reaches nothing else. A function given a
 caller's generator may skip draws it does not need by advancing the bit
 generator by the same count (:func:`synth_schedule`), so the caller's next
-draws are the same.
+draws are the same. A batch of generators may be seeded in one pass
+(:func:`seeded`): each one's state, and so every draw, equals
+``np.random.default_rng``'s for its key.
 """
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -212,6 +217,140 @@ def check_supports(config: CtrwConfig, params: MobilityParams) -> None:
         raise ValueError("; ".join(problems))
 
 
+# SeedSequence's hash constants and pool size (numpy.random.bit_generator)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def seeded(keys) -> Iterator[np.random.Generator]:
+    """A generator for each key in turn, equal to ``np.random.default_rng(key)``:
+    the same ``bit_generator.state``, so the same draws. A key is a
+    non-negative int or a tuple of them.
+
+    ``SeedSequence``'s hash runs once over all keys, on columns of their
+    32-bit words (:func:`_seed_states`). Each generator is built only when
+    it is asked for, a ``PCG64`` handed its four precomputed state words, so
+    until then the batch holds 32 bytes per key.
+    """
+    states = _seed_states(keys)
+    fixed = _fixed_seed()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return (generator(pcg64(fixed(words))) for words in states)
+
+
+@cache
+def _fixed_seed():
+    """The minimal ``ISeedSequence`` whose ``generate_state`` returns the
+    words it holds, the four uint64 words ``PCG64`` asks for. Made on first
+    use, since defining it imports ``numpy.random``, which a command that
+    draws nothing should not load."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds four uint64 words only")
+            return self.words
+
+    return FixedSeed
+
+
+def _key_words(key) -> list[int]:
+    """A seed key's entropy words as ``SeedSequence`` reads them, padded
+    with zeros to the pool size: each int's 32-bit words, least significant
+    first (0 is one word), the ints of a tuple one after another."""
+    words = []
+    for value in key if isinstance(key, tuple) else (key,):
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError(f"seed keys must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    if len(words) < _POOL:
+        words += [0] * (_POOL - len(words))
+    return words
+
+
+def _seed_states(keys) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` of every key, one
+    row each.
+
+    Keys of up to four words are padded with zeros to four and hashed
+    together. The padding changes nothing: the hash fills a missing pool
+    word with the hash of 0. Words past the fourth are mixed in after the
+    pool's own, so longer keys are hashed in groups of one word count.
+    """
+    words = [_key_words(key) for key in keys]
+    groups: dict[int, list[int]] = {}
+    for row, w in enumerate(words):
+        groups.setdefault(len(w), []).append(row)
+    states = np.empty((len(words), 4), dtype=np.uint64)
+    for rows in groups.values():
+        entropy = np.array([words[r] for r in rows], dtype=np.uint32).T
+        states[rows] = _hash_words(entropy)
+    return states
+
+
+@cache
+def _chain(init: int, mult: int, steps: int) -> np.ndarray:
+    """A hash constant chain: ``init`` and its products with ``mult``, mod
+    2**32, after each of ``steps`` steps, as a column."""
+    out = [init]
+    for _ in range(steps):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.setflags(write=False)
+    return column
+
+
+def _hash_words(entropy: np.ndarray) -> np.ndarray:
+    """numpy's ``SeedSequence`` hash on columns: ``entropy`` holds each
+    key's 32-bit words down a column, at least four; the result holds each
+    key's four uint64 state words in a row.
+
+    Every ``hashmix`` call takes the next constant of one chain, whatever
+    the words, so each step hashes all keys.
+    """
+    width = len(entropy)
+
+    def hashmix(values, const, at, count):
+        # one row per constant: ``values`` hashed with each of the next count
+        values = values ^ const[at : at + count]
+        values *= const[at + 1 : at + count + 1]
+        values ^= values >> 16
+        return values
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        out ^= out >> 16
+        return out
+
+    const = _chain(_INIT_A, _MULT_A, _POOL * width)
+    pool = hashmix(entropy[:_POOL], const, 0, _POOL)
+    at = _POOL
+    # every pool word into every other, then each further word into all
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], const, at, _POOL - 1))
+        at += _POOL - 1
+    for src in range(_POOL, width):
+        pool = mix(pool, hashmix(entropy[src], const, at, _POOL))
+        at += _POOL
+    # generate_state: eight 32-bit words from the pool, cycled, taken in
+    # little-endian pairs
+    state = hashmix(np.concatenate([pool, pool]), _chain(_INIT_B, _MULT_B, 8), 0, 8)
+    state = state.astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
+
+
 def _uniforms(rng: np.random.Generator):
     """The generator's doubles one by one, drawn in blocks of 64: the same
     values in the same order as one ``rng.random()`` call each."""
@@ -220,7 +359,13 @@ def _uniforms(rng: np.random.Generator):
 
 
 def generate_ctrw(config: CtrwConfig) -> GroundTruthPath:
-    """Build one ground-truth path from the config seed.
+    """Build one ground-truth path from the config seed: :func:`_walk` on
+    ``np.random.default_rng(config.seed)``."""
+    return _walk(config, np.random.default_rng(config.seed))
+
+
+def _walk(config: CtrwConfig, rng: np.random.Generator) -> GroundTruthPath:
+    """Build one ground-truth path from ``rng``; ``config.seed`` is not read.
 
     Draw order: initial position (one size-2 uniform), then per cycle one
     dwell duration, one jump length, one jump direction, each from one
@@ -231,7 +376,6 @@ def generate_ctrw(config: CtrwConfig) -> GroundTruthPath:
     The final period is truncated at the horizon; legs are cut at the
     interpolated position.
     """
-    rng = np.random.default_rng(config.seed)
     x, y = rng.uniform(-config.start_span, config.start_span, 2).tolist()
     uniform = _uniforms(rng).__next__
     wait_at = _power_law_transform(config.wait_exponent, config.wait_min, config.wait_max)

@@ -8,6 +8,7 @@ the same answers the library computes with pruned or vectorized scans.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -891,6 +892,14 @@ def reference_schedule(
     return gaps, np.floor(np.cumsum(gaps)).astype(np.int64)
 
 
+def reference_device_rng(seed: int, device: str) -> np.random.Generator:
+    """The ``resample`` command's generator of one device, seeded by numpy
+    itself: by (seed, the first 8 bytes of the id's UTF-8 sha256 read
+    big-endian)."""
+    digest = hashlib.sha256(device.encode("utf-8")).digest()
+    return np.random.default_rng((seed, int.from_bytes(digest[:8], "big")))
+
+
 def reference_trajectory_counts(config: ExperimentConfig, index: int) -> np.ndarray:
     """Per-rate counts composed from the public calls, one rate at a time:
     the reference for ``evaluate._trajectory_counts``.
@@ -1032,9 +1041,10 @@ def periods_of(path: GroundTruthPath) -> tuple:
     )
 
 
-def reference_ctrw_periods(config: CtrwConfig) -> tuple:
-    """The walk as period objects, one scalar draw at a time: the reference
-    for ``simulate.generate_ctrw``, which draws the same uniforms in blocks.
+def reference_ctrw_periods(config: CtrwConfig, rng: np.random.Generator | None = None) -> tuple:
+    """The walk as period objects, one scalar draw at a time from ``rng``,
+    by default ``np.random.default_rng(config.seed)``: the reference for
+    ``simulate.generate_ctrw``, which draws the same uniforms in blocks.
 
     Draw order: initial position (one size-2 uniform), then per cycle one
     dwell duration, one jump length, one jump direction. The final period is
@@ -1042,7 +1052,8 @@ def reference_ctrw_periods(config: CtrwConfig) -> tuple:
     The inverse-CDF transform is written out here rather than taken from
     the library.
     """
-    rng = np.random.default_rng(config.seed)
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
 
     def power_law(exponent, lower, upper):
         u = rng.random()
@@ -1078,10 +1089,12 @@ def reference_ctrw_periods(config: CtrwConfig) -> tuple:
     return tuple(periods)
 
 
-def reference_generate_ctrw(config: CtrwConfig) -> GroundTruthPath:
+def reference_generate_ctrw(
+    config: CtrwConfig, rng: np.random.Generator | None = None
+) -> GroundTruthPath:
     """``simulate.generate_ctrw`` through :func:`reference_ctrw_periods`:
     each period adds its end vertex, at the dwell point or the leg's end."""
-    periods = reference_ctrw_periods(config)
+    periods = reference_ctrw_periods(config, rng)
     vt, vx, vy = [0.0], [periods[0].x], [periods[0].y]
     for p in periods:
         stay = isinstance(p, StayPeriod)

@@ -17,6 +17,7 @@ from helpers import (
     _csv_text,
     random_trajectory,
     reference_bounds,
+    reference_device_rng,
     reference_generate_ctrw,
     reference_ingest,
     reference_prop1,
@@ -45,7 +46,7 @@ from sparsemob.sds import sds_label
 from sparsemob.simulate import resample
 from sparsemob.cli import (
     DataError,
-    _device_rng,
+    _device_streams,
     _fmt,
     _load_model,
     _parse_bool,
@@ -358,13 +359,12 @@ class TestSmallParsers:
             _parse_float_list(",")
 
     def test_device_rng_keyed_by_seed_and_device(self):
-        a = _device_rng(0, "dev").random(4)
-        b = _device_rng(0, "dev").random(4)
-        c = _device_rng(0, "other").random(4)
-        d = _device_rng(1, "dev").random(4)
+        a, b, c = (rng.random(4) for rng in _device_streams(0, ["dev", "dev", "other"]))
+        (d,) = (rng.random(4) for rng in _device_streams(1, ["dev"]))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+        assert np.array_equal(a, reference_device_rng(0, "dev").random(4))
 
 
 class TestIngest:
@@ -1653,10 +1653,10 @@ class TestExitCodes:
         self, tmp_path, capsys, monkeypatch, command, truth
     ):
         # a walk of 1e12 s is about 5.6e8 dwell cycles, drawn one by one
-        def no_walk(config):
+        def no_walk(config, rng):
             raise AssertionError("a walk was drawn")
 
-        monkeypatch.setattr(evaluate, "generate_ctrw", no_walk)
+        monkeypatch.setattr(evaluate, "_walk", no_walk)
         out = tmp_path / "o.csv"
         argv = command + ["--trajectories", "1", "--duration", "1e12", "--out", str(out)]
         if truth:
@@ -1989,11 +1989,11 @@ class TestSimulatePipeline:
         blocks = run("blocks")
         walks = []
 
-        def reference(config):
-            walks.append(config.seed)
-            return reference_generate_ctrw(config)
+        def reference(config, rng):
+            walks.append(rng)
+            return reference_generate_ctrw(config, rng)
 
-        monkeypatch.setattr(evaluate, "generate_ctrw", reference)
+        monkeypatch.setattr(evaluate, "_walk", reference)
         assert run("reference") == blocks
         assert len(walks) == 20
 
@@ -2726,7 +2726,7 @@ class TestPerDeviceDifferential:
         else:
             subs, kept = [], []
             for traj, cs in zip(trajs, codes):
-                sub, keep = resample(traj, float(rate), _device_rng(3, traj.device))
+                sub, keep = resample(traj, float(rate), reference_device_rng(3, traj.device))
                 subs.append(sub)
                 kept.append(cs[keep])
             rows = [
@@ -3049,6 +3049,17 @@ print("multiprocessing" in sys.modules)
 """
     assert fresh_stdout(code) == ["False"]
     assert [r[2] for r in label_lines(out)] == ["U", "T", "U"] * 3
+
+
+def test_evaluate_import_loads_no_numpy_random():
+    # prop1 and stats import evaluate, which imports simulate; only a draw
+    # needs numpy.random, which adds about 2 MB to a process's resident set
+    code = """
+import sys
+import sparsemob.evaluate
+print("numpy.random" in sys.modules)
+"""
+    assert fresh_stdout(code) == ["False"]
 
 
 def fresh_stdout(code: str) -> list[str]:

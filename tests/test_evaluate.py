@@ -27,7 +27,7 @@ from sparsemob.core import (
     planar,
     radii,
 )
-from sparsemob import sds
+from sparsemob import evaluate, sds
 from sparsemob.cli import main
 from sparsemob.evaluate import (
     BATCH_RECORDS,
@@ -432,18 +432,20 @@ class TestTrajectoryCounts:
         # rate position), are never built
         config = ExperimentConfig(trajectories=5, rates=rates, seed=11)
         want = sum(reference_trajectory_counts(config, i) for i in range(5))
-        seeds = []
-        default_rng = np.random.default_rng
+        keys = []
+        seeded = evaluate.seeded
 
-        def recorded(seed=None):
-            seeds.append(seed)
-            return default_rng(seed)
+        def recorded(batch):
+            batch = list(batch)
+            keys.extend(batch)
+            return seeded(batch)
 
-        monkeypatch.setattr(np.random, "default_rng", recorded)
+        monkeypatch.setattr(evaluate, "seeded", recorded)
         got = _trajectory_counts(config, range(config.trajectories))
         assert got.tolist() == want.tolist()
-        drawn = {s[2] for s in seeds if isinstance(s, tuple) and len(s) == 3}
-        assert drawn == {k for k, rate in enumerate(rates) if rate == 0.5}
+        drawn = [key[2] for key in keys if isinstance(key, tuple) and len(key) == 3]
+        assert set(drawn) == {k for k, rate in enumerate(rates) if rate == 0.5}
+        assert len(drawn) == config.trajectories * rates.count(0.5)
 
     def test_zero_record_trajectory_inside_a_batch(self, kernel_calls):
         # the first observation often falls past a 200 s walk's end

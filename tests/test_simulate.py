@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     StayPeriod,
@@ -33,11 +33,13 @@ from sparsemob.simulate import (
     CtrwConfig,
     GroundTruthPath,
     _search_label,
+    _skip_uniforms,
     check_supports,
     continuous_labels,
     generate_ctrw,
     observe,
     resample,
+    seeded,
     synth_schedule,
     window_diameter,
 )
@@ -754,3 +756,46 @@ class TestDiscreteContinuousLinkage:
             inside = traj.times[p : q + 1].astype(np.float64)
             got = continuous_labels(path, inside, inflated)
             assert (got == LABEL_STAY).all()
+
+
+#: seed ints of 1 to 7 words, with the word boundaries named
+SEED_INTS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), st.integers(0, 2**200))
+#: keys of 1 to more than 4 words: an int, or a tuple of 1 to 6 ints
+SEED_KEYS = st.one_of(SEED_INTS, st.lists(SEED_INTS, min_size=1, max_size=6).map(tuple))
+
+
+class TestSeeded:
+    """``seeded`` against ``np.random.default_rng``, key by key."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(SEED_KEYS, min_size=1, max_size=12))
+    @example([0, 2**32 - 1, 2**32, 2**64, 2**200, (0,), (0, 0, 0, 0), (1, 2, 3, 4, 5)])
+    @example([(2**64, 2**64, 7), (2**200,) * 6, (2**32 - 1,) * 5])
+    def test_equals_default_rng(self, keys):
+        got = list(seeded(keys))
+        assert len(got) == len(keys)
+        for key, rng in zip(keys, got):
+            ref = np.random.default_rng(key)
+            assert rng.bit_generator.state == ref.bit_generator.state, key
+            assert _bits(rng.random(7)) == _bits(ref.random(7)), key
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62), key
+            # synth_schedule's skip: an advance of the bit generator
+            _skip_uniforms(rng, 1000)
+            ref.random(1000)
+            assert _bits(rng.random(3)) == _bits(ref.random(3)), key
+
+    def test_builds_each_generator_when_asked(self):
+        streams = seeded([(5, 1), (5, 2)])
+        assert iter(streams) is streams
+        first = next(streams).random(4)
+        assert _bits(first) == _bits(np.random.default_rng((5, 1)).random(4))
+        assert list(seeded([])) == []
+
+    @pytest.mark.parametrize(
+        "key, error", [(-1, ValueError), ((3, -1), ValueError), (1.5, TypeError)]
+    )
+    def test_refuses_what_default_rng_refuses(self, key, error):
+        with pytest.raises(error):
+            np.random.default_rng(key)
+        with pytest.raises(error):
+            seeded([key])
